@@ -115,15 +115,12 @@ class MetadataWarehouse:
         text: str,
         rulebases: Sequence[str] = (),
         bindings=None,
-        strategy: Optional[str] = None,
     ):
         """Run a SPARQL query against the current model.
 
         ``rulebases`` adds the matching entailment indexes to the queried
-        view — without them, derived triples stay invisible. ``strategy``
-        forces a physical BGP execution (``"nested-loop"``,
-        ``"hash-join"``; default adaptive). Parsed queries and join
-        orders are reused through :attr:`plan_cache`.
+        view — without them, derived triples stay invisible. Parsed
+        queries and join orders are reused through :attr:`plan_cache`.
         """
         view = self.store.view([self.model_name], rulebases=list(rulebases))
         return sparql_execute(
@@ -131,7 +128,6 @@ class MetadataWarehouse:
             text,
             nsm=self.namespaces,
             bindings=bindings,
-            strategy=strategy,
             plan_cache=self.plan_cache,
         )
 
@@ -139,12 +135,12 @@ class MetadataWarehouse:
         self,
         text: str,
         rulebases: Sequence[str] = (),
-        strategy: str = "auto",
         analyze: bool = False,
     ) -> str:
         """The evaluation plan of a SPARQL query against the current
-        model (join order, cardinality estimates, physical strategy),
-        plus the plan-cache state for the query text.
+        model (join order, cardinality estimates, join operators) as the
+        plan cache holds it — the plan the next execution runs — plus
+        the plan-cache state for the query text.
 
         ``analyze=True`` additionally *runs* the query under a
         :class:`~repro.obs.profile.QueryProfile` and appends the actual
@@ -153,8 +149,8 @@ class MetadataWarehouse:
         from repro.sparql import explain as sparql_explain
 
         view = self.store.view([self.model_name], rulebases=list(rulebases))
-        rendered = sparql_explain(view, text, nsm=self.namespaces, strategy=strategy)
         plan = self.plan_cache.prepare(view, text, nsm=self.namespaces)
+        rendered = sparql_explain(view, plan.query, plan=plan)
         stats = self.plan_cache.stats()
         rendered += (
             f"\nPLAN CACHE entry generation={plan.generation!r} "
@@ -170,7 +166,7 @@ class MetadataWarehouse:
             from repro.obs.profile import profile_scope
 
             with profile_scope() as prof:
-                self.query(text, rulebases=rulebases, strategy=strategy)
+                self.query(text, rulebases=rulebases)
             rendered += "\n" + prof.render(indent="  ")
         return rendered
 

@@ -31,7 +31,6 @@ def sem_match(
     filter_condition: Optional[str] = None,
     projection: Optional[Sequence[str]] = None,
     distinct: bool = False,
-    strategy: Optional[str] = None,
     plan_cache=None,
     eq_hints: Optional[Mapping[str, str]] = None,
 ) -> SolutionSequence:
@@ -57,9 +56,6 @@ def sem_match(
         Variables to project (without ``?``); all variables when omitted.
     distinct:
         Deduplicate projected rows.
-    strategy:
-        Physical BGP execution strategy (see
-        :data:`repro.sparql.evaluator.STRATEGIES`); adaptive by default.
     plan_cache:
         Optional :class:`~repro.sparql.PlanCache`; reuses the parsed
         query and join order across repeated calls.
@@ -69,9 +65,7 @@ def sem_match(
         :func:`repro.oracle.sql.execute_sem_sql`). Hints proven safe are
         pushed down as initial bindings so a selective probe (the
         Listing 2 lineage shape) runs as a bind-join instead of scanning
-        the whole pattern and filtering afterwards. Pushdown is skipped
-        for the ``nested-loop`` strategy, which reproduces the
-        pre-optimization execution end to end.
+        the whole pattern and filtering afterwards.
     """
     pattern = pattern.strip()
     if not (pattern.startswith("{") and pattern.endswith("}")):
@@ -89,20 +83,17 @@ def sem_match(
     query_text = f"{keyword} {select} WHERE {{ {body} }}"
 
     view = store.view(list(models), rulebases=list(rulebases))
-    want_pushdown = bool(eq_hints) and strategy != "nested-loop"
 
     if plan_cache is not None:
         bindings = None
-        if want_pushdown:
+        if eq_hints:
             parsed = plan_cache.parse(query_text, nsm=nsm)
             bindings = _pushdown_bindings(parsed, eq_hints)
-        return plan_cache.execute(
-            view, query_text, nsm=nsm, bindings=bindings, strategy=strategy
-        )
+        return plan_cache.execute(view, query_text, nsm=nsm, bindings=bindings)
 
     query = parse_query(query_text, nsm=nsm)
-    bindings = _pushdown_bindings(query, eq_hints) if want_pushdown else None
-    return evaluate(view, query, initial_bindings=bindings, strategy=strategy)
+    bindings = _pushdown_bindings(query, eq_hints) if eq_hints else None
+    return evaluate(view, query, initial_bindings=bindings)
 
 
 def _pushdown_bindings(query, hints: Mapping[str, str]) -> Optional[Dict[str, Term]]:

@@ -132,12 +132,10 @@ def parse_sem_sql(sql: str) -> SemSqlQuery:
     )
 
 
-def execute_sem_sql(
-    store: TripleStore, sql: str, strategy=None, plan_cache=None
-) -> SolutionSequence:
+def execute_sem_sql(store: TripleStore, sql: str, plan_cache=None) -> SolutionSequence:
     """Parse and execute a SEM_MATCH SQL statement against ``store``.
 
-    ``strategy`` and ``plan_cache`` pass through to :func:`sem_match`.
+    ``plan_cache`` passes through to :func:`sem_match`.
     """
     query = parse_sem_sql(sql)
     raw = sem_match(
@@ -146,7 +144,6 @@ def execute_sem_sql(
         models=query.models,
         rulebases=query.rulebases,
         aliases=query.aliases,
-        strategy=strategy,
         plan_cache=plan_cache,
         eq_hints=_equality_hints(query.where),
     )

@@ -59,11 +59,32 @@ from repro.sparql.cancel import CancelToken, cancel_scope
 
 _UNSET = object()
 
-#: Request kinds the service dispatches (update is a separate, write path).
-#: ``frontier`` and ``lookup`` are the shard-local sub-requests of the
-#: sharded gateway (:mod:`repro.server.sharding`): one BFS level of
+#: The payload keys each request kind takes (update is a separate, write
+#: path). ``frontier`` and ``lookup`` are the shard-local sub-requests of
+#: the sharded gateway (:mod:`repro.server.sharding`): one BFS level of
 #: lineage edges, and a point name→term resolution.
-KINDS = ("query", "sql", "search", "lineage", "frontier", "lookup")
+PAYLOAD_KEYS = {
+    "query": frozenset({"text", "rulebases"}),
+    "sql": frozenset({"sql"}),
+    "search": frozenset({"term", "filters", "expand_synonyms", "regex"}),
+    "lineage": frozenset({"item", "direction", "max_depth"}),
+    "frontier": frozenset({"items", "direction"}),
+    "lookup": frozenset({"name"}),
+}
+
+#: Request kinds the service dispatches.
+KINDS = tuple(PAYLOAD_KEYS)
+
+
+def check_payload(kind: str, payload: Dict[str, object]) -> None:
+    """Reject payload keys ``kind`` does not take — a misspelt or
+    retired option must fail loudly, not run with the option dropped."""
+    unknown = payload.keys() - PAYLOAD_KEYS[kind]
+    if unknown:
+        raise QueryServiceError(
+            f"{kind!r} request takes no option {sorted(unknown)}; "
+            f"expected a subset of {sorted(PAYLOAD_KEYS[kind])}"
+        )
 
 
 def dispatch(warehouse, kind: str, payload: Dict[str, object]):
@@ -74,9 +95,7 @@ def dispatch(warehouse, kind: str, payload: Dict[str, object]):
     """
     if kind == "query":
         return warehouse.query(
-            payload["text"],
-            rulebases=payload.get("rulebases", ()),
-            strategy=payload.get("strategy"),
+            payload["text"], rulebases=payload.get("rulebases", ())
         )
     if kind == "sql":
         return warehouse.sem_sql(payload["sql"])
@@ -493,6 +512,7 @@ class QueryService:
             raise QueryServiceError(
                 f"unknown request kind {kind!r}; expected one of {KINDS}"
             )
+        check_payload(kind, payload)
         if self._closed:
             raise ServiceClosed()
         breaker = self._breakers[kind]

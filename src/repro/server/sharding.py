@@ -64,6 +64,7 @@ from repro.server.service import (
     ServiceConfig,
     _UNSET,
     _statement_of,
+    check_payload,
 )
 from repro.services.lineage import LineageEdge, LineageTrace
 from repro.services.search import SearchResults
@@ -398,6 +399,7 @@ class ShardedQueryService:
                 f"sharded gateway cannot route {kind!r}; expected one of "
                 f"{GATEWAY_KINDS} (run query/sql on an unsharded replica)"
             )
+        check_payload(kind, payload)
         if timeout is _UNSET:
             timeout = self.config.default_timeout
         deadline = self._deadline(timeout)

@@ -61,7 +61,7 @@ from repro.sparql.expressions import (
     VarExpr,
 )
 from repro.sparql.parser import parse_query
-from repro.sparql.evaluator import DEFAULT_STRATEGY, STRATEGIES, evaluate
+from repro.sparql.evaluator import evaluate
 from repro.sparql.explain import explain
 from repro.sparql.plancache import PlanCache, PreparedQuery
 from repro.sparql.update import UpdateResult, execute_update, parse_update
@@ -71,11 +71,10 @@ from repro.sparql.planner import (
     order_patterns,
     pattern_selectivity,
     plan_bgp,
-    planner_mode,
 )
 
 
-def execute(graph, query_text, nsm=None, bindings=None, strategy=None, plan_cache=None):
+def execute(graph, query_text, nsm=None, bindings=None, plan_cache=None):
     """Parse and evaluate ``query_text`` against ``graph``.
 
     ``graph`` is a :class:`~repro.rdf.Graph` or
@@ -83,17 +82,13 @@ def execute(graph, query_text, nsm=None, bindings=None, strategy=None, plan_cach
     :class:`~repro.sparql.results.SolutionSequence` for SELECT, a bool
     for ASK, and a :class:`~repro.rdf.Graph` for CONSTRUCT.
 
-    ``strategy`` picks the physical BGP execution (one of
-    :data:`STRATEGIES`; default adaptive). Passing a :class:`PlanCache`
-    as ``plan_cache`` reuses parsed queries and join orders across
-    calls.
+    Passing a :class:`PlanCache` as ``plan_cache`` reuses parsed queries
+    and join orders across calls.
     """
     if plan_cache is not None:
-        return plan_cache.execute(
-            graph, query_text, nsm=nsm, bindings=bindings, strategy=strategy
-        )
+        return plan_cache.execute(graph, query_text, nsm=nsm, bindings=bindings)
     query = parse_query(query_text, nsm=nsm)
-    return evaluate(graph, query, initial_bindings=bindings, strategy=strategy)
+    return evaluate(graph, query, initial_bindings=bindings)
 
 
 __all__ = [
@@ -101,8 +96,6 @@ __all__ = [
     "AskQuery",
     "BGP",
     "BGPPlan",
-    "DEFAULT_STRATEGY",
-    "STRATEGIES",
     "BinaryExpr",
     "ConstExpr",
     "ConstructQuery",
@@ -147,6 +140,5 @@ __all__ = [
     "parse_query",
     "pattern_selectivity",
     "plan_bgp",
-    "planner_mode",
     "tokenize",
 ]

@@ -2,30 +2,18 @@
 
 Evaluation is staged: pattern nodes produce binding sets, solution
 modifiers post-process the materialized row list. BGPs are join-ordered
-by :mod:`repro.sparql.planner` and then executed by one of three
-physical strategies:
+by :mod:`repro.sparql.planner` and run on the id-space pipeline: terms
+are interned through the graph's
+:class:`~repro.rdf.dictionary.TermDictionary`, and each stage picks
+hash-join (one scan of the pattern, hashed on the shared-variable ids)
+or bind-join (index-nested-loop with binding substitution) from the
+planner's cost estimate and the exact size of the intermediate result.
 
-``"nested-loop"``
-    The historical pull-based recursion over term objects — one
-    index-probe per intermediate row per pattern. Kept as the baseline
-    the benchmark harness compares against.
-
-``"hash-join"``
-    Id-space pipeline (terms interned through the graph's
-    :class:`~repro.rdf.dictionary.TermDictionary`); every stage sharing
-    a variable with the rows so far builds a hash table over the
-    pattern's scan keyed on the shared-variable ids.
-
-``"auto"`` (default)
-    Id-space pipeline; each stage picks hash-join or bind-join
-    (index-nested-loop with binding substitution) from the exact size
-    of the intermediate result and the index cardinality estimate —
-    hash-join when both sides are unbound-large, bind-join when the
-    bindings make the inner side selective.
-
-All strategies produce the same solution multiset; only row order may
-differ between the nested-loop and hash paths (SPARQL leaves it
-unspecified without ORDER BY).
+A :class:`~repro.rdf.GraphView` whose layers do not share one dictionary
+has no id space to join in; its BGPs run on the term-space recursion
+(:func:`_eval_bgp_nested`) instead. Both paths produce the same solution
+multiset; only row order may differ (SPARQL leaves it unspecified
+without ORDER BY).
 """
 
 from __future__ import annotations
@@ -68,71 +56,45 @@ from repro.sparql.results import Row, SolutionSequence
 
 Binding = Dict[str, Term]
 
-#: The physical BGP execution strategies (see module docstring).
-STRATEGIES = ("auto", "hash-join", "nested-loop")
-
-DEFAULT_STRATEGY = "auto"
-
-# Auto-strategy knobs: below _HASH_MIN_ROWS intermediate rows a bind-join
-# always wins (the hash table would cost more than the probes); above it,
-# hash-join is chosen when the build scan plus per-row lookups undercuts
-# per-row index probes (see _pick_hash_join). The floor is shared with
-# the planner so estimate-time operator choices match the runtime.
-_HASH_MIN_ROWS = HASH_MIN_ROWS
-_HASH_SCAN_FACTOR = 2
-
 
 def evaluate(
     graph,
     query: Query,
     initial_bindings: Optional[Binding] = None,
-    strategy: Optional[str] = None,
     plan=None,
 ):
     """Evaluate ``query`` against ``graph``.
 
     Returns a :class:`SolutionSequence` for SELECT, ``bool`` for ASK, and
-    a new :class:`Graph` for CONSTRUCT. ``strategy`` selects the physical
-    BGP execution (see :data:`STRATEGIES`); ``plan`` is an optional
+    a new :class:`Graph` for CONSTRUCT. ``plan`` is an optional
     :class:`~repro.sparql.plancache.PreparedQuery` whose cached join
     orders are reused instead of re-planning.
     """
-    strategy = _check_strategy(strategy)
     initial = dict(initial_bindings or {})
-    with span("plan", "sparql", strategy=strategy, query=type(query).__name__):
+    with span("plan", "sparql", query=type(query).__name__):
         if isinstance(query, SelectQuery):
-            return _evaluate_select(graph, query, initial, strategy, plan)
+            return _evaluate_select(graph, query, initial, plan)
         if isinstance(query, AskQuery):
             return any(
-                True for _ in eval_pattern(graph, query.pattern, initial, strategy, plan)
+                True for _ in eval_pattern(graph, query.pattern, initial, plan)
             )
         if isinstance(query, ConstructQuery):
-            return _evaluate_construct(graph, query, initial, strategy, plan)
+            return _evaluate_construct(graph, query, initial, plan)
         from repro.sparql.algebra import DescribeQuery
 
         if isinstance(query, DescribeQuery):
-            return _evaluate_describe(graph, query, initial, strategy, plan)
+            return _evaluate_describe(graph, query, initial, plan)
     raise SparqlEvalError(f"unknown query type {type(query).__name__}")
 
 
-def _check_strategy(strategy: Optional[str]) -> str:
-    if strategy is None:
-        return DEFAULT_STRATEGY
-    if strategy not in STRATEGIES:
-        raise SparqlEvalError(
-            f"unknown execution strategy {strategy!r}; choose from {STRATEGIES}"
-        )
-    return strategy
-
-
-def _evaluate_describe(graph, query, initial: Binding, strategy, plan) -> Graph:
+def _evaluate_describe(graph, query, initial: Binding, plan) -> Graph:
     """DESCRIBE: the concise bounded description — every triple whose
     subject is a described resource, expanded through blank-node objects."""
     from repro.rdf.terms import BNode
 
     resources = list(query.resources)
     if query.pattern is not None:
-        for row in eval_pattern(graph, query.pattern, initial, strategy, plan):
+        for row in eval_pattern(graph, query.pattern, initial, plan):
             for name in query.variables:
                 value = row.get(name)
                 if value is not None and not isinstance(value, Literal):
@@ -161,21 +123,18 @@ def eval_pattern(
     graph,
     pattern: Pattern,
     binding: Binding,
-    strategy: str = DEFAULT_STRATEGY,
     plan=None,
 ) -> Iterator[Binding]:
     """Yield solution bindings for ``pattern`` extending ``binding``."""
     if isinstance(pattern, BGP):
-        yield from _eval_bgp(
-            graph, pattern, binding, strategy=strategy, plan=plan
-        )
+        yield from _eval_bgp(graph, pattern, binding, plan)
     elif isinstance(pattern, Join):
-        for left in eval_pattern(graph, pattern.left, binding, strategy, plan):
-            yield from eval_pattern(graph, pattern.right, left, strategy, plan)
+        for left in eval_pattern(graph, pattern.left, binding, plan):
+            yield from eval_pattern(graph, pattern.right, left, plan)
     elif isinstance(pattern, LeftJoin):
-        for left in eval_pattern(graph, pattern.left, binding, strategy, plan):
+        for left in eval_pattern(graph, pattern.left, binding, plan):
             matched = False
-            for joined in eval_pattern(graph, pattern.right, left, strategy, plan):
+            for joined in eval_pattern(graph, pattern.right, left, plan):
                 if pattern.condition is not None and not _test(pattern.condition, joined):
                     continue
                 matched = True
@@ -183,22 +142,20 @@ def eval_pattern(
             if not matched:
                 yield left
     elif isinstance(pattern, Union):
-        yield from eval_pattern(graph, pattern.left, binding, strategy, plan)
-        yield from eval_pattern(graph, pattern.right, binding, strategy, plan)
+        yield from eval_pattern(graph, pattern.left, binding, plan)
+        yield from eval_pattern(graph, pattern.right, binding, plan)
     elif isinstance(pattern, Filter):
         _attach_graph(pattern.condition, graph)
-        for row in eval_pattern(graph, pattern.pattern, binding, strategy, plan):
+        for row in eval_pattern(graph, pattern.pattern, binding, plan):
             if _test(pattern.condition, row):
                 yield row
     elif isinstance(pattern, Minus):
-        right_rows = list(
-            eval_pattern(graph, pattern.right, dict(binding), strategy, plan)
-        )
-        for row in eval_pattern(graph, pattern.left, binding, strategy, plan):
+        right_rows = list(eval_pattern(graph, pattern.right, dict(binding), plan))
+        for row in eval_pattern(graph, pattern.left, binding, plan):
             if not any(_compatible_overlapping(row, other) for other in right_rows):
                 yield row
     elif isinstance(pattern, Extend):
-        for row in eval_pattern(graph, pattern.pattern, binding, strategy, plan):
+        for row in eval_pattern(graph, pattern.pattern, binding, plan):
             if pattern.variable in row:
                 raise SparqlEvalError(
                     f"BIND target ?{pattern.variable} is already bound"
@@ -259,13 +216,7 @@ def _test(condition, binding: Binding) -> bool:
         return False
 
 
-def _eval_bgp(
-    graph,
-    bgp: BGP,
-    binding: Binding,
-    strategy: str = DEFAULT_STRATEGY,
-    plan=None,
-) -> Iterator[Binding]:
+def _eval_bgp(graph, bgp: BGP, binding: Binding, plan=None) -> Iterator[Binding]:
     patterns = bgp.patterns
     paths = bgp.paths
     if not patterns and not paths:
@@ -279,26 +230,23 @@ def _eval_bgp(
         bgp_plan = plan.bgp_plan(graph, bgp, bound_names)
     else:
         bgp_plan = plan_bgp(graph, list(patterns), bound=bound_names)
-    ordered = bgp_plan.order
 
     prof = current_profile()
     if prof is not None:
         prof.count("bgps")
 
     dictionary = getattr(graph, "dictionary", None)
-    if strategy == "nested-loop" or dictionary is None:
-        produced = _eval_bgp_nested(graph, list(ordered) + list(paths), binding)
+    if dictionary is None:
+        # layers with different dictionaries: no shared id space
+        stages = list(bgp_plan.order) + list(paths)
+        produced = _eval_bgp_nested(graph, stages, binding)
         if prof is not None:
-            stats = prof.operator(
-                "nested-loop", detail=f"{len(ordered) + len(paths)} stage(s)"
-            )
+            stats = prof.operator("nested-loop", detail=f"{len(stages)} stage(s)")
             produced = count_rows(produced, stats)
         yield from produced
         return
 
-    piped = _run_id_pipeline(
-        graph, dictionary, ordered, binding, strategy, prof, bgp_plan
-    )
+    piped = _run_id_pipeline(graph, dictionary, binding, bgp_plan, prof)
     if piped is None:
         return
     slots, rows, extras = piped
@@ -339,7 +287,8 @@ def _recurse_paths(graph, paths: Sequence, i: int, current: Binding) -> Iterator
 
 
 # ---------------------------------------------------------------------------
-# Nested-loop execution (term space) — the pre-optimization baseline
+# Term-space execution: views without a shared dictionary, and the
+# reference the id-space pipeline is tested against
 # ---------------------------------------------------------------------------
 
 
@@ -384,13 +333,11 @@ IdRow = Tuple[int, ...]
 def _run_id_pipeline(
     graph,
     dictionary,
-    ordered: Sequence[Triple],
     binding: Binding,
-    strategy: str,
+    bgp_plan,
     prof=None,
-    bgp_plan=None,
 ) -> Optional[Tuple[Dict[str, int], List[IdRow], Binding]]:
-    """Execute the ordered triple stages over interned ids.
+    """Execute the planned triple stages over interned ids.
 
     Returns (variable slot map, id rows, pass-through term bindings), or
     None when the initial binding already rules out every solution.
@@ -398,14 +345,14 @@ def _run_id_pipeline(
     None); per-stage operator statistics and spans are recorded only
     when profiling or tracing is on.
 
-    ``bgp_plan`` carries the cost-based per-stage estimates: each stage
-    follows the plan's hash/bind decision (re-checked against the actual
-    intermediate row count), and the actual per-stage row counts are fed
-    back via :meth:`~repro.sparql.planner.BGPPlan.observe` — always, not
-    just under profiling, because the re-costing loop depends on them.
+    Each stage follows ``bgp_plan``'s hash/bind pricing (re-checked
+    against the actual intermediate row count), and the actual per-stage
+    row counts are fed back via
+    :meth:`~repro.sparql.planner.BGPPlan.observe` — always, not just
+    under profiling, because the re-costing loop depends on them.
     """
     pattern_vars = set()
-    for pat in ordered:
+    for pat in bgp_plan.order:
         for t in pat:
             if isinstance(t, Variable):
                 pattern_vars.add(t.name)
@@ -428,88 +375,54 @@ def _run_id_pipeline(
     if prof is not None and slots:
         prof.count("dict_lookups", len(slots))
 
-    # cost-based stage estimates, aligned with the executed order; the
-    # legacy planner mode leaves operator choice to the runtime heuristic
-    stages = None
-    if (
-        bgp_plan is not None
-        and bgp_plan.uses_cost_decisions
-        and len(bgp_plan.stages) == len(ordered)
-    ):
-        stages = bgp_plan.stages
-    actuals: Optional[List[Tuple[int, int]]] = [] if stages is not None else None
-
-    def feed_back() -> None:
-        if actuals:
-            bgp_plan.observe(actuals)
-
+    actuals: List[Tuple[int, int]] = []
     token = current_cancel()
     rows: List[IdRow] = [tuple(initial)]
     instrumented = prof is not None or tracing()
-    for stage_index, pat in enumerate(ordered):
-        estimate = stages[stage_index] if stages is not None else None
+    for estimate in bgp_plan.stages:
         if token is not None:
             token.check()
             if prof is not None:
                 prof.count("cancel_checks")
-        if not instrumented:
-            rows_in = len(rows)
-            rows, _ = _join_stage(
-                graph, dictionary, pat, rows, slots, strategy, estimate
-            )
-            if actuals is not None:
-                actuals.append((rows_in, len(rows)))
-            if not rows:
-                feed_back()
-                return slots, [], extras
-            continue
-        detail = _pattern_detail(pat)
         rows_in = len(rows)
-        if prof is not None:
-            consts = sum(1 for t in pat if not isinstance(t, Variable))
-            if consts:
-                prof.count("dict_lookups", consts)
-        started = perf_counter()
-        with span("operator", "sparql", pattern=detail) as attrs:
-            rows, op = _join_stage(
-                graph, dictionary, pat, rows, slots, strategy, estimate
-            )
-            attrs["op"] = op
-            attrs["rows_in"] = rows_in
-            attrs["rows_out"] = len(rows)
-        if prof is not None:
-            prof.operator(
-                op, detail=detail, rows_in=rows_in, rows_out=len(rows),
-                seconds=perf_counter() - started,
-                est_rows_out=estimate.rows_out if estimate is not None else None,
-            )
-        if actuals is not None:
-            actuals.append((rows_in, len(rows)))
+        if not instrumented:
+            rows, _ = _join_stage(graph, dictionary, rows, slots, estimate)
+        else:
+            detail = estimate.detail
+            if prof is not None:
+                consts = sum(
+                    1 for t in estimate.pattern if not isinstance(t, Variable)
+                )
+                if consts:
+                    prof.count("dict_lookups", consts)
+            started = perf_counter()
+            with span("operator", "sparql", pattern=detail) as attrs:
+                rows, op = _join_stage(graph, dictionary, rows, slots, estimate)
+                attrs["op"] = op
+                attrs["rows_in"] = rows_in
+                attrs["rows_out"] = len(rows)
+            if prof is not None:
+                prof.operator(
+                    op, detail=detail, rows_in=rows_in, rows_out=len(rows),
+                    seconds=perf_counter() - started,
+                    est_rows_out=estimate.rows_out,
+                )
+        actuals.append((rows_in, len(rows)))
         if not rows:
-            feed_back()
-            return slots, [], extras
-    feed_back()
+            break
+    if actuals:
+        bgp_plan.observe(actuals)
     return slots, rows, extras
-
-
-def _pattern_detail(pattern: Triple) -> str:
-    """Compact one-line rendering of a triple pattern for stats/spans."""
-    parts = []
-    for t in pattern:
-        parts.append(f"?{t.name}" if isinstance(t, Variable) else t.n3())
-    return " ".join(parts)
 
 
 def _join_stage(
     graph,
     dictionary,
-    pattern: Triple,
     rows: List[IdRow],
     slots: Dict[str, int],
-    strategy: str,
-    estimate=None,
+    estimate,
 ) -> Tuple[List[IdRow], str]:
-    """Join ``rows`` with one triple pattern, picking the operator.
+    """Join ``rows`` with one planned triple pattern, picking the operator.
 
     Extends ``slots`` in place with the pattern's new variables (their
     values occupy the appended tuple positions). Returns the joined
@@ -518,16 +431,14 @@ def _join_stage(
     ``"no-match"`` when a constant term is absent from the dictionary).
 
     ``estimate`` is the planner's :class:`StageEstimate` for this stage;
-    under the ``auto`` strategy the hash/bind decision then comes from
-    the cost model (scan cardinality vs. skew-weighted probe fanout,
-    re-evaluated against the exact intermediate row count) instead of
-    the legacy rule of thumb.
+    the hash/bind decision comes from its scan cardinality, re-evaluated
+    against the exact intermediate row count.
     """
     # per position: the constant id, the bound row slot, or a new name
     const: List[Optional[int]] = [None, None, None]
     bound_slot: List[Optional[int]] = [None, None, None]
     names: List[Optional[str]] = [None, None, None]
-    for i, t in enumerate(pattern):
+    for i, t in enumerate(estimate.pattern):
         if isinstance(t, Variable):
             names[i] = t.name
             bound_slot[i] = slots.get(t.name)
@@ -556,9 +467,7 @@ def _join_stage(
     shared = sorted(
         {names[i] for i in range(3) if names[i] is not None and bound_slot[i] is not None}
     )
-    if shared and _pick_hash_join(
-        graph, dictionary, const, rows, strategy, estimate
-    ):
+    if shared and _pick_hash_join(len(rows), estimate):
         op = "hash-join"
         out = _hash_join(
             graph, const, names, bound_slot, slots,
@@ -575,41 +484,22 @@ def _join_stage(
     return out, op
 
 
-def _pick_hash_join(
-    graph, dictionary, const, rows, strategy: str, estimate=None
-) -> bool:
+def _pick_hash_join(n_rows: int, estimate) -> bool:
     """Hash-vs-bind decision for one joining stage.
 
-    With a cost-based :class:`StageEstimate` the decision compares what
-    the two operators pay beyond the rows they both emit: a hash join
-    pays the build scan plus one lookup per input row, a bind join pays
-    :data:`~repro.sparql.planner.PROBE_COST` index accesses per input
-    row. Only the scan is an estimate-time number — the row count is
-    exact at this point — so a mis-planned upstream cardinality cannot
-    flip the choice the wrong way. Without an estimate (legacy mode, no
-    plan) the historical rule of thumb applies.
+    Compares what the two operators pay beyond the rows they both emit:
+    a hash join pays the build scan plus one lookup per input row, a
+    bind join pays :data:`~repro.sparql.planner.PROBE_COST` index
+    accesses per input row. Only the scan is an estimate-time number —
+    the row count is exact at this point — so a mis-planned upstream
+    cardinality cannot flip the choice the wrong way. Below
+    :data:`~repro.sparql.planner.HASH_MIN_ROWS` rows a bind join always
+    wins (the hash table would cost more than the probes); the planner
+    prices stages with the same floor.
     """
-    if strategy == "hash-join":
-        return True
-    if len(rows) < _HASH_MIN_ROWS:
+    if n_rows < HASH_MIN_ROWS:
         return False
-    if estimate is not None and strategy == "auto":
-        return estimate.scan + len(rows) <= len(rows) * PROBE_COST
-    return _use_hash_join(graph, dictionary, const, rows, strategy)
-
-
-def _use_hash_join(graph, dictionary, const, rows, strategy: str) -> bool:
-    if strategy == "hash-join":
-        return True
-    if len(rows) < _HASH_MIN_ROWS:
-        return False
-    term = dictionary.term
-    estimate = graph.cached_count(
-        term(const[0]) if const[0] is not None else None,
-        term(const[1]) if const[1] is not None else None,
-        term(const[2]) if const[2] is not None else None,
-    )
-    return estimate <= len(rows) * _HASH_SCAN_FACTOR
+    return estimate.scan + n_rows <= n_rows * PROBE_COST
 
 
 def _bind_join(
@@ -806,12 +696,8 @@ def _match_pattern(graph, pattern: Triple, binding: Binding) -> Iterator[Binding
 # ---------------------------------------------------------------------------
 
 
-def _evaluate_select(
-    graph, query: SelectQuery, initial: Binding, strategy, plan
-) -> SolutionSequence:
-    rows: List[Binding] = list(
-        eval_pattern(graph, query.pattern, initial, strategy, plan)
-    )
+def _evaluate_select(graph, query: SelectQuery, initial: Binding, plan) -> SolutionSequence:
+    rows: List[Binding] = list(eval_pattern(graph, query.pattern, initial, plan))
 
     if query.group_by or query.projection.aggregates:
         rows = _aggregate(rows, query)
@@ -957,11 +843,9 @@ def _numeric_sum(values: Sequence[Term]):
 # ---------------------------------------------------------------------------
 
 
-def _evaluate_construct(
-    graph, query: ConstructQuery, initial: Binding, strategy, plan
-) -> Graph:
+def _evaluate_construct(graph, query: ConstructQuery, initial: Binding, plan) -> Graph:
     out = Graph(name="constructed")
-    for row in eval_pattern(graph, query.pattern, initial, strategy, plan):
+    for row in eval_pattern(graph, query.pattern, initial, plan):
         for template in query.template:
             terms = []
             ok = True

@@ -38,19 +38,23 @@ def explain(
     graph,
     query,
     nsm: Optional[NamespaceManager] = None,
-    strategy: str = "auto",
+    plan=None,
     profile=None,
 ) -> str:
     """Render the evaluation plan of ``query`` (text or algebra) against
-    ``graph``. ``strategy`` is the physical BGP execution the caller
-    will run with (see :data:`repro.sparql.evaluator.STRATEGIES`); it is
-    echoed per BGP so plans read unambiguously.
+    ``graph``. ``plan`` is the
+    :class:`~repro.sparql.plancache.PreparedQuery` the caller will run;
+    when given, its query tree and its BGP plans (re-cost corrections
+    included) are rendered, so the output is the plan that executes
+    rather than a fresh one.
 
     ``profile`` optionally attaches a collected
     :class:`~repro.obs.profile.QueryProfile` (EXPLAIN ANALYZE style):
     the static plan is followed by the operators that actually ran,
     their row counts, and the cache verdicts."""
-    if isinstance(query, str):
+    if plan is not None:
+        query = plan.query  # the BGP plans are memoized on this tree's nodes
+    elif isinstance(query, str):
         query = parse_query(query, nsm=nsm)
     lines: List[str] = []
     if isinstance(query, SelectQuery):
@@ -62,7 +66,7 @@ def explain(
         else:
             header += " " + " ".join(f"?{v}" for v in query.projection.output_names())
         lines.append(header)
-        _explain_pattern(graph, query.pattern, lines, depth=1, strategy=strategy)
+        _explain_pattern(graph, query.pattern, lines, 1, plan)
         if query.group_by:
             lines.append("  GROUP BY " + " ".join(f"?{v}" for v in query.group_by))
         if query.having is not None:
@@ -73,17 +77,17 @@ def explain(
             lines.append(f"  SLICE limit={query.limit} offset={query.offset}")
     elif isinstance(query, AskQuery):
         lines.append("ASK (stops at the first solution)")
-        _explain_pattern(graph, query.pattern, lines, depth=1, strategy=strategy)
+        _explain_pattern(graph, query.pattern, lines, 1, plan)
     elif isinstance(query, ConstructQuery):
         lines.append(f"CONSTRUCT ({len(query.template)} template triple(s))")
-        _explain_pattern(graph, query.pattern, lines, depth=1, strategy=strategy)
+        _explain_pattern(graph, query.pattern, lines, 1, plan)
     elif isinstance(query, DescribeQuery):
         lines.append(
             f"DESCRIBE ({len(query.resources)} resource(s), "
             f"{len(query.variables)} variable(s))"
         )
         if query.pattern is not None:
-            _explain_pattern(graph, query.pattern, lines, depth=1, strategy=strategy)
+            _explain_pattern(graph, query.pattern, lines, 1, plan)
     else:
         lines.append(f"<{type(query).__name__}>")
     if profile is not None:
@@ -92,17 +96,19 @@ def explain(
 
 
 def _explain_pattern(
-    graph, pattern: Pattern, lines: List[str], depth: int, strategy: str = "auto"
+    graph, pattern: Pattern, lines: List[str], depth: int, plan=None
 ) -> None:
     pad = "  " * depth
     if isinstance(pattern, BGP):
-        plan = plan_bgp(graph, list(pattern.patterns))
+        if plan is not None:
+            bgp_plan = plan.bgp_plan(graph, pattern)
+        else:
+            bgp_plan = plan_bgp(graph, list(pattern.patterns))
         lines.append(
-            f"{pad}BGP ({len(plan.order)} pattern(s), planner order, "
-            f"method={plan.method}, strategy={strategy}, "
-            f"cost={plan.cost:.1f}):"
+            f"{pad}BGP ({len(bgp_plan.order)} pattern(s), planner order, "
+            f"method={bgp_plan.method}, cost={bgp_plan.cost:.1f}):"
         )
-        for i, stage in enumerate(plan.stages, start=1):
+        for i, stage in enumerate(bgp_plan.stages, start=1):
             if i == 1:
                 marker = "first"
             elif stage.connected:
@@ -123,26 +129,26 @@ def _explain_pattern(
             )
     elif isinstance(pattern, Join):
         lines.append(f"{pad}JOIN")
-        _explain_pattern(graph, pattern.left, lines, depth + 1, strategy)
-        _explain_pattern(graph, pattern.right, lines, depth + 1, strategy)
+        _explain_pattern(graph, pattern.left, lines, depth + 1, plan)
+        _explain_pattern(graph, pattern.right, lines, depth + 1, plan)
     elif isinstance(pattern, LeftJoin):
         lines.append(f"{pad}OPTIONAL (left join)")
-        _explain_pattern(graph, pattern.left, lines, depth + 1, strategy)
-        _explain_pattern(graph, pattern.right, lines, depth + 1, strategy)
+        _explain_pattern(graph, pattern.left, lines, depth + 1, plan)
+        _explain_pattern(graph, pattern.right, lines, depth + 1, plan)
     elif isinstance(pattern, Union):
         lines.append(f"{pad}UNION")
-        _explain_pattern(graph, pattern.left, lines, depth + 1, strategy)
-        _explain_pattern(graph, pattern.right, lines, depth + 1, strategy)
+        _explain_pattern(graph, pattern.left, lines, depth + 1, plan)
+        _explain_pattern(graph, pattern.right, lines, depth + 1, plan)
     elif isinstance(pattern, Filter):
         lines.append(f"{pad}FILTER <expression>")
-        _explain_pattern(graph, pattern.pattern, lines, depth + 1, strategy)
+        _explain_pattern(graph, pattern.pattern, lines, depth + 1, plan)
     elif isinstance(pattern, Minus):
         lines.append(f"{pad}MINUS")
-        _explain_pattern(graph, pattern.left, lines, depth + 1, strategy)
-        _explain_pattern(graph, pattern.right, lines, depth + 1, strategy)
+        _explain_pattern(graph, pattern.left, lines, depth + 1, plan)
+        _explain_pattern(graph, pattern.right, lines, depth + 1, plan)
     elif isinstance(pattern, Extend):
         lines.append(f"{pad}BIND -> ?{pattern.variable}")
-        _explain_pattern(graph, pattern.pattern, lines, depth + 1, strategy)
+        _explain_pattern(graph, pattern.pattern, lines, depth + 1, plan)
     elif isinstance(pattern, ValuesPattern):
         lines.append(
             f"{pad}VALUES ({', '.join('?' + n for n in pattern.names)}) "

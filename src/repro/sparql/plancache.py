@@ -31,7 +31,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.obs.profile import current_profile
 from repro.obs.trace import span
-from repro.rdf.terms import Triple
 from repro.sparql.algebra import BGP, Query
 from repro.sparql.parser import parse_query
 from repro.sparql.planner import BGPPlan, plan_bgp
@@ -121,10 +120,6 @@ class PreparedQuery:
                     )
                     self._plans[key] = plan
         return plan
-
-    def bgp_order(self, graph, bgp: BGP) -> List[Triple]:
-        """The planner's join order for ``bgp`` (legacy accessor)."""
-        return self.bgp_plan(graph, bgp).order
 
     @property
     def needs_recost(self) -> bool:
@@ -268,18 +263,12 @@ class PlanCache:
                 self._plans.popitem(last=False)
         return plan
 
-    def execute(self, graph, text: str, nsm=None, bindings=None, strategy=None):
+    def execute(self, graph, text: str, nsm=None, bindings=None):
         """Parse/plan through the cache, then evaluate."""
         from repro.sparql.evaluator import evaluate
 
         plan = self.prepare(graph, text, nsm=nsm)
-        return evaluate(
-            graph,
-            plan.query,
-            initial_bindings=bindings,
-            strategy=strategy,
-            plan=plan,
-        )
+        return evaluate(graph, plan.query, initial_bindings=bindings, plan=plan)
 
     # -- introspection -----------------------------------------------------
 

@@ -19,27 +19,21 @@ order is costed stage by stage with estimated binding propagation:
 * each joining stage is priced as the cheaper of a **bind join**
   (``rows_in x (1 + fanout)`` probes, skew-weighted by the heavy-hitter
   histogram) and a **hash join** (one scan to build, one probe per
-  row); the winner is recorded on the stage so the executor follows the
-  cost decision instead of the old rule of thumb.
+  row); the winner is recorded on the stage for EXPLAIN, and the
+  executor re-checks it against the exact row count.
 
 Equal-cost orders tie-break first on fewer unbound variables introduced
-(the v1 greedy behaviour) and then on original pattern position, so
-plan-cache keys and EXPLAIN output are stable across runs.
+and then on original pattern position, so plan-cache keys and EXPLAIN
+output are stable across runs.
 
 The executor reports per-stage actuals back via :meth:`BGPPlan.observe`;
 estimates off by more than :data:`REPLAN_ERROR_FACTOR` mark the plan for
 re-costing (see :mod:`repro.sparql.plancache`) with the observed
 fanouts folded in as correction factors.
-
-``planner_mode("legacy")`` restores the v1 greedy planner (bound
-variables treated as wildcards, operator choice left to the runtime
-heuristic) — kept so benchmarks can measure the optimizer against its
-predecessor honestly.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.rdf.stats import stats_of
@@ -65,36 +59,6 @@ PROBE_COST = 6.0
 #: model honours the same floor so its operator pricing matches what
 #: will actually run.
 HASH_MIN_ROWS = 16
-
-_MODE = "cost"  # "cost" | "legacy"
-
-
-@contextmanager
-def planner_mode(mode: str):
-    """Temporarily switch the planner implementation.
-
-    ``"cost"`` (default) is the statistics-driven DP planner;
-    ``"legacy"`` is the v1 greedy heuristic, preserved for A/B
-    benchmarking. Not thread-safe — benchmarking/diagnostics only.
-    """
-    global _MODE
-    if mode not in ("cost", "legacy"):
-        raise ValueError(f"unknown planner mode {mode!r}")
-    previous = _MODE
-    _MODE = mode
-    try:
-        yield
-    finally:
-        _MODE = previous
-
-
-def current_planner_mode() -> str:
-    return _MODE
-
-
-def pattern_variables(pattern: Triple) -> Set[str]:
-    """The variable names appearing in one triple pattern."""
-    return {t.name for t in pattern if isinstance(t, Variable)}
 
 
 def pattern_text(pattern: Triple) -> str:
@@ -351,7 +315,7 @@ class StageEstimate:
         self.probe_fanout = probe_fanout
         self.rows_in = rows_in
         self.rows_out = rows_out
-        self.operator = operator  # "scan" | "bind-join" | "hash-join" | None
+        self.operator = operator  # "scan" | "bind-join" | "hash-join"
         self.cost = cost
 
     def snapshot(self) -> Dict[str, object]:
@@ -397,12 +361,6 @@ class BGPPlan:
         self.max_error = 1.0
         self.observed: Dict[Tuple, float] = {}
         self.executions = 0
-
-    @property
-    def uses_cost_decisions(self) -> bool:
-        """False in legacy mode: operator choice stays with the runtime
-        heuristic, exactly as before the cost model existed."""
-        return self.method != "legacy"
 
     def observe(self, actuals: Sequence[Tuple[int, int]]) -> float:
         """Record per-stage (rows_in, rows_out) actuals; returns the
@@ -483,32 +441,6 @@ def _observe_estimate_error(ratio: float) -> None:
 # ---------------------------------------------------------------------------
 # Join reordering
 # ---------------------------------------------------------------------------
-
-
-def _order_greedy_v1(graph, patterns: Sequence[Triple]) -> List[int]:
-    """The v1 greedy planner, verbatim: wildcard estimates (bound
-    variables ignored), connected-first, cheapest-first. Kept for
-    ``planner_mode("legacy")`` benchmarking."""
-    ctx = _CostContext(graph)
-    remaining = list(range(len(patterns)))
-    order: List[int] = []
-    bound: Set[str] = set()
-    while remaining:
-        best = None
-        best_key = None
-        for idx in remaining:
-            pat = patterns[idx]
-            shares = bool(pattern_variables(pat) & bound) or not bound
-            estimate = ctx.scan_count(pat)
-            unbound_vars = len(pattern_variables(pat) - bound)
-            key = (not shares, estimate, unbound_vars, idx)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = idx
-        remaining.remove(best)
-        order.append(best)
-        bound |= pattern_variables(patterns[best])
-    return order
 
 
 def _variable_bits(
@@ -671,10 +603,9 @@ def _estimate_stages(
     bound_mask: int,
     bit_names: Dict[int, str],
     corrections: Optional[Dict],
-    annotate_operators: bool,
 ) -> List[StageEstimate]:
     """Walk the chosen order once, materializing per-stage estimates
-    and (in cost mode) the operator the executor should run."""
+    and the operator the cost model expects the executor to run."""
     stages: List[StageEstimate] = []
     names = bound_mask
     rows = 1.0
@@ -690,9 +621,7 @@ def _estimate_stages(
         )
         emission = _bind_emission(rows, mean, weighted, prefix, tail_mean)
         probe_fanout = emission / rows if rows > 0.0 else mean
-        if not annotate_operators:
-            operator = None
-        elif not bound_here:
+        if not bound_here:
             operator = "scan"
         elif rows < HASH_MIN_ROWS:
             operator = "bind-join"
@@ -722,8 +651,7 @@ def _estimate_stages(
 
 
 # Planning decisions memoized across plan_bgp calls. Keyed by the
-# pattern terms, the bound-variable set, the planner mode, and a
-# freshness fingerprint of every stats catalog backing the graph (a
+# pattern terms, the bound-variable set, and a freshness fingerprint of every stats catalog backing the graph (a
 # monotonic serial plus rebuild/churn counters — any graph mutation
 # bumps churn and misses). The memo stores only the immutable decision
 # (order indices, stage estimates, method); each hit builds a fresh
@@ -765,14 +693,14 @@ def plan_bgp(
     patterns = list(patterns)
     bound = frozenset(bound)
     if not patterns:
-        return BGPPlan([], [], method=_MODE, initial_bound=bound)
+        return BGPPlan([], [], method="dp", initial_bound=bound)
     ctx = _CostContext(graph)
     memo_key = None
     if not corrections and ctx.stats is not None:
         state = _memo_state(ctx.stats)
         if state is not None:
             try:
-                memo_key = (_MODE, state, tuple(patterns), bound)
+                memo_key = (state, tuple(patterns), bound)
                 hit = _PLAN_MEMO.get(memo_key)
             except TypeError:  # unhashable pattern term (e.g. a path)
                 memo_key = None
@@ -784,10 +712,7 @@ def plan_bgp(
                         method=method, initial_bound=bound,
                     )
     var_masks, bound_mask, bit_names = _variable_bits(patterns, bound)
-    if _MODE == "legacy":
-        order = _order_greedy_v1(graph, patterns)
-        method = "legacy"
-    elif len(patterns) > DP_PATTERN_LIMIT:
+    if len(patterns) > DP_PATTERN_LIMIT:
         order = _order_greedy_cost(
             ctx, patterns, var_masks, bound_mask, bit_names, corrections
         )
@@ -796,8 +721,7 @@ def plan_bgp(
         order = _order_dp(ctx, patterns, var_masks, bound_mask, bit_names, corrections)
         method = "dp"
     stages = _estimate_stages(
-        ctx, patterns, order, var_masks, bound_mask, bit_names, corrections,
-        annotate_operators=method != "legacy",
+        ctx, patterns, order, var_masks, bound_mask, bit_names, corrections
     )
     plan = BGPPlan(
         [patterns[i] for i in order], stages, method=method, initial_bound=bound

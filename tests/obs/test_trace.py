@@ -185,7 +185,7 @@ class TestChromeExport:
     def test_chrome_trace_shape_and_ordering(self):
         tracer = Tracer()
         with tracer.span("request", "service", kind="query"):
-            with tracer.span("plan", "sparql", strategy="auto"):
+            with tracer.span("plan", "sparql", query="SelectQuery"):
                 pass
         data = tracer.to_chrome()
         text = json.dumps(data)  # must be JSON-serializable
@@ -198,7 +198,7 @@ class TestChromeExport:
             assert isinstance(event["pid"], int) and isinstance(event["tid"], int)
         request, plan = events
         assert plan["args"]["parent_id"] == request["args"]["span_id"]
-        assert plan["args"]["strategy"] == "auto"
+        assert plan["args"]["query"] == "SelectQuery"
 
     def test_capacity_drops_new_spans_not_old(self):
         tracer = Tracer(capacity=2)

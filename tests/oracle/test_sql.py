@@ -5,6 +5,7 @@ import pytest
 
 from repro.oracle import SemSqlError, execute_sem_sql, parse_sem_sql
 from repro.rdf import DM, DT, Graph, IRI, Literal, RDF, RDFS, Triple, TripleStore
+from repro.sparql import PlanCache
 
 LISTING_1 = """
 SELECT class, object
@@ -212,21 +213,29 @@ class TestEqualityPushdown:
         regex_query = parse_sem_sql(LISTING_1)
         assert _equality_hints(regex_query.where) == {}
 
-    def test_all_strategies_agree_on_listing2(self, store):
-        baseline = execute_sem_sql(store, LISTING_2, strategy="nested-loop")
-        for strategy in (None, "auto", "hash-join"):
-            rows = execute_sem_sql(store, LISTING_2, strategy=strategy)
-            assert rows.to_dicts() == baseline.to_dicts(), strategy
+    @staticmethod
+    def unpushed(monkeypatch, store, sql):
+        """The statement with ``sem_match(..., eq_hints=None)``: the
+        whole WHERE clause stays a post-filter at the SQL layer."""
+        with monkeypatch.context() as patch:
+            patch.setattr("repro.oracle.sql._equality_hints", lambda where: None)
+            return execute_sem_sql(store, sql)
+
+    def test_pushdown_agrees_with_post_filter_on_listing2(self, store, monkeypatch):
+        baseline = self.unpushed(monkeypatch, store, LISTING_2)
+        for cache in (None, PlanCache()):
+            rows = execute_sem_sql(store, LISTING_2, plan_cache=cache)
+            assert rows.to_dicts() == baseline.to_dicts()
         assert baseline.values("source_id") == [
             "http://www.credit-suisse.com/dwh/client_information_id"
         ]
 
-    def test_subject_equality_on_absent_iri_is_empty(self, store):
+    def test_subject_equality_on_absent_iri_is_empty(self, store, monkeypatch):
         sql = LISTING_2.replace("client_information_id", "no_such_source")
         assert len(execute_sem_sql(store, sql)) == 0
-        assert len(execute_sem_sql(store, sql, strategy="nested-loop")) == 0
+        assert len(self.unpushed(monkeypatch, store, sql)) == 0
 
-    def test_object_position_column_not_pushed(self, store):
+    def test_object_position_column_not_pushed(self, store, monkeypatch):
         # target_name sits in object position: it may match literals of
         # any shape, so the equality must stay a post-filter. An IRI
         # binding here would find nothing; the filter must still match.
@@ -239,6 +248,4 @@ class TestEqualityPushdown:
         """
         rows = execute_sem_sql(store, sql)
         assert rows.values("term") == ["customer_id"]
-        assert rows.to_dicts() == execute_sem_sql(
-            store, sql, strategy="nested-loop"
-        ).to_dicts()
+        assert rows.to_dicts() == self.unpushed(monkeypatch, store, sql).to_dicts()

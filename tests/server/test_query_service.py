@@ -80,6 +80,24 @@ class TestSubmitExecute:
         with pytest.raises(QueryServiceError, match="unknown request kind"):
             service.submit("drop-tables")
 
+    @pytest.mark.parametrize(
+        "kind, payload",
+        [
+            ("query", {"text": NAMES_QUERY, "strategy": "hash-join"}),
+            ("sql", {"sql": LISTING1_SQL, "plan_cache": None}),
+            ("search", {"term": "a", "regexp": True}),
+            ("lineage", {"item": "a", "depth": 2}),
+            ("frontier", {"items": (), "max_depth": 2}),
+            ("lookup", {"name": "a", "regex": True}),
+        ],
+    )
+    def test_unknown_option_rejected_before_admission(self, service, kind, payload):
+        with pytest.raises(QueryServiceError, match="takes no option"):
+            service.submit(kind, **payload)
+        snap = service.metrics_snapshot()
+        assert snap["submitted"] == snap["failed"] == 0
+        assert service.breaker(kind).snapshot()["state"] == "closed"
+
     def test_results_identical_to_direct_warehouse(self, warehouse, service):
         direct = canonical(warehouse.query(NAMES_QUERY))
         served = [canonical(service.query(NAMES_QUERY)) for _ in range(4)]

@@ -243,6 +243,20 @@ class TestSearchAndLookup:
             with pytest.raises(QueryServiceError, match="cannot route"):
                 svc.execute("query", text="SELECT ?s WHERE { ?s ?p ?o }")
 
+    @pytest.mark.parametrize(
+        "kind, payload",
+        [
+            ("search", {"term": "customer", "regexp": True}),
+            ("lineage", {"item": "trade_3", "depth": 2}),
+            ("lookup", {"name": "trade_3", "regex": True}),
+        ],
+    )
+    def test_unknown_option_rejected(self, landscape, kind, payload):
+        with thread_service(landscape) as svc:
+            with pytest.raises(QueryServiceError, match="takes no option"):
+                svc.execute(kind, **payload)
+            assert svc.metrics_snapshot()["gateway"]["submitted"] == 0
+
     def test_closed_gateway_raises(self, landscape):
         svc = thread_service(landscape)
         svc.close()

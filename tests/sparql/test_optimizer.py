@@ -3,19 +3,20 @@ skew-aware cost model, plan memoization, and the profile-driven
 re-costing feedback loop (estimate >10x off -> replan with actuals)."""
 
 import random
+import re
 
 import pytest
 
 from repro.core.warehouse import MetadataWarehouse
 from repro.etl import EtlOrchestrator
-from repro.rdf import Graph, Namespace, Triple, Variable
+from repro.obs.profile import profile_scope
+from repro.rdf import Graph, Literal, Namespace, RDF, Triple, Variable
 from repro.resilience.chaos import make_release_feeds
 from repro.sparql import (
     PlanCache,
     execute,
     pattern_selectivity,
     plan_bgp,
-    planner_mode,
 )
 from repro.sparql.planner import REPLAN_ERROR_FACTOR, _bind_emission
 
@@ -84,36 +85,141 @@ class TestBindEmissionCap:
         assert _bind_emission(10.0, 3.0, 4.0, prefix, 0.0) >= 30.0
 
 
-class TestHubTrapAvoidance:
-    def test_cost_planner_anchors_off_the_hub(self):
-        g = hub_graph(hubs=5, fanout=200, singles=1000, rare_tags=6)
-        patterns = [
-            Triple(Variable("h"), EX.isHub, EX.yes),
-            Triple(Variable("h"), EX.links, Variable("x")),
-            Triple(Variable("x"), EX.tag, EX.Rare),
-        ]
-        with planner_mode("legacy"):
-            legacy = plan_bgp(g, patterns)
-        cost = plan_bgp(g, patterns)
-        # greedy anchors on the smallest scan (isHub, 5 triples) and
-        # then probes links from the five heaviest subjects in the
-        # graph; the histogram-aware cost model starts from the rare
-        # tag side instead
-        assert legacy.order[0].predicate == EX.isHub
-        assert cost.order[0].predicate == EX.tag
+def star_skew_graph(tables_per_schema=40):
+    """3 databases x 5 schemas x N tables; 12 tables flagged Critical.
 
-    def test_both_orders_agree_on_results(self):
-        g = hub_graph(hubs=5, fanout=200, singles=1000, rare_tags=6)
-        text = (
-            "SELECT ?h ?x WHERE { "
-            f"?h <{EX.isHub.value}> <{EX.yes.value}> . "
-            f"?h <{EX.links.value}> ?x . "
-            f"?x <{EX.tag.value}> <{EX.Rare.value}> }}"
-        )
-        with planner_mode("legacy"):
-            legacy_rows = execute(g, text).to_dicts()
-        cost_rows = execute(g, text).to_dicts()
-        assert sorted(cost_rows, key=repr) == sorted(legacy_rows, key=repr)
+    The trap: ``?db rdf:type :Database`` has the smallest scan count (3),
+    so anchoring there fans out to every table before the flag filter.
+    The flag pattern (12 rows) is the right anchor.
+    """
+    g = Graph()
+    flagged = 0
+    for d in range(3):
+        db = EX[f"db{d}"]
+        g.add(Triple(db, RDF.type, EX.Database))
+        for s in range(5):
+            sch = EX[f"db{d}_schema{s}"]
+            g.add(Triple(sch, EX.schemaOf, db))
+            for t in range(tables_per_schema):
+                tab = EX[f"db{d}_s{s}_table{t}"]
+                g.add(Triple(tab, EX.inSchema, sch))
+                if flagged < 12 and t == tables_per_schema // 2:
+                    g.add(Triple(tab, EX.flag, EX.Critical))
+                    flagged += 1
+    return g
+
+
+def lineage_chain_graph(fanout=6):
+    """5 root marts feeding fan-out trees of depth 3; 20 leaves carry
+    ``format "csv"``.
+
+    The trap: the root type pattern scans 5 rows — cheapest by count —
+    but walking ``feeds`` forward multiplies by the fanout per hop.
+    Anchoring on the format literal walks the chain backward at fanout 1.
+    """
+    g = Graph()
+    tagged = 0
+    for r in range(5):
+        root = EX[f"mart{r}"]
+        g.add(Triple(root, RDF.type, EX.RootMart))
+        for a in range(fanout):
+            n1 = EX[f"m{r}_a{a}"]
+            g.add(Triple(root, EX.feeds, n1))
+            for b in range(fanout):
+                n2 = EX[f"m{r}_a{a}_b{b}"]
+                g.add(Triple(n1, EX.feeds, n2))
+                for c in range(fanout):
+                    leaf = EX[f"m{r}_a{a}_b{b}_c{c}"]
+                    g.add(Triple(n2, EX.feeds, leaf))
+                    if tagged < 20 and b == c == 0:
+                        g.add(Triple(leaf, EX.format, Literal("csv")))
+                        tagged += 1
+    return g
+
+
+def skewed_hub_graph(hub_edges=150, singletons=800):
+    """5 hub subjects own ``hub_edges`` links each; ``singletons`` more
+    subjects own one link each; 20 link targets are tagged Rare (half on
+    hub targets, half on singleton targets).
+
+    The trap: ``?h isHub yes`` scans 5 rows, but each hub explodes into
+    ``hub_edges`` links before the tag filter. Anchoring on the tag
+    (20 rows) probes ``links`` backward at fanout 1.
+    """
+    g = Graph()
+    tagged = 0
+    for h in range(5):
+        hub = EX[f"hub{h}"]
+        g.add(Triple(hub, EX.isHub, EX.yes))
+        for e in range(hub_edges):
+            target = EX[f"hub{h}_t{e}"]
+            g.add(Triple(hub, EX.links, target))
+            if tagged < 10 and e == hub_edges // 2:
+                g.add(Triple(target, EX.tag, EX.Rare))
+                tagged += 1
+    for s in range(singletons):
+        target = EX[f"single{s}_t"]
+        g.add(Triple(EX[f"single{s}"], EX.links, target))
+        if tagged < 20 and s % max(1, singletons // 10) == 7:
+            g.add(Triple(target, EX.tag, EX.Rare))
+            tagged += 1
+    return g
+
+
+def v(name):
+    return Variable(name)
+
+
+HUB_BGP = [
+    Triple(v("h"), EX.isHub, EX.yes),
+    Triple(v("h"), EX.links, v("x")),
+    Triple(v("x"), EX.tag, EX.Rare),
+]
+
+#: (graph builder, BGP in its trap order, predicate of the selective
+#: anchor). Raw scan counts point at the first pattern every time; the
+#: statistics catalog (distinct counts, fanouts, heavy hitters) exposes
+#: the cheap order.
+TRAPS = {
+    "hub": (
+        lambda: hub_graph(hubs=5, fanout=200, singles=1000, rare_tags=6),
+        HUB_BGP,
+        EX.tag,
+    ),
+    "skewed_hub": (skewed_hub_graph, HUB_BGP, EX.tag),
+    "star_skew": (
+        star_skew_graph,
+        [
+            Triple(v("db"), RDF.type, EX.Database),
+            Triple(v("sch"), EX.schemaOf, v("db")),
+            Triple(v("x"), EX.inSchema, v("sch")),
+            Triple(v("x"), EX.flag, EX.Critical),
+        ],
+        EX.flag,
+    ),
+    "lineage_chain": (
+        lineage_chain_graph,
+        [
+            Triple(v("r"), RDF.type, EX.RootMart),
+            Triple(v("r"), EX.feeds, v("a")),
+            Triple(v("a"), EX.feeds, v("m")),
+            Triple(v("m"), EX.feeds, v("leaf")),
+            Triple(v("leaf"), EX.format, Literal("csv")),
+        ],
+        EX.format,
+    ),
+}
+
+
+class TestHubTrapAvoidance:
+    @pytest.mark.parametrize("shape", sorted(TRAPS))
+    def test_cost_planner_anchors_off_the_trap(self, shape):
+        build, patterns, anchor = TRAPS[shape]
+        plan = plan_bgp(build(), patterns)
+        # anchoring on the smallest scan would probe outward from the
+        # heaviest subjects in the graph; the histogram-aware cost model
+        # starts from the selective side instead
+        assert plan.order[0].predicate == anchor
 
 
 class TestDeterministicTieBreak:
@@ -214,6 +320,26 @@ class TestReplanFeedback:
         prepared2 = cache.prepare(g, self.QUERY)
         assert prepared2 is prepared1
         assert prepared1.max_error() < REPLAN_ERROR_FACTOR
+
+    def test_explain_renders_the_recosted_plan_that_runs(self):
+        mdw = MetadataWarehouse()
+        for t in hub_graph():
+            mdw.graph.add(t)
+            if t.predicate == EX.links:
+                mdw.graph.add(Triple(t.object, EX.tag, EX.Common))
+        text = self.QUERY.replace("?x }", f"?x . ?x <{EX.tag.value}> ?t }}")
+        # 40 rows estimated into the tag stage, 2000 actual: the fresh
+        # plan bind-joins it, the re-costed one (and the run) hash-joins
+        assert len(mdw.query(text)) == 2000
+        rendered = mdw.explain(text, analyze=True)
+        assert "re-costed 1 time(s)" in rendered
+        static, runtime = rendered.split("runtime profile")
+        planned = re.findall(r"^ +\d+\. (.+?)   ~.+?(?: via (\S+))?$", static, re.M)
+        ran = re.findall(r"^ +(scan|bind-join|hash-join) (.+?): \d+ ->", runtime, re.M)
+        assert len(planned) == 3
+        assert [detail for detail, _ in planned] == [detail for _, detail in ran]
+        assert [op for _, op in planned[1:]] == [op for op, _ in ran[1:]]
+        assert ran[-1][0] == "hash-join"
 
     def test_observe_marks_plan_past_threshold(self):
         g = hub_graph(hubs=3, fanout=10, singles=50)

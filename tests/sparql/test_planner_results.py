@@ -3,7 +3,7 @@
 import pytest
 
 from repro.rdf import Graph, IRI, Literal, Namespace, Triple, Variable
-from repro.sparql import order_patterns, pattern_selectivity
+from repro.sparql import order_patterns, pattern_selectivity, plan_bgp
 from repro.sparql.results import Row, SolutionSequence
 
 EX = Namespace("http://x/")
@@ -70,6 +70,8 @@ class TestOrdering:
 
     def test_empty(self, graph):
         assert order_patterns(graph, []) == []
+        # the method names a planner, as for any other BGP
+        assert plan_bgp(graph, []).method == "dp"
 
 
 class TestRow:
