@@ -1,19 +1,19 @@
 """``repro-mdw`` — the meta-data warehouse command line.
 
-A thin operational frontend over the library, working against a store
-directory (see :mod:`repro.rdf.persist`)::
+A thin operational frontend over the library, working against a store —
+one snapshot file (see :mod:`repro.storage`)::
 
-    repro-mdw generate ./wh --scale small --seed 2009
-    repro-mdw stats ./wh
-    repro-mdw validate ./wh
-    repro-mdw search ./wh customer --area mart --synonyms
-    repro-mdw lineage ./wh customer_id --direction upstream
-    repro-mdw flows ./wh --granularity 2
-    repro-mdw index ./wh
-    repro-mdw load ./wh release/*.xml --version 2026.R2
-    repro-mdw snapshot ./wh 2026.R1
-    repro-mdw versions ./wh
-    repro-mdw sql ./wh query.sql
+    repro-mdw generate ./wh.mdws --scale small --seed 2009
+    repro-mdw stats ./wh.mdws
+    repro-mdw validate ./wh.mdws
+    repro-mdw search ./wh.mdws customer --area mart --synonyms
+    repro-mdw lineage ./wh.mdws customer_id --direction upstream
+    repro-mdw flows ./wh.mdws --granularity 2
+    repro-mdw index ./wh.mdws
+    repro-mdw load ./wh.mdws release/*.xml --version 2026.R2
+    repro-mdw snapshot ./wh.mdws 2026.R1
+    repro-mdw versions ./wh.mdws
+    repro-mdw sql ./wh.mdws query.sql
 
 Every command exits 0 on success and 2 on a user error (bad arguments,
 unknown item, non-conformant graph for ``validate``).
@@ -28,7 +28,6 @@ from typing import List, Optional
 
 from repro.core import MetadataWarehouse, TERMS
 from repro.core.vocabulary import MDW
-from repro.rdf.persist import PersistenceError
 from repro.services import SearchFilters
 
 _AREAS = {
@@ -50,8 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    generate = sub.add_parser("generate", help="generate a synthetic landscape into a store directory")
-    generate.add_argument("store", help="store directory to create/overwrite")
+    generate = sub.add_parser("generate", help="generate a synthetic landscape into a store file")
+    generate.add_argument("store", help="store (snapshot) file to create/overwrite")
     generate.add_argument("--scale", choices=["tiny", "small", "medium", "paper"], default="small")
     generate.add_argument("--seed", type=int, default=2009)
     generate.add_argument("--extended", action="store_true", help="include the Figure 9 extended scope")
@@ -136,12 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     s_hist.add_argument("store")
     s_hist.add_argument("version", help="version name, e.g. 2026.R1")
-
-    s_save = snap_sub.add_parser(
-        "save", help="write the store as one mmap-able binary snapshot file"
-    )
-    s_save.add_argument("store", help="store directory (or snapshot file) to read")
-    s_save.add_argument("file", help="snapshot file to write, e.g. wh.mdws")
 
     s_attach = snap_sub.add_parser(
         "attach", help="attach (mmap) a snapshot file and print what it serves"
@@ -350,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 #: ``snapshot`` sub-subcommands; anything else after ``snapshot`` is the
 #: legacy ``snapshot <store> <version>`` spelling, rewritten to
 #: ``snapshot historize <store> <version>``.
-_SNAPSHOT_CMDS = ("historize", "save", "attach", "info", "migrate")
+_SNAPSHOT_CMDS = ("historize", "attach", "info", "migrate")
 
 
 def _rewrite_legacy(argv: List[str]) -> List[str]:
@@ -374,7 +367,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         handler = _HANDLERS[args.command]
         handler(args)
         return 0
-    except (CliError, PersistenceError, StorageError) as exc:
+    except (CliError, StorageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -385,13 +378,15 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _open(args) -> MetadataWarehouse:
-    path = Path(args.store)
-    if path.is_file():
-        # a snapshot file: attach it (read-only, mmap) instead of loading
-        return MetadataWarehouse.attach_snapshot(path)
-    if not (path / "manifest.json").exists():
-        raise CliError(f"{path} is not a store directory (run 'generate' first)")
-    return MetadataWarehouse.load(path)
+    """Attach the store file, mapped and read-only."""
+    return MetadataWarehouse.attach_snapshot(args.store)
+
+
+def _open_writable(args) -> MetadataWarehouse:
+    """Attach the store file with its unfrozen models materialized, for
+    the commands that change the store and re-save it (atomically: temp
+    file + rename) to the same path."""
+    return MetadataWarehouse.attach_snapshot(args.store, mutable_models=None)
 
 
 def _find_item(mdw: MetadataWarehouse, name: str):
@@ -423,7 +418,7 @@ def cmd_generate(args) -> None:
     if args.with_index:
         report = landscape.warehouse.build_entailment_index()
         print(report.summary())
-    landscape.warehouse.save(args.store)
+    landscape.warehouse.save_snapshot(args.store)
     print(f"generated {landscape.summary()}")
     print(f"saved to {args.store}")
 
@@ -508,7 +503,7 @@ def cmd_load(args) -> None:
     """Apply a complete release to the store (auto-incremental)."""
     from repro.etl.pipeline import EtlOrchestrator
 
-    mdw = _open(args)
+    mdw = _open_writable(args)
     documents = []
     for name in args.files:
         path = Path(name)
@@ -547,23 +542,22 @@ def cmd_load(args) -> None:
     print(result.summary())
     if not result.ok:
         raise CliError("release load failed; store NOT saved")
-    mdw.save(args.store)
+    mdw.save_snapshot(args.store)
 
 
 def cmd_index(args) -> None:
-    mdw = _open(args)
+    mdw = _open_writable(args)
     try:
         report = mdw.indexes.build(mdw.model_name, args.rulebase)
     except KeyError as exc:
         raise CliError(str(exc)) from None
     print(report.summary())
-    mdw.save(args.store)
+    mdw.save_snapshot(args.store)
 
 
 def cmd_snapshot(args) -> None:
     {
         "historize": _snapshot_historize,
-        "save": _snapshot_save,
         "attach": _snapshot_attach,
         "info": _snapshot_info,
         "migrate": _snapshot_migrate,
@@ -573,30 +567,17 @@ def cmd_snapshot(args) -> None:
 def _snapshot_historize(args) -> None:
     from repro.history import HistorizationError, Historizer
 
-    mdw = _open(args)
+    mdw = _open_writable(args)
     historizer = Historizer(mdw.store)
     try:
         version = historizer.snapshot(args.version)
     except HistorizationError as exc:
         raise CliError(str(exc)) from None
-    mdw.save(args.store)
+    mdw.save_snapshot(args.store)
     print(version.summary())
 
 
-def _snapshot_save(args) -> None:
-    mdw = _open(args)
-    path = mdw.save_snapshot(args.file)
-    triples = mdw.store.total_triples(include_indexes=True)
-    print(
-        f"saved {triples} triple(s) "
-        f"({len(mdw.store.model_names())} model(s)) "
-        f"to {path} ({path.stat().st_size} bytes)"
-    )
-
-
 def _snapshot_attach(args) -> None:
-    if not Path(args.file).is_file():
-        raise CliError(f"no such snapshot file: {args.file}")
     for seg in args.segment:
         if not Path(seg).is_file():
             raise CliError(f"no such segment file: {seg}")
@@ -614,8 +595,6 @@ def _snapshot_info(args) -> None:
 
     from repro.storage import MappedSnapshot
 
-    if not Path(args.file).is_file():
-        raise CliError(f"no such snapshot file: {args.file}")
     snap = MappedSnapshot.open(args.file)
     try:
         info = snap.info()
@@ -629,21 +608,17 @@ def _snapshot_info(args) -> None:
 
 
 def _snapshot_migrate(args) -> None:
-    import warnings
+    from repro.rdf.persist import PersistenceError, load_store
+    from repro.storage import save_snapshot_store
 
-    from repro.storage import get_engine
-
-    old = Path(args.old)
-    if not (old / "manifest.json").exists():
-        raise CliError(f"{old} is not a legacy store directory")
-    with warnings.catch_warnings():
-        # migration IS the deprecation remedy; no need to warn about it
-        warnings.simplefilter("ignore", DeprecationWarning)
-        store = get_engine("memory").load(old)
-    path = get_engine("mmap").save(store, args.new)
+    try:
+        store = load_store(args.old)
+    except PersistenceError as exc:
+        raise CliError(f"{args.old}: {exc}") from None
+    path = save_snapshot_store(store, args.new)
     print(
         f"migrated {store.total_triples(include_indexes=True)} triple(s) "
-        f"from {old} to {path} ({Path(path).stat().st_size} bytes)"
+        f"from {args.old} to {path} ({path.stat().st_size} bytes)"
     )
 
 
@@ -681,7 +656,7 @@ def cmd_sql(args) -> None:
 
 
 def cmd_update(args) -> None:
-    mdw = _open(args)
+    mdw = _open_writable(args)
     if args.file == "-":
         text = sys.stdin.read()
     else:
@@ -702,7 +677,7 @@ def cmd_update(args) -> None:
             "Table I; store NOT saved — first offender: "
             + report.issues[0].describe()
         )
-    mdw.save(args.store)
+    mdw.save_snapshot(args.store)
     print(result.summary())
 
 

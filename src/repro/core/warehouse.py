@@ -229,32 +229,9 @@ class MetadataWarehouse:
 
     # -- persistence and history ------------------------------------------------
 
-    def save(self, directory, engine: str = "memory") -> None:
-        """Persist the whole store (current model, historized versions,
-        entailment indexes) through a storage engine.
-
-        ``engine="memory"`` writes the legacy N-Triples directory (the
-        historical default, kept for compatibility); ``engine="mmap"``
-        writes one binary snapshot file (see :meth:`save_snapshot`).
-        """
-        from repro.storage import get_engine
-
-        get_engine(engine).save(self.store, directory, generation=self.graph.generation)
-
-    @classmethod
-    def load(cls, path, model: str = DEFAULT_MODEL) -> "MetadataWarehouse":
-        """Open a warehouse saved with :meth:`save`, either format.
-
-        The on-disk shape picks the engine: a manifest directory loads
-        through the (deprecated) legacy path, a snapshot file attaches.
-        """
-        from repro.storage import detect_engine
-
-        store = detect_engine(path).load(path)
-        return cls(model=model, store=store)
-
     def save_snapshot(self, path, generation: Optional[int] = None):
-        """Write the whole store as one mmap-able binary snapshot file.
+        """Persist the whole store (current model, historized versions,
+        entailment indexes) as one mmap-able binary snapshot file.
 
         Atomic and checksummed; ``generation`` defaults to the current
         model's change counter (the stamp delta segments chain on).
@@ -279,8 +256,9 @@ class MetadataWarehouse:
         ``segments`` is a chain of delta-segment paths to replay on top
         of the base (their base generations are verified against the
         snapshot's stamp). ``mutable_models`` materializes the named
-        models for writing; the default keeps everything mapped and
-        read-only.
+        models for writing — ``None`` means every model saved unfrozen,
+        the reopen-to-write case; the default keeps everything mapped
+        and read-only.
         """
         from repro.storage import MappedSnapshot, apply_segments
 

@@ -42,7 +42,6 @@ from repro.rdf.ntriples import (
 )
 from repro.rdf.turtle import TurtleParseError, parse_turtle, serialize_turtle
 from repro.rdf.rdfxml import serialize_rdfxml
-from repro.rdf.persist import PersistenceError, load_store, save_store
 
 __all__ = [
     "BNode",
@@ -63,7 +62,6 @@ __all__ = [
     "OWL",
     "CombinedStats",
     "PredicateStats",
-    "PersistenceError",
     "RDF",
     "RDFS",
     "ReadOnlyGraphError",
@@ -77,10 +75,8 @@ __all__ = [
     "TurtleParseError",
     "Variable",
     "XSD",
-    "load_store",
     "parse_ntriples",
     "parse_turtle",
-    "save_store",
     "serialize_ntriples",
     "serialize_rdfxml",
     "serialize_turtle",

@@ -1,28 +1,24 @@
-"""Durable storage: save and load a :class:`TripleStore` on disk.
+"""Reader for the retired N-Triples store directory.
 
-Layout of a store directory::
+The warehouse persists as one snapshot file (:mod:`repro.storage`);
+this module survives only so ``repro-mdw snapshot migrate`` can convert
+a directory written by an older build::
 
     store/
       manifest.json          # models, indexes, format version
       models/<name>.nt       # one N-Triples file per model
       indexes/<model>__<rulebase>.nt
-
-N-Triples keeps the files diffable and greppable — metadata operators
-live in text tools — and the deterministic serialization means repeated
-saves of the same store are byte-identical.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
-from typing import Dict, Union
+from typing import Union
 
 from repro.rdf.graph import Graph
-from repro.rdf.ntriples import parse_ntriples, serialize_ntriples
+from repro.rdf.ntriples import parse_ntriples
 from repro.rdf.store import TripleStore
-from repro.resilience import faults
 
 FORMAT_VERSION = 1
 
@@ -31,82 +27,8 @@ class PersistenceError(Exception):
     """A malformed or incompatible store directory."""
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Write via a sibling temp file + atomic rename.
-
-    A crash mid-write leaves either the old file or the new one, never a
-    torn half — the crash-recovery guarantee the load journal depends on
-    when it re-saves a recovered store.
-    """
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
-def save_store(store: TripleStore, directory: Union[str, Path]) -> Path:
-    """Write ``store`` (models and entailment indexes) to ``directory``.
-
-    The directory is created if needed; existing contents of the
-    ``models/`` and ``indexes/`` subdirectories are replaced so the
-    directory always reflects exactly the saved store. Every file is
-    written atomically (temp + rename) and the manifest goes last, so a
-    save that crashes part-way is *detectable* on the next load (the old
-    manifest disagrees with the new data files) instead of silently
-    serving a mixed store; re-running the save repairs it.
-    """
-    root = Path(directory)
-    models_dir = root / "models"
-    indexes_dir = root / "indexes"
-    models_dir.mkdir(parents=True, exist_ok=True)
-    indexes_dir.mkdir(parents=True, exist_ok=True)
-
-    manifest: Dict = {
-        "format_version": FORMAT_VERSION,
-        "models": {},
-        "indexes": [],
-    }
-    used_filenames = set()
-    for name in store.model_names():
-        if _safe_filename(name) + ".nt" in used_filenames:
-            raise PersistenceError(
-                f"model names collide after filename sanitization: {name!r}"
-            )
-        used_filenames.add(_safe_filename(name) + ".nt")
-    for name in store.model_names():
-        graph = store.model(name)
-        filename = _safe_filename(name) + ".nt"
-        _write_atomic(models_dir / filename, serialize_ntriples(graph))
-        manifest["models"][name] = {
-            "file": filename,
-            "triples": len(graph),
-            "frozen": graph.frozen,
-        }
-    index_filenames = set()
-    for model, rulebase in store.index_names():
-        derived = store.index(model, rulebase)
-        filename = f"{_safe_filename(model)}__{_safe_filename(rulebase)}.nt"
-        _write_atomic(indexes_dir / filename, serialize_ntriples(derived))
-        index_filenames.add(filename)
-        manifest["indexes"].append(
-            {"model": model, "rulebase": rulebase, "file": filename, "triples": len(derived)}
-        )
-    faults.fire("persist.save")
-    # stale files from a previous, larger save go before the manifest
-    # commits, so an interrupted cleanup is re-done, never half-trusted
-    for stale in list(models_dir.glob("*.nt")):
-        if stale.name not in used_filenames:
-            stale.unlink()
-    for stale in list(indexes_dir.glob("*.nt")):
-        if stale.name not in index_filenames:
-            stale.unlink()
-    _write_atomic(
-        root / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True)
-    )
-    return root
-
-
 def load_store(directory: Union[str, Path]) -> TripleStore:
-    """Load a store previously written by :func:`save_store`."""
+    """Load a legacy store directory (manifest + N-Triples files)."""
     root = Path(directory)
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
@@ -142,7 +64,3 @@ def load_store(directory: Union[str, Path]) -> TripleStore:
         derived = Graph(parse_ntriples(path.read_text(encoding="utf-8")))
         store.attach_index(entry["model"], entry["rulebase"], derived)
     return store
-
-
-def _safe_filename(name: str) -> str:
-    return "".join(ch if ch.isalnum() or ch in "._-" else "_" for ch in name)

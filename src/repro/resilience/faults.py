@@ -33,7 +33,6 @@ FAULT_POINTS: Dict[str, str] = {
     "bulkload.commit": "after the last batch, before the journal commit record",
     "journal.begin": "before the write-ahead journal records the staged rows",
     "journal.checkpoint": "before a batch checkpoint is made durable",
-    "persist.save": "mid store save, after data files, before the manifest",
     "snapshot.publish": "while publishing a fresh read snapshot",
     "snapshot.save": "mid snapshot-file save, after fsync, before the atomic rename",
     "snapshot.attach": "while opening (mmap + validate) a snapshot file",

@@ -8,19 +8,10 @@ pool — written atomically and loaded via ``mmap`` with lazy
 materialization, so point lookups and index scans read pages without
 deserializing the whole graph. Per-release delta segments (built on
 :mod:`repro.history.diff`) make publishing release N+1 an O(delta)
-write, and :mod:`repro.storage.engine` puts the legacy N-Triples
-directory format and the new snapshot format behind one
-:class:`StorageEngine` interface.
+write. The snapshot file is the only store format on disk.
 """
 
 from repro.storage.codec import SnapshotFormatError, StorageError
-from repro.storage.engine import (
-    MemoryEngine,
-    MmapEngine,
-    StorageEngine,
-    detect_engine,
-    get_engine,
-)
 from repro.storage.partition import (
     ShardPlan,
     changed_shards,
@@ -48,18 +39,13 @@ __all__ = [
     "MappedGraph",
     "MappedSnapshot",
     "MappedTermDictionary",
-    "MemoryEngine",
-    "MmapEngine",
     "SegmentEntry",
     "ShardPlan",
     "SnapshotFormatError",
-    "StorageEngine",
     "StorageError",
     "apply_segments",
     "changed_shards",
-    "detect_engine",
     "diff_stores",
-    "get_engine",
     "partition_store",
     "publish_segment",
     "read_segment",

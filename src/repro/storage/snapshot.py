@@ -41,7 +41,7 @@ from repro.rdf.graph import Graph, GraphView, ReadOnlyGraphError
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import Term, Triple
 from repro.resilience import faults
-from repro.storage.codec import RunReader, SnapshotFormatError, encode_run
+from repro.storage.codec import RunReader, SnapshotFormatError, StorageError, encode_run
 from repro.storage.stringpool import MappedStringPool, build_pool
 
 MAGIC = b"MDWSNAP\x01"
@@ -723,7 +723,18 @@ class MappedSnapshot:
         """Map and validate a snapshot file; cheap — nothing decodes."""
         path = Path(path)
         faults.fire("snapshot.attach")
-        f = open(path, "rb")
+        try:
+            f = open(path, "rb")
+        except OSError as exc:
+            hint = ""
+            if (path / "manifest.json").is_file():
+                hint = (
+                    "; it is a legacy N-Triples store directory — convert it "
+                    "with 'repro-mdw snapshot migrate <dir> <file.mdws>'"
+                )
+            raise StorageError(
+                f"{path}: cannot open as a snapshot file ({exc.strerror}){hint}"
+            ) from None
         try:
             size = os.fstat(f.fileno()).st_size
             if size < HEADER_SIZE:

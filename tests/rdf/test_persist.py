@@ -1,123 +1,93 @@
-"""Unit tests for store persistence (save/load round-trip)."""
+"""The kept reader of the retired N-Triples store directory (reached
+only through ``snapshot migrate``), and the warehouse-level persistence
+contract over the snapshot file that replaced it."""
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.core import MetadataWarehouse
 from repro.history import Historizer
-from repro.rdf import (
-    Graph,
-    IRI,
-    Literal,
-    PersistenceError,
-    Triple,
-    TripleStore,
-    load_store,
-    save_store,
-)
+from repro.rdf.ntriples import serialize_ntriples
+from repro.rdf.persist import PersistenceError, load_store
+
+LEGACY = Path(__file__).resolve().parents[1] / "storage" / "fixtures" / "legacy_store"
 
 
-def sample_store():
-    store = TripleStore()
-    g = store.create_model("DWH_CURR")
-    g.add(Triple(IRI("http://x/s"), IRI("http://x/p"), Literal('with "quotes"\nand newline')))
-    g.add(Triple(IRI("http://x/s"), IRI("http://x/p"), Literal(42)))
-    prev = store.create_model("DWH_PREV")
-    prev.add(Triple(IRI("http://x/old"), IRI("http://x/p"), IRI("http://x/o")))
-    prev.freeze()
-    store.attach_index("DWH_CURR", "OWLPRIME", Graph([Triple(IRI("http://x/d"), IRI("http://x/p"), IRI("http://x/e"))]))
-    return store
+def reopen(mdw, path):
+    mdw.save_snapshot(path)
+    return MetadataWarehouse.attach_snapshot(path, mutable_models=None)
 
 
-class TestRoundtrip:
-    def test_models_roundtrip(self, tmp_path):
-        store = sample_store()
-        save_store(store, tmp_path / "store")
-        loaded = load_store(tmp_path / "store")
-        assert loaded.model_names() == store.model_names()
+class TestMigrate:
+    def test_migrate_preserves_content(self, tmp_path, capsys):
+        snap = tmp_path / "migrated.mdws"
+        assert main(["snapshot", "migrate", str(LEGACY), str(snap)]) == 0
+        assert "migrated 22 triple(s)" in capsys.readouterr().out
+        assert main(["versions", str(snap)]) == 0  # a store like any other
+        assert "2026.R1" in capsys.readouterr().out
+        store = MetadataWarehouse.attach_snapshot(snap, mutable_models=None).store
+        # the legacy files are canonical N-Triples: byte-equal re-serialization
+        assert store.model_names() == ["DWH_CURR", "HIST_2026.R1"]
         for name in store.model_names():
-            assert loaded.model(name) == store.model(name)
+            assert serialize_ntriples(store.model(name)) == (
+                LEGACY / "models" / f"{name}.nt"
+            ).read_text(encoding="utf-8")
+        assert store.model("HIST_2026.R1").frozen
+        assert not store.model("DWH_CURR").frozen
+        assert store.index_names() == [("DWH_CURR", "OWLPRIME")]
+        assert serialize_ntriples(store.index("DWH_CURR", "OWLPRIME")) == (
+            LEGACY / "indexes" / "DWH_CURR__OWLPRIME.nt"
+        ).read_text(encoding="utf-8")
 
-    def test_frozen_flag_preserved(self, tmp_path):
-        save_store(sample_store(), tmp_path / "store")
-        loaded = load_store(tmp_path / "store")
-        assert loaded.model("DWH_PREV").frozen
-        assert not loaded.model("DWH_CURR").frozen
-
-    def test_indexes_roundtrip(self, tmp_path):
-        store = sample_store()
-        save_store(store, tmp_path / "store")
-        loaded = load_store(tmp_path / "store")
-        index = loaded.index("DWH_CURR", "OWLPRIME")
-        assert index is not None
-        assert index == store.index("DWH_CURR", "OWLPRIME")
-
-    def test_save_is_deterministic(self, tmp_path):
-        store = sample_store()
-        save_store(store, tmp_path / "a")
-        save_store(store, tmp_path / "b")
-        for sub in ("manifest.json", "models/DWH_CURR.nt"):
-            assert (tmp_path / "a" / sub).read_text() == (tmp_path / "b" / sub).read_text()
-
-    def test_resave_removes_dropped_models(self, tmp_path):
-        store = sample_store()
-        save_store(store, tmp_path / "store")
-        store.drop_model("DWH_PREV")
-        save_store(store, tmp_path / "store")
-        loaded = load_store(tmp_path / "store")
-        assert not loaded.has_model("DWH_PREV")
-
-    def test_empty_store(self, tmp_path):
-        save_store(TripleStore(), tmp_path / "store")
-        assert len(load_store(tmp_path / "store")) == 0
+    def test_migrate_rejects_non_store(self, tmp_path, capsys):
+        assert main(["snapshot", "migrate", str(tmp_path), str(tmp_path / "x.mdws")]) == 2
+        assert "manifest" in capsys.readouterr().err
+        assert not (tmp_path / "x.mdws").exists()
 
 
-class TestErrors:
+class TestReaderErrors:
+    @pytest.fixture
+    def legacy(self, tmp_path):
+        return Path(shutil.copytree(LEGACY, tmp_path / "legacy"))
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(PersistenceError, match="manifest"):
             load_store(tmp_path)
 
-    def test_corrupt_manifest(self, tmp_path):
-        (tmp_path / "manifest.json").write_text("{not json")
+    def test_corrupt_manifest(self, legacy):
+        (legacy / "manifest.json").write_text("{not json")
         with pytest.raises(PersistenceError, match="corrupt"):
-            load_store(tmp_path)
+            load_store(legacy)
 
-    def test_wrong_format_version(self, tmp_path):
-        (tmp_path / "manifest.json").write_text(json.dumps({"format_version": 99}))
+    def test_wrong_format_version(self, legacy):
+        (legacy / "manifest.json").write_text(json.dumps({"format_version": 99}))
         with pytest.raises(PersistenceError, match="format"):
-            load_store(tmp_path)
+            load_store(legacy)
 
-    def test_missing_model_file(self, tmp_path):
-        save_store(sample_store(), tmp_path)
-        (tmp_path / "models" / "DWH_CURR.nt").unlink()
+    def test_missing_model_file(self, legacy):
+        (legacy / "models" / "DWH_CURR.nt").unlink()
         with pytest.raises(PersistenceError, match="missing model file"):
-            load_store(tmp_path)
+            load_store(legacy)
 
-    def test_triple_count_mismatch(self, tmp_path):
-        save_store(sample_store(), tmp_path)
-        path = tmp_path / "models" / "DWH_CURR.nt"
+    def test_triple_count_mismatch(self, legacy):
+        path = legacy / "models" / "DWH_CURR.nt"
         path.write_text(path.read_text() + "<http://x/extra> <http://x/p> <http://x/o> .\n")
         with pytest.raises(PersistenceError, match="manifest says"):
-            load_store(tmp_path)
-
-    def test_colliding_model_names(self, tmp_path):
-        store = TripleStore()
-        store.create_model("a/b")
-        store.create_model("a_b")
-        with pytest.raises(PersistenceError, match="collide"):
-            save_store(store, tmp_path)
+            load_store(legacy)
 
 
 class TestWarehouseIntegration:
-    def test_warehouse_save_load(self, tmp_path):
+    def test_warehouse_save_reopen(self, tmp_path):
         mdw = MetadataWarehouse()
         cls = mdw.schema.declare_class("Customer")
         mdw.facts.add_instance("customer_id", cls)
         mdw.build_entailment_index()
-        mdw.save(tmp_path / "wh")
 
-        reopened = MetadataWarehouse.load(tmp_path / "wh")
+        reopened = reopen(mdw, tmp_path / "wh.mdws")
         assert reopened.graph == mdw.graph
         assert len(reopened.search.search("customer")) == 1
         # index came back: entailment-only facts visible with the rulebase
@@ -130,9 +100,8 @@ class TestWarehouseIntegration:
         historizer = Historizer(mdw.store)
         historizer.snapshot("2009.R1")
         mdw.facts.add_instance("t2", cls)
-        mdw.save(tmp_path / "wh")
 
-        reopened = MetadataWarehouse.load(tmp_path / "wh")
+        reopened = reopen(mdw, tmp_path / "wh.mdws")
         as_of = reopened.as_of("2009.R1")
         assert len(as_of.graph) < len(reopened.graph)
         assert as_of.graph.frozen
@@ -173,9 +142,8 @@ class TestLoadedIndexFreshness:
         parent = mdw.schema.declare_class("Item")
         mdw.schema.declare_class("Column", parents=parent)
         mdw.build_entailment_index()
-        mdw.save(tmp_path / "wh")
 
-        reopened = MetadataWarehouse.load(tmp_path / "wh")
+        reopened = reopen(mdw, tmp_path / "wh.mdws")
         reopened.update(
             'INSERT DATA { cs:late rdf:type dm:Column . cs:late dm:hasName "late" }'
         )

@@ -353,34 +353,3 @@ class TestEtlLevelRecovery:
             mdw, fault = run(tmp_path / "rerun.journal")
             assert fault is None
         assert serialize_ntriples(mdw.graph) == expected
-
-
-class TestPersistSaveAtomicity:
-    def test_crashed_save_is_detectable_and_repairable(self, tmp_path):
-        from repro.rdf.persist import PersistenceError, load_store, save_store
-
-        mdw = MetadataWarehouse()
-        BulkLoader(mdw.store).load(fill_staging(5), mdw.model_name)
-        target = tmp_path / "store"
-        save_store(mdw.store, target)
-
-        # grow the model, then crash the re-save after the data files
-        # but before the manifest
-        BulkLoader(mdw.store).load(fill_staging(9), mdw.model_name)
-        injector = FaultInjector(seed=11)
-        injector.arm("persist.save", "raise", times=1)
-        with pytest.raises(InjectedFault):
-            with fault_scope(injector):
-                save_store(mdw.store, target)
-
-        # the stale manifest disagrees with the new data files: loading
-        # detects the torn save instead of serving a mixed store
-        with pytest.raises(PersistenceError):
-            load_store(target)
-
-        # re-running the save repairs it
-        save_store(mdw.store, target)
-        reloaded = load_store(target)
-        assert serialize_ntriples(reloaded.model(mdw.model_name)) == serialize_ntriples(
-            mdw.graph
-        )

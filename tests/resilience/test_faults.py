@@ -45,9 +45,9 @@ class TestFiring:
 
     def test_custom_error_factory(self):
         inj = FaultInjector()
-        inj.arm("persist.save", "raise", error=lambda: OSError("disk on fire"))
+        inj.arm("snapshot.save", "raise", error=lambda: OSError("disk on fire"))
         with pytest.raises(OSError):
-            inj.fire("persist.save")
+            inj.fire("snapshot.save")
 
     def test_delay_mode_uses_injected_sleep(self):
         sleeps = []

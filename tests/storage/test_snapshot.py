@@ -5,11 +5,18 @@ import zlib
 
 import pytest
 
+from repro.core.warehouse import MetadataWarehouse
 from repro.rdf.graph import Graph, ReadOnlyGraphError
 from repro.rdf.namespace import RDF
+from repro.rdf.ntriples import serialize_ntriples
 from repro.rdf.terms import IRI, Literal, Triple
 from repro.rdf.store import TripleStore
-from repro.storage import MappedSnapshot, SnapshotFormatError, save_snapshot_store
+from repro.storage import (
+    MappedSnapshot,
+    SnapshotFormatError,
+    StorageError,
+    save_snapshot_store,
+)
 from repro.storage.snapshot import FORMAT_VERSION, HEADER_SIZE, MAGIC
 
 NS = "http://example.org/"
@@ -21,7 +28,11 @@ def _store(triples=60, freeze=False) -> TripleStore:
     for i in range(triples):
         s = IRI(f"{NS}item_{i}")
         graph.add(Triple(s, RDF.type, IRI(f"{NS}Class_{i % 5}")))
-        graph.add(Triple(s, IRI(f"{NS}hasName"), Literal(f"name_{i}")))
+        graph.add(Triple(s, IRI(f"{NS}hasName"), Literal(f"nämé_{i}")))
+    hist = Graph(dictionary=graph.dictionary)
+    hist.add_all(list(graph)[: triples // 2])
+    hist.freeze()
+    store.adopt_model("HIST_2026.R1", hist)
     derived = Graph(dictionary=graph.dictionary)
     for i in range(0, triples, 3):
         derived.add(
@@ -39,7 +50,14 @@ def test_roundtrip_content_and_counts(tmp_path):
     path = save_snapshot_store(store, tmp_path / "s.mdws", generation=7)
     snap = MappedSnapshot.open(path)
     assert snap.generation == 7
-    attached = snap.store()
+    attached = snap.store()  # mutable_models=None: what a reopen-to-write gets
+    assert attached.model_names() == store.model_names()
+    assert attached.index_names() == store.index_names()
+    for name in store.model_names():
+        assert attached.model(name).frozen == store.model(name).frozen
+        assert serialize_ntriples(attached.model(name)) == serialize_ntriples(
+            store.model(name)
+        )
     original = store.model("DWH_CURR")
     mapped = attached.model("DWH_CURR")
     assert mapped == original and original == mapped
@@ -51,7 +69,7 @@ def test_roundtrip_content_and_counts(tmp_path):
         "DWH_CURR", "OWLPRIME"
     )
     # every pattern shape answers identically
-    probe = Triple(IRI(f"{NS}item_3"), IRI(f"{NS}hasName"), Literal("name_3"))
+    probe = Triple(IRI(f"{NS}item_3"), IRI(f"{NS}hasName"), Literal("nämé_3"))
     for pattern in [
         (None, None, None),
         (probe.subject, None, None),
@@ -67,6 +85,17 @@ def test_roundtrip_content_and_counts(tmp_path):
             original.triples(*pattern), key=key
         )
         assert mapped.count(*pattern) == original.count(*pattern)
+
+
+def test_queries_agree_with_the_saved_store(tmp_path):
+    store = _store()
+    path = save_snapshot_store(store, tmp_path / "s.mdws")
+    text = "SELECT ?s ?n WHERE { ?s <http://example.org/hasName> ?n }"
+    expected = sorted(map(repr, MetadataWarehouse(store=store).query(text)))
+    assert len(expected) == 60
+    for mutable_models in (None, ()):
+        mdw = MetadataWarehouse.attach_snapshot(path, mutable_models=mutable_models)
+        assert sorted(map(repr, mdw.query(text))) == expected
 
 
 def test_save_is_deterministic(tmp_path):
@@ -127,6 +156,17 @@ def test_rejects_bad_magic(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(SnapshotFormatError, match="magic"):
         MappedSnapshot.open(path)
+
+
+def test_rejects_paths_that_are_not_snapshot_files(tmp_path):
+    with pytest.raises(StorageError, match="No such file"):
+        MappedSnapshot.open(tmp_path / "missing.mdws")
+    with pytest.raises(StorageError, match="Is a directory") as plain:
+        MappedSnapshot.open(tmp_path)
+    assert "migrate" not in str(plain.value)
+    (tmp_path / "manifest.json").write_text("{}")
+    with pytest.raises(StorageError, match="repro-mdw snapshot migrate"):
+        MappedSnapshot.open(tmp_path)
 
 
 def test_rejects_header_corruption(tmp_path):

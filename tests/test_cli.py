@@ -1,13 +1,17 @@
 """Integration tests for the repro-mdw command line."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
 
+LEGACY = Path(__file__).parent / "storage" / "fixtures" / "legacy_store"
+
 
 @pytest.fixture(scope="module")
 def store_dir(tmp_path_factory):
-    path = tmp_path_factory.mktemp("cli") / "wh"
+    path = tmp_path_factory.mktemp("cli") / "wh.mdws"
     code = main(["generate", str(path), "--scale", "tiny", "--seed", "3", "--with-index"])
     assert code == 0
     return path
@@ -15,7 +19,7 @@ def store_dir(tmp_path_factory):
 
 class TestGenerate:
     def test_generate_creates_store(self, store_dir, capsys):
-        assert (store_dir / "manifest.json").exists()
+        assert store_dir.is_file()  # verified in TestSnapshotFiles
 
     def test_generate_output(self, tmp_path, capsys):
         code = main(["generate", str(tmp_path / "wh2"), "--scale", "tiny"])
@@ -39,9 +43,19 @@ class TestStatsValidate:
         assert main(["validate", str(store_dir)]) == 0
         assert "0 violations" in capsys.readouterr().out
 
-    def test_missing_store_errors(self, tmp_path, capsys):
-        assert main(["stats", str(tmp_path / "nope")]) == 2
-        assert "error:" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "store, message",
+        [
+            (lambda tmp: tmp / "nope", "No such file"),
+            (lambda tmp: tmp, "Is a directory"),
+            (lambda tmp: LEGACY, "repro-mdw snapshot migrate"),
+        ],
+        ids=["missing", "directory", "legacy-directory"],
+    )
+    def test_not_a_snapshot_store_errors(self, store, message, tmp_path, capsys):
+        assert main(["stats", str(store(tmp_path))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
 
 
 class TestSearch:
@@ -69,7 +83,7 @@ class TestLineageFlows:
     def item_name(self, store_dir):
         from repro.core import MetadataWarehouse
 
-        mdw = MetadataWarehouse.load(store_dir)
+        mdw = MetadataWarehouse.attach_snapshot(store_dir)
         results = mdw.search.search("", regex=True)  # matches everything
         # pick an item that has lineage
         for hit in results.hits:
@@ -98,24 +112,54 @@ class TestLineageFlows:
         assert "SOURCE OBJECTS" in capsys.readouterr().out
 
 
-class TestIndexHistory:
-    def test_index_build(self, tmp_path, capsys):
-        path = tmp_path / "wh"
-        main(["generate", str(path), "--scale", "tiny"])
-        assert main(["index", str(path)]) == 0
-        assert "derived" in capsys.readouterr().out
+UPDATE = (
+    "INSERT DATA { cs:cli_added rdf:type dm:Column . "
+    'cs:cli_added dm:hasName "cli_added_column" }'
+)
+FEED = (
+    '<metadata source="cli-feed"><class name="Application" world="technical"/>'
+    '<instance name="app_gamma" class="Application"/></metadata>'
+)
 
+
+class TestWriteCommands:
+    """generate -> write command -> reopen: the store stays one valid
+    snapshot file and the change is in it."""
+
+    @pytest.mark.parametrize(
+        "write, wrote, read, expected",
+        [
+            (["index", "{wh}"], "derived", ["snapshot", "info", "{wh}"], '"OWLPRIME"'),
+            (["update", "{wh}", "{update}"], "+2 / -0",
+             ["search", "{wh}", "cli_added_column"], "1 distinct item(s)"),
+            (["snapshot", "historize", "{wh}", "2026.R1"], "version 2026.R1",
+             ["versions", "{wh}"], "2026.R1"),
+            (["load", "{wh}", "{feed}"], "incremental release apply",
+             ["search", "{wh}", "app_gamma"], "1 distinct item(s)"),
+        ],
+        ids=["index", "update", "snapshot-historize", "load"],
+    )
+    def test_write_then_reopen(self, write, wrote, read, expected, tmp_path, capsys):
+        (tmp_path / "u.ru").write_text(UPDATE)
+        (tmp_path / "r.xml").write_text(FEED)
+        paths = {
+            "wh": tmp_path / "wh.mdws",
+            "update": tmp_path / "u.ru",
+            "feed": tmp_path / "r.xml",
+        }
+        assert main(["generate", str(paths["wh"]), "--scale", "tiny"]) == 0
+        assert paths["wh"].is_file()
+        capsys.readouterr()
+        assert main([arg.format(**paths) for arg in write]) == 0
+        assert wrote in capsys.readouterr().out
+        assert main([arg.format(**paths) for arg in read]) == 0
+        assert expected in capsys.readouterr().out
+        assert main(["snapshot", "info", str(paths["wh"]), "--verify"]) == 0
+
+
+class TestIndexHistory:
     def test_index_unknown_rulebase(self, store_dir, capsys):
         assert main(["index", str(store_dir), "--rulebase", "NOPE"]) == 2
-
-    def test_snapshot_and_versions(self, tmp_path, capsys):
-        path = tmp_path / "wh"
-        main(["generate", str(path), "--scale", "tiny"])
-        capsys.readouterr()
-        assert main(["snapshot", str(path), "2026.R1"]) == 0
-        assert "version 2026.R1" in capsys.readouterr().out
-        assert main(["versions", str(path)]) == 0
-        assert "2026.R1" in capsys.readouterr().out
 
     def test_snapshot_duplicate(self, tmp_path, capsys):
         path = tmp_path / "wh"
@@ -158,21 +202,6 @@ class TestSql:
 
 
 class TestUpdateCommand:
-    def test_update_from_file(self, tmp_path, capsys):
-        path = tmp_path / "wh"
-        main(["generate", str(path), "--scale", "tiny"])
-        update_file = tmp_path / "u.ru"
-        update_file.write_text(
-            'INSERT DATA { cs:cli_added rdf:type dm:Column . '
-            'cs:cli_added dm:hasName "cli_added_column" }'
-        )
-        capsys.readouterr()
-        assert main(["update", str(path), str(update_file)]) == 0
-        assert "+2 / -0" in capsys.readouterr().out
-        # persisted: a fresh open sees the change
-        assert main(["search", str(path), "cli_added_column"]) == 0
-        assert "cli_added_column" in capsys.readouterr().out
-
     def test_update_rejecting_nonconformant(self, tmp_path, capsys):
         path = tmp_path / "wh"
         main(["generate", str(path), "--scale", "tiny"])
@@ -306,44 +335,23 @@ class TestChaosIncremental:
 
 
 class TestSnapshotFiles:
-    def test_save_info_attach_cycle(self, store_dir, tmp_path, capsys):
-        snap = tmp_path / "wh.mdws"
-        assert main(["snapshot", "save", str(store_dir), str(snap)]) == 0
-        out = capsys.readouterr().out
-        assert "triple(s)" in out and snap.exists()
-
-        assert main(["snapshot", "info", str(snap), "--verify"]) == 0
+    def test_info_attach_cycle(self, store_dir, capsys):
+        assert main(["snapshot", "info", str(store_dir), "--verify"]) == 0
         out = capsys.readouterr().out
         assert '"format_version": 1' in out
         assert '"checksums": "ok"' in out
 
-        assert main(["snapshot", "attach", str(snap)]) == 0
+        assert main(["snapshot", "attach", str(store_dir)]) == 0
         out = capsys.readouterr().out
         assert "DWH_CURR" in out
 
-    def test_stats_works_on_snapshot_file(self, store_dir, tmp_path, capsys):
-        snap = tmp_path / "wh.mdws"
-        main(["snapshot", "save", str(store_dir), str(snap)])
-        capsys.readouterr()
-        assert main(["stats", str(snap)]) == 0
-        assert "FACTS" in capsys.readouterr().out
-
     def test_info_detects_corruption(self, store_dir, tmp_path, capsys):
         snap = tmp_path / "wh.mdws"
-        main(["snapshot", "save", str(store_dir), str(snap)])
-        raw = bytearray(snap.read_bytes())
+        raw = bytearray(store_dir.read_bytes())
         raw[-1] ^= 0xFF
         snap.write_bytes(bytes(raw))
-        capsys.readouterr()
         assert main(["snapshot", "info", str(snap), "--verify"]) == 2
         assert "error:" in capsys.readouterr().err
-
-    def test_migrate_legacy_store(self, store_dir, tmp_path, capsys):
-        snap = tmp_path / "migrated.mdws"
-        assert main(["snapshot", "migrate", str(store_dir), str(snap)]) == 0
-        out = capsys.readouterr().out
-        assert "migrated" in out and snap.exists()
-        assert main(["stats", str(snap)]) == 0
 
     def test_attach_missing_file_errors(self, tmp_path, capsys):
         assert main(["snapshot", "attach", str(tmp_path / "nope.mdws")]) == 2

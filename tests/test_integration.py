@@ -44,9 +44,9 @@ def lifecycle(tmp_path_factory):
     load = EtlOrchestrator(mdw).run([NEW_APP_FEED])
 
     historizer.snapshot("2026.R2")
-    store_dir = workdir / "wh"
-    mdw.save(store_dir)
-    reopened = MetadataWarehouse.load(store_dir)
+    store_dir = workdir / "wh.mdws"
+    mdw.save_snapshot(store_dir)
+    reopened = MetadataWarehouse.attach_snapshot(store_dir)
     return dict(
         landscape=landscape,
         mdw=mdw,

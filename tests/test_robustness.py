@@ -55,8 +55,8 @@ class TestUnicode:
         cls = mdw.schema.declare_class("Column")
         for i, name in enumerate(UNICODE_NAMES):
             mdw.facts.add_instance(f"u{i}", cls, display_name=name)
-        mdw.save(tmp_path / "wh")
-        reopened = MetadataWarehouse.load(tmp_path / "wh")
+        mdw.save_snapshot(tmp_path / "wh.mdws")
+        reopened = MetadataWarehouse.attach_snapshot(tmp_path / "wh.mdws")
         assert reopened.graph == mdw.graph
 
     def test_unicode_xml_feed(self):
@@ -147,14 +147,14 @@ class TestFailureInjection:
         mdw = MetadataWarehouse()
         cls = mdw.schema.declare_class("T")
         mdw.facts.add_instance("x", cls)
-        mdw.save(tmp_path / "wh")
-        victim = tmp_path / "wh" / "models" / "DWH_CURR.nt"
-        victim.write_text(victim.read_text() + "not a triple line\n")
-        from repro.rdf import PersistenceError
-        from repro.rdf.ntriples import NTriplesParseError
+        victim = mdw.save_snapshot(tmp_path / "wh.mdws")
+        raw = bytearray(victim.read_bytes())
+        raw[20] ^= 0x01  # one flipped header bit, behind the header CRC
+        victim.write_bytes(bytes(raw))
+        from repro.storage import SnapshotFormatError
 
-        with pytest.raises((PersistenceError, NTriplesParseError)):
-            MetadataWarehouse.load(tmp_path / "wh")
+        with pytest.raises(SnapshotFormatError):
+            MetadataWarehouse.attach_snapshot(victim)
 
     def test_graph_mutation_during_search_is_safe(self):
         """Search materializes candidates before matching; a concurrent-
