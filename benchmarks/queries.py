@@ -1,8 +1,7 @@
 """The paper's published queries, shared across the benchmark suite.
 
-Kept free of scale/fixture logic so any bench (or test) can import the
-query texts without triggering another module's ``MDW_BENCH_SCALE``
-validation.
+Plain strings with no fixture or import-time logic, so any bench (or
+test) can import the query texts at no cost.
 """
 
 LISTING_1 = """

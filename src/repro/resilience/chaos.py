@@ -14,7 +14,12 @@ not an anecdote: ``repro-mdw chaos --seed 1234`` replays it.
 
 from __future__ import annotations
 
+import os
 import random
+import signal
+import tempfile
+import threading
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, List, Optional
@@ -164,28 +169,78 @@ def _probe(mdw) -> List[tuple]:
     )
 
 
-def _build_and_load(journal_path: Path, feeds: List[str], resilience_kwargs: dict):
-    """A fresh warehouse with one release loaded through the resilient path."""
+def _verdict(
+    it: ChaosIteration, expected: dict, expected_probe, actual: dict, actual_probe
+) -> ChaosIteration:
+    """Settle ``it``: converged only when the recovered state (model +
+    every index) and the probe answers equal the reference exactly."""
+    if actual != expected:
+        diverged = sorted(
+            k for k in set(expected) | set(actual) if expected.get(k) != actual.get(k)
+        )
+        it.detail = f"state mismatch in {diverged}"
+    elif actual_probe != expected_probe:
+        it.detail = "probe query answers differ"
+    else:
+        it.converged = True
+    return it
+
+
+def _run_iterations(
+    seed: int,
+    iterations: int,
+    workdir: Optional[Path],
+    log: Optional[Callable[[str], None]],
+    run_iteration: Callable[..., ChaosIteration],
+    *params,
+) -> ChaosReport:
+    """The one chaos loop: a seeded rng per iteration, a scratch root
+    (``workdir`` or a temp dir), and a report that streams to ``log``.
+    ``run_iteration(i, iteration_seed, rng, root, *params)`` runs one."""
+    report = ChaosReport(seed=seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(workdir) if workdir is not None else Path(tmp)
+        for i in range(iterations):
+            iteration_seed = seed * 100_003 + i
+            rng = random.Random(iteration_seed)
+            it = run_iteration(i, iteration_seed, rng, root, *params)
+            report.iterations.append(it)
+            if log is not None:
+                log(it.summary())
+    return report
+
+
+def _fresh_warehouse():
+    """An empty warehouse with its (empty) OWLPRIME index attached."""
     from repro.core.warehouse import MetadataWarehouse
-    from repro.etl.pipeline import EtlOrchestrator, ResilienceConfig
 
     mdw = MetadataWarehouse()
     mdw.build_entailment_index("OWLPRIME")
-    orchestrator = EtlOrchestrator(
-        mdw,
-        resilience=ResilienceConfig(journal_path=journal_path, **resilience_kwargs),
-    )
-    orchestrator.run(xml_documents=feeds)
-    return mdw, orchestrator
+    return mdw
+
+
+#: Resilient-loader settings for the journaled-load iterations.
+_FAST_LOAD = {
+    "batch_size": 7,
+    "durable": False,  # chaos kills via exception, not SIGKILL
+    "retry": RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0),
+}
+
+
+def _load(mdw, journal_path: Path, feeds: List[str]) -> None:
+    """Load one release into ``mdw`` through the resilient path."""
+    from repro.etl.pipeline import EtlOrchestrator, ResilienceConfig
+
+    EtlOrchestrator(
+        mdw, resilience=ResilienceConfig(journal_path=journal_path, **_FAST_LOAD)
+    ).run(xml_documents=feeds)
 
 
 def _build_release_base(feeds: List[str]):
     """A fresh warehouse with ``feeds`` applied as a full release."""
-    from repro.core.warehouse import MetadataWarehouse
     from repro.etl.pipeline import EtlOrchestrator
 
-    mdw = MetadataWarehouse()
-    mdw.build_entailment_index("OWLPRIME")
+    mdw = _fresh_warehouse()
     EtlOrchestrator(mdw).apply_release(feeds, mode="full")
     return mdw
 
@@ -194,6 +249,7 @@ def _run_incremental_iteration(
     i: int,
     iteration_seed: int,
     rng: random.Random,
+    root: Path,
     documents: int,
     instances: int,
 ) -> ChaosIteration:
@@ -247,20 +303,8 @@ def _run_incremental_iteration(
 
     if _fingerprint(clean) != expected:
         it.detail = "clean incremental apply diverged from full rebuild"
-    else:
-        actual = _fingerprint(victim)
-        if actual != expected:
-            diverged = sorted(
-                k
-                for k in set(expected) | set(actual)
-                if expected.get(k) != actual.get(k)
-            )
-            it.detail = f"state mismatch in {diverged}"
-        elif _probe(victim) != expected_probe:
-            it.detail = "probe query answers differ"
-        else:
-            it.converged = True
-    return it
+        return it
+    return _verdict(it, expected, expected_probe, _fingerprint(victim), _probe(victim))
 
 
 def _attach_fingerprint(path):
@@ -275,9 +319,9 @@ def _run_snapshot_iteration(
     i: int,
     iteration_seed: int,
     rng: random.Random,
+    root: Path,
     documents: int,
     instances: int,
-    root: Path,
 ) -> ChaosIteration:
     """One crash/recover/verify round through the *storage* path.
 
@@ -322,7 +366,9 @@ def _run_snapshot_iteration(
         if survived != expected_base:
             it.detail = "previous snapshot no longer attaches to base state"
             return it
+        # recovery: re-run the interrupted save without faults
         it.recovery_action = "retry-save"
+        evolved.save_snapshot(path)
     else:
         evolved.save_snapshot(path)
         published_bytes = path.read_bytes()
@@ -334,32 +380,15 @@ def _run_snapshot_iteration(
         if path.read_bytes() != published_bytes:
             it.detail = "failed attach mutated the snapshot file"
             return it
-        it.recovery_action = "retry-attach"
-
-    # recovery: re-run the interrupted step without faults
-    if site == "snapshot.save":
-        evolved.save_snapshot(path)
+        it.recovery_action = "retry-attach"  # the fault-free attach below
     it.reran = True
-    actual, actual_probe = _attach_fingerprint(path)
-    if actual != expected:
-        diverged = sorted(
-            k
-            for k in set(expected) | set(actual)
-            if expected.get(k) != actual.get(k)
-        )
-        it.detail = f"state mismatch in {diverged}"
-    elif actual_probe != expected_probe:
-        it.detail = "probe query answers differ"
-    else:
-        it.converged = True
-    return it
+    return _verdict(it, expected, expected_probe, *_attach_fingerprint(path))
 
 
 def _canonical_service_result(kind: str, result) -> object:
     """An order-insensitive, degraded-flag-blind form of any endpoint's
-    result (mirrors the serving benchmark's canonicalization): bound
-    rows for ``query``/``sql``, (instance, name) pairs for ``search``,
-    (source, target) edges for ``lineage``."""
+    result: bound rows for ``query``/``sql``, (instance, name) pairs for
+    ``search``, (source, target) edges for ``lineage``."""
     if kind in ("query", "sql"):
         return sorted(
             tuple(sorted((k, v.n3()) for k, v in row.asdict().items()))
@@ -372,13 +401,68 @@ def _canonical_service_result(kind: str, result) -> object:
     return repr(result)
 
 
+def _wait_until(condition: Callable[[], bool], timeout: float) -> bool:
+    """Poll ``condition`` every 10 ms; False if ``timeout`` passes first."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+def _kill_storm(
+    service,
+    lanes: List[List[int]],
+    run_op: Callable[[int], None],
+    kills: int,
+    rng: random.Random,
+) -> int:
+    """Run ``run_op`` over each lane of op indices from its own client
+    thread while a killer SIGKILLs random live fork workers of
+    ``service``; returns how many kills landed."""
+    done = threading.Event()
+    killed = 0
+
+    def client(indices: List[int]) -> None:
+        for index in indices:
+            run_op(index)
+
+    def killer() -> None:
+        nonlocal killed
+        while killed < kills and not done.is_set():
+            pids = service.worker_pids()
+            if pids:
+                try:
+                    os.kill(rng.choice(pids), signal.SIGKILL)
+                    killed += 1
+                except OSError:
+                    pass  # already reaped; pick again next round
+            time.sleep(rng.uniform(0.01, 0.06))
+
+    threads = [
+        threading.Thread(target=client, args=(lane,), daemon=True)
+        for lane in lanes
+        if lane
+    ]
+    killer_thread = threading.Thread(target=killer, daemon=True)
+    for thread in threads:
+        thread.start()
+    killer_thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    done.set()
+    killer_thread.join(timeout=5)
+    return killed
+
+
 def _run_supervisor_iteration(
     i: int,
     iteration_seed: int,
     rng: random.Random,
+    root: Path,
     documents: int,
     instances: int,
-    root: Path,
     n_ops: int,
     kills: int,
     clients: int = 3,
@@ -398,11 +482,6 @@ def _run_supervisor_iteration(
     * **bounded recovery** — the pool is back at full strength within
       three heartbeat intervals of the workload draining.
     """
-    import os
-    import signal
-    import threading
-    import time
-
     from repro.server.service import QueryService, ServiceConfig, dispatch
     from repro.synth.workload import make_service_workload
 
@@ -415,14 +494,12 @@ def _run_supervisor_iteration(
     ]
 
     heartbeat_interval = 0.2
-    snapshot_dir = root / f"sup-{i}"
-    snapshot_dir.mkdir(parents=True, exist_ok=True)
     config = ServiceConfig(
         name=f"chaos-sup-{i}",
         max_workers=4,
         max_queue=n_ops + 32,
         worker_mode="fork",
-        snapshot_dir=str(snapshot_dir),
+        snapshot_dir=str(root / f"sup-{i}"),
         supervise=True,
         heartbeat_interval=heartbeat_interval,
         hang_timeout=2.0,
@@ -433,64 +510,37 @@ def _run_supervisor_iteration(
     it = ChaosIteration(index=i, seed=iteration_seed, site=SUPERVISOR_SITE, skip=0)
     results: List[object] = [None] * len(ops)
     errors: List[str] = []
-    done = threading.Event()
-    killed = 0
 
     service = QueryService(mdw, config)
     try:
         supervisor = service.supervisor
-        deadline = time.monotonic() + 5.0
-        while supervisor.alive_children() < config.max_workers:
-            if time.monotonic() > deadline:
-                it.detail = "pool never reached full size before the workload"
-                return it
-            time.sleep(0.01)
+        if not _wait_until(
+            lambda: supervisor.alive_children() >= config.max_workers, 5.0
+        ):
+            it.detail = "pool never reached full size before the workload"
+            return it
 
-        def client(indices: List[int]) -> None:
-            for index in indices:
-                op = ops[index]
-                try:
-                    results[index] = _canonical_service_result(
-                        op.kind, service.execute(op.kind, **op.payload)
-                    )
-                except Exception as exc:  # noqa: BLE001 - the assertion *is* "no errors"
-                    errors.append(f"op {index} ({op.kind}): {exc!r}")
+        def run_op(index: int) -> None:
+            op = ops[index]
+            try:
+                results[index] = _canonical_service_result(
+                    op.kind, service.execute(op.kind, **op.payload)
+                )
+            except Exception as exc:  # noqa: BLE001 - the assertion *is* "no errors"
+                errors.append(f"op {index} ({op.kind}): {exc!r}")
 
-        def killer() -> None:
-            nonlocal killed
-            while killed < kills and not done.is_set():
-                pids = supervisor.worker_pids()
-                if pids:
-                    try:
-                        os.kill(rng.choice(pids), signal.SIGKILL)
-                        killed += 1
-                    except OSError:
-                        pass  # already reaped; pick again next round
-                time.sleep(rng.uniform(0.01, 0.06))
-
-        shards = [list(range(c, len(ops), clients)) for c in range(clients)]
-        threads = [
-            threading.Thread(target=client, args=(shard,), daemon=True)
-            for shard in shards
-        ]
-        killer_thread = threading.Thread(target=killer, daemon=True)
-        for thread in threads:
-            thread.start()
-        killer_thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-        done.set()
-        killer_thread.join(timeout=5)
-
-        it.crashed = killed > 0
+        lanes = [list(range(c, len(ops), clients)) for c in range(clients)]
+        it.crashed = _kill_storm(service, lanes, run_op, kills, rng) > 0
         it.recovery_action = "respawn"
 
         # bounded recovery: full pool strength within 3 heartbeats
-        recovery_deadline = time.monotonic() + 3 * heartbeat_interval
-        while supervisor.deficit() > 0 and time.monotonic() < recovery_deadline:
-            time.sleep(0.01)
-        recovered = supervisor.deficit() == 0
+        recovered = _wait_until(
+            lambda: supervisor.deficit() == 0, 3 * heartbeat_interval
+        )
 
+        mismatched = [
+            index for index in range(len(ops)) if results[index] != expected[index]
+        ]
         if errors:
             it.detail = f"{len(errors)} failed request(s): {errors[:3]}"
         elif not recovered:
@@ -498,16 +548,10 @@ def _run_supervisor_iteration(
                 f"pool still {supervisor.deficit()} short after "
                 f"3 heartbeat intervals"
             )
+        elif mismatched:
+            it.detail = f"result mismatch at ops {mismatched[:5]}"
         else:
-            mismatched = [
-                index
-                for index in range(len(ops))
-                if results[index] != expected[index]
-            ]
-            if mismatched:
-                it.detail = f"result mismatch at ops {mismatched[:5]}"
-            else:
-                it.converged = True
+            it.converged = True
         return it
     finally:
         service.close()
@@ -527,30 +571,26 @@ def run_supervisor_chaos(
     (``repro-mdw chaos --supervisor``): SIGKILL live fork workers under
     a client workload and assert zero lost requests, bit-identical
     answers, and pool recovery within three heartbeat intervals."""
-    import tempfile
-
-    report = ChaosReport(seed=seed)
-    say = log if log is not None else (lambda message: None)
-    with tempfile.TemporaryDirectory() as tmp:
-        root = Path(workdir) if workdir is not None else Path(tmp)
-        for i in range(iterations):
-            iteration_seed = seed * 100_003 + i
-            rng = random.Random(iteration_seed)
-            it = _run_supervisor_iteration(
-                i, iteration_seed, rng, documents, instances, root, n_ops, kills
-            )
-            report.iterations.append(it)
-            say(it.summary())
-    return report
+    return _run_iterations(
+        seed,
+        iterations,
+        workdir,
+        log,
+        _run_supervisor_iteration,
+        documents,
+        instances,
+        n_ops,
+        kills,
+    )
 
 
 def _run_sharded_iteration(
     i: int,
     iteration_seed: int,
     rng: random.Random,
+    root: Path,
     documents: int,
     instances: int,
-    root: Path,
     n_ops: int,
     kills: int,
     n_shards: int = 3,
@@ -574,11 +614,6 @@ def _run_sharded_iteration(
        retained partition; answers must return to bit-identical and
        un-degraded.
     """
-    import os
-    import signal
-    import threading
-    import time
-
     from repro.server.service import dispatch
     from repro.server.sharding import ShardedConfig, ShardedQueryService
     from repro.synth.workload import make_scatter_workload
@@ -616,18 +651,15 @@ def _run_sharded_iteration(
     results: List[object] = [None] * len(ops)
     degraded_flags: List[Optional[bool]] = [None] * len(ops)
     errors: List[str] = []
-    done = threading.Event()
-    killed = 0
 
     service = ShardedQueryService(mdw, config)
     try:
         shard = service.shard_service(victim)
-        deadline = time.monotonic() + 5.0
-        while shard.supervisor.alive_children() < config.workers_per_shard:
-            if time.monotonic() > deadline:
-                it.detail = "victim shard never reached full size"
-                return it
-            time.sleep(0.01)
+        if not _wait_until(
+            lambda: shard.supervisor.alive_children() >= config.workers_per_shard, 5.0
+        ):
+            it.detail = "victim shard never reached full size"
+            return it
 
         def run_op(index: int) -> None:
             op = ops[index]
@@ -638,43 +670,12 @@ def _run_sharded_iteration(
             except Exception as exc:  # noqa: BLE001 - the assertion *is* "no errors"
                 errors.append(f"op {index} ({op.kind}): {exc!r}")
 
-        def client(indices: List[int]) -> None:
-            for index in indices:
-                run_op(index)
-
-        def killer() -> None:
-            nonlocal killed
-            while killed < kills and not done.is_set():
-                pids = shard.worker_pids()
-                if pids:
-                    try:
-                        os.kill(rng.choice(pids), signal.SIGKILL)
-                        killed += 1
-                    except OSError:
-                        pass  # already reaped; pick again next round
-                time.sleep(rng.uniform(0.01, 0.06))
-
         # -- phase 1: kill storm under concurrent load --------------------
         lanes = [storm_ops[c::clients] for c in range(clients)]
-        threads = [
-            threading.Thread(target=client, args=(lane,), daemon=True)
-            for lane in lanes
-            if lane
-        ]
-        killer_thread = threading.Thread(target=killer, daemon=True)
-        for thread in threads:
-            thread.start()
-        killer_thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-        done.set()
-        killer_thread.join(timeout=5)
-        it.crashed = killed > 0
-
-        recovery_deadline = time.monotonic() + 3 * heartbeat_interval
-        while shard.supervisor.deficit() > 0 and time.monotonic() < recovery_deadline:
-            time.sleep(0.01)
-        recovered = shard.supervisor.deficit() == 0
+        it.crashed = _kill_storm(shard, lanes, run_op, kills, rng) > 0
+        recovered = _wait_until(
+            lambda: shard.supervisor.deficit() == 0, 3 * heartbeat_interval
+        )
 
         # -- phase 2: the whole shard goes dark ---------------------------
         shard.close(wait=False)
@@ -682,22 +683,26 @@ def _run_sharded_iteration(
             run_op(index)
         breaker_open = service.shard_breaker(victim).state != "closed"
         health_degraded = service.health()["status"] == "degraded"
-        partials_flagged = all(degraded_flags[index] for index in downed_ops)
+        unflagged = [index for index in downed_ops if not degraded_flags[index]]
 
         # -- phase 3: runbook replacement ---------------------------------
         it.recovery_action = "replace_shard"
         replacement = service.replace_shard(victim)
-        deadline = time.monotonic() + 5.0
-        while (
-            replacement.supervisor is not None
-            and replacement.supervisor.alive_children() < config.workers_per_shard
-            and time.monotonic() < deadline
-        ):
-            time.sleep(0.01)
+        _wait_until(
+            lambda: replacement.supervisor is None
+            or replacement.supervisor.alive_children() >= config.workers_per_shard,
+            5.0,
+        )
         for index in recovered_ops:
             run_op(index)
         it.reran = True
 
+        mismatched = [
+            index
+            for index in storm_ops + recovered_ops
+            if results[index] != expected[index]
+        ]
+        flagged_after = [index for index in recovered_ops if degraded_flags[index]]
         if errors:
             it.detail = f"{len(errors)} failed request(s): {errors[:3]}"
         elif not recovered:
@@ -709,28 +714,14 @@ def _run_sharded_iteration(
             it.detail = "gateway breaker never opened for the dead shard"
         elif not health_degraded:
             it.detail = "gateway health never reported degraded"
-        elif not partials_flagged:
-            unflagged = [
-                index for index in downed_ops if not degraded_flags[index]
-            ]
+        elif unflagged:
             it.detail = f"partial results not flagged degraded at ops {unflagged[:5]}"
+        elif mismatched:
+            it.detail = f"result mismatch at ops {mismatched[:5]}"
+        elif flagged_after:
+            it.detail = f"still degraded after replacement at ops {flagged_after[:5]}"
         else:
-            mismatched = [
-                index
-                for index in storm_ops + recovered_ops
-                if results[index] != expected[index]
-            ]
-            flagged_after = [
-                index for index in recovered_ops if degraded_flags[index]
-            ]
-            if mismatched:
-                it.detail = f"result mismatch at ops {mismatched[:5]}"
-            elif flagged_after:
-                it.detail = (
-                    f"still degraded after replacement at ops {flagged_after[:5]}"
-                )
-            else:
-                it.converged = True
+            it.converged = True
         return it
     finally:
         service.close(wait=False)
@@ -753,29 +744,18 @@ def run_sharded_chaos(
     asserting zero lost requests, partial results flagged
     ``degraded=True`` while the shard's breaker is open, and full
     bit-identical recovery after the replacement."""
-    import tempfile
-
-    report = ChaosReport(seed=seed)
-    say = log if log is not None else (lambda message: None)
-    with tempfile.TemporaryDirectory() as tmp:
-        root = Path(workdir) if workdir is not None else Path(tmp)
-        for i in range(iterations):
-            iteration_seed = seed * 100_003 + i
-            rng = random.Random(iteration_seed)
-            it = _run_sharded_iteration(
-                i,
-                iteration_seed,
-                rng,
-                documents,
-                instances,
-                root,
-                n_ops,
-                kills,
-                n_shards=n_shards,
-            )
-            report.iterations.append(it)
-            say(it.summary())
-    return report
+    return _run_iterations(
+        seed,
+        iterations,
+        workdir,
+        log,
+        _run_sharded_iteration,
+        documents,
+        instances,
+        n_ops,
+        kills,
+        n_shards,
+    )
 
 
 def run_snapshot_chaos(
@@ -788,21 +768,65 @@ def run_snapshot_chaos(
 ) -> ChaosReport:
     """Randomized crash/recover/verify over the snapshot storage tier
     (``repro-mdw chaos --snapshot``)."""
-    import tempfile
+    return _run_iterations(
+        seed, iterations, workdir, log, _run_snapshot_iteration, documents, instances
+    )
 
-    report = ChaosReport(seed=seed)
-    say = log if log is not None else (lambda message: None)
-    with tempfile.TemporaryDirectory() as tmp:
-        root = Path(workdir) if workdir is not None else Path(tmp)
-        for i in range(iterations):
-            iteration_seed = seed * 100_003 + i
-            rng = random.Random(iteration_seed)
-            it = _run_snapshot_iteration(
-                i, iteration_seed, rng, documents, instances, root
-            )
-            report.iterations.append(it)
-            say(it.summary())
-    return report
+
+def _run_load_iteration(
+    i: int,
+    iteration_seed: int,
+    rng: random.Random,
+    root: Path,
+    documents: int,
+    instances: int,
+) -> ChaosIteration:
+    """One crash/recover/verify round through the journaled *load* path:
+    kill the load at a random site, replay the journal, re-run the
+    release when the crash preceded its write-ahead."""
+    feeds = make_release_feeds(rng, documents=documents, instances=instances)
+
+    # the reference run doubles as a census: an idle injector counts how
+    # often each fault point fires, so the armed fault below can always
+    # be placed where it will trigger
+    census = FaultInjector(seed=iteration_seed)
+    with fault_scope(census):
+        reference = _fresh_warehouse()
+        _load(reference, root / f"ref-{i}.journal", feeds)
+    expected = _fingerprint(reference)
+    expected_probe = _probe(reference)
+
+    injector = FaultInjector(seed=iteration_seed)
+    site = injector.choose_site(
+        [s for s in LOAD_SITES if census.hits(s) > 0] or LOAD_SITES
+    )
+    skip = rng.randint(0, max(0, census.hits(site) - 1))
+    injector.arm(site, "raise", times=1, skip=skip)
+    it = ChaosIteration(index=i, seed=iteration_seed, site=site, skip=skip)
+
+    journal_path = root / f"chaos-{i}.journal"
+    with fault_scope(injector):
+        try:
+            crashed_mdw = _fresh_warehouse()
+            _load(crashed_mdw, journal_path, feeds)
+        except InjectedFault:
+            it.crashed = True
+    if it.crashed:
+        # reconstruct the survivor the way a restarted process would
+        # (fresh facade, same journal) — the in-memory graph of the dead
+        # "process" is deliberately NOT reused
+        crashed_mdw = _fresh_warehouse()
+
+    if journal_path.exists():
+        it.recovery_action = recover(crashed_mdw, journal_path, durable=False).action
+    if it.recovery_action in ("none", "void"):
+        # the load never reached (or never survived to) its write-ahead:
+        # the sources are still there — re-run.
+        _load(crashed_mdw, root / f"rerun-{i}.journal", feeds)
+        it.reran = True
+    return _verdict(
+        it, expected, expected_probe, _fingerprint(crashed_mdw), _probe(crashed_mdw)
+    )
 
 
 def run_chaos(
@@ -822,97 +846,7 @@ def run_chaos(
     convergent re-apply, verified bit-identically against a full-rebuild
     reference.
     """
-    import tempfile
-
-    report = ChaosReport(seed=seed)
-    say = log if log is not None else (lambda message: None)
-    if incremental:
-        for i in range(iterations):
-            iteration_seed = seed * 100_003 + i
-            rng = random.Random(iteration_seed)
-            it = _run_incremental_iteration(
-                i, iteration_seed, rng, documents, instances
-            )
-            report.iterations.append(it)
-            say(it.summary())
-        return report
-    with tempfile.TemporaryDirectory() as tmp:
-        root = Path(workdir) if workdir is not None else Path(tmp)
-        fast = {
-            "batch_size": 7,
-            "durable": False,  # chaos kills via exception, not SIGKILL
-            "retry": RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0),
-        }
-        for i in range(iterations):
-            iteration_seed = seed * 100_003 + i
-            rng = random.Random(iteration_seed)
-            feeds = make_release_feeds(rng, documents=documents, instances=instances)
-
-            # the reference run doubles as a census: an idle injector
-            # counts how often each fault point fires, so the armed
-            # fault below can always be placed where it will trigger
-            census = FaultInjector(seed=iteration_seed)
-            with fault_scope(census):
-                reference, _ = _build_and_load(root / f"ref-{i}.journal", feeds, fast)
-            expected = _fingerprint(reference)
-            expected_probe = _probe(reference)
-
-            injector = FaultInjector(seed=iteration_seed)
-            site = injector.choose_site(
-                [s for s in LOAD_SITES if census.hits(s) > 0] or LOAD_SITES
-            )
-            skip = rng.randint(0, max(0, census.hits(site) - 1))
-            injector.arm(site, "raise", times=1, skip=skip)
-            it = ChaosIteration(index=i, seed=iteration_seed, site=site, skip=skip)
-
-            journal_path = root / f"chaos-{i}.journal"
-            crashed_mdw = None
-            with fault_scope(injector):
-                try:
-                    crashed_mdw, _ = _build_and_load(journal_path, feeds, fast)
-                except InjectedFault:
-                    it.crashed = True
-            if crashed_mdw is None:
-                # the crash happened mid-build: reconstruct the survivor
-                # the way a restarted process would (fresh facade, same
-                # journal) — the in-memory graph of the dead "process" is
-                # deliberately NOT reused unless the crash left one
-                from repro.core.warehouse import MetadataWarehouse
-
-                crashed_mdw = MetadataWarehouse()
-                crashed_mdw.build_entailment_index("OWLPRIME")
-
-            if journal_path.exists():
-                recovery = recover(crashed_mdw, journal_path, durable=False)
-                it.recovery_action = recovery.action
-            else:
-                it.recovery_action = "none"
-            if it.recovery_action in ("none", "void"):
-                # the load never reached (or never survived to) its
-                # write-ahead: the sources are still there — re-run.
-                from repro.etl.pipeline import EtlOrchestrator, ResilienceConfig
-
-                EtlOrchestrator(
-                    crashed_mdw,
-                    resilience=ResilienceConfig(
-                        journal_path=root / f"rerun-{i}.journal", **fast
-                    ),
-                ).run(xml_documents=feeds)
-                it.reran = True
-
-            actual = _fingerprint(crashed_mdw)
-            actual_probe = _probe(crashed_mdw)
-            if actual != expected:
-                diverged = sorted(
-                    k
-                    for k in set(expected) | set(actual)
-                    if expected.get(k) != actual.get(k)
-                )
-                it.detail = f"state mismatch in {diverged}"
-            elif actual_probe != expected_probe:
-                it.detail = "probe query answers differ"
-            else:
-                it.converged = True
-            report.iterations.append(it)
-            say(it.summary())
-    return report
+    run_iteration = _run_incremental_iteration if incremental else _run_load_iteration
+    return _run_iterations(
+        seed, iterations, workdir, log, run_iteration, documents, instances
+    )

@@ -277,7 +277,8 @@ class TestEtlAndReasoningSpans:
 
 class TestOverheadGate:
     def test_disabled_hooks_are_cheap_noops(self, warehouse):
-        # not a timing assertion (the benchmark owns that) — this pins
+        # not a timing assertion (the benchmark of record's
+        # obs.unsampled_overhead_ratio owns that) — this pins
         # the structural property: with nothing installed, the ambient
         # helpers return shared singletons and the evaluator profile
         # hook reads None

@@ -48,6 +48,14 @@ class TestMigrate:
         assert "manifest" in capsys.readouterr().err
         assert not (tmp_path / "x.mdws").exists()
 
+    def test_migrate_damaged_store_is_a_clean_error(self, tmp_path, capsys):
+        legacy = Path(shutil.copytree(LEGACY, tmp_path / "legacy"))
+        (legacy / "models" / "DWH_CURR.nt").write_text("garbage\n")
+        assert main(["snapshot", "migrate", str(legacy), str(tmp_path / "x.mdws")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "DWH_CURR.nt" in err
+        assert "Traceback" not in err
+
 
 class TestReaderErrors:
     @pytest.fixture
@@ -77,6 +85,34 @@ class TestReaderErrors:
         path = legacy / "models" / "DWH_CURR.nt"
         path.write_text(path.read_text() + "<http://x/extra> <http://x/p> <http://x/o> .\n")
         with pytest.raises(PersistenceError, match="manifest says"):
+            load_store(legacy)
+
+    @pytest.mark.parametrize(
+        "section, key", [("models", "file"), ("indexes", "model")]
+    )
+    def test_manifest_entry_missing_key(self, legacy, section, key):
+        manifest = json.loads((legacy / "manifest.json").read_text())
+        entries = manifest[section]
+        entry = entries["DWH_CURR"] if section == "models" else entries[0]
+        del entry[key]
+        (legacy / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(PersistenceError, match=f"{section}.*has no '{key}'"):
+            load_store(legacy)
+
+    def test_manifest_not_an_object(self, legacy):
+        (legacy / "manifest.json").write_text("[1, 2]")
+        with pytest.raises(PersistenceError, match="not a JSON object"):
+            load_store(legacy)
+
+    def test_garbage_line_in_model_file(self, legacy):
+        path = legacy / "models" / "DWH_CURR.nt"
+        path.write_text(path.read_text() + "this is not a triple\n")
+        with pytest.raises(PersistenceError, match=r"DWH_CURR\.nt: line 12"):
+            load_store(legacy)
+
+    def test_non_utf8_index_file(self, legacy):
+        (legacy / "indexes" / "DWH_CURR__OWLPRIME.nt").write_bytes(b"\xff\xfe<x>")
+        with pytest.raises(PersistenceError, match=r"DWH_CURR__OWLPRIME\.nt"):
             load_store(legacy)
 
 

@@ -2,6 +2,7 @@
 
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -13,7 +14,10 @@ from repro.server import (
     ServiceClosed,
     ServiceConfig,
 )
-from repro.synth import LandscapeConfig, generate_landscape
+from repro.server.service import dispatch
+from repro.synth import LandscapeConfig, generate_landscape, make_service_workload
+
+from .conftest import canonical, canonical_rows
 
 NAMES_QUERY = "SELECT ?s ?n WHERE { ?s dm:hasName ?n } ORDER BY ?s ?n"
 
@@ -36,12 +40,6 @@ LISTING1_SQL = """
 """
 
 
-def canonical(rows):
-    return sorted(
-        tuple(sorted((k, v.n3()) for k, v in row.asdict().items())) for row in rows
-    )
-
-
 @pytest.fixture(scope="module")
 def warehouse():
     return generate_landscape(LandscapeConfig.tiny(seed=11)).warehouse
@@ -59,7 +57,7 @@ class TestSubmitExecute:
         ticket = service.submit("query", text=NAMES_QUERY)
         assert ticket.request_id.startswith("q-")
         rows = ticket.result(timeout=30)
-        assert canonical(rows) == canonical(warehouse.query(NAMES_QUERY))
+        assert canonical_rows(rows) == canonical_rows(warehouse.query(NAMES_QUERY))
 
     def test_every_read_kind_dispatches(self, warehouse, service):
         assert len(service.query(NAMES_QUERY)) > 0
@@ -99,8 +97,8 @@ class TestSubmitExecute:
         assert service.breaker(kind).snapshot()["state"] == "closed"
 
     def test_results_identical_to_direct_warehouse(self, warehouse, service):
-        direct = canonical(warehouse.query(NAMES_QUERY))
-        served = [canonical(service.query(NAMES_QUERY)) for _ in range(4)]
+        direct = canonical_rows(warehouse.query(NAMES_QUERY))
+        served = [canonical_rows(service.query(NAMES_QUERY)) for _ in range(4)]
         assert all(result == direct for result in served)
 
 
@@ -155,7 +153,7 @@ class TestDeadlines:
         with pytest.raises(DeadlineExceeded):
             service.query(HOG_QUERY, timeout=0.05)
         rows = service.query(NAMES_QUERY, timeout=10)
-        assert canonical(rows) == canonical(warehouse.query(NAMES_QUERY))
+        assert canonical_rows(rows) == canonical_rows(warehouse.query(NAMES_QUERY))
         assert service.metrics.snapshot()["timeouts"] >= 1
 
     def test_cancel_aborts_inflight_query(self, service):
@@ -259,12 +257,29 @@ class TestMetrics:
 
 
 class TestForkMode:
-    def test_fork_results_match_thread_results(self, warehouse):
-        with warehouse.serve(max_workers=2, worker_mode="fork") as svc:
-            forked = canonical(svc.query(NAMES_QUERY, timeout=60))
-            searched = svc.search("a", timeout=60)
-        assert forked == canonical(warehouse.query(NAMES_QUERY))
-        assert searched is not None
+    @pytest.mark.parametrize("worker_mode", ["thread", "fork"])
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    def test_fork_results_match_thread_results(self, warehouse, worker_mode, max_workers):
+        """Two concurrent clients replay the mixed query / sql / search /
+        lineage stream; every op answers like a direct ``dispatch``."""
+        ops = make_service_workload(warehouse, n_ops=24, seed=11)
+        assert {op.kind for op in ops} == {"query", "sql", "search", "lineage"}
+        want = [
+            canonical(op.kind, dispatch(warehouse, op.kind, dict(op.payload)))
+            for op in ops
+        ]
+        with warehouse.serve(
+            max_workers=max_workers, worker_mode=worker_mode
+        ) as svc, ThreadPoolExecutor(max_workers=2) as clients:
+            got = list(
+                clients.map(
+                    lambda op: canonical(
+                        op.kind, svc.execute(op.kind, timeout=60, **op.payload)
+                    ),
+                    ops,
+                )
+            )
+        assert got == want
 
     def test_fork_workers_respawn_after_write(self, warehouse):
         with warehouse.serve(max_workers=2, worker_mode="fork") as svc:

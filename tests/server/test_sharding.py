@@ -27,6 +27,8 @@ from repro.server.service import dispatch
 from repro.storage import shard_of
 from repro.synth import make_scatter_workload
 
+from .conftest import canonical
+
 
 def thread_service(mdw, **overrides):
     base = dict(
@@ -188,12 +190,6 @@ def landscape():
     thesaurus.add_synonym("customer", "client")
     thesaurus.materialize(mdw.graph)
     return mdw
-
-
-def canonical(kind, result):
-    if kind == "search":
-        return [(h.instance, h.name, h.all_classes) for h in result.hits]
-    return [(e.source, e.target, e.rule, e.condition) for e in result.edges]
 
 
 class TestSearchAndLookup:

@@ -12,18 +12,14 @@ import pytest
 from repro.server import SnapshotManager
 from repro.synth import LandscapeConfig, generate_landscape
 
+from .conftest import canonical_rows as canonical
+
 NAMES_QUERY = "SELECT ?s ?n WHERE { ?s dm:hasName ?n } ORDER BY ?s ?n"
 
 PREFIXES = (
     "PREFIX cs: <http://www.credit-suisse.com/dwh/> "
     "PREFIX dm: <http://www.credit-suisse.com/dwh/mdm/data_modeling#> "
 )
-
-
-def canonical(rows):
-    return sorted(
-        tuple(sorted((k, v.n3()) for k, v in row.asdict().items())) for row in rows
-    )
 
 
 def insert_item(number: int) -> str:
