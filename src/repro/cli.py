@@ -252,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     workload.add_argument(
         "--trace-out", default=None, metavar="FILE",
-        help="trace the run and write a Chrome trace JSON here",
+        help="trace the run, validate the span tree, and write the "
+        "Chrome trace JSON here",
     )
     workload.add_argument(
         "--sample", type=float, default=1.0,
@@ -262,20 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics-out", default=None, metavar="FILE",
         help="write the process metrics registry as JSON here",
     )
-
-    trace = sub.add_parser(
-        "trace",
-        help="drive a traced service workload and export the Chrome trace",
-    )
-    trace.add_argument("store")
-    trace.add_argument("--out", default="trace.json", help="Chrome trace JSON output file")
-    trace.add_argument("--requests", type=int, default=50)
-    trace.add_argument("--clients", type=int, default=4)
-    trace.add_argument("--workers", type=int, default=4)
-    trace.add_argument("--mode", choices=["thread", "fork"], default="thread")
-    trace.add_argument("--sample", type=float, default=1.0, help="root-span sampling rate in [0, 1]")
-    trace.add_argument("--seed", type=int, default=42)
-    trace.add_argument(
+    workload.add_argument(
         "--prometheus-out", default=None, metavar="FILE",
         help="also write a Prometheus scrape of the metrics registry",
     )
@@ -340,29 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: ``snapshot`` sub-subcommands; anything else after ``snapshot`` is the
-#: legacy ``snapshot <store> <version>`` spelling, rewritten to
-#: ``snapshot historize <store> <version>``.
-_SNAPSHOT_CMDS = ("historize", "attach", "info", "migrate")
-
-
-def _rewrite_legacy(argv: List[str]) -> List[str]:
-    if (
-        len(argv) >= 2
-        and argv[0] == "snapshot"
-        and argv[1] not in _SNAPSHOT_CMDS
-        and not argv[1].startswith("-")
-    ):
-        return [argv[0], "historize", *argv[1:]]
-    return argv
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     from repro.storage import StorageError
 
-    argv = _rewrite_legacy(list(sys.argv[1:] if argv is None else argv))
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         handler = _HANDLERS[args.command]
         handler(args)
@@ -841,13 +810,51 @@ def _drive_workload(mdw, *, workers, clients, requests, mode, timeout, seed, sup
     return ops, errors, elapsed, report
 
 
-def _write_chrome_trace(tracer, path: str) -> int:
-    """Export the tracer's spans as Chrome trace JSON; returns the event count."""
+def _traced(args, stack):
+    """Install a tracer for the run when ``--trace-out`` asks for one."""
+    if args.trace_out is None:
+        return None
+    if not 0.0 <= args.sample <= 1.0:
+        raise CliError("--sample must be in [0, 1]")
+    from repro.obs import Tracer, trace_scope
+
+    return stack.enter_context(trace_scope(Tracer(sample_rate=args.sample)))
+
+
+def _write_artifacts(args, tracer) -> None:
+    """Write the side outputs the command line named: the (validated)
+    Chrome trace, a Prometheus scrape, the registry as JSON, the event
+    journal as JSON lines. The CI observability job parses all four."""
     import json
 
-    data = tracer.to_chrome()
-    Path(path).write_text(json.dumps(data), encoding="utf-8")
-    return len(data["traceEvents"])
+    from repro.obs import (
+        get_journal,
+        render_prometheus,
+        snapshot_json,
+        validate_chrome_trace,
+    )
+
+    if tracer is not None:
+        data = tracer.to_chrome()
+        # a sampled-out run has no spans to check
+        roots = validate_chrome_trace(data)["roots"] if data["traceEvents"] else 0
+        Path(args.trace_out).write_text(json.dumps(data), encoding="utf-8")
+        print(
+            f"wrote {len(data['traceEvents'])} trace event(s) "
+            f"({roots} root(s)) to {args.trace_out}"
+        )
+    if getattr(args, "prometheus_out", None) is not None:
+        Path(args.prometheus_out).write_text(render_prometheus(), encoding="utf-8")
+        print(f"wrote Prometheus scrape to {args.prometheus_out}")
+    if getattr(args, "metrics_out", None) is not None:
+        Path(args.metrics_out).write_text(
+            json.dumps(snapshot_json(), indent=2, sort_keys=True), encoding="utf-8"
+        )
+        print(f"wrote metrics snapshot to {args.metrics_out}")
+    if getattr(args, "events_out", None) is not None:
+        journal = get_journal()
+        Path(args.events_out).write_text(journal.to_jsonl(), encoding="utf-8")
+        print(f"wrote {len(journal)} journal event(s) to {args.events_out}")
 
 
 def cmd_workload(args) -> None:
@@ -857,13 +864,8 @@ def cmd_workload(args) -> None:
     if args.supervise and args.mode != "fork":
         raise CliError("--supervise requires --mode fork (thread workers share the process)")
     mdw = _open(args)
-    tracer = None
     with ExitStack() as stack:
-        if args.trace_out is not None:
-            from repro.obs import Tracer, trace_scope
-
-            tracer = Tracer(sample_rate=args.sample)
-            stack.enter_context(trace_scope(tracer))
+        tracer = _traced(args, stack)
         ops, errors, elapsed, report = _drive_workload(
             mdw,
             workers=args.workers,
@@ -880,59 +882,7 @@ def cmd_workload(args) -> None:
         f"{elapsed:.2f}s ({len(ops) / elapsed:.1f} req/s)"
     )
     print(report)
-    if tracer is not None:
-        events = _write_chrome_trace(tracer, args.trace_out)
-        print(f"wrote {events} trace event(s) to {args.trace_out}")
-    if args.metrics_out is not None:
-        import json
-
-        from repro.obs import snapshot_json
-
-        Path(args.metrics_out).write_text(
-            json.dumps(snapshot_json(), indent=2, sort_keys=True), encoding="utf-8"
-        )
-        print(f"wrote metrics snapshot to {args.metrics_out}")
-    if errors:
-        for line in errors[:10]:
-            print(f"  failed {line}", file=sys.stderr)
-        raise CliError(f"{len(errors)} of {len(ops)} request(s) failed")
-
-
-def cmd_trace(args) -> None:
-    """Run a traced ``serve()`` workload and export the Chrome trace.
-
-    The CI observability job drives this command: it produces a Chrome
-    trace JSON (and optionally a Prometheus scrape) from a short mixed
-    workload, then validates that both artifacts parse.
-    """
-    if not 0.0 <= args.sample <= 1.0:
-        raise CliError("--sample must be in [0, 1]")
-    mdw = _open(args)
-    from repro.obs import Tracer, trace_scope
-
-    tracer = Tracer(sample_rate=args.sample)
-    with trace_scope(tracer):
-        ops, errors, elapsed, _ = _drive_workload(
-            mdw,
-            workers=args.workers,
-            clients=args.clients,
-            requests=args.requests,
-            mode=args.mode,
-            timeout=None,
-            seed=args.seed,
-        )
-    events = _write_chrome_trace(tracer, args.out)
-    roots = sum(1 for s in tracer.spans() if s.parent_id is None)
-    print(
-        f"{len(ops)} request(s) in {elapsed:.2f}s: {events} span(s), "
-        f"{roots} root span(s), sample rate {args.sample:g}"
-    )
-    print(f"wrote Chrome trace to {args.out}")
-    if args.prometheus_out is not None:
-        from repro.obs import render_prometheus
-
-        Path(args.prometheus_out).write_text(render_prometheus(), encoding="utf-8")
-        print(f"wrote Prometheus scrape to {args.prometheus_out}")
+    _write_artifacts(args, tracer)
     if errors:
         for line in errors[:10]:
             print(f"  failed {line}", file=sys.stderr)
@@ -1004,18 +954,11 @@ def cmd_slo(args) -> None:
     import json
     from contextlib import ExitStack
 
-    if not 0.0 <= args.sample <= 1.0:
-        raise CliError("--sample must be in [0, 1]")
     if args.window <= 0:
         raise CliError("--window must be positive")
     mdw = _open(args)
-    tracer = None
     with ExitStack() as stack:
-        if args.trace_out is not None:
-            from repro.obs import Tracer, trace_scope
-
-            tracer = Tracer(sample_rate=args.sample)
-            stack.enter_context(trace_scope(tracer))
+        tracer = _traced(args, stack)
         service = _sharded_fleet(
             mdw, shards=args.shards, requests=args.requests, window=args.window
         )
@@ -1028,27 +971,7 @@ def cmd_slo(args) -> None:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
         print(_render_slo_report(report))
-    if tracer is not None:
-        from repro.obs import validate_chrome_trace
-
-        data = tracer.to_chrome()
-        summary = validate_chrome_trace(data)
-        Path(args.trace_out).write_text(json.dumps(data), encoding="utf-8")
-        print(
-            f"wrote {summary['events']} trace event(s) "
-            f"({summary['roots']} root(s)) to {args.trace_out}"
-        )
-    if args.prometheus_out is not None:
-        from repro.obs import render_prometheus
-
-        Path(args.prometheus_out).write_text(render_prometheus(), encoding="utf-8")
-        print(f"wrote Prometheus scrape to {args.prometheus_out}")
-    if args.events_out is not None:
-        from repro.obs import get_journal
-
-        journal = get_journal()
-        Path(args.events_out).write_text(journal.to_jsonl(), encoding="utf-8")
-        print(f"wrote {len(journal)} journal event(s) to {args.events_out}")
+    _write_artifacts(args, tracer)
     if errors:
         for line in errors[:10]:
             print(f"  failed {line}", file=sys.stderr)
@@ -1249,7 +1172,6 @@ _HANDLERS = {
     "update": cmd_update,
     "serve": cmd_serve,
     "workload": cmd_workload,
-    "trace": cmd_trace,
     "slo": cmd_slo,
     "top": cmd_top,
     "events": cmd_events,

@@ -28,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.registry import MetricsRegistry, get_registry
+from repro.obs.registry import MetricsRegistry, bucket_percentile, get_registry
 
 __all__ = [
     "DEFAULT_SLOS",
@@ -219,36 +219,17 @@ DEFAULT_SLOS: Tuple[SLOTarget, ...] = (
 )
 
 
-def _delta_percentile(
-    bounds: Sequence[float], counts: Sequence[float], q: float
-) -> float:
-    """Percentile over *delta* bucket counts (same estimator as the
-    live histogram: the answering bucket's upper bound)."""
-    total = sum(counts)
-    if not total:
-        return 0.0
-    rank = max(1.0, q * total)
-    seen = 0.0
-    for idx, n in enumerate(counts):
-        seen += n
-        if seen >= rank:
-            return bounds[idx] if idx < len(bounds) else bounds[-1]
-    return bounds[-1]
-
-
 class _Tick:
     """One cumulative snapshot of the registry's serving counters."""
 
-    __slots__ = ("t", "requests", "latency", "degraded")
+    __slots__ = ("t", "requests", "latency")
 
-    def __init__(self, t, requests, latency, degraded):
+    def __init__(self, t, requests, latency):
         self.t = t
         # {(service, shard): {event: value}}
         self.requests: Dict[Tuple[str, str], Dict[str, float]] = requests
         # {(service, kind, shard): (bounds, counts, count, sum)}
         self.latency: Dict[Tuple[str, str, str], tuple] = latency
-        # {(service, kind, shard): value}
-        self.degraded: Dict[Tuple[str, str, str], float] = degraded
 
 
 class SloEngine:
@@ -341,13 +322,7 @@ class SloEngine:
                 state["count"],
                 state["sum"],
             )
-        degraded: Dict[Tuple[str, str, str], float] = {}
-        family = reg.counter(
-            "mdw_service_degraded_total", labels=("service", "kind", "shard")
-        )
-        for (service, kind, shard), child in family.samples():
-            degraded[(service, kind, shard)] = child.value
-        return _Tick(self._clock(), requests, latency, degraded)
+        return _Tick(self._clock(), requests, latency)
 
     def tick(self) -> None:
         """Snapshot the registry; prune snapshots older than the window
@@ -381,7 +356,6 @@ class SloEngine:
     def _keys(self, newest: _Tick) -> List[Tuple[str, str]]:
         keys = set(newest.requests)
         keys.update((s, sh) for (s, _k, sh) in newest.latency)
-        keys.update((s, sh) for (s, _k, sh) in newest.degraded)
         if self._prefix:
             keys = {k for k in keys if k[0].startswith(self._prefix)}
         return sorted(keys)
@@ -413,15 +387,6 @@ class SloEngine:
             total += new_state[2] - old_count
         return bounds, counts, total
 
-    def _delta_degraded(
-        self, oldest: _Tick, newest: _Tick, service: str, shard: str
-    ) -> float:
-        total = 0.0
-        for (s, _kind, sh), value in newest.degraded.items():
-            if (s, sh) == (service, shard):
-                total += value - oldest.degraded.get((s, _kind, sh), 0.0)
-        return total
-
     def _service_rows(
         self, oldest: _Tick, newest: _Tick, elapsed: float
     ) -> Dict[str, Dict[str, object]]:
@@ -431,14 +396,12 @@ class SloEngine:
             completed = events.get("completed", 0.0)
             failed = events.get("failed", 0.0)
             attempted = completed + failed
-            bounds, counts, observed = self._delta_buckets(
-                oldest, newest, service, shard
-            )
-            degraded = self._delta_degraded(oldest, newest, service, shard)
+            bounds, counts, _ = self._delta_buckets(oldest, newest, service, shard)
+            degraded = events.get("degraded", 0.0)
             availability = completed / attempted if attempted else 1.0
             degraded_ratio = degraded / completed if completed else 0.0
             latency = {
-                q_name: _delta_percentile(bounds, counts, q) if observed else 0.0
+                q_name: bucket_percentile(bounds, counts, q)
                 for q_name, q in (("p50", 0.50), ("p95", 0.95), ("p99", 0.99))
             }
             rows[service] = {

@@ -70,10 +70,6 @@ class LatencyHistogram:
         self._min: Optional[float] = None
         self._max: Optional[float] = None
 
-    @property
-    def bounds(self) -> Tuple[float, ...]:
-        return self._bounds
-
     def observe(self, seconds: float) -> None:
         idx = 0
         for bound in self._bounds:
@@ -89,10 +85,6 @@ class LatencyHistogram:
             if self._max is None or seconds > self._max:
                 self._max = seconds
 
-    @property
-    def count(self) -> int:
-        return self._count
-
     def mean(self) -> float:
         """Arithmetic mean of the observations; 0.0 with none."""
         with self._lock:
@@ -103,38 +95,23 @@ class LatencyHistogram:
 
         0.0 on an empty histogram. ``q=0`` reports the first *occupied*
         bucket (the smallest observation's bucket), not the first bucket
-        of the layout.
+        of the layout; the +Inf bucket answers with the recorded max.
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError("quantile must be in [0, 1]")
         with self._lock:
-            if not self._count:
-                return 0.0
-            # the rank of the observation answering the quantile; at
-            # least 1 so q=0 lands on the first occupied bucket
-            rank = max(1.0, q * self._count)
-            seen = 0
-            for idx, n in enumerate(self._counts):
-                seen += n
-                if seen >= rank:
-                    if idx < len(self._bounds):
-                        return self._bounds[idx]
-                    return self._max if self._max is not None else self._bounds[-1]
-            return self._max if self._max is not None else 0.0
+            counts, hi = list(self._counts), self._max
+        return bucket_percentile(self._bounds, counts, q, hi)
 
     def summary(self) -> Dict[str, float]:
         with self._lock:
-            count, total = self._count, self._sum
+            counts, total = list(self._counts), self._sum
             lo = self._min if self._min is not None else 0.0
             hi = self._max if self._max is not None else 0.0
         return {
-            "count": count,
-            "mean": total / count if count else 0.0,
+            **bucket_summary(self._bounds, counts, total, hi),
             "min": lo,
             "max": hi,
-            "p50": self.percentile(0.50),
-            "p95": self.percentile(0.95),
-            "p99": self.percentile(0.99),
         }
 
     def state(self) -> Dict[str, object]:
@@ -150,6 +127,48 @@ class LatencyHistogram:
 
     def _reinit_lock(self) -> None:
         self._lock = threading.Lock()
+
+
+def bucket_percentile(
+    bounds: Sequence[float],
+    counts: Sequence[float],
+    q: float,
+    overflow: Optional[float] = None,
+) -> float:
+    """Quantile ``q`` over per-bucket ``counts`` (a :meth:`LatencyHistogram.state`
+    or the difference of two): the answering bucket's upper bound, 0.0
+    with no observations. ``overflow`` answers for the +Inf bucket (the
+    last finite bound when the maximum is unknown, as it is for a delta).
+    """
+    total = sum(counts)
+    if not total:
+        return 0.0
+    # the rank of the observation answering the quantile; at least 1 so
+    # q=0 lands on the first occupied bucket
+    rank = max(1.0, q * total)
+    seen = 0.0
+    for idx, n in enumerate(counts[: len(bounds)]):
+        seen += n
+        if seen >= rank:
+            return bounds[idx]
+    return bounds[-1] if overflow is None else overflow
+
+
+def bucket_summary(
+    bounds: Sequence[float],
+    counts: Sequence[float],
+    total_seconds: float,
+    overflow: Optional[float] = None,
+) -> Dict[str, float]:
+    """count / mean / p50 / p95 / p99 of per-bucket ``counts``."""
+    count = sum(counts)
+    return {
+        "count": count,
+        "mean": total_seconds / count if count else 0.0,
+        "p50": bucket_percentile(bounds, counts, 0.50, overflow),
+        "p95": bucket_percentile(bounds, counts, 0.95, overflow),
+        "p99": bucket_percentile(bounds, counts, 0.99, overflow),
+    }
 
 
 class _Counter:
@@ -198,6 +217,13 @@ class _Gauge:
     def inc(self, amount: float = 1.0) -> None:
         with self._lock:
             self._value += amount
+
+    def set_max(self, value: float) -> None:
+        """Raise the gauge to ``value`` if it is below it (a high-water
+        mark that concurrent writers cannot lower)."""
+        with self._lock:
+            if value > self._value:
+                self._value = float(value)
 
     def dec(self, amount: float = 1.0) -> None:
         self.inc(-amount)
@@ -372,11 +398,6 @@ class MetricsRegistry:
                 "samples": entries,
             }
         return out
-
-    def render_prometheus(self) -> str:
-        from repro.obs.exporter import render_prometheus
-
-        return render_prometheus(self)
 
     def reset(self) -> None:
         """Drop every family (test isolation helper; never in serving code)."""

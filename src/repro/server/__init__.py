@@ -17,7 +17,7 @@ from repro.server.errors import (
     ServiceClosed,
     WorkerLost,
 )
-from repro.server.metrics import LatencyHistogram, ServiceMetrics, SlowQuery, SlowQueryLog
+from repro.server.metrics import ServiceMetrics, SlowQuery, SlowQueryLog
 from repro.server.service import QueryService, QueryTicket, ServiceConfig
 from repro.server.sharding import ShardedConfig, ShardedQueryService
 from repro.server.snapshot import Snapshot, SnapshotManager
@@ -27,7 +27,6 @@ __all__ = [
     "Cancelled",
     "CircuitOpen",
     "DeadlineExceeded",
-    "LatencyHistogram",
     "Overloaded",
     "QueryService",
     "QueryServiceError",

@@ -1,26 +1,25 @@
 """Operational metrics of the query service.
 
 The productive warehouse lives or dies by its operators noticing load
-problems before analysts do, so the service keeps its own counters
+problems before analysts do, so the service keeps its own numbers
 rather than relying on external tooling: per-endpoint latency
 histograms with percentile estimates, admission-queue gauges, rejection
 and timeout counts, the shared plan cache's hit rate, and a slow-query
-log that captures the evaluation plan — and, when available, the
-runtime profile — of offenders while the evidence is still fresh.
+log that captures the evaluation plan and runtime profile of offenders
+while the evidence is still fresh.
 
-The latency histogram itself lives in :mod:`repro.obs.registry`
-(re-exported here for compatibility); every :class:`ServiceMetrics`
-event is **mirrored** into the process-global metrics registry under a
-``service`` label, so the Prometheus exporter and ``snapshot()`` tell
-one consistent story. The private per-instance counters remain the
-source of truth for ``snapshot()`` — a fresh service instance starts
-its report at zero even though the process-global families (shared
-across instances with the same name) keep accumulating, which is
-exactly the Prometheus counter contract.
+Every number lives in exactly one place: the process-global metrics
+registry (:mod:`repro.obs.registry`). :class:`ServiceMetrics` is a typed
+view over the registry children labelled with its ``(service, shard)``
+— each ``on_*`` event is one write to one child, and ``snapshot()``
+reads the same children the Prometheus exporter, the supervisor, the
+health document and the SLO engine read, minus their values when this
+instance was built ("since this instance started"). Two live instances
+with equal labels share their series, as the scrape always said.
 
-Everything here is thread-safe and cheap on the hot path (a lock, a few
-integer bumps); the analysis work — percentiles, rendering — happens
-only when someone asks.
+Recording is cheap on the hot path (one child lock, an integer bump);
+the analysis work — percentiles, rendering — happens only when someone
+asks.
 """
 
 from __future__ import annotations
@@ -28,25 +27,28 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Sequence
 
 from repro.obs.fleet import get_journal
-from repro.obs.registry import (
-    LATENCY_BUCKETS,
-    LatencyHistogram,
-    MetricsRegistry,
-    get_registry,
-)
-
-#: Backwards-compatible alias; the canonical layout lives in repro.obs.
-_BUCKET_BOUNDS: Tuple[float, ...] = LATENCY_BUCKETS
+from repro.obs.registry import bucket_summary, get_registry
 
 __all__ = [
-    "LatencyHistogram",
     "ServiceMetrics",
     "SlowQuery",
     "SlowQueryLog",
 ]
+
+#: ``event`` label values of ``mdw_service_requests_total`` that
+#: ``snapshot()`` reports, under the same name but for two.
+_EVENTS = (
+    "submitted", "completed", "failed", "rejected", "timeout", "cancelled",
+    "breaker_shed", "degraded", "worker_lost", "requeued",
+)
+_SNAPSHOT_FIELD = {"timeout": "timeouts", "degraded": "degraded_responses"}
+#: How a fork child got its warehouse: mapped snapshot file vs
+#: CoW-inherited objects.
+_FORK_MODES = ("attach", "cow")
+_RESTART_REASONS = ("crash", "hang", "stale")
 
 
 @dataclass(frozen=True)
@@ -71,11 +73,9 @@ class SlowQueryLog:
     bounded.
     """
 
-    def __init__(self, capacity: int = 50):
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
+    def __init__(self):
         self._lock = threading.Lock()
-        self._entries: Deque[SlowQuery] = deque(maxlen=capacity)
+        self._entries: Deque[SlowQuery] = deque(maxlen=50)
 
     def record(self, entry: SlowQuery) -> None:
         with self._lock:
@@ -90,183 +90,155 @@ class SlowQueryLog:
 
 
 class ServiceMetrics:
-    """All service-level counters and gauges in one place.
+    """The serving tier's counters and gauges, as a view over the registry.
 
     Per-endpoint latency histograms (``query`` / ``sql`` / ``search`` /
     ``lineage`` / ``update``), admission counters, and the slow-query
     log. ``snapshot()`` returns a plain dict (JSON-friendly, used by the
     benchmark); ``render()`` a human report for the CLI.
 
-    ``name`` labels the mirrored registry samples (``service="mdw"`` by
-    default); ``shard`` adds a ``shard="<i>"`` label so a sharded
-    deployment's per-shard series stay separable in one scrape (empty
-    for unsharded services); ``registry`` defaults to the
-    process-global one.
+    ``name`` is the ``service`` label of the samples (``"mdw"`` by
+    default); ``shard`` the ``shard`` label, so a sharded deployment's
+    per-shard series stay separable in one scrape (empty for unsharded
+    services).
     """
 
-    def __init__(
-        self,
-        slow_query_capacity: int = 50,
-        name: str = "mdw",
-        registry: Optional[MetricsRegistry] = None,
-        shard: str = "",
-    ):
-        self._lock = threading.Lock()
-        self._latency: Dict[str, LatencyHistogram] = {}
-        self.slow_queries = SlowQueryLog(slow_query_capacity)
+    def __init__(self, name: str = "mdw", shard: str = ""):
+        self.slow_queries = SlowQueryLog()
         self.name = name
         self.shard = shard
-        self._submitted = 0
-        self._completed = 0
-        self._failed = 0
-        self._rejected = 0
-        self._timeouts = 0
-        self._cancelled = 0
-        self._queue_depth = 0
-        self._queue_high_water = 0
-        self._breaker_shed = 0
-        self._degraded = 0
-        # fork-worker spawns by mode ("attach" | "cow"): how children got
-        # their warehouse — mapped snapshot file vs CoW-inherited objects
-        self._fork_workers: Dict[str, int] = {}
-        # supervision counters: respawns by cause, and the failover
-        # machinery that keeps callers whole when a worker dies
-        self._worker_restarts: Dict[str, int] = {}
-        self._worker_lost = 0
-        self._requeued = 0
-        self._hedged = 0
-        registry = registry if registry is not None else get_registry()
-        self._registry = registry
-        self._events = registry.counter(
+        registry = get_registry()
+        own = {"service": name, "shard": shard}
+        events = registry.counter(
             "mdw_service_requests_total",
             "Request lifecycle events by service and event",
             labels=("service", "event", "shard"),
         )
-        self._latency_family = registry.histogram(
-            "mdw_request_latency_seconds",
-            "End-to-end request latency by endpoint kind",
-            labels=("service", "kind", "shard"),
-        )
-        self._queue_gauge = registry.gauge(
-            "mdw_queue_depth",
-            "Admission queue depth",
-            labels=("service", "shard"),
-        )
-        self._queue_hw_gauge = registry.gauge(
-            "mdw_queue_high_water",
-            "Admission queue high-water mark",
-            labels=("service", "shard"),
-        )
-        self._restarts_family = registry.counter(
+        self._events = {e: events.child(event=e, **own) for e in _EVENTS}
+        self._forks = {
+            mode: events.child(event=f"fork_worker_{mode}", **own)
+            for mode in _FORK_MODES
+        }
+        restarts = registry.counter(
             "mdw_worker_restarts_total",
             "Fork workers reaped and respawned, by cause "
             "(crash | hang | stale)",
             labels=("service", "reason", "shard"),
         )
-        self._hedged_family = registry.counter(
+        self._restarts = {
+            reason: restarts.child(reason=reason, **own)
+            for reason in _RESTART_REASONS
+        }
+        self._hedges = registry.counter(
             "mdw_hedged_requests_total",
             "Requests duplicated onto a second worker after lagging",
             labels=("service", "shard"),
+        ).child(**own)
+        # what the counters held before this instance: snapshot() reports
+        # since then, so a fresh service starts from zero
+        self._base = {
+            child: child.value
+            for child in (
+                *self._events.values(),
+                *self._forks.values(),
+                *self._restarts.values(),
+                self._hedges,
+            )
+        }
+        # a new instance takes over the queue series, like the service's
+        # callback gauges: last registration wins
+        self._queue_depth = registry.gauge(
+            "mdw_queue_depth",
+            "Admission queue depth",
+            labels=("service", "shard"),
+        ).child(**own)
+        self._queue_depth.set(0)
+        self._queue_high_water = registry.gauge(
+            "mdw_queue_high_water",
+            "Admission queue high-water mark",
+            labels=("service", "shard"),
+        ).child(**own)
+        self._queue_high_water.set(0)
+        self._latency_family = registry.histogram(
+            "mdw_request_latency_seconds",
+            "End-to-end request latency by endpoint kind",
+            labels=("service", "kind", "shard"),
         )
-        self._degraded_family = registry.counter(
+        # endpoint kinds are not known up front: the histogram children
+        # resolve on first use, against the states found here
+        self._histogram_base = {
+            kind: child.state()
+            for (service, kind, child_shard), child in self._latency_family.samples()
+            if (service, child_shard) == (name, shard)
+        }
+        self._histograms: Dict[str, object] = {}
+        self._degraded_by_shard = registry.counter(
             "mdw_service_degraded_total",
-            "Responses returned with degraded=True, by endpoint kind "
-            "(stale-index answers, in-process fallback after WorkerLost, "
-            "breaker-shed shard partials)",
+            "Shards behind degraded=True responses, by endpoint kind: one "
+            "per shard that failed to contribute, or the answering "
+            "service's own shard (stale-index answers, in-process "
+            "fallback after WorkerLost, round-bound cut-offs)",
             labels=("service", "kind", "shard"),
         )
 
-    def _event(self, event: str) -> None:
-        self._events.inc(service=self.name, event=event, shard=self.shard)
-
     # -- recording ---------------------------------------------------------
 
-    def endpoint(self, kind: str) -> LatencyHistogram:
-        with self._lock:
-            hist = self._latency.get(kind)
-            if hist is None:
-                hist = self._latency[kind] = LatencyHistogram()
-            return hist
+    def _observe(self, kind: str, seconds: float) -> None:
+        histogram = self._histograms.get(kind)
+        if histogram is None:
+            histogram = self._histograms[kind] = self._latency_family.child(
+                service=self.name, kind=kind, shard=self.shard
+            )
+        histogram.observe(seconds)
 
     def on_submit(self, queue_depth: int) -> None:
-        with self._lock:
-            self._submitted += 1
-            self._queue_depth = queue_depth
-            if queue_depth > self._queue_high_water:
-                self._queue_high_water = queue_depth
-            high_water = self._queue_high_water
-        self._event("submitted")
-        self._queue_gauge.set(queue_depth, service=self.name, shard=self.shard)
-        self._queue_hw_gauge.set(high_water, service=self.name, shard=self.shard)
+        self._events["submitted"].inc()
+        self._queue_depth.set(queue_depth)
+        self._queue_high_water.set_max(queue_depth)
 
     def on_dequeue(self, queue_depth: int) -> None:
-        with self._lock:
-            self._queue_depth = queue_depth
-        self._queue_gauge.set(queue_depth, service=self.name, shard=self.shard)
+        self._queue_depth.set(queue_depth)
 
     def on_complete(self, kind: str, seconds: float) -> None:
-        with self._lock:
-            self._completed += 1
-        self.endpoint(kind).observe(seconds)
-        self._event("completed")
-        self._latency_family.observe(seconds, service=self.name, kind=kind, shard=self.shard)
+        self._events["completed"].inc()
+        self._observe(kind, seconds)
 
     def on_failure(self, kind: str, seconds: float) -> None:
-        with self._lock:
-            self._failed += 1
-        self.endpoint(kind).observe(seconds)
-        self._event("failed")
-        self._latency_family.observe(seconds, service=self.name, kind=kind, shard=self.shard)
+        self._events["failed"].inc()
+        self._observe(kind, seconds)
 
     def on_reject(self) -> None:
-        with self._lock:
-            self._rejected += 1
-        self._event("rejected")
+        self._events["rejected"].inc()
 
     def on_timeout(self) -> None:
-        with self._lock:
-            self._timeouts += 1
-        self._event("timeout")
+        self._events["timeout"].inc()
 
     def on_cancel(self) -> None:
-        with self._lock:
-            self._cancelled += 1
-        self._event("cancelled")
+        self._events["cancelled"].inc()
 
     def on_breaker_reject(self) -> None:
-        with self._lock:
-            self._breaker_shed += 1
-        self._event("breaker_shed")
+        self._events["breaker_shed"].inc()
 
-    def on_degraded(self, kind: str = "", shard: Optional[str] = None) -> None:
-        """A response went out flagged ``degraded=True``. ``kind`` is the
-        endpoint; ``shard`` overrides this instance's shard label (the
-        gateway attributes a breaker-shed partial to the *failed* shard,
-        not to itself)."""
-        with self._lock:
-            self._degraded += 1
-        self._event("degraded")
-        self._degraded_family.inc(
-            service=self.name,
-            kind=kind,
-            shard=self.shard if shard is None else shard,
-        )
+    def on_degraded(self, kind: str, failed_shards: Sequence[str] = ()) -> None:
+        """One response went out flagged ``degraded=True``. ``kind`` is
+        the endpoint; ``failed_shards`` the shards that could not
+        contribute (the gateway's breaker-shed partials) — without any,
+        the degradation is attributed to this instance's own shard."""
+        self._events["degraded"].inc()
+        for shard in failed_shards or (self.shard,):
+            self._degraded_by_shard.inc(service=self.name, kind=kind, shard=shard)
 
     def on_fork_worker(self, mode: str) -> None:
         """A fork-mode child was spawned; ``mode`` says how it got its
         warehouse (``attach`` = mapped snapshot file, ``cow`` = inherited
         copy-on-write objects)."""
-        with self._lock:
-            self._fork_workers[mode] = self._fork_workers.get(mode, 0) + 1
-        self._event(f"fork_worker_{mode}")
+        self._forks[mode].inc()
 
     def on_worker_restart(self, reason: str) -> None:
         """A fork worker was reaped and respawned (``crash`` = found
         dead, ``hang`` = killed for a stale heartbeat, ``stale`` =
         retired for lagging the published snapshot generation)."""
-        with self._lock:
-            self._worker_restarts[reason] = self._worker_restarts.get(reason, 0) + 1
-        self._restarts_family.inc(service=self.name, reason=reason, shard=self.shard)
+        self._restarts[reason].inc()
         get_journal().record(
             "worker-restart",
             severity="warning",
@@ -277,46 +249,57 @@ class ServiceMetrics:
 
     def on_worker_lost(self) -> None:
         """A request's worker died under it (before any requeue verdict)."""
-        with self._lock:
-            self._worker_lost += 1
-        self._event("worker_lost")
+        self._events["worker_lost"].inc()
 
     def on_requeue(self) -> None:
         """A request orphaned by a dead worker went back into the queue."""
-        with self._lock:
-            self._requeued += 1
-        self._event("requeued")
+        self._events["requeued"].inc()
 
     def on_hedge(self) -> None:
         """A lagging request was duplicated onto a second worker."""
-        with self._lock:
-            self._hedged += 1
-        self._event("hedged")
-        self._hedged_family.inc(service=self.name, shard=self.shard)
+        self._hedges.inc()
 
     # -- reporting ---------------------------------------------------------
 
+    def _since(self, child) -> int:
+        return int(child.value - self._base[child])
+
+    def _nonzero(self, children) -> Dict[str, int]:
+        return {
+            label: n for label, child in children.items() if (n := self._since(child))
+        }
+
+    def restarts(self) -> Dict[str, int]:
+        """Respawns since this instance started, by cause (causes that
+        never happened are absent)."""
+        return self._nonzero(self._restarts)
+
+    def hedged(self) -> int:
+        return self._since(self._hedges)
+
+    def _endpoint_summary(self, kind: str, histogram) -> Dict[str, float]:
+        state = histogram.state()
+        counts, total = state["counts"], state["sum"]
+        base = self._histogram_base.get(kind)
+        if base is not None:
+            counts = [n - b for n, b in zip(counts, base["counts"])]
+            total -= base["sum"]
+        return bucket_summary(state["bounds"], counts, total)
+
     def snapshot(self, plan_cache=None) -> Dict[str, object]:
-        with self._lock:
-            out: Dict[str, object] = {
-                "submitted": self._submitted,
-                "completed": self._completed,
-                "failed": self._failed,
-                "rejected": self._rejected,
-                "timeouts": self._timeouts,
-                "cancelled": self._cancelled,
-                "queue_depth": self._queue_depth,
-                "queue_high_water": self._queue_high_water,
-                "breaker_shed": self._breaker_shed,
-                "degraded_responses": self._degraded,
-                "fork_workers": dict(self._fork_workers),
-                "worker_restarts": dict(self._worker_restarts),
-                "worker_lost": self._worker_lost,
-                "requeued": self._requeued,
-                "hedged": self._hedged,
-            }
-            endpoints = dict(self._latency)
-        out["endpoints"] = {kind: h.summary() for kind, h in sorted(endpoints.items())}
+        out: Dict[str, object] = {
+            _SNAPSHOT_FIELD.get(event, event): self._since(child)
+            for event, child in self._events.items()
+        }
+        out["queue_depth"] = int(self._queue_depth.value)
+        out["queue_high_water"] = int(self._queue_high_water.value)
+        out["fork_workers"] = self._nonzero(self._forks)
+        out["worker_restarts"] = self.restarts()
+        out["hedged"] = self.hedged()
+        out["endpoints"] = {
+            kind: self._endpoint_summary(kind, histogram)
+            for kind, histogram in sorted(self._histograms.items())
+        }
         out["slow_queries"] = len(self.slow_queries)
         if plan_cache is not None:
             out["plan_cache"] = dict(plan_cache.stats())

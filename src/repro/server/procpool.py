@@ -87,13 +87,11 @@ class _AttachSpec:
 def _child_extras(tracer, prof):
     """Observability payload shipped back with a response: the spans the
     child recorded (pid-qualified ids, so they graft into the parent's
-    trace) and the query-profile snapshot. None when neither is on."""
-    extras = {}
+    trace, when the request is traced) and the query-profile snapshot."""
+    extras = {"profile": prof.snapshot()}
     if tracer is not None:
         extras["spans"] = tracer.drain()
-    if prof is not None:
-        extras["profile"] = prof.snapshot()
-    return extras or None
+    return extras
 
 
 class _PulseToken:
@@ -148,8 +146,8 @@ def _child_main(warehouse, request_queue, response_queue, heartbeat=None) -> Non
     with a fresh one before serving. (The metrics registry reinstalls
     its own locks through ``os.register_at_fork``.)
 
-    Each request message carries the parent's trace context and a
-    profiling flag; the child traces/profiles locally and ships the
+    Each request message carries the parent's trace context; the
+    child traces/profiles locally and ships the
     spans and profile snapshot back in the response — the parent's
     tracer adopts them, so span parentage survives the process hop.
 
@@ -195,20 +193,19 @@ def _child_main(warehouse, request_queue, response_queue, heartbeat=None) -> Non
         except BaseException:
             os._exit(70)
         faults.fire("worker.hang")
-        kind, payload, budget, trace_ctx, profiling = message
+        kind, payload, budget, trace_ctx = message
         token = _PulseToken(CancelToken(timeout=budget), _beat)
         tracer = None
         if trace_ctx is not None:
             tracer = Tracer()
             install_tracer(tracer)
-        prof = QueryProfile() if profiling else None
+        prof = QueryProfile()
         try:
             from repro.server.service import dispatch
 
             with ExitStack() as stack:
                 stack.enter_context(cancel_scope(token))
-                if prof is not None:
-                    stack.enter_context(profile_scope(prof))
+                stack.enter_context(profile_scope(prof))
                 if tracer is not None:
                     # the bridge span: parents this process's spans to
                     # the request span in the serving process
@@ -340,7 +337,6 @@ class ForkWorker:
                 request.payload,
                 token.remaining(),
                 capture(),
-                getattr(request, "profile", None) is not None,
             ))
         except (OSError, ValueError) as exc:
             # the feeder pipe is gone (child died and the queue closed)
@@ -395,10 +391,7 @@ class ForkWorker:
             tracer = active_tracer()
             if tracer is not None:
                 tracer.adopt(spans)
-        profile_data = extras.get("profile")
-        profile = getattr(request, "profile", None)
-        if profile_data is not None and profile is not None:
-            profile.merge_snapshot(profile_data)
+        request.profile.merge_snapshot(extras["profile"])
 
     def stop(self, grace: float = 2.0) -> None:
         """Shut the child down, forcefully after ``grace`` seconds."""

@@ -201,10 +201,6 @@ class ServiceConfig:
     snapshot_dir: Optional[str] = None
     breaker_threshold: int = 5
     breaker_cooldown: float = 30.0
-    #: Collect a per-request QueryProfile (operator row counts, cache
-    #: hits); attached to slow-query log entries. Stage-granularity
-    #: hooks keep the cost a few counter bumps per BGP stage.
-    profile_queries: bool = True
     #: Self-healing worker fleet (fork mode): heartbeat, reap, respawn.
     supervise: bool = False
     heartbeat_interval: float = 0.25
@@ -255,8 +251,10 @@ class QueryRequest:
 
     ``trace_ctx`` is the submitter's span context captured at admission
     (so the worker's request span nests under the caller's trace even
-    across the thread handoff); ``profile`` is populated by the worker
-    when per-query profiling is on.
+    across the thread handoff); ``profile`` is the executing worker's
+    :class:`~repro.obs.profile.QueryProfile` (operator row counts, cache
+    hits — a few counter bumps per BGP stage) that slow-query log
+    entries carry.
 
     One request may be *executed* more than once — requeued after its
     worker died, or hedged onto a second worker while the first lags —
@@ -698,8 +696,7 @@ class QueryService:
     def _handle(self, request: QueryRequest, fork_worker) -> None:
         start = time.monotonic()
         breaker = self._breakers[request.kind]
-        if self.config.profile_queries:
-            request.profile = QueryProfile()
+        request.profile = QueryProfile()
         degraded = False
         # the child's spans/profile land here and are absorbed only
         # after the exactly-once claim is won, so a losing hedge twin
@@ -766,9 +763,11 @@ class QueryService:
             self.metrics.on_complete(request.kind, elapsed)
             if elapsed >= self.config.slow_query_threshold and self.config.log_slow_queries:
                 self._log_slow(request, elapsed)
-            if request.kind in ("search", "lineage"):
-                self._flag_degraded(result, request.kind)
-            if degraded:
+            # an answer off stale entailment indexes is degraded too: the
+            # asserted triples answered, the derived ones may lag
+            if degraded or (
+                request.kind in ("search", "lineage") and self._stale_indexes()
+            ):
                 self._mark_degraded(result, request.kind)
             request.future.set_result(result)
 
@@ -837,8 +836,10 @@ class QueryService:
             return (None, exc)
         return (result, None)
 
-    def _mark_degraded(self, result, kind: str = "") -> None:
-        """Best-effort degraded flag for fallback answers."""
+    def _mark_degraded(self, result, kind: str) -> None:
+        """Flag the answer ``degraded`` and count the response — once,
+        however many reasons it has. Best effort: results that cannot
+        carry the flag are not counted either."""
         try:
             result.degraded = True
         except AttributeError:
@@ -868,22 +869,8 @@ class QueryService:
 
     def _dispatch_profiled(self, snap, request: QueryRequest):
         """Dispatch in this thread, collecting the request's profile."""
-        if request.profile is None:
-            return dispatch(snap.warehouse, request.kind, request.payload)
         with profile_scope(request.profile):
             return dispatch(snap.warehouse, request.kind, request.payload)
-
-    def _flag_degraded(self, result, kind: str = "") -> None:
-        """Mark a search/lineage answer served off stale entailment
-        indexes: the asserted triples answered, the derived ones may
-        lag — correct but possibly incomplete (degraded mode)."""
-        if not self._stale_indexes():
-            return
-        try:
-            result.degraded = True
-        except AttributeError:
-            return  # fork-mode results of older shape: best effort
-        self.metrics.on_degraded(kind)
 
     def _log_slow(self, request: QueryRequest, elapsed: float) -> None:
         plan = None
@@ -897,7 +884,7 @@ class QueryService:
             except Exception:
                 plan = None
         profile = None
-        if request.profile is not None and request.profile.operators:
+        if request.profile.operators:
             profile = request.profile.render()
         self.metrics.slow_queries.record(
             SlowQuery(
@@ -992,12 +979,13 @@ class QueryService:
 
         The schema is stable regardless of mode: ``endpoints`` maps
         every request kind to its breaker snapshot, and ``workers``
-        always carries the same keys — ``supervised``, ``deficit``,
-        ``restarts``, and ``hedged`` just stay at their zero values when
-        no supervisor runs. The sharded gateway embeds one such
-        document per shard (under its own ``shards`` key) and
-        aggregates the statuses, so a fleet scrape reads one shape at
-        every level.
+        always carries the same keys — ``supervised`` and ``deficit``
+        just stay at their zero values when no supervisor runs, while
+        ``restarts`` and ``hedged`` are the service metrics' own numbers
+        (a lazy respawn at dequeue shows here too). The sharded gateway
+        embeds one such document per shard (under its own ``shards``
+        key) and aggregates the statuses, so a fleet scrape reads one
+        shape at every level.
         """
         endpoints = {
             kind: {"breaker": b.snapshot()}
@@ -1013,8 +1001,8 @@ class QueryService:
             "supervised": supervisor is not None,
             "alive_children": len(self.worker_pids()),
             "deficit": supervisor["deficit"] if supervisor else 0,
-            "restarts": dict(supervisor["restarts"]) if supervisor else {},
-            "hedged": supervisor["hedged"] if supervisor else 0,
+            "restarts": self.metrics.restarts(),
+            "hedged": self.metrics.hedged(),
         }
         if self._closed:
             status = "closed"

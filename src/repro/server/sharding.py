@@ -440,14 +440,10 @@ class ShardedQueryService:
         elapsed = time.monotonic() - start
         self.metrics.on_complete(kind, elapsed)
         if degraded:
-            if call.failed:
-                # attribute breaker-shed / dead-shard partials to the
-                # shard that could not answer
-                for index in sorted(call.failed):
-                    self.metrics.on_degraded(kind, shard=str(index))
-            else:
-                # round-bound cut-offs and shard-flagged partials
-                self.metrics.on_degraded(kind)
+            # one degraded response, attributed to every shard that could
+            # not answer (breaker-shed / dead) — or to the gateway itself
+            # for round-bound cut-offs and shard-flagged partials
+            self.metrics.on_degraded(kind, [str(i) for i in sorted(call.failed)])
         if elapsed >= self.config.slow_query_threshold:
             self._log_slow(request_id, kind, payload, elapsed, call)
         return result

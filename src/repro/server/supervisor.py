@@ -83,9 +83,6 @@ class Supervisor:
         self.hang_timeout = hang_timeout
         self.hedge_after = hedge_after
         self._stop = threading.Event()
-        self._lock = threading.Lock()
-        self._restarts: Dict[str, int] = {}
-        self._hedged = 0
         self._ticks = 0
         self._thread = threading.Thread(
             target=self._loop,
@@ -155,7 +152,6 @@ class Supervisor:
                     worker.stop(grace=0.1)
                 slot.fork_worker = service._spawn_fork_worker()
                 if reason is not None:
-                    self._count_restart(reason)
                     service.metrics.on_worker_restart(reason)
             return
         # busy slot: the owner thread is inside run(); only ever *kill*
@@ -169,7 +165,6 @@ class Supervisor:
             # hang into a death the owner already knows how to survive.
             faults.fire("supervisor.respawn")
             worker.kill_child()
-            self._count_restart("hang")
             service.metrics.on_worker_restart("hang")
             return
         if (
@@ -186,24 +181,13 @@ class Supervisor:
             except _queue.Full:
                 request.hedges -= 1  # no room; try again next tick
             else:
-                with self._lock:
-                    self._hedged += 1
                 service.metrics.on_hedge()
-
-    def _count_restart(self, reason: str) -> None:
-        with self._lock:
-            self._restarts[reason] = self._restarts.get(reason, 0) + 1
 
     # -- introspection -----------------------------------------------------
 
     def worker_pids(self) -> List[int]:
         """PIDs of the currently-live children (chaos harness bait)."""
-        pids: List[int] = []
-        for slot in self._service._slots:
-            worker = slot.fork_worker
-            if worker is not None and worker.alive and worker.pid is not None:
-                pids.append(worker.pid)
-        return pids
+        return self._service.worker_pids()
 
     def alive_children(self) -> int:
         return len(self.worker_pids())
@@ -222,15 +206,12 @@ class Supervisor:
         return oldest
 
     def stats(self) -> Dict[str, object]:
-        with self._lock:
-            restarts = dict(self._restarts)
-            hedged = self._hedged
-            ticks = self._ticks
+        metrics = self._service.metrics
         return {
             "running": self.running,
-            "ticks": ticks,
-            "restarts": restarts,
-            "hedged": hedged,
+            "ticks": self._ticks,
+            "restarts": metrics.restarts(),
+            "hedged": metrics.hedged(),
             "alive_children": self.alive_children(),
             "deficit": self.deficit(),
             "heartbeat_interval": self.heartbeat_interval,

@@ -108,10 +108,7 @@ def _families(reg):
     lat = reg.histogram(
         "mdw_request_latency_seconds", "h", labels=("service", "kind", "shard")
     )
-    deg = reg.counter(
-        "mdw_service_degraded_total", "h", labels=("service", "kind", "shard")
-    )
-    return req, lat, deg
+    return req, lat
 
 
 def _engine(reg, clock, journal=None, **overrides):
@@ -130,7 +127,7 @@ class TestSloEngineBudgetMath:
         reg = MetricsRegistry()
         clock = FakeClock()
         engine = _engine(reg, clock)
-        req, lat, _ = _families(reg)
+        req, lat = _families(reg)
         for _ in range(90):
             req.inc(service="svc", event="completed", shard="0")
             lat.observe(0.01, service="svc", kind="search", shard="0")
@@ -158,7 +155,7 @@ class TestSloEngineBudgetMath:
         reg = MetricsRegistry()
         clock = FakeClock()
         engine = _engine(reg, clock)
-        req, _, _ = _families(reg)
+        req, _ = _families(reg)
         for _ in range(95):
             req.inc(service="svc", event="completed", shard="0")
         for _ in range(5):
@@ -179,7 +176,7 @@ class TestSloEngineBudgetMath:
                 SLOTarget("fast", sli="latency", objective=0.9, threshold=0.25),
             ),
         )
-        req, lat, _ = _families(reg)
+        req, lat = _families(reg)
         for _ in range(9):
             lat.observe(0.01, service="svc", kind="search", shard="0")
         lat.observe(1.0, service="svc", kind="search", shard="0")
@@ -199,10 +196,10 @@ class TestSloEngineBudgetMath:
             clock,
             targets=(SLOTarget("full", sli="degraded", objective=0.5),),
         )
-        req, _, deg = _families(reg)
+        req, _ = _families(reg)
         for _ in range(4):
             req.inc(service="svc", event="completed", shard="0")
-        deg.inc(service="svc", kind="search", shard="0")
+        req.inc(service="svc", event="degraded", shard="0")
         clock.advance(10.0)
         (slo,) = engine.report()["slos"]
         assert slo["good"] == 3 and slo["bad"] == 1
@@ -213,7 +210,7 @@ class TestSloEngineBudgetMath:
         reg = MetricsRegistry()
         clock = FakeClock()
         engine = _engine(reg, clock, window=100.0)
-        req, _, _ = _families(reg)
+        req, _ = _families(reg)
         for _ in range(10):
             req.inc(service="svc", event="failed", shard="0")
         clock.advance(10.0)
@@ -231,7 +228,7 @@ class TestSloEngineBudgetMath:
         reg = MetricsRegistry()
         clock = FakeClock()
         engine = _engine(reg, clock, service_prefix="fleet")
-        req, _, _ = _families(reg)
+        req, _ = _families(reg)
         req.inc(service="fleet-shard0", event="completed", shard="0")
         req.inc(service="other", event="completed", shard="")
         clock.advance(1.0)
@@ -241,7 +238,7 @@ class TestSloEngineBudgetMath:
         reg = MetricsRegistry()
         clock = FakeClock()
         engine = _engine(reg, clock)
-        req, _, _ = _families(reg)
+        req, _ = _families(reg)
         req.inc(service="svc", event="completed", shard="0")
         clock.advance(1.0)
         engine.report()
@@ -257,7 +254,7 @@ class TestSloEngineBudgetMath:
         clock = FakeClock()
         journal = EventJournal(clock=clock)
         engine = _engine(reg, clock, journal=journal, burn_alert=2.0)
-        req, _, _ = _families(reg)
+        req, _ = _families(reg)
         req.inc(service="svc", event="completed", shard="0")
         clock.advance(1.0)
         engine.report()

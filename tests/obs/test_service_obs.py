@@ -7,6 +7,7 @@ registry wiring.
 """
 
 import sys
+import time
 
 import pytest
 
@@ -16,8 +17,18 @@ from repro.obs import (
     render_prometheus,
     trace_scope,
 )
-from repro.obs.registry import MetricsRegistry, get_registry
-from repro.server import ServiceConfig
+from repro.obs.fleet import SloEngine
+from repro.obs.registry import get_registry
+from repro.resilience.faults import FaultInjector, fault_scope
+from repro.server import (
+    CircuitOpen,
+    DeadlineExceeded,
+    Overloaded,
+    QueryServiceError,
+    ServiceConfig,
+    ShardedConfig,
+    ShardedQueryService,
+)
 from repro.synth import LandscapeConfig, generate_landscape
 
 NAMES_QUERY = "SELECT ?s ?n WHERE { ?s dm:hasName ?n } ORDER BY ?s ?n"
@@ -152,6 +163,173 @@ class TestPrometheusFromService:
             if labels["service"] == name
         }
         assert states and all(value == 0.0 for value in states.values())  # closed
+
+
+#: every scalar of ``ServiceMetrics.snapshot()`` and the one registry
+#: series that holds it: (family, the labels beside service and shard)
+SCALAR_SERIES = {
+    "submitted": ("mdw_service_requests_total", {"event": "submitted"}),
+    "completed": ("mdw_service_requests_total", {"event": "completed"}),
+    "failed": ("mdw_service_requests_total", {"event": "failed"}),
+    "rejected": ("mdw_service_requests_total", {"event": "rejected"}),
+    "timeouts": ("mdw_service_requests_total", {"event": "timeout"}),
+    "cancelled": ("mdw_service_requests_total", {"event": "cancelled"}),
+    "breaker_shed": ("mdw_service_requests_total", {"event": "breaker_shed"}),
+    "degraded_responses": ("mdw_service_requests_total", {"event": "degraded"}),
+    "worker_lost": ("mdw_service_requests_total", {"event": "worker_lost"}),
+    "requeued": ("mdw_service_requests_total", {"event": "requeued"}),
+    "hedged": ("mdw_hedged_requests_total", {}),
+    "queue_depth": ("mdw_queue_depth", {}),
+    "queue_high_water": ("mdw_queue_high_water", {}),
+}
+
+HOG_QUERY = (
+    "SELECT ?a ?b ?c WHERE { ?a dm:hasName ?n1 . ?b dm:hasName ?n2 . "
+    "?c dm:hasName ?n3 }"
+)
+
+
+def scraped(families, sample, **labels):
+    """The value of one series in a parsed exposition (0 when absent)."""
+    family = sample[: -len("_count")] if sample.endswith("_count") else sample
+    return sum(
+        value
+        for name, sample_labels, value in families.get(family, {"samples": ()})["samples"]
+        if name == sample and sample_labels == labels
+    )
+
+
+class TestTheBooksAgree:
+    """One store: the snapshot, the health document, the scrape and the
+    SLO report are four readers of the same registry children."""
+
+    def assert_books_agree(self, snap, health, before, after, slo_row, service, shard):
+        own = {"service": service, "shard": shard}
+
+        def delta(sample, **labels):
+            return scraped(after, sample, **labels, **own) - scraped(
+                before, sample, **labels, **own
+            )
+
+        for field, (family, labels) in SCALAR_SERIES.items():
+            assert snap[field] == delta(family, **labels), field
+        for reason in ("crash", "hang", "stale"):
+            assert snap["worker_restarts"].get(reason, 0) == delta(
+                "mdw_worker_restarts_total", reason=reason
+            )
+        for kind, summary in snap["endpoints"].items():
+            assert summary["count"] == delta(
+                "mdw_request_latency_seconds_count", kind=kind
+            ), kind
+        observed = sum(s["count"] for s in snap["endpoints"].values())
+        assert observed == snap["completed"] + snap["failed"]
+        if health is not None:
+            assert health["workers"]["restarts"] == snap["worker_restarts"]
+            assert health["workers"]["hedged"] == snap["hedged"]
+        assert slo_row["shard"] == shard
+        assert slo_row["completed"] == snap["completed"]
+        assert slo_row["failed"] == snap["failed"]
+        assert slo_row["degraded"] == snap["degraded_responses"]
+
+    def test_one_service_every_outcome(self):
+        mdw = generate_landscape(LandscapeConfig.tiny(seed=23)).warehouse
+        mdw.build_entailment_index()
+        name = "books-svc"
+        before = parse_exposition(render_prometheus())
+        slo = SloEngine(service_prefix=name)
+        config = ServiceConfig(
+            max_workers=1, max_queue=1, breaker_threshold=2, name=name
+        )
+        with mdw.serve(config) as service:
+            # completed
+            service.query(NAMES_QUERY)
+            service.query(JOIN_QUERY)
+            assert not service.search("a", regex=True).degraded
+            # failed (a caller error: says nothing to the breaker)
+            with pytest.raises(QueryServiceError):
+                service.lineage("no-such-item")
+            # rejected: one hog on the worker, one in the queue, no room
+            running = service.submit("query", text=HOG_QUERY, timeout=30)
+            deadline = time.monotonic() + 5
+            while service.health()["queue_depth"]:
+                assert time.monotonic() < deadline, "worker never took the hog"
+                time.sleep(0.002)
+            queued = service.submit("query", text=HOG_QUERY, timeout=30)
+            with pytest.raises(Overloaded):
+                service.submit("query", text=NAMES_QUERY)
+            # cancelled: once in the queue (never runs), once in flight
+            queued.cancel()
+            running.cancel()
+            assert running.exception(timeout=10) is not None
+            # timed out
+            with pytest.raises(DeadlineExceeded):
+                service.query(HOG_QUERY, timeout=0.05)
+            # shed by an open breaker
+            for _ in range(config.breaker_threshold):
+                service.breaker("sql").on_failure()
+            with pytest.raises(CircuitOpen):
+                service.submit("sql", sql="SELECT 1")
+            # degraded: answered off stale entailment indexes
+            injector = FaultInjector()
+            injector.arm("index.staleness", "corrupt", value=True)
+            with fault_scope(injector):
+                assert service.search("a", regex=True).degraded
+            snap = service.metrics_snapshot()
+            health = service.health()
+            after = parse_exposition(render_prometheus())
+            report = slo.report()
+        assert snap["completed"] == 4 and snap["degraded_responses"] == 1
+        assert snap["failed"] == 3  # unknown item, cancelled hog, timed-out hog
+        assert snap["rejected"] == 1 and snap["breaker_shed"] == 1
+        assert snap["cancelled"] == 1 and snap["timeouts"] >= 1
+        assert snap["queue_high_water"] == 1
+        self.assert_books_agree(
+            snap, health, before, after, report["services"][name], name, ""
+        )
+
+    def test_gateway_and_its_shards(self):
+        mdw = generate_landscape(LandscapeConfig.tiny(seed=23)).warehouse
+        name = "books-gw"
+        before = parse_exposition(render_prometheus())
+        config = ShardedConfig(
+            n_shards=2,
+            workers_per_shard=1,
+            worker_mode="thread",
+            supervise=False,
+            shard_breaker_threshold=1,
+            name=name,
+        )
+        with ShardedQueryService(mdw, config) as svc:
+            svc.search("a", regex=True)
+            svc.search("e", regex=True)
+            with pytest.raises(QueryServiceError):
+                svc.lineage("no-such-item")
+            with pytest.raises(DeadlineExceeded):
+                svc.search("a", regex=True, timeout=1e-9)
+            svc.shard_service(1).close()
+            for _ in range(3):
+                assert svc.search("a", regex=True).degraded
+            snap = svc.metrics_snapshot()
+            health = svc.health()
+            after = parse_exposition(render_prometheus())
+        gateway = snap["gateway"]
+        assert gateway["completed"] == 5 and gateway["failed"] == 2
+        assert gateway["timeouts"] == 1 and gateway["degraded_responses"] == 3
+        rows = health["slo"]["services"]
+        self.assert_books_agree(
+            gateway, None, before, after, rows[name], name, "gateway"
+        )
+        for index in ("0", "1"):
+            shard_name = f"{name}-shard{index}"
+            self.assert_books_agree(
+                snap["shards"][index],
+                health["shards"][index],
+                before,
+                after,
+                rows[shard_name],
+                shard_name,
+                index,
+            )
 
 
 class TestResilienceWiring:

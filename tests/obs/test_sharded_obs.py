@@ -363,6 +363,43 @@ class TestDegradedAttribution:
             == 0
         )
 
+    def test_two_dead_shards_are_one_degraded_response_each(self):
+        """A partial answer counts once however many shards are down,
+        and the gateway's SLO row sees it (it used to read the
+        per-shard attribution series, which never carries the
+        gateway's own shard label)."""
+        mdw, _items, _names = three_shard_chain()
+        name = "degraded-once-test"
+        with thread_service(
+            mdw, n_shards=3, name=name, shard_breaker_threshold=1
+        ) as svc:
+            svc.shard_service(1).close()
+            svc.shard_service(2).close()
+            for _ in range(10):
+                assert svc.search("n0", regex=True).degraded
+            snap = svc.metrics_snapshot()["gateway"]
+            report = svc.slo.report()
+        assert snap["completed"] == 10
+        assert snap["degraded_responses"] == 10
+        row = report["services"][name]
+        assert row["shard"] == "gateway"
+        assert row["degraded_ratio"] == 1.0
+        (full,) = [
+            r
+            for r in report["slos"]
+            if r["slo"] == "full-answers" and r["service"] == name
+        ]
+        assert full["bad"] == 10 and full["burn_rate"] > 0
+        # attribution stays per failed shard: one inc per shard per answer
+        counter = get_registry().counter(
+            "mdw_service_degraded_total", labels=("service", "kind", "shard")
+        )
+        by_shard = {
+            shard: counter.child(service=name, kind="search", shard=shard).value
+            for shard in ("0", "1", "2", "gateway")
+        }
+        assert by_shard == {"0": 0, "1": 10, "2": 10, "gateway": 0}
+
 
 class TestFleetSloAndJournal:
     def test_health_carries_per_shard_slis(self):

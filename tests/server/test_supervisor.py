@@ -77,8 +77,32 @@ class TestRespawn:
             assert victim not in service.supervisor.worker_pids()
             snap = service.metrics_snapshot()
             assert snap["worker_restarts"].get("crash", 0) >= 1
+            assert service.health()["workers"]["restarts"] == snap["worker_restarts"]
             # and the fleet still answers
             assert len(service.query(PROBE)) > 0
+
+    def test_lazy_respawn_at_dequeue_shows_in_health(self, warehouse, tmp_path):
+        """The owner thread replaces a dead child itself when a request
+        arrives before the next heartbeat; that restart is the same
+        number in the metrics, the health document and the supervisor."""
+        # one immediate tick fills the pool, then the supervisor sleeps
+        config = _supervised_config(
+            tmp_path, max_workers=1, heartbeat_interval=30.0, hang_timeout=60.0
+        )
+        with warehouse.serve(config) as service:
+            _wait_full_pool(service)
+            (victim,) = service.worker_pids()
+            os.kill(victim, signal.SIGKILL)
+            deadline = time.monotonic() + 5.0
+            while service.worker_pids():
+                assert time.monotonic() < deadline, "kill never registered"
+                time.sleep(0.002)
+            assert len(service.query(PROBE)) > 0
+            assert service.worker_pids() != [victim]
+            health = service.health()
+            assert health["workers"]["restarts"] == {"crash": 1}
+            assert health["supervisor"]["restarts"] == {"crash": 1}
+            assert service.metrics_snapshot()["worker_restarts"] == {"crash": 1}
 
     def test_health_reports_recovering_then_healthy(self, warehouse, tmp_path):
         # delay the respawn fault site so the "recovering" window is

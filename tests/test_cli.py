@@ -164,8 +164,8 @@ class TestIndexHistory:
     def test_snapshot_duplicate(self, tmp_path, capsys):
         path = tmp_path / "wh"
         main(["generate", str(path), "--scale", "tiny"])
-        main(["snapshot", str(path), "R1"])
-        assert main(["snapshot", str(path), "R1"]) == 2
+        main(["snapshot", "historize", str(path), "R1"])
+        assert main(["snapshot", "historize", str(path), "R1"]) == 2
 
     def test_versions_empty(self, tmp_path, capsys):
         path = tmp_path / "wh"
