@@ -6,7 +6,8 @@ scaling the service pairs each worker thread with a **forked child
 process**: the child inherits the pinned snapshot copy-on-write (no
 serialization of the model), evaluates requests it receives over a
 queue, and ships results back pickled. The parent worker thread keeps
-owning admission, deadlines, and metrics; the child only computes.
+owning admission, deadlines, and metrics (the service's settlement);
+the child only computes.
 
 Children are disposable by design:
 
@@ -308,8 +309,11 @@ class ForkWorker:
         except (OSError, AttributeError):  # already gone
             pass
 
-    def run(self, request, extras_sink=None):
+    def run(self, request, extras_sink):
         """Execute one request in the child; enforce deadline/cancel.
+
+        The worker contract every slot worker shares (see
+        :class:`~repro.server.service.InProcessWorker`).
 
         Cooperative checks inside the child normally raise first; if the
         child blows past the budget anyway (stuck outside a check
@@ -319,12 +323,12 @@ class ForkWorker:
         :class:`WorkerLost` carrying the request id, never as a raw
         ``EOFError``/broken pipe.
 
-        ``extras_sink``, when given, receives the child's observability
-        payload (spans, profile) instead of it being absorbed into the
-        process immediately. Hedged and requeued dispatch uses this to
-        graft only the *winning* attempt's spans: the caller absorbs the
-        sink after the exactly-once claim succeeds, and a losing
-        attempt's payload is simply dropped with its sink.
+        ``extras_sink`` receives the child's observability payload
+        (spans, profile) rather than it being absorbed into the process
+        immediately, so hedged and requeued dispatch grafts only the
+        *winning* attempt's spans: the settlement absorbs the sink after
+        the exactly-once claim succeeds, and a losing attempt's payload
+        is simply dropped with its sink.
         """
         from repro.obs.trace import capture
 
@@ -370,28 +374,11 @@ class ForkWorker:
                 raise WorkerLost(
                     request.request_id, exitcode, detail=repr(exc)
                 ) from None
-            if extras_sink is not None:
-                if extras:
-                    extras_sink.append(extras)
-            else:
-                self._absorb(request, extras)
+            if extras:
+                extras_sink.append(extras)
             if ok:
                 return value
             raise value
-
-    @staticmethod
-    def _absorb(request, extras) -> None:
-        """Graft the child's observability payload into this process."""
-        if not extras:
-            return
-        spans = extras.get("spans")
-        if spans:
-            from repro.obs.trace import active_tracer
-
-            tracer = active_tracer()
-            if tracer is not None:
-                tracer.adopt(spans)
-        request.profile.merge_snapshot(extras["profile"])
 
     def stop(self, grace: float = 2.0) -> None:
         """Shut the child down, forcefully after ``grace`` seconds."""

@@ -16,13 +16,16 @@ consumers hit the same model concurrently while release loads land.
 * writes go through :meth:`update` — serialized, audited with the
   request id, republishing the snapshot for subsequent readers.
 
-Two worker modes trade isolation for parallelism. ``thread`` (default)
-is cheap and shares the process: right for I/O-mixed or short queries,
-but CPU-bound evaluation serializes on the interpreter lock. ``fork``
-pairs every worker thread with a forked child process that inherits the
-snapshot copy-on-write; evaluation then scales with cores at the price
-of pickling results across the process boundary and respawning workers
-after every write.
+Every worker runs a request through one call, ``run(request,
+extras_sink) -> result``; the configured mode only picks which worker a
+slot gets. ``thread`` (default) is the :class:`InProcessWorker`: cheap and
+shares the process — right for I/O-mixed or short queries, but
+CPU-bound evaluation serializes on the interpreter lock. ``fork`` is a
+:class:`~repro.server.procpool.ForkWorker`, a forked child that inherits
+the snapshot copy-on-write; evaluation then scales with cores at the
+price of pickling results across the process boundary and respawning
+workers after every write. The sharded gateway's shard router is a
+third worker, settled through the same front door (:class:`_FrontDoor`).
 """
 
 from __future__ import annotations
@@ -34,12 +37,12 @@ import time
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.vocabulary import TERMS
 from repro.obs.profile import QueryProfile, profile_scope
 from repro.obs.registry import get_registry
-from repro.obs.trace import capture, span
+from repro.obs.trace import active_tracer, capture, span
 from repro.rdf.terms import Literal, Term
 from repro.resilience import faults
 from repro.resilience.breaker import CLOSED, HALF_OPEN, CircuitBreaker
@@ -156,8 +159,12 @@ def _statement_of(kind: str, payload: Dict[str, object]) -> str:
 
 
 @dataclass
-class ServiceConfig:
-    """Tuning knobs of a :class:`QueryService`.
+class ServingConfig:
+    """The serving block every front door shares, declared once.
+
+    :class:`ServiceConfig` adds the pool size and shard label;
+    :class:`~repro.server.sharding.ShardedConfig` adds the topology and
+    passes this block down to each shard's service.
 
     ``max_queue`` bounds *waiting* requests (running ones occupy
     workers, not the queue). ``default_timeout`` applies when a request
@@ -183,16 +190,9 @@ class ServiceConfig:
     lost request.
     """
 
-    max_workers: int = 4
     max_queue: int = 64
     default_timeout: Optional[float] = None
     slow_query_threshold: float = 0.25
-    #: Record threshold-crossing requests in this service's slow-query
-    #: log. The sharded gateway turns this off on its shards and logs
-    #: one unified entry per slow request at the gateway instead (with
-    #: the per-shard timing breakdown); worker-lost attribution entries
-    #: are not affected by this switch.
-    log_slow_queries: bool = True
     worker_mode: str = "thread"  # "thread" | "fork"
     name: str = "mdw"
     #: When set, every snapshot publication also writes a binary
@@ -213,20 +213,16 @@ class ServiceConfig:
     #: Total executions one request may consume across worker deaths
     #: before the in-process fallback answers it (flagged degraded).
     max_attempts: int = 3
-    #: Shard index this service serves (as a metric label value), or ""
-    #: for an unsharded deployment. Set by the sharded gateway so one
-    #: Prometheus scrape separates the per-shard series.
-    shard: str = ""
 
     def __post_init__(self):
-        if self.max_workers < 1:
-            raise ValueError("max_workers must be positive")
         if self.max_queue < 1:
             raise ValueError("max_queue must be positive")
         if self.worker_mode not in ("thread", "fork"):
             raise ValueError("worker_mode must be 'thread' or 'fork'")
         if self.default_timeout is not None and self.default_timeout <= 0:
             raise ValueError("default_timeout must be positive")
+        if self.slow_query_threshold < 0:
+            raise ValueError("slow_query_threshold must be non-negative")
         if self.breaker_threshold < 1:
             raise ValueError("breaker_threshold must be positive")
         if self.breaker_cooldown <= 0:
@@ -244,6 +240,23 @@ class ServiceConfig:
             raise ValueError("hedge_after must be positive (or None)")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be positive")
+
+
+@dataclass
+class ServiceConfig(ServingConfig):
+    """Tuning knobs of a :class:`QueryService`: the shared
+    :class:`ServingConfig` block plus the pool size and shard label."""
+
+    max_workers: int = 4
+    #: Shard index this service serves (as a metric label value), or ""
+    #: for an unsharded deployment. Set by the sharded gateway so one
+    #: Prometheus scrape separates the per-shard series.
+    shard: str = ""
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.max_workers < 1:
+            raise ValueError("max_workers must be positive")
 
 
 class QueryRequest:
@@ -372,7 +385,220 @@ class QueryTicket:
 _STOP = object()
 
 
-class QueryService:
+class _Superseded(Exception):
+    """Raised out of a worker run whose request another execution will
+    settle: it went back into the queue, or a hedge twin answered it."""
+
+
+def await_result(future: Future, token: CancelToken):
+    """Wait for a request's future within its token's budget.
+
+    The cooperative checks inside the evaluator normally surface a
+    deadline overrun well before the budget is gone; the wait adds a
+    slack backstop (what is left ``* 1.2 + 50 ms``) so a worker stuck
+    outside any check point — or a queue that never drains — still
+    yields a typed :class:`DeadlineExceeded`, with the token cancelled,
+    instead of hanging the caller.
+    """
+    remaining = token.remaining()
+    if remaining is None:
+        return future.result()
+    try:
+        return future.result(timeout=max(remaining, 0.0) * 1.2 + 0.05)
+    except FutureTimeoutError:
+        token.cancel()
+        raise DeadlineExceeded(token.timeout, token.elapsed()) from None
+
+
+class InProcessWorker:
+    """The thread-mode worker: runs a request in the calling thread.
+
+    It pins the current snapshot per request, so it is never stale and
+    never dies; one instance serves every slot of a thread-mode pool and
+    answers the fork pool's in-process fallback after a
+    :class:`WorkerLost`.
+    """
+
+    alive = True
+    pid = None
+
+    def __init__(self, snapshots: SnapshotManager):
+        self._snapshots = snapshots
+
+    @property
+    def generation(self) -> int:
+        return self._snapshots.generation
+
+    def run(self, request: QueryRequest, extras_sink: List[dict]):
+        with self._snapshots.read() as snap:
+            with cancel_scope(request.token), profile_scope(request.profile):
+                return dispatch(snap.warehouse, request.kind, request.payload)
+
+    def stop(self, grace: float = 0.0) -> None:
+        pass
+
+
+class _FrontDoor:
+    """The one read lifecycle: admission, then settlement.
+
+    :meth:`_admit` checks the kind and payload, refuses work after
+    close, and builds the request with its :class:`CancelToken` (which
+    validates the timeout). :meth:`_settle` runs a worker inside the
+    ``request`` span and completes the future exactly once with its
+    accounting: metrics, degraded flag, slow-query log. The worker pool
+    wraps its breaker, queue and failover around the two steps; the
+    sharded gateway settles inline, with its shard router as the worker.
+
+    Each front door says which ``KINDS`` it routes and answers two
+    questions about a settled answer: ``_degraded_shards(request,
+    result, worker)`` — None for a full answer, else the shards that
+    could not contribute (empty: blame its own shard) — and
+    ``_slow_detail(request, worker)`` — the ``(plan, statement
+    suffix)`` of its slow-query log entry.
+    """
+
+    KINDS: Tuple[str, ...] = KINDS
+    _SPAN_CATEGORY = "service"
+    _ID_PREFIX = "q"
+
+    def _admit(self, kind: str, timeout, payload: Dict[str, object]) -> QueryRequest:
+        if kind not in self.KINDS:
+            raise QueryServiceError(
+                f"{type(self).__name__} cannot route {kind!r} (unknown "
+                f"request kind); expected one of {self.KINDS}"
+            )
+        check_payload(kind, payload)
+        if self._closed:
+            raise ServiceClosed()
+        if timeout is _UNSET:
+            timeout = self.config.default_timeout
+        token = CancelToken(timeout=timeout)
+        request_id = f"{self._ID_PREFIX}-{next(self._read_seq)}"
+        return QueryRequest(request_id, kind, payload, token, Future())
+
+    def _settle(self, request: QueryRequest, worker) -> None:
+        start = time.monotonic()
+        request.profile = QueryProfile()
+        # the child's spans/profile land here and are absorbed only
+        # after the exactly-once claim is won, so a losing hedge twin
+        # (or a requeue superseded mid-flight) never grafts its spans
+        # into the request's trace
+        extras_sink: List[dict] = []
+        with span("request", self._SPAN_CATEGORY, parent=request.trace_ctx,
+                  kind=request.kind, request_id=request.request_id,
+                  shard=self.metrics.shard) as span_attrs:
+            try:
+                request.token.check()  # deadline spent before a worker took it
+                result = self._run(request, worker, extras_sink)
+            except _Superseded:
+                span_attrs["error"] = "WorkerLost"
+                return
+            except BaseException as exc:  # typed errors travel to the caller
+                self._fail(request, exc, start, span_attrs, extras_sink)
+                return
+            if not request.claim():
+                # a hedge twin completed it first; drop this answer and
+                # its child spans — only the winner's attempt grafts
+                span_attrs["outcome"] = "hedge-lost"
+                return
+            self._absorb_extras(request, extras_sink)
+            self._report(request.kind, None)
+            elapsed = time.monotonic() - start
+            self.metrics.on_complete(request.kind, elapsed)
+            if elapsed >= self.config.slow_query_threshold:
+                plan, suffix = self._slow_detail(request, worker)
+                self._log_slow(request, elapsed, suffix=suffix, plan=plan)
+            shards = self._degraded_shards(request, result, worker)
+            if shards is not None:
+                # one degraded response however many reasons it has;
+                # a bare list (lookup, frontier) cannot carry the flag
+                span_attrs["degraded"] = True
+                try:
+                    result.degraded = True
+                except AttributeError:
+                    pass
+                self.metrics.on_degraded(request.kind, shards)
+            request.future.set_result(result)
+
+    def _fail(
+        self, request: QueryRequest, exc: BaseException, start: float, span_attrs,
+        extras_sink=(),
+    ) -> None:
+        """Fail the request's future (once) with full accounting."""
+        if not request.claim():
+            span_attrs["outcome"] = "hedge-lost"
+            return  # a parallel execution already answered; drop it
+        self._absorb_extras(request, extras_sink)
+        span_attrs["error"] = type(exc).__name__
+        if isinstance(exc, DeadlineExceeded):
+            self.metrics.on_timeout()
+        elif isinstance(exc, Cancelled):
+            self.metrics.on_cancel()
+        self._report(request.kind, exc)
+        self.metrics.on_failure(request.kind, time.monotonic() - start)
+        request.future.set_exception(exc)
+
+    @staticmethod
+    def _absorb_extras(request: QueryRequest, extras_sink) -> None:
+        """Graft fork-child observability payloads (spans, profile)
+        collected during this execution — called only after the
+        exactly-once claim is won."""
+        for extras in extras_sink:
+            tracer = active_tracer()
+            if extras.get("spans") and tracer is not None:
+                tracer.adopt(extras["spans"])
+            request.profile.merge_snapshot(extras["profile"])
+
+    def _log_slow(
+        self, request: QueryRequest, elapsed: float, prefix="", suffix="", plan=None
+    ) -> None:
+        profile = None
+        if request.profile.operators:
+            profile = request.profile.render()
+        statement = _statement_of(request.kind, request.payload)
+        self.metrics.slow_queries.record(
+            SlowQuery(
+                request_id=request.request_id,
+                kind=request.kind,
+                statement=prefix + statement + suffix,
+                elapsed=elapsed,
+                timestamp=time.time(),
+                plan=plan,
+                profile=profile,
+            )
+        )
+
+    # -- what each front door adds -----------------------------------------
+
+    def _run(self, request: QueryRequest, worker, extras_sink: List[dict]):
+        return worker.run(request, extras_sink)
+
+    def _report(self, kind: str, exc: Optional[BaseException]) -> None:
+        """Endpoint health after a settled request (``exc`` None = ok)."""
+
+    # -- the synchronous surface both front doors share ----------------------
+
+    def search(self, term: str, *, timeout=_UNSET, **options):
+        """Synchronous search (use case IV.A)."""
+        return self.execute("search", timeout=timeout, term=term, **options)
+
+    def lineage(self, item, *, timeout=_UNSET, **options):
+        """Synchronous lineage trace (use case IV.B); ``item`` is a term
+        or a ``dm:hasName`` value."""
+        return self.execute("lineage", timeout=timeout, item=item, **options)
+
+    @property
+    def closed(self) -> bool:
+        return self._closed
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close(wait=exc_type is None)
+
+
+class QueryService(_FrontDoor):
     """Worker pool + admission control + deadlines over one warehouse.
 
     >>> service = QueryService(mdw, ServiceConfig(max_workers=4))   # doctest: +SKIP
@@ -414,6 +640,7 @@ class QueryService:
         self._close_lock = threading.Lock()
         self._read_seq = itertools.count(1)
         self._write_seq = itertools.count(1)
+        self._inline = InProcessWorker(self.snapshots)
         self._slots: List[WorkerSlot] = [
             WorkerSlot(f"{config.name}-worker-{i}")
             for i in range(config.max_workers)
@@ -496,6 +723,23 @@ class QueryService:
 
     # -- admission ---------------------------------------------------------
 
+    def _enqueue(self, kind: str, timeout, payload: Dict[str, object]) -> QueryRequest:
+        # admission first: an invalid timeout must fail before the
+        # breaker reserves a half-open probe nothing would give back
+        request = self._admit(kind, timeout, payload)
+        breaker = self._breakers[kind]
+        if not breaker.allow():
+            self.metrics.on_breaker_reject()
+            raise CircuitOpen(kind, breaker.retry_after())
+        try:
+            self._queue.put_nowait(request)
+        except queue.Full:
+            breaker.release()  # the admitted probe never ran
+            self.metrics.on_reject()
+            raise Overloaded(self._queue.qsize(), self.config.max_queue) from None
+        self.metrics.on_submit(self._queue.qsize())
+        return request
+
     def submit(self, kind: str, *, timeout=_UNSET, **payload) -> QueryTicket:
         """Admit a read request; returns immediately with a ticket.
 
@@ -506,50 +750,20 @@ class QueryService:
         time spent waiting in the queue counts against the request's
         budget.
         """
-        if kind not in KINDS:
-            raise QueryServiceError(
-                f"unknown request kind {kind!r}; expected one of {KINDS}"
-            )
-        check_payload(kind, payload)
-        if self._closed:
-            raise ServiceClosed()
-        breaker = self._breakers[kind]
-        if not breaker.allow():
-            self.metrics.on_breaker_reject()
-            raise CircuitOpen(kind, breaker.retry_after())
-        if timeout is _UNSET:
-            timeout = self.config.default_timeout
-        token = CancelToken(timeout=timeout)
-        request_id = f"q-{next(self._read_seq)}"
-        request = QueryRequest(request_id, kind, payload, token, Future())
-        try:
-            self._queue.put_nowait(request)
-        except queue.Full:
-            breaker.release()  # the admitted probe never ran
-            self.metrics.on_reject()
-            raise Overloaded(self._queue.qsize(), self.config.max_queue) from None
-        self.metrics.on_submit(self._queue.qsize())
-        return QueryTicket(request_id, kind, request.future, token)
+        request = self._enqueue(kind, timeout, payload)
+        return QueryTicket(request.request_id, kind, request.future, request.token)
 
     def execute(self, kind: str, *, timeout=_UNSET, **payload):
-        """Submit and wait; the synchronous front door.
-
-        The cooperative checks inside the evaluator normally surface a
-        deadline overrun well before the budget is gone; the wait here
-        adds a small slack backstop so a worker stuck outside any check
-        point (or a queue that never drains) still returns a typed
-        :class:`DeadlineExceeded` instead of hanging the caller.
-        """
-        ticket = self.submit(kind, timeout=timeout, **payload)
-        budget = ticket.token.timeout
-        if budget is None:
-            return ticket.result()
+        """Submit and wait (:func:`await_result`); the synchronous front door."""
+        request = self._enqueue(kind, timeout, payload)
         try:
-            return ticket.result(timeout=budget * 1.2 + 0.05)
-        except FutureTimeoutError:
-            ticket.token.cancel()
-            self.metrics.on_timeout()
-            raise DeadlineExceeded(budget, ticket.token.elapsed()) from None
+            return await_result(request.future, request.token)
+        except DeadlineExceeded as exc:
+            if not request.future.done():
+                # the backstop fired with the request still out: settle
+                # it here, so it is counted once, as a timeout
+                self._fail(request, exc, request.submitted_at, {})
+            raise
 
     # -- convenience read endpoints ---------------------------------------
 
@@ -560,15 +774,6 @@ class QueryService:
     def sem_sql(self, sql: str, *, timeout=_UNSET):
         """Synchronous SEM_MATCH SQL statement (the paper's listings)."""
         return self.execute("sql", timeout=timeout, sql=sql)
-
-    def search(self, term: str, *, timeout=_UNSET, **options):
-        """Synchronous search (use case IV.A)."""
-        return self.execute("search", timeout=timeout, term=term, **options)
-
-    def lineage(self, item, *, timeout=_UNSET, **options):
-        """Synchronous lineage trace (use case IV.B); ``item`` is a term
-        or a ``dm:hasName`` value."""
-        return self.execute("lineage", timeout=timeout, item=item, **options)
 
     # -- writes ------------------------------------------------------------
 
@@ -601,13 +806,10 @@ class QueryService:
         try:
             result = self.snapshots.write(apply)
         except Exception as exc:
-            if self._breaker_counts(exc):
-                breaker.on_failure()
-            else:
-                breaker.release()
+            self._report("update", exc)
             self.metrics.on_failure("update", time.monotonic() - start)
             raise
-        breaker.on_success()
+        self._report("update", None)
         self.metrics.on_complete("update", time.monotonic() - start)
         return result
 
@@ -626,51 +828,46 @@ class QueryService:
                     continue  # cancelled while queued, never executed
                 if verdict == "skip":
                     continue  # hedge twin / stale requeue: already answered
-                if self.config.worker_mode == "fork":
-                    # the slot lock makes the (worker, request) pair
-                    # atomic for the supervisor: it inspects under the
-                    # same lock and only swaps workers in *idle* slots
+                # the slot lock makes the (worker, request) pair atomic
+                # for the supervisor: it inspects under the same lock
+                # and only swaps workers in *idle* slots
+                with slot.lock:
+                    slot.worker = self._ensure_worker(slot.worker)
+                    slot.request = request
+                    slot.busy_since = time.monotonic()
+                    worker = slot.worker
+                try:
+                    self._settle(request, worker)
+                finally:
                     with slot.lock:
-                        slot.fork_worker = self._ensure_fork_worker(slot.fork_worker)
-                        slot.request = request
-                        slot.busy_since = time.monotonic()
-                        fork_worker = slot.fork_worker
-                    try:
-                        self._handle(request, fork_worker)
-                    finally:
-                        with slot.lock:
-                            slot.request = None
-                            slot.busy_since = None
-                else:
-                    self._handle(request, None)
+                        slot.request = None
+                        slot.busy_since = None
         finally:
             with slot.lock:
-                if slot.fork_worker is not None:
-                    slot.fork_worker.stop()
-                    slot.fork_worker = None
+                if slot.worker is not None:
+                    slot.worker.stop()
+                    slot.worker = None
 
-    def _ensure_fork_worker(self, fork_worker):
-        """(Re)spawn this worker thread's child when absent or stale."""
+    def _ensure_worker(self, worker):
+        """(Re)spawn this slot's worker when absent, dead or stale."""
         generation = self.snapshots.generation
-        if (
-            fork_worker is not None
-            and fork_worker.alive
-            and fork_worker.generation == generation
-        ):
-            return fork_worker
-        if fork_worker is not None:
-            reason = "stale" if fork_worker.alive else "crash"
-            fork_worker.stop()
+        if worker is not None and worker.alive and worker.generation == generation:
+            return worker
+        if worker is not None:
+            reason = "stale" if worker.alive else "crash"
+            worker.stop()
             self.metrics.on_worker_restart(reason)
-        return self._spawn_fork_worker()
+        return self._spawn_worker()
 
-    def _spawn_fork_worker(self):
-        """Fork a fresh child pinned to the *current* snapshot.
+    def _spawn_worker(self):
+        """The slot worker factory: the one place ``worker_mode`` is read.
 
-        Respawns always re-pin at spawn time — a worker restarted
-        across a publish attaches the new generation, never the stale
-        image its predecessor served.
+        A fork child is pinned to the *current* snapshot at spawn time —
+        a worker restarted across a publish attaches the new generation,
+        never the stale image its predecessor served.
         """
+        if self.config.worker_mode == "thread":
+            return self._inline
         from repro.server.procpool import ForkWorker
 
         with self.snapshots.read() as snap:
@@ -678,144 +875,30 @@ class QueryService:
         self.metrics.on_fork_worker(worker.mode)
         return worker
 
-    @staticmethod
-    def _breaker_counts(exc: BaseException) -> bool:
-        """Does this failure indict the *endpoint* (vs. the caller)?
+    def _run(self, request: QueryRequest, worker, extras_sink: List[dict]):
+        """Run on the slot's worker, failing over when it dies.
 
-        Deadline overruns and unexpected exceptions are the endpoint's
-        ill health; a client-initiated cancel or a typed service error
-        (bad syntax, unknown item) says nothing about it.
-        ``DeadlineExceeded`` subclasses ``Cancelled``, so check it first.
+        A :class:`WorkerLost` (SIGKILL, crash, torn pipe) is logged with
+        the child's exit code; under supervision the request is then
+        requeued within its attempt budget or — past it, at shutdown,
+        with no queue room — answered in this thread and flagged
+        degraded. The caller never loses a request to a dead worker
+        while supervision is on.
         """
-        if isinstance(exc, DeadlineExceeded):
-            return True
-        if isinstance(exc, (Cancelled, QueryServiceError)):
-            return False
-        return True
-
-    def _handle(self, request: QueryRequest, fork_worker) -> None:
         start = time.monotonic()
-        breaker = self._breakers[request.kind]
-        request.profile = QueryProfile()
-        degraded = False
-        # the child's spans/profile land here and are absorbed only
-        # after the exactly-once claim is won, so a losing hedge twin
-        # (or a requeue superseded mid-flight) never grafts its spans
-        # into the request's trace
-        extras_sink: List[dict] = []
-        with span(
-            "request", "service",
-            parent=request.trace_ctx,
-            kind=request.kind,
-            request_id=request.request_id,
-            shard=self.config.shard,
-        ) as span_attrs:
-            try:
-                request.token.check()  # deadline spent while queued
-                faults.fire("worker.execute")
-                if fork_worker is not None:
-                    result = fork_worker.run(request, extras_sink)
-                else:
-                    with self.snapshots.read() as snap:
-                        with cancel_scope(request.token):
-                            result = self._dispatch_profiled(snap, request)
-            except WorkerLost as exc:
-                # the child died under the request (SIGKILL, crash,
-                # torn pipe). Attribute it in the slow-query log, then
-                # fail over: requeue within the attempt budget, answer
-                # in-process past it — the caller never loses the
-                # request to a dead worker while supervision is on.
-                span_attrs["error"] = "WorkerLost"
-                self.metrics.on_worker_lost()
-                self._log_worker_lost(request, exc, time.monotonic() - start)
-                if self._supervisor is not None:
-                    outcome = self._failover(request)
-                    if outcome == "requeued":
-                        return  # a healthy worker finishes the job
-                    if outcome == "lost-race":
-                        return  # a hedge twin already answered
-                    result, inline_exc = outcome
-                    if inline_exc is not None:
-                        self._complete_failure(
-                            request, inline_exc, breaker, start, span_attrs,
-                            extras_sink,
-                        )
-                        return
-                    degraded = True
-                else:
-                    self._complete_failure(
-                        request, exc, breaker, start, span_attrs, extras_sink
-                    )
-                    return
-            except BaseException as exc:  # typed errors travel to the caller
-                self._complete_failure(
-                    request, exc, breaker, start, span_attrs, extras_sink
-                )
-                return
-            if not request.claim():
-                # a hedge twin completed it first; drop this answer and
-                # its child spans — only the winner's attempt grafts
-                span_attrs["outcome"] = "hedge-lost"
-                return
-            self._absorb_extras(request, extras_sink)
-            breaker.on_success()
-            elapsed = time.monotonic() - start
-            self.metrics.on_complete(request.kind, elapsed)
-            if elapsed >= self.config.slow_query_threshold and self.config.log_slow_queries:
-                self._log_slow(request, elapsed)
-            # an answer off stale entailment indexes is degraded too: the
-            # asserted triples answered, the derived ones may lag
-            if degraded or (
-                request.kind in ("search", "lineage") and self._stale_indexes()
-            ):
-                self._mark_degraded(result, request.kind)
-            request.future.set_result(result)
-
-    @staticmethod
-    def _absorb_extras(request: QueryRequest, extras_sink) -> None:
-        """Graft fork-child observability payloads (spans, profile)
-        collected during this execution — called only after the
-        exactly-once claim is won."""
-        if not extras_sink:
-            return
-        from repro.server.procpool import ForkWorker
-
-        for extras in extras_sink:
-            ForkWorker._absorb(request, extras)
-
-    def _complete_failure(
-        self, request: QueryRequest, exc: BaseException, breaker, start, span_attrs,
-        extras_sink=None,
-    ) -> None:
-        """Fail the request's future (once) with full accounting."""
-        if not request.claim():
-            span_attrs["outcome"] = "hedge-lost"
-            return  # a parallel execution already answered; drop it
-        self._absorb_extras(request, extras_sink)
-        elapsed = time.monotonic() - start
-        span_attrs["error"] = type(exc).__name__
-        if isinstance(exc, DeadlineExceeded):
-            self.metrics.on_timeout()
-        elif isinstance(exc, Cancelled):
-            self.metrics.on_cancel()
-        if self._breaker_counts(exc):
-            breaker.on_failure()
-        else:
-            breaker.release()  # outcome says nothing about the endpoint
-        self.metrics.on_failure(request.kind, elapsed)
-        request.future.set_exception(exc)
-
-    def _failover(self, request: QueryRequest):
-        """Re-dispatch a request orphaned by a dead worker.
-
-        Returns ``"requeued"`` (a healthy worker will run it),
-        ``"lost-race"`` (a hedge twin already completed it), or a
-        ``(result, exc)`` pair from the in-process fallback — the
-        guaranteed-completion path once the attempt budget is spent or
-        the queue cannot take the request back.
-        """
+        faults.fire("worker.execute")
+        try:
+            return worker.run(request, extras_sink)
+        except WorkerLost as exc:
+            self.metrics.on_worker_lost()
+            # the incident trail: "why was this query slow / retried"
+            lost = f"[worker lost: exit {exc.exitcode}, attempt {request.attempts}] "
+            self._log_slow(request, time.monotonic() - start, prefix=lost)
+            if self._supervisor is None:
+                raise
+        # only a supervised WorkerLost gets here
         if request.done:
-            return "lost-race"
+            raise _Superseded()  # a hedge twin already answered
         if request.attempts < self.config.max_attempts and not self._closed:
             try:
                 self._queue.put_nowait(request)
@@ -823,57 +906,41 @@ class QueryService:
                 pass  # no queue room: fall through to the inline answer
             else:
                 self.metrics.on_requeue()
-                return "requeued"
-        # attempt budget exhausted (or shutdown/full queue): answer
-        # in this thread against the pinned snapshot. Slower — it
-        # shares the interpreter with every other parent thread — so
-        # the answer is flagged degraded, per the established idiom.
-        try:
-            with self.snapshots.read() as snap:
-                with cancel_scope(request.token):
-                    result = self._dispatch_profiled(snap, request)
-        except BaseException as exc:
-            return (None, exc)
-        return (result, None)
-
-    def _mark_degraded(self, result, kind: str) -> None:
-        """Flag the answer ``degraded`` and count the response — once,
-        however many reasons it has. Best effort: results that cannot
-        carry the flag are not counted either."""
+                raise _Superseded()  # a healthy worker finishes the job
+        result = self._inline.run(request, extras_sink)
         try:
             result.degraded = True
         except AttributeError:
-            return
-        self.metrics.on_degraded(kind)
+            pass
+        return result
 
-    def _log_worker_lost(self, request: QueryRequest, exc, elapsed: float) -> None:
-        """Attribute a worker death to the request it was executing.
+    def _report(self, kind: str, exc: Optional[BaseException]) -> None:
+        """Feed ``kind``'s breaker. Deadline overruns and unexpected
+        exceptions are the endpoint's ill health; a client-initiated
+        cancel or a typed service error (bad syntax, unknown item) says
+        nothing about it (``DeadlineExceeded`` subclasses ``Cancelled``,
+        so it is checked first)."""
+        breaker = self._breakers[kind]
+        if exc is None:
+            breaker.on_success()
+        elif isinstance(exc, DeadlineExceeded) or not isinstance(
+            exc, (Cancelled, QueryServiceError)
+        ):
+            breaker.on_failure()
+        else:
+            breaker.release()
 
-        Lands in the slow-query log (the operator-facing incident
-        trail) with the request id and child exit code, so "why was
-        this query slow / retried" has a first-class answer.
-        """
-        self.metrics.slow_queries.record(
-            SlowQuery(
-                request_id=request.request_id,
-                kind=request.kind,
-                statement=(
-                    f"[worker lost: exit {exc.exitcode}, "
-                    f"attempt {request.attempts}] "
-                    + _statement_of(request.kind, request.payload)
-                ),
-                elapsed=elapsed,
-                timestamp=time.time(),
-            )
-        )
+    def _degraded_shards(self, request, result, worker) -> Optional[Sequence[str]]:
+        # the in-process fallback flagged it; and an answer off stale
+        # entailment indexes is degraded too: the asserted triples
+        # answered, the derived ones may lag
+        if getattr(result, "degraded", False) or (
+            request.kind in ("search", "lineage") and self._stale_indexes()
+        ):
+            return ()
+        return None
 
-    def _dispatch_profiled(self, snap, request: QueryRequest):
-        """Dispatch in this thread, collecting the request's profile."""
-        with profile_scope(request.profile):
-            return dispatch(snap.warehouse, request.kind, request.payload)
-
-    def _log_slow(self, request: QueryRequest, elapsed: float) -> None:
-        plan = None
+    def _slow_detail(self, request, worker) -> Tuple[Optional[str], str]:
         if request.kind == "query":
             try:  # best effort: the plan is diagnostics, not the answer
                 with self.snapshots.read() as snap:
@@ -881,22 +948,10 @@ class QueryService:
                         request.payload["text"],
                         rulebases=list(request.payload.get("rulebases", ())),
                     )
+                return plan, ""
             except Exception:
-                plan = None
-        profile = None
-        if request.profile.operators:
-            profile = request.profile.render()
-        self.metrics.slow_queries.record(
-            SlowQuery(
-                request_id=request.request_id,
-                kind=request.kind,
-                statement=_statement_of(request.kind, request.payload),
-                elapsed=elapsed,
-                timestamp=time.time(),
-                plan=plan,
-                profile=profile,
-            )
-        )
+                pass
+        return None, ""
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -916,17 +971,7 @@ class QueryService:
             # stop the healer first, or it respawns workers mid-teardown
             self._supervisor.stop()
         if not wait:
-            drained: List[QueryRequest] = []
-            while True:
-                try:
-                    item = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                if item is not _STOP:
-                    drained.append(item)
-            for request in drained:
-                request.token.cancel()
-                request.abort(ServiceClosed())
+            self._abort_queued()
         for _ in self._workers:
             self._queue.put(_STOP)
         for worker in self._workers:
@@ -934,24 +979,18 @@ class QueryService:
         # a failover requeue racing with shutdown may have landed behind
         # the stop sentinels; nothing will ever run it — fail it typed
         # instead of leaving the caller waiting forever
+        self._abort_queued()
+
+    def _abort_queued(self) -> None:
+        """Fail every queued request with :class:`ServiceClosed`."""
         while True:
             try:
                 item = self._queue.get_nowait()
             except queue.Empty:
-                break
+                return
             if item is not _STOP:
                 item.token.cancel()
                 item.abort(ServiceClosed())
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def __enter__(self) -> "QueryService":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close(wait=exc_type is None)
 
     # -- health ------------------------------------------------------------
 
@@ -1038,7 +1077,7 @@ class QueryService:
         """PIDs of the live fork children (empty in thread mode)."""
         pids: List[int] = []
         for slot in self._slots:
-            worker = slot.fork_worker
+            worker = slot.worker
             if worker is not None and worker.alive and worker.pid is not None:
                 pids.append(worker.pid)
         return pids

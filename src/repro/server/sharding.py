@@ -19,28 +19,33 @@ gateway in front:
   cross-shard cycles terminate) and each round asks shards for one
   level of ``isMappedTo`` edges. Downstream rounds route each frontier
   item to its owner shard; upstream rounds scatter, because a remote
-  edge lives with its *source*. Rounds are bounded and the request
-  deadline propagates into every sub-request.
+  edge lives with its *source*. Rounds are bounded by
+  :data:`MAX_ROUNDS` and the request's token bounds every sub-request.
 
-Admission control, per-request deadlines, endpoint breakers, snapshot
-generations, and supervision (heartbeats, respawn, hedged dispatch for
-stragglers) all stay *per shard* — each shard is a full PR-8 service.
-The gateway adds one client-side :class:`CircuitBreaker` per shard:
-when a shard keeps failing (workers unreachable, queue full, service
-gone) its breaker opens and the gateway simply *skips* it, returning
-partial results flagged ``degraded=True`` — a dead shard degrades
-answers, it never errors them. ``replace_shard`` (the runbook path) and
-``rebalance`` (the incremental-release path, replacing only shards the
-delta touched) restore full answers.
+The gateway admits, times and settles a read through the same front
+door as :class:`QueryService` (one lifecycle: admission, ``request``
+span, exactly-once accounting, slow-query log) — inline in the caller's
+thread, with the shard router as its worker, so it has no queue, no
+worker threads and no endpoint breakers of its own. Queues, endpoint
+breakers, snapshot generations and supervision (heartbeats, respawn,
+hedged dispatch for stragglers) stay *per shard* — each shard is a full
+:class:`QueryService`. The gateway adds one client-side
+:class:`CircuitBreaker` per shard: when a shard keeps failing (workers
+unreachable, queue full, service gone) its breaker opens and the
+gateway simply *skips* it, returning partial results flagged
+``degraded=True`` — a dead shard degrades answers, it never errors
+them. ``replace_shard`` (the runbook path) and ``rebalance`` (the
+incremental-release path, replacing only shards the delta touched)
+restore full answers.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import tempfile
 import time
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -52,22 +57,23 @@ from repro.resilience.breaker import CLOSED, CircuitBreaker
 from repro.server.errors import (
     Cancelled,
     CircuitOpen,
-    DeadlineExceeded,
     Overloaded,
     QueryServiceError,
     ServiceClosed,
 )
-from repro.server.metrics import ServiceMetrics, SlowQuery
+from repro.server.metrics import ServiceMetrics
 from repro.server.service import (
     QueryService,
     QueryTicket,
     ServiceConfig,
+    ServingConfig,
+    _FrontDoor,
     _UNSET,
-    _statement_of,
-    check_payload,
+    await_result,
 )
 from repro.services.lineage import LineageEdge, LineageTrace
 from repro.services.search import SearchResults
+from repro.sparql.cancel import CancelToken
 from repro.storage.partition import (
     ShardPlan,
     changed_shards,
@@ -78,94 +84,295 @@ from repro.storage.partition import (
 
 __all__ = ["ShardedConfig", "ShardedQueryService"]
 
-#: Request kinds the gateway can route/merge. ``query``/``sql`` need the
-#: full graph on one node and stay on the unsharded service.
-GATEWAY_KINDS = ("search", "lineage", "lookup")
+#: Bound on lineage frontier-exchange rounds: a cycle-safety backstop on
+#: top of the visited set; a trace cut short by it comes back degraded.
+MAX_ROUNDS = 64
 
 
 @dataclass
-class ShardedConfig:
+class ShardedConfig(ServingConfig):
     """Tuning knobs of a :class:`ShardedQueryService`.
 
-    Per-shard serving knobs (``workers_per_shard``, ``max_queue``,
-    deadlines, supervision, hedging) are passed down into each shard's
-    :class:`~repro.server.service.ServiceConfig` unchanged. The
-    gateway-level knobs are the per-shard *client* breakers
-    (``shard_breaker_*`` — these are what turn a dead shard into
-    partial results instead of errors) and ``max_rounds``, the bound on
-    lineage frontier-exchange iterations (a cycle-safety backstop on
-    top of the visited set; a trace cut short by it comes back
-    ``degraded``).
+    The shared :class:`~repro.server.service.ServingConfig` block
+    (``max_queue``, deadlines, endpoint ``breaker_*``, supervision,
+    hedging) is passed down into each shard's
+    :class:`~repro.server.service.ServiceConfig` unchanged — except
+    ``slow_query_threshold``, which is the gateway's: a slow request is
+    logged once, at the gateway, with its per-shard timing breakdown,
+    and shard-local latency logs are off. The gateway's own knobs are
+    the topology and the per-shard *client* breakers (``shard_breaker_*``
+    — these are what turn a dead shard into partial results instead of
+    errors). ``snapshot_dir`` is the root for shard snapshot files, one
+    ``shard-<i>/`` subdirectory each; when None the gateway owns a
+    temporary directory.
     """
 
+    name: str = "mdw-sharded"
+    worker_mode: str = "fork"
+    supervise: bool = True
     n_shards: int = 2
     workers_per_shard: int = 2
-    name: str = "mdw-sharded"
-    #: Root directory for shard snapshot files; each shard also gets a
-    #: ``shard-<i>/`` subdirectory for its generation snapshots. When
-    #: None the gateway owns a temporary directory.
-    snapshot_dir: Optional[str] = None
-    worker_mode: str = "fork"
-    max_queue: int = 64
-    default_timeout: Optional[float] = None
-    supervise: bool = True
-    heartbeat_interval: float = 0.25
-    hang_timeout: float = 5.0
-    hedge_after: Optional[float] = None
-    max_attempts: int = 3
-    #: per-shard *service* endpoint breakers (inside each shard)
-    breaker_threshold: int = 5
-    breaker_cooldown: float = 30.0
-    #: gateway-side per-shard client breakers: consecutive sub-request
-    #: infrastructure failures before the shard is skipped entirely
+    #: consecutive sub-request infrastructure failures before the
+    #: gateway skips a shard entirely
     shard_breaker_threshold: int = 3
     shard_breaker_cooldown: float = 5.0
-    #: lineage frontier-exchange round bound
-    max_rounds: int = 64
-    #: gateway slow-request threshold (seconds). A slow sharded request
-    #: is logged ONCE here, with its per-shard timing breakdown —
-    #: shard-local slow logs are disabled so it does not also show up
-    #: N times as shard entries.
-    slow_query_threshold: float = 0.25
     #: rolling window (seconds) of the gateway's SLO engine
     slo_window: float = 300.0
 
     def __post_init__(self):
+        super().__post_init__()
         if self.n_shards < 1:
             raise ValueError("n_shards must be positive")
         if self.workers_per_shard < 1:
             raise ValueError("workers_per_shard must be positive")
-        if self.worker_mode not in ("thread", "fork"):
-            raise ValueError("worker_mode must be 'thread' or 'fork'")
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be positive")
         if self.shard_breaker_threshold < 1:
             raise ValueError("shard_breaker_threshold must be positive")
         if self.shard_breaker_cooldown <= 0:
             raise ValueError("shard_breaker_cooldown must be positive")
-        if self.slow_query_threshold <= 0:
-            raise ValueError("slow_query_threshold must be positive")
         if self.slo_window <= 0:
             raise ValueError("slo_window must be positive")
 
 
-class _GatewayCall:
-    """Per-request accumulator the gateway threads through its fan-out.
+class _ShardRouter:
+    """The gateway's worker: routes one read to the shards and merges.
 
-    ``timings`` collects wall-clock seconds per shard (summed across
-    lineage rounds); ``failed`` the distinct shards that could not
-    answer. Both feed the unified slow-query entry and the per-shard
-    ``mdw_service_degraded_total`` attribution.
+    Built per request. ``timings`` collects wall-clock seconds per shard
+    (summed across lineage rounds), ``failed`` the distinct shards that
+    could not answer; both feed the gateway's slow-query entry and the
+    per-shard ``mdw_service_degraded_total`` attribution.
     """
 
-    __slots__ = ("timings", "failed")
+    __slots__ = ("_gateway", "timings", "failed")
 
-    def __init__(self):
+    def __init__(self, gateway: "ShardedQueryService"):
+        self._gateway = gateway
         self.timings: Dict[int, float] = {}
         self.failed: Set[int] = set()
 
+    def run(self, request, extras_sink):
+        payload, token = request.payload, request.token
+        if request.kind == "search":
+            return self._search(payload, token)
+        if request.kind == "lookup":
+            return self._lookup(str(payload["name"]), token)
+        return self._lineage(payload, token)
 
-class ShardedQueryService:
+    def breakdown(self) -> str:
+        """Per-shard timings and failed shard ids, as a statement suffix."""
+        timings = ", ".join(
+            f"shard{i}={self.timings[i] * 1e3:.1f}ms" for i in sorted(self.timings)
+        )
+        failed = f"; failed shards: {sorted(self.failed)}" if self.failed else ""
+        return f" [{timings or 'no shard calls'}{failed}]"
+
+    # -- scatter-gather core -----------------------------------------------
+
+    def _scatter(
+        self,
+        shard_ids: Sequence[int],
+        kind: str,
+        payloads: Dict[int, Dict[str, object]],
+        token: CancelToken,
+    ) -> Dict[int, object]:
+        """Submit one sub-request per shard; gather what the healthy ones say.
+
+        Returns the results by shard; the shards that could not answer
+        join :attr:`failed` (the settlement flags the answer degraded).
+        A shard whose client breaker is open is skipped outright (that
+        *is* the degraded mode); a shard that fails here feeds its breaker.
+        Deadline overruns and cancellations are the caller's problem and
+        re-raise typed — they say nothing about shard health, so every
+        admitted-but-unsettled shard breaker is released and every
+        outstanding ticket cancelled on the way out (a leaked half-open
+        probe would leave its shard skipped for good).
+        """
+        shards = self._gateway._shards
+        breakers = self._gateway._shard_breakers
+        started = time.monotonic()
+        tickets: Dict[int, QueryTicket] = {}
+        results: Dict[int, object] = {}
+        try:
+            for index in shard_ids:
+                budget = token.remaining()
+                # before allow(): a spent budget never reserves a probe,
+                # and a check that passes leaves ``budget`` positive
+                token.check()
+                if not breakers[index].allow():
+                    self.failed.add(index)
+                    continue
+                try:
+                    tickets[index] = shards[index].submit(
+                        kind, timeout=budget, **payloads[index]
+                    )
+                except (Overloaded, CircuitOpen, ServiceClosed):
+                    breakers[index].on_failure()
+                    self.failed.add(index)
+            for index, ticket in list(tickets.items()):
+                try:
+                    results[index] = await_result(ticket.future, ticket.token)
+                except Cancelled:
+                    raise  # DeadlineExceeded included
+                except Exception:
+                    # WorkerLost past its attempt budget, a shard closing
+                    # under us, or anything unexpected: shard-level failure
+                    breakers[index].on_failure()
+                    self.failed.add(index)
+                else:
+                    breakers[index].on_success()
+                del tickets[index]
+                # submit→gather wall time, summed across lineage rounds
+                elapsed = time.monotonic() - started
+                self.timings[index] = self.timings.get(index, 0.0) + elapsed
+        finally:
+            for index, ticket in tickets.items():
+                ticket.cancel()
+                breakers[index].release()
+        return results
+
+    # -- search: scatter + order-preserving merge ---------------------------
+
+    def _search(self, payload, token) -> SearchResults:
+        all_shards = range(self._gateway.n_shards)
+        results = self._scatter(
+            all_shards, "search", {i: payload for i in all_shards}, token
+        )
+        if not results:
+            term = str(payload.get("term", ""))
+            return SearchResults(term, [term], [], {}, [])
+        parts = [results[i] for i in sorted(results)]
+        hits = sorted(
+            (hit for part in parts for hit in part.hits),
+            key=lambda hit: hit.instance.sort_key(),
+        )
+        labels: Dict[object, str] = {}
+        for part in parts:
+            for hit in part.hits:
+                for cls in hit.all_classes:
+                    if cls not in labels:
+                        labels[cls] = part.label(cls)
+        # thesaurus and homonym data are replicated: any shard's answer
+        # is the global one
+        merged = SearchResults(
+            parts[0].term,
+            list(parts[0].expanded_terms),
+            hits,
+            labels,
+            list(parts[0].homonym_warnings),
+        )
+        merged.degraded = any(p.degraded for p in parts)
+        return merged
+
+    # -- point lookup -------------------------------------------------------
+
+    def _lookup(self, name, token) -> List[Term]:
+        all_shards = range(self._gateway.n_shards)
+        results = self._scatter(
+            all_shards, "lookup", {i: {"name": name} for i in all_shards}, token
+        )
+        return sorted(
+            (term for part in results.values() for term in part),
+            key=lambda t: t.sort_key(),
+        )
+
+    # -- lineage: iterative frontier exchange --------------------------------
+
+    def _lineage(self, payload, token) -> LineageTrace:
+        direction = payload.get("direction", "upstream")
+        if direction not in ("upstream", "downstream"):
+            raise ValueError("direction must be 'upstream' or 'downstream'")
+        max_depth = payload.get("max_depth")
+        item = payload["item"]
+        if not isinstance(item, Term):
+            matches = self._lookup(str(item), token)
+            if not matches:
+                if self.failed:
+                    # the owner shard may be the one that is down: an
+                    # empty degraded trace, never an error
+                    return LineageTrace(start=Literal(str(item)), direction=direction)
+                raise QueryServiceError(
+                    f"no item named {item!r} (names are dm:hasName values)"
+                )
+            item = matches[0]
+
+        # The gateway replays LineageService.trace exactly, except that
+        # each BFS level's edges come from the shards: state here, scans
+        # there. Holding visited/depth centrally is what makes a cycle
+        # whose items live on different shards terminate.
+        trace = LineageTrace(start=item, direction=direction)
+        trace.depth[item] = 0
+        frontier: List[Term] = [item]
+        visited = {item}
+        rounds = 0
+        n = self._gateway.n_shards
+        while frontier:
+            active = [
+                current
+                for current in frontier
+                if max_depth is None or trace.depth[current] < max_depth
+            ]
+            if not active:
+                break
+            rounds += 1
+            if rounds > MAX_ROUNDS:
+                trace.degraded = True  # bounded rounds: cut short, flagged
+                break
+            if direction == "downstream":
+                # a downstream edge lives with its source: point-route
+                # each item to its owner shard only
+                sent: Dict[int, List[Term]] = {}
+                for current in active:
+                    sent.setdefault(shard_of(current, n), []).append(current)
+            else:
+                # upstream edges are keyed by the (unknown) remote
+                # source: every shard reports what its slice knows
+                sent = {i: list(active) for i in range(n)}
+            # one span per BFS round; sub-requests are submitted inside
+            # it, so every shard's frontier handling nests underneath
+            with span(
+                "frontier",
+                "gateway",
+                round=rounds,
+                fan_out=len(sent),
+                frontier=len(active),
+                direction=direction,
+            ):
+                results = self._scatter(
+                    list(sent),
+                    "frontier",
+                    {
+                        i: {"items": items, "direction": direction}
+                        for i, items in sent.items()
+                    },
+                    token,
+                )
+            edges_of: Dict[Term, List[LineageEdge]] = {c: [] for c in active}
+            for index, level in results.items():
+                for current, edges in zip(sent[index], level):
+                    edges_of[current].extend(edges)
+            nxt: List[Term] = []
+            for current in frontier:
+                if max_depth is not None and trace.depth[current] >= max_depth:
+                    continue
+                merged = sorted(
+                    edges_of[current],
+                    key=lambda edge: (
+                        edge.target if direction == "downstream" else edge.source
+                    ).sort_key(),
+                )
+                for edge in merged:
+                    neighbour = (
+                        edge.target if direction == "downstream" else edge.source
+                    )
+                    trace.edges.append(edge)
+                    if neighbour not in visited:
+                        visited.add(neighbour)
+                        trace.depth[neighbour] = trace.depth[current] + 1
+                        nxt.append(neighbour)
+            frontier = nxt
+        return trace
+
+
+class ShardedQueryService(_FrontDoor):
     """The scatter-gather gateway over N hash-partitioned shards.
 
     Built from a live warehouse: the constructor partitions the model
@@ -174,6 +381,12 @@ class ShardedQueryService:
     itself holds no graph data — only the routing hash, the merge
     operators, and one client breaker per shard.
     """
+
+    #: what the gateway routes/merges: ``query``/``sql`` need the full
+    #: graph on one node and stay on an unsharded service
+    KINDS = ("search", "lineage", "lookup")
+    _SPAN_CATEGORY = "gateway"
+    _ID_PREFIX = "g"
 
     def __init__(self, warehouse, config: Optional[ShardedConfig] = None, **overrides):
         if config is None:
@@ -218,12 +431,11 @@ class ShardedQueryService:
         self.slo = SloEngine(
             window=config.slo_window, service_prefix=config.name
         )
-        self._gateway_seq = itertools.count(1)
+        self._read_seq = itertools.count(1)
 
     # -- topology ----------------------------------------------------------
 
     def _build_shard(self, index: int) -> QueryService:
-        config = self.config
         shard_dir = self._root / f"shard-{index}"
         shard_dir.mkdir(parents=True, exist_ok=True)
         mdw = self._warehouse_type(
@@ -232,25 +444,19 @@ class ShardedQueryService:
             schema_ns=self._schema_ns,
             instance_ns=self._instance_ns,
         )
-        service_config = ServiceConfig(
-            max_workers=config.workers_per_shard,
-            max_queue=config.max_queue,
-            default_timeout=config.default_timeout,
-            worker_mode=config.worker_mode,
-            name=f"{config.name}-shard{index}",
+        shared = {f.name: getattr(self.config, f.name) for f in fields(ServingConfig)}
+        shared.update(
+            name=f"{self.config.name}-shard{index}",
             snapshot_dir=str(shard_dir),
-            breaker_threshold=config.breaker_threshold,
-            breaker_cooldown=config.breaker_cooldown,
-            supervise=config.supervise and config.worker_mode == "fork",
-            heartbeat_interval=config.heartbeat_interval,
-            hang_timeout=config.hang_timeout,
-            hedge_after=config.hedge_after,
-            max_attempts=config.max_attempts,
-            shard=str(index),
             # one unified slow entry at the gateway, not N shard-local ones
-            log_slow_queries=False,
+            slow_query_threshold=math.inf,
         )
-        return QueryService(mdw, service_config)
+        return QueryService(
+            mdw,
+            ServiceConfig(
+                max_workers=self.config.workers_per_shard, shard=str(index), **shared
+            ),
+        )
 
     @property
     def n_shards(self) -> int:
@@ -283,370 +489,38 @@ class ShardedQueryService:
             self._owned_tmpdir.cleanup()
             self._owned_tmpdir = None
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def __enter__(self) -> "ShardedQueryService":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close(wait=exc_type is None)
-
-    # -- deadline bookkeeping ----------------------------------------------
-
-    @staticmethod
-    def _deadline(timeout: Optional[float]) -> Optional[float]:
-        return None if timeout is None else time.monotonic() + timeout
-
-    @staticmethod
-    def _remaining(
-        deadline: Optional[float], timeout: Optional[float]
-    ) -> Optional[float]:
-        """Budget left, or a typed :class:`DeadlineExceeded` when spent."""
-        if deadline is None:
-            return None
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            raise DeadlineExceeded(timeout, timeout - remaining)
-        return remaining
-
-    # -- scatter-gather core -----------------------------------------------
-
-    def _scatter(
-        self,
-        shard_ids: Sequence[int],
-        kind: str,
-        payloads: Dict[int, Dict[str, object]],
-        deadline: Optional[float],
-        timeout: Optional[float],
-        call: Optional[_GatewayCall] = None,
-    ) -> Tuple[Dict[int, object], List[int]]:
-        """Submit one sub-request per shard; gather what the healthy ones say.
-
-        Returns ``(results_by_shard, failed_shard_ids)``. A shard whose
-        client breaker is open is skipped outright (that *is* the
-        degraded mode); a shard that fails here feeds its breaker.
-        Deadline overruns and cancellations are the caller's problem and
-        re-raise typed — they say nothing about shard health. When a
-        :class:`_GatewayCall` is passed, per-shard wall time and failed
-        shard ids accumulate into it across rounds.
-        """
-        started = time.monotonic()
-        tickets: Dict[int, QueryTicket] = {}
-        failed: List[int] = []
-        for index in shard_ids:
-            breaker = self._shard_breakers[index]
-            if not breaker.allow():
-                failed.append(index)
-                continue
-            budget = self._remaining(deadline, timeout)
-            try:
-                tickets[index] = self._shards[index].submit(
-                    kind, timeout=budget, **payloads[index]
-                )
-            except (Overloaded, CircuitOpen, ServiceClosed):
-                breaker.on_failure()
-                failed.append(index)
-        results: Dict[int, object] = {}
-        for index, ticket in tickets.items():
-            breaker = self._shard_breakers[index]
-            if deadline is None:
-                wait = None
-            else:
-                # mirror QueryService.execute's slack backstop so a
-                # wedged shard surfaces a typed deadline, not a hang
-                wait = max(deadline - time.monotonic(), 0.0) * 1.2 + 0.05
-            try:
-                results[index] = ticket.result(timeout=wait)
-            except FutureTimeoutError:
-                ticket.cancel()
-                raise DeadlineExceeded(
-                    timeout, timeout + (time.monotonic() - deadline)
-                ) from None
-            except (DeadlineExceeded, Cancelled):
-                raise
-            except Exception:
-                # WorkerLost past its attempt budget, a shard closing
-                # under us, or anything unexpected: shard-level failure
-                breaker.on_failure()
-                failed.append(index)
-            else:
-                breaker.on_success()
-            if call is not None:
-                # submit→gather wall time attributed to this shard,
-                # summed across lineage rounds
-                elapsed = time.monotonic() - started
-                call.timings[index] = call.timings.get(index, 0.0) + elapsed
-        if call is not None:
-            call.failed.update(failed)
-        return results, failed
-
     # -- public API --------------------------------------------------------
 
     def execute(self, kind: str, *, timeout=_UNSET, **payload):
         """Route/scatter one read request; the synchronous front door.
 
         Matches ``QueryService.execute`` for the sharded kinds
-        (``search``, ``lineage``, ``lookup``); results are bit-identical
-        to the unsharded service when every shard answers, and flagged
-        ``degraded=True`` (never an error) when some shards could not.
+        (``search``, ``lineage``, ``lookup``) — the same admission (a
+        ``timeout`` <= 0 is a ``ValueError``), deadline and accounting —
+        and settles inline in the caller's thread. Results are
+        bit-identical to the unsharded service when every shard answers,
+        and flagged ``degraded=True`` (never an error) when some shards
+        could not.
         """
-        if self._closed:
-            raise ServiceClosed()
-        if kind not in GATEWAY_KINDS:
-            raise QueryServiceError(
-                f"sharded gateway cannot route {kind!r}; expected one of "
-                f"{GATEWAY_KINDS} (run query/sql on an unsharded replica)"
-            )
-        check_payload(kind, payload)
-        if timeout is _UNSET:
-            timeout = self.config.default_timeout
-        deadline = self._deadline(timeout)
-        call = _GatewayCall()
-        request_id = f"g-{next(self._gateway_seq)}"
-        start = time.monotonic()
+        request = self._admit(kind, timeout, payload)
         self.metrics.on_submit(0)
-        # The gateway root span: every shard sub-request captures it (or
+        # Every shard sub-request captures the gateway's request span (or
         # the per-round frontier span below it) as its parent, so one
         # Chrome trace nests gateway ⊃ frontier rounds ⊃ shard requests
         # ⊃ operators across process boundaries.
-        with span(
-            "request", "gateway", kind=kind, request_id=request_id
-        ) as span_attrs:
-            try:
-                if kind == "search":
-                    result = self._search(payload, deadline, timeout, call)
-                elif kind == "lookup":
-                    matches, _ = self._lookup(
-                        str(payload["name"]), deadline, timeout, call
-                    )
-                    result = matches
-                else:
-                    result = self._lineage(payload, deadline, timeout, call)
-            except BaseException as exc:
-                span_attrs["outcome"] = "error"
-                span_attrs["error"] = type(exc).__name__
-                self.metrics.on_failure(kind, time.monotonic() - start)
-                if isinstance(exc, DeadlineExceeded):
-                    self.metrics.on_timeout()
-                raise
-            degraded = bool(call.failed) or bool(
-                getattr(result, "degraded", False)
-            )
-            span_attrs["shards"] = self.config.n_shards
-            if degraded:
-                span_attrs["degraded"] = True
-        elapsed = time.monotonic() - start
-        self.metrics.on_complete(kind, elapsed)
-        if degraded:
-            # one degraded response, attributed to every shard that could
-            # not answer (breaker-shed / dead) — or to the gateway itself
-            # for round-bound cut-offs and shard-flagged partials
-            self.metrics.on_degraded(kind, [str(i) for i in sorted(call.failed)])
-        if elapsed >= self.config.slow_query_threshold:
-            self._log_slow(request_id, kind, payload, elapsed, call)
-        return result
+        self._settle(request, _ShardRouter(self))
+        return request.future.result()
 
-    def search(self, term: str, *, timeout=_UNSET, **options):
-        return self.execute("search", timeout=timeout, term=term, **options)
+    def _degraded_shards(self, request, result, router) -> Optional[List[str]]:
+        # one degraded response, attributed to every shard that could
+        # not answer (breaker-shed / dead) — or to the gateway itself
+        # for round-bound cut-offs and shard-flagged partials
+        if router.failed or getattr(result, "degraded", False):
+            return [str(i) for i in sorted(router.failed)]
+        return None
 
-    def lineage(self, item, *, timeout=_UNSET, **options):
-        return self.execute("lineage", timeout=timeout, item=item, **options)
-
-    def _log_slow(self, request_id, kind, payload, elapsed, call) -> None:
-        """One unified slow-query entry at the gateway.
-
-        Shard-local slow logs are off (``log_slow_queries=False``), so a
-        slow sharded request shows up exactly once — here — with the
-        per-shard timing breakdown and any failed shard ids appended to
-        the statement.
-        """
-        breakdown = ", ".join(
-            f"shard{i}={call.timings[i] * 1e3:.1f}ms"
-            for i in sorted(call.timings)
-        )
-        statement = "{} [{}{}]".format(
-            _statement_of(kind, payload),
-            breakdown or "no shard calls",
-            f"; failed shards: {sorted(call.failed)}" if call.failed else "",
-        )
-        self.metrics.slow_queries.record(
-            SlowQuery(
-                request_id=request_id,
-                kind=kind,
-                statement=statement,
-                elapsed=elapsed,
-                timestamp=time.time(),
-            )
-        )
-
-    # -- search: scatter + order-preserving merge ---------------------------
-
-    def _search(self, payload, deadline, timeout, call=None) -> SearchResults:
-        all_shards = range(self.config.n_shards)
-        results, failed = self._scatter(
-            all_shards,
-            "search",
-            {i: payload for i in all_shards},
-            deadline,
-            timeout,
-            call,
-        )
-        term = str(payload.get("term", ""))
-        if not results:
-            empty = SearchResults(term, [term], [], {}, [])
-            empty.degraded = True
-            return empty
-        parts = [results[i] for i in sorted(results)]
-        hits = sorted(
-            (hit for part in parts for hit in part.hits),
-            key=lambda hit: hit.instance.sort_key(),
-        )
-        labels: Dict[object, str] = {}
-        for part in parts:
-            for hit in part.hits:
-                for cls in hit.all_classes:
-                    if cls not in labels:
-                        labels[cls] = part.label(cls)
-        # thesaurus and homonym data are replicated: any shard's answer
-        # is the global one
-        merged = SearchResults(
-            parts[0].term,
-            list(parts[0].expanded_terms),
-            hits,
-            labels,
-            list(parts[0].homonym_warnings),
-        )
-        merged.degraded = bool(failed) or any(p.degraded for p in parts)
-        return merged
-
-    # -- point lookup -------------------------------------------------------
-
-    def _lookup(self, name, deadline, timeout, call=None) -> Tuple[List[Term], bool]:
-        all_shards = range(self.config.n_shards)
-        results, failed = self._scatter(
-            all_shards,
-            "lookup",
-            {i: {"name": name} for i in all_shards},
-            deadline,
-            timeout,
-            call,
-        )
-        matches = sorted(
-            (term for part in results.values() for term in part),
-            key=lambda t: t.sort_key(),
-        )
-        return matches, bool(failed)
-
-    # -- lineage: iterative frontier exchange --------------------------------
-
-    def _lineage(self, payload, deadline, timeout, call=None) -> LineageTrace:
-        direction = payload.get("direction", "upstream")
-        if direction not in ("upstream", "downstream"):
-            raise ValueError("direction must be 'upstream' or 'downstream'")
-        max_depth = payload.get("max_depth")
-        item = payload["item"]
-        degraded = False
-        if not isinstance(item, Term):
-            matches, lookup_failed = self._lookup(
-                str(item), deadline, timeout, call
-            )
-            if not matches:
-                if lookup_failed:
-                    # the owner shard may be the one that is down: an
-                    # empty degraded trace, never an error
-                    trace = LineageTrace(
-                        start=Literal(str(item)), direction=direction
-                    )
-                    trace.degraded = True
-                    return trace
-                raise QueryServiceError(
-                    f"no item named {item!r} (names are dm:hasName values)"
-                )
-            degraded = lookup_failed
-            item = matches[0]
-
-        # The gateway replays LineageService.trace exactly, except that
-        # each BFS level's edges come from the shards: state here, scans
-        # there. Holding visited/depth centrally is what makes a cycle
-        # whose items live on different shards terminate.
-        trace = LineageTrace(start=item, direction=direction)
-        trace.depth[item] = 0
-        frontier: List[Term] = [item]
-        visited = {item}
-        rounds = 0
-        n = self.config.n_shards
-        while frontier:
-            active = [
-                current
-                for current in frontier
-                if max_depth is None or trace.depth[current] < max_depth
-            ]
-            if not active:
-                break
-            rounds += 1
-            if rounds > self.config.max_rounds:
-                degraded = True  # bounded rounds: cut short, flagged
-                break
-            if direction == "downstream":
-                # a downstream edge lives with its source: point-route
-                # each item to its owner shard only
-                sent: Dict[int, List[Term]] = {}
-                for current in active:
-                    sent.setdefault(shard_of(current, n), []).append(current)
-            else:
-                # upstream edges are keyed by the (unknown) remote
-                # source: every shard reports what its slice knows
-                sent = {i: list(active) for i in range(n)}
-            # one span per BFS round; sub-requests are submitted inside
-            # it, so every shard's frontier handling nests underneath
-            with span(
-                "frontier",
-                "gateway",
-                round=rounds,
-                fan_out=len(sent),
-                frontier=len(active),
-                direction=direction,
-            ):
-                results, failed = self._scatter(
-                    list(sent),
-                    "frontier",
-                    {
-                        i: {"items": items, "direction": direction}
-                        for i, items in sent.items()
-                    },
-                    deadline,
-                    timeout,
-                    call,
-                )
-            degraded = degraded or bool(failed)
-            edges_of: Dict[Term, List[LineageEdge]] = {c: [] for c in active}
-            for index, level in results.items():
-                for current, edges in zip(sent[index], level):
-                    edges_of[current].extend(edges)
-            nxt: List[Term] = []
-            for current in frontier:
-                if max_depth is not None and trace.depth[current] >= max_depth:
-                    continue
-                merged = sorted(
-                    edges_of[current],
-                    key=lambda edge: (
-                        edge.target if direction == "downstream" else edge.source
-                    ).sort_key(),
-                )
-                for edge in merged:
-                    neighbour = (
-                        edge.target if direction == "downstream" else edge.source
-                    )
-                    trace.edges.append(edge)
-                    if neighbour not in visited:
-                        visited.add(neighbour)
-                        trace.depth[neighbour] = trace.depth[current] + 1
-                        nxt.append(neighbour)
-            frontier = nxt
-        trace.degraded = degraded
-        return trace
+    def _slow_detail(self, request, router) -> Tuple[Optional[str], str]:
+        return None, router.breakdown()
 
     # -- health and operations ----------------------------------------------
 

@@ -24,8 +24,6 @@ closes that gap: a daemon thread heartbeats every worker slot each
 The supervisor never completes futures and never touches a busy slot's
 worker except to kill it; all request-level bookkeeping stays with the
 owner threads, so the heartbeat loop adds nothing to the hot path.
-This is the per-shard supervision substrate the scatter-gather gateway
-(ROADMAP item 3) will attach to each shard process.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ from repro.resilience import faults
 class WorkerSlot:
     """The supervisor-visible state of one worker thread.
 
-    ``lock`` guards the (fork_worker, request) pair: the owner thread
+    ``lock`` guards the (worker, request) pair: the owner thread
     holds it only for the brief spawn-and-mark-busy window at dequeue,
     the supervisor for each inspection — so the two never race on a
     worker swap. While a request runs the lock is *free* (the owner is
@@ -49,12 +47,12 @@ class WorkerSlot:
     the child, but never replace it.
     """
 
-    __slots__ = ("name", "lock", "fork_worker", "request", "busy_since")
+    __slots__ = ("name", "lock", "worker", "request", "busy_since")
 
     def __init__(self, name: str):
         self.name = name
         self.lock = threading.Lock()
-        self.fork_worker = None          # Optional[ForkWorker]
+        self.worker = None               # ForkWorker | InProcessWorker
         self.request = None              # Optional[QueryRequest]
         self.busy_since: Optional[float] = None
 
@@ -136,7 +134,7 @@ class Supervisor:
 
     def _inspect(self, slot: WorkerSlot, generation: int) -> None:
         service = self._service
-        worker = slot.fork_worker
+        worker = slot.worker
         if slot.request is None:
             # idle slot: keep the pool at size and at the current
             # generation. "crash" = found dead; "stale" = alive but
@@ -150,7 +148,7 @@ class Supervisor:
                 faults.fire("supervisor.respawn")
                 if worker is not None:
                     worker.stop(grace=0.1)
-                slot.fork_worker = service._spawn_fork_worker()
+                slot.worker = service._spawn_worker()
                 if reason is not None:
                     service.metrics.on_worker_restart(reason)
             return
@@ -200,7 +198,7 @@ class Supervisor:
         """The stalest busy child's heartbeat age (0.0 when none busy)."""
         oldest = 0.0
         for slot in self._service._slots:
-            worker = slot.fork_worker
+            worker = slot.worker
             if slot.request is not None and worker is not None and worker.alive:
                 oldest = max(oldest, worker.heartbeat_age())
         return oldest

@@ -14,34 +14,9 @@ import pytest
 from repro.core import MetadataWarehouse
 from repro.obs import get_journal, trace_scope, validate_chrome_trace
 from repro.obs.registry import get_registry
-from repro.server import ServiceConfig, ShardedConfig, ShardedQueryService
+from repro.server import ServiceConfig
 from repro.storage import shard_of
-
-
-def thread_service(mdw, **overrides):
-    base = dict(
-        n_shards=2,
-        workers_per_shard=1,
-        worker_mode="thread",
-        supervise=False,
-    )
-    base.update(overrides)
-    return ShardedQueryService(mdw, ShardedConfig(**base))
-
-
-def mint_instances(mdw, cls, shards_wanted, n_shards):
-    """Instances whose routing hash lands on the requested shards."""
-    items, names = [], []
-    k = 0
-    for want in shards_wanted:
-        while True:
-            name = f"n{k:03d}"
-            k += 1
-            if shard_of(mdw.facts.namespace.term(name), n_shards) == want:
-                items.append(mdw.facts.add_instance(name, cls))
-                names.append(name)
-                break
-    return items, names
+from tests.server.conftest import mint_instances, thread_service
 
 
 def three_shard_chain():
@@ -320,18 +295,30 @@ class TestUnifiedSlowQueryLog:
             svc.lineage(items[0], direction="downstream")
             assert svc.metrics.slow_queries.entries() == []
 
-    def test_worker_lost_attribution_still_logged_on_shards(self):
-        """log_slow_queries=False silences only the latency log; the
-        WorkerLost casualty entries keep their shard-local attribution
-        (they carry evidence the gateway never sees)."""
-        from repro.server.service import QueryService
+    def test_worker_lost_attribution_still_logged_on_shards(self, monkeypatch):
+        """Shards keep no latency log — the gateway logs each slow
+        request once — but a WorkerLost casualty entry still lands in
+        the shard's own log: it carries evidence the gateway never sees."""
+        from repro.server import WorkerLost
 
-        mdw, _items, _names = three_shard_chain()
-        with thread_service(mdw, n_shards=2) as svc:
-            shard = svc.shard_service(0)
-            assert isinstance(shard, QueryService)
-            assert shard.config.log_slow_queries is False
-            assert shard.config.slow_query_threshold > 0
+        mdw, items, _names = three_shard_chain()
+        owner = shard_of(items[0], 2)
+        with thread_service(mdw, n_shards=2, slow_query_threshold=1e-9) as svc:
+
+            def die(request, extras_sink):
+                raise WorkerLost(request.request_id, exitcode=-9)
+
+            monkeypatch.setattr(svc.shard_service(owner)._inline, "run", die)
+            got = svc.lineage(items[0], direction="downstream")
+            (entry,) = svc.metrics.slow_queries.entries()
+            shard_entries = [
+                svc.shard_service(i).metrics.slow_queries.entries() for i in range(2)
+            ]
+        assert got.degraded
+        assert f"failed shards: [{owner}]" in entry.statement
+        assert shard_entries[1 - owner] == []
+        (lost,) = shard_entries[owner]
+        assert lost.statement.startswith("[worker lost: exit -9")
 
 
 class TestDegradedAttribution:

@@ -1,4 +1,8 @@
-"""Canonical answer forms shared by the serving-tier suites."""
+"""Canonical answer forms and sharded-fleet helpers shared by the
+serving-tier suites."""
+
+from repro.server import ShardedConfig, ShardedQueryService
+from repro.storage import shard_of
 
 
 def canonical_rows(rows):
@@ -16,3 +20,35 @@ def canonical(kind, result):
     if kind == "search":
         return [(h.instance, h.name, h.all_classes) for h in result.hits]
     return [(e.source, e.target, e.rule, e.condition) for e in result.edges]
+
+
+def thread_service(mdw, **overrides):
+    """A 2-shard gateway over unsupervised thread-mode shards."""
+    base = dict(
+        n_shards=2,
+        workers_per_shard=1,
+        worker_mode="thread",
+        supervise=False,
+    )
+    base.update(overrides)
+    return ShardedQueryService(mdw, ShardedConfig(**base))
+
+
+def mint_instances(mdw, cls, shards_wanted, n_shards):
+    """Instances whose routing hash lands on the requested shards.
+
+    Probes candidate names with the same :func:`shard_of` hash the
+    partitioner uses, so a test can place consecutive chain links on
+    different shards deterministically.
+    """
+    items, names = [], []
+    k = 0
+    for want in shards_wanted:
+        while True:
+            name = f"n{k:03d}"
+            k += 1
+            if shard_of(mdw.facts.namespace.term(name), n_shards) == want:
+                items.append(mdw.facts.add_instance(name, cls))
+                names.append(name)
+                break
+    return items, names

@@ -147,6 +147,20 @@ class TestCircuitBreaker:
             assert len(results) >= 0
             assert service.health()["endpoints"]["search"]["breaker"]["state"] == "closed"
 
+    def test_invalid_timeout_leaves_the_half_open_probe(self, warehouse):
+        """An invalid timeout fails admission before the breaker reserves
+        its half-open probe; the probe used to leak, shedding the
+        endpoint with CircuitOpen until an operator reset()."""
+        with service_of(
+            warehouse, breaker_threshold=1, breaker_cooldown=0.05
+        ) as service:
+            service.breaker("search").on_failure()
+            time.sleep(0.1)
+            with pytest.raises(ValueError):
+                service.search("a", regex=True, timeout=0)
+            assert len(service.search("a", regex=True)) >= 0
+            assert service.breaker("search").snapshot()["state"] == "closed"
+
     def test_user_errors_do_not_trip_the_breaker(self, warehouse):
         with service_of(warehouse, breaker_threshold=2) as service:
             for _ in range(5):

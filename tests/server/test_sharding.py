@@ -16,49 +16,20 @@ from repro.core import MetadataWarehouse, TERMS
 from repro.etl import SynonymThesaurus
 from repro.obs import parse_exposition, render_prometheus
 from repro.rdf.terms import Literal
+from repro.resilience.faults import FaultInjector, fault_scope
 from repro.server import (
     DeadlineExceeded,
+    QueryService,
     QueryServiceError,
     ServiceClosed,
     ShardedConfig,
-    ShardedQueryService,
 )
+from repro.server import sharding
 from repro.server.service import dispatch
 from repro.storage import shard_of
 from repro.synth import make_scatter_workload
 
-from .conftest import canonical
-
-
-def thread_service(mdw, **overrides):
-    base = dict(
-        n_shards=2,
-        workers_per_shard=1,
-        worker_mode="thread",
-        supervise=False,
-    )
-    base.update(overrides)
-    return ShardedQueryService(mdw, ShardedConfig(**base))
-
-
-def mint_instances(mdw, cls, shards_wanted, n_shards):
-    """Instances whose routing hash lands on the requested shards.
-
-    Probes candidate names with the same :func:`shard_of` hash the
-    partitioner uses, so a test can place consecutive chain links on
-    different shards deterministically.
-    """
-    items, names = [], []
-    k = 0
-    for want in shards_wanted:
-        while True:
-            name = f"n{k:03d}"
-            k += 1
-            if shard_of(mdw.facts.namespace.term(name), n_shards) == want:
-                items.append(mdw.facts.add_instance(name, cls))
-                names.append(name)
-                break
-    return items, names
+from .conftest import canonical, mint_instances, thread_service
 
 
 @pytest.fixture
@@ -163,9 +134,10 @@ class TestFrontierExchange:
             finally:
                 slow.submit = original
 
-    def test_round_bound_cuts_short_and_degrades(self, chain):
+    def test_round_bound_cuts_short_and_degrades(self, chain, monkeypatch):
         mdw, items, _ = chain
-        with thread_service(mdw, max_rounds=2) as svc:
+        monkeypatch.setattr(sharding, "MAX_ROUNDS", 2)
+        with thread_service(mdw) as svc:
             got = svc.lineage(items[0], direction="downstream")
         assert got.degraded
         assert len(got.edges) == 2  # two rounds of a four-hop chain
@@ -316,6 +288,90 @@ class TestDegradedMode:
             doc["workers"]
         )
         assert "breaker" in doc["endpoints"]["search"]
+
+    def half_open_fleet(self, landscape):
+        svc = thread_service(
+            landscape, shard_breaker_threshold=1, shard_breaker_cooldown=0.05
+        )
+        for i in range(2):
+            svc.shard_breaker(i).on_failure()
+        time.sleep(0.1)  # cooldown over: each breaker admits one probe
+        return svc
+
+    def assert_probes_came_back(self, svc):
+        got = svc.search("customer")
+        assert not got.degraded
+        assert [svc.shard_breaker(i).snapshot()["state"] for i in range(2)] == [
+            "closed",
+            "closed",
+        ]
+
+    def test_spent_budget_never_takes_a_half_open_probe(self, landscape):
+        with self.half_open_fleet(landscape) as svc:
+            with pytest.raises(DeadlineExceeded):
+                svc.execute("search", term="customer", timeout=1e-6)
+            self.assert_probes_came_back(svc)
+
+    def test_deadline_while_gathering_releases_the_probe(self, landscape):
+        # one shard worker stalls outside every cooperative check, so
+        # the gather's backstop fires while that shard holds its probe
+        injector = FaultInjector()
+        injector.arm("worker.execute", "delay", delay=0.3, times=1)
+        with self.half_open_fleet(landscape) as svc:
+            with fault_scope(injector):
+                with pytest.raises(DeadlineExceeded):
+                    svc.execute("search", term="customer", timeout=0.05)
+            self.assert_probes_came_back(svc)
+
+
+class TestOneFrontDoor:
+    """The worker pool and the gateway admit, time and settle a read
+    through one path: same errors, same books."""
+
+    ZERO = {"submitted": 0, "completed": 0, "failed": 0, "timeouts": 0}
+    CASES = [
+        ("bogus", {"term": "customer"}, QueryServiceError, ZERO),
+        ("search", {"term": "customer", "regexp": True}, QueryServiceError, ZERO),
+        ("search", {"term": "customer", "timeout": 0}, ValueError, ZERO),
+        ("search", {"term": "customer", "timeout": -1}, ValueError, ZERO),
+        (
+            "search",
+            {"term": "customer", "timeout": 1e-9},  # expired on arrival
+            DeadlineExceeded,
+            {"submitted": 1, "completed": 0, "failed": 1, "timeouts": 1},
+        ),
+    ]
+
+    @pytest.mark.parametrize("door", ["service", "gateway"])
+    def test_same_errors_same_books(self, landscape, door):
+        if door == "service":
+            svc = QueryService(landscape, max_workers=1, name="front-door-svc")
+        else:
+            svc = thread_service(landscape, n_shards=1, name="front-door-gw")
+
+        def counters():
+            snap = svc.metrics_snapshot()
+            snap = snap.get("gateway", snap)  # the gateway's own block
+            return {key: snap[key] for key in self.ZERO}
+
+        def outcome(kind, payload):
+            before = counters()
+            with pytest.raises(Exception) as err:
+                svc.execute(kind, **payload)
+            after = counters()
+            return type(err.value), {k: after[k] - before[k] for k in after}
+
+        with svc:
+            got = [outcome(kind, payload) for kind, payload, _, _ in self.CASES]
+        got.append(outcome("search", {"term": "customer"}))
+        want = [(error, delta) for _, _, error, delta in self.CASES]
+        assert got == want + [(ServiceClosed, self.ZERO)]
+
+    def test_sharded_config_validates_the_shared_block(self):
+        with pytest.raises(ValueError, match="supervise requires"):
+            ShardedConfig(worker_mode="thread", supervise=True)
+        with pytest.raises(ValueError, match="max_queue"):
+            ShardedConfig(max_queue=0)
 
 
 class TestOperations:

@@ -248,7 +248,7 @@ class TestGenerationCatchUp:
             current = service.snapshots.generation
             deadline = time.monotonic() + 2.0
             while time.monotonic() < deadline:
-                workers = [slot.fork_worker for slot in service._slots]
+                workers = [slot.worker for slot in service._slots]
                 if (
                     service.supervisor.deficit() == 0
                     and all(w is not None and w.alive for w in workers)
@@ -256,7 +256,7 @@ class TestGenerationCatchUp:
                 ):
                     break
                 time.sleep(0.01)
-            workers = [slot.fork_worker for slot in service._slots]
+            workers = [slot.worker for slot in service._slots]
             assert all(
                 w is not None and w.generation == current for w in workers
             ), "a worker is pinned to a superseded generation"
