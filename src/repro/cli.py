@@ -154,13 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also recompute every section checksum",
     )
 
-    s_migrate = snap_sub.add_parser(
-        "migrate",
-        help="convert a legacy N-Triples store directory to a snapshot file",
-    )
-    s_migrate.add_argument("old", help="legacy store directory (manifest.json)")
-    s_migrate.add_argument("new", help="snapshot file to write")
-
     versions = sub.add_parser("versions", help="list historized versions")
     versions.add_argument("store")
 
@@ -529,7 +522,6 @@ def cmd_snapshot(args) -> None:
         "historize": _snapshot_historize,
         "attach": _snapshot_attach,
         "info": _snapshot_info,
-        "migrate": _snapshot_migrate,
     }[args.snapshot_command](args)
 
 
@@ -574,21 +566,6 @@ def _snapshot_info(args) -> None:
             raise CliError(f"{args.file}: section checksum mismatch")
     finally:
         snap.close()
-
-
-def _snapshot_migrate(args) -> None:
-    from repro.rdf.persist import PersistenceError, load_store
-    from repro.storage import save_snapshot_store
-
-    try:
-        store = load_store(args.old)
-    except PersistenceError as exc:
-        raise CliError(f"{args.old}: {exc}") from None
-    path = save_snapshot_store(store, args.new)
-    print(
-        f"migrated {store.total_triples(include_indexes=True)} triple(s) "
-        f"from {args.old} to {path} ({path.stat().st_size} bytes)"
-    )
 
 
 def cmd_versions(args) -> None:

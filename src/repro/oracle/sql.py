@@ -35,6 +35,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.errors import InvalidRequest
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import IRI, Literal
 from repro.sparql.errors import ExpressionError
@@ -55,7 +56,7 @@ from repro.oracle.sem_apis import SemAlias
 from repro.oracle.sem_match import sem_match
 
 
-class SemSqlError(ValueError):
+class SemSqlError(InvalidRequest, ValueError):
     """A malformed SEM_MATCH SQL statement."""
 
 

@@ -30,8 +30,8 @@ from repro.rdf.namespace import (
     XSD,
 )
 from repro.rdf.dictionary import DEFAULT_DICTIONARY, TermDictionary
-from repro.rdf.graph import Graph, GraphView, ReadOnlyGraphError
-from repro.rdf.stats import CombinedStats, PredicateStats, StatsCatalog, stats_of
+from repro.rdf.graph import Graph, GraphView, ReadableGraph, ReadOnlyGraphError
+from repro.rdf.stats import CombinedStats, PredicateStats, StatsCatalog
 from repro.rdf.store import ModelNotFoundError, TripleStore
 from repro.rdf.staging import StagingRow, StagingTable
 from repro.rdf.bulkload import BulkLoader, BulkLoadError, BulkLoadReport
@@ -64,6 +64,7 @@ __all__ = [
     "PredicateStats",
     "RDF",
     "RDFS",
+    "ReadableGraph",
     "ReadOnlyGraphError",
     "StagingRow",
     "StagingTable",
@@ -80,5 +81,4 @@ __all__ = [
     "serialize_ntriples",
     "serialize_rdfxml",
     "serialize_turtle",
-    "stats_of",
 ]

@@ -15,10 +15,17 @@ entailment index without the derived triples ever being merged into the
 base facts (Section III.B of the paper). When the caller can prove the
 layers pairwise disjoint (base model vs. a freshly built entailment
 index), ``disjoint_hint=True`` skips the per-triple dedup set.
+
+:class:`ReadableGraph` is the read contract all of them share — ``Graph``,
+``GraphView`` and the storage tier's
+:class:`~repro.storage.snapshot.MappedGraph` supply id-level primitives
+and inherit every term-level read from it, so the SPO/POS/OSP layout is
+:class:`Graph`'s decision alone.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, Iterable, Iterator, Optional, Set, Tuple
 
 from repro.rdf.dictionary import DEFAULT_DICTIONARY, TermDictionary
@@ -36,7 +43,174 @@ class ReadOnlyGraphError(Exception):
     """Raised when mutating a read-only graph or view."""
 
 
-class Graph:
+class ReadableGraph:
+    """The read contract every graph answers.
+
+    A subclass supplies the id-level primitives: ``dictionary``,
+    ``generation``, :meth:`triples_ids`, :meth:`count_ids`,
+    :meth:`has_ids`, ``__len__``, the three distinct counts and
+    ``stats()`` (the planner's :class:`~repro.rdf.stats.StatsCatalog`).
+    Every term-level read is implemented here once over them. A class
+    that memoizes counts provides the ``_count_cache`` /
+    ``_count_cache_gen`` slots :meth:`cached_count` uses.
+
+    A view over layers that do not share one dictionary has no id space
+    (``dictionary`` is None); it overrides :meth:`triples` and
+    :meth:`count`, and the reads below fall back to those.
+    """
+
+    __slots__ = ()
+
+    def _encode_pattern(self, s, p, o):
+        """Terms → ids for a pattern; None wildcards pass through.
+
+        Returns None when a bound term is unknown to the dictionary —
+        no stored triple can match it.
+        """
+        lookup = self.dictionary.lookup
+        if s is not None:
+            s = lookup(s)
+            if s is None:
+                return None
+        if p is not None:
+            p = lookup(p)
+            if p is None:
+                return None
+        if o is not None:
+            o = lookup(o)
+            if o is None:
+                return None
+        return s, p, o
+
+    def triples(self, s=None, p=None, o=None) -> Iterator[Triple]:
+        """Yield every triple matching the pattern (None = wildcard)."""
+        encoded = self._encode_pattern(s, p, o)
+        if encoded is None:
+            return
+        term = self.dictionary.term
+        for si, pi, oi in self.triples_ids(*encoded):
+            yield Triple(term(si), term(pi), term(oi))
+
+    def count(self, s=None, p=None, o=None) -> int:
+        """Number of triples matching the pattern, without materializing."""
+        encoded = self._encode_pattern(s, p, o)
+        if encoded is None:
+            return 0
+        return self.count_ids(*encoded)
+
+    def cached_count(self, s=None, p=None, o=None) -> int:
+        """Memoized :meth:`count`, invalidated by the generation counter.
+
+        The join planner estimates every pattern of every query against
+        the same handful of (predicate, class) shapes; caching per
+        (pattern, generation) turns re-planning into dict lookups.
+        """
+        generation = self.generation
+        if self._count_cache_gen != generation:
+            self._count_cache.clear()
+            self._count_cache_gen = generation
+        key = (s, p, o)
+        cached = self._count_cache.get(key)
+        if cached is None:
+            if len(self._count_cache) >= _COUNT_CACHE_LIMIT:
+                self._count_cache.clear()
+            cached = self.count(s, p, o)
+            self._count_cache[key] = cached
+        return cached
+
+    def __contains__(self, triple) -> bool:
+        dictionary = self.dictionary
+        if dictionary is None:
+            return self.count(*triple) > 0
+        lookup = dictionary.lookup
+        s, p, o = triple
+        si, pi, oi = lookup(s), lookup(p), lookup(o)
+        if si is None or pi is None or oi is None:
+            return False
+        return self.has_ids(si, pi, oi)
+
+    def __iter__(self) -> Iterator[Triple]:
+        return self.triples()
+
+    def __bool__(self) -> bool:
+        for _ in self.triples():
+            return True
+        return False
+
+    def __eq__(self, other) -> bool:
+        """Content equality across every kind of graph."""
+        if not isinstance(other, ReadableGraph):
+            return NotImplemented
+        return len(self) == len(other) and all(t in other for t in self)
+
+    __hash__ = None  # compared by content, which may change
+
+    # -- convenience accessors ----------------------------------------------
+
+    def _distinct_terms(self, position: int, s, p, o) -> Iterator[Term]:
+        """Distinct terms at ``position`` (0-2) of the matching triples,
+        deduplicated on ids and decoded one id each."""
+        dictionary = self.dictionary
+        if dictionary is None:
+            seen: Set[Term] = set()
+            for t in self.triples(s, p, o):
+                if t[position] not in seen:
+                    seen.add(t[position])
+                    yield t[position]
+            return
+        encoded = self._encode_pattern(s, p, o)
+        if encoded is None:
+            return
+        term = dictionary.term
+        rows = self.triples_ids(*encoded)
+        if encoded.count(None) == 1:
+            # the other two positions are bound: every row is distinct
+            for row in rows:
+                yield term(row[position])
+            return
+        seen_ids: Set[int] = set()
+        for row in rows:
+            tid = row[position]
+            if tid not in seen_ids:
+                seen_ids.add(tid)
+                yield term(tid)
+
+    def subjects(self, p=None, o=None) -> Iterator[Term]:
+        """Distinct subjects of triples matching ``(?, p, o)``."""
+        return self._distinct_terms(0, None, p, o)
+
+    def objects(self, s=None, p=None) -> Iterator[Term]:
+        """Distinct objects of triples matching ``(s, p, ?)``."""
+        return self._distinct_terms(2, s, p, None)
+
+    def predicates(self, s=None, o=None) -> Iterator[Term]:
+        """Distinct predicates of triples matching ``(s, ?, o)``."""
+        return self._distinct_terms(1, s, None, o)
+
+    def value(self, s=None, p=None, o=None) -> Optional[Term]:
+        """The unique term filling the single unbound position, or None.
+
+        Exactly one of s/p/o must be None. Returns None when no triple
+        matches; when several match, an arbitrary one is returned.
+        """
+        if (s is None) + (p is None) + (o is None) != 1:
+            raise ValueError("value() requires exactly one unbound position")
+        position = 0 if s is None else 1 if p is None else 2
+        return next(self._distinct_terms(position, s, p, o), None)
+
+    def nodes(self) -> Iterator[Term]:
+        """Distinct terms appearing in subject or object position."""
+        seen: Set[Term] = set()
+        for node in chain(self.subjects(), self.objects()):
+            if node not in seen:
+                seen.add(node)
+                yield node
+
+    def node_count(self) -> int:
+        return sum(1 for _ in self.nodes())
+
+
+class Graph(ReadableGraph):
     """A mutable set of triples with SPO / POS / OSP indexes.
 
     >>> g = Graph()
@@ -251,27 +425,6 @@ class Graph:
 
     # -- id-space access ----------------------------------------------------
 
-    def _encode_pattern(self, s, p, o):
-        """Terms → ids for a pattern; None wildcards pass through.
-
-        Returns None when a bound term is unknown to the dictionary —
-        no stored triple can match it.
-        """
-        lookup = self._dict.lookup
-        if s is not None:
-            s = lookup(s)
-            if s is None:
-                return None
-        if p is not None:
-            p = lookup(p)
-            if p is None:
-                return None
-        if o is not None:
-            o = lookup(o)
-            if o is None:
-                return None
-        return s, p, o
-
     def triples_ids(self, s=None, p=None, o=None) -> Iterator[IdTriple]:
         """Yield id-triples matching the id pattern (None = wildcard).
 
@@ -366,50 +519,7 @@ class Graph:
             return sum(len(preds) for preds in by_s.values())
         return self._size
 
-    # -- matching ----------------------------------------------------------
-
-    def triples(self, s=None, p=None, o=None) -> Iterator[Triple]:
-        """Yield every triple matching the pattern (None = wildcard).
-
-        Dispatches to the most selective index for the bound positions.
-        """
-        encoded = self._encode_pattern(s, p, o)
-        if encoded is None:
-            return
-        term = self._dict.term
-        for si, pi, oi in self.triples_ids(*encoded):
-            yield Triple(term(si), term(pi), term(oi))
-
-    def count(self, s=None, p=None, o=None) -> int:
-        """Number of triples matching the pattern, without materializing.
-
-        Every bound/unbound combination is answered directly from one of
-        the three indexes — no pattern falls back to an iteration over
-        matching triples, so the planner can call this in a loop.
-        """
-        encoded = self._encode_pattern(s, p, o)
-        if encoded is None:
-            return 0
-        return self.count_ids(*encoded)
-
-    def cached_count(self, s=None, p=None, o=None) -> int:
-        """Memoized :meth:`count`, invalidated by the generation counter.
-
-        The join planner estimates every pattern of every query against
-        the same handful of (predicate, class) shapes; caching per
-        (pattern, generation) turns re-planning into dict lookups.
-        """
-        if self._count_cache_gen != self._generation:
-            self._count_cache.clear()
-            self._count_cache_gen = self._generation
-        key = (s, p, o)
-        cached = self._count_cache.get(key)
-        if cached is None:
-            if len(self._count_cache) >= _COUNT_CACHE_LIMIT:
-                self._count_cache.clear()
-            cached = self.count(s, p, o)
-            self._count_cache[key] = cached
-        return cached
+    # -- statistics ----------------------------------------------------------
 
     def stats(self):
         """The graph's :class:`~repro.rdf.stats.StatsCatalog` (created
@@ -436,100 +546,16 @@ class Graph:
         """Number of distinct objects over all triples — O(1)."""
         return len(self._osp)
 
-    def __contains__(self, triple) -> bool:
-        lookup = self._dict.lookup
-        s, p, o = triple
-        si, pi, oi = lookup(s), lookup(p), lookup(o)
-        if si is None or pi is None or oi is None:
-            return False
-        return oi in self._spo.get(si, {}).get(pi, ())
-
     def __len__(self) -> int:
         return self._size
-
-    def __iter__(self) -> Iterator[Triple]:
-        return self.triples()
-
-    def __bool__(self) -> bool:
-        return self._size > 0
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (Graph, GraphView)):
-            return NotImplemented
-        return len(self) == len(other) and all(t in other for t in self)
-
-    def __hash__(self):
-        raise TypeError("Graph is unhashable (mutable)")
 
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
         return f"<Graph{label} size={self._size}>"
 
-    # -- convenience accessors ----------------------------------------------
-
-    def subjects(self, p=None, o=None) -> Iterator[Term]:
-        """Distinct subjects of triples matching ``(?, p, o)``."""
-        if p is not None and o is not None:
-            encoded = self._encode_pattern(None, p, o)
-            if encoded is None:
-                return
-            term = self._dict.term
-            for si in self._pos.get(encoded[1], {}).get(encoded[2], ()):
-                yield term(si)
-        else:
-            seen = set()
-            for t in self.triples(None, p, o):
-                if t.subject not in seen:
-                    seen.add(t.subject)
-                    yield t.subject
-
-    def objects(self, s=None, p=None) -> Iterator[Term]:
-        """Distinct objects of triples matching ``(s, p, ?)``."""
-        if s is not None and p is not None:
-            encoded = self._encode_pattern(s, p, None)
-            if encoded is None:
-                return
-            term = self._dict.term
-            for oi in self._spo.get(encoded[0], {}).get(encoded[1], ()):
-                yield term(oi)
-        else:
-            seen = set()
-            for t in self.triples(s, p, None):
-                if t.object not in seen:
-                    seen.add(t.object)
-                    yield t.object
-
-    def predicates(self, s=None, o=None) -> Iterator[Term]:
-        """Distinct predicates of triples matching ``(s, ?, o)``."""
-        if s is not None and o is not None:
-            encoded = self._encode_pattern(s, None, o)
-            if encoded is None:
-                return
-            term = self._dict.term
-            for pi in self._osp.get(encoded[2], {}).get(encoded[0], ()):
-                yield term(pi)
-        else:
-            seen = set()
-            for t in self.triples(s, None, o):
-                if t.predicate not in seen:
-                    seen.add(t.predicate)
-                    yield t.predicate
-
-    def value(self, s=None, p=None, o=None) -> Optional[Term]:
-        """The unique term filling the single unbound position, or None.
-
-        Exactly one of s/p/o must be None. Returns None when no triple
-        matches; when several match, an arbitrary one is returned.
-        """
-        unbound = [name for name, t in zip("spo", (s, p, o)) if t is None]
-        if len(unbound) != 1:
-            raise ValueError("value() requires exactly one unbound position")
-        for t in self.triples(s, p, o):
-            return {"s": t.subject, "p": t.predicate, "o": t.object}[unbound[0]]
-        return None
-
     def nodes(self) -> Iterator[Term]:
-        """Distinct terms appearing in subject or object position."""
+        """Distinct terms appearing in subject or object position
+        (walks the index keys, not the triples)."""
         term = self._dict.term
         seen: Set[int] = set()
         for si in self._spo:
@@ -541,10 +567,29 @@ class Graph:
                 seen.add(oi)
                 yield term(oi)
 
-    def node_count(self) -> int:
-        return sum(1 for _ in self.nodes())
+    # -- construction and copies ---------------------------------------------
 
-    # -- set operations ------------------------------------------------------
+    @classmethod
+    def from_ids(
+        cls, rows: Iterable[IdTriple], dictionary: TermDictionary, name: str = ""
+    ) -> "Graph":
+        """A graph over ``dictionary`` holding the id triples ``rows``.
+
+        Indexes the ids directly — no term is decoded or re-interned —
+        which is how a mapped snapshot graph becomes a writable one.
+        """
+        g = cls(name=name, dictionary=dictionary)
+        spo, pos, osp = g._spo, g._pos, g._osp
+        size = 0
+        for s, p, o in rows:
+            objs = spo.setdefault(s, {}).setdefault(p, set())
+            if o not in objs:
+                objs.add(o)
+                pos.setdefault(p, {}).setdefault(o, set()).add(s)
+                osp.setdefault(o, {}).setdefault(s, set()).add(p)
+                size += 1
+        g._size = size
+        return g
 
     def copy(self, name: str = "") -> "Graph":
         """A mutable copy sharing this graph's term dictionary.
@@ -596,6 +641,8 @@ class Graph:
         self._owned_o.clear()
         return g
 
+    # -- set operations ------------------------------------------------------
+
     def union(self, other: Iterable[Triple], name: str = "") -> "Graph":
         g = self.copy(name)
         g.add_all(other)
@@ -626,7 +673,7 @@ def _prune(index: _Index, k1: int, k2: int) -> None:
             del index[k1]
 
 
-class GraphView:
+class GraphView(ReadableGraph):
     """A read-only union of several graphs.
 
     Duplicate triples across layers are reported once. The store hands a
@@ -639,18 +686,22 @@ class GraphView:
     layer counts directly. The caller owns the proof — the store sets it
     only for a base model stacked with a freshly built entailment index
     (the reasoner never emits triples already asserted in the base).
+
+    The view keeps its own layer-merging :meth:`triples`, :meth:`count`,
+    :meth:`cached_count` and ``__len__``: they work in term space too,
+    which is the only path for layers that do not share one dictionary.
     """
 
     __slots__ = ("_layers", "_disjoint")
 
-    def __init__(self, layers: Iterable[Graph], disjoint_hint: bool = False):
-        self._layers: Tuple[Graph, ...] = tuple(layers)
+    def __init__(self, layers: Iterable[ReadableGraph], disjoint_hint: bool = False):
+        self._layers: Tuple[ReadableGraph, ...] = tuple(layers)
         if not self._layers:
             raise ValueError("GraphView requires at least one layer")
         self._disjoint = disjoint_hint or len(self._layers) == 1
 
     @property
-    def layers(self) -> Tuple[Graph, ...]:
+    def layers(self) -> Tuple[ReadableGraph, ...]:
         return self._layers
 
     @property
@@ -711,6 +762,9 @@ class GraphView:
                     seen.add(t)
                     yield t
 
+    def has_ids(self, s: int, p: int, o: int) -> bool:
+        return any(layer.has_ids(s, p, o) for layer in self._layers)
+
     def count_ids(self, s=None, p=None, o=None) -> int:
         if self._disjoint:
             return sum(layer.count_ids(s, p, o) for layer in self._layers)
@@ -744,50 +798,12 @@ class GraphView:
     def distinct_object_count(self) -> int:
         return sum(layer.distinct_object_count() for layer in self._layers)
 
-    def subjects(self, p=None, o=None) -> Iterator[Term]:
-        seen = set()
-        for t in self.triples(None, p, o):
-            if t.subject not in seen:
-                seen.add(t.subject)
-                yield t.subject
-
-    def objects(self, s=None, p=None) -> Iterator[Term]:
-        seen = set()
-        for t in self.triples(s, p, None):
-            if t.object not in seen:
-                seen.add(t.object)
-                yield t.object
-
-    def predicates(self, s=None, o=None) -> Iterator[Term]:
-        seen = set()
-        for t in self.triples(s, None, o):
-            if t.predicate not in seen:
-                seen.add(t.predicate)
-                yield t.predicate
-
-    def value(self, s=None, p=None, o=None) -> Optional[Term]:
-        unbound = [name for name, t in zip("spo", (s, p, o)) if t is None]
-        if len(unbound) != 1:
-            raise ValueError("value() requires exactly one unbound position")
-        for t in self.triples(s, p, o):
-            return {"s": t.subject, "p": t.predicate, "o": t.object}[unbound[0]]
-        return None
-
-    def __contains__(self, triple) -> bool:
-        return any(triple in layer for layer in self._layers)
-
-    def __iter__(self) -> Iterator[Triple]:
-        return self.triples()
-
     def __len__(self) -> int:
         if len(self._layers) == 1:
             return len(self._layers[0])
         if self._disjoint:
             return sum(len(layer) for layer in self._layers)
         return sum(1 for _ in self.triples())
-
-    def __bool__(self) -> bool:
-        return any(self._layers)
 
     def __repr__(self) -> str:
         names = ", ".join(repr(layer.name or "?") for layer in self._layers)
@@ -801,3 +817,13 @@ class GraphView:
         raise ReadOnlyGraphError("GraphView is read-only")
 
     remove = discard
+
+
+def as_writable(graph: ReadableGraph) -> Graph:
+    """``graph`` itself when it is a mutable :class:`Graph`, else a
+    mutable copy sharing its dictionary (a frozen graph's copy, a mapped
+    graph's materialization) — for callers about to modify a graph that
+    may have arrived read-only."""
+    if isinstance(graph, Graph) and not graph.frozen:
+        return graph
+    return graph.copy()

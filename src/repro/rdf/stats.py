@@ -9,21 +9,25 @@ the most frequent subjects/objects — enough for the planner to turn
 probe estimate instead of a full wildcard scan (the Koch meta-level
 indexing idea from PAPERS.md, applied to our own planner).
 
-Collection walks the POS and SPO indexes once (O(triples)) at
-index-build time. Between rebuilds the catalog subscribes to the
+One :class:`StatsCatalog` serves every graph — in-memory, mapped or
+copied — because it reads only the graph read contract: a predicate is
+collected lazily, on first request, in one pass over its triples
+(``triples_ids(None, pid, None)``). The catalog subscribes to the
 graph's change events and nets per-predicate drift: triple *counts*
-stay exact (built count + net drift), while distinct counts and heavy
-hitters are served stale until the accumulated churn crosses
-``refresh_threshold`` × the size at build — then the next consumer
-triggers a rebuild (``mdw_planner_stats_refreshes_total``). The DRed
-delta trackers drive the same refresh eagerly after incremental
-release maintenance, so query time rarely pays for it.
+stay exact (collected count + net drift), while distinct counts and
+heavy hitters are served stale until the accumulated churn crosses
+``refresh_threshold`` × the size at the last refresh — then the memo is
+forgotten (``mdw_planner_stats_refreshes_total``) and each predicate is
+collected again when next requested. The DRed delta trackers check the
+threshold right after incremental release maintenance, so the refresh
+is attributed to the release; the recollection itself happens at the
+next plan that asks for the predicate.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 #: Keep this many heavy hitters per predicate and position.
 DEFAULT_TOP_K = 8
@@ -39,7 +43,7 @@ def _planner_metrics():
     registry = get_registry()
     return registry.counter(
         "mdw_planner_stats_refreshes_total",
-        help="Statistics catalog rebuilds, by trigger",
+        help="Statistics catalog refreshes, by trigger",
         labels=("trigger",),
     )
 
@@ -117,15 +121,6 @@ class PredicateStats:
             peaks.append(self.top_objects[0][1] / self.object_fanout())
         return max(peaks) if peaks else 1.0
 
-    def snapshot(self) -> Dict[str, object]:
-        return {
-            "count": self.count,
-            "distinct_subjects": self.distinct_subjects,
-            "distinct_objects": self.distinct_objects,
-            "top_subjects": list(self.top_subjects),
-            "top_objects": list(self.top_objects),
-        }
-
     def __repr__(self) -> str:
         return (
             f"<PredicateStats p={self.predicate_id} n={self.count} "
@@ -136,10 +131,13 @@ class PredicateStats:
 class StatsCatalog:
     """The per-graph statistics catalog the planner costs plans from.
 
-    Created lazily via :attr:`Graph.stats`; subscribes to the graph's
-    change events from then on. Every event is an O(1) drift bump —
-    the O(triples) collection pass only runs on first use and when the
-    churn since the last build crosses the refresh threshold.
+    One catalog serves every kind of graph: a predicate is collected on
+    first request, by one pass over ``triples_ids(None, pid, None)`` —
+    the read contract, not any index layout. The catalog subscribes to
+    the graph's change events (a mapped graph never emits any): every
+    event is an O(1) drift bump, and once the churn since the last
+    refresh crosses the threshold the memo is forgotten and predicates
+    are collected afresh on their next request.
     """
 
     _serials = itertools.count(1)
@@ -156,13 +154,11 @@ class StatsCatalog:
         self._graph = graph
         self.refresh_threshold = refresh_threshold
         self.top_k = top_k
-        self._predicates: Dict[int, PredicateStats] = {}
-        self._built = False
-        self._built_size = 0
-        self._built_generation: Optional[int] = None
-        # net triple drift per predicate id since the last build, plus
-        # the total event churn (adds + removes, never netted: two
-        # compensating events still age the distinct counts)
+        self._predicates: Dict[int, Optional[PredicateStats]] = {}
+        self._refreshed_size = len(graph)
+        # net triple drift per predicate id since it was collected, plus
+        # the total event churn since the last refresh (adds + removes,
+        # never netted: two compensating events still age the distincts)
         self._drift: Dict[int, int] = {}
         self._churn = 0
         self.refreshes = 0
@@ -182,88 +178,76 @@ class StatsCatalog:
 
     # -- freshness ----------------------------------------------------------
 
-    @property
-    def built(self) -> bool:
-        return self._built
-
-    @property
-    def churn(self) -> int:
-        """Change events since the last build (adds + removes, unnetted)."""
-        return self._churn
-
     def is_stale(self) -> bool:
-        """True when enough churn accumulated that the distinct counts
-        and histograms can no longer be trusted."""
-        if not self._built:
-            return True
-        budget = max(1.0, self.refresh_threshold * max(self._built_size, 1))
+        """True when enough churn accumulated that the collected distinct
+        counts and histograms can no longer be trusted."""
+        budget = max(1.0, self.refresh_threshold * max(self._refreshed_size, 1))
         return self._churn > budget
 
     def ensure_fresh(self, trigger: str = "drift") -> bool:
-        """Rebuild when stale; returns True when a rebuild ran."""
-        if not self._built:
-            self.rebuild(trigger="initial")
-            return True
-        if self.is_stale():
-            self.rebuild(trigger=trigger)
-            return True
-        return False
-
-    def rebuild(self, trigger: str = "forced") -> None:
-        """Recollect every per-predicate statistic from the indexes."""
-        graph = self._graph
-        top_k = self.top_k
-        predicates: Dict[int, PredicateStats] = {}
-        # one POS pass: counts, distinct objects, object heavy hitters,
-        # distinct subjects via union of the per-object subject sets
-        for pid, by_o in graph._pos.items():
-            count = 0
-            subjects: Dict[int, int] = {}
-            obj_freq: List[Tuple[int, int]] = []
-            for oid, subs in by_o.items():
-                n = len(subs)
-                count += n
-                obj_freq.append((n, oid))
-                for sid in subs:
-                    subjects[sid] = subjects.get(sid, 0) + 1
-            obj_freq.sort(key=lambda t: (-t[0], t[1]))
-            subj_freq = sorted(
-                ((n, sid) for sid, n in subjects.items()),
-                key=lambda t: (-t[0], t[1]),
-            )
-            predicates[pid] = PredicateStats(
-                pid,
-                count,
-                distinct_subjects=len(subjects),
-                distinct_objects=len(by_o),
-                top_subjects=tuple((sid, n) for n, sid in subj_freq[:top_k]),
-                top_objects=tuple((oid, n) for n, oid in obj_freq[:top_k]),
-            )
-        self._predicates = predicates
-        self._built = True
-        self._built_size = len(graph)
-        self._built_generation = getattr(graph, "generation", None)
+        """Forget the collected predicates when stale; True when it did."""
+        if not self.is_stale():
+            return False
+        self._predicates.clear()
+        self._refreshed_size = len(self._graph)
         self._drift.clear()
         self._churn = 0
         self.refreshes += 1
         _planner_metrics().inc(trigger=trigger)
+        return True
+
+    def state(self) -> Tuple[Tuple[int, int, int], ...]:
+        """Freshness fingerprint after :meth:`ensure_fresh`: a monotonic
+        catalog serial plus the refresh and churn counters. Any change
+        that could alter an answer changes it — plan memos and merged
+        statistics key on it."""
+        self.ensure_fresh()
+        return ((self._serial, self.refreshes, self._churn),)
 
     # -- lookups ------------------------------------------------------------
 
-    def predicate(self, predicate_id: int) -> Optional[PredicateStats]:
-        """Stats for a predicate id, building the catalog on first use.
+    def _collect(self, predicate_id: int) -> Optional[PredicateStats]:
+        """One pass over the predicate's triples: count, distincts and
+        the top-k heavy hitters on both sides."""
+        subjects: Dict[int, int] = {}
+        objects: Dict[int, int] = {}
+        for s, _, o in self._graph.triples_ids(None, predicate_id, None):
+            subjects[s] = subjects.get(s, 0) + 1
+            objects[o] = objects.get(o, 0) + 1
+        count = sum(subjects.values())
+        if not count:
+            return None
+        top_k = self.top_k
 
-        Counts stay exact while stale (built count + net drift);
-        distinct counts and histograms are the as-built values until
-        the churn threshold forces a rebuild.
+        def top(freq: Dict[int, int]) -> Tuple[Tuple[int, int], ...]:
+            return tuple(sorted(freq.items(), key=lambda t: (-t[1], t[0]))[:top_k])
+
+        return PredicateStats(
+            predicate_id,
+            count,
+            distinct_subjects=len(subjects),
+            distinct_objects=len(objects),
+            top_subjects=top(subjects),
+            top_objects=top(objects),
+        )
+
+    def predicate(self, predicate_id: int) -> Optional[PredicateStats]:
+        """Stats for a predicate id, collected on first request.
+
+        Counts stay exact while stale (collected count + net drift);
+        distinct counts and histograms are the as-collected values until
+        the churn threshold forces a refresh.
         """
         self.ensure_fresh()
-        stats = self._predicates.get(predicate_id)
+        if predicate_id not in self._predicates:
+            self._predicates[predicate_id] = self._collect(predicate_id)
+            self._drift.pop(predicate_id, None)
+        stats = self._predicates[predicate_id]
         drift = self._drift.get(predicate_id, 0)
         if stats is None:
             if drift <= 0:
                 return None
-            # predicate appeared entirely after the last build
+            # predicate appeared entirely after it was collected
             return PredicateStats(
                 predicate_id, drift,
                 distinct_subjects=max(1, drift), distinct_objects=max(1, drift),
@@ -280,27 +264,11 @@ class StatsCatalog:
             top_objects=stats.top_objects,
         )
 
-    def predicate_count(self) -> int:
-        self.ensure_fresh()
-        return len(self._predicates)
-
-    def snapshot(self) -> Dict[str, object]:
-        """JSON-friendly view (CLI / debugging)."""
-        self.ensure_fresh()
-        term = self._graph.dictionary.term
-        return {
-            "built_size": self._built_size,
-            "churn": self._churn,
-            "refreshes": self.refreshes,
-            "predicates": {
-                term(pid).n3(): stats.snapshot()
-                for pid, stats in sorted(self._predicates.items())
-            },
-        }
-
     def __repr__(self) -> str:
-        state = f"predicates={len(self._predicates)}" if self._built else "unbuilt"
-        return f"<StatsCatalog {self._graph.name!r} {state} churn={self._churn}>"
+        return (
+            f"<StatsCatalog {self._graph.name!r} "
+            f"predicates={len(self._predicates)} churn={self._churn}>"
+        )
 
 
 class CombinedStats:
@@ -319,7 +287,7 @@ class CombinedStats:
     # Merged results cached across instances: GraphView.stats() builds a
     # fresh CombinedStats per call, so the cache must outlive any one
     # wrapper. Keyed by catalog identity (monotonic serial, never a
-    # reusable id()) plus each layer's rebuild/churn counters — any
+    # reusable id()) plus each layer's refresh/churn counters — any
     # change that could alter a layer's answer changes the key.
     _merge_cache: Dict[tuple, Optional[PredicateStats]] = {}
     _MERGE_CACHE_CAP = 4096
@@ -327,12 +295,12 @@ class CombinedStats:
     def __init__(self, catalogs):
         self._catalogs = tuple(catalogs)
 
+    def state(self) -> Tuple[Tuple[int, int, int], ...]:
+        """The layers' freshness fingerprints (see :meth:`StatsCatalog.state`)."""
+        return sum((c.state() for c in self._catalogs), ())
+
     def predicate(self, predicate_id: int) -> Optional[PredicateStats]:
-        for catalog in self._catalogs:
-            catalog.ensure_fresh()
-        key = (predicate_id,) + tuple(
-            (c._serial, c.refreshes, c._churn) for c in self._catalogs
-        )
+        key = (predicate_id,) + self.state()
         cache = CombinedStats._merge_cache
         if key in cache:
             return cache[key]
@@ -375,17 +343,5 @@ class CombinedStats:
             top_objects=top_objects,
         )
 
-    def ensure_fresh(self, trigger: str = "drift") -> bool:
-        return any([c.ensure_fresh(trigger) for c in self._catalogs])
-
     def __repr__(self) -> str:
         return f"<CombinedStats layers={len(self._catalogs)}>"
-
-
-def stats_of(graph):
-    """The statistics provider for a Graph or GraphView (or None when
-    the object supports neither — e.g. a bare mock in tests)."""
-    getter = getattr(graph, "stats", None)
-    if getter is None:
-        return None
-    return getter() if callable(getter) else getter

@@ -158,7 +158,7 @@ class TripleStore:
         self._index_base_generation[(model, rulebase)] = self._models[model].generation
         # derived triples just changed wholesale relative to whatever a
         # planner saw before; fold the churn into the stats catalog now
-        # (no-op unless the catalog was already built and drifted)
+        # (no-op unless the catalog already existed and drifted)
         derived.stats().ensure_fresh(trigger="index-attach")
 
     def detach_index(self, model: str, rulebase: str) -> None:

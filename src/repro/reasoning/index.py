@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.trace import span
-from repro.rdf.graph import Graph
+from repro.rdf.graph import Graph, as_writable
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import Triple
 from repro.reasoning.engine import (
@@ -180,11 +180,7 @@ class EntailmentIndexManager:
         # an index that arrived read-only (mapped snapshot, frozen copy)
         # must become writable before DRed maintenance mutates it; the
         # re-attach below registers the writable replacement
-        materialize = getattr(derived, "materialize", None)
-        if materialize is not None:
-            derived = materialize()
-        elif derived.frozen:
-            derived = derived.copy()
+        derived = as_writable(derived)
         base = self._store.model(model)
         with span("index.refresh", "reasoning", model=model, rulebase=rulebase):
             faults.fire("index.refresh")
@@ -198,8 +194,9 @@ class EntailmentIndexManager:
                 raise
         tracker.mark()
         # the same netted delta that drove DRed also drifted the planner's
-        # statistics catalogs; refresh them past their staleness threshold
-        # now, while the release apply is already paying maintenance cost
+        # statistics catalog; past its staleness threshold it forgets its
+        # predicates now, attributed to the release, and recollects each
+        # one when the next plan asks for it
         base.stats().ensure_fresh(trigger="dred-refresh")
         # re-attach to refresh the store's disjointness stamp (the index
         # object is unchanged; only its base-generation bookkeeping moves)

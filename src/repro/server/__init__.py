@@ -15,6 +15,7 @@ from repro.server.errors import (
     Overloaded,
     QueryServiceError,
     ServiceClosed,
+    UnknownItem,
     WorkerLost,
 )
 from repro.server.metrics import ServiceMetrics, SlowQuery, SlowQueryLog
@@ -41,6 +42,7 @@ __all__ = [
     "Snapshot",
     "SnapshotManager",
     "Supervisor",
+    "UnknownItem",
     "WorkerLost",
     "WorkerSlot",
 ]

@@ -13,11 +13,32 @@ parent process verbatim.
 
 from __future__ import annotations
 
+from repro.errors import InvalidRequest
 from repro.sparql.cancel import Cancelled, DeadlineExceeded
 
 
 class QueryServiceError(Exception):
     """Base class of every service-layer error."""
+
+
+class UnknownItem(QueryServiceError, InvalidRequest):
+    """A lineage request names an item no ``dm:hasName`` value matches."""
+
+
+def is_request_error(exc: BaseException) -> bool:
+    """True when ``exc`` is the request's own fault, not the endpoint's.
+
+    An :class:`~repro.errors.InvalidRequest` — bad syntax, an unknown
+    class or item, an option outside its domain — fails the same way on
+    every healthy node, and a caller's cancel says nothing about the
+    endpoint either. A deadline overrun is not the request's fault
+    (``DeadlineExceeded`` subclasses ``Cancelled``, so it is excluded
+    first), and neither is anything else. The worker pool's endpoint
+    breakers and the gateway's shard breakers both decide with this.
+    """
+    if isinstance(exc, DeadlineExceeded):
+        return False
+    return isinstance(exc, (InvalidRequest, Cancelled))
 
 
 class Overloaded(QueryServiceError):
@@ -108,5 +129,7 @@ __all__ = [
     "Overloaded",
     "QueryServiceError",
     "ServiceClosed",
+    "UnknownItem",
     "WorkerLost",
+    "is_request_error",
 ]

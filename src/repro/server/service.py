@@ -53,7 +53,9 @@ from repro.server.errors import (
     Overloaded,
     QueryServiceError,
     ServiceClosed,
+    UnknownItem,
     WorkerLost,
+    is_request_error,
 )
 from repro.server.metrics import ServiceMetrics, SlowQuery
 from repro.server.snapshot import SnapshotManager
@@ -117,7 +119,7 @@ def dispatch(warehouse, kind: str, payload: Dict[str, object]):
                 key=lambda t: t.sort_key(),
             )
             if not matches:
-                raise QueryServiceError(
+                raise UnknownItem(
                     f"no item named {item!r} (names are dm:hasName values)"
                 )
             item = matches[0]
@@ -681,11 +683,6 @@ class QueryService(_FrontDoor):
             labels=("service",),
         ).set_function(self.plan_cache.hit_rate, service=name)
         registry.gauge(
-            "mdw_planner_replans",
-            "Plans re-costed after estimate-vs-actual drift (live count)",
-            labels=("service",),
-        ).set_function(lambda: float(self.plan_cache.replans), service=name)
-        registry.gauge(
             "mdw_snapshot_generation",
             "Generation of the published read snapshot",
             labels=("service",),
@@ -915,20 +912,17 @@ class QueryService(_FrontDoor):
         return result
 
     def _report(self, kind: str, exc: Optional[BaseException]) -> None:
-        """Feed ``kind``'s breaker. Deadline overruns and unexpected
-        exceptions are the endpoint's ill health; a client-initiated
-        cancel or a typed service error (bad syntax, unknown item) says
-        nothing about it (``DeadlineExceeded`` subclasses ``Cancelled``,
-        so it is checked first)."""
+        """Feed ``kind``'s breaker: a request error (bad input, a
+        caller's cancel — :func:`is_request_error`) gives back its probe
+        and says nothing about the endpoint; anything else, deadline
+        overruns included, is the endpoint's ill health."""
         breaker = self._breakers[kind]
         if exc is None:
             breaker.on_success()
-        elif isinstance(exc, DeadlineExceeded) or not isinstance(
-            exc, (Cancelled, QueryServiceError)
-        ):
-            breaker.on_failure()
-        else:
+        elif is_request_error(exc):
             breaker.release()
+        else:
+            breaker.on_failure()
 
     def _degraded_shards(self, request, result, worker) -> Optional[Sequence[str]]:
         # the in-process fallback flagged it; and an answer off stale

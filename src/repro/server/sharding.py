@@ -49,6 +49,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.errors import InvalidOption
 from repro.obs.fleet import SloEngine, get_journal
 from repro.obs.trace import span
 from repro.rdf.terms import Literal, Term
@@ -58,8 +59,9 @@ from repro.server.errors import (
     Cancelled,
     CircuitOpen,
     Overloaded,
-    QueryServiceError,
     ServiceClosed,
+    UnknownItem,
+    is_request_error,
 )
 from repro.server.metrics import ServiceMetrics
 from repro.server.service import (
@@ -180,11 +182,12 @@ class _ShardRouter:
         join :attr:`failed` (the settlement flags the answer degraded).
         A shard whose client breaker is open is skipped outright (that
         *is* the degraded mode); a shard that fails here feeds its breaker.
-        Deadline overruns and cancellations are the caller's problem and
-        re-raise typed — they say nothing about shard health, so every
-        admitted-but-unsettled shard breaker is released and every
-        outstanding ticket cancelled on the way out (a leaked half-open
-        probe would leave its shard skipped for good).
+        Deadline overruns, cancellations and request errors
+        (:func:`~repro.server.errors.is_request_error`) are the caller's
+        problem and re-raise typed — they say nothing about shard health,
+        so every admitted-but-unsettled shard breaker is released and
+        every outstanding ticket cancelled on the way out (a leaked
+        half-open probe would leave its shard skipped for good).
         """
         shards = self._gateway._shards
         breakers = self._gateway._shard_breakers
@@ -212,7 +215,9 @@ class _ShardRouter:
                     results[index] = await_result(ticket.future, ticket.token)
                 except Cancelled:
                     raise  # DeadlineExceeded included
-                except Exception:
+                except Exception as exc:
+                    if is_request_error(exc):
+                        raise  # every healthy shard would refuse it alike
                     # WorkerLost past its attempt budget, a shard closing
                     # under us, or anything unexpected: shard-level failure
                     breakers[index].on_failure()
@@ -279,7 +284,7 @@ class _ShardRouter:
     def _lineage(self, payload, token) -> LineageTrace:
         direction = payload.get("direction", "upstream")
         if direction not in ("upstream", "downstream"):
-            raise ValueError("direction must be 'upstream' or 'downstream'")
+            raise InvalidOption("direction must be 'upstream' or 'downstream'")
         max_depth = payload.get("max_depth")
         item = payload["item"]
         if not isinstance(item, Term):
@@ -289,7 +294,7 @@ class _ShardRouter:
                     # the owner shard may be the one that is down: an
                     # empty degraded trace, never an error
                     return LineageTrace(start=Literal(str(item)), direction=direction)
-                raise QueryServiceError(
+                raise UnknownItem(
                     f"no item named {item!r} (names are dm:hasName values)"
                 )
             item = matches[0]

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
+from repro.errors import InvalidOption
 from repro.obs.trace import span
 from repro.rdf.terms import IRI, Literal, Term
 
@@ -137,7 +138,7 @@ class LineageService:
         so a shard simply reports what its slice of the graph knows.
         """
         if direction not in ("upstream", "downstream"):
-            raise ValueError("direction must be 'upstream' or 'downstream'")
+            raise InvalidOption("direction must be 'upstream' or 'downstream'")
         out: List[List[LineageEdge]] = []
         with span(
             "operator", "lineage", op="frontier", direction=direction,
@@ -171,7 +172,7 @@ class LineageService:
         meta-data it rejects.
         """
         if direction not in ("upstream", "downstream"):
-            raise ValueError("direction must be 'upstream' or 'downstream'")
+            raise InvalidOption("direction must be 'upstream' or 'downstream'")
         trace = LineageTrace(start=item, direction=direction)
         trace.depth[item] = 0
         frontier = [item]

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
+from repro.errors import UnknownName
 from repro.rdf.namespace import RDF
 from repro.rdf.terms import IRI, Term
 
@@ -312,7 +313,7 @@ class SearchService:
             candidate = self._mdw.schema.namespace.term(class_filter.replace(" ", "_"))
             if self._mdw.schema.is_class(candidate):
                 return candidate
-            raise KeyError(f"no class with label or name {class_filter!r}")
+            raise UnknownName(f"no class with label or name {class_filter!r}")
         return cls
 
     def _candidate_instances(self, valid_classes: Optional[Set[IRI]]):

@@ -1,11 +1,13 @@
 """Exception hierarchy for the SPARQL engine."""
 
+from repro.errors import InvalidRequest
+
 
 class SparqlError(Exception):
     """Base class for every SPARQL-engine error."""
 
 
-class SparqlParseError(SparqlError):
+class SparqlParseError(SparqlError, InvalidRequest):
     """Syntax error in a query, with position information."""
 
     def __init__(self, message: str, position: int = -1, line: int = -1):

@@ -235,7 +235,7 @@ def _eval_bgp(graph, bgp: BGP, binding: Binding, plan=None) -> Iterator[Binding]
     if prof is not None:
         prof.count("bgps")
 
-    dictionary = getattr(graph, "dictionary", None)
+    dictionary = graph.dictionary
     if dictionary is None:
         # layers with different dictionaries: no shared id space
         stages = list(bgp_plan.order) + list(paths)

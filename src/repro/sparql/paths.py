@@ -168,7 +168,7 @@ def _candidate_subjects(graph, path: Path) -> Iterator[Term]:
     """Nodes that could start a match (all graph nodes for zero-length-
     capable paths, else subjects of the path's first predicates)."""
     if _matches_zero_length(path):
-        yield from graph.nodes() if hasattr(graph, "nodes") else _all_nodes(graph)
+        yield from graph.nodes()
         return
     seen: Set[Term] = set()
     for predicate, inverse in _first_steps(path):
@@ -177,15 +177,6 @@ def _candidate_subjects(graph, path: Path) -> Iterator[Term]:
         else:
             nodes = graph.subjects(predicate, None)
         for node in nodes:
-            if node not in seen:
-                seen.add(node)
-                yield node
-
-
-def _all_nodes(graph) -> Iterator[Term]:
-    seen: Set[Term] = set()
-    for t in graph.triples(None, None, None):
-        for node in (t.subject, t.object):
             if node not in seen:
                 seen.add(node)
                 yield node

@@ -68,11 +68,6 @@ def _nsm_fingerprint(nsm) -> Tuple:
     return tuple(sorted((prefix, ns.base) for prefix, ns in nsm.bindings()))
 
 
-def _generation_of(graph):
-    """The graph's invalidation stamp; None disables plan reuse."""
-    return getattr(graph, "generation", None)
-
-
 class PreparedQuery:
     """A parsed query plus memoized cost-based plans for one graph
     generation.
@@ -208,7 +203,7 @@ class PlanCache:
         per-stage fanouts as correction factors, so the next execution
         plans from actuals (``mdw_planner_replans_total``).
         """
-        generation = _generation_of(graph)
+        generation = graph.generation
         key = (text, _nsm_fingerprint(nsm), generation)
         replaced = None
         with self._lock:

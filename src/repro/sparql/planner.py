@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.rdf.stats import stats_of
 from repro.rdf.terms import Triple, Variable
 
 #: Above this many patterns the O(n * 2^n) DP gives way to the
@@ -82,8 +81,8 @@ class _CostContext:
 
     def __init__(self, graph):
         self.graph = graph
-        self.stats = stats_of(graph)
-        self.dictionary = getattr(graph, "dictionary", None)
+        self.stats = graph.stats()
+        self.dictionary = graph.dictionary
         self._pstats: Dict[object, object] = {}
         self._scans: Dict[int, int] = {}
         # (pattern idx, bound-here frozenset) -> (scan, mean, weighted);
@@ -96,22 +95,14 @@ class _CostContext:
         if cached is not None:
             return cached
         s, p, o = (None if isinstance(t, Variable) else t for t in pattern)
-        counter = getattr(self.graph, "cached_count", None)
-        if counter is not None:
-            n = counter(s, p, o)
-        else:
-            n = self.graph.count(s, p, o)
+        n = self.graph.cached_count(s, p, o)
         self._scans[id(pattern)] = n
         return n
 
     def predicate_stats(self, pattern: Triple):
         """The catalog's :class:`PredicateStats` for a ground predicate."""
         predicate = pattern.predicate
-        if (
-            isinstance(predicate, Variable)
-            or self.stats is None
-            or self.dictionary is None
-        ):
+        if isinstance(predicate, Variable) or self.dictionary is None:
             return None
         if predicate in self._pstats:
             return self._pstats[predicate]
@@ -127,14 +118,12 @@ class _CostContext:
         if position == 0:
             if pstats is not None:
                 return pstats.distinct_subjects
-            counter = getattr(self.graph, "distinct_subject_count", None)
-        elif position == 1:
-            counter = getattr(self.graph, "distinct_predicate_count", None)
-        else:
-            if pstats is not None:
-                return pstats.distinct_objects
-            counter = getattr(self.graph, "distinct_object_count", None)
-        return counter() if counter is not None else 0
+            return self.graph.distinct_subject_count()
+        if position == 1:
+            return self.graph.distinct_predicate_count()
+        if pstats is not None:
+            return pstats.distinct_objects
+        return self.graph.distinct_object_count()
 
 
 def pattern_selectivity(graph, pattern: Triple, bound: Set[str], _ctx=None):
@@ -651,29 +640,14 @@ def _estimate_stages(
 
 
 # Planning decisions memoized across plan_bgp calls. Keyed by the
-# pattern terms, the bound-variable set, and a freshness fingerprint of every stats catalog backing the graph (a
-# monotonic serial plus rebuild/churn counters — any graph mutation
+# pattern terms, the bound-variable set, and the freshness fingerprint
+# of every stats catalog backing the graph (``stats.state()``: a
+# monotonic serial plus refresh/churn counters — any graph mutation
 # bumps churn and misses). The memo stores only the immutable decision
 # (order indices, stage estimates, method); each hit builds a fresh
 # BGPPlan so feedback state (observe/mis_estimated) is never shared.
 _PLAN_MEMO: Dict[Tuple, Tuple[Tuple[int, ...], Tuple[StageEstimate, ...], str]] = {}
 _PLAN_MEMO_CAP = 2048
-
-
-def _memo_state(stats) -> Optional[Tuple]:
-    """Freshness fingerprint of the stats catalogs under ``stats``, or
-    None when the provider doesn't expose one (mock graphs)."""
-    catalogs = getattr(stats, "_catalogs", None)
-    if catalogs is None:
-        catalogs = (stats,)
-    state = []
-    for catalog in catalogs:
-        serial = getattr(catalog, "_serial", None)
-        if serial is None:
-            return None
-        catalog.ensure_fresh()
-        state.append((serial, catalog.refreshes, catalog._churn))
-    return tuple(state)
 
 
 def plan_bgp(
@@ -696,21 +670,19 @@ def plan_bgp(
         return BGPPlan([], [], method="dp", initial_bound=bound)
     ctx = _CostContext(graph)
     memo_key = None
-    if not corrections and ctx.stats is not None:
-        state = _memo_state(ctx.stats)
-        if state is not None:
-            try:
-                memo_key = (state, tuple(patterns), bound)
-                hit = _PLAN_MEMO.get(memo_key)
-            except TypeError:  # unhashable pattern term (e.g. a path)
-                memo_key = None
-            else:
-                if hit is not None:
-                    order, stages, method = hit
-                    return BGPPlan(
-                        [patterns[i] for i in order], list(stages),
-                        method=method, initial_bound=bound,
-                    )
+    if not corrections:
+        try:
+            memo_key = (ctx.stats.state(), tuple(patterns), bound)
+            hit = _PLAN_MEMO.get(memo_key)
+        except TypeError:  # unhashable pattern term (e.g. a path)
+            memo_key = None
+        else:
+            if hit is not None:
+                order, stages, method = hit
+                return BGPPlan(
+                    [patterns[i] for i in order], list(stages),
+                    method=method, initial_bound=bound,
+                )
     var_masks, bound_mask, bit_names = _variable_bits(patterns, bound)
     if len(patterns) > DP_PATTERN_LIMIT:
         order = _order_greedy_cost(

@@ -22,10 +22,10 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Union
 
 from repro.history.diff import diff_graphs
-from repro.rdf.graph import Graph
+from repro.rdf.graph import Graph, as_writable
 from repro.rdf.staging import parse_lexical_term
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import Triple
@@ -247,16 +247,6 @@ def apply_segments(
     return current if current is not None else 0
 
 
-def _writable(graph) -> Tuple[Graph, bool]:
-    """A mutable version of ``graph`` plus whether it must be re-frozen."""
-    materialize = getattr(graph, "materialize", None)
-    if materialize is not None:
-        return materialize(), bool(graph.frozen)
-    if graph.frozen:
-        return graph.copy(), True
-    return graph, False
-
-
 def _store_dictionary(store: TripleStore):
     """The dictionary shared by the store's graphs (None when empty).
 
@@ -272,7 +262,7 @@ def _store_dictionary(store: TripleStore):
 def _apply_model_entry(store: TripleStore, entry: SegmentEntry) -> None:
     if store.has_model(entry.model):
         graph = store.model(entry.model)
-        writable, refreeze = _writable(graph)
+        writable, refreeze = as_writable(graph), graph.frozen
         if writable is not graph:
             store.replace_model(entry.model, writable)
     else:
@@ -293,7 +283,7 @@ def _apply_index_entry(store: TripleStore, entry: SegmentEntry) -> None:
         writable: Graph = Graph(dictionary=_store_dictionary(store))
         refreeze = False
     else:
-        writable, refreeze = _writable(derived)
+        writable, refreeze = as_writable(derived), derived.frozen
     for t in entry.removed:
         writable.discard(t)
     writable.add_all(entry.added)

@@ -19,8 +19,8 @@ crash mid-save leaves the previous snapshot untouched (the
 chaos harness asserts exactly this).
 
 Attach (:meth:`MappedSnapshot.open`) maps the file and hands out
-:class:`MappedGraph` objects that answer the full read API of
-:class:`~repro.rdf.graph.Graph` straight from the mapped pages —
+:class:`MappedGraph` objects that answer the graph read contract
+(:class:`~repro.rdf.graph.ReadableGraph`) straight from the mapped pages —
 nothing is deserialized up front, and term ids are shared across every
 graph through one :class:`MappedTermDictionary`, so the id-space join
 operators and ``GraphView`` disjointness reasoning keep working.
@@ -34,12 +34,12 @@ import os
 import struct
 import zlib
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.rdf.dictionary import TermDictionary
-from repro.rdf.graph import Graph, GraphView, ReadOnlyGraphError
+from repro.rdf.graph import Graph, ReadableGraph, ReadOnlyGraphError
 from repro.rdf.store import TripleStore
-from repro.rdf.terms import Term, Triple
+from repro.rdf.terms import Term
 from repro.resilience import faults
 from repro.storage.codec import RunReader, SnapshotFormatError, StorageError, encode_run
 from repro.storage.stringpool import MappedStringPool, build_pool
@@ -51,8 +51,6 @@ FORMAT_VERSION = 1
 #: toc_crc32, header_crc32
 _HEADER = struct.Struct("<8sIIQQQII")
 HEADER_SIZE = _HEADER.size
-
-_COUNT_CACHE_LIMIT = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -276,14 +274,16 @@ class MappedTermDictionary(TermDictionary):
 # mapped graph
 
 
-class MappedGraph:
-    """Read-only :class:`~repro.rdf.graph.Graph` drop-in over mapped runs.
+class MappedGraph(ReadableGraph):
+    """A read-only graph over mapped runs.
 
-    Implements the full read API (term- and id-space iteration, counts,
-    distinct counts, stats, convenience accessors) by binary-searching
-    the three run directories and decoding only the touched pages.
-    Mutators raise :class:`~repro.rdf.graph.ReadOnlyGraphError`; callers
-    that need a writable graph call :meth:`materialize`.
+    Supplies the id-level primitives of the read contract
+    (:class:`~repro.rdf.graph.ReadableGraph`) by binary-searching the
+    three run directories and decoding only the touched pages; every
+    term-level read and the planner statistics come from the shared
+    implementations. Mutators raise
+    :class:`~repro.rdf.graph.ReadOnlyGraphError`; callers that need a
+    writable graph call :meth:`materialize`.
     """
 
     __slots__ = (
@@ -296,6 +296,7 @@ class MappedGraph:
         "_distinct",
         "_stats",
         "_count_cache",
+        "_count_cache_gen",
         "_frozen",
         "name",
     )
@@ -321,6 +322,7 @@ class MappedGraph:
         self._distinct = distinct
         self._stats = None
         self._count_cache: Dict[tuple, int] = {}
+        self._count_cache_gen = snapshot.generation
         self._frozen = frozen
         self.name = name
 
@@ -413,51 +415,12 @@ class MappedGraph:
             return self._osp.count((o,))
         return self._size
 
-    # -- matching ----------------------------------------------------------
-
-    def _encode_pattern(self, s, p, o):
-        lookup = self._dict.lookup
-        if s is not None:
-            s = lookup(s)
-            if s is None:
-                return None
-        if p is not None:
-            p = lookup(p)
-            if p is None:
-                return None
-        if o is not None:
-            o = lookup(o)
-            if o is None:
-                return None
-        return s, p, o
-
-    def triples(self, s=None, p=None, o=None) -> Iterator[Triple]:
-        encoded = self._encode_pattern(s, p, o)
-        if encoded is None:
-            return
-        term = self._dict.term
-        for si, pi, oi in self.triples_ids(*encoded):
-            yield Triple(term(si), term(pi), term(oi))
-
-    def count(self, s=None, p=None, o=None) -> int:
-        encoded = self._encode_pattern(s, p, o)
-        if encoded is None:
-            return 0
-        return self.count_ids(*encoded)
-
-    def cached_count(self, s=None, p=None, o=None) -> int:
-        key = (s, p, o)
-        cached = self._count_cache.get(key)
-        if cached is None:
-            if len(self._count_cache) >= _COUNT_CACHE_LIMIT:
-                self._count_cache.clear()
-            cached = self.count(s, p, o)
-            self._count_cache[key] = cached
-        return cached
-
     def stats(self):
+        """The graph's :class:`~repro.rdf.stats.StatsCatalog`."""
         if self._stats is None:
-            self._stats = MappedStatsCatalog(self)
+            from repro.rdf.stats import StatsCatalog
+
+            self._stats = StatsCatalog(self)
         return self._stats
 
     def distinct_subject_count(self) -> int:
@@ -469,236 +432,27 @@ class MappedGraph:
     def distinct_object_count(self) -> int:
         return self._distinct[2]
 
-    def __contains__(self, triple) -> bool:
-        lookup = self._dict.lookup
-        s, p, o = triple
-        si, pi, oi = lookup(s), lookup(p), lookup(o)
-        if si is None or pi is None or oi is None:
-            return False
-        return self._spo.has((si, pi, oi))
-
     def __len__(self) -> int:
         return self._size
-
-    def __iter__(self) -> Iterator[Triple]:
-        return self.triples()
-
-    def __bool__(self) -> bool:
-        return self._size > 0
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (Graph, GraphView, MappedGraph)):
-            return NotImplemented
-        return len(self) == len(other) and all(t in other for t in self)
-
-    def __hash__(self):
-        raise TypeError("MappedGraph is unhashable (compared by content)")
 
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
         return f"<MappedGraph{label} size={self._size}>"
 
-    # -- convenience accessors ----------------------------------------------
-
-    def subjects(self, p=None, o=None) -> Iterator[Term]:
-        term = self._dict.term
-        if p is not None and o is not None:
-            encoded = self._encode_pattern(None, p, o)
-            if encoded is None:
-                return
-            for _, oo, ss in self._pos.scan((encoded[1], encoded[2])):
-                yield term(ss)
-            return
-        seen: Set[int] = set()
-        for si, _, _ in self._pattern_ids(None, p, o):
-            if si not in seen:
-                seen.add(si)
-                yield term(si)
-
-    def _pattern_ids(self, s, p, o) -> Iterator[Tuple[int, int, int]]:
-        encoded = self._encode_pattern(s, p, o)
-        if encoded is None:
-            return iter(())
-        return self.triples_ids(*encoded)
-
-    def objects(self, s=None, p=None) -> Iterator[Term]:
-        term = self._dict.term
-        if s is not None and p is not None:
-            encoded = self._encode_pattern(s, p, None)
-            if encoded is None:
-                return
-            for _, _, oo in self._spo.scan((encoded[0], encoded[1])):
-                yield term(oo)
-            return
-        seen: Set[int] = set()
-        for _, _, oi in self._pattern_ids(s, p, None):
-            if oi not in seen:
-                seen.add(oi)
-                yield term(oi)
-
-    def predicates(self, s=None, o=None) -> Iterator[Term]:
-        term = self._dict.term
-        if s is not None and o is not None:
-            encoded = self._encode_pattern(s, None, o)
-            if encoded is None:
-                return
-            for _, _, pp in self._osp.scan((encoded[2], encoded[0])):
-                yield term(pp)
-            return
-        seen: Set[int] = set()
-        for _, pi, _ in self._pattern_ids(s, None, o):
-            if pi not in seen:
-                seen.add(pi)
-                yield term(pi)
-
-    def value(self, s=None, p=None, o=None) -> Optional[Term]:
-        unbound = [name for name, t in zip("spo", (s, p, o)) if t is None]
-        if len(unbound) != 1:
-            raise ValueError("value() requires exactly one unbound position")
-        for t in self.triples(s, p, o):
-            return {"s": t.subject, "p": t.predicate, "o": t.object}[unbound[0]]
-        return None
-
-    def nodes(self) -> Iterator[Term]:
-        term = self._dict.term
-        seen: Set[int] = set()
-        for si, _, _ in self._spo.scan(()):
-            if si not in seen:
-                seen.add(si)
-                yield term(si)
-        for oi, _, _ in self._osp.scan(()):
-            if oi not in seen:
-                seen.add(oi)
-                yield term(oi)
-
-    def node_count(self) -> int:
-        return sum(1 for _ in self.nodes())
-
     # -- copies ------------------------------------------------------------
 
-    def copy(self, name: str = "") -> Graph:
-        """A mutable in-memory copy (see :meth:`materialize`)."""
-        return self.materialize(name=name or self.name)
+    def materialize(self, name: str = "") -> Graph:
+        """A mutable in-memory :class:`Graph` sharing this graph's
+        dictionary, built from the id triples — no term objects are
+        built."""
+        return Graph.from_ids(self.triples_ids(), self._dict, name=name or self.name)
+
+    copy = materialize
 
     def cow_copy(self, name: str = "") -> "MappedGraph":
         """Snapshot publication calls this; a mapped graph is already an
         immutable snapshot of itself, so it is its own CoW copy."""
         return self
-
-    def materialize(self, name: Optional[str] = None) -> Graph:
-        """Decode the runs into a mutable :class:`Graph` sharing this
-        graph's dictionary — no term objects are built."""
-        g = Graph(name=self.name if name is None else name, dictionary=self._dict)
-        spo: Dict[int, Dict[int, Set[int]]] = {}
-        for s, p, o in self._spo.scan(()):
-            spo.setdefault(s, {}).setdefault(p, set()).add(o)
-        pos: Dict[int, Dict[int, Set[int]]] = {}
-        for p, o, s in self._pos.scan(()):
-            pos.setdefault(p, {}).setdefault(o, set()).add(s)
-        osp: Dict[int, Dict[int, Set[int]]] = {}
-        for o, s, p in self._osp.scan(()):
-            osp.setdefault(o, {}).setdefault(s, set()).add(p)
-        g._spo = spo
-        g._pos = pos
-        g._osp = osp
-        g._size = self._size
-        return g
-
-
-class MappedStatsCatalog:
-    """Planner statistics over a mapped graph, computed per predicate.
-
-    :class:`~repro.rdf.stats.StatsCatalog` walks ``graph._pos`` — an
-    attribute mapped graphs don't have — and subscribes to change
-    events that never fire. This catalog serves the same interface from
-    one POS-run scan per requested predicate, memoized forever (mapped
-    graphs are immutable). It exposes the freshness counters
-    (``_serial`` / ``refreshes`` / ``_churn``) that
-    :class:`~repro.rdf.stats.CombinedStats` keys its merge cache on.
-    """
-
-    def __init__(self, graph: MappedGraph, top_k: Optional[int] = None):
-        from repro.rdf.stats import DEFAULT_TOP_K, StatsCatalog
-
-        self._serial = next(StatsCatalog._serials)
-        self._graph = graph
-        self.top_k = DEFAULT_TOP_K if top_k is None else top_k
-        self._predicates: Dict[int, object] = {}
-        self.refreshes = 1
-        self._churn = 0
-
-    @property
-    def built(self) -> bool:
-        return True
-
-    def is_stale(self) -> bool:
-        return False
-
-    def ensure_fresh(self, trigger: str = "drift") -> bool:
-        return False
-
-    def close(self) -> None:
-        pass
-
-    def predicate(self, predicate_id: int):
-        if predicate_id in self._predicates:
-            return self._predicates[predicate_id]
-        from repro.rdf.stats import PredicateStats
-
-        count = 0
-        subjects: Dict[int, int] = {}
-        obj_freq: List[Tuple[int, int]] = []
-        current_o: Optional[int] = None
-        current_n = 0
-        for _, o, s in self._graph._pos.scan((predicate_id,)):
-            count += 1
-            subjects[s] = subjects.get(s, 0) + 1
-            if o != current_o:
-                if current_o is not None:
-                    obj_freq.append((current_n, current_o))
-                current_o = o
-                current_n = 1
-            else:
-                current_n += 1
-        if current_o is not None:
-            obj_freq.append((current_n, current_o))
-        if not count:
-            self._predicates[predicate_id] = None
-            return None
-        obj_freq.sort(key=lambda t: (-t[0], t[1]))
-        subj_freq = sorted(
-            ((n, sid) for sid, n in subjects.items()), key=lambda t: (-t[0], t[1])
-        )
-        stats = PredicateStats(
-            predicate_id,
-            count,
-            distinct_subjects=len(subjects),
-            distinct_objects=len(obj_freq),
-            top_subjects=tuple((sid, n) for n, sid in subj_freq[: self.top_k]),
-            top_objects=tuple((oid, n) for n, oid in obj_freq[: self.top_k]),
-        )
-        self._predicates[predicate_id] = stats
-        return stats
-
-    def predicate_count(self) -> int:
-        return self._graph.distinct_predicate_count()
-
-    def snapshot(self) -> Dict[str, object]:
-        term = self._graph.dictionary.term
-        out: Dict[str, object] = {
-            "built_size": len(self._graph),
-            "churn": 0,
-            "refreshes": self.refreshes,
-            "predicates": {},
-        }
-        pids = sorted({row[0] for row in self._graph._pos.scan(())})
-        out["predicates"] = {
-            term(pid).n3(): self.predicate(pid).snapshot() for pid in pids
-        }
-        return out
-
-    def __repr__(self) -> str:
-        return f"<MappedStatsCatalog {self._graph.name!r}>"
 
 
 # ---------------------------------------------------------------------------
@@ -726,14 +480,8 @@ class MappedSnapshot:
         try:
             f = open(path, "rb")
         except OSError as exc:
-            hint = ""
-            if (path / "manifest.json").is_file():
-                hint = (
-                    "; it is a legacy N-Triples store directory — convert it "
-                    "with 'repro-mdw snapshot migrate <dir> <file.mdws>'"
-                )
             raise StorageError(
-                f"{path}: cannot open as a snapshot file ({exc.strerror}){hint}"
+                f"{path}: cannot open as a snapshot file ({exc.strerror})"
             ) from None
         try:
             size = os.fstat(f.fileno()).st_size

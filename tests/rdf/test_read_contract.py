@@ -1,0 +1,160 @@
+"""One read contract, four ways to hold the same triples.
+
+A :class:`Graph`, a saved-and-attached :class:`MappedGraph`, a 2-layer
+:class:`GraphView` whose layers share one dictionary and a view whose
+layers do not must answer every term-level read identically — they
+share one implementation over different id-level primitives, and this
+property test is what keeps the primitives honest. Patterns cover every
+bound/unbound shape, with terms drawn from the stored pool plus an
+unknown IRI and a literal in subject position.
+"""
+
+import itertools
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.rdf.dictionary import TermDictionary
+from repro.rdf.graph import Graph, GraphView
+from repro.rdf.store import TripleStore
+from repro.rdf.terms import BNode, IRI, Literal, Triple
+from repro.storage import MappedSnapshot, save_snapshot_store
+
+EX = "http://contract.test/"
+SUBJECTS = [IRI(f"{EX}s{i}") for i in range(4)] + [BNode("b1"), BNode("b2")]
+PREDICATES = [IRI(f"{EX}p{i}") for i in range(3)]
+OBJECTS = SUBJECTS[:3] + [
+    Literal("x"),
+    Literal("y", language="en"),
+    Literal("1", datatype=IRI("http://www.w3.org/2001/XMLSchema#integer")),
+]
+UNKNOWN = IRI(f"{EX}never-stored")
+#: what a pattern position may hold: stored terms, plus two that match
+#: nothing — an unknown IRI, and a stored literal asked as a subject
+PROBES = {
+    "s": SUBJECTS[:3] + [BNode("b1"), UNKNOWN, Literal("x")],
+    "p": PREDICATES + [UNKNOWN],
+    "o": OBJECTS[2:] + [UNKNOWN],
+}
+
+triples_st = st.lists(
+    st.builds(
+        Triple,
+        st.sampled_from(SUBJECTS),
+        st.sampled_from(PREDICATES),
+        st.sampled_from(OBJECTS),
+    ),
+    max_size=40,
+)
+
+
+def load_four_ways(triples, layer_of, path):
+    """The same content as Graph, MappedGraph and two GraphViews."""
+    graph = Graph(triples, dictionary=TermDictionary())
+    store = TripleStore()
+    store.adopt_model("M", Graph(triples, dictionary=TermDictionary()))
+    save_snapshot_store(store, path)
+    snapshot = MappedSnapshot.open(path)
+    mapped = snapshot.store(mutable_models=()).model("M")
+    # layer 0 / 1 / both: a triple in both layers must still count once
+    layers = [
+        [t for t, where in zip(triples, layer_of) if where in (i, 2)] for i in (0, 1)
+    ]
+    shared = TermDictionary()
+    shared_view = GraphView([Graph(layer, dictionary=shared) for layer in layers])
+    mixed_view = GraphView(
+        [Graph(layer, dictionary=TermDictionary()) for layer in layers]
+    )
+    assert shared_view.dictionary is shared and mixed_view.dictionary is None
+    return snapshot, {
+        "graph": graph,
+        "mapped": mapped,
+        "shared-view": shared_view,
+        "mixed-view": mixed_view,
+    }
+
+
+def patterns():
+    for s, p, o in itertools.product(
+        [None] + PROBES["s"], [None] + PROBES["p"], [None] + PROBES["o"]
+    ):
+        yield s, p, o
+
+
+def distinct(values):
+    values = list(values)
+    assert len(values) == len(set(values)), "duplicate in a distinct accessor"
+    return set(values)
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    triples=triples_st,
+    layer_seed=st.lists(st.integers(0, 2), min_size=40, max_size=40),
+)
+def test_every_graph_answers_the_read_contract_alike(tmp_path, triples, layer_seed):
+    expected = set(triples)
+    snapshot, graphs = load_four_ways(triples, layer_seed, tmp_path / "g.mdws")
+    try:
+        for name, g in graphs.items():
+            assert len(g) == len(expected), name
+            assert bool(g) == bool(expected), name
+            assert set(g) == expected, name
+            assert distinct(g.nodes()) == {t.subject for t in expected} | {
+                t.object for t in expected
+            }, name
+            assert g.node_count() == len(distinct(g.nodes())), name
+            for other_name, other in graphs.items():
+                assert g == other, (name, other_name)
+            assert not g == Graph([Triple(UNKNOWN, UNKNOWN, UNKNOWN)]), name
+
+        for s, p, o in patterns():
+            match = {
+                t
+                for t in expected
+                if (s is None or t.subject == s)
+                and (p is None or t.predicate == p)
+                and (o is None or t.object == o)
+            }
+            for name, g in graphs.items():
+                where = (name, s, p, o)
+                listed = list(g.triples(s, p, o))
+                assert len(listed) == len(match) and set(listed) == match, where
+                assert g.count(s, p, o) == len(match), where
+                assert distinct(g.subjects(p, o)) == {
+                    t.subject for t in expected
+                    if (p is None or t.predicate == p) and (o is None or t.object == o)
+                }, where
+                assert distinct(g.objects(s, p)) == {
+                    t.object for t in expected
+                    if (s is None or t.subject == s) and (p is None or t.predicate == p)
+                }, where
+                assert distinct(g.predicates(s, o)) == {
+                    t.predicate for t in expected
+                    if (s is None or t.subject == s) and (o is None or t.object == o)
+                }, where
+                unbound = [i for i, x in enumerate((s, p, o)) if x is None]
+                if len(unbound) == 1:
+                    found = g.value(s, p, o)
+                    candidates = {t[unbound[0]] for t in match}
+                    assert (found is None) == (not candidates), where
+                    assert found is None or found in candidates, where
+                elif None not in (s, p, o):
+                    assert ((s, p, o) in g) == ((s, p, o) in match), where
+    finally:
+        snapshot.close()
+
+
+def test_views_compare_by_content():
+    """Two views over the same triples are equal, like any two graphs."""
+    triples = [
+        Triple(SUBJECTS[0], PREDICATES[0], OBJECTS[3]),
+        Triple(SUBJECTS[1], PREDICATES[1], OBJECTS[0]),
+    ]
+    split = GraphView([Graph(triples[:1]), Graph(triples[1:])])
+    whole = GraphView([Graph(triples)])
+    assert split == whole and whole == split
+    assert split != GraphView([Graph(triples[:1])])

@@ -4,9 +4,12 @@ import time
 
 import pytest
 
+from repro.core.vocabulary import TERMS
 from repro.resilience import FaultInjector
 from repro.resilience.faults import fault_scope
 from repro.server import CircuitOpen, QueryService, ServiceConfig
+from repro.server.service import dispatch
+from repro.services.search import SearchFilters
 from repro.synth import LandscapeConfig, generate_landscape
 
 
@@ -182,6 +185,61 @@ class TestCircuitBreaker:
                 service.submit("search", term="a")
             service.breaker("search").reset()
             assert len(service.search("a", regex=True)) >= 0
+
+
+SQL_TEMPLATE = """
+    SELECT object FROM TABLE(SEM_MATCH(
+        {?object dm:hasName ?term},
+        SEM_MODELS('DWH_CURR'),
+        null,
+        SEM_ALIASES(SEM_ALIAS('dm', 'http://www.credit-suisse.com/dwh/mdm/data_modeling#')),
+        null))
+    WHERE regexp_like(term, 'a', 'i')
+    GROUP BY object
+"""
+
+
+def request_pair(warehouse, kind):
+    """(malformed payload, valid payload) for one endpoint."""
+    item = next(iter(warehouse.graph.subjects(TERMS.has_name, None)))
+    return {
+        "query": (
+            {"text": "SELECT ?s WHERE { ?s"},
+            {"text": "SELECT ?s WHERE { ?s dm:hasName ?n }"},
+        ),
+        "sql": ({"sql": "SELECT nothing FROM nowhere"}, {"sql": SQL_TEMPLATE}),
+        "search": (
+            {"term": "a", "filters": SearchFilters(classes=["NoSuchClass"])},
+            {"term": "a"},
+        ),
+        "lineage": (
+            {"item": item, "direction": "sideways"},
+            {"item": item, "direction": "upstream"},
+        ),
+    }[kind]
+
+
+class TestRequestErrors:
+    """A malformed request is its own fault: the caller gets the error
+    the warehouse itself raises, and the endpoint breaker stays closed
+    however often it is sent."""
+
+    @pytest.mark.parametrize("worker_mode", ["thread", "fork"])
+    @pytest.mark.parametrize("kind", ["query", "sql", "search", "lineage"])
+    def test_bad_input_spares_the_breaker(self, warehouse, kind, worker_mode):
+        bad, good = request_pair(warehouse, kind)
+        with pytest.raises(Exception) as direct:
+            dispatch(warehouse, kind, bad)
+        with service_of(
+            warehouse, worker_mode=worker_mode, breaker_threshold=3,
+            breaker_cooldown=60.0,
+        ) as service:
+            for _ in range(3):
+                with pytest.raises(Exception) as served:
+                    service.execute(kind, **bad)
+                assert type(served.value) is type(direct.value)
+            assert service.breaker(kind).snapshot()["state"] == "closed"
+            assert service.execute(kind, **good) is not None
 
 
 class TestConfigValidation:

@@ -26,6 +26,7 @@ from repro.server import (
 )
 from repro.server import sharding
 from repro.server.service import dispatch
+from repro.services.search import SearchFilters
 from repro.storage import shard_of
 from repro.synth import make_scatter_workload
 
@@ -230,6 +231,36 @@ class TestSearchAndLookup:
         svc.close()
         with pytest.raises(ServiceClosed):
             svc.search("customer")
+
+
+class TestRequestErrors:
+    """A malformed request fails like it does on a single node, and says
+    nothing about shard health: no breaker trips, no answer degrades."""
+
+    @pytest.mark.parametrize(
+        "kind, payload",
+        [
+            ("search", {"term": "customer", "filters": SearchFilters(classes=["NoSuchClass"])}),
+            ("lineage", {"item": "link_0", "direction": "sideways"}),
+        ],
+        ids=["unknown-class", "bad-direction"],
+    )
+    def test_raises_like_single_node_and_spares_shards(self, landscape, kind, payload):
+        with pytest.raises(Exception) as single:
+            dispatch(landscape, kind, dict(payload))
+        with thread_service(landscape) as svc:
+            for _ in range(3):  # the default shard breaker threshold
+                with pytest.raises(Exception) as got:
+                    svc.execute(kind, **payload)
+                assert type(got.value) is type(single.value)
+            assert [svc.shard_breaker(i).snapshot()["state"] for i in range(2)] == [
+                "closed",
+                "closed",
+            ]
+            full = svc.search("customer")
+        want = dispatch(landscape, "search", {"term": "customer"})
+        assert not full.degraded
+        assert canonical("search", full) == canonical("search", want)
 
 
 class TestDegradedMode:

@@ -161,12 +161,13 @@ def test_rejects_bad_magic(tmp_path):
 def test_rejects_paths_that_are_not_snapshot_files(tmp_path):
     with pytest.raises(StorageError, match="No such file"):
         MappedSnapshot.open(tmp_path / "missing.mdws")
-    with pytest.raises(StorageError, match="Is a directory") as plain:
+    with pytest.raises(StorageError, match="Is a directory"):
         MappedSnapshot.open(tmp_path)
-    assert "migrate" not in str(plain.value)
+    # a retired pre-snapshot store directory is just a directory
     (tmp_path / "manifest.json").write_text("{}")
-    with pytest.raises(StorageError, match="repro-mdw snapshot migrate"):
+    with pytest.raises(StorageError, match="Is a directory") as legacy:
         MappedSnapshot.open(tmp_path)
+    assert "migrate" not in str(legacy.value)
 
 
 def test_rejects_header_corruption(tmp_path):

@@ -1,12 +1,13 @@
 """Integration tests for the repro-mdw command line."""
 
-from pathlib import Path
-
 import pytest
 
 from repro.cli import main
 
-LEGACY = Path(__file__).parent / "storage" / "fixtures" / "legacy_store"
+
+def _legacy_directory(tmp):
+    (tmp / "manifest.json").write_text("{}")  # the retired store layout
+    return tmp
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +49,7 @@ class TestStatsValidate:
         [
             (lambda tmp: tmp / "nope", "No such file"),
             (lambda tmp: tmp, "Is a directory"),
-            (lambda tmp: LEGACY, "repro-mdw snapshot migrate"),
+            (_legacy_directory, "Is a directory"),
         ],
         ids=["missing", "directory", "legacy-directory"],
     )
@@ -56,6 +57,7 @@ class TestStatsValidate:
         assert main(["stats", str(store(tmp_path))]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+        assert "migrate" not in err
 
 
 class TestSearch:
