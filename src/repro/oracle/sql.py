@@ -154,7 +154,7 @@ def execute_sem_sql(store: TripleStore, sql: str, plan_cache=None) -> SolutionSe
         predicate = _compile_row_predicate(query.where)
         if predicate is None:
             predicate = lambda r: _sql_test(query.where, r)  # noqa: E731
-        rows = [r for r in rows if predicate(r)]
+        rows = [r for r in rows if predicate(r) is True]
 
     out_columns = list(query.columns) + [alias for _, alias in query.count_columns]
 
@@ -278,8 +278,11 @@ def _sql_test(expr: Expression, binding: dict) -> bool:
 # The WHERE clause runs once per raw SEM_MATCH row; the listings' shapes
 # (regexp_like on a column, column = 'string', AND/OR/NOT combinations)
 # compile to direct closures, sparing the expression-tree walk per row.
-# Anything else falls back to _sql_test with identical semantics
-# (evaluation errors — e.g. an unbound column — test as False).
+# A compiled predicate is three-valued — True, False, or None for an
+# evaluation error (an unbound column, a blank node) — and NOT/AND/OR
+# follow the error rules of repro.sparql.expressions, so a row is kept
+# only on True, exactly as _sql_test keeps it. Anything else falls back
+# to _sql_test.
 
 
 def _string_of(term) -> Optional[str]:
@@ -352,21 +355,32 @@ def _equality_hints(expr: Optional[Expression]) -> Dict[str, str]:
 
 
 def _compile_row_predicate(expr: Expression):
-    """A fast row predicate for the common WHERE shapes, else None."""
+    """A fast three-valued row predicate for the common WHERE shapes
+    (True, False, or None for an error), else None."""
     if isinstance(expr, UnaryExpr) and expr.op == "!":
         inner = _compile_row_predicate(expr.operand)
         if inner is None:
             return None
-        return lambda row: not inner(row)
+
+        def negation(row):
+            value = inner(row)
+            return None if value is None else not value
+        return negation
     if isinstance(expr, BinaryExpr):
         if expr.op in ("&&", "||"):
             left = _compile_row_predicate(expr.left)
             right = _compile_row_predicate(expr.right)
             if left is None or right is None:
                 return None
-            if expr.op == "&&":
-                return lambda row: left(row) and right(row)
-            return lambda row: left(row) or right(row)
+            # && : false wins over error; || : true wins over error
+            decisive = expr.op == "||"
+
+            def connective(row):
+                a, b = left(row), right(row)
+                if a is decisive or b is decisive:
+                    return decisive
+                return None if a is None or b is None else not decisive
+            return connective
         if expr.op in ("=", "!="):
             column = _column_of(expr.left)
             constant = _string_const_of(expr.right)
@@ -379,7 +393,7 @@ def _compile_row_predicate(expr: Expression):
             def compare(row, column=column, constant=constant, negate=negate):
                 value = _string_of(row.get(column))
                 if value is None:
-                    return False  # unbound or blank: evaluation error
+                    return None  # unbound or blank: evaluation error
                 return (value != constant) if negate else (value == constant)
             return compare
         return None
@@ -398,7 +412,7 @@ def _compile_row_predicate(expr: Expression):
         search = compiled.search
         def match(row, column=column):
             value = _string_of(row.get(column))
-            return value is not None and search(value) is not None
+            return None if value is None else search(value) is not None
         return match
     return None
 

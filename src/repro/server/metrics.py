@@ -177,7 +177,7 @@ class ServiceMetrics:
             "Shards behind degraded=True responses, by endpoint kind: one "
             "per shard that failed to contribute, or the answering "
             "service's own shard (stale-index answers, in-process "
-            "fallback after WorkerLost, round-bound cut-offs)",
+            "fallback after WorkerLost)",
             labels=("service", "kind", "shard"),
         )
 

@@ -65,15 +65,13 @@ from repro.sparql.cancel import CancelToken, cancel_scope
 _UNSET = object()
 
 #: The payload keys each request kind takes (update is a separate, write
-#: path). ``frontier`` and ``lookup`` are the shard-local sub-requests of
-#: the sharded gateway (:mod:`repro.server.sharding`): one BFS level of
-#: lineage edges, and a point name→term resolution.
+#: path). ``lookup`` is the name→term resolution the sharded gateway
+#: (:mod:`repro.server.sharding`) scatters before routing a lineage.
 PAYLOAD_KEYS = {
     "query": frozenset({"text", "rulebases"}),
     "sql": frozenset({"sql"}),
     "search": frozenset({"term", "filters", "expand_synonyms", "regex"}),
     "lineage": frozenset({"item", "direction", "max_depth"}),
-    "frontier": frozenset({"items", "direction"}),
     "lookup": frozenset({"name"}),
 }
 
@@ -111,27 +109,6 @@ def dispatch(warehouse, kind: str, payload: Dict[str, object]):
             expand_synonyms=bool(payload.get("expand_synonyms", False)),
             regex=bool(payload.get("regex", False)),
         )
-    if kind == "lineage":
-        item = payload["item"]
-        if not isinstance(item, Term):
-            matches = sorted(
-                warehouse.graph.subjects(TERMS.has_name, Literal(str(item))),
-                key=lambda t: t.sort_key(),
-            )
-            if not matches:
-                raise UnknownItem(
-                    f"no item named {item!r} (names are dm:hasName values)"
-                )
-            item = matches[0]
-        return warehouse.lineage.trace(
-            item,
-            payload.get("direction", "upstream"),
-            max_depth=payload.get("max_depth"),
-        )
-    if kind == "frontier":
-        return warehouse.lineage.frontier(
-            payload["items"], payload.get("direction", "upstream")
-        )
     if kind == "lookup":
         return sorted(
             warehouse.graph.subjects(
@@ -139,7 +116,24 @@ def dispatch(warehouse, kind: str, payload: Dict[str, object]):
             ),
             key=lambda t: t.sort_key(),
         )
+    if kind == "lineage":
+        item = payload["item"]
+        if not isinstance(item, Term):
+            item = first_match(item, dispatch(warehouse, "lookup", {"name": item}))
+        return warehouse.lineage.trace(
+            item,
+            payload.get("direction", "upstream"),
+            max_depth=payload.get("max_depth"),
+        )
     raise QueryServiceError(f"unknown request kind {kind!r}; expected one of {KINDS}")
+
+
+def first_match(name, matches: List[Term]) -> Term:
+    """The item a name-addressed lineage request means: the first of the
+    sorted ``lookup`` matches."""
+    if not matches:
+        raise UnknownItem(f"no item named {name!r} (names are dm:hasName values)")
+    return matches[0]
 
 
 def _statement_of(kind: str, payload: Dict[str, object]) -> str:
@@ -152,9 +146,6 @@ def _statement_of(kind: str, payload: Dict[str, object]) -> str:
         return f"search {payload.get('term', '')!r}"
     if kind == "lineage":
         return f"lineage {payload.get('item', '')!r} {payload.get('direction', 'upstream')}"
-    if kind == "frontier":
-        items = payload.get("items", ())
-        return f"frontier x{len(items)} {payload.get('direction', 'upstream')}"
     if kind == "lookup":
         return f"lookup {payload.get('name', '')!r}"
     return repr(payload)
@@ -513,7 +504,7 @@ class _FrontDoor:
             shards = self._degraded_shards(request, result, worker)
             if shards is not None:
                 # one degraded response however many reasons it has;
-                # a bare list (lookup, frontier) cannot carry the flag
+                # a bare list (lookup) cannot carry the flag
                 span_attrs["degraded"] = True
                 try:
                     result.degraded = True

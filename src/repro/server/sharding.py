@@ -3,24 +3,21 @@
 One :class:`~repro.server.service.QueryService` scales until a single
 worker's scan of the full fact graph is the bottleneck. This module
 splits the warehouse across N *shards* — each a supervised fork-worker
-pool over a hash-partitioned slice written by
+pool over a hash-partitioned slice cut by
 :mod:`repro.storage.partition` — and puts a :class:`ShardedQueryService`
 gateway in front:
 
-* **point lookups** (``lookup``, and downstream lineage expansion) go
-  only to the owning shard, computed with the same
-  :func:`~repro.storage.partition.shard_of` hash the partitioner used;
-* **Listing-1 search** scatters to every healthy shard and gathers: hit
-  lists concatenate (placement is disjoint, so no dedup is needed) and
-  re-sort into the single-node order; the per-class group counts of
-  Figure 6 then merge trivially because they are derived from the hits;
-* **Listing-2 lineage** runs as an *iterative frontier exchange*: the
-  gateway holds the BFS state (visited set, depths — which makes
-  cross-shard cycles terminate) and each round asks shards for one
-  level of ``isMappedTo`` edges. Downstream rounds route each frontier
-  item to its owner shard; upstream rounds scatter, because a remote
-  edge lives with its *source*. Rounds are bounded by
-  :data:`MAX_ROUNDS` and the request's token bounds every sub-request.
+* **Listing-1 search** and name ``lookup`` scatter to every healthy
+  shard and gather: hit lists concatenate (placement is disjoint, so no
+  dedup is needed) and re-sort into the single-node order; the
+  per-class group counts of Figure 6 then merge trivially because they
+  are derived from the hits;
+* **Listing-2 lineage** is a point request: the partitioner keeps each
+  ``isMappedTo`` component on one shard, so the gateway resolves a name
+  (one lookup scatter), asks the plan which shard owns the item and
+  sends that shard an ordinary ``lineage`` request — the same
+  :meth:`~repro.services.lineage.LineageService.trace` a single node
+  runs, bit-identical by construction.
 
 The gateway admits, times and settles a read through the same front
 door as :class:`QueryService` (one lifecycle: admission, ``request``
@@ -51,7 +48,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import InvalidOption
 from repro.obs.fleet import SloEngine, get_journal
-from repro.obs.trace import span
 from repro.rdf.terms import Literal, Term
 
 from repro.resilience.breaker import CLOSED, CircuitBreaker
@@ -60,7 +56,6 @@ from repro.server.errors import (
     CircuitOpen,
     Overloaded,
     ServiceClosed,
-    UnknownItem,
     is_request_error,
 )
 from repro.server.metrics import ServiceMetrics
@@ -72,23 +67,14 @@ from repro.server.service import (
     _FrontDoor,
     _UNSET,
     await_result,
+    first_match,
 )
-from repro.services.lineage import LineageEdge, LineageTrace
+from repro.services.lineage import LineageTrace
 from repro.services.search import SearchResults
 from repro.sparql.cancel import CancelToken
-from repro.storage.partition import (
-    ShardPlan,
-    changed_shards,
-    partition_store,
-    shard_of,
-    write_shard_snapshots,
-)
+from repro.storage.partition import ShardPlan, changed_shards, partition_store
 
 __all__ = ["ShardedConfig", "ShardedQueryService"]
-
-#: Bound on lineage frontier-exchange rounds: a cycle-safety backstop on
-#: top of the visited set; a trace cut short by it comes back degraded.
-MAX_ROUNDS = 64
 
 
 @dataclass
@@ -139,7 +125,8 @@ class _ShardRouter:
     """The gateway's worker: routes one read to the shards and merges.
 
     Built per request. ``timings`` collects wall-clock seconds per shard
-    (summed across lineage rounds), ``failed`` the distinct shards that
+    (summed across the request's sub-requests — a name-addressed lineage
+    asks the owner twice), ``failed`` the distinct shards that
     could not answer; both feed the gateway's slow-query entry and the
     per-shard ``mdw_service_degraded_total`` attribution.
     """
@@ -225,7 +212,7 @@ class _ShardRouter:
                 else:
                     breakers[index].on_success()
                 del tickets[index]
-                # submit→gather wall time, summed across lineage rounds
+                # submit→gather wall time, summed across sub-requests
                 elapsed = time.monotonic() - started
                 self.timings[index] = self.timings.get(index, 0.0) + elapsed
         finally:
@@ -279,112 +266,40 @@ class _ShardRouter:
             key=lambda t: t.sort_key(),
         )
 
-    # -- lineage: iterative frontier exchange --------------------------------
+    # -- lineage: one request to the component's shard ------------------------
 
     def _lineage(self, payload, token) -> LineageTrace:
         direction = payload.get("direction", "upstream")
         if direction not in ("upstream", "downstream"):
             raise InvalidOption("direction must be 'upstream' or 'downstream'")
-        max_depth = payload.get("max_depth")
         item = payload["item"]
         if not isinstance(item, Term):
             matches = self._lookup(str(item), token)
-            if not matches:
-                if self.failed:
-                    # the owner shard may be the one that is down: an
-                    # empty degraded trace, never an error
-                    return LineageTrace(start=Literal(str(item)), direction=direction)
-                raise UnknownItem(
-                    f"no item named {item!r} (names are dm:hasName values)"
-                )
-            item = matches[0]
-
-        # The gateway replays LineageService.trace exactly, except that
-        # each BFS level's edges come from the shards: state here, scans
-        # there. Holding visited/depth centrally is what makes a cycle
-        # whose items live on different shards terminate.
-        trace = LineageTrace(start=item, direction=direction)
-        trace.depth[item] = 0
-        frontier: List[Term] = [item]
-        visited = {item}
-        rounds = 0
-        n = self._gateway.n_shards
-        while frontier:
-            active = [
-                current
-                for current in frontier
-                if max_depth is None or trace.depth[current] < max_depth
-            ]
-            if not active:
-                break
-            rounds += 1
-            if rounds > MAX_ROUNDS:
-                trace.degraded = True  # bounded rounds: cut short, flagged
-                break
-            if direction == "downstream":
-                # a downstream edge lives with its source: point-route
-                # each item to its owner shard only
-                sent: Dict[int, List[Term]] = {}
-                for current in active:
-                    sent.setdefault(shard_of(current, n), []).append(current)
-            else:
-                # upstream edges are keyed by the (unknown) remote
-                # source: every shard reports what its slice knows
-                sent = {i: list(active) for i in range(n)}
-            # one span per BFS round; sub-requests are submitted inside
-            # it, so every shard's frontier handling nests underneath
-            with span(
-                "frontier",
-                "gateway",
-                round=rounds,
-                fan_out=len(sent),
-                frontier=len(active),
-                direction=direction,
-            ):
-                results = self._scatter(
-                    list(sent),
-                    "frontier",
-                    {
-                        i: {"items": items, "direction": direction}
-                        for i, items in sent.items()
-                    },
-                    token,
-                )
-            edges_of: Dict[Term, List[LineageEdge]] = {c: [] for c in active}
-            for index, level in results.items():
-                for current, edges in zip(sent[index], level):
-                    edges_of[current].extend(edges)
-            nxt: List[Term] = []
-            for current in frontier:
-                if max_depth is not None and trace.depth[current] >= max_depth:
-                    continue
-                merged = sorted(
-                    edges_of[current],
-                    key=lambda edge: (
-                        edge.target if direction == "downstream" else edge.source
-                    ).sort_key(),
-                )
-                for edge in merged:
-                    neighbour = (
-                        edge.target if direction == "downstream" else edge.source
-                    )
-                    trace.edges.append(edge)
-                    if neighbour not in visited:
-                        visited.add(neighbour)
-                        trace.depth[neighbour] = trace.depth[current] + 1
-                        nxt.append(neighbour)
-            frontier = nxt
-        return trace
+            if not matches and self.failed:
+                # the owner shard may be the one that is down: an empty
+                # degraded trace, never an error
+                return LineageTrace(start=Literal(str(item)), direction=direction)
+            item = first_match(item, matches)
+        # the item's whole isMappedTo component lives on its owner shard,
+        # which runs the single-node trace
+        owner = self._gateway.owner_of(item)
+        results = self._scatter(
+            [owner], "lineage", {owner: dict(payload, item=item)}, token
+        )
+        if owner in results:
+            return results[owner]
+        # the owner shard is down: an empty degraded trace, never an error
+        return LineageTrace(start=item, direction=direction)
 
 
 class ShardedQueryService(_FrontDoor):
     """The scatter-gather gateway over N hash-partitioned shards.
 
     Built from a live warehouse: the constructor partitions the model
-    deterministically, writes one ``.mdws`` snapshot per shard, and
-    starts one supervised :class:`QueryService` per slice. The gateway
-    itself holds no graph data — only the routing hash, the merge
-    operators, and one client breaker per shard.
+    deterministically and starts one supervised :class:`QueryService`
+    per slice (each publishes the snapshot its fork workers attach under
+    ``shard-<i>/``). The gateway routes by the plan's placement
+    (:meth:`owner_of`), merges, and keeps one client breaker per shard.
     """
 
     #: what the gateway routes/merges: ``query``/``sql`` need the full
@@ -415,7 +330,6 @@ class ShardedQueryService(_FrontDoor):
         self._plan: ShardPlan = partition_store(
             warehouse.store, config.n_shards, self.model
         )
-        self.shard_paths = write_shard_snapshots(self._plan, self._root)
         self._shard_breakers: List[CircuitBreaker] = [
             CircuitBreaker(
                 f"shard-{i}",
@@ -476,8 +390,9 @@ class ShardedQueryService(_FrontDoor):
         return self._shard_breakers[index]
 
     def owner_of(self, term: Term) -> int:
-        """The shard that owns ``term``'s facts (routing hash)."""
-        return shard_of(term, self.config.n_shards)
+        """The shard that owns ``term``'s facts, as the partitioner
+        placed them (a mapped item's whole lineage component)."""
+        return self._plan.owner_of(term)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -509,9 +424,8 @@ class ShardedQueryService(_FrontDoor):
         """
         request = self._admit(kind, timeout, payload)
         self.metrics.on_submit(0)
-        # Every shard sub-request captures the gateway's request span (or
-        # the per-round frontier span below it) as its parent, so one
-        # Chrome trace nests gateway ⊃ frontier rounds ⊃ shard requests
+        # Every shard sub-request captures the gateway's request span as
+        # its parent, so one Chrome trace nests gateway ⊃ shard requests
         # ⊃ operators across process boundaries.
         self._settle(request, _ShardRouter(self))
         return request.future.result()
@@ -519,7 +433,7 @@ class ShardedQueryService(_FrontDoor):
     def _degraded_shards(self, request, result, router) -> Optional[List[str]]:
         # one degraded response, attributed to every shard that could
         # not answer (breaker-shed / dead) — or to the gateway itself
-        # for round-bound cut-offs and shard-flagged partials
+        # for shard-flagged partials
         if router.failed or getattr(result, "degraded", False):
             return [str(i) for i in sorted(router.failed)]
         return None
@@ -591,14 +505,14 @@ class ShardedQueryService(_FrontDoor):
         """Re-partition after a release and replace only changed shards.
 
         ``store`` is the post-release TripleStore. Hash placement is
-        sticky, so an incremental release touching K subjects changes at
-        most the shards owning those K subjects — the rest keep serving
-        the generation they have. Returns which shards were replaced.
+        sticky, so an incremental release touching K subjects changes
+        only the shards their lineage components live on (before and
+        after) — the rest keep serving the generation they have. Returns
+        which shards were replaced.
         """
         new_plan = partition_store(store, self.config.n_shards, self.model)
         changed = changed_shards(self._plan, new_plan)
         self._plan = new_plan
-        self.shard_paths = write_shard_snapshots(self._plan, self._root)
         for index in changed:
             self.replace_shard(index)
         get_journal().record(

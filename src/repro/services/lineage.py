@@ -124,37 +124,6 @@ class LineageService:
             return sorted(graph.objects(item, TERMS.is_mapped_to), key=lambda t: t.sort_key())
         return sorted(graph.subjects(TERMS.is_mapped_to, item), key=lambda t: t.sort_key())
 
-    def frontier(
-        self, items: Sequence[Term], direction: str = "upstream"
-    ) -> List[List[LineageEdge]]:
-        """One BFS level: the mapping edges incident to each item.
-
-        ``out[i]`` lists the edges of ``items[i]`` in the same sorted
-        neighbour order :meth:`trace` expands them — the shard-local
-        half of the gateway's iterative frontier exchange
-        (:mod:`repro.server.sharding`). On a hash-partitioned shard the
-        *downstream* edges of an item live entirely on the item's owner
-        shard, while *upstream* edges are keyed by the remote source,
-        so a shard simply reports what its slice of the graph knows.
-        """
-        if direction not in ("upstream", "downstream"):
-            raise InvalidOption("direction must be 'upstream' or 'downstream'")
-        out: List[List[LineageEdge]] = []
-        with span(
-            "operator", "lineage", op="frontier", direction=direction,
-            items=len(items),
-        ) as attrs:
-            for item in items:
-                edges: List[LineageEdge] = []
-                for neighbour in self._neighbours(item, direction):
-                    if direction == "downstream":
-                        edges.append(self.edge(item, neighbour))
-                    else:
-                        edges.append(self.edge(neighbour, item))
-                out.append(edges)
-            attrs["edges"] = sum(len(e) for e in out)
-        return out
-
     # -- traces ------------------------------------------------------------
 
     def trace(
@@ -177,25 +146,27 @@ class LineageService:
         trace.depth[item] = 0
         frontier = [item]
         visited = {item}
-        while frontier:
-            nxt: List[Term] = []
-            for current in frontier:
-                current_depth = trace.depth[current]
-                if max_depth is not None and current_depth >= max_depth:
-                    continue
-                for neighbour in self._neighbours(current, direction):
-                    if direction == "downstream":
-                        edge = self.edge(current, neighbour)
-                    else:
-                        edge = self.edge(neighbour, current)
-                    if condition_filter is not None and not condition_filter(edge):
+        with span("operator", "lineage", op="trace", direction=direction) as attrs:
+            while frontier:
+                nxt: List[Term] = []
+                for current in frontier:
+                    current_depth = trace.depth[current]
+                    if max_depth is not None and current_depth >= max_depth:
                         continue
-                    trace.edges.append(edge)
-                    if neighbour not in visited:
-                        visited.add(neighbour)
-                        trace.depth[neighbour] = current_depth + 1
-                        nxt.append(neighbour)
-            frontier = nxt
+                    for neighbour in self._neighbours(current, direction):
+                        if direction == "downstream":
+                            edge = self.edge(current, neighbour)
+                        else:
+                            edge = self.edge(neighbour, current)
+                        if condition_filter is not None and not condition_filter(edge):
+                            continue
+                        trace.edges.append(edge)
+                        if neighbour not in visited:
+                            visited.add(neighbour)
+                            trace.depth[neighbour] = current_depth + 1
+                            nxt.append(neighbour)
+                frontier = nxt
+            attrs["edges"] = len(trace.edges)
         return trace
 
     def upstream(self, item: Term, **kw) -> LineageTrace:

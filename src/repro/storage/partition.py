@@ -6,25 +6,23 @@ warehouse model across N shard stores so each shard process scans only
 ontology-based warehouse integration: the *small* ontology — class and
 property declarations, the hierarchy, labels, world assignments, and
 the value-level thesaurus — is **replicated** to every shard, while
-instance facts are **routed** by a stable hash of their subject id.
+instance facts are **routed** by a stable hash, one *lineage component*
+at a time:
 
-Routing invariants the gateway relies on:
+* every item of a weakly connected ``dt:isMappedTo`` component lands on
+  shard :func:`shard_of` of its representative (the member with the
+  smallest ``n3()``) and a reified mapping node follows its source, so
+  a Listing-2 trace, either direction and any depth, reads one shard
+  and runs the same :meth:`~repro.services.lineage.LineageService.trace`
+  a single node runs;
+* every other instance is placed by :func:`shard_of` of itself, with
+  all of its triples, so point lookups are single-shard operations.
 
-* every triple of an instance (its ``dm:hasName``, filters,
-  ``rdf:type`` memberships, outgoing ``dt:isMappedTo`` edges and the
-  reified mapping nodes hanging off ``dt:hasMapping``) lands on the one
-  shard that owns the instance, so point lookups and *downstream*
-  lineage expansion are single-shard operations;
-* *upstream* edges of an item live on the shard of the **source**
-  instance, which is why upstream frontier exchange scatters to all
-  shards;
-* the hash is a pure function of the term's lexical form
-  (:func:`shard_of`), so every process — gateway, shard worker, test —
-  computes the same placement with no shared state.
-
-Entailment-index graphs are partitioned by the same rule and re-attached
-per shard, so a shard answers entailment-dependent queries exactly as
-the unsharded store would for its slice.
+:meth:`ShardPlan.owner_of` is the one placement rule: the partitioner
+places by it and the gateway routes by it. Components here hold a few
+hundred items at most; one that held half the graph would still answer
+correctly, only with uneven shards. Entailment-index graphs are
+partitioned by the same rule and re-attached per shard.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Union
 
 from repro.rdf.graph import Graph
 from repro.rdf.namespace import DM, DT, OWL, RDF, RDFS
@@ -86,38 +84,34 @@ def shard_filename(index: int, n_shards: int) -> str:
     return f"shard-{index}-of-{n_shards}.mdws"
 
 
-class _Router:
-    """Classifies each triple as replicated ontology or routed fact."""
+def _placement_keys(model_graph: Graph) -> Dict[Term, Term]:
+    """Mapped item or mapping node → the term its shard is hashed from.
 
-    def __init__(self, model_graph: Graph, n_shards: int):
-        self.n_shards = n_shards
-        # Reified mapping nodes belong to the *source* instance: routing
-        # them by their owner keeps ``LineageService.edge`` shard-local.
-        from repro.core.vocabulary import TERMS  # runtime: avoid layering cycle
+    Union-find over the ``isMappedTo`` edges, always keeping the smaller
+    ``n3()`` as the root, so every component's root is its
+    representative; mapping nodes then take their source's key.
+    """
+    from repro.core.vocabulary import TERMS  # runtime: avoid layering cycle
 
-        self._terms = TERMS
-        self._owner: Dict[Term, Term] = {}
-        for t in model_graph.triples(None, TERMS.has_mapping, None):
-            self._owner[t.object] = t.subject
-        self._ontology: Set[Term] = set()
-        for declared in _ONTOLOGY_TYPES:
-            self._ontology.update(model_graph.subjects(RDF.term("type"), declared))
-        self._replicated_predicates = {
-            TERMS.synonym_of,  # value-level thesaurus: search expands on
-            TERMS.homonym_of,  # every shard with the same synonym set
-        }
+    parent: Dict[Term, Term] = {}
 
-    def shard(self, triple: Triple) -> Optional[int]:
-        """The owning shard index, or ``None`` for replicate-everywhere."""
-        if triple.predicate in self._replicated_predicates:
-            return None
-        subject = triple.subject
-        if subject in self._ontology:
-            return None
-        value = getattr(subject, "value", None)
-        if isinstance(value, str) and value.startswith(_ONTOLOGY_PREFIXES):
-            return None
-        return shard_of(self._owner.get(subject, subject), self.n_shards)
+    def root(term: Term) -> Term:
+        parent.setdefault(term, term)
+        while parent[term] != term:
+            parent[term] = parent[parent[term]]
+            term = parent[term]
+        return term
+
+    for edge in model_graph.triples(None, TERMS.is_mapped_to, None):
+        a, b = root(edge.subject), root(edge.object)
+        if a != b:
+            if b.n3() < a.n3():
+                a, b = b, a
+            parent[b] = a
+    keys = {term: root(term) for term in parent}
+    for link in model_graph.triples(None, TERMS.has_mapping, None):
+        keys[link.object] = keys.get(link.subject, link.subject)
+    return keys
 
 
 @dataclass
@@ -131,12 +125,51 @@ class ShardPlan:
     replicated_triples: int = 0
     #: triples placed on exactly one shard (instance facts)
     routed_triples: int = 0
+    #: lineage placement: mapped item or mapping node → hashed term
+    keys: Dict[Term, Term] = field(default_factory=dict, repr=False)
 
-    def store_for(self, index: int) -> TripleStore:
-        return self.stores[index]
+    def owner_of(self, term: Term) -> int:
+        """The shard holding ``term``'s facts — for a mapped item, its
+        whole ``isMappedTo`` component."""
+        return shard_of(self.keys.get(term, term), self.n_shards)
 
-    def __len__(self) -> int:
-        return self.n_shards
+
+def _router(model_graph: Graph, plan: ShardPlan) -> Callable[[Triple], Optional[int]]:
+    """Triple → its owning shard index, or ``None`` for replicate-everywhere."""
+    from repro.core.vocabulary import TERMS  # runtime: avoid layering cycle
+
+    ontology: Set[Term] = set()
+    for declared in _ONTOLOGY_TYPES:
+        ontology.update(model_graph.subjects(RDF.term("type"), declared))
+    # the value-level thesaurus: search expands on every shard with the
+    # same synonym set
+    replicated_predicates = {TERMS.synonym_of, TERMS.homonym_of}
+
+    def shard(triple: Triple) -> Optional[int]:
+        subject = triple.subject
+        if triple.predicate in replicated_predicates or subject in ontology:
+            return None
+        value = getattr(subject, "value", None)
+        if isinstance(value, str) and value.startswith(_ONTOLOGY_PREFIXES):
+            return None
+        return plan.owner_of(subject)
+
+    return shard
+
+
+def _split(triples, parts: Sequence[Graph], shard) -> int:
+    """Add each triple to its shard's part, or to every part when it is
+    replicated; returns how many were routed to one part."""
+    routed = 0
+    for triple in triples:
+        target = shard(triple)
+        if target is None:
+            for part in parts:
+                part.add(triple)
+        else:
+            routed += 1
+            parts[target].add(triple)
+    return routed
 
 
 def partition_store(
@@ -150,38 +183,23 @@ def partition_store(
     byte-identical files.
     """
     source = store.model(model)
-    router = _Router(source, n_shards)
-
-    plan = ShardPlan(model=model, n_shards=n_shards)
-    shard_graphs: List[Graph] = []
-    for index in range(n_shards):
-        shard_store = TripleStore()
-        graph = shard_store.create_model(model)
-        plan.stores.append(shard_store)
-        shard_graphs.append(graph)
-
-    for triple in source.triples():
-        target = router.shard(triple)
-        if target is None:
-            plan.replicated_triples += 1
-            for graph in shard_graphs:
-                graph.add(triple)
-        else:
-            plan.routed_triples += 1
-            shard_graphs[target].add(triple)
+    plan = ShardPlan(
+        model=model,
+        n_shards=n_shards,
+        stores=[TripleStore() for _ in range(n_shards)],
+        keys=_placement_keys(source),
+    )
+    shard = _router(source, plan)
+    graphs = [shard_store.create_model(model) for shard_store in plan.stores]
+    plan.routed_triples = _split(source.triples(), graphs, shard)
+    plan.replicated_triples = len(source) - plan.routed_triples
 
     for index_model, rulebase in store.index_names(model):
         derived = store.index(index_model, rulebase)
         if derived is None:
             continue
         parts = [Graph(name=f"{model}/{rulebase}") for _ in range(n_shards)]
-        for triple in derived.triples():
-            target = router.shard(triple)
-            if target is None:
-                for part in parts:
-                    part.add(triple)
-            else:
-                parts[target].add(triple)
+        _split(derived.triples(), parts, shard)
         for shard_store, part in zip(plan.stores, parts):
             shard_store.attach_index(model, rulebase, part)
 
@@ -197,9 +215,9 @@ def write_shard_snapshots(
 
     File names follow :func:`shard_filename`; each file is the
     deterministic :func:`~repro.storage.snapshot.save_snapshot_store`
-    format, so shard workers mmap-attach them exactly like unsharded
-    snapshots and a re-partition of identical content produces
-    byte-identical files (the cheap no-op check during rebalance).
+    format, so a shard file attaches exactly like an unsharded snapshot
+    and a re-partition of identical content produces byte-identical
+    files.
     """
     from repro.storage.snapshot import save_snapshot_store
 
@@ -219,7 +237,9 @@ def changed_shards(old: ShardPlan, new: ShardPlan) -> List[int]:
     The rebalance path partitions the post-release store and replaces
     only these shards — the incremental-release delta touches few
     subjects, and hash placement is sticky, so most shards are
-    byte-identical and keep serving without a restart.
+    byte-identical and keep serving without a restart. A delta that
+    joins or splits lineage components may move a component, which
+    changes both the shard it left and the shard it joined.
     """
     if old.n_shards != new.n_shards:
         return list(range(new.n_shards))

@@ -173,9 +173,10 @@ def make_scatter_workload(
     """A deterministic search/lineage mix for the *sharded* gateway.
 
     The sharded serving tier routes only the paper's two interactive
-    use cases (Listing-1 search scatter-gathers, Listing-2 lineage runs
-    as a frontier exchange); raw SPARQL/SEM_SQL stays on unsharded
-    replicas. This stream mirrors :func:`make_service_workload`'s
+    use cases (Listing-1 search scatter-gathers, Listing-2 lineage goes
+    to the one shard holding the item's lineage component); raw
+    SPARQL/SEM_SQL stays on unsharded replicas. This stream mirrors
+    :func:`make_service_workload`'s
     derivation — terms and item names come from the warehouse's own
     ``dm:hasName`` values — restricted to the routable kinds, so the
     sharded benchmark and chaos harness replay a realistic interactive

@@ -1,7 +1,7 @@
 """Fleet-wide observability through the sharded gateway.
 
-Cross-shard trace propagation (gateway request ⊃ per-round frontier
-spans ⊃ per-shard request spans ⊃ operator spans), span grafting under
+Cross-shard trace propagation (gateway request ⊃ per-shard request
+spans ⊃ operator spans), span grafting under
 failure (hedged losers, WorkerLost requeues), the unified gateway
 slow-query log, per-shard degraded attribution, and the SLO report
 riding the fleet health document.
@@ -15,7 +15,6 @@ from repro.core import MetadataWarehouse
 from repro.obs import get_journal, trace_scope, validate_chrome_trace
 from repro.obs.registry import get_registry
 from repro.server import ServiceConfig
-from repro.storage import shard_of
 from tests.server.conftest import mint_instances, thread_service
 
 
@@ -40,62 +39,72 @@ def children_of(spans, parent):
     return [s for s in spans if s.parent_id == parent.span_id]
 
 
+def descends_from(spans, span, ancestor):
+    by_id = {s.span_id: s for s in spans}
+    while span.parent_id is not None:
+        span = by_id[span.parent_id]
+        if span is ancestor:
+            return True
+    return False
+
+
+def lineage_tree(tracer):
+    """The gateway lineage span, its shard request spans, and the
+    lineage operator spans under each of those."""
+    spans = tracer.spans()
+    (gateway,) = [
+        s
+        for s in spans
+        if s.name == "request" and s.attrs.get("request_id", "").startswith("g-")
+    ]
+    shard_requests = [s for s in children_of(spans, gateway) if s.name == "request"]
+    operators = {
+        request.span_id: [
+            s
+            for s in spans
+            if s.name == "operator"
+            and s.attrs.get("op") == "trace"
+            and descends_from(spans, s, request)
+        ]
+        for request in shard_requests
+    }
+    return gateway, shard_requests, operators
+
+
 class TestCrossShardTracePropagation:
-    def test_lineage_nests_gateway_frontier_shard_operator(self):
+    def test_lineage_nests_gateway_shard_operator(self):
         """The acceptance shape: one sampled Listing-2 lineage against a
-        3-shard fleet yields a single trace tree, gateway request ⊃
-        per-round frontier spans ⊃ per-shard request spans ⊃ operator
-        spans — and it round-trips the structural validator."""
+        3-shard fleet yields a single trace tree, gateway request ⊃ the
+        owner shard's request span ⊃ the lineage operator span — and it
+        round-trips the structural validator."""
         mdw, items, _names = three_shard_chain()
         with trace_scope() as tracer:
             with thread_service(mdw, n_shards=3) as svc:
                 got = svc.lineage(items[0], direction="downstream")
+                owner = svc.owner_of(items[0])
         assert len(got.edges) == 4 and not got.degraded
-        spans = tracer.spans()
-        named = spans_by_name(tracer)
-        (gateway,) = [
-            s for s in named["request"] if s.attrs.get("kind") == "lineage"
-        ]
+        gateway, shard_requests, operators = lineage_tree(tracer)
         assert gateway.parent_id is None
-        assert gateway.attrs["request_id"].startswith("g-")
-        frontiers = sorted(named["frontier"], key=lambda s: s.attrs["round"])
-        # 5 BFS levels: 4 edge-bearing rounds + the terminal empty one
-        assert [f.attrs["round"] for f in frontiers] == [1, 2, 3, 4, 5]
-        shard_requests = []
-        for frontier in frontiers:
-            assert frontier.parent_id == gateway.span_id
-            assert frontier.attrs["direction"] == "downstream"
-            level = [
-                s
-                for s in children_of(spans, frontier)
-                if s.name == "request"
-            ]
-            # downstream rounds point-route: one owner shard per round
-            assert len(level) == frontier.attrs["fan_out"] == 1
-            shard_requests.extend(level)
-        for request in shard_requests:
-            assert request.attrs["kind"] == "frontier"
-            operators = [
-                s
-                for s in children_of(spans, request)
-                if s.name == "operator" and s.attrs.get("op") == "frontier"
-            ]
-            assert len(operators) == 1
+        assert gateway.attrs["kind"] == "lineage"
+        (request,) = shard_requests
+        assert request.attrs["kind"] == "lineage"
+        assert request.attrs["shard"] == str(owner)
+        (operator,) = operators[request.span_id]
+        assert operator.parent_id == request.span_id
+        assert operator.attrs["edges"] == 4
         summary = validate_chrome_trace(tracer.to_chrome())
-        assert {"request", "frontier", "operator"} <= set(summary["names"])
+        assert {"request", "operator"} <= set(summary["names"])
 
-    def test_upstream_rounds_fan_out_to_every_shard(self):
+    def test_upstream_lineage_asks_one_shard(self):
+        """Upstream edges live with the component too: no scatter."""
         mdw, items, _names = three_shard_chain()
         with trace_scope() as tracer:
             with thread_service(mdw, n_shards=3) as svc:
-                svc.lineage(items[-1], direction="upstream")
-        named = spans_by_name(tracer)
-        spans = tracer.spans()
-        for frontier in named["frontier"]:
-            level = [
-                s for s in children_of(spans, frontier) if s.name == "request"
-            ]
-            assert len(level) == 3  # upstream scatters to all shards
+                got = svc.lineage(items[-1], direction="upstream")
+                owner = svc.owner_of(items[-1])
+        assert len(got.edges) == 4
+        _, shard_requests, _ = lineage_tree(tracer)
+        assert [r.attrs["shard"] for r in shard_requests] == [str(owner)]
         validate_chrome_trace(tracer.to_chrome())
 
     def test_search_scatter_nests_under_gateway_request(self):
@@ -145,12 +154,12 @@ class TestForkShardPropagation:
         assert len(got.edges) == 4
         summary = validate_chrome_trace(tracer.to_chrome())
         assert summary["pids"] >= 2  # child-process spans grafted in
-        named = spans_by_name(tracer)
-        spans = tracer.spans()
-        (gateway,) = [
-            s for s in named["request"] if s.attrs.get("kind") == "lineage"
-        ]
-        for dispatch in named["fork-dispatch"]:
+        gateway, shard_requests, operators = lineage_tree(tracer)
+        (request,) = shard_requests
+        # gateway ⊃ shard request ⊃ fork-dispatch (child pid) ⊃ operator
+        (operator,) = operators[request.span_id]
+        assert operator.pid != gateway.pid
+        for dispatch in spans_by_name(tracer)["fork-dispatch"]:
             assert dispatch.pid != gateway.pid
 
 
@@ -277,13 +286,13 @@ class TestUnifiedSlowQueryLog:
 
     def test_failed_shards_named_in_the_entry(self):
         mdw, items, _names = three_shard_chain()
-        owner = shard_of(items[0], 3)
         with thread_service(
             mdw,
             n_shards=3,
             slow_query_threshold=1e-9,
             shard_breaker_threshold=1,
         ) as svc:
+            owner = svc.owner_of(items[0])
             svc.shard_service(owner).close()
             svc.lineage(items[0], direction="downstream")
             (entry,) = svc.metrics.slow_queries.entries()
@@ -302,8 +311,8 @@ class TestUnifiedSlowQueryLog:
         from repro.server import WorkerLost
 
         mdw, items, _names = three_shard_chain()
-        owner = shard_of(items[0], 2)
         with thread_service(mdw, n_shards=2, slow_query_threshold=1e-9) as svc:
+            owner = svc.owner_of(items[0])
 
             def die(request, extras_sink):
                 raise WorkerLost(request.request_id, exitcode=-9)
@@ -394,6 +403,7 @@ class TestFleetSloAndJournal:
         with thread_service(mdw, n_shards=3, name="slo-health-test") as svc:
             for _ in range(3):
                 svc.lineage(items[0], direction="downstream")
+            svc.search("n0", regex=True)  # a scatter reaches every shard
             health = svc.health()
         report = health["slo"]
         services = report["services"]

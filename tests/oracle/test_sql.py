@@ -200,6 +200,77 @@ class TestSqlSemantics:
         assert rows.values("term") == sorted(rows.values("term"))
 
 
+class TestThreeValuedWhere:
+    """The compiled WHERE predicates follow SQL's NULL logic: an
+    evaluation error (unbound column, blank node) is neither true nor
+    false, so ``NOT`` keeps it an error and the row is dropped — exactly
+    what the expression-tree path (``_sql_test``) does."""
+
+    EX = "http://example.org/"
+    SHAPES = [
+        "o = 'x'",
+        "o != 'x'",
+        "NOT (o = 'x')",
+        "NOT (o != 'x')",
+        "NOT NOT (o = 'x')",
+        "NOT regexp_like(o, 'x')",
+        "NOT (o = 'x' OR o = 'z')",
+        "NOT (o = 'x' AND o = 'z')",
+        "NOT (o = 'x') OR o = 'x'",
+        "NOT (o = 'x') AND NOT (o = 'z')",
+        "NOT (y = 'y')",
+        "NOT (y = 'y') OR o = 'x'",
+        "y = 'y' OR NOT (o = 'x')",
+        "NOT (y = 'y' AND o = 'z')",
+        "NOT (y = 'y' OR o = 'x')",
+    ]
+
+    @pytest.fixture
+    def store(self):
+        """``ex:p`` objects of every kind; ``ex:q`` bound on one row."""
+        from repro.rdf.terms import BNode
+
+        ex = self.EX
+        s = TripleStore()
+        g = s.create_model("M")
+        objects = {
+            "iri": IRI(ex + "x"),
+            "literal": Literal("x"),
+            "blank": BNode("n1"),
+            "other": Literal("z"),
+        }
+        for name, value in objects.items():
+            g.add(Triple(IRI(ex + name), IRI(ex + "p"), value))
+        g.add(Triple(IRI(ex + "other"), IRI(ex + "q"), Literal("y")))
+        return s
+
+    def sql(self, where):
+        return (
+            "SELECT s, o, y FROM TABLE(SEM_MATCH("
+            "{?s ex:p ?o OPTIONAL {?s ex:q ?y}}, SEM_MODELS('M'), "
+            f"SEM_ALIASES(SEM_ALIAS('ex', '{self.EX}')))) WHERE {where}"
+        )
+
+    @pytest.mark.parametrize("where", SHAPES)
+    def test_same_rows_as_tree(self, store, monkeypatch, where):
+        from repro.oracle import sql as sql_module
+
+        statement = self.sql(where)
+        query = parse_sem_sql(statement)
+        assert sql_module._compile_row_predicate(query.where) is not None
+        compiled = sorted(map(repr, execute_sem_sql(store, statement).to_dicts()))
+        with monkeypatch.context() as patch:
+            patch.setattr(sql_module, "_compile_row_predicate", lambda where: None)
+            tree = sorted(map(repr, execute_sem_sql(store, statement).to_dicts()))
+        assert compiled == tree
+
+    def test_not_equal_drops_blank_and_unbound(self, store):
+        rows = execute_sem_sql(store, self.sql("NOT (o = 'x')"))
+        assert sorted(rows.values("s")) == [self.EX + "iri", self.EX + "other"]
+        rows = execute_sem_sql(store, self.sql("NOT (y = 'y')"))
+        assert rows.to_dicts() == []
+
+
 class TestEqualityPushdown:
     """WHERE `col = 'const'` conjuncts pushed into SEM_MATCH as bindings."""
 

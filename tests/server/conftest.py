@@ -37,9 +37,11 @@ def thread_service(mdw, **overrides):
 def mint_instances(mdw, cls, shards_wanted, n_shards):
     """Instances whose routing hash lands on the requested shards.
 
-    Probes candidate names with the same :func:`shard_of` hash the
-    partitioner uses, so a test can place consecutive chain links on
-    different shards deterministically.
+    Probes candidate names with the :func:`shard_of` hash, so a test
+    can make consecutive chain links hash to different shards — which
+    the partitioner then overrides by placing the whole lineage
+    component on one shard. Names grow with each pick, so the first
+    item is its component's representative.
     """
     items, names = [], []
     k = 0

@@ -33,7 +33,7 @@ class TestHealth:
             assert health["status"] == "healthy"
             assert health["stale_indexes"] == []
             assert set(health["endpoints"]) == {
-                "query", "sql", "search", "lineage", "frontier",
+                "query", "sql", "search", "lineage",
                 "lookup", "update",
             }
             assert all(

@@ -85,7 +85,6 @@ class TestSubmitExecute:
             ("sql", {"sql": LISTING1_SQL, "plan_cache": None}),
             ("search", {"term": "a", "regexp": True}),
             ("lineage", {"item": "a", "depth": 2}),
-            ("frontier", {"items": (), "max_depth": 2}),
             ("lookup", {"name": "a", "regex": True}),
         ],
     )

@@ -1,11 +1,12 @@
 """The sharded scatter-gather gateway.
 
-Cross-shard lineage frontier exchange (multi-hop chains, cycles that
-span shards, deadline expiry mid-round), bit-identity of search and
-lineage against the single-node services, degraded partial answers when
-a shard dies, and the replace/rebalance operational paths. Unit tests
-run the shards in thread mode (fork-mode behaviour — supervision,
-SIGKILL recovery — is the chaos harness's job).
+Lineage over chains and cycles whose items hash to different shards
+(answered whole by the one shard holding the component, with one
+sub-request per trace), bit-identity of search and lineage against the
+single-node services, degraded partial answers when a shard dies, and
+the replace/rebalance operational paths. Unit tests run the shards in
+thread mode (fork-mode behaviour — supervision, SIGKILL recovery — is
+the chaos harness's job).
 """
 
 import time
@@ -24,10 +25,9 @@ from repro.server import (
     ServiceClosed,
     ShardedConfig,
 )
-from repro.server import sharding
 from repro.server.service import dispatch
 from repro.services.search import SearchFilters
-from repro.storage import shard_of
+from repro.storage import partition_store, shard_of
 from repro.synth import make_scatter_workload
 
 from .conftest import canonical, mint_instances, thread_service
@@ -35,7 +35,7 @@ from .conftest import canonical, mint_instances, thread_service
 
 @pytest.fixture
 def chain():
-    """a -> b -> c -> d -> e alternating between the two shards."""
+    """a -> b -> c -> d -> e, items hashing to alternating shards."""
     mdw = MetadataWarehouse()
     node = mdw.schema.declare_class("Node")
     items, names = mint_instances(mdw, node, [0, 1, 0, 1, 0], 2)
@@ -53,10 +53,25 @@ def assert_same_trace(got, want):
 
 
 class TestFrontierExchange:
+    """Multi-hop traces over chains and cycles whose items hash to
+    different shards: the shard holding the component answers alone,
+    edge for edge and depth for depth like a single node."""
+
     def test_chain_actually_crosses_shards(self, chain):
-        _, items, _ = chain
-        placements = [shard_of(t, 2) for t in items]
-        assert placements == [0, 1, 0, 1, 0]
+        """The items hash to alternating shards, yet one shard stores
+        the whole chain."""
+        mdw, items, _ = chain
+        assert [shard_of(t, 2) for t in items] == [0, 1, 0, 1, 0]
+        plan = partition_store(mdw.store, 2, mdw.model_name)
+        edges = set(mdw.graph.triples(None, TERMS.is_mapped_to, None))
+        holders = [
+            index
+            for index, store in enumerate(plan.stores)
+            if edges & set(store.model(mdw.model_name).triples())
+        ]
+        assert holders == [plan.owner_of(items[0])]
+        owner_graph = plan.stores[holders[0]].model(mdw.model_name)
+        assert edges <= set(owner_graph.triples())
 
     def test_downstream_bit_identical(self, chain):
         mdw, items, _ = chain
@@ -65,7 +80,7 @@ class TestFrontierExchange:
         want = mdw.lineage.trace(items[0], "downstream")
         assert_same_trace(got, want)
         assert not got.degraded
-        # rule/condition meta-data crossed the shard boundary intact
+        # rule/condition meta-data travelled with the component
         assert {e.rule for e in got.edges} == {f"rule-{i}" for i in range(4)}
 
     def test_upstream_bit_identical(self, chain):
@@ -102,7 +117,7 @@ class TestFrontierExchange:
         node = mdw.schema.declare_class("Node")
         (a, b, c), _ = mint_instances(mdw, node, [0, 1, 0], 2)
         mdw.facts.add_mapping(a, b, rule="fwd")
-        mdw.facts.add_mapping(b, a, rule="back")  # a <-> b crosses shards
+        mdw.facts.add_mapping(b, a, rule="back")  # a, b hash apart
         mdw.facts.add_mapping(b, c, rule="out")
         with thread_service(mdw) as svc:
             for direction in ("downstream", "upstream"):
@@ -113,35 +128,43 @@ class TestFrontierExchange:
     def test_deadline_expiry_mid_round_is_typed(self, chain):
         mdw, items, _ = chain
         with thread_service(mdw) as svc:
-            # first make sure the slow-shard wrapper is not the only
-            # reason the trace completes
+
+            def submitted():
+                return [
+                    svc.shard_service(i).metrics.snapshot()["submitted"]
+                    for i in range(2)
+                ]
+
+            owner = svc.owner_of(items[-1])
             baseline = svc.lineage(items[-1], direction="upstream")
             assert len(baseline.edges) == 4
-            slow = svc.shard_service(0)
-            original = slow.submit
-
-            def delayed_submit(kind, **payload):
-                time.sleep(0.06)
-                return original(kind, **payload)
-
-            slow.submit = delayed_submit
-            try:
-                # upstream scatters to both shards every round; the slow
-                # shard burns ~0.06s per round against a 0.1s budget, so
-                # the deadline expires after the first round — inside
-                # the frontier loop, not at admission
+            before = submitted()
+            # the owner's worker stalls outside every cooperative check,
+            # so the budget runs out inside the one lineage sub-request,
+            # not at admission
+            injector = FaultInjector()
+            injector.arm("worker.execute", "delay", delay=0.3, times=1)
+            with fault_scope(injector):
                 with pytest.raises(DeadlineExceeded):
                     svc.lineage(items[-1], direction="upstream", timeout=0.1)
-            finally:
-                slow.submit = original
+            after = submitted()
+        assert [a - b for a, b in zip(after, before)] == [
+            1 if i == owner else 0 for i in range(2)
+        ]
 
-    def test_round_bound_cuts_short_and_degrades(self, chain, monkeypatch):
+
+class TestPointRoutedLineage:
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_one_subrequest_per_lineage(self, chain, n_shards):
         mdw, items, _ = chain
-        monkeypatch.setattr(sharding, "MAX_ROUNDS", 2)
-        with thread_service(mdw) as svc:
-            got = svc.lineage(items[0], direction="downstream")
-        assert got.degraded
-        assert len(got.edges) == 2  # two rounds of a four-hop chain
+        with thread_service(mdw, n_shards=n_shards) as svc:
+            for item in items:
+                for direction in ("upstream", "downstream"):
+                    svc.lineage(item, direction=direction)
+            snap = svc.metrics_snapshot()
+        submitted = sum(shard["submitted"] for shard in snap["shards"].values())
+        assert snap["gateway"]["completed"] == 2 * len(items)
+        assert submitted == snap["gateway"]["completed"]
 
 
 @pytest.fixture
@@ -281,13 +304,24 @@ class TestDegradedMode:
 
     def test_lineage_to_dead_owner_is_empty_degraded(self, chain):
         mdw, items, names = chain
-        owner = shard_of(items[0], 2)
         with thread_service(mdw, shard_breaker_threshold=2) as svc:
-            svc.shard_service(owner).close()
-            got = svc.lineage(names[0], direction="downstream")
-        assert got.degraded
-        assert got.edges == []
-        assert got.start == Literal(names[0])
+            svc.shard_service(svc.owner_of(items[0])).close()
+            by_name = svc.lineage(names[0], direction="downstream")
+            by_term = svc.lineage(items[0], direction="downstream")
+        assert by_name.degraded and by_term.degraded
+        assert by_name.edges == by_term.edges == []
+        assert by_name.start == Literal(names[0])
+        assert by_term.start == items[0]
+
+    def test_lineage_on_a_healthy_owner_is_complete(self, chain):
+        """A dead shard that holds no part of the component costs a
+        Term-addressed trace nothing: complete, not degraded."""
+        mdw, items, _ = chain
+        with thread_service(mdw, shard_breaker_threshold=2) as svc:
+            svc.shard_service(1 - svc.owner_of(items[0])).close()
+            got = svc.lineage(items[0], direction="downstream")
+        assert not got.degraded
+        assert_same_trace(got, mdw.lineage.trace(items[0], "downstream"))
 
     def test_health_aggregates_worst_status(self, landscape):
         with thread_service(landscape, shard_breaker_threshold=1) as svc:
@@ -430,9 +464,13 @@ class TestOperations:
             assert svc.execute("lookup", name="fresh_column") == [fresh]
 
     def test_owner_of_matches_partitioner(self, landscape):
+        plan = partition_store(landscape.store, 3, landscape.model_name)
+        names = ["trade_0"] + [f"link_{k}" for k in range(6)]
+        terms = [landscape.facts.namespace.term(name) for name in names]
         with thread_service(landscape, n_shards=3) as svc:
-            term = landscape.facts.namespace.term("trade_0")
-            assert svc.owner_of(term) == shard_of(term, 3)
+            assert [svc.owner_of(t) for t in terms] == [plan.owner_of(t) for t in terms]
+            # an unmapped item is placed by its own hash
+            assert svc.owner_of(terms[0]) == shard_of(terms[0], 3)
 
 
 class TestShardMetricLabels:
