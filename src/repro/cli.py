@@ -195,18 +195,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     chaos = sub.add_parser(
         "chaos",
-        help="randomized crash/recover/verify loops over the resilient load path",
+        help="randomized crash/recover/verify loops: the release path by "
+        "default, or the storage or serving tier",
     )
     chaos.add_argument("--seed", type=int, default=0)
     chaos.add_argument("--iterations", type=int, default=5)
     chaos.add_argument("--documents", type=int, default=4, help="release feeds per iteration")
     chaos.add_argument("--instances", type=int, default=10, help="instances per feed")
-    chaos.add_argument("--workdir", default=None, help="directory for journals (default: a temp dir)")
+    chaos.add_argument("--workdir", default=None, help="directory for snapshot files (default: a temp dir)")
     chaos_path = chaos.add_mutually_exclusive_group()
-    chaos_path.add_argument(
-        "--incremental", action="store_true",
-        help="crash/recover through the incremental release-application path",
-    )
     chaos_path.add_argument(
         "--snapshot", action="store_true",
         help="crash/recover through the snapshot storage path "
@@ -1068,7 +1065,7 @@ def cmd_events(args) -> None:
 
 
 def cmd_chaos(args) -> None:
-    """Kill the load at a random fault point, recover, verify convergence.
+    """Kill a release apply at a random fault point, re-apply, verify convergence.
 
     Exit 0 means every iteration converged to the bit-identical
     reference state (model, entailment indexes, probe answers); any
@@ -1121,7 +1118,6 @@ def cmd_chaos(args) -> None:
             instances=args.instances,
             workdir=args.workdir,
             log=print,
-            incremental=args.incremental,
         )
     print(report.verdict())  # per-iteration lines already streamed live
     if not report.ok:

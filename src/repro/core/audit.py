@@ -88,8 +88,7 @@ class AuditJournal:
         sink makes the trail **durable-optional**: every entry is
         appended to ``path``, and :meth:`checkpoint` flushes (and, with
         ``durable=True``, fsyncs) so the trail survives a process kill
-        up to the last checkpoint — the same guarantee the load journal
-        gives, and what the crash-recovery path audits against.
+        up to the last checkpoint.
 
         Returns the :class:`~repro.resilience.DurableLog` sink.
         """

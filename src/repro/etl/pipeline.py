@@ -5,21 +5,19 @@ into the staging tables, bulk loads them into the target model,
 validates the loaded graph against Table I, and refreshes the entailment
 indexes — the complete release-load a production operator would run.
 
-With a :class:`ResilienceConfig`, the load becomes a **resumable
-transaction**: staged rows are written ahead to a load journal, applied
-in checkpointed batches, and malformed records are retried (backoff +
-jitter) then diverted to a persistent quarantine with reason codes
-instead of aborting the release. After a crash at any point,
-:meth:`EtlOrchestrator.recover` replays the journal to the exact state
-an uninterrupted load would have produced.
+Both load paths recover from a crash the same way: run them again.
+:meth:`EtlOrchestrator.apply_release` converges the model to the
+release's complete state and :meth:`EtlOrchestrator.run` adds triples
+under set semantics, so a re-run after a crash at any fault site reaches
+the state an uninterrupted load would have produced. Malformed staging
+rows never abort a load; they are listed in ``BulkLoadReport.rejected``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Callable, Iterable, List, Optional, Sequence, Union
+from typing import Iterable, List, Optional, Sequence
 
 from repro.rdf.bulkload import BulkLoader, BulkLoadReport
 from repro.rdf.graph import Graph
@@ -38,26 +36,6 @@ from repro.resilience import faults
 
 
 @dataclass
-class ResilienceConfig:
-    """Crash-safety knobs of an orchestrated load.
-
-    ``journal_path`` names the write-ahead load journal file (created on
-    first use). ``durable=True`` fsyncs every checkpoint so the journal
-    survives a process kill; turn it off only for throwaway stores.
-    ``quarantine_path`` persists diverted rows (in-memory when None).
-    ``sleep``/``seed`` make retry backoff deterministic under test.
-    """
-
-    journal_path: Union[str, Path]
-    quarantine_path: Optional[Union[str, Path]] = None
-    batch_size: int = 250
-    durable: bool = True
-    retry: Optional[object] = None  # RetryPolicy; library default when None
-    sleep: Callable[[float], None] = time.sleep
-    seed: int = 0
-
-
-@dataclass
 class LoadResult:
     """Outcome of one orchestrated release load."""
 
@@ -73,14 +51,12 @@ class LoadResult:
         return (
             self.bulk_report is not None
             and not self.bulk_report.rejected
-            and not self.bulk_report.quarantined
             and (self.validation is None or self.validation.conformant)
         )
 
     def summary(self) -> str:
         parts = [f"{self.documents} document(s), {self.staged_rows} staged row(s)"]
         if self.bulk_report:
-            # includes rejected and quarantined counts
             parts.append(self.bulk_report.summary())
         if self.validation:
             parts.append(
@@ -117,10 +93,9 @@ class ReleaseLoadResult:
     def ok(self) -> bool:
         # bulk_report is None on the graph-level (``desired=``) path,
         # where there is no staging and nothing can be rejected
-        return (
-            self.bulk_report is None
-            or (not self.bulk_report.rejected and not self.bulk_report.quarantined)
-        ) and (self.validation is None or self.validation.conformant)
+        return (self.bulk_report is None or not self.bulk_report.rejected) and (
+            self.validation is None or self.validation.conformant
+        )
 
     def summary(self) -> str:
         parts = [
@@ -140,24 +115,11 @@ class ReleaseLoadResult:
 
 
 class EtlOrchestrator:
-    """Runs the Figure 4 pipeline against one warehouse.
+    """Runs the Figure 4 pipeline against one warehouse."""
 
-    Pass ``resilience=ResilienceConfig(...)`` to run loads through the
-    journaled, quarantining :class:`~repro.resilience.ResilientBulkLoader`
-    instead of the plain in-memory loader.
-    """
-
-    def __init__(
-        self,
-        warehouse: MetadataWarehouse,
-        validate: bool = True,
-        resilience: Optional[ResilienceConfig] = None,
-    ):
+    def __init__(self, warehouse: MetadataWarehouse, validate: bool = True):
         self._mdw = warehouse
         self._validate = validate
-        self._resilience = resilience
-        self._journal = None
-        self._quarantine = None
         self._transformer = XmlToRdfTransformer(
             schema_ns=warehouse.schema.namespace,
             instance_ns=warehouse.facts.namespace,
@@ -166,43 +128,6 @@ class EtlOrchestrator:
     @property
     def transformer(self) -> XmlToRdfTransformer:
         return self._transformer
-
-    @property
-    def quarantine(self):
-        """The persistent quarantine (resilient mode only, else None)."""
-        self._ensure_resilient_parts()
-        return self._quarantine
-
-    def _ensure_resilient_parts(self) -> None:
-        if self._resilience is None or self._journal is not None:
-            return
-        from repro.resilience import (
-            DEFAULT_LOAD_RETRY,
-            LoadJournal,
-            QuarantineStore,
-        )
-
-        config = self._resilience
-        self._journal = LoadJournal(config.journal_path, durable=config.durable)
-        self._quarantine = QuarantineStore(config.quarantine_path)
-        self._retry = config.retry if config.retry is not None else DEFAULT_LOAD_RETRY
-
-    def _loader(self):
-        if self._resilience is None:
-            return BulkLoader(self._mdw.store)
-        self._ensure_resilient_parts()
-        from repro.resilience import ResilientBulkLoader
-
-        config = self._resilience
-        return ResilientBulkLoader(
-            self._mdw.store,
-            self._journal,
-            quarantine=self._quarantine,
-            retry=self._retry,
-            batch_size=config.batch_size,
-            sleep=config.sleep,
-            seed=config.seed,
-        )
 
     def run(
         self,
@@ -232,7 +157,9 @@ class EtlOrchestrator:
 
             result.staged_rows = len(staging)
             with span("etl.bulkload", "etl", rows=len(staging)):
-                result.bulk_report = self._loader().load(staging, self._mdw.model_name)
+                result.bulk_report = BulkLoader(self._mdw.store).load(
+                    staging, self._mdw.model_name
+                )
 
             if thesaurus is not None:
                 result.thesaurus_edges = thesaurus.materialize(self._mdw.graph)
@@ -321,7 +248,7 @@ class EtlOrchestrator:
                 live.clear()
                 with span("etl.bulkload", "etl"):
                     if staging is not None:
-                        result.bulk_report = self._loader().load(
+                        result.bulk_report = BulkLoader(self._mdw.store).load(
                             staging, self._mdw.model_name
                         )
                         if thesaurus is not None:
@@ -384,40 +311,10 @@ class EtlOrchestrator:
             self._transformer.stage(document, staging)
             result.documents += 1
         result.staged_rows = len(staging)
-        result.bulk_report = self._loader().load(staging, self._mdw.model_name)
+        result.bulk_report = BulkLoader(self._mdw.store).load(
+            staging, self._mdw.model_name
+        )
         if self._validate:
             faults.fire("etl.validate")
             result.validation = validate_graph(self._mdw.graph, max_issues=25)
         return result
-
-    # -- crash recovery -----------------------------------------------------
-
-    def recover(self, from_checkpoint: bool = True):
-        """Finish (or void) the last crashed load from the journal.
-
-        Call after catching a crash mid-:meth:`run`: the journal's
-        write-ahead is replayed idempotently from the last checkpoint,
-        converging the model to exactly the state an uninterrupted load
-        would have reached, then the entailment indexes are refreshed.
-        Returns a :class:`~repro.resilience.RecoveryReport`. With no
-        resilience config (or a clean journal) it reports ``"none"``.
-        """
-        from repro.resilience import RecoveryReport, recover
-
-        if self._resilience is None:
-            return RecoveryReport(action="none")
-        self.close_journal()
-        config = self._resilience
-        report = recover(
-            self._mdw,
-            config.journal_path,
-            from_checkpoint=from_checkpoint,
-            durable=config.durable,
-        )
-        return report
-
-    def close_journal(self) -> None:
-        """Release the journal file handle (idempotent)."""
-        if self._journal is not None:
-            self._journal.close()
-            self._journal = None

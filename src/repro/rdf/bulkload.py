@@ -1,7 +1,7 @@
 """Bulk loader: staging tables -> RDF model tables (Figure 4).
 
 The loader drains one or more staging tables into a named model of a
-:class:`~repro.rdf.store.TripleStore`. Malformed rows are quarantined and
+:class:`~repro.rdf.store.TripleStore`. Malformed rows are rejected and
 reported, not fatal — a large meta-data feed with a handful of bad rows
 still loads (the behaviour operations teams expect of a warehouse bulk
 load). A :class:`BulkLoadReport` summarizes inserted / duplicate /
@@ -45,37 +45,25 @@ class BulkLoadError(Exception):
 class BulkLoadReport:
     """Outcome of one bulk load.
 
-    ``rejected`` holds rows a lenient in-memory load dropped;
-    ``quarantined`` holds rows the resilient (journaled) load path
-    diverted to the persistent quarantine — entries are
-    :class:`~repro.resilience.quarantine.QuarantinedRow` objects with
-    reason codes.
+    ``rejected`` holds every malformed row a lenient load dropped, with
+    the parse error as its reason.
     """
 
     model: str
     inserted: int = 0
     duplicates: int = 0
     rejected: List[Tuple[StagingRow, str]] = field(default_factory=list)
-    quarantined: List[object] = field(default_factory=list)
     per_source: Dict[str, int] = field(default_factory=dict)
 
     @property
     def total_rows(self) -> int:
-        return (
-            self.inserted
-            + self.duplicates
-            + len(self.rejected)
-            + len(self.quarantined)
-        )
+        return self.inserted + self.duplicates + len(self.rejected)
 
     def summary(self) -> str:
-        text = (
+        return (
             f"bulk load into {self.model!r}: {self.inserted} inserted, "
             f"{self.duplicates} duplicate, {len(self.rejected)} rejected"
         )
-        if self.quarantined:
-            text += f", {len(self.quarantined)} quarantined"
-        return text
 
 
 class BulkLoader:
@@ -83,7 +71,7 @@ class BulkLoader:
 
     ``strict=True`` aborts (raising :class:`BulkLoadError`) without
     touching the model when any row is malformed; the default lenient
-    mode loads good rows and quarantines bad ones in the report.
+    mode loads good rows and lists bad ones in the report's ``rejected``.
     """
 
     def __init__(self, store: TripleStore, strict: bool = False):
@@ -147,7 +135,6 @@ class BulkLoader:
             merged.inserted += r.inserted
             merged.duplicates += r.duplicates
             merged.rejected.extend(r.rejected)
-            merged.quarantined.extend(r.quarantined)
             for src, n in r.per_source.items():
                 merged.per_source[src] = merged.per_source.get(src, 0) + n
         return merged

@@ -4,7 +4,7 @@ Meta-data arrives as XML, is transformed to RDF triples, and lands in
 staging tables before the bulk load moves it into the RDF model tables.
 A :class:`StagingTable` holds rows in their *lexical* (string) form —
 like Oracle's ``SEM_DTYPE``-typed staging columns — so malformed rows can
-be detected and quarantined by the loader rather than corrupting a model.
+be detected and rejected by the loader rather than corrupting a model.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ def parse_lexical_term(text: str) -> Term:
     """Parse one N-Triples-syntax term from a staging column.
 
     Raises ValueError on malformed input; the bulk loader turns that into
-    a quarantined row rather than a failed load.
+    a rejected row rather than a failed load.
     """
     text = text.strip()
     if not text:

@@ -1,29 +1,22 @@
-"""Fault tolerance for the warehouse: crash-safe loads, degraded-mode
-serving, and a deterministic fault-injection harness.
+"""Fault tolerance for the warehouse: degraded-mode serving and a
+deterministic fault-injection harness.
 
-The productive MDW is bank infrastructure: a release load must never
-leave the model half-loaded, one malformed feed record must never abort
-a release, and the search/lineage services must answer (possibly
-degraded) while things are on fire. This package supplies the
-machinery:
+The productive MDW is bank infrastructure: a crashed release load must
+be recoverable by re-running it, and the search/lineage services must
+answer (possibly degraded) while things are on fire. This package
+supplies the machinery:
 
 * :mod:`repro.resilience.faults` — named fault points + the seedable
   :class:`FaultInjector` (raise / delay / corrupt at any site);
-* :mod:`repro.resilience.retry` — exponential backoff with jitter,
-  fully clock-injectable;
-* :mod:`repro.resilience.journal` — the write-ahead load journal and
-  the fsync-on-checkpoint :class:`DurableLog` sink;
-* :mod:`repro.resilience.quarantine` — the persistent quarantine with
-  reason codes;
-* :mod:`repro.resilience.loader` — :class:`ResilientBulkLoader`,
-  journal :func:`recover`, and snapshot :func:`rollback_to_snapshot`;
+* :mod:`repro.resilience.journal` — the fsync-on-checkpoint
+  :class:`DurableLog` sink behind the audit journal's file tail;
 * :mod:`repro.resilience.breaker` — per-endpoint circuit breakers for
   the query service;
 * :mod:`repro.resilience.chaos` — the randomized crash/recover/verify
-  loop behind ``repro-mdw chaos``.
+  loops behind ``repro-mdw chaos``.
 
-See ``docs/resilience.md`` for the fault-point catalog and the
-operator-facing recovery procedure.
+See ``docs/resilience.md`` for the fault-point catalog and
+``docs/operations.md`` for the operator-facing recovery procedure.
 """
 
 from repro.resilience.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
@@ -37,58 +30,21 @@ from repro.resilience.faults import (
     install,
     uninstall,
 )
-from repro.resilience.journal import (
-    DurableLog,
-    JournalError,
-    LoadJournal,
-    LoadTransaction,
-    pending_transaction,
-    read_transactions,
-)
-from repro.resilience.loader import (
-    RecoveryReport,
-    ResilientBulkLoader,
-    attach_and_recover,
-    recover,
-    rollback_to_snapshot,
-)
-from repro.resilience.quarantine import (
-    QuarantineStore,
-    QuarantinedRow,
-    REASON_CODES,
-    classify_reason,
-)
-from repro.resilience.retry import DEFAULT_LOAD_RETRY, RetryExhausted, RetryPolicy
+from repro.resilience.journal import DurableLog, JournalError
 
 __all__ = [
     "CLOSED",
     "CircuitBreaker",
-    "DEFAULT_LOAD_RETRY",
     "DurableLog",
     "FAULT_POINTS",
     "FaultInjector",
     "HALF_OPEN",
     "InjectedFault",
     "JournalError",
-    "LoadJournal",
-    "LoadTransaction",
     "OPEN",
-    "QuarantineStore",
-    "QuarantinedRow",
-    "REASON_CODES",
-    "RecoveryReport",
-    "ResilientBulkLoader",
-    "RetryExhausted",
-    "RetryPolicy",
     "active_injector",
-    "attach_and_recover",
-    "classify_reason",
     "fault_scope",
     "fire",
     "install",
-    "pending_transaction",
-    "read_transactions",
-    "recover",
-    "rollback_to_snapshot",
     "uninstall",
 ]

@@ -1,12 +1,14 @@
 """The chaos harness: randomized crash / recover / verify loops.
 
-Each iteration builds the same synthetic release twice: once cleanly
-(the reference), once with a seeded fault armed at a random point of
-the load path. After the injected crash, the standard recovery
-procedure runs — journal replay, then (when the load never reached its
-write-ahead) a plain re-run of the release — and the harness asserts
+The release drill (:func:`run_chaos`) applies the same synthetic
+release twice: once cleanly as a full rebuild (the reference), once
+incrementally with a seeded fault armed at a random site of
+``apply_release``. After the injected crash, the one recovery procedure
+runs — apply the same release again — and the harness asserts
 **bit-identical convergence**: the recovered model, every entailment
 index, and a probe query's answers must equal the reference exactly.
+The snapshot, supervisor and sharded drills run the same loop over the
+storage and serving tiers.
 
 Everything derives from one seed, so a red chaos run is a repro recipe,
 not an anecdote: ``repro-mdw chaos --seed 1234`` replays it.
@@ -27,24 +29,12 @@ from typing import Callable, List, Optional
 from repro.rdf.ntriples import serialize_ntriples
 
 from repro.resilience.faults import FaultInjector, InjectedFault, fault_scope
-from repro.resilience.loader import recover
-from repro.resilience.retry import RetryPolicy
 
-#: The load-path sites a chaos iteration may kill at.
-LOAD_SITES = [
-    "staging.stage",
-    "journal.begin",
-    "bulkload.batch",
-    "journal.checkpoint",
-    "bulkload.commit",
-    "index.refresh",
-    "etl.validate",
-]
-
-#: The sites an *incremental* release application passes through
-#: (``EtlOrchestrator.apply_release``): staging, the delta apply itself,
-#: DRed index maintenance, and validation.
-INCREMENTAL_SITES = [
+#: The sites a release application passes through
+#: (``EtlOrchestrator.apply_release``): staging, the delta apply itself
+#: (incremental mode only), index refresh or DRed maintenance, and
+#: validation.
+RELEASE_SITES = [
     "staging.stage",
     "release.apply",
     "index.refresh",
@@ -210,42 +200,19 @@ def _run_iterations(
     return report
 
 
-def _fresh_warehouse():
-    """An empty warehouse with its (empty) OWLPRIME index attached."""
+def _build_release_base(feeds: List[str]):
+    """A fresh warehouse with an OWLPRIME index and ``feeds`` applied as
+    a full release."""
     from repro.core.warehouse import MetadataWarehouse
+    from repro.etl.pipeline import EtlOrchestrator
 
     mdw = MetadataWarehouse()
     mdw.build_entailment_index("OWLPRIME")
-    return mdw
-
-
-#: Resilient-loader settings for the journaled-load iterations.
-_FAST_LOAD = {
-    "batch_size": 7,
-    "durable": False,  # chaos kills via exception, not SIGKILL
-    "retry": RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0),
-}
-
-
-def _load(mdw, journal_path: Path, feeds: List[str]) -> None:
-    """Load one release into ``mdw`` through the resilient path."""
-    from repro.etl.pipeline import EtlOrchestrator, ResilienceConfig
-
-    EtlOrchestrator(
-        mdw, resilience=ResilienceConfig(journal_path=journal_path, **_FAST_LOAD)
-    ).run(xml_documents=feeds)
-
-
-def _build_release_base(feeds: List[str]):
-    """A fresh warehouse with ``feeds`` applied as a full release."""
-    from repro.etl.pipeline import EtlOrchestrator
-
-    mdw = _fresh_warehouse()
     EtlOrchestrator(mdw).apply_release(feeds, mode="full")
     return mdw
 
 
-def _run_incremental_iteration(
+def _run_release_iteration(
     i: int,
     iteration_seed: int,
     rng: random.Random,
@@ -253,7 +220,7 @@ def _run_incremental_iteration(
     documents: int,
     instances: int,
 ) -> ChaosIteration:
-    """One crash/recover/verify round through the *incremental* path.
+    """One crash/recover/verify round through the release path.
 
     Release 2 drops one feed of release 1 and brings a fresh one, so the
     delta has both adds and removes. The reference applies release 2 as
@@ -282,7 +249,7 @@ def _run_incremental_iteration(
 
     injector = FaultInjector(seed=iteration_seed)
     site = injector.choose_site(
-        [s for s in INCREMENTAL_SITES if census.hits(s) > 0] or INCREMENTAL_SITES
+        [s for s in RELEASE_SITES if census.hits(s) > 0] or RELEASE_SITES
     )
     skip = rng.randint(0, max(0, census.hits(site) - 1))
     injector.arm(site, "raise", times=1, skip=skip)
@@ -305,6 +272,23 @@ def _run_incremental_iteration(
         it.detail = "clean incremental apply diverged from full rebuild"
         return it
     return _verdict(it, expected, expected_probe, _fingerprint(victim), _probe(victim))
+
+
+def run_chaos(
+    seed: int = 0,
+    iterations: int = 5,
+    documents: int = 4,
+    instances: int = 10,
+    workdir: Optional[Path] = None,
+    log: Optional[Callable[[str], None]] = None,
+) -> ChaosReport:
+    """The randomized release drill (``repro-mdw chaos``): crash
+    ``apply_release`` mid-stage, mid-diff-apply, mid-DRed-maintenance or
+    mid-validation, recover by re-applying the release, and verify the
+    result bit-identically against a full-rebuild reference."""
+    return _run_iterations(
+        seed, iterations, workdir, log, _run_release_iteration, documents, instances
+    )
 
 
 def _attach_fingerprint(path):
@@ -770,83 +754,4 @@ def run_snapshot_chaos(
     (``repro-mdw chaos --snapshot``)."""
     return _run_iterations(
         seed, iterations, workdir, log, _run_snapshot_iteration, documents, instances
-    )
-
-
-def _run_load_iteration(
-    i: int,
-    iteration_seed: int,
-    rng: random.Random,
-    root: Path,
-    documents: int,
-    instances: int,
-) -> ChaosIteration:
-    """One crash/recover/verify round through the journaled *load* path:
-    kill the load at a random site, replay the journal, re-run the
-    release when the crash preceded its write-ahead."""
-    feeds = make_release_feeds(rng, documents=documents, instances=instances)
-
-    # the reference run doubles as a census: an idle injector counts how
-    # often each fault point fires, so the armed fault below can always
-    # be placed where it will trigger
-    census = FaultInjector(seed=iteration_seed)
-    with fault_scope(census):
-        reference = _fresh_warehouse()
-        _load(reference, root / f"ref-{i}.journal", feeds)
-    expected = _fingerprint(reference)
-    expected_probe = _probe(reference)
-
-    injector = FaultInjector(seed=iteration_seed)
-    site = injector.choose_site(
-        [s for s in LOAD_SITES if census.hits(s) > 0] or LOAD_SITES
-    )
-    skip = rng.randint(0, max(0, census.hits(site) - 1))
-    injector.arm(site, "raise", times=1, skip=skip)
-    it = ChaosIteration(index=i, seed=iteration_seed, site=site, skip=skip)
-
-    journal_path = root / f"chaos-{i}.journal"
-    with fault_scope(injector):
-        try:
-            crashed_mdw = _fresh_warehouse()
-            _load(crashed_mdw, journal_path, feeds)
-        except InjectedFault:
-            it.crashed = True
-    if it.crashed:
-        # reconstruct the survivor the way a restarted process would
-        # (fresh facade, same journal) — the in-memory graph of the dead
-        # "process" is deliberately NOT reused
-        crashed_mdw = _fresh_warehouse()
-
-    if journal_path.exists():
-        it.recovery_action = recover(crashed_mdw, journal_path, durable=False).action
-    if it.recovery_action in ("none", "void"):
-        # the load never reached (or never survived to) its write-ahead:
-        # the sources are still there — re-run.
-        _load(crashed_mdw, root / f"rerun-{i}.journal", feeds)
-        it.reran = True
-    return _verdict(
-        it, expected, expected_probe, _fingerprint(crashed_mdw), _probe(crashed_mdw)
-    )
-
-
-def run_chaos(
-    seed: int = 0,
-    iterations: int = 5,
-    documents: int = 4,
-    instances: int = 10,
-    workdir: Optional[Path] = None,
-    log: Optional[Callable[[str], None]] = None,
-    incremental: bool = False,
-) -> ChaosReport:
-    """The randomized kill/recover/verify loop (``repro-mdw chaos``).
-
-    ``incremental=True`` exercises the delta release-application path
-    (``apply_release``) instead of the journaled additive load — crashes
-    land mid-diff-apply or mid-DRed-maintenance and recovery is a
-    convergent re-apply, verified bit-identically against a full-rebuild
-    reference.
-    """
-    run_iteration = _run_incremental_iteration if incremental else _run_load_iteration
-    return _run_iterations(
-        seed, iterations, workdir, log, run_iteration, documents, instances
     )

@@ -28,11 +28,6 @@ from repro.obs.registry import get_registry
 #: (Also rendered in docs/resilience.md — keep the two in sync.)
 FAULT_POINTS: Dict[str, str] = {
     "staging.stage": "while transforming one source document into staging rows",
-    "bulkload.parse": "while parsing one staged row into a triple (retryable)",
-    "bulkload.batch": "before applying one write-ahead batch to the model",
-    "bulkload.commit": "after the last batch, before the journal commit record",
-    "journal.begin": "before the write-ahead journal records the staged rows",
-    "journal.checkpoint": "before a batch checkpoint is made durable",
     "snapshot.publish": "while publishing a fresh read snapshot",
     "snapshot.save": "mid snapshot-file save, after fsync, before the atomic rename",
     "snapshot.attach": "while opening (mmap + validate) a snapshot file",
@@ -66,7 +61,7 @@ class InjectedFault(RuntimeError):
 
     Deliberately *not* a subclass of any domain error: production code
     must survive it the way it survives a segfaulting worker or a pulled
-    plug — via the journal and the breakers, not via ``except`` clauses
+    plug — via re-running the load and the breakers, not via ``except`` clauses
     written for business errors.
     """
 
@@ -114,8 +109,8 @@ class FaultInjector:
     """A seedable registry of armed fault points.
 
     >>> inj = FaultInjector(seed=7)
-    >>> inj.arm("bulkload.batch", "raise", times=1, skip=2)
-    >>> # the third time the load reaches the batch site, it crashes
+    >>> inj.arm("staging.stage", "raise", times=1, skip=2)
+    >>> # the third document the load stages, it crashes
 
     Modes:
 
@@ -127,7 +122,7 @@ class FaultInjector:
       (``value`` may be a callable applied to the payload).
 
     ``times`` bounds firings, ``skip`` ignores the first N hits (so a
-    chaos run can kill at the *k-th* batch, not just the first), and
+    chaos run can kill at the *k-th* document, not just the first), and
     ``probability`` draws from the injector's own seeded RNG — the whole
     schedule of a chaos run is reproducible from the seed.
     """

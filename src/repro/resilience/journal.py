@@ -1,21 +1,8 @@
-"""The write-ahead load journal and its durable file sink.
+"""The durable append-only JSONL sink.
 
-A release load must never leave the warehouse half-loaded *silently*.
-The journal makes every load a resumable transaction:
-
-1. ``begin`` records the target model, the pre-load generation, and the
-   shape of the load;
-2. the **write-ahead** ``rows`` records capture every parseable staged
-   row, batch by batch, *before* anything touches the model — after
-   this point the load's outcome is fully determined by the journal;
-3. a ``checkpoint`` record lands (and is fsynced) after each batch is
-   applied;
-4. ``commit`` seals the load; anything else found at recovery time is
-   an incomplete load to roll back or replay.
-
-The same :class:`DurableLog` sink backs the audit journal's optional
-file tail, so both the load journal and the audit trail survive a
-``kill -9`` up to the last checkpoint.
+:class:`DurableLog` backs the audit journal's optional file tail
+(:meth:`~repro.core.audit.AuditJournal.attach_file_sink`), so the audit
+trail survives a ``kill -9`` up to the last checkpoint.
 """
 
 from __future__ import annotations
@@ -24,9 +11,7 @@ import io
 import json
 import os
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Union
-
-from repro.resilience import faults
+from typing import Dict, List, Optional, Union
 
 
 class JournalError(Exception):
@@ -118,187 +103,3 @@ class DurableLog:
                             "followed by further records"
                         )
         return out
-
-
-class LoadJournal:
-    """The load transaction log over one :class:`DurableLog`.
-
-    One journal file holds one or more load transactions back to back;
-    recovery looks at the *last* one. Batches are written ahead of
-    application, so replay can always finish (or void) the load.
-    """
-
-    def __init__(self, path: Union[str, Path], durable: bool = True):
-        self._log = DurableLog(path, durable=durable)
-        self.path = self._log.path
-
-    # -- writing -----------------------------------------------------------
-
-    def begin(
-        self,
-        load_id: str,
-        model: str,
-        generation: int,
-        batches: Sequence[List[List[str]]],
-    ) -> None:
-        """Open a transaction and write ahead every batch's rows.
-
-        ``batches`` contain the *parseable* rows only, in lexical
-        ``[subject, predicate, object, source]`` form; rows that failed
-        to parse are recorded separately via :meth:`quarantine`. The
-        write-ahead is fsynced before this returns — from here on the
-        load is replayable.
-        """
-        faults.fire("journal.begin")
-        self._log.append(
-            {
-                "type": "begin",
-                "load_id": load_id,
-                "model": model,
-                "generation": generation,
-                "batches": len(batches),
-                "rows": sum(len(b) for b in batches),
-            }
-        )
-        for index, batch in enumerate(batches):
-            self._log.append({"type": "rows", "batch": index, "rows": batch})
-        self._log.checkpoint()
-
-    def quarantine(self, row: Sequence[str], reason: str, code: str) -> None:
-        self._log.append(
-            {"type": "quarantine", "row": list(row), "reason": reason, "code": code}
-        )
-
-    def retry(self, row_index: int, attempt: int, error: str, delay: float) -> None:
-        """Record one scheduled retry (diagnostics, not replayed)."""
-        self._log.append(
-            {
-                "type": "retry",
-                "row": row_index,
-                "attempt": attempt,
-                "error": error,
-                "delay": round(delay, 6),
-            }
-        )
-
-    def checkpoint(self, batch: int, inserted: int, duplicates: int) -> None:
-        """Seal one applied batch (fsynced when durable)."""
-        faults.fire("journal.checkpoint")
-        self._log.append(
-            {
-                "type": "checkpoint",
-                "batch": batch,
-                "inserted": inserted,
-                "duplicates": duplicates,
-            }
-        )
-        self._log.checkpoint()
-
-    def commit(self, inserted: int, duplicates: int, quarantined: int) -> None:
-        self._log.append(
-            {
-                "type": "commit",
-                "inserted": inserted,
-                "duplicates": duplicates,
-                "quarantined": quarantined,
-            }
-        )
-        self._log.checkpoint()
-
-    def recovered(self, load_id: str, replayed_batches: int) -> None:
-        """Mark a replayed transaction as converged."""
-        self._log.append(
-            {"type": "recovered", "load_id": load_id, "batches": replayed_batches}
-        )
-        self._log.checkpoint()
-
-    def close(self) -> None:
-        self._log.close()
-
-    def __enter__(self) -> "LoadJournal":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-
-class LoadTransaction:
-    """The parsed state of one journaled load (recovery's input)."""
-
-    def __init__(self, begin: Dict):
-        self.load_id: str = begin["load_id"]
-        self.model: str = begin["model"]
-        self.generation: int = begin["generation"]
-        self.expected_batches: int = begin["batches"]
-        self.batches: Dict[int, List[List[str]]] = {}
-        self.checkpointed: List[int] = []
-        self.quarantined: List[Dict] = []
-        self.committed = False
-        self.recovered = False
-
-    @property
-    def complete(self) -> bool:
-        return self.committed or self.recovered
-
-    @property
-    def last_checkpoint(self) -> int:
-        """Highest applied batch index, -1 when none checkpointed."""
-        return max(self.checkpointed) if self.checkpointed else -1
-
-    def replay_rows(self, from_checkpoint: bool = False) -> Iterable[List[str]]:
-        """Rows to (re)apply: all of them, or only past the checkpoint.
-
-        ``from_checkpoint=True`` is the in-process resume (the graph
-        still holds the applied prefix); cross-process recovery replays
-        everything — application is idempotent either way.
-        """
-        start = self.last_checkpoint + 1 if from_checkpoint else 0
-        for index in range(start, self.expected_batches):
-            for row in self.batches.get(index, ()):
-                yield row
-
-    def __repr__(self) -> str:
-        state = (
-            "committed" if self.committed
-            else "recovered" if self.recovered
-            else f"incomplete@{self.last_checkpoint}"
-        )
-        return f"<LoadTransaction {self.load_id} {self.model!r} {state}>"
-
-
-def read_transactions(path: Union[str, Path]) -> List[LoadTransaction]:
-    """Parse a journal file into its load transactions, in order."""
-    transactions: List[LoadTransaction] = []
-    current: Optional[LoadTransaction] = None
-    for record in DurableLog.read(path):
-        kind = record.get("type")
-        if kind == "begin":
-            current = LoadTransaction(record)
-            transactions.append(current)
-        elif current is None:
-            raise JournalError(f"{path}: {kind!r} record before any 'begin'")
-        elif kind == "rows":
-            current.batches[record["batch"]] = record["rows"]
-        elif kind == "checkpoint":
-            current.checkpointed.append(record["batch"])
-        elif kind == "quarantine":
-            current.quarantined.append(record)
-        elif kind == "commit":
-            current.committed = True
-        elif kind == "recovered":
-            for txn in transactions:
-                if txn.load_id == record["load_id"]:
-                    txn.recovered = True
-        elif kind == "retry":
-            pass  # diagnostics only
-        else:
-            raise JournalError(f"{path}: unknown record type {kind!r}")
-    return transactions
-
-
-def pending_transaction(path: Union[str, Path]) -> Optional[LoadTransaction]:
-    """The last journaled load iff it never committed (else None)."""
-    transactions = read_transactions(path)
-    if transactions and not transactions[-1].complete:
-        return transactions[-1]
-    return None

@@ -3,7 +3,8 @@
 A release describes the *complete* desired model state; these tests pin
 the mode resolution, the O(delta) incremental path's bit-identity with a
 full rebuild, convergence under re-application (the crash-recovery
-story), and the historizer hookup.
+story: a load killed at any fault site is recovered by running it
+again), and the historizer hookup.
 """
 
 import random
@@ -15,7 +16,8 @@ from repro.etl import EtlOrchestrator, ReleaseLoadResult
 from repro.history import Historizer
 from repro.rdf import Graph, RDF, Triple
 from repro.rdf.ntriples import serialize_ntriples
-from repro.resilience.chaos import make_release_feeds
+from repro.resilience import FaultInjector, InjectedFault, fault_scope
+from repro.resilience.chaos import PROBE_QUERY, RELEASE_SITES, make_release_feeds
 
 
 def fresh_warehouse(feeds=()):
@@ -31,6 +33,42 @@ def fingerprint(mdw):
         "model": serialize_ntriples(mdw.graph),
         "index": serialize_ntriples(mdw.store.index(mdw.model_name, "OWLPRIME")),
     }
+
+
+def state(mdw):
+    """The fingerprint plus the ``dm:hasName`` probe's answers."""
+    rows = mdw.query(PROBE_QUERY, rulebases=("OWLPRIME",))
+    probe = sorted((str(b.get("s")), str(b.get("name"))) for b in rows.iter_bindings())
+    return {**fingerprint(mdw), "probe": probe}
+
+
+def crash_at_every_site(build, load, rerun, expected):
+    """Kill ``load`` at every firing of every release fault site, then
+    ``rerun`` it, each time on a fresh ``build()``.
+
+    A clean ``load`` under an idle injector is the census of how often
+    each site fires. Returns ``(crash_points, diverged)``: every
+    ``(site, skip)`` killed at, and those whose recovered state is not
+    ``expected``.
+    """
+    census = FaultInjector()
+    mdw = build()
+    with fault_scope(census):
+        load(mdw)
+    points = [
+        (site, skip) for site in RELEASE_SITES for skip in range(census.hits(site))
+    ]
+    diverged = []
+    for site, skip in points:
+        mdw = build()
+        injector = FaultInjector()
+        injector.arm(site, "raise", times=1, skip=skip)
+        with fault_scope(injector), pytest.raises(InjectedFault):
+            load(mdw)
+        rerun(mdw)
+        if state(mdw) != expected:
+            diverged.append((site, skip))
+    return points, diverged
 
 
 class TestModeResolution:
@@ -116,6 +154,46 @@ class TestIncrementalEquivalence:
         assert result.ok and result.bulk_report is None
         assert (result.added, result.removed) == (0, 1)
         assert victim not in mdw.graph
+
+
+class TestCrashAtEverySite:
+    """Running a load again is the one recovery procedure: killed at any
+    firing of any fault site, a re-run ends bit-identical (model,
+    OWLPRIME index, probe answers) to an uninterrupted load."""
+
+    @pytest.fixture(scope="class")
+    def releases(self):
+        rng = random.Random(21)
+        release1 = make_release_feeds(rng, documents=3, instances=6)
+        release2 = release1[:-1] + make_release_feeds(rng, documents=1, instances=6)
+        return release1, release2
+
+    @pytest.mark.parametrize("mode", ["full", "incremental"])
+    def test_reapplied_release_matches_a_full_rebuild(self, releases, mode):
+        release1, release2 = releases
+        points, diverged = crash_at_every_site(
+            build=lambda: fresh_warehouse(release1),
+            load=lambda mdw: EtlOrchestrator(mdw).apply_release(release2, mode=mode),
+            rerun=lambda mdw: EtlOrchestrator(mdw).apply_release(release2, mode="auto"),
+            expected=state(fresh_warehouse(release2)),
+        )
+        skipped = {"release.apply"} if mode == "full" else set()
+        assert {site for site, _ in points} == set(RELEASE_SITES) - skipped
+        assert not diverged, f"{len(diverged)} of {len(points)} diverged: {diverged}"
+
+    def test_rerun_additive_load_matches_a_clean_run(self, releases):
+        feeds, _ = releases
+
+        def load(mdw):
+            EtlOrchestrator(mdw).run(xml_documents=feeds)
+
+        clean = fresh_warehouse()
+        load(clean)
+        points, diverged = crash_at_every_site(
+            build=fresh_warehouse, load=load, rerun=load, expected=state(clean)
+        )
+        assert {site for site, _ in points} == set(RELEASE_SITES) - {"release.apply"}
+        assert not diverged, f"{len(diverged)} of {len(points)} diverged: {diverged}"
 
 
 class TestHistorizerHookup:

@@ -379,30 +379,6 @@ class TestResilienceWiring:
         breaker.on_failure()  # failed probe: straight back to open
         assert count("open") == 3
 
-    def test_retry_attempts_and_exhaustion_counted(self):
-        from repro.resilience.retry import RetryExhausted, RetryPolicy
-
-        retries = get_registry().counter("mdw_retry_retries_total", labels=("error",))
-        exhausted = get_registry().counter(
-            "mdw_retry_exhausted_total", labels=("error",)
-        )
-        r0 = retries.child(error="KeyError").value
-        e0 = exhausted.child(error="KeyError").value
-        policy = RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
-
-        def always_fails():
-            raise KeyError("nope")
-
-        with pytest.raises(RetryExhausted):
-            policy.call(always_fails, retry_on=(KeyError,), sleep=lambda _: None)
-        assert retries.child(error="KeyError").value == r0 + 2  # attempts 2 and 3
-        assert exhausted.child(error="KeyError").value == e0 + 1
-
-        # a first-try success touches neither counter
-        policy.call(lambda: 42, sleep=lambda _: None)
-        assert retries.child(error="KeyError").value == r0 + 2
-        assert exhausted.child(error="KeyError").value == e0 + 1
-
 
 class TestExplainAnalyze:
     def test_warehouse_explain_analyze_appends_profile(self, warehouse):

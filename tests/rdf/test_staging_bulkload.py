@@ -159,3 +159,24 @@ class TestBulkLoader:
         st.insert("<http://x/s>", "<http://x/p>", '"o"')
         report = BulkLoader(store).load(st, "M")
         assert "1 inserted" in report.summary()
+
+
+class TestBulkLoadErrorProgress:
+    def test_load_many_reports_rows_loaded_before_failure(self, store):
+        good = StagingTable("good")
+        for n in range(5):
+            good.insert(f"<http://x/s{n}>", "<http://x/p>", f'"v{n}"')
+        bad = StagingTable("bad")
+        bad.insert("garbage row", "<http://x/p>", '"v"')
+        with pytest.raises(BulkLoadError) as err:
+            BulkLoader(store, strict=True).load_many([good, bad], "M")
+        assert err.value.loaded == 5
+        assert "after 5 row(s) loaded" in str(err.value)
+        assert len(err.value.rejected) == 1
+
+    def test_single_strict_load_reports_zero_loaded(self, store):
+        bad = StagingTable("bad")
+        bad.insert("garbage row", "<http://x/p>", '"v"')
+        with pytest.raises(BulkLoadError) as err:
+            BulkLoader(store, strict=True).load(bad, "M")
+        assert err.value.loaded == 0

@@ -17,31 +17,31 @@ class TestArming:
     def test_unknown_mode_rejected(self):
         inj = FaultInjector()
         with pytest.raises(ValueError):
-            inj.arm("bulkload.batch", "explode")
+            inj.arm("release.apply", "explode")
 
     def test_disarm_one_and_all(self):
         inj = FaultInjector()
-        inj.arm("bulkload.batch")
-        inj.arm("bulkload.commit")
-        inj.disarm("bulkload.batch")
-        assert not inj.armed("bulkload.batch")
-        assert inj.armed("bulkload.commit")
+        inj.arm("release.apply")
+        inj.arm("etl.validate")
+        inj.disarm("release.apply")
+        assert not inj.armed("release.apply")
+        assert inj.armed("etl.validate")
         inj.disarm()
-        assert not inj.armed("bulkload.commit")
+        assert not inj.armed("etl.validate")
 
 
 class TestFiring:
     def test_raise_mode_throws_injected_fault_with_site(self):
         inj = FaultInjector()
-        inj.arm("bulkload.batch", "raise")
+        inj.arm("release.apply", "raise")
         with pytest.raises(InjectedFault) as err:
-            inj.fire("bulkload.batch")
-        assert err.value.site == "bulkload.batch"
+            inj.fire("release.apply")
+        assert err.value.site == "release.apply"
 
     def test_injected_fault_pickles(self):
-        fault = InjectedFault("bulkload.batch")
+        fault = InjectedFault("release.apply")
         clone = pickle.loads(pickle.dumps(fault))
-        assert clone.site == "bulkload.batch"
+        assert clone.site == "release.apply"
 
     def test_custom_error_factory(self):
         inj = FaultInjector()
@@ -68,41 +68,41 @@ class TestFiring:
 
     def test_unarmed_site_passes_payload_through(self):
         inj = FaultInjector()
-        assert inj.fire("bulkload.batch", "x") == "x"
+        assert inj.fire("release.apply", "x") == "x"
 
 
 class TestScheduling:
     def test_skip_lets_first_hits_through(self):
         inj = FaultInjector()
-        inj.arm("bulkload.batch", "raise", skip=2)
-        inj.fire("bulkload.batch")
-        inj.fire("bulkload.batch")
+        inj.arm("release.apply", "raise", skip=2)
+        inj.fire("release.apply")
+        inj.fire("release.apply")
         with pytest.raises(InjectedFault):
-            inj.fire("bulkload.batch")
+            inj.fire("release.apply")
 
     def test_times_bounds_firings(self):
         inj = FaultInjector()
-        inj.arm("bulkload.batch", "raise", times=1)
+        inj.arm("release.apply", "raise", times=1)
         with pytest.raises(InjectedFault):
-            inj.fire("bulkload.batch")
-        inj.fire("bulkload.batch")  # budget spent: passes
-        assert inj.fired("bulkload.batch") == 1
+            inj.fire("release.apply")
+        inj.fire("release.apply")  # budget spent: passes
+        assert inj.fired("release.apply") == 1
 
     def test_hits_counts_armed_or_not(self):
         inj = FaultInjector()
-        inj.fire("bulkload.batch")
-        inj.fire("bulkload.batch")
-        assert inj.hits("bulkload.batch") == 2
-        assert inj.fired("bulkload.batch") == 0
+        inj.fire("release.apply")
+        inj.fire("release.apply")
+        assert inj.hits("release.apply") == 2
+        assert inj.fired("release.apply") == 0
 
     def test_probability_schedule_is_reproducible_from_seed(self):
         def schedule(seed):
             inj = FaultInjector(seed=seed)
-            inj.arm("bulkload.batch", "raise", probability=0.5)
+            inj.arm("release.apply", "raise", probability=0.5)
             fired = []
             for _ in range(50):
                 try:
-                    inj.fire("bulkload.batch")
+                    inj.fire("release.apply")
                     fired.append(False)
                 except InjectedFault:
                     fired.append(True)
@@ -124,15 +124,15 @@ class TestScheduling:
 class TestAmbientInjector:
     def test_module_fire_is_noop_without_injector(self):
         assert active_injector() is None
-        assert fire("bulkload.batch", "payload") == "payload"
+        assert fire("release.apply", "payload") == "payload"
 
     def test_install_uninstall(self):
         inj = FaultInjector()
-        inj.arm("bulkload.batch", "raise")
+        inj.arm("release.apply", "raise")
         install(inj)
         try:
             with pytest.raises(InjectedFault):
-                fire("bulkload.batch")
+                fire("release.apply")
         finally:
             uninstall()
         assert active_injector() is None
@@ -148,10 +148,10 @@ class TestAmbientInjector:
 
     def test_fault_scope_restores_on_error(self):
         inj = FaultInjector()
-        inj.arm("bulkload.batch", "raise")
+        inj.arm("release.apply", "raise")
         with pytest.raises(InjectedFault):
             with fault_scope(inj):
-                fire("bulkload.batch")
+                fire("release.apply")
         assert active_injector() is None
 
 

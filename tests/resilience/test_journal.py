@@ -1,19 +1,11 @@
-"""The durable log, the load journal, and the audit file sink."""
-
-import json
+"""The durable log and the audit file sink."""
 
 import pytest
 
 from repro.core.audit import AuditJournal
 from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI, Literal, Triple
-from repro.resilience import (
-    DurableLog,
-    JournalError,
-    LoadJournal,
-    pending_transaction,
-    read_transactions,
-)
+from repro.resilience import DurableLog, JournalError
 
 EX = "http://example.org/"
 
@@ -64,83 +56,6 @@ class TestDurableLog:
         assert log.appended == 1
         assert log.checkpoints == 2
         log.close()
-
-
-ROWS = [
-    [f"<{EX}s{n}>", f"<{EX}p>", f'"v{n}"', "feed-a"] for n in range(6)
-]
-
-
-def journal_a_load(path, commit=True, checkpoints=2, durable=False):
-    """Write one transaction: begin(2 batches of 3) + checkpoints [+ commit]."""
-    journal = LoadJournal(path, durable=durable)
-    journal.begin("load-1-TEST", "TEST", 17, [ROWS[:3], ROWS[3:]])
-    journal.quarantine(["bad", "row", "here", "feed-b"], "no angle brackets", "malformed-term")
-    for index in range(checkpoints):
-        journal.checkpoint(index, inserted=3, duplicates=0)
-    if commit:
-        journal.commit(inserted=6, duplicates=0, quarantined=1)
-    journal.close()
-    return path
-
-
-class TestLoadJournal:
-    def test_committed_transaction_roundtrip(self, tmp_path):
-        path = journal_a_load(tmp_path / "load.journal")
-        (txn,) = read_transactions(path)
-        assert txn.load_id == "load-1-TEST"
-        assert txn.model == "TEST"
-        assert txn.generation == 17
-        assert txn.expected_batches == 2
-        assert txn.batches[0] == ROWS[:3]
-        assert txn.batches[1] == ROWS[3:]
-        assert txn.checkpointed == [0, 1]
-        assert txn.committed and txn.complete
-        assert [q["code"] for q in txn.quarantined] == ["malformed-term"]
-
-    def test_committed_load_is_not_pending(self, tmp_path):
-        path = journal_a_load(tmp_path / "load.journal")
-        assert pending_transaction(path) is None
-
-    def test_uncommitted_load_is_pending(self, tmp_path):
-        path = journal_a_load(tmp_path / "load.journal", commit=False, checkpoints=1)
-        txn = pending_transaction(path)
-        assert txn is not None
-        assert txn.last_checkpoint == 0
-
-    def test_replay_rows_full_and_from_checkpoint(self, tmp_path):
-        path = journal_a_load(tmp_path / "load.journal", commit=False, checkpoints=1)
-        txn = pending_transaction(path)
-        assert list(txn.replay_rows()) == ROWS
-        assert list(txn.replay_rows(from_checkpoint=True)) == ROWS[3:]
-
-    def test_recovered_seal_completes_the_transaction(self, tmp_path):
-        path = journal_a_load(tmp_path / "load.journal", commit=False)
-        with LoadJournal(path, durable=False) as journal:
-            journal.recovered("load-1-TEST", 2)
-        assert pending_transaction(path) is None
-
-    def test_record_before_begin_raises(self, tmp_path):
-        path = tmp_path / "load.journal"
-        path.write_text(json.dumps({"type": "checkpoint", "batch": 0}) + "\n")
-        with pytest.raises(JournalError):
-            read_transactions(path)
-
-    def test_multiple_transactions_only_last_pending(self, tmp_path):
-        path = tmp_path / "load.journal"
-        journal_a_load(path)  # committed
-        with LoadJournal(path, durable=False) as journal:
-            journal.begin("load-2-TEST", "TEST", 42, [ROWS[:2]])
-        txn = pending_transaction(path)
-        assert txn.load_id == "load-2-TEST"
-
-    def test_retry_records_are_diagnostics_only(self, tmp_path):
-        path = tmp_path / "load.journal"
-        with LoadJournal(path, durable=False) as journal:
-            journal.begin("load-3-TEST", "TEST", 0, [ROWS[:1]])
-            journal.retry(0, 0, "flaky mount", 0.05)
-        (txn,) = read_transactions(path)
-        assert not txn.complete  # retry records change nothing structural
 
 
 class TestAuditFileSink:

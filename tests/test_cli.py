@@ -329,7 +329,7 @@ class TestChaosIncremental:
     def test_chaos_incremental_converges(self, capsys):
         code = main(
             ["chaos", "--seed", "5", "--iterations", "1", "--documents", "2",
-             "--instances", "4", "--incremental"]
+             "--instances", "4"]
         )
         out = capsys.readouterr().out
         assert code == 0
@@ -370,6 +370,6 @@ class TestChaosSnapshot:
         assert code == 0
         assert "all converged" in out
 
-    def test_snapshot_and_incremental_are_exclusive(self, capsys):
+    def test_snapshot_and_supervisor_are_exclusive(self, capsys):
         with pytest.raises(SystemExit):
-            main(["chaos", "--iterations", "1", "--snapshot", "--incremental"])
+            main(["chaos", "--iterations", "1", "--snapshot", "--supervisor"])
