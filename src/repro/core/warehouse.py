@@ -99,13 +99,10 @@ class MetadataWarehouse:
         with a loaded store (the manager treats unknown ones as stale).
         """
         out = {}
-        pairs = set(self.indexes.built_indexes())
-        pairs.update(self.store.index_names(self.model_name))
-        for model, rulebase in sorted(pairs):
-            if model == self.model_name:
-                report = self.indexes.refresh(model, rulebase)
-                if report is not None:
-                    out[rulebase] = report
+        for rulebase in self.indexes.rulebases(self.model_name):
+            report = self.indexes.refresh(self.model_name, rulebase)
+            if report is not None:
+                out[rulebase] = report
         return out
 
     # -- querying ------------------------------------------------------------

@@ -13,7 +13,8 @@ same staging tables as the meta-data facts."
   Protégé round-trip);
 * :mod:`repro.etl.dbpedia` — synonym/homonym thesaurus integration;
 * :mod:`repro.etl.pipeline` — the orchestrator running the whole flow
-  (transform → stage → bulk load → validate → refresh indexes).
+  as one release load (transform → stage → converge → validate →
+  refresh indexes).
 """
 
 from repro.etl.xml_source import (
@@ -25,12 +26,11 @@ from repro.etl.xml_source import (
 from repro.etl.transformer import XmlToRdfTransformer
 from repro.etl.ontology_io import export_ontology, import_ontology
 from repro.etl.dbpedia import SynonymThesaurus, load_thesaurus_ntriples
-from repro.etl.pipeline import EtlOrchestrator, LoadResult, ReleaseLoadResult
+from repro.etl.pipeline import EtlOrchestrator, ReleaseLoadResult
 
 __all__ = [
     "EtlOrchestrator",
     "InstanceSpec",
-    "LoadResult",
     "ReleaseLoadResult",
     "MetadataDocument",
     "SynonymThesaurus",

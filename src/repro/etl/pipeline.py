@@ -1,23 +1,24 @@
-"""The ETL orchestrator: the full Figure 4 flow.
+"""The ETL orchestrator: the full Figure 4 flow as one call.
 
-``run()`` takes XML feed documents and an ontology file, transforms both
-into the staging tables, bulk loads them into the target model,
-validates the loaded graph against Table I, and refreshes the entailment
-indexes — the complete release-load a production operator would run.
+:meth:`EtlOrchestrator.apply_release` is the one load. It takes XML feed
+documents and an ontology file (or a release already in RDF), transforms
+them into the staging tables, converges the target model to the
+release's complete state, validates the result against Table I, and
+refreshes the entailment indexes — the release-load a production
+operator runs, up to 8 times a year.
 
-Both load paths recover from a crash the same way: run them again.
-:meth:`EtlOrchestrator.apply_release` converges the model to the
-release's complete state and :meth:`EtlOrchestrator.run` adds triples
-under set semantics, so a re-run after a crash at any fault site reaches
-the state an uninterrupted load would have produced. Malformed staging
-rows never abort a load; they are listed in ``BulkLoadReport.rejected``.
+A crashed load is recovered by running it again: the release describes
+a complete state, so a re-run after a crash at any fault site diffs
+against whatever the crash left and reaches the state an uninterrupted
+load would have produced. Malformed staging rows never abort a load;
+they are listed in ``BulkLoadReport.rejected``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.rdf.bulkload import BulkLoader, BulkLoadReport
 from repro.rdf.graph import Graph
@@ -29,42 +30,10 @@ from repro.core.warehouse import MetadataWarehouse
 from repro.etl.dbpedia import SynonymThesaurus
 from repro.etl.ontology_io import import_ontology
 from repro.etl.transformer import XmlToRdfTransformer
-from repro.etl.xml_source import MetadataDocument, parse_metadata_xml
+from repro.etl.xml_source import parse_metadata_xml
 from repro.history.diff import diff_graphs
 from repro.obs.trace import span
 from repro.resilience import faults
-
-
-@dataclass
-class LoadResult:
-    """Outcome of one orchestrated release load."""
-
-    documents: int = 0
-    staged_rows: int = 0
-    bulk_report: Optional[BulkLoadReport] = None
-    validation: Optional[ValidationReport] = None
-    refreshed_rulebases: List[str] = field(default_factory=list)
-    thesaurus_edges: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.bulk_report is not None
-            and not self.bulk_report.rejected
-            and (self.validation is None or self.validation.conformant)
-        )
-
-    def summary(self) -> str:
-        parts = [f"{self.documents} document(s), {self.staged_rows} staged row(s)"]
-        if self.bulk_report:
-            parts.append(self.bulk_report.summary())
-        if self.validation:
-            parts.append(
-                f"validation: {self.validation.violation_count} violation(s)"
-            )
-        if self.refreshed_rulebases:
-            parts.append(f"indexes refreshed: {', '.join(self.refreshed_rulebases)}")
-        return "; ".join(parts)
 
 
 @dataclass
@@ -129,53 +98,6 @@ class EtlOrchestrator:
     def transformer(self) -> XmlToRdfTransformer:
         return self._transformer
 
-    def run(
-        self,
-        xml_documents: Sequence[str] = (),
-        ontology_text: Optional[str] = None,
-        thesaurus: Optional[SynonymThesaurus] = None,
-        rebuild_indexes: bool = True,
-    ) -> LoadResult:
-        """One full load: transform → stage → bulk load → validate →
-        refresh indexes."""
-        with span("etl.load", "etl", documents=len(xml_documents)) as load_attrs:
-            result = LoadResult()
-            staging = StagingTable(name="release-load")
-
-            with span("etl.stage", "etl"):
-                # hierarchies first — the ontology file and the facts share
-                # the staging tables, exactly as in Figure 4
-                if ontology_text is not None:
-                    faults.fire("staging.stage")
-                    import_ontology(ontology_text, staging=staging)
-
-                for xml_text in xml_documents:
-                    faults.fire("staging.stage")
-                    document = parse_metadata_xml(xml_text)
-                    self._transformer.stage(document, staging)
-                    result.documents += 1
-
-            result.staged_rows = len(staging)
-            with span("etl.bulkload", "etl", rows=len(staging)):
-                result.bulk_report = BulkLoader(self._mdw.store).load(
-                    staging, self._mdw.model_name
-                )
-
-            if thesaurus is not None:
-                result.thesaurus_edges = thesaurus.materialize(self._mdw.graph)
-
-            if self._validate:
-                with span("etl.validate", "etl"):
-                    faults.fire("etl.validate")
-                    result.validation = validate_graph(self._mdw.graph, max_issues=25)
-
-            if rebuild_indexes:
-                with span("etl.index-refresh", "etl"):
-                    # covers session-built AND store-loaded indexes alike
-                    result.refreshed_rulebases = sorted(self._mdw.refresh_indexes())
-            load_attrs["staged_rows"] = result.staged_rows
-            return result
-
     def apply_release(
         self,
         xml_documents: Sequence[str] = (),
@@ -188,10 +110,10 @@ class EtlOrchestrator:
     ) -> ReleaseLoadResult:
         """Converge the live model to a *complete* release state.
 
-        Unlike :meth:`run` (which is additive), the documents here
-        describe the **full desired content** of the model — exactly the
-        paper's release semantics, where each release delivers the whole
-        meta-data graph.
+        The documents describe the **full desired content** of the
+        model — exactly the paper's release semantics, where each
+        release delivers the whole meta-data graph. On an empty
+        warehouse that is the initial load.
 
         ``mode``:
 
@@ -283,13 +205,11 @@ class EtlOrchestrator:
                     result.validation = validate_graph(live, max_issues=25)
 
             with span("etl.index-refresh", "etl", mode=resolved):
-                pairs = set(self._mdw.indexes.built_indexes())
-                pairs.update(self._mdw.store.index_names(self._mdw.model_name))
                 if resolved == "full":
-                    for model, rulebase in sorted(pairs):
-                        if model == self._mdw.model_name:
-                            self._mdw.indexes.build(model, rulebase)
-                            result.refreshed_rulebases.append(rulebase)
+                    model = self._mdw.model_name
+                    for rulebase in self._mdw.indexes.rulebases(model):
+                        self._mdw.indexes.build(model, rulebase)
+                        result.refreshed_rulebases.append(rulebase)
                 else:
                     result.refreshed_rulebases = sorted(self._mdw.refresh_indexes())
 
@@ -300,21 +220,4 @@ class EtlOrchestrator:
             result.seconds = time.perf_counter() - started
             rel["added"] = result.added
             rel["removed"] = result.removed
-        return result
-
-    def load_documents(self, documents: Iterable[MetadataDocument]) -> LoadResult:
-        """Load already-parsed documents (the programmatic feed path)."""
-        result = LoadResult()
-        staging = StagingTable(name="programmatic-load")
-        for document in documents:
-            faults.fire("staging.stage")
-            self._transformer.stage(document, staging)
-            result.documents += 1
-        result.staged_rows = len(staging)
-        result.bulk_report = BulkLoader(self._mdw.store).load(
-            staging, self._mdw.model_name
-        )
-        if self._validate:
-            faults.fire("etl.validate")
-            result.validation = validate_graph(self._mdw.graph, max_issues=25)
         return result

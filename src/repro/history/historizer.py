@@ -6,25 +6,16 @@ space for trivially correct as-of queries. Snapshots live in the same
 :class:`TripleStore` under ``HIST_<name>`` model names, so historical
 versions remain queryable through SEM_MATCH like any model.
 
-In-memory the copies are cheap (copy-on-write), but *persisting* the
-store replays the full-copy trade-off on disk: every version all over
-again. ``segment_dir`` opts a historizer into O(delta) persistence
-instead — each :meth:`snapshot` writes one
-:mod:`repro.storage.segments` delta file (``NNNNNN-<name>.mdwseg``)
-recording only what changed since the previous version, and a reopened
-historizer rehydrates by replaying the segment chain, verifying
-generation continuity as it goes. Versions stay fully queryable in
-memory either way; in segment mode they are simply not adopted into
-the backing store, so saving the store costs O(live model), not
-O(sum of versions).
+In memory the copies are cheap (copy-on-write); a saved store carries
+every version in its ``.mdws`` snapshot file, and a historizer over the
+reopened store re-registers them. ``MetadataWarehouse.as_of(name)`` is
+the as-of query path over a version.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
-from repro.rdf.graph import Graph
 from repro.rdf.store import TripleStore
 
 from repro.history.diff import VersionDiff, diff_graphs
@@ -47,22 +38,12 @@ class Historizer:
 
     HIST_PREFIX = "HIST_"
 
-    def __init__(
-        self,
-        store: TripleStore,
-        model: str = "DWH_CURR",
-        segment_dir: Optional[Union[str, Path]] = None,
-    ):
+    def __init__(self, store: TripleStore, model: str = "DWH_CURR"):
         self._store = store
         self._model = model
-        self._segment_dir = Path(segment_dir) if segment_dir is not None else None
         self._versions: Dict[str, Version] = {}
         self._order: List[str] = []
-        if self._segment_dir is not None:
-            self._segment_dir.mkdir(parents=True, exist_ok=True)
         self._rehydrate()
-        if self._segment_dir is not None:
-            self._replay_segments()
 
     def _rehydrate(self) -> None:
         """Adopt historized models already present in the store.
@@ -105,10 +86,6 @@ class Historizer:
             raise HistorizationError("version name must be non-empty")
         if name in self._versions:
             raise HistorizationError(f"version {name!r} already exists")
-        if self._segment_dir is not None and "/" in name:
-            raise HistorizationError(
-                f"version name {name!r} invalid in segment mode (names file a segment)"
-            )
         current = self._store.model(self._model)
         hist_model = self.HIST_PREFIX + name
         # copy-on-write capture: O(distinct terms) instead of O(triples),
@@ -117,8 +94,7 @@ class Historizer:
         # delta actually touches
         frozen = current.cow_copy(hist_model)
         frozen.freeze()
-        if self._segment_dir is None:
-            self._store.adopt_model(hist_model, frozen)
+        self._store.adopt_model(hist_model, frozen)
         version = Version(
             sequence=len(self._order) + 1,
             name=name,
@@ -127,95 +103,9 @@ class Historizer:
             edge_count=len(frozen),
             parent=self._order[-1] if self._order else None,
         )
-        if self._segment_dir is not None:
-            self._publish_segment(version)
         self._versions[name] = version
         self._order.append(name)
         return version
-
-    # -- O(delta) persistence ---------------------------------------------
-
-    def _segment_path(self, sequence: int, name: str) -> Path:
-        # zero-padded sequence prefix: lexicographic file order IS
-        # chain order, whatever the version names look like
-        return self._segment_dir / f"{sequence:06d}-{name}.mdwseg"
-
-    def _publish_segment(self, version: Version) -> None:
-        """Write ``version`` as one delta segment against its parent."""
-        from repro.storage.segments import publish_segment
-
-        old_store = TripleStore()
-        new_store = TripleStore()
-        previous = (
-            self._versions[version.parent].graph if version.parent else None
-        )
-        prev_name = previous.name if previous is not None else None
-        frozen_name = version.graph.name
-        try:
-            if previous is not None:
-                old_store.adopt_model(self._model, previous)
-            new_store.adopt_model(self._model, version.graph)
-            publish_segment(
-                old_store,
-                new_store,
-                self._segment_path(version.sequence, version.name),
-                base_generation=version.sequence - 1,
-                generation=version.sequence,
-            )
-        finally:
-            # adopt_model renames the graph it registers; the version
-            # graphs outlive these throwaway diff stores, so undo it
-            if previous is not None:
-                previous.name = prev_name
-            version.graph.name = frozen_name
-
-    def _replay_segments(self) -> None:
-        """Rehydrate versions by replaying the on-disk segment chain.
-
-        Segments apply onto a scratch store (sharing the backing
-        store's term dictionary) in filename order; after each one the
-        accumulated state is captured copy-on-write as that version's
-        graph — bit-identical to what :meth:`snapshot` froze when the
-        segment was written. A broken generation chain (a missing or
-        reordered segment) is a :class:`HistorizationError`.
-        """
-        paths = sorted(self._segment_dir.glob("*.mdwseg"))
-        if not paths:
-            return
-        from repro.storage.codec import SnapshotFormatError
-        from repro.storage.segments import apply_segments, read_segment
-
-        dictionary = None
-        for model_name in self._store.model_names():
-            dictionary = self._store.model(model_name).dictionary
-            break
-        replay = TripleStore()
-        replay.adopt_model(self._model, Graph(dictionary=dictionary))
-        generation = 0
-        for path in paths:
-            segment = read_segment(path)
-            try:
-                generation = apply_segments(
-                    replay, [segment], base_generation=generation
-                )
-            except SnapshotFormatError as exc:
-                raise HistorizationError(
-                    f"segment chain broken at {path.name}: {exc}"
-                ) from exc
-            name = path.stem.split("-", 1)[1]
-            if name in self._versions:
-                continue  # already rehydrated from the store; delta applied anyway
-            frozen = replay.model(self._model).cow_copy(self.HIST_PREFIX + name)
-            frozen.freeze()
-            self._versions[name] = Version(
-                sequence=len(self._order) + 1,
-                name=name,
-                graph=frozen,
-                node_count=frozen.node_count(),
-                edge_count=len(frozen),
-                parent=self._order[-1] if self._order else None,
-            )
-            self._order.append(name)
 
     # -- retrieval ----------------------------------------------------------
 
@@ -276,24 +166,6 @@ class Historizer:
     def storage_cost(self) -> int:
         """Total historized triples (the price of full historization)."""
         return sum(v.edge_count for v in self.versions())
-
-    def as_warehouse(self, name: str):
-        """A read-only :class:`MetadataWarehouse` facade over a version.
-
-        Search, lineage, and SPARQL all run against the frozen snapshot
-        — the "as-of" query path over the historization tables.
-        """
-        from repro.core.warehouse import MetadataWarehouse
-
-        version = self.get(name)
-        hist_model = self.HIST_PREFIX + name
-        if self._store.has_model(hist_model):
-            return MetadataWarehouse(model=hist_model, store=self._store)
-        # segment mode keeps versions out of the backing store; serve
-        # the facade from a private store over the frozen graph instead
-        adhoc = TripleStore()
-        adhoc.adopt_model(hist_model, version.graph)
-        return MetadataWarehouse(model=hist_model, store=adhoc)
 
     def restore(self, name: str) -> None:
         """Replace the live model's content with a historized version.

@@ -10,15 +10,15 @@ Staleness is tracked *incrementally*: per (model, rulebase) pair a
 nets effective adds/removes since the index was last built or
 maintained. ``is_stale`` is then an O(1) check of the netted delta
 (a compensating add/remove pair correctly reads as *fresh* — the old
-size fingerprint missed that), and ``refresh`` hands the netted delta
-to DRed maintenance (:func:`~repro.reasoning.engine.maintain_closure`)
-instead of falling back to a full ``closure()`` whenever a prior index
-exists.
+size fingerprint missed that), and ``refresh`` — the one maintenance
+entry point — hands the netted delta to DRed maintenance
+(:func:`~repro.reasoning.engine.maintain_closure`) instead of falling
+back to a full ``closure()`` whenever a prior index exists.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.obs.trace import span
 from repro.rdf.graph import Graph, as_writable
@@ -102,10 +102,7 @@ class DeltaTracker:
 
 
 def build_entailment_index(
-    store: TripleStore,
-    model: str,
-    rulebase: str = "OWLPRIME",
-    max_rounds: Optional[int] = None,
+    store: TripleStore, model: str, rulebase: str = "OWLPRIME"
 ) -> InferenceReport:
     """Build (or rebuild) the entailment index of ``model``.
 
@@ -115,7 +112,7 @@ def build_entailment_index(
     with span("index.build", "reasoning", model=model, rulebase=rulebase):
         faults.fire("index.refresh")
         rb = get_rulebase(rulebase)
-        derived, report = closure(store.model(model), rb, max_rounds=max_rounds)
+        derived, report = closure(store.model(model), rb)
         store.attach_index(model, rb.name, derived)
     return report
 
@@ -143,16 +140,12 @@ class EntailmentIndexManager:
 
     def build(self, model: str, rulebase: str = "OWLPRIME") -> InferenceReport:
         report = build_entailment_index(self._store, model, rulebase)
-        self._mark_fresh(model, rulebase)
-        return report
-
-    def _mark_fresh(self, model: str, rulebase: str) -> None:
-        key = (model, rulebase)
-        tracker = self._trackers.get(key)
+        tracker = self._trackers.get((model, rulebase))
         if tracker is None:
-            self._trackers[key] = DeltaTracker(self._store.model(model))
+            self._trackers[(model, rulebase)] = DeltaTracker(self._store.model(model))
         else:
             tracker.mark()
+        return report
 
     def is_stale(self, model: str, rulebase: str = "OWLPRIME") -> bool:
         tracker = self._trackers.get((model, rulebase))
@@ -203,33 +196,10 @@ class EntailmentIndexManager:
         self._store.attach_index(model, rb.name, derived)
         return report
 
-    def extend(
-        self,
-        model: str,
-        added: Iterable[Triple],
-        rulebase: str = "OWLPRIME",
-    ) -> InferenceReport:
-        """Incrementally maintain the index after ``added`` triples were
-        inserted into the model (cheaper than a full rebuild).
-
-        Falls back to a full build when no index exists yet.
-        """
-        rb = get_rulebase(rulebase)
-        derived = self._store.index(model, rb.name)
-        if derived is None:
-            return self.build(model, rulebase)
-        base = self._store.model(model)
-        report = maintain_closure(base, derived, added, (), rb)
-        # the model may have acquired triples beyond ``added`` meanwhile;
-        # keep the index duplicate-free (legacy contract of this API)
-        for t in [t for t in derived if t in base]:
-            derived.discard(t)
-        report.derived_triples = len(derived)
-        self._mark_fresh(model, rulebase)
-        base.stats().ensure_fresh(trigger="dred-extend")
-        self._store.attach_index(model, rb.name, derived)
-        return report
-
-    def built_indexes(self):
-        """(model, rulebase) pairs this manager has built."""
-        return sorted(self._trackers)
+    def rulebases(self, model: str) -> List[str]:
+        """The rulebases indexed over ``model``: built through this
+        manager or attached to the store (an attached index the manager
+        never tracked reads stale, so a refresh rebuilds it)."""
+        names = {rulebase for m, rulebase in self._trackers if m == model}
+        names.update(rulebase for _, rulebase in self._store.index_names(model))
+        return sorted(names)

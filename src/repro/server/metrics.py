@@ -39,15 +39,16 @@ __all__ = [
 ]
 
 #: ``event`` label values of ``mdw_service_requests_total`` that
-#: ``snapshot()`` reports, under the same name but for two.
+#: ``snapshot()`` reports, under the same name but for three.
 _EVENTS = (
     "submitted", "completed", "failed", "rejected", "timeout", "cancelled",
-    "breaker_shed", "degraded", "worker_lost", "requeued",
+    "breaker_shed", "degraded", "worker_lost", "requeued", "fork_worker_attach",
 )
-_SNAPSHOT_FIELD = {"timeout": "timeouts", "degraded": "degraded_responses"}
-#: How a fork child got its warehouse: mapped snapshot file vs
-#: CoW-inherited objects.
-_FORK_MODES = ("attach", "cow")
+_SNAPSHOT_FIELD = {
+    "timeout": "timeouts",
+    "degraded": "degraded_responses",
+    "fork_worker_attach": "fork_workers",
+}
 _RESTART_REASONS = ("crash", "hang", "stale")
 
 
@@ -115,10 +116,6 @@ class ServiceMetrics:
             labels=("service", "event", "shard"),
         )
         self._events = {e: events.child(event=e, **own) for e in _EVENTS}
-        self._forks = {
-            mode: events.child(event=f"fork_worker_{mode}", **own)
-            for mode in _FORK_MODES
-        }
         restarts = registry.counter(
             "mdw_worker_restarts_total",
             "Fork workers reaped and respawned, by cause "
@@ -140,7 +137,6 @@ class ServiceMetrics:
             child: child.value
             for child in (
                 *self._events.values(),
-                *self._forks.values(),
                 *self._restarts.values(),
                 self._hedges,
             )
@@ -228,11 +224,10 @@ class ServiceMetrics:
         for shard in failed_shards or (self.shard,):
             self._degraded_by_shard.inc(service=self.name, kind=kind, shard=shard)
 
-    def on_fork_worker(self, mode: str) -> None:
-        """A fork-mode child was spawned; ``mode`` says how it got its
-        warehouse (``attach`` = mapped snapshot file, ``cow`` = inherited
-        copy-on-write objects)."""
-        self._forks[mode].inc()
+    def on_fork_worker(self) -> None:
+        """A fork-mode child was spawned (it attaches the published
+        snapshot file)."""
+        self._events["fork_worker_attach"].inc()
 
     def on_worker_restart(self, reason: str) -> None:
         """A fork worker was reaped and respawned (``crash`` = found
@@ -293,7 +288,6 @@ class ServiceMetrics:
         }
         out["queue_depth"] = int(self._queue_depth.value)
         out["queue_high_water"] = int(self._queue_high_water.value)
-        out["fork_workers"] = self._nonzero(self._forks)
         out["worker_restarts"] = self.restarts()
         out["hedged"] = self.hedged()
         out["endpoints"] = {

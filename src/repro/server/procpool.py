@@ -3,8 +3,9 @@
 Pure-Python query evaluation is CPU-bound, so thread workers cannot run
 it in parallel — the interpreter lock serializes them. For throughput
 scaling the service pairs each worker thread with a **forked child
-process**: the child inherits the pinned snapshot copy-on-write (no
-serialization of the model), evaluates requests it receives over a
+process**: the child attaches the pinned snapshot's published ``.mdws``
+file by ``mmap`` (no serialization of the model; the kernel shares the
+page cache across every child), evaluates requests it receives over a
 queue, and ships results back pickled. The parent worker thread keeps
 owning admission, deadlines, and metrics (the service's settlement);
 the child only computes.
@@ -14,10 +15,10 @@ Children are disposable by design:
 * a deadline overrun or cancellation past the cooperative checks is
   enforced by killing the child and respawning it for the next request;
 * a write republishes the snapshot, so each worker thread discards its
-  child (stale copy-on-write image) and forks a fresh one lazily.
+  child (attached to a superseded file) and forks a fresh one lazily.
 
-Fork start method only — the whole point is inheriting the in-memory
-graph for free. On platforms without ``fork`` (Windows), use the
+Fork start method only (children inherit the queues and the armed
+fault injector). On platforms without ``fork`` (Windows), use the
 default thread mode.
 
 Every child also maintains a **heartbeat watermark**: a shared double it
@@ -56,13 +57,10 @@ _POLL = 0.05
 class _AttachSpec:
     """Everything a child needs to attach a published snapshot file.
 
-    When the snapshot manager also published a binary snapshot file
-    (``ServiceConfig.snapshot_dir``), the child opens it by ``mmap``
-    instead of working on the CoW-inherited Python object graph: the
-    kernel shares the page cache across every child, nothing is
-    privatized by reference-count writes, and a respawn after a write
-    epoch costs an attach (milliseconds) rather than re-faulting the
-    whole heap.
+    The child opens the file by ``mmap``: the kernel shares the page
+    cache across every child, nothing is privatized by reference-count
+    writes, and a respawn after a write epoch costs an attach
+    (milliseconds).
     """
 
     path: str
@@ -138,14 +136,14 @@ class _PulseToken:
         return self._inner.expired
 
 
-def _child_main(warehouse, request_queue, response_queue, heartbeat=None) -> None:
+def _child_main(spec, request_queue, response_queue, heartbeat=None) -> None:
     """The forked child's request loop.
 
-    ``warehouse`` is the snapshot facade inherited through fork. The
+    ``spec`` names the published snapshot file the child attaches. The
     parent's locks may have been held by unrelated threads at fork
-    time, so every lock-bearing structure the child touches is replaced
-    with a fresh one before serving. (The metrics registry reinstalls
-    its own locks through ``os.register_at_fork``.)
+    time, so every lock-bearing structure the child touches is created
+    fresh here. (The metrics registry reinstalls its own locks through
+    ``os.register_at_fork``.)
 
     Each request message carries the parent's trace context; the
     child traces/profiles locally and ships the
@@ -167,11 +165,8 @@ def _child_main(warehouse, request_queue, response_queue, heartbeat=None) -> Non
     import repro.sparql.expressions as _expressions
 
     _expressions._REGEX_CACHE_LOCK = threading.Lock()
-    if isinstance(warehouse, _AttachSpec):
-        warehouse = warehouse.attach()
+    warehouse = spec.attach()
     warehouse.plan_cache = PlanCache()
-    warehouse._search = None  # rebuild lazily with fresh locks
-    warehouse._lineage = None
 
     if heartbeat is not None:
         def _beat():
@@ -241,29 +236,23 @@ class ForkWorker:
     """One forked child plus the queues to talk to it.
 
     Owned by exactly one parent worker thread; not itself thread-safe.
-    ``generation`` records which snapshot the child inherited, so the
-    owner can detect staleness after a write and respawn. ``mode`` says
-    how the child got its warehouse: ``"attach"`` when the snapshot was
-    published to a storage file the child could mmap, ``"cow"`` when it
-    inherited the copy-on-write Python objects through fork.
+    ``generation`` records which snapshot the child attached, so the
+    owner can detect staleness after a write and respawn. The snapshot
+    must have been published to a file (``snapshot.storage_path``).
     """
 
     def __init__(self, snapshot, name: str = "mdw"):
+        if snapshot.storage_path is None:
+            raise ValueError("a fork worker attaches a published snapshot file")
         ctx = multiprocessing.get_context("fork")
         self.generation = snapshot.generation
-        storage_path = getattr(snapshot, "storage_path", None)
-        if storage_path is not None and os.path.exists(storage_path):
-            self.mode = "attach"
-            mdw = snapshot.warehouse
-            target = _AttachSpec(
-                path=str(storage_path),
-                model=mdw.model_name,
-                schema_ns=mdw.schema.namespace,
-                instance_ns=mdw.facts.namespace,
-            )
-        else:
-            self.mode = "cow"
-            target = snapshot.warehouse
+        mdw = snapshot.warehouse
+        spec = _AttachSpec(
+            path=str(snapshot.storage_path),
+            model=mdw.model_name,
+            schema_ns=mdw.schema.namespace,
+            instance_ns=mdw.facts.namespace,
+        )
         self._request_queue = ctx.Queue()
         self._response_queue = ctx.Queue()
         # the progress watermark: single writer (the child), readers only
@@ -271,7 +260,7 @@ class ForkWorker:
         self._heartbeat = ctx.Value("d", time.monotonic(), lock=False)
         self._process = ctx.Process(
             target=_child_main,
-            args=(target, self._request_queue, self._response_queue, self._heartbeat),
+            args=(spec, self._request_queue, self._response_queue, self._heartbeat),
             name=f"{name}-forked",
             daemon=True,
         )
@@ -399,4 +388,4 @@ class ForkWorker:
 
     def __repr__(self) -> str:
         state = "alive" if self.alive else "dead"
-        return f"<ForkWorker generation={self.generation} mode={self.mode} {state}>"
+        return f"<ForkWorker generation={self.generation} {state}>"

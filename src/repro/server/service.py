@@ -21,8 +21,8 @@ extras_sink) -> result``; the configured mode only picks which worker a
 slot gets. ``thread`` (default) is the :class:`InProcessWorker`: cheap and
 shares the process — right for I/O-mixed or short queries, but
 CPU-bound evaluation serializes on the interpreter lock. ``fork`` is a
-:class:`~repro.server.procpool.ForkWorker`, a forked child that inherits
-the snapshot copy-on-write; evaluation then scales with cores at the
+:class:`~repro.server.procpool.ForkWorker`, a forked child that attaches
+the published snapshot file; evaluation then scales with cores at the
 price of pickling results across the process boundary and respawning
 workers after every write. The sharded gateway's shard router is a
 third worker, settled through the same front door (:class:`_FrontDoor`).
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import queue
+import tempfile
 import threading
 import time
 from concurrent.futures import Future
@@ -94,7 +95,7 @@ def dispatch(warehouse, kind: str, payload: Dict[str, object]):
     """Run one read request against a warehouse (facade or live).
 
     Shared by thread workers (against a pinned snapshot facade) and
-    fork-mode children (against their copy-on-write inherited facade).
+    fork-mode children (against the snapshot file they attached).
     """
     if kind == "query":
         return warehouse.query(
@@ -188,9 +189,9 @@ class ServingConfig:
     slow_query_threshold: float = 0.25
     worker_mode: str = "thread"  # "thread" | "fork"
     name: str = "mdw"
-    #: When set, every snapshot publication also writes a binary
-    #: snapshot file here; fork workers then *attach* that file (mmap)
-    #: instead of inheriting the CoW-pickled Python object graph.
+    #: Where every snapshot publication also writes a binary snapshot
+    #: file for fork workers to attach (mmap). A fork-mode service
+    #: without one publishes into a temporary directory it owns.
     snapshot_dir: Optional[str] = None
     breaker_threshold: int = 5
     breaker_cooldown: float = 30.0
@@ -611,11 +612,14 @@ class QueryService(_FrontDoor):
         self.config = config
         self.warehouse = warehouse
         self.plan_cache = warehouse.plan_cache
-        self.snapshots = SnapshotManager(
-            warehouse,
-            plan_cache=self.plan_cache,
-            snapshot_dir=config.snapshot_dir,
-        )
+        snapshot_dir = config.snapshot_dir
+        # fork workers attach the published file, so a fork service
+        # always publishes one — into a directory it owns if none is set
+        self._owned_tmpdir: Optional[tempfile.TemporaryDirectory] = None
+        if config.worker_mode == "fork" and snapshot_dir is None:
+            self._owned_tmpdir = tempfile.TemporaryDirectory(prefix="mdw-snapshots-")
+            snapshot_dir = self._owned_tmpdir.name
+        self.snapshots = SnapshotManager(warehouse, snapshot_dir=snapshot_dir)
         self.metrics = ServiceMetrics(name=config.name, shard=config.shard)
         self._breakers: Dict[str, CircuitBreaker] = {
             kind: CircuitBreaker(
@@ -860,7 +864,7 @@ class QueryService(_FrontDoor):
 
         with self.snapshots.read() as snap:
             worker = ForkWorker(snap, name=self.config.name)
-        self.metrics.on_fork_worker(worker.mode)
+        self.metrics.on_fork_worker()
         return worker
 
     def _run(self, request: QueryRequest, worker, extras_sink: List[dict]):
@@ -965,6 +969,9 @@ class QueryService(_FrontDoor):
         # the stop sentinels; nothing will ever run it — fail it typed
         # instead of leaving the caller waiting forever
         self._abort_queued()
+        if self._owned_tmpdir is not None:
+            self._owned_tmpdir.cleanup()
+            self._owned_tmpdir = None
 
     def _abort_queued(self) -> None:
         """Fail every queued request with :class:`ServiceClosed`."""
@@ -982,13 +989,11 @@ class QueryService(_FrontDoor):
     def _stale_indexes(self) -> List[str]:
         """Rulebases whose entailment index lags the live model."""
         mdw = self.warehouse
-        pairs = set(mdw.indexes.built_indexes())
-        pairs.update(mdw.store.index_names(mdw.model_name))
-        return sorted(
+        return [
             rulebase
-            for model, rulebase in pairs
-            if model == mdw.model_name and mdw.indexes.is_stale(model, rulebase)
-        )
+            for rulebase in mdw.indexes.rulebases(mdw.model_name)
+            if mdw.indexes.is_stale(mdw.model_name, rulebase)
+        ]
 
     def health(self) -> Dict[str, object]:
         """One self-describing health document for operators.

@@ -32,7 +32,7 @@ import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.obs.trace import span
 from repro.rdf.store import TripleStore
@@ -45,8 +45,9 @@ class Snapshot:
     ``warehouse`` is a read-only facade over the frozen copy — its
     ``query`` / ``search`` / ``lineage`` / ``sem_sql`` behave exactly
     like the live warehouse's, answering as of the stamp. ``generation``
-    is the live graph's change counter at capture time; two snapshots
-    with equal generations hold bit-identical triples.
+    numbers the manager's publications: it advances whenever the live
+    model or any entailment index over it changed, so two snapshots with
+    equal generations hold bit-identical triples and indexes.
     """
 
     __slots__ = (
@@ -71,7 +72,7 @@ class Snapshot:
         self.rulebases = rulebases
         self.created_at = time.time()
         # when the manager publishes to disk, the snapshot file backing
-        # this image — fork workers attach it instead of CoW-pickling
+        # this image — the file fork workers attach
         self.storage_path = storage_path
         self._pins = 0
         self._pin_lock = threading.Lock()
@@ -96,6 +97,12 @@ class Snapshot:
         )
 
 
+def _stamp(graphs) -> Tuple:
+    """``(id, generation)`` per graph: equal stamps over live graphs mean
+    the same objects, none mutated since."""
+    return tuple((id(g), g.generation) for g in graphs)
+
+
 class SnapshotManager:
     """The read-write coordinator over one live warehouse.
 
@@ -110,77 +117,95 @@ class SnapshotManager:
         manager.write(lambda mdw: mdw.facts.add_instance(...))
 
     Writes apply to the live warehouse under an exclusive lock and then
-    republish; anything mutating the live graph *outside* the manager
-    must call :meth:`refresh` afterwards (cheap no-op when nothing
-    changed).
+    republish; anything mutating the live graph or its indexes *outside*
+    the manager must call :meth:`refresh` afterwards (cheap no-op when
+    nothing changed).
+
+    A write republishes when it changed what a snapshot captures: the
+    live model or any entailment index attached to it. The manager
+    stamps each capture with ``(id, generation)`` per captured graph —
+    the stamp :attr:`repro.rdf.graph.GraphView.generation` keys caches
+    on. An index rebuilt (a new graph) or maintained in place (a new
+    generation) is published like a model write.
     """
 
-    def __init__(self, warehouse, plan_cache=None, snapshot_dir=None):
+    def __init__(self, warehouse, snapshot_dir=None):
         self._mdw = warehouse
-        # readers share the live warehouse's (thread-safe) plan cache so
-        # hot templates stay prepared across workers and snapshots
-        self._plan_cache = plan_cache if plan_cache is not None else warehouse.plan_cache
         # when set, every publication also writes a binary snapshot file
-        # (snapshot-<generation>.mdws) that fork workers can attach
+        # (snapshot-<generation>.mdws) that fork workers attach
         self._snapshot_dir = Path(snapshot_dir) if snapshot_dir is not None else None
         self._write_lock = threading.RLock()
         self._publish_lock = threading.Lock()
         self._writes = 0
         self._publications = 0
+        self._captured: Tuple = ()
+        self._stamp: Tuple = ()
         self._current = self._capture()
 
     # -- capture / publish ---------------------------------------------------
 
+    def _sources(self) -> List:
+        """The live graphs a snapshot captures: the model, then each
+        attached entailment index in rulebase order."""
+        live = self._mdw
+        return [live.graph] + [
+            live.store.index(model, rulebase)
+            for model, rulebase in live.store.index_names(live.model_name)
+        ]
+
+    def _changed(self) -> bool:
+        return self._stamp != _stamp(self._sources())
+
     def _capture(self) -> Snapshot:
         """Freeze the live model (and its indexes) into a new snapshot."""
-        with span(
-            "snapshot.publish", "service", generation=self._mdw.graph.generation
-        ):
+        with span("snapshot.publish", "service", generation=self._publications + 1):
             return self._capture_inner()
 
     def _capture_inner(self) -> Snapshot:
         faults.fire("snapshot.publish")
         live = self._mdw
+        sources = self._sources()
+        stamp = _stamp(sources)
         frozen_store = TripleStore()
         frozen = live.graph.cow_copy(name=live.model_name)
         frozen.freeze()
         frozen_store.adopt_model(live.model_name, frozen)
         rulebases: List[str] = []
-        for model, rulebase in live.store.index_names(live.model_name):
-            derived = live.store.index(model, rulebase)
-            if derived is not None:
-                # indexes are maintained in place by DRed maintenance, so
-                # they must be captured like the model itself
-                frozen_store.attach_index(live.model_name, rulebase, derived.cow_copy().freeze())
-                rulebases.append(rulebase)
+        for (_, rulebase), derived in zip(
+            live.store.index_names(live.model_name), sources[1:]
+        ):
+            # indexes are maintained in place by DRed maintenance, so
+            # they must be captured like the model itself
+            frozen_store.attach_index(live.model_name, rulebase, derived.cow_copy().freeze())
+            rulebases.append(rulebase)
         facade = type(live)(
             model=live.model_name,
             store=frozen_store,
             schema_ns=live.schema.namespace,
             instance_ns=live.facts.namespace,
         )
-        facade.plan_cache = self._plan_cache
+        # readers share the live warehouse's (thread-safe) plan cache so
+        # hot templates stay prepared across workers and snapshots
+        facade.plan_cache = live.plan_cache
         self._publications += 1
+        generation = self._publications
         storage_path = None
         if self._snapshot_dir is not None:
             from repro.storage import save_snapshot_store
 
             self._snapshot_dir.mkdir(parents=True, exist_ok=True)
-            storage_path = self._snapshot_dir / (
-                f"snapshot-{live.graph.generation}.mdws"
-            )
-            save_snapshot_store(
-                frozen_store, storage_path, generation=live.graph.generation
-            )
-        return Snapshot(
-            facade, live.graph.generation, tuple(rulebases), storage_path=storage_path
-        )
+            storage_path = self._snapshot_dir / f"snapshot-{generation}.mdws"
+            save_snapshot_store(frozen_store, storage_path, generation=generation)
+        # the captured graphs are held, never read: alive, their ids
+        # cannot be reused by a later graph the stamp would mistake
+        self._captured, self._stamp = sources, stamp
+        return Snapshot(facade, generation, tuple(rulebases), storage_path=storage_path)
 
     def refresh(self) -> Snapshot:
-        """Republish when the live graph changed out-of-band; returns the
-        current snapshot either way."""
+        """Republish when the live model or an index over it changed
+        out-of-band; returns the current snapshot either way."""
         with self._write_lock:
-            if self._current.generation != self._mdw.graph.generation:
+            if self._changed():
                 fresh = self._capture()
                 with self._publish_lock:
                     self._current = fresh
@@ -219,10 +244,7 @@ class SnapshotManager:
         with self._write_lock:
             result = fn(self._mdw, *args, **kwargs)
             self._writes += 1
-            if self._current.generation != self._mdw.graph.generation:
-                fresh = self._capture()
-                with self._publish_lock:
-                    self._current = fresh
+            self.refresh()
             return result
 
     def update(self, text: str):

@@ -8,7 +8,7 @@ closes that gap: a daemon thread heartbeats every worker slot each
 
 * **respawns** idle workers found dead (SIGKILL, segfault, OOM-kill) —
   cheap because children re-attach the published ``.mdws`` snapshot by
-  ``mmap`` instead of re-faulting a copy-on-write heap;
+  ``mmap``;
 * **retires** idle workers pinned to a superseded snapshot generation,
   so a publish drains stale children proactively instead of on first
   use (a worker restarted across a publish always re-attaches whatever

@@ -138,7 +138,7 @@ class TestAuditJournal:
         journal = mdw.enable_audit()
         journal.begin_epoch("feed load")
         feed = '<metadata source="f"><class name="T"/><instance name="x" class="T"/></metadata>'
-        EtlOrchestrator(mdw).run([feed])
+        EtlOrchestrator(mdw).apply_release([feed])
         assert journal.epoch_summary()["feed load"]["add"] > 0
 
     def test_journal_sees_retirement(self):

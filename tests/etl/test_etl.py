@@ -217,10 +217,13 @@ class TestThesaurus:
 
 
 class TestOrchestrator:
+    """``apply_release`` on an empty warehouse is the initial load."""
+
     def test_full_run(self):
         mdw = MetadataWarehouse()
-        result = EtlOrchestrator(mdw).run([FEED])
+        result = EtlOrchestrator(mdw).apply_release([FEED])
         assert result.ok
+        assert result.mode == "full"
         assert result.documents == 1
         assert result.bulk_report.inserted > 0
         assert result.validation.conformant
@@ -232,14 +235,14 @@ class TestOrchestrator:
         ontology = export_ontology(authoring.graph)
 
         mdw = MetadataWarehouse()
-        result = EtlOrchestrator(mdw).run([FEED], ontology_text=ontology)
+        result = EtlOrchestrator(mdw).apply_release([FEED], ontology_text=ontology)
         assert result.ok
         assert result.staged_rows > 0
 
     def test_index_refresh_after_load(self):
         mdw = MetadataWarehouse()
         mdw.build_entailment_index()
-        result = EtlOrchestrator(mdw).run([FEED])
+        result = EtlOrchestrator(mdw).apply_release([FEED])
         assert "OWLPRIME" in result.refreshed_rulebases
         # inherited membership visible through the rulebase
         rows = mdw.query(
@@ -251,22 +254,16 @@ class TestOrchestrator:
         mdw = MetadataWarehouse()
         th = SynonymThesaurus()
         th.add_synonym("customer", "client")
-        result = EtlOrchestrator(mdw).run([FEED], thesaurus=th)
+        result = EtlOrchestrator(mdw).apply_release([FEED], thesaurus=th)
         assert result.thesaurus_edges == 2
-
-    def test_load_documents_programmatic(self):
-        mdw = MetadataWarehouse()
-        doc = parse_metadata_xml(FEED)
-        result = EtlOrchestrator(mdw).load_documents([doc])
-        assert result.ok
-        assert result.documents == 1
 
     def test_idempotent_reload(self):
         mdw = MetadataWarehouse()
         orch = EtlOrchestrator(mdw)
-        first = orch.run([FEED])
+        orch.apply_release([FEED])
         size = len(mdw.graph)
-        second = orch.run([FEED])
-        # mapping reification mints fresh bnodes; everything else dedups
-        assert second.bulk_report.duplicates > 0
-        assert len(mdw.graph) <= size + 5
+        second = orch.apply_release([FEED])
+        # the same release again is already converged: nothing changes
+        assert second.mode == "incremental"
+        assert (second.added, second.removed) == (0, 0)
+        assert len(mdw.graph) == size

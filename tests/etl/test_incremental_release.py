@@ -181,16 +181,16 @@ class TestCrashAtEverySite:
         assert {site for site, _ in points} == set(RELEASE_SITES) - skipped
         assert not diverged, f"{len(diverged)} of {len(points)} diverged: {diverged}"
 
-    def test_rerun_additive_load_matches_a_clean_run(self, releases):
+    def test_rerun_initial_load_matches_a_clean_run(self, releases):
+        """The first release into an empty warehouse: killed anywhere, the
+        re-run (incremental once the crash left triples behind) converges."""
         feeds, _ = releases
 
         def load(mdw):
-            EtlOrchestrator(mdw).run(xml_documents=feeds)
+            EtlOrchestrator(mdw).apply_release(feeds)
 
-        clean = fresh_warehouse()
-        load(clean)
         points, diverged = crash_at_every_site(
-            build=fresh_warehouse, load=load, rerun=load, expected=state(clean)
+            build=fresh_warehouse, load=load, rerun=load, expected=state(fresh_warehouse(feeds))
         )
         assert {site for site, _ in points} == set(RELEASE_SITES) - {"release.apply"}
         assert not diverged, f"{len(diverged)} of {len(points)} diverged: {diverged}"

@@ -56,14 +56,16 @@ class TestWarehouseIntegration:
         assert len(as_of.search.search("late")) == 0
         assert len(mdw.search.search("late")) == 1
 
-    def test_historizer_as_warehouse(self):
+    def test_historizer_version_served_by_as_of(self):
         mdw = MetadataWarehouse()
         cls = mdw.schema.declare_class("Thing")
         mdw.facts.add_instance("x", cls)
         historizer = Historizer(mdw.store)
-        historizer.snapshot("R1")
-        old = historizer.as_warehouse("R1")
+        version = historizer.snapshot("R1")
+        old = mdw.as_of("R1")
+        assert old.graph is version.graph
         assert len(old.search.search("x")) == 1
+        assert len(old.query("SELECT ?s WHERE { ?s dm:hasName ?n }")) == 1
 
 
 class TestLoadedIndexFreshness:

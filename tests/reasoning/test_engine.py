@@ -246,23 +246,25 @@ class TestIndexLifecycle:
         assert report is not None
         assert Triple(EX.extra, RDF.type, EX.Item) in store.index("M", "OWLPRIME")
 
-    def test_manager_extend(self):
+    def test_manager_refresh_maintains_in_place(self):
         store = self.make_store()
         mgr = EntailmentIndexManager(store)
         mgr.build("M")
-        added = Triple(EX.extra, RDF.type, EX.ViewColumn)
-        store.model("M").add(added)
-        mgr.extend("M", [added])
         idx = store.index("M", "OWLPRIME")
+        store.model("M").add(Triple(EX.extra, RDF.type, EX.ViewColumn))
+        report = mgr.refresh("M")
+        # DRed maintenance of the same index object, not a rebuild
+        assert report.mode == "incremental"
+        assert store.index("M", "OWLPRIME") is idx
         assert Triple(EX.extra, RDF.type, EX.Item) in idx
         assert not mgr.is_stale("M")
 
-    def test_manager_extend_without_build_falls_back(self):
+    def test_manager_refresh_without_build_builds(self):
         store = self.make_store()
         mgr = EntailmentIndexManager(store)
-        report = mgr.extend("M", [])
+        report = mgr.refresh("M")
         assert report.derived_triples == 3
-        assert mgr.built_indexes() == [("M", "OWLPRIME")]
+        assert mgr.rulebases("M") == ["OWLPRIME"]
 
     def test_query_visibility_contract(self):
         # End-to-end: the paper's core index behaviour

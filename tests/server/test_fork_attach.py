@@ -1,4 +1,4 @@
-"""Fork workers: snapshot-file attach versus CoW inheritance."""
+"""Fork workers start only from the published snapshot file."""
 
 import sys
 
@@ -38,28 +38,38 @@ def test_fork_worker_attaches_published_snapshot(warehouse, tmp_path):
         rows = service.query(PROBE)
         snap = service.metrics_snapshot()
     assert len(rows) > 0
-    assert snap["fork_workers"].get("attach", 0) >= 1
-    assert snap["fork_workers"].get("cow", 0) == 0
+    assert snap["fork_workers"] >= 1
     published = list((tmp_path / "snaps").glob("snapshot-*.mdws"))
     assert published, "publication wrote no snapshot file"
 
 
 def test_fork_worker_falls_back_to_cow(warehouse):
-    config = ServiceConfig(max_workers=1, worker_mode="fork")
-    with warehouse.serve(config) as service:
+    """The fallback for a fork service without ``snapshot_dir`` (once a
+    copy-on-write inherit, hence the name) is a snapshot file published
+    into a directory the service owns; its children attach that file and
+    the directory is gone after close()."""
+    with warehouse.serve(ServiceConfig(max_workers=1, worker_mode="fork")) as service:
+        with service.snapshots.read() as snap:
+            published = snap.storage_path
+        assert published is not None and published.exists()
         rows = service.query(PROBE)
-        snap = service.metrics_snapshot()
+        spawned = service.metrics_snapshot()["fork_workers"]
     assert len(rows) > 0
-    assert snap["fork_workers"].get("cow", 0) >= 1
-    assert snap["fork_workers"].get("attach", 0) == 0
+    assert spawned >= 1
+    assert not published.parent.exists()
 
 
 def test_attach_and_cow_answers_agree(warehouse, tmp_path):
+    """A thread service (which writes no snapshot file), a fork service
+    attaching a published ``snapshot_dir`` file and a fork service on its
+    own temporary snapshot give the same answers."""
+
     def answers(config):
         with warehouse.serve(config) as service:
-            return sorted(
-                str(b) for b in service.query(PROBE).iter_bindings()
-            )
+            if config.worker_mode == "thread":
+                with service.snapshots.read() as snap:
+                    assert snap.storage_path is None
+            return sorted(str(b) for b in service.query(PROBE).iter_bindings())
 
     thread = answers(ServiceConfig(max_workers=1))
     attach = answers(
@@ -71,10 +81,8 @@ def test_attach_and_cow_answers_agree(warehouse, tmp_path):
     assert thread == attach == cow
 
 
-def test_metrics_record_fork_worker_modes():
+def test_metrics_count_fork_worker_spawns():
     metrics = ServiceMetrics(name="test-fork")
-    metrics.on_fork_worker("attach")
-    metrics.on_fork_worker("attach")
-    metrics.on_fork_worker("cow")
-    snap = metrics.snapshot()
-    assert snap["fork_workers"] == {"attach": 2, "cow": 1}
+    metrics.on_fork_worker()
+    metrics.on_fork_worker()
+    assert metrics.snapshot()["fork_workers"] == 2

@@ -175,3 +175,32 @@ class TestSnapshotBookkeeping:
                 snap.warehouse.query(NAMES_QUERY, rulebases=["OWLPRIME"])
             )
         assert frozen == live
+
+
+ATTRIBUTES = "SELECT ?x WHERE { ?x rdf:type dm:Attribute }"
+
+
+class TestIndexOnlyChangeIsPublished:
+    """Building an index changes what a snapshot captures without
+    touching the model: it must be published like a model write."""
+
+    @pytest.fixture()
+    def landscape(self):
+        return generate_landscape(LandscapeConfig.tiny(seed=2009)).warehouse
+
+    @pytest.mark.parametrize("path", ["refresh", "thread", "fork"])
+    def test_served_answer_equals_live(self, landscape, path):
+        if path == "refresh":
+            manager = SnapshotManager(landscape)
+            landscape.build_entailment_index()
+            served = manager.refresh().warehouse
+            rows = served.query(ATTRIBUTES, rulebases=["OWLPRIME"])
+        else:
+            with landscape.serve(max_workers=1, worker_mode=path) as service:
+                service.query(ATTRIBUTES, rulebases=["OWLPRIME"])  # spawn a worker
+                service.snapshots.write(lambda mdw: mdw.build_entailment_index())
+                rows = service.query(ATTRIBUTES, rulebases=["OWLPRIME"])
+                assert service.health()["stale_indexes"] == []
+        live = landscape.query(ATTRIBUTES, rulebases=["OWLPRIME"])
+        assert len(live) > 0
+        assert canonical(rows) == canonical(live)

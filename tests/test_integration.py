@@ -41,7 +41,13 @@ def lifecycle(tmp_path_factory):
     historizer.snapshot("2026.R1")
 
     mdw.build_entailment_index()
-    load = EtlOrchestrator(mdw).run([NEW_APP_FEED])
+    # the release that onboards the application is complete: the current
+    # model plus the feed's triples, applied as one incremental load
+    onboarding = MetadataWarehouse()
+    EtlOrchestrator(onboarding).apply_release([NEW_APP_FEED])
+    release = mdw.graph.copy()
+    release.add_all(onboarding.graph)
+    load = EtlOrchestrator(mdw).apply_release(desired=release)
 
     historizer.snapshot("2026.R2")
     store_dir = workdir / "wh.mdws"
@@ -61,7 +67,8 @@ class TestLifecycle:
     def test_etl_load_ok(self, lifecycle):
         load = lifecycle["load"]
         assert load.ok, load.summary()
-        assert load.bulk_report.inserted > 0
+        assert load.mode == "incremental"
+        assert load.added > 0 and load.removed == 0
         assert "OWLPRIME" in load.refreshed_rulebases
 
     def test_graph_conformant_after_everything(self, lifecycle):

@@ -67,7 +67,7 @@ class TestUnicode:
           <instance name="zuerich_kunden" class="Tabelle" display-name="Zürich Kundenstamm"/>
         </metadata>
         """
-        result = EtlOrchestrator(mdw).run([feed])
+        result = EtlOrchestrator(mdw).apply_release([feed])
         assert result.ok
         assert len(mdw.search.search("Zürich")) == 1
 
@@ -121,18 +121,18 @@ class TestHostileStrings:
 
 class TestFailureInjection:
     def test_partial_feed_failure_keeps_good_rows(self):
-        """One malformed instance element fails the document parse —
-        the other documents of the load still land."""
+        """One malformed instance element fails the release's staging
+        before anything is applied — the previous release stays intact."""
         mdw = MetadataWarehouse()
         good = '<metadata source="ok"><class name="T"/><instance name="a" class="T"/></metadata>'
         bad = '<metadata source="broken"><instance class="T"/></metadata>'  # no name
         orchestrator = EtlOrchestrator(mdw)
-        result = orchestrator.run([good])
+        result = orchestrator.apply_release([good])
         assert result.ok
         from repro.etl import XmlSourceError
 
         with pytest.raises(XmlSourceError):
-            orchestrator.run([bad])
+            orchestrator.apply_release([bad])
         # the earlier load is intact
         assert len(mdw.search.search("a")) == 1
 
