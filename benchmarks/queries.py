@@ -1,7 +1,8 @@
-"""The paper's published queries, shared across the benchmark suite.
+"""The paper's two SQL listings, verbatim, and the variants derived from them.
 
-Plain strings with no fixture or import-time logic, so any bench (or
-test) can import the query texts at no cost.
+Plain strings with no import-time logic, so the report and the tests can
+import them at no cost. Each listing has one verbatim text; every
+variant is that text with one substitution.
 """
 
 LISTING_1 = """
@@ -22,28 +23,34 @@ WHERE regexp_like(term, 'customer', 'i')
 GROUP BY class, object
 """
 
-# the same listing without the per-application narrowing, usable over the
-# generated landscape (whose classes are not named Application1_*)
-LISTING_1_LANDSCAPE = LISTING_1.replace(
-    "?c rdfs:subClassOf dm:Application1_Item .\n    ?c rdfs:subClassOf dm:Interface_Item .\n    ",
-    "",
-)
-
-# Listing 2's shape over the generated landscape: the bound-source
-# lineage probe (the landscape's items are not named Application1_*, so
-# the class narrowing is by hierarchy membership via the rdf:type join)
-LINEAGE_TEMPLATE = """
+LISTING_2 = """
 SELECT source_id, target_id, target_name
 FROM TABLE (SEM_MATCH(
-    {{?source_id dt:isMappedTo ?target_id .
-    ?target_id rdf:type ?c .
-    ?target_id dm:hasName ?target_name}}
+    {?source_id dt:isMappedTo ?target_id .
+    ?target_id rdf:type dm:Application1_Item .
+    ?target_id rdf:type dm:Interface_Item .
+    ?target_id dm:hasName ?target_name}
     SEM_MODELS('DWH_CURR'),
     SEM_RULEBASES('OWLPRIME'),
     SEM_ALIASES(
         SEM_ALIAS('dm', 'http://www.credit-suisse.com/dwh/mdm/data_modeling#'),
         SEM_ALIAS('dt', 'http://www.credit-suisse.com/dwh/mdm/data_transfer#')),
         null)
-WHERE source_id = '{source}'
+WHERE source_id = 'http://www.credit-suisse.com/dwh/client_information_id'
 GROUP BY source_id, target_id, target_name
 """
+
+#: the IRI Listing 2 binds; replace it to ask about another source
+LISTING_2_SOURCE = "http://www.credit-suisse.com/dwh/client_information_id"
+
+# The generated landscape's classes are not named Application1_*, so over
+# it Listing 1 drops the per-application narrowing and Listing 2 narrows
+# by hierarchy membership through the rdf:type join.
+LISTING_1_LANDSCAPE = LISTING_1.replace(
+    "?c rdfs:subClassOf dm:Application1_Item .\n    ?c rdfs:subClassOf dm:Interface_Item .\n    ",
+    "",
+)
+LISTING_2_LANDSCAPE = LISTING_2.replace(
+    "rdf:type dm:Application1_Item .\n    ?target_id rdf:type dm:Interface_Item .",
+    "rdf:type ?c .",
+)

@@ -3,45 +3,10 @@ verbatim listings from the paper."""
 
 import pytest
 
+from benchmarks.queries import LISTING_1, LISTING_2
 from repro.oracle import SemSqlError, execute_sem_sql, parse_sem_sql
 from repro.rdf import DM, DT, Graph, IRI, Literal, RDF, RDFS, Triple, TripleStore
 from repro.sparql import PlanCache
-
-LISTING_1 = """
-SELECT class, object
-FROM TABLE(
-  SEM_MATCH(
-    {?object rdf:type ?c .
-    ?c rdfs:label ?class .
-    ?c rdfs:subClassOf dm:Application1_Item .
-    ?c rdfs:subClassOf dm:Interface_Item .
-    ?object dm:hasName ?term} ,
-    SEM_MODELS('DWH_CURR') ,
-    SEM_RULEBASES('OWLPRIME') ,
-    SEM_ALIASES( SEM_ALIAS('dm', 'http://www.credit-suisse.com/dwh/mdm/data_modeling#') ,
-                 SEM_ALIAS('owl', 'http://www.w3.org/2002/07/owl#')) ,
-    null )
-WHERE regexp_like(term, 'customer', 'i')
-GROUP BY class, object
-"""
-
-LISTING_2 = """
-SELECT source_id, target_id, target_name
-FROM TABLE (SEM_MATCH(
-    {?source_id dt:isMappedTo ?target_id .
-    ?target_id rdf:type dm:Application1_Item .
-    ?target_id rdf:type dm:Interface_Item .
-    ?target_id dm:hasName ?target_name}
-    SEM_MODELS('DWH_CURR'),
-    SEM_RULEBASES('OWLPRIME'),
-    SEM_ALIASES(
-        SEM_ALIAS('dm', 'http://www.credit-suisse.com/dwh/mdm/data_modeling#'),
-        SEM_ALIAS('dt', 'http://www.credit-suisse.com/dwh/mdm/data_transfer#')),
-        null)
-WHERE source_id = 'http://www.credit-suisse.com/dwh/client_information_id'
-GROUP BY source_id, target_id, target_name
-"""
-
 
 @pytest.fixture
 def store():

@@ -45,6 +45,16 @@ class TestFigure5Walkthrough:
         group_labels = {label for _, label, _ in results.groups()}
         assert {"Column", "Attribute", "Item", "Application1 Item", "Interface Item"} <= group_labels
 
+    def test_one_filter_still_excludes_source_file_columns(self, mdw, snippet):
+        # partner_id and client_information_id match "id" but are no
+        # Application1 items
+        results = mdw.search.search("id", SearchFilters(classes=["Application1 Item"]))
+        assert [h.instance for h in results.hits] == [snippet.customer_id]
+
+    def test_empty_intersection_is_empty(self, mdw):
+        filters = SearchFilters(classes=["Source File Column", "Interface Item"])
+        assert len(mdw.search.search("id", filters)) == 0
+
     def test_unnarrowed_search(self, mdw, snippet):
         results = mdw.search.search("customer")
         assert snippet.customer_id in [h.instance for h in results.hits]

@@ -123,6 +123,7 @@ class TestHomonymWarnings:
         thesaurus.materialize(mdw.graph)
         results = mdw.search.search("bank", expand_synonyms=True)
         assert results.homonym_warnings == ["river bank"]
+        assert results.expanded_terms == ["bank"]
         assert "homonyms exist" in render_search_results(results)
 
     def test_no_warning_without_expansion(self):

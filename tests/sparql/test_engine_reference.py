@@ -10,6 +10,7 @@ share a :class:`~repro.rdf.TermDictionary`.
 
 import pytest
 
+from benchmarks.queries import LISTING_1, LISTING_2, LISTING_2_SOURCE
 from repro.obs.profile import profile_scope
 from repro.oracle import execute_sem_sql
 from repro.rdf import (
@@ -180,42 +181,6 @@ def test_reference_never_enters_the_id_pipeline(reference, nsm):
 
 # -- the paper's listings, through the SQL front end ---------------------------
 
-LISTING_1 = """
-SELECT class, object
-FROM TABLE(
-  SEM_MATCH(
-    {?object rdf:type ?c .
-    ?c rdfs:label ?class .
-    ?c rdfs:subClassOf dm:Application1_Item .
-    ?c rdfs:subClassOf dm:Interface_Item .
-    ?object dm:hasName ?term} ,
-    SEM_MODELS('DWH_CURR') ,
-    SEM_RULEBASES('OWLPRIME') ,
-    SEM_ALIASES( SEM_ALIAS('dm', 'http://www.credit-suisse.com/dwh/mdm/data_modeling#') ,
-                 SEM_ALIAS('owl', 'http://www.w3.org/2002/07/owl#')) ,
-    null )
-WHERE regexp_like(term, 'customer', 'i')
-GROUP BY class, object
-"""
-
-LISTING_2 = """
-SELECT source_id, target_id, target_name
-FROM TABLE (SEM_MATCH(
-    {?source_id dt:isMappedTo ?target_id .
-    ?target_id rdf:type dm:Application1_Item .
-    ?target_id rdf:type dm:Interface_Item .
-    ?target_id dm:hasName ?target_name}
-    SEM_MODELS('DWH_CURR'),
-    SEM_RULEBASES('OWLPRIME'),
-    SEM_ALIASES(
-        SEM_ALIAS('dm', 'http://www.credit-suisse.com/dwh/mdm/data_modeling#'),
-        SEM_ALIAS('dt', 'http://www.credit-suisse.com/dwh/mdm/data_transfer#')),
-        null)
-WHERE source_id = 'http://www.credit-suisse.com/dwh/source_3'
-GROUP BY source_id, target_id, target_name
-"""
-
-
 def make_store(make_graph):
     """A model of 60 named columns (a third of them customer columns,
     half of them mapped from a source) plus the OWLPRIME index holding
@@ -244,7 +209,11 @@ def make_store(make_graph):
     return store
 
 
-@pytest.mark.parametrize("sql", [LISTING_1, LISTING_2], ids=["listing1", "listing2"])
+@pytest.mark.parametrize(
+    "sql",
+    [LISTING_1, LISTING_2.replace(LISTING_2_SOURCE, "http://www.credit-suisse.com/dwh/source_3")],
+    ids=["listing1", "listing2"],
+)
 def test_listings_match_reference(sql):
     engine_store, reference_store = make_store(Graph), make_store(private)
     assert reference_store.view(["DWH_CURR"], rulebases=["OWLPRIME"]).dictionary is None

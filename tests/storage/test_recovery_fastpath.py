@@ -44,7 +44,7 @@ def test_attach_then_reapply_recovers_a_crashed_release(tmp_path):
 def test_cold_start_paths_answer_the_listings_identically(tmp_path):
     """Snapshot attach and a fresh ETL are two ways to the same
     warehouse: same model, same Listing 1/2 answers."""
-    from benchmarks.queries import LINEAGE_TEMPLATE, LISTING_1_LANDSCAPE
+    from benchmarks.queries import LISTING_1_LANDSCAPE, LISTING_2_LANDSCAPE, LISTING_2_SOURCE
     from repro.core.vocabulary import TERMS
     from repro.synth import LandscapeConfig, generate_landscape
 
@@ -61,7 +61,7 @@ def test_cold_start_paths_answer_the_listings_identically(tmp_path):
     assert type(attached.graph).__name__ == "MappedGraph"
 
     mapped = sorted(t.subject.value for t in source.graph.triples(None, TERMS.is_mapped_to, None))
-    listings = (LISTING_1_LANDSCAPE, LINEAGE_TEMPLATE.format(source=mapped[len(mapped) // 2]))
+    listings = (LISTING_1_LANDSCAPE, LISTING_2_LANDSCAPE.replace(LISTING_2_SOURCE, mapped[len(mapped) // 2]))
 
     def answers(mdw):
         return [

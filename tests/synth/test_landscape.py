@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core import TERMS, validate_graph
-from repro.rdf import RDF
+from repro.core import TERMS, EdgeCategory, classify_edge, validate_graph
+from repro.rdf import RDFS, Triple
 from repro.synth import (
     LandscapeConfig,
     NamePool,
@@ -167,9 +167,15 @@ class TestPipelineGenerator:
 class TestFigureBuilders:
     def test_figure2_chain(self):
         fig2 = build_figure2_example()
-        trace = fig2.warehouse.lineage.upstream(fig2.mart_client_id)
+        lineage = fig2.warehouse.lineage
+        trace = lineage.upstream(fig2.mart_client_id)
         assert trace.max_depth() == 2
-        assert fig2.staging_customer_id in trace.items()
+        # backward lineage ends at the staging column and nowhere else
+        assert trace.endpoints() == {fig2.staging_customer_id}
+        assert lineage.downstream(fig2.staging_customer_id).endpoints() == {fig2.mart_client_id}
+
+    def test_figure2_conformant(self):
+        assert build_figure2_example().warehouse.validate().conformant
 
     def test_figure2_generalization(self):
         fig2 = build_figure2_example()
@@ -190,6 +196,23 @@ class TestFigureBuilders:
     def test_figure3_layers_conformant(self):
         snippet = build_figure3_snippet()
         assert validate_graph(snippet.warehouse.graph).conformant
+
+    def test_figure3_edges_sit_in_their_drawn_layers(self):
+        snippet = build_figure3_snippet()
+        graph = snippet.warehouse.graph
+        chain = [
+            Triple(snippet.client_information_id, TERMS.is_mapped_to, snippet.partner_id),
+            Triple(snippet.partner_id, TERMS.is_mapped_to, snippet.customer_id),
+        ]
+        view_column = snippet.classes["Application1 View Column"]
+        parents = [
+            Triple(view_column, RDFS.subClassOf, snippet.classes[label])
+            for label in ("Attribute", "Application1 Item", "Interface Item")
+        ]
+        for edges, layer in ((chain, EdgeCategory.FACTS), (parents, EdgeCategory.HIERARCHY)):
+            for edge in edges:
+                assert edge in graph
+                assert classify_edge(graph, edge).category is layer
 
     def test_figure3_multiple_inheritance(self):
         snippet = build_figure3_snippet()
