@@ -193,38 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
         "reap and respawn dead or hung workers, requeue their requests",
     )
 
-    chaos = sub.add_parser(
-        "chaos",
-        help="randomized crash/recover/verify loops: the release path by "
-        "default, or the storage or serving tier",
-    )
-    chaos.add_argument("--seed", type=int, default=0)
-    chaos.add_argument("--iterations", type=int, default=5)
-    chaos.add_argument("--documents", type=int, default=4, help="release feeds per iteration")
-    chaos.add_argument("--instances", type=int, default=10, help="instances per feed")
-    chaos.add_argument("--workdir", default=None, help="directory for snapshot files (default: a temp dir)")
-    chaos_path = chaos.add_mutually_exclusive_group()
-    chaos_path.add_argument(
-        "--snapshot", action="store_true",
-        help="crash/recover through the snapshot storage path "
-        "(save/attach fault sites)",
-    )
-    chaos_path.add_argument(
-        "--supervisor", action="store_true",
-        help="SIGKILL live fork workers under a client workload and "
-        "verify the supervisor loses no request (serving path)",
-    )
-    chaos_path.add_argument(
-        "--sharded", action="store_true",
-        help="SIGKILL one shard's workers under load, then hard-down and "
-        "replace the shard: zero lost requests, degraded partials while "
-        "its breaker is open, bit-identical recovery (sharded gateway)",
-    )
-    chaos.add_argument(
-        "--shards", type=int, default=3,
-        help="shard count for --sharded (default 3)",
-    )
-
     workload = sub.add_parser(
         "workload",
         help="drive a synthetic client mix against the query service",
@@ -1026,6 +994,8 @@ def cmd_events(args) -> None:
     """Filter and format a drained event-journal JSONL file."""
     import json
 
+    if args.limit is not None and args.limit < 0:
+        raise CliError("--limit must be >= 0")
     if args.file == "-":
         text = sys.stdin.read()
     else:
@@ -1048,7 +1018,7 @@ def cmd_events(args) -> None:
     if args.severity is not None:
         docs = [d for d in docs if d.get("severity") == args.severity]
     if args.limit is not None:
-        docs = docs[-args.limit:]
+        docs = docs[max(0, len(docs) - args.limit):]
     for doc in docs:
         if args.json:
             print(json.dumps(doc, sort_keys=True))
@@ -1062,70 +1032,6 @@ def cmd_events(args) -> None:
             print(f"{doc.get('ts', 0):.3f} [{doc.get('severity', '?')}] "
                   f"{doc.get('kind', '?')} {detail}".rstrip())
     print(f"({len(docs)} event(s))", file=sys.stderr)
-
-
-def cmd_chaos(args) -> None:
-    """Kill a release apply at a random fault point, re-apply, verify convergence.
-
-    Exit 0 means every iteration converged to the bit-identical
-    reference state (model, entailment indexes, probe answers); any
-    divergence is a bug in the crash-recovery path and exits 2.
-    """
-    from repro.resilience.chaos import (
-        run_chaos,
-        run_sharded_chaos,
-        run_snapshot_chaos,
-        run_supervisor_chaos,
-    )
-
-    if args.iterations < 1:
-        raise CliError("--iterations must be positive")
-    if args.sharded:
-        if args.shards < 1:
-            raise CliError("--shards must be positive")
-        report = run_sharded_chaos(
-            seed=args.seed,
-            iterations=args.iterations,
-            documents=args.documents,
-            instances=args.instances,
-            n_shards=args.shards,
-            workdir=args.workdir,
-            log=print,
-        )
-    elif args.supervisor:
-        report = run_supervisor_chaos(
-            seed=args.seed,
-            iterations=args.iterations,
-            documents=args.documents,
-            instances=args.instances,
-            workdir=args.workdir,
-            log=print,
-        )
-    elif args.snapshot:
-        report = run_snapshot_chaos(
-            seed=args.seed,
-            iterations=args.iterations,
-            documents=args.documents,
-            instances=args.instances,
-            workdir=args.workdir,
-            log=print,
-        )
-    else:
-        report = run_chaos(
-            seed=args.seed,
-            iterations=args.iterations,
-            documents=args.documents,
-            instances=args.instances,
-            workdir=args.workdir,
-            log=print,
-        )
-    print(report.verdict())  # per-iteration lines already streamed live
-    if not report.ok:
-        diverged = sum(1 for it in report.iterations if not it.converged)
-        raise CliError(
-            f"{diverged} of {len(report.iterations)} iteration(s) "
-            "diverged from the reference state"
-        )
 
 
 _HANDLERS = {
@@ -1148,7 +1054,6 @@ _HANDLERS = {
     "slo": cmd_slo,
     "top": cmd_top,
     "events": cmd_events,
-    "chaos": cmd_chaos,
 }
 
 

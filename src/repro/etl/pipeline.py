@@ -35,6 +35,16 @@ from repro.history.diff import diff_graphs
 from repro.obs.trace import span
 from repro.resilience import faults
 
+#: The fault sites :meth:`EtlOrchestrator.apply_release` passes through:
+#: staging, the delta apply itself (incremental mode only), index
+#: refresh or DRed maintenance, and validation.
+RELEASE_SITES = [
+    "staging.stage",
+    "release.apply",
+    "index.refresh",
+    "etl.validate",
+]
+
 
 @dataclass
 class ReleaseLoadResult:
@@ -129,9 +139,11 @@ class EtlOrchestrator:
           loaded (the live model is non-empty), else full.
 
         Incremental application is convergent: re-running the same
-        release after a mid-apply crash finishes the job (the chaos
-        harness exercises exactly this). With ``historizer`` and
-        ``version`` the converged state is historized afterwards.
+        release after a mid-apply crash finishes the job
+        (``tests/etl/test_incremental_release.py`` crashes it at every
+        firing of every :data:`RELEASE_SITES` site and checks exactly
+        this). With ``historizer`` and ``version`` the converged state
+        is historized afterwards.
 
         A release whose state is already RDF (a historized version, a
         replica catch-up, a benchmark scenario) can be passed directly

@@ -128,7 +128,10 @@ class EventJournal:
         shard: Optional[str] = None,
         limit: Optional[int] = None,
     ) -> List[Event]:
-        """Matching events, oldest first (``limit`` keeps the newest)."""
+        """Matching events, oldest first (``limit`` keeps the newest;
+        a negative one raises ``ValueError``)."""
+        if limit is not None and limit < 0:
+            raise ValueError(f"limit must be >= 0, got {limit}")
         with self._lock:
             out = list(self._events)
         if kind is not None:
@@ -140,7 +143,7 @@ class EventJournal:
         if shard is not None:
             out = [e for e in out if e.shard == str(shard)]
         if limit is not None:
-            out = out[-limit:]
+            out = out[max(0, len(out) - limit):]
         return out
 
     def drain(self) -> List[Event]:

@@ -24,7 +24,7 @@ without recomputing it — the DRed (delete/rederive) algorithm:
    plus the rederived ones, recovering everything downstream.
 
 The result is bit-identical to a from-scratch :func:`closure` of the
-new base (the incremental test-suite and the chaos harness assert this),
+new base (the incremental and crash-at-every-site tests assert this),
 at a cost proportional to the delta's consequences instead of the model.
 """
 

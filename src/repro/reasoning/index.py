@@ -150,7 +150,7 @@ class EntailmentIndexManager:
     def is_stale(self, model: str, rulebase: str = "OWLPRIME") -> bool:
         tracker = self._trackers.get((model, rulebase))
         stale = True if tracker is None else tracker.dirty
-        # the chaos harness can corrupt this verdict (force-stale) to
+        # an armed injector can corrupt this verdict (force-stale) to
         # rehearse degraded-mode serving without mutating the model
         return bool(faults.fire("index.staleness", stale))
 

@@ -1,19 +1,17 @@
-"""Fault tolerance for the warehouse: degraded-mode serving and a
-deterministic fault-injection harness.
+"""Fault tolerance for the warehouse: degraded-mode serving and
+deterministic fault injection.
 
 The productive MDW is bank infrastructure: a crashed release load must
 be recoverable by re-running it, and the search/lineage services must
 answer (possibly degraded) while things are on fire. This package
 supplies the machinery:
 
-* :mod:`repro.resilience.faults` — named fault points + the seedable
+* :mod:`repro.resilience.faults` — named fault points + the
   :class:`FaultInjector` (raise / delay / corrupt at any site);
 * :mod:`repro.resilience.journal` — the fsync-on-checkpoint
   :class:`DurableLog` sink behind the audit journal's file tail;
 * :mod:`repro.resilience.breaker` — per-endpoint circuit breakers for
-  the query service;
-* :mod:`repro.resilience.chaos` — the randomized crash/recover/verify
-  loops behind ``repro-mdw chaos``.
+  the query service.
 
 See ``docs/resilience.md`` for the fault-point catalog and
 ``docs/operations.md`` for the operator-facing recovery procedure.
@@ -24,11 +22,8 @@ from repro.resilience.faults import (
     FAULT_POINTS,
     FaultInjector,
     InjectedFault,
-    active_injector,
     fault_scope,
     fire,
-    install,
-    uninstall,
 )
 from repro.resilience.journal import DurableLog, JournalError
 
@@ -42,9 +37,6 @@ __all__ = [
     "InjectedFault",
     "JournalError",
     "OPEN",
-    "active_injector",
     "fault_scope",
     "fire",
-    "install",
-    "uninstall",
 ]

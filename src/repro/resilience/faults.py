@@ -3,20 +3,17 @@
 A production warehouse is hardened by *rehearsing* its failures, not by
 hoping they stay rare. This module gives the reproduction named **fault
 points** — hooks compiled into the load and serving paths — and a
-seedable :class:`FaultInjector` that can raise, delay, or corrupt at any
-of them. Because the injector's randomness comes from one seeded RNG,
-a chaos run is a pure function of its seed: every crash a test provokes
-can be replayed exactly.
+:class:`FaultInjector` that can raise, delay, or corrupt at any of
+them. A plan fires on an exact hit count (``skip``, ``times``), so
+every crash a test provokes lands at the same place on every run.
 
 The hooks cost nothing when no injector is installed (one global ``is
 None`` check), so they stay in the production code path permanently —
-the same sites the chaos harness kills at are the sites the recovery
-tests cover.
+the sites the tests kill at are the sites production code passes.
 """
 
 from __future__ import annotations
 
-import random
 import threading
 import time
 from contextlib import contextmanager
@@ -76,13 +73,12 @@ class InjectedFault(RuntimeError):
 class FaultPlan:
     """One armed site: what to do and how often."""
 
-    __slots__ = ("site", "mode", "probability", "remaining", "skip", "delay", "value", "error")
+    __slots__ = ("site", "mode", "remaining", "skip", "delay", "value", "error")
 
     def __init__(
         self,
         site: str,
         mode: str,
-        probability: float = 1.0,
         times: Optional[int] = None,
         skip: int = 0,
         delay: float = 0.0,
@@ -91,13 +87,10 @@ class FaultPlan:
     ):
         if mode not in ("raise", "delay", "corrupt"):
             raise ValueError(f"unknown fault mode {mode!r}")
-        if not 0.0 <= probability <= 1.0:
-            raise ValueError("probability must be in [0, 1]")
         if skip < 0:
             raise ValueError("skip must be >= 0")
         self.site = site
         self.mode = mode
-        self.probability = probability
         self.remaining = times  # None = unlimited
         self.skip = skip        # hits to let through before firing
         self.delay = delay
@@ -106,9 +99,9 @@ class FaultPlan:
 
 
 class FaultInjector:
-    """A seedable registry of armed fault points.
+    """A registry of armed fault points.
 
-    >>> inj = FaultInjector(seed=7)
+    >>> inj = FaultInjector()
     >>> inj.arm("staging.stage", "raise", times=1, skip=2)
     >>> # the third document the load stages, it crashes
 
@@ -121,14 +114,11 @@ class FaultInjector:
     * ``corrupt`` — return ``value`` instead of the site's real payload
       (``value`` may be a callable applied to the payload).
 
-    ``times`` bounds firings, ``skip`` ignores the first N hits (so a
-    chaos run can kill at the *k-th* document, not just the first), and
-    ``probability`` draws from the injector's own seeded RNG — the whole
-    schedule of a chaos run is reproducible from the seed.
+    ``times`` bounds firings and ``skip`` ignores the first N hits, so a
+    test can kill at the *k-th* document, not just the first.
     """
 
-    def __init__(self, seed: int = 0, sleep: Callable[[float], None] = time.sleep):
-        self._rng = random.Random(seed)
+    def __init__(self, sleep: Callable[[float], None] = time.sleep):
         self._sleep = sleep
         self._lock = threading.Lock()
         self._plans: Dict[str, FaultPlan] = {}
@@ -142,7 +132,6 @@ class FaultInjector:
         site: str,
         mode: str = "raise",
         *,
-        probability: float = 1.0,
         times: Optional[int] = None,
         skip: int = 0,
         delay: float = 0.0,
@@ -155,8 +144,7 @@ class FaultInjector:
                 f"unknown fault point {site!r}; catalog: {sorted(FAULT_POINTS)}"
             )
         plan = FaultPlan(
-            site, mode, probability=probability, times=times, skip=skip,
-            delay=delay, value=value, error=error,
+            site, mode, times=times, skip=skip, delay=delay, value=value, error=error
         )
         with self._lock:
             self._plans[site] = plan
@@ -186,8 +174,6 @@ class FaultInjector:
                 plan.skip -= 1
                 return value
             if plan.remaining is not None and plan.remaining <= 0:
-                return value
-            if plan.probability < 1.0 and self._rng.random() >= plan.probability:
                 return value
             if plan.remaining is not None:
                 plan.remaining -= 1
@@ -219,11 +205,6 @@ class FaultInjector:
                 return len(self.history)
             return sum(1 for s, _ in self.history if s == site)
 
-    def choose_site(self, candidates: Optional[List[str]] = None) -> str:
-        """Pick a fault point with the injector's seeded RNG."""
-        pool = sorted(candidates if candidates is not None else FAULT_POINTS)
-        return self._rng.choice(pool)
-
     def __repr__(self) -> str:
         with self._lock:
             return (
@@ -235,26 +216,11 @@ class FaultInjector:
 # -- the ambient injector ----------------------------------------------------
 #
 # Production code calls the module-level ``fire``; when nothing is
-# installed it is a single attribute load and None check. The installer
-# is process-global on purpose: a chaos run must reach the fault points
-# of every worker thread, not just its own.
+# installed it is a single attribute load and None check. The injector
+# is process-global on purpose: a test must reach the fault points of
+# every worker thread (and, across fork, every child), not just its own.
 
 _active: Optional[FaultInjector] = None
-
-
-def active_injector() -> Optional[FaultInjector]:
-    return _active
-
-
-def install(injector: FaultInjector) -> None:
-    """Install ``injector`` as the process-wide ambient injector."""
-    global _active
-    _active = injector
-
-
-def uninstall() -> None:
-    global _active
-    _active = None
 
 
 @contextmanager

@@ -181,7 +181,7 @@ def _child_main(spec, request_queue, response_queue, heartbeat=None) -> None:
             break
         _beat()
         try:
-            # chaos sites for the supervision tests: ``worker.crash``
+            # fault sites for the supervision tests: ``worker.crash``
             # dies the way a segfault would (no cleanup, no goodbye on
             # the pipe), ``worker.hang`` (delay mode) stalls the child
             # outside any cooperative check so the watermark goes stale

@@ -382,7 +382,7 @@ class ShardedQueryService(_FrontDoor):
         return self.config.n_shards
 
     def shard_service(self, index: int) -> QueryService:
-        """The per-shard service (chaos harnesses kill its workers)."""
+        """The per-shard service (tests kill its workers and close it)."""
         return self._shards[index]
 
     def shard_breaker(self, index: int) -> CircuitBreaker:

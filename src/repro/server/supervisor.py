@@ -184,7 +184,7 @@ class Supervisor:
     # -- introspection -----------------------------------------------------
 
     def worker_pids(self) -> List[int]:
-        """PIDs of the currently-live children (chaos harness bait)."""
+        """PIDs of the currently-live children (what a kill test targets)."""
         return self._service.worker_pids()
 
     def alive_children(self) -> int:

@@ -15,8 +15,8 @@ entailment index, triple and distinct counts, frozen flag).
 
 Saves go to a sibling temp file, ``fsync``, then ``os.replace`` — a
 crash mid-save leaves the previous snapshot untouched (the
-``snapshot.save`` fault site fires between fsync and rename, and the
-chaos harness asserts exactly this).
+``snapshot.save`` fault site fires between fsync and rename, and
+``tests/storage/test_snapshot.py`` asserts exactly this).
 
 Attach (:meth:`MappedSnapshot.open`) maps the file and hands out
 :class:`MappedGraph` objects that answer the graph read contract

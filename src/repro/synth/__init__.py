@@ -23,6 +23,7 @@ from repro.synth.pipelines import generate_pipeline
 from repro.synth.workload import (
     SearchWorkload,
     ServiceOp,
+    make_release_feeds,
     make_scatter_workload,
     make_search_workload,
     make_service_workload,
@@ -36,6 +37,7 @@ __all__ = [
     "ServiceOp",
     "generate_landscape",
     "generate_pipeline",
+    "make_release_feeds",
     "make_scatter_workload",
     "make_search_workload",
     "make_service_workload",

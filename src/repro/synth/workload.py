@@ -1,8 +1,9 @@
-"""Query workloads for the benchmark harness.
+"""Query workloads and release feeds for the benchmark harness and tests.
 
 A workload is a reproducible list of operations (search terms, lineage
 start items) drawn from a generated landscape — the benchmarks replay
-them to measure throughput and result shapes.
+them to measure throughput and result shapes. Release feeds are small
+seeded XML documents for driving ``apply_release``.
 """
 
 from __future__ import annotations
@@ -179,8 +180,8 @@ def make_scatter_workload(
     :func:`make_service_workload`'s
     derivation — terms and item names come from the warehouse's own
     ``dm:hasName`` values — restricted to the routable kinds, so the
-    sharded benchmark and chaos harness replay a realistic interactive
-    mix. Same inputs, same list, always.
+    sharded benchmark and tests replay a realistic interactive mix.
+    Same inputs, same list, always.
     """
     rng = random.Random(seed)
     names = sorted(
@@ -206,3 +207,38 @@ def make_scatter_workload(
                 )
             )
     return ops
+
+
+# -- release feeds ---------------------------------------------------------------
+
+_CLASS_POOL = ["Application", "Database", "Table", "Column", "Report"]
+
+
+def make_release_feeds(
+    rng: random.Random, documents: int = 4, instances: int = 10
+) -> List[str]:
+    """Deterministic synthetic XML release feeds (classes, instances,
+    links, mappings) — varied by the rng, stable for a given seed."""
+    feeds: List[str] = []
+    all_names: List[str] = []
+    for d in range(documents):
+        lines = [f'<metadata source="feed-{d}">']
+        for cls in _CLASS_POOL:
+            lines.append(f'  <class name="{cls}" world="technical"/>')
+        lines.append('  <property name="hasOwner" world="business"/>')
+        names = [f"item_{d}_{i}_{rng.randint(0, 999)}" for i in range(instances)]
+        for i, name in enumerate(names):
+            cls = _CLASS_POOL[rng.randrange(len(_CLASS_POOL))]
+            lines.append(f'  <instance name="{name}" class="{cls}" area="integration">')
+            lines.append(f'    <value property="hasOwner">owner_{rng.randint(0, 9)}</value>')
+            if all_names and rng.random() < 0.6:
+                target = all_names[rng.randrange(len(all_names))]
+                lines.append(
+                    f'    <mapping target="{target}" rule="rule-{d}-{i}" '
+                    f'condition="region=\'{rng.choice("ABC")}\'"/>'
+                )
+            lines.append("  </instance>")
+        all_names.extend(names)
+        lines.append("</metadata>")
+        feeds.append("\n".join(lines))
+    return feeds

@@ -13,11 +13,14 @@ import pytest
 
 from repro.core.warehouse import MetadataWarehouse
 from repro.etl import EtlOrchestrator, ReleaseLoadResult
+from repro.etl.pipeline import RELEASE_SITES
 from repro.history import Historizer
 from repro.rdf import Graph, RDF, Triple
 from repro.rdf.ntriples import serialize_ntriples
 from repro.resilience import FaultInjector, InjectedFault, fault_scope
-from repro.resilience.chaos import PROBE_QUERY, RELEASE_SITES, make_release_feeds
+from repro.synth import make_release_feeds
+
+PROBE_QUERY = "SELECT ?s ?name WHERE { ?s dm:hasName ?name }"
 
 
 def fresh_warehouse(feeds=()):

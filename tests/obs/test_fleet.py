@@ -100,6 +100,15 @@ class TestEventJournal:
         with pytest.raises(ValueError):
             EventJournal(capacity=0)
 
+    def test_limit_zero_is_nothing_and_negative_is_rejected(self):
+        journal = EventJournal()
+        for i in range(3):
+            journal.record("e", seq=i)
+        assert journal.events(limit=0) == []
+        assert [e.attrs["seq"] for e in journal.events(limit=5)] == [0, 1, 2]
+        with pytest.raises(ValueError):
+            journal.events(limit=-1)
+
 
 def _families(reg):
     req = reg.counter(

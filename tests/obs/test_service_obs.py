@@ -340,7 +340,7 @@ class TestResilienceWiring:
             "mdw_fault_injections_total", labels=("site", "mode")
         )
         before = counter.child(site="index.refresh", mode="raise").value
-        injector = FaultInjector(seed=3)
+        injector = FaultInjector()
         injector.arm("index.refresh", mode="raise", times=1)
         with pytest.raises(InjectedFault):
             injector.fire("index.refresh")

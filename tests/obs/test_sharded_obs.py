@@ -172,7 +172,7 @@ class TestGraftingUnderFailure:
         exported trace stays orphan-free."""
         from repro.resilience.faults import FaultInjector, fault_scope
 
-        injector = FaultInjector(seed=3)
+        injector = FaultInjector()
         injector.arm("worker.hang", "delay", delay=0.8, times=1)
         config = ServiceConfig(
             max_workers=2,
@@ -224,7 +224,7 @@ class TestGraftingUnderFailure:
         graft under the winning attempt, and the trace validates."""
         from repro.resilience.faults import FaultInjector, fault_scope
 
-        injector = FaultInjector(seed=1)
+        injector = FaultInjector()
         injector.arm("worker.crash", "raise", times=1)
         config = ServiceConfig(
             max_workers=1,

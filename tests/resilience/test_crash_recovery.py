@@ -1,8 +1,8 @@
 """A release apply crashed under a :class:`SnapshotManager`.
 
-Readers pin generation N while ``apply_release`` is killed half-way and
-see N or, after the release is applied again, N+1 — never the torn
-state in between. The recovered warehouse's entailment index is fresh
+Readers pin generation N while ``apply_release``, or the snapshot
+publish after it, is killed half-way and see N or, after the release is
+applied again, N+1 — never the torn state in between. The recovered warehouse's entailment index is fresh
 and its answers through the shared plan cache equal a clean apply's.
 """
 
@@ -12,10 +12,11 @@ import pytest
 
 from repro.core.warehouse import MetadataWarehouse
 from repro.etl import EtlOrchestrator
+from repro.etl.pipeline import RELEASE_SITES
 from repro.rdf.ntriples import serialize_ntriples
 from repro.resilience import FaultInjector, InjectedFault, fault_scope
-from repro.resilience.chaos import RELEASE_SITES, make_release_feeds
 from repro.server.snapshot import SnapshotManager
+from repro.synth import make_release_feeds
 
 QUERY = "SELECT ?s ?c WHERE { ?s a ?c }"
 
@@ -54,7 +55,7 @@ def crash_apply(manager, release, site):
 
 
 class TestSnapshotIsolation:
-    @pytest.mark.parametrize("site", RELEASE_SITES)
+    @pytest.mark.parametrize("site", RELEASE_SITES + ["snapshot.publish"])
     def test_pinned_reader_never_sees_partial_generation(self, releases, site):
         release1, release2 = releases
         mdw = warehouse(release1)

@@ -1,7 +1,13 @@
-"""Canonical answer forms and sharded-fleet helpers shared by the
-serving-tier suites."""
+"""Canonical answer forms, sharded-fleet and worker-kill helpers shared
+by the serving-tier suites."""
+
+import os
+import signal
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 from repro.server import ShardedConfig, ShardedQueryService
+from repro.server.service import dispatch
 from repro.storage import shard_of
 
 
@@ -54,3 +60,45 @@ def mint_instances(mdw, cls, shards_wanted, n_shards):
                 names.append(name)
                 break
     return items, names
+
+
+def direct_answers(mdw, ops):
+    """Each op's canonical answer from a direct in-process dispatch."""
+    return [canonical(op.kind, dispatch(mdw, op.kind, dict(op.payload))) for op in ops]
+
+
+def served_answers(service, ops):
+    """Each op's canonical answer from ``service``, one after another."""
+    return [canonical(op.kind, service.execute(op.kind, **op.payload)) for op in ops]
+
+
+def kill_storm(service, victim, ops, clients=3, kills=3):
+    """Drive ``ops`` through ``service`` from ``clients`` threads while
+    SIGKILLing the first live fork worker of ``victim`` ``kills`` times,
+    50 ms apart, the way the OOM killer would. Returns how many kills
+    landed and the canonical answers in op order; a failed request
+    raises."""
+    got = [None] * len(ops)
+    with ThreadPoolExecutor(clients) as pool:
+        lanes = [pool.submit(served_answers, service, ops[c::clients]) for c in range(clients)]
+        landed = 0
+        for _ in range(kills):
+            pids = victim.worker_pids()
+            if pids:
+                try:
+                    os.kill(pids[0], signal.SIGKILL)
+                    landed += 1
+                except ProcessLookupError:
+                    pass  # reaped between the listing and the kill
+            time.sleep(0.05)
+        for c, lane in enumerate(lanes):
+            got[c::clients] = lane.result(timeout=120)
+    return landed, got
+
+
+def wait_for(condition, timeout, message):
+    """Poll ``condition`` every 5 ms; fail with ``message`` after ``timeout``."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, message
+        time.sleep(0.005)

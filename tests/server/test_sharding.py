@@ -4,11 +4,12 @@ Lineage over chains and cycles whose items hash to different shards
 (answered whole by the one shard holding the component, with one
 sub-request per trace), bit-identity of search and lineage against the
 single-node services, degraded partial answers when a shard dies, and
-the replace/rebalance operational paths. Unit tests run the shards in
-thread mode (fork-mode behaviour — supervision, SIGKILL recovery — is
-the chaos harness's job).
+the replace/rebalance operational paths. Most tests run the shards in
+thread mode; ``TestForkShards`` runs supervised fork-mode shards and
+SIGKILLs their workers.
 """
 
+import sys
 import time
 
 import pytest
@@ -24,13 +25,21 @@ from repro.server import (
     QueryServiceError,
     ServiceClosed,
     ShardedConfig,
+    ShardedQueryService,
 )
 from repro.server.service import dispatch
 from repro.services.search import SearchFilters
 from repro.storage import partition_store, shard_of
 from repro.synth import make_scatter_workload
 
-from .conftest import canonical, mint_instances, thread_service
+from .conftest import (
+    canonical,
+    direct_answers,
+    kill_storm,
+    mint_instances,
+    thread_service,
+    wait_for,
+)
 
 
 @pytest.fixture
@@ -471,6 +480,62 @@ class TestOperations:
             assert [svc.owner_of(t) for t in terms] == [plan.owner_of(t) for t in terms]
             # an unmapped item is placed by its own hash
             assert svc.owner_of(terms[0]) == shard_of(terms[0], 3)
+
+
+@pytest.mark.skipif(sys.platform.startswith("win"), reason="fork start method required")
+class TestForkShards:
+    def test_kill_storm_then_shard_loss_then_replacement(self, landscape, tmp_path):
+        """On supervised fork shards: a kill storm on one shard loses
+        nothing; closing that shard degrades every answer (never an
+        error), opens its gateway breaker and the fleet health; and
+        ``replace_shard`` brings back the full, un-degraded answers."""
+        ops = make_scatter_workload(landscape, n_ops=60, seed=7)
+        want = direct_answers(landscape, ops)
+        config = ShardedConfig(
+            name="fork-shards",
+            max_queue=len(ops) + 32,
+            snapshot_dir=str(tmp_path),
+            heartbeat_interval=0.2,
+            hang_timeout=2.0,
+            max_attempts=4,
+            breaker_threshold=10_000,  # the per-shard endpoint breakers are not under test
+            shard_breaker_threshold=2,
+            shard_breaker_cooldown=60.0,  # stays open until replace_shard resets it
+        )
+        with ShardedQueryService(landscape, config) as svc:
+            victim = svc.shard_service(0)
+            wait_for(
+                lambda: victim.supervisor.alive_children() == config.workers_per_shard,
+                5.0,
+                "victim shard never reached full size",
+            )
+            landed, got = kill_storm(svc, victim, ops)
+            assert landed >= 1
+            assert got == want
+            wait_for(
+                lambda: victim.supervisor.deficit() == 0,
+                3 * config.heartbeat_interval,
+                "victim pool not back at size within 3 heartbeat intervals",
+            )
+            books = victim.metrics_snapshot()
+            assert books["worker_lost"] >= 1  # a kill took a request down with it
+            assert books["failed"] == 0
+
+            victim.close(wait=False)
+            partial = [svc.execute(op.kind, **op.payload) for op in ops]
+            assert all(answer.degraded for answer in partial)
+            assert svc.shard_breaker(0).snapshot()["state"] == "open"
+            assert svc.health()["status"] == "degraded"
+
+            replacement = svc.replace_shard(0)
+            wait_for(
+                lambda: replacement.supervisor.alive_children() == config.workers_per_shard,
+                5.0,
+                "replacement shard never reached full size",
+            )
+            recovered = [svc.execute(op.kind, **op.payload) for op in ops]
+            assert not any(answer.degraded for answer in recovered)
+            assert [canonical(op.kind, a) for op, a in zip(ops, recovered)] == want
 
 
 class TestShardMetricLabels:

@@ -17,6 +17,9 @@ import pytest
 
 from repro.resilience.faults import FaultInjector, fault_scope
 from repro.server import ServiceConfig, WorkerLost
+from repro.synth import make_service_workload
+
+from .conftest import direct_answers, kill_storm, wait_for
 
 pytestmark = pytest.mark.skipif(
     sys.platform.startswith("win"), reason="fork start method required"
@@ -107,7 +110,7 @@ class TestRespawn:
     def test_health_reports_recovering_then_healthy(self, warehouse, tmp_path):
         # delay the respawn fault site so the "recovering" window is
         # wide enough to observe deterministically
-        injector = FaultInjector(seed=5)
+        injector = FaultInjector()
         injector.arm("supervisor.respawn", "delay", delay=0.4, times=2)
         config = _supervised_config(tmp_path)
         with fault_scope(injector):
@@ -126,12 +129,44 @@ class TestRespawn:
                 assert service.health()["supervisor"]["alive_children"] == 2
 
 
+class TestKillUnderLoad:
+    def test_kill_storm_loses_no_request(self, warehouse, tmp_path):
+        """Workers are SIGKILLed while three clients drive a Listing 1/2
+        mix: no request fails, every answer equals a direct dispatch,
+        and the pool is back at full strength within three heartbeats."""
+        ops = make_service_workload(warehouse, n_ops=60, seed=7)
+        config = _supervised_config(
+            tmp_path,
+            max_workers=4,
+            max_queue=len(ops) + 32,
+            heartbeat_interval=0.2,
+            hang_timeout=2.0,
+            hedge_after=0.8,
+            max_attempts=4,
+            breaker_threshold=10_000,  # the breakers are not under test here
+        )
+        with warehouse.serve(config) as service:
+            _wait_full_pool(service)
+            landed, got = kill_storm(service, service, ops)
+            wait_for(
+                lambda: service.supervisor.deficit() == 0,
+                3 * config.heartbeat_interval,
+                "pool not back at size within 3 heartbeat intervals",
+            )
+            snap = service.metrics_snapshot()
+        assert landed >= 1
+        assert got == direct_answers(warehouse, ops)
+        assert snap["failed"] == 0
+        assert snap["worker_lost"] >= 1  # a kill took a request down with it
+        assert snap["worker_restarts"].get("crash", 0) >= 1
+
+
 class TestFailover:
     def test_crash_ladder_requeues_then_degrades(self, warehouse, tmp_path):
         """Every child inherits an armed crash: the request burns its
         whole attempt budget on dying workers, then the in-process
         fallback answers it — degraded, but correct and never lost."""
-        injector = FaultInjector(seed=1)
+        injector = FaultInjector()
         injector.arm("worker.crash", "raise", times=1)
         config = _supervised_config(
             tmp_path, max_workers=1, max_attempts=3
@@ -152,7 +187,7 @@ class TestFailover:
     ):
         """A stuck child (stale progress watermark) is SIGKILLed by the
         supervisor; the owner sees an ordinary death and fails over."""
-        injector = FaultInjector(seed=2)
+        injector = FaultInjector()
         injector.arm("worker.hang", "delay", delay=30.0, times=1)
         config = _supervised_config(
             tmp_path,
@@ -178,7 +213,7 @@ class TestFailover:
     def test_lagging_request_is_hedged(self, warehouse, tmp_path):
         """A slow (but alive) worker gets its request duplicated; the
         first completion wins and the caller never sees the straggler."""
-        injector = FaultInjector(seed=3)
+        injector = FaultInjector()
         injector.arm("worker.hang", "delay", delay=0.8, times=1)
         config = _supervised_config(
             tmp_path,
@@ -202,7 +237,7 @@ class TestWorkerLostTyping:
         """Without a supervisor the caller still gets a typed
         :class:`WorkerLost` with request attribution — not an opaque
         pipe error — and the slow-query log records the casualty."""
-        injector = FaultInjector(seed=4)
+        injector = FaultInjector()
         injector.arm("worker.crash", "raise", times=1)
         config = ServiceConfig(
             max_workers=1,

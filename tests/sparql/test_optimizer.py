@@ -11,7 +11,6 @@ from repro.core.warehouse import MetadataWarehouse
 from repro.etl import EtlOrchestrator
 from repro.obs.profile import profile_scope
 from repro.rdf import Graph, Literal, Namespace, RDF, Triple, Variable
-from repro.resilience.chaos import make_release_feeds
 from repro.sparql import (
     PlanCache,
     execute,
@@ -19,6 +18,7 @@ from repro.sparql import (
     plan_bgp,
 )
 from repro.sparql.planner import REPLAN_ERROR_FACTOR, _bind_emission
+from repro.synth import make_release_feeds
 
 EX = Namespace("http://opt.test/")
 

@@ -10,7 +10,7 @@ from repro.core.warehouse import MetadataWarehouse
 from repro.etl import EtlOrchestrator
 from repro.rdf.ntriples import serialize_ntriples
 from repro.resilience import FaultInjector, InjectedFault, fault_scope
-from repro.resilience.chaos import make_release_feeds
+from repro.synth import make_release_feeds
 
 
 def test_attach_then_reapply_recovers_a_crashed_release(tmp_path):

@@ -1,16 +1,20 @@
-"""Snapshot files: save/attach round trips, validation, rejection."""
+"""Snapshot files: save/attach round trips, validation, rejection, and
+crashes mid-save and mid-attach."""
 
+import random
 import struct
 import zlib
 
 import pytest
 
 from repro.core.warehouse import MetadataWarehouse
+from repro.etl import EtlOrchestrator
 from repro.rdf.graph import Graph, ReadOnlyGraphError
 from repro.rdf.namespace import RDF
 from repro.rdf.ntriples import serialize_ntriples
 from repro.rdf.terms import IRI, Literal, Triple
 from repro.rdf.store import TripleStore
+from repro.resilience import FaultInjector, InjectedFault, fault_scope
 from repro.storage import (
     MappedSnapshot,
     SnapshotFormatError,
@@ -18,6 +22,7 @@ from repro.storage import (
     save_snapshot_store,
 )
 from repro.storage.snapshot import FORMAT_VERSION, HEADER_SIZE, MAGIC
+from repro.synth import make_release_feeds
 
 NS = "http://example.org/"
 
@@ -237,3 +242,50 @@ def test_stats_parity_with_in_memory_catalog(tmp_path):
             assert actual.count == expected.count
             assert actual.distinct_subjects == expected.distinct_subjects
             assert actual.distinct_objects == expected.distinct_objects
+
+
+def _release_warehouse(feeds):
+    mdw = MetadataWarehouse()
+    mdw.build_entailment_index("OWLPRIME")
+    EtlOrchestrator(mdw).apply_release(feeds, mode="full")
+    return mdw
+
+
+def _state(mdw):
+    """Model and OWLPRIME index N-Triples plus a probe query's answers."""
+    rows = mdw.query("SELECT ?s ?name WHERE { ?s dm:hasName ?name }", rulebases=("OWLPRIME",))
+    return (
+        serialize_ntriples(mdw.graph),
+        serialize_ntriples(mdw.store.index(mdw.model_name, "OWLPRIME")),
+        sorted((str(b.get("s")), str(b.get("name"))) for b in rows.iter_bindings()),
+    )
+
+
+@pytest.mark.parametrize("site", ["snapshot.save", "snapshot.attach"])
+def test_crashed_save_or_attach_keeps_the_file(tmp_path, site):
+    """A save killed between fsync and rename leaves the previous file
+    byte-identical, attachable to its own state and without a temp
+    sibling; an attach killed while validating leaves the file
+    untouched. Either way the retry attaches to the evolved state."""
+    rng = random.Random(7)
+    release1 = make_release_feeds(rng, documents=2, instances=5)
+    release2 = release1[:-1] + make_release_feeds(rng, documents=1, instances=5)
+    base, evolved = _release_warehouse(release1), _release_warehouse(release2)
+    path = tmp_path / "wh.mdws"
+    (evolved if site == "snapshot.attach" else base).save_snapshot(path)
+    before = path.read_bytes()
+
+    injector = FaultInjector()
+    injector.arm(site, "raise", times=1)
+    with fault_scope(injector), pytest.raises(InjectedFault):
+        if site == "snapshot.save":
+            evolved.save_snapshot(path)
+        else:
+            MetadataWarehouse.attach_snapshot(path)
+    assert injector.fired(site) == 1
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["wh.mdws"]
+    if site == "snapshot.save":
+        assert _state(MetadataWarehouse.attach_snapshot(path)) == _state(base)
+        evolved.save_snapshot(path)
+    assert _state(MetadataWarehouse.attach_snapshot(path)) == _state(evolved)

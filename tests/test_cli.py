@@ -325,17 +325,6 @@ class TestLoad:
         assert "error:" in capsys.readouterr().err
 
 
-class TestChaosIncremental:
-    def test_chaos_incremental_converges(self, capsys):
-        code = main(
-            ["chaos", "--seed", "5", "--iterations", "1", "--documents", "2",
-             "--instances", "4"]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "all converged" in out
-
-
 class TestSnapshotFiles:
     def test_info_attach_cycle(self, store_dir, capsys):
         assert main(["snapshot", "info", str(store_dir), "--verify"]) == 0
@@ -360,16 +349,26 @@ class TestSnapshotFiles:
         assert "error:" in capsys.readouterr().err
 
 
-class TestChaosSnapshot:
-    def test_chaos_snapshot_converges(self, capsys):
-        code = main(
-            ["chaos", "--seed", "1", "--iterations", "1", "--documents", "2",
-             "--instances", "4", "--snapshot"]
+class TestEvents:
+    @pytest.fixture
+    def journal_file(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_text(
+            "".join(f'{{"ts": {i}, "kind": "e", "severity": "info"}}\n' for i in range(3)),
+            encoding="utf-8",
         )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "all converged" in out
+        return path
 
-    def test_snapshot_and_supervisor_are_exclusive(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["chaos", "--iterations", "1", "--snapshot", "--supervisor"])
+    def test_limit_keeps_the_newest_and_zero_keeps_none(self, journal_file, capsys):
+        assert main(["events", str(journal_file), "--limit", "1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("2.000 [info] e")
+        assert "(1 event(s))" in captured.err
+        assert main(["events", str(journal_file), "--limit", "0"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "(0 event(s))" in captured.err
+
+    def test_negative_limit_is_an_error(self, journal_file, capsys):
+        assert main(["events", str(journal_file), "--limit", "-1"]) == 2
+        assert "--limit" in capsys.readouterr().err
