@@ -31,7 +31,6 @@ from repro.history import GrowthProfile, Historizer, ReleaseCycleSimulator
 from repro.rdf import RDF, Literal, Triple, Variable
 from repro.relstore import EvolvableCatalog, RelationalCatalog
 from repro.services import SearchFilters, SearchService
-from repro.sparql.evaluator import _match_pattern
 from repro.sparql.planner import order_patterns
 from repro.synth import LandscapeConfig, generate_landscape, generate_pipeline, make_search_workload
 from repro.synth.figures import build_figure2_example, build_figure3_snippet
@@ -195,7 +194,7 @@ def f5_search_walkthrough() -> Row:
     results = mdw.search.search("customer", filters)
     return {
         "valid classes after steps 1–2": ", ".join(
-            sorted(cls.local_name for cls in mdw.search._valid_classes(filters))
+            sorted(cls.local_name for cls in mdw.search.valid_classes(filters))
         ),
         "instances found in step 3": ", ".join(hit.name for hit in results.hits),
         "result groups the hit inherits": len(results.groups()),
@@ -596,6 +595,19 @@ def a4_synonyms(landscape) -> List[Row]:
     return rows + [{"term": "total", **{c: sum(row[c] for row in rows) for c in columns}}]
 
 
+def _match(graph, pattern, binding):
+    """The extensions of ``binding`` that match one triple pattern."""
+    query = [binding.get(t.name) if isinstance(t, Variable) else t for t in pattern]
+    for triple in graph.triples(*query):
+        extended = dict(binding)
+        if all(
+            extended.setdefault(t.name, value) == value
+            for t, value in zip(pattern, triple)
+            if isinstance(t, Variable)
+        ):
+            yield extended
+
+
 def _bindings_in_order(graph, patterns):
     """Nested-loop evaluation in the given order: the solutions and the
     number of intermediate bindings produced on the way."""
@@ -605,7 +617,7 @@ def _bindings_in_order(graph, patterns):
         if i == len(patterns):
             yield binding
             return
-        for extended in _match_pattern(graph, patterns[i], binding):
+        for extended in _match(graph, patterns[i], binding):
             produced[0] += 1
             yield from extend(i + 1, extended)
 

@@ -69,42 +69,11 @@ class AuditJournal:
         self._removes = 0
         self._by_epoch: Dict[str, Dict[str, int]] = {}
         self._by_predicate: Dict[str, int] = {}
-        self._sink = None
         graph.subscribe(self._on_change)
 
     def close(self) -> None:
-        """Stop journaling (detach from the graph, close any sink)."""
+        """Stop journaling (detach from the graph)."""
         self._graph.unsubscribe(self._on_change)
-        if self._sink is not None:
-            self._sink.close()
-            self._sink = None
-
-    # -- durability ---------------------------------------------------------
-
-    def attach_file_sink(self, path, durable: bool = True):
-        """Tail the journal to an append-only JSONL file.
-
-        The in-memory ring is bounded and dies with the process; the
-        sink makes the trail **durable-optional**: every entry is
-        appended to ``path``, and :meth:`checkpoint` flushes (and, with
-        ``durable=True``, fsyncs) so the trail survives a process kill
-        up to the last checkpoint.
-
-        Returns the :class:`~repro.resilience.DurableLog` sink.
-        """
-        from repro.resilience import DurableLog
-
-        with self._lock:
-            if self._sink is not None:
-                raise ValueError("audit journal already has a file sink")
-            self._sink = DurableLog(path, durable=durable)
-        return self._sink
-
-    def checkpoint(self) -> None:
-        """Make everything journaled so far durable (no-op without sink)."""
-        with self._lock:
-            if self._sink is not None:
-                self._sink.checkpoint()
 
     # -- epochs ------------------------------------------------------------
 
@@ -155,16 +124,6 @@ class AuditJournal:
             epoch_counts[action] += 1
             predicate = triple.predicate.value
             self._by_predicate[predicate] = self._by_predicate.get(predicate, 0) + 1
-            if self._sink is not None:
-                self._sink.append(
-                    {
-                        "seq": entry.sequence,
-                        "action": action,
-                        "triple": triple.n3(),
-                        "epoch": entry.epoch,
-                        "request_id": entry.request_id,
-                    }
-                )
 
     # -- inspection --------------------------------------------------------------
 

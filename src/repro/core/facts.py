@@ -16,7 +16,7 @@ from repro.rdf.graph import Graph
 from repro.rdf.namespace import Namespace, RDF
 from repro.rdf.terms import BNode, IRI, Literal, Term, Triple
 
-from repro.core.schema import MetadataSchema, _to_identifier
+from repro.core.schema import MetadataSchema, to_identifier
 from repro.core.vocabulary import TERMS
 
 
@@ -71,7 +71,7 @@ class FactManager:
         for c in classes:
             if not self._schema.is_class(c):
                 raise FactError(f"{c.value} is not a declared class")
-        instance = self._ns.term(_to_identifier(name))
+        instance = self._ns.term(to_identifier(name))
         if self._schema.is_class(instance) or self._schema.is_property(instance):
             raise FactError(f"{instance.value} already names a class or property")
         for c in classes:

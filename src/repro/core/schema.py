@@ -25,7 +25,7 @@ class SchemaError(ValueError):
     """An invalid schema declaration."""
 
 
-def _to_identifier(name: str) -> str:
+def to_identifier(name: str) -> str:
     """Turn a display name into an IRI-safe local identifier."""
     ident = re.sub(r"[^A-Za-z0-9_]+", "_", name).strip("_")
     if not ident:
@@ -65,7 +65,7 @@ class MetadataSchema:
         Redeclaring an existing class extends it (new parents, label
         update) instead of failing — schemas evolve incrementally.
         """
-        cls = self._ns.term(_to_identifier(name))
+        cls = self._ns.term(to_identifier(name))
         self._graph.add(Triple(cls, RDF.type, OWL.Class))
         self._graph.add(Triple(cls, RDFS.label, Literal(label or name)))
         self._graph.add(Triple(cls, TERMS.in_world, _world_node(world)))
@@ -86,7 +86,7 @@ class MetadataSchema:
         range_: Optional[IRI] = None,
     ) -> IRI:
         """Declare (or re-open) a property; returns its IRI."""
-        prop = self._ns.term(_to_identifier(name))
+        prop = self._ns.term(to_identifier(name))
         if (prop, RDF.type, OWL.Class) in self._graph:
             raise SchemaError(f"{prop.value} is already declared as a class")
         self._graph.add(Triple(prop, RDF.type, RDF.Property))

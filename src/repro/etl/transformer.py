@@ -14,7 +14,7 @@ from repro.rdf.namespace import Namespace, OWL, RDF, RDFS
 from repro.rdf.staging import StagingTable
 from repro.rdf.terms import IRI, Literal, Triple
 
-from repro.core.schema import _to_identifier
+from repro.core.schema import to_identifier
 from repro.core.vocabulary import TERMS
 from repro.core.warehouse import INSTANCE_NS
 from repro.etl.xml_source import MetadataDocument
@@ -47,13 +47,13 @@ class XmlToRdfTransformer:
         self._instance_ns = instance_ns
 
     def class_iri(self, name: str) -> IRI:
-        return self._schema_ns.term(_to_identifier(name))
+        return self._schema_ns.term(to_identifier(name))
 
     def property_iri(self, name: str) -> IRI:
-        return self._schema_ns.term(_to_identifier(name))
+        return self._schema_ns.term(to_identifier(name))
 
     def instance_iri(self, name: str) -> IRI:
-        return self._instance_ns.term(_to_identifier(name))
+        return self._instance_ns.term(to_identifier(name))
 
     def transform(self, document: MetadataDocument) -> List[Triple]:
         """All triples of one document, in document order."""

@@ -46,6 +46,7 @@ from repro.sparql.expressions import (
     FunctionExpr,
     UnaryExpr,
     VarExpr,
+    call_error,
     compile_regex,
     effective_boolean_value,
 )
@@ -398,8 +399,6 @@ def _compile_row_predicate(expr: Expression):
             return compare
         return None
     if isinstance(expr, FunctionExpr) and expr.name == "regex":
-        if len(expr.args) not in (2, 3):
-            return None
         column = _column_of(expr.args[0])
         pattern = _string_const_of(expr.args[1])
         flags = _string_const_of(expr.args[2]) if len(expr.args) == 3 else ""
@@ -530,6 +529,9 @@ class _SqlExprParser:
         if not self.peek().matches("PUNCT", ")"):
             raise SemSqlError("expected ')' after function arguments")
         self.next()
+        problem = call_error(name, len(args))
+        if problem is not None:
+            raise SemSqlError(problem)
         if name.lower() in ("regexp_like", "regex"):
             # Oracle applies regexp_like to the string value of the column.
             if args and isinstance(args[0], VarExpr):

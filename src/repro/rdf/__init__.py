@@ -4,7 +4,7 @@ This package provides the storage layer the paper implements on top of the
 Oracle Spatial (Semantic Web) option: RDF terms and triples, an indexed
 in-memory graph, a store of named models (the analog of ``SEM_MODELS``),
 staging tables with a bulk loader (Figure 4 of the paper), and parsers /
-serializers for N-Triples, a Turtle subset, and RDF/XML output.
+serializers for N-Triples and a Turtle subset.
 
 The public surface is re-exported here so application code can write::
 
@@ -41,7 +41,6 @@ from repro.rdf.ntriples import (
     serialize_ntriples,
 )
 from repro.rdf.turtle import TurtleParseError, parse_turtle, serialize_turtle
-from repro.rdf.rdfxml import serialize_rdfxml
 
 __all__ = [
     "BNode",
@@ -79,6 +78,5 @@ __all__ = [
     "parse_ntriples",
     "parse_turtle",
     "serialize_ntriples",
-    "serialize_rdfxml",
     "serialize_turtle",
 ]

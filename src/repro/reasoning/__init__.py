@@ -29,7 +29,6 @@ from repro.reasoning.rulebase import (
 from repro.reasoning.engine import (
     InferenceReport,
     closure,
-    extend_closure,
     maintain_closure,
 )
 from repro.reasoning.index import (
@@ -49,7 +48,6 @@ __all__ = [
     "Rulebase",
     "build_entailment_index",
     "closure",
-    "extend_closure",
     "get_rulebase",
     "maintain_closure",
     "register_rulebase",

@@ -46,7 +46,7 @@ class InferenceReport:
     """Statistics of one closure computation or maintenance pass.
 
     ``mode`` is ``"full"`` for a from-scratch :func:`closure` and
-    ``"incremental"`` for :func:`extend_closure` / :func:`maintain_closure`;
+    ``"incremental"`` for :func:`maintain_closure`;
     ``overdeleted`` / ``rederived`` are only populated by the DRed path.
     """
 
@@ -114,21 +114,6 @@ def closure(
         attrs["derived"] = report.derived_triples
     report.seconds = time.perf_counter() - started
     return derived, report
-
-
-def extend_closure(
-    base: Graph,
-    derived: Graph,
-    added: Iterable[Triple],
-    rulebase: Rulebase,
-) -> InferenceReport:
-    """Incrementally extend an existing closure after ``added`` triples
-    were inserted into ``base``.
-
-    ``derived`` is updated in place. ``added`` must already be part of
-    ``base``. Insertion-only special case of :func:`maintain_closure`.
-    """
-    return maintain_closure(base, derived, added, (), rulebase)
 
 
 def maintain_closure(

@@ -8,8 +8,6 @@ supplies the machinery:
 
 * :mod:`repro.resilience.faults` — named fault points + the
   :class:`FaultInjector` (raise / delay / corrupt at any site);
-* :mod:`repro.resilience.journal` — the fsync-on-checkpoint
-  :class:`DurableLog` sink behind the audit journal's file tail;
 * :mod:`repro.resilience.breaker` — per-endpoint circuit breakers for
   the query service.
 
@@ -25,17 +23,14 @@ from repro.resilience.faults import (
     fault_scope,
     fire,
 )
-from repro.resilience.journal import DurableLog, JournalError
 
 __all__ = [
     "CLOSED",
     "CircuitBreaker",
-    "DurableLog",
     "FAULT_POINTS",
     "FaultInjector",
     "HALF_OPEN",
     "InjectedFault",
-    "JournalError",
     "OPEN",
     "fault_scope",
     "fire",

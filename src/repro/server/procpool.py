@@ -64,18 +64,18 @@ class _AttachSpec:
     """
 
     path: str
+    warehouse_type: type  # the parent's warehouse class, rebuilt in the child
     model: str
     schema_ns: object
     instance_ns: object
 
     def attach(self):
-        from repro.core.warehouse import MetadataWarehouse
         from repro.storage import MappedSnapshot
 
         snap = MappedSnapshot.open(self.path)
         # () = keep every graph mapped and read-only: children only read
         store = snap.store(mutable_models=())
-        return MetadataWarehouse(
+        return self.warehouse_type(
             model=self.model,
             store=store,
             schema_ns=self.schema_ns,
@@ -136,10 +136,11 @@ class _PulseToken:
         return self._inner.expired
 
 
-def _child_main(spec, request_queue, response_queue, heartbeat=None) -> None:
+def _child_main(spec, dispatch, request_queue, response_queue, heartbeat=None) -> None:
     """The forked child's request loop.
 
-    ``spec`` names the published snapshot file the child attaches. The
+    ``spec`` names the published snapshot file the child attaches;
+    ``dispatch(warehouse, kind, payload)`` runs each request on it. The
     parent's locks may have been held by unrelated threads at fork
     time, so every lock-bearing structure the child touches is created
     fresh here. (The metrics registry reinstalls its own locks through
@@ -197,8 +198,6 @@ def _child_main(spec, request_queue, response_queue, heartbeat=None) -> None:
             install_tracer(tracer)
         prof = QueryProfile()
         try:
-            from repro.server.service import dispatch
-
             with ExitStack() as stack:
                 stack.enter_context(cancel_scope(token))
                 stack.enter_context(profile_scope(prof))
@@ -239,9 +238,11 @@ class ForkWorker:
     ``generation`` records which snapshot the child attached, so the
     owner can detect staleness after a write and respawn. The snapshot
     must have been published to a file (``snapshot.storage_path``).
+    ``dispatch`` is the request runner the child calls
+    (:func:`repro.server.service.dispatch`).
     """
 
-    def __init__(self, snapshot, name: str = "mdw"):
+    def __init__(self, snapshot, dispatch, name: str = "mdw"):
         if snapshot.storage_path is None:
             raise ValueError("a fork worker attaches a published snapshot file")
         ctx = multiprocessing.get_context("fork")
@@ -249,6 +250,7 @@ class ForkWorker:
         mdw = snapshot.warehouse
         spec = _AttachSpec(
             path=str(snapshot.storage_path),
+            warehouse_type=type(mdw),
             model=mdw.model_name,
             schema_ns=mdw.schema.namespace,
             instance_ns=mdw.facts.namespace,
@@ -260,7 +262,13 @@ class ForkWorker:
         self._heartbeat = ctx.Value("d", time.monotonic(), lock=False)
         self._process = ctx.Process(
             target=_child_main,
-            args=(spec, self._request_queue, self._response_queue, self._heartbeat),
+            args=(
+                spec,
+                dispatch,
+                self._request_queue,
+                self._response_queue,
+                self._heartbeat,
+            ),
             name=f"{name}-forked",
             daemon=True,
         )

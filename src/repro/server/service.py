@@ -863,7 +863,7 @@ class QueryService(_FrontDoor):
         from repro.server.procpool import ForkWorker
 
         with self.snapshots.read() as snap:
-            worker = ForkWorker(snap, name=self.config.name)
+            worker = ForkWorker(snap, dispatch, name=self.config.name)
         self.metrics.on_fork_worker()
         return worker
 

@@ -21,14 +21,16 @@ implemented too:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import InvalidOption
 from repro.obs.trace import span
 from repro.rdf.terms import IRI, Literal, Term
 
 from repro.core.vocabulary import TERMS
-from repro.core.warehouse import MetadataWarehouse
+
+if TYPE_CHECKING:  # annotations only: the warehouse imports this module
+    from repro.core.warehouse import MetadataWarehouse
 
 ConditionFilter = Callable[["LineageEdge"], bool]
 
@@ -194,7 +196,7 @@ class LineageService:
         """
         from repro.services.search import SearchFilters
 
-        valid = self._mdw.search._valid_classes(SearchFilters(classes=class_filters))
+        valid = self._mdw.search.valid_classes(SearchFilters(classes=class_filters))
         trace = self.trace(item, direction, condition_filter=condition_filter)
         hierarchy = self._mdw.hierarchy
         out = []

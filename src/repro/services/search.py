@@ -26,7 +26,7 @@ import re
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import UnknownName
 from repro.rdf.namespace import RDF
@@ -34,8 +34,10 @@ from repro.rdf.terms import IRI, Term
 
 from repro.core.model import World
 from repro.core.vocabulary import TERMS
-from repro.core.warehouse import MetadataWarehouse
 from repro.etl.dbpedia import SynonymThesaurus
+
+if TYPE_CHECKING:  # annotations only: the warehouse imports this module
+    from repro.core.warehouse import MetadataWarehouse
 
 
 @lru_cache(maxsize=512)
@@ -215,7 +217,7 @@ class SearchService:
 
         # Step 1 — relevant hierarchy classes per filter, expanded downward.
         # Step 2 — the intersection across filters = valid result classes.
-        valid_classes = self._valid_classes(filters)
+        valid = self.valid_classes(filters)
 
         # Step 3 — instances of the valid classes matching the term.
         terms = [term]
@@ -235,7 +237,7 @@ class SearchService:
         if self._index is not None and not regex:
             candidates = self._index.candidates_for_terms(terms)
         else:
-            candidates = self._candidate_instances(valid_classes)
+            candidates = self._candidate_instances(valid)
         for instance in sorted(candidates, key=lambda t: t.sort_key()):
             if instance in seen:
                 continue
@@ -263,7 +265,7 @@ class SearchService:
                 if score is not None and float(score.to_python()) < filters.min_quality:
                     continue
             direct = tuple(sorted(hierarchy.classes_of(instance, direct=True), key=lambda c: c.value))
-            if valid_classes is not None and not any(c in valid_classes for c in direct):
+            if valid is not None and not any(c in valid for c in direct):
                 continue
             all_classes = tuple(sorted(hierarchy.classes_of(instance), key=lambda c: c.value))
             hits.append(
@@ -283,8 +285,10 @@ class SearchService:
                     labels[cls] = self._mdw.schema.label(cls) or cls.local_name
         return SearchResults(term, terms, hits, labels, homonym_warnings)
 
-    def _valid_classes(self, filters: SearchFilters) -> Optional[Set[IRI]]:
-        """Steps 1+2: None means 'no narrowing' (every class is valid)."""
+    def valid_classes(self, filters: SearchFilters) -> Optional[Set[IRI]]:
+        """Steps 1+2 of the search: the classes ``filters`` admits, each
+        with its subclasses. None means 'no narrowing' (every class is
+        valid)."""
         hierarchy = self._mdw.hierarchy
         sets: List[Set[IRI]] = []
         for class_filter in filters.classes:

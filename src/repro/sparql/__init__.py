@@ -2,9 +2,12 @@
 
 The paper queries the meta-data graph through Oracle's ``SEM_MATCH``
 SPARQL support (Listings 1 and 2). This package implements the SPARQL
-fragment those use cases need — basic graph patterns, FILTER expressions
-(including ``REGEX``), OPTIONAL, UNION, DISTINCT, ORDER BY, LIMIT/OFFSET,
-and GROUP BY with aggregates — over the graphs of :mod:`repro.rdf`.
+fragment those use cases need — SELECT and ASK over basic graph
+patterns, property paths, FILTER with the SPARQL 1.0 builtins (including
+``REGEX``), OPTIONAL, UNION, BIND, VALUES, DISTINCT, ORDER BY,
+LIMIT/OFFSET and GROUP BY with aggregates, plus SPARQL Update — over the
+graphs of :mod:`repro.rdf`. ``docs/serving.md`` lists the subset; any
+other form is a :class:`SparqlParseError`.
 
 Typical use::
 
@@ -40,16 +43,12 @@ from repro.sparql.algebra import (
     Aggregate,
     AskQuery,
     BGP,
-    ConstructQuery,
-    Distinct,
     Filter,
     Join,
     LeftJoin,
-    OrderBy,
     Projection,
     Query,
     SelectQuery,
-    Slice,
     Union,
 )
 from repro.sparql.expressions import (
@@ -79,8 +78,8 @@ def execute(graph, query_text, nsm=None, bindings=None, plan_cache=None):
 
     ``graph`` is a :class:`~repro.rdf.Graph` or
     :class:`~repro.rdf.GraphView`. Returns a
-    :class:`~repro.sparql.results.SolutionSequence` for SELECT, a bool
-    for ASK, and a :class:`~repro.rdf.Graph` for CONSTRUCT.
+    :class:`~repro.sparql.results.SolutionSequence` for SELECT and a
+    bool for ASK.
 
     Passing a :class:`PlanCache` as ``plan_cache`` reuses parsed queries
     and join orders across calls.
@@ -98,14 +97,11 @@ __all__ = [
     "BGPPlan",
     "BinaryExpr",
     "ConstExpr",
-    "ConstructQuery",
-    "Distinct",
     "Expression",
     "Filter",
     "FunctionExpr",
     "Join",
     "LeftJoin",
-    "OrderBy",
     "Path",
     "PathAlternative",
     "PathInverse",
@@ -120,7 +116,6 @@ __all__ = [
     "Query",
     "Row",
     "SelectQuery",
-    "Slice",
     "SolutionSequence",
     "SparqlError",
     "SparqlEvalError",

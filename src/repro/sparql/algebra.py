@@ -7,11 +7,13 @@ A deliberately small algebra in the style of the SPARQL 1.1 spec:
 * :class:`LeftJoin` — OPTIONAL
 * :class:`Union` — UNION
 * :class:`Filter` — FILTER over a pattern
-* solution modifiers: :class:`Distinct`, :class:`OrderBy`, :class:`Slice`
+* :class:`Extend` — BIND; :class:`ValuesPattern` — VALUES
 * :class:`Projection` with optional :class:`Aggregate` columns (GROUP BY)
 
-Query roots: :class:`SelectQuery`, :class:`AskQuery`,
-:class:`ConstructQuery`.
+Solution modifiers (DISTINCT, ORDER BY, LIMIT/OFFSET) are fields of
+:class:`SelectQuery`.
+
+Query roots: :class:`SelectQuery` and :class:`AskQuery`.
 """
 
 from __future__ import annotations
@@ -105,17 +107,6 @@ class Filter(Pattern):
 
 
 @dataclass
-class Minus(Pattern):
-    """MINUS: left solutions with no compatible right solution."""
-
-    left: Pattern
-    right: Pattern
-
-    def variables(self) -> set:
-        return self.left.variables()
-
-
-@dataclass
 class Extend(Pattern):
     """BIND(expr AS ?var): extend each solution with a computed value."""
 
@@ -189,54 +180,3 @@ class SelectQuery(Query):
 @dataclass
 class AskQuery(Query):
     pattern: Pattern
-
-
-@dataclass
-class ConstructQuery(Query):
-    template: List[Triple]
-    pattern: Pattern
-
-
-@dataclass
-class DescribeQuery(Query):
-    """DESCRIBE: the concise bounded description of resources.
-
-    ``resources`` are IRIs given directly; ``variables`` are projected
-    from the WHERE pattern (which may be None for plain
-    ``DESCRIBE <iri>``).
-    """
-
-    resources: List[object] = field(default_factory=list)
-    variables: List[str] = field(default_factory=list)
-    pattern: Optional[Pattern] = None
-
-
-# Solution-modifier wrappers used internally by the evaluator; exposed for
-# completeness and for tests that build algebra by hand.
-
-
-@dataclass
-class Distinct(Pattern):
-    pattern: Pattern
-
-    def variables(self) -> set:
-        return self.pattern.variables()
-
-
-@dataclass
-class OrderBy(Pattern):
-    pattern: Pattern
-    conditions: List[OrderCondition] = field(default_factory=list)
-
-    def variables(self) -> set:
-        return self.pattern.variables()
-
-
-@dataclass
-class Slice(Pattern):
-    pattern: Pattern
-    limit: Optional[int] = None
-    offset: int = 0
-
-    def variables(self) -> set:
-        return self.pattern.variables()

@@ -21,6 +21,11 @@ class SparqlParseError(SparqlError, InvalidRequest):
         self.line = line
 
 
+def outside_subset(form: str) -> str:
+    """The message of a query form the engine deliberately rejects."""
+    return f"{form} is outside the supported SPARQL subset (see docs/serving.md)"
+
+
 class SparqlEvalError(SparqlError):
     """Runtime error while evaluating a query (e.g. unknown aggregate)."""
 

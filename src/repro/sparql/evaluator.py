@@ -23,20 +23,16 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs.profile import count_rows, current_profile
 from repro.obs.trace import span, tracing
-from repro.rdf.graph import Graph
 from repro.rdf.terms import Literal, Term, Triple, Variable
 from repro.sparql.algebra import (
     Aggregate,
     AskQuery,
     BGP,
-    ConstructQuery,
     Extend,
     Filter,
     Join,
     LeftJoin,
-    Minus,
     Pattern,
-    Projection,
     Query,
     SelectQuery,
     Union,
@@ -44,13 +40,7 @@ from repro.sparql.algebra import (
 )
 from repro.sparql.cancel import checked_iter, current_cancel
 from repro.sparql.errors import ExpressionError, SparqlEvalError
-from repro.sparql.expressions import (
-    BinaryExpr,
-    ExistsExpr,
-    FunctionExpr,
-    UnaryExpr,
-    effective_boolean_value,
-)
+from repro.sparql.expressions import effective_boolean_value
 from repro.sparql.planner import HASH_MIN_ROWS, PROBE_COST, plan_bgp
 from repro.sparql.results import Row, SolutionSequence
 
@@ -65,8 +55,8 @@ def evaluate(
 ):
     """Evaluate ``query`` against ``graph``.
 
-    Returns a :class:`SolutionSequence` for SELECT, ``bool`` for ASK, and
-    a new :class:`Graph` for CONSTRUCT. ``plan`` is an optional
+    Returns a :class:`SolutionSequence` for SELECT and ``bool`` for ASK.
+    ``plan`` is an optional
     :class:`~repro.sparql.plancache.PreparedQuery` whose cached join
     orders are reused instead of re-planning.
     """
@@ -78,40 +68,7 @@ def evaluate(
             return any(
                 True for _ in eval_pattern(graph, query.pattern, initial, plan)
             )
-        if isinstance(query, ConstructQuery):
-            return _evaluate_construct(graph, query, initial, plan)
-        from repro.sparql.algebra import DescribeQuery
-
-        if isinstance(query, DescribeQuery):
-            return _evaluate_describe(graph, query, initial, plan)
     raise SparqlEvalError(f"unknown query type {type(query).__name__}")
-
-
-def _evaluate_describe(graph, query, initial: Binding, plan) -> Graph:
-    """DESCRIBE: the concise bounded description — every triple whose
-    subject is a described resource, expanded through blank-node objects."""
-    from repro.rdf.terms import BNode
-
-    resources = list(query.resources)
-    if query.pattern is not None:
-        for row in eval_pattern(graph, query.pattern, initial, plan):
-            for name in query.variables:
-                value = row.get(name)
-                if value is not None and not isinstance(value, Literal):
-                    resources.append(value)
-    out = Graph(name="description")
-    seen = set()
-    frontier = list(dict.fromkeys(resources))
-    while frontier:
-        node = frontier.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        for triple in graph.triples(node, None, None):
-            out.add(triple)
-            if isinstance(triple.object, BNode) and triple.object not in seen:
-                frontier.append(triple.object)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -145,14 +102,8 @@ def eval_pattern(
         yield from eval_pattern(graph, pattern.left, binding, plan)
         yield from eval_pattern(graph, pattern.right, binding, plan)
     elif isinstance(pattern, Filter):
-        _attach_graph(pattern.condition, graph)
         for row in eval_pattern(graph, pattern.pattern, binding, plan):
             if _test(pattern.condition, row):
-                yield row
-    elif isinstance(pattern, Minus):
-        right_rows = list(eval_pattern(graph, pattern.right, dict(binding), plan))
-        for row in eval_pattern(graph, pattern.left, binding, plan):
-            if not any(_compatible_overlapping(row, other) for other in right_rows):
                 yield row
     elif isinstance(pattern, Extend):
         for row in eval_pattern(graph, pattern.pattern, binding, plan):
@@ -162,7 +113,6 @@ def eval_pattern(
                 )
             extended = dict(row)
             try:
-                _attach_graph(pattern.expression, graph)
                 extended[pattern.variable] = pattern.expression.evaluate(row)
             except ExpressionError:
                 pass  # errors leave the variable unbound (SPARQL semantics)
@@ -184,29 +134,6 @@ def eval_pattern(
                 yield extended
     else:
         raise SparqlEvalError(f"unknown pattern node {type(pattern).__name__}")
-
-
-def _compatible_overlapping(left: Binding, right: Binding) -> bool:
-    """MINUS semantics: right removes left only when they share at least
-    one variable and agree on all shared variables."""
-    shared = left.keys() & right.keys()
-    if not shared:
-        return False
-    return all(left[name] == right[name] for name in shared)
-
-
-def _attach_graph(expression, graph) -> None:
-    """Inject the queried graph into EXISTS sub-expressions."""
-    if isinstance(expression, ExistsExpr):
-        expression.graph = graph
-    elif isinstance(expression, BinaryExpr):
-        _attach_graph(expression.left, graph)
-        _attach_graph(expression.right, graph)
-    elif isinstance(expression, UnaryExpr):
-        _attach_graph(expression.operand, graph)
-    elif isinstance(expression, FunctionExpr):
-        for argument in expression.args:
-            _attach_graph(argument, graph)
 
 
 def _test(condition, binding: Binding) -> bool:
@@ -836,32 +763,3 @@ def _numeric_sum(values: Sequence[Term]):
             raise SparqlEvalError(f"non-numeric value in numeric aggregate: {v!r}")
         total += v.to_python()
     return total
-
-
-# ---------------------------------------------------------------------------
-# CONSTRUCT evaluation
-# ---------------------------------------------------------------------------
-
-
-def _evaluate_construct(graph, query: ConstructQuery, initial: Binding, plan) -> Graph:
-    out = Graph(name="constructed")
-    for row in eval_pattern(graph, query.pattern, initial, plan):
-        for template in query.template:
-            terms = []
-            ok = True
-            for term in template:
-                if isinstance(term, Variable):
-                    value = row.get(term.name)
-                    if value is None:
-                        ok = False
-                        break
-                    terms.append(value)
-                else:
-                    terms.append(term)
-            if not ok:
-                continue
-            try:
-                out.add(Triple(*terms))
-            except (TypeError, ValueError):
-                continue  # e.g. a literal bound into subject position
-    return out

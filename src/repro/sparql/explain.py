@@ -17,15 +17,11 @@ from repro.rdf.terms import Triple, Variable
 from repro.sparql.algebra import (
     AskQuery,
     BGP,
-    ConstructQuery,
-    DescribeQuery,
     Extend,
     Filter,
     Join,
     LeftJoin,
-    Minus,
     Pattern,
-    Query,
     SelectQuery,
     Union,
     ValuesPattern,
@@ -78,16 +74,6 @@ def explain(
     elif isinstance(query, AskQuery):
         lines.append("ASK (stops at the first solution)")
         _explain_pattern(graph, query.pattern, lines, 1, plan)
-    elif isinstance(query, ConstructQuery):
-        lines.append(f"CONSTRUCT ({len(query.template)} template triple(s))")
-        _explain_pattern(graph, query.pattern, lines, 1, plan)
-    elif isinstance(query, DescribeQuery):
-        lines.append(
-            f"DESCRIBE ({len(query.resources)} resource(s), "
-            f"{len(query.variables)} variable(s))"
-        )
-        if query.pattern is not None:
-            _explain_pattern(graph, query.pattern, lines, 1, plan)
     else:
         lines.append(f"<{type(query).__name__}>")
     if profile is not None:
@@ -142,10 +128,6 @@ def _explain_pattern(
     elif isinstance(pattern, Filter):
         lines.append(f"{pad}FILTER <expression>")
         _explain_pattern(graph, pattern.pattern, lines, depth + 1, plan)
-    elif isinstance(pattern, Minus):
-        lines.append(f"{pad}MINUS")
-        _explain_pattern(graph, pattern.left, lines, depth + 1, plan)
-        _explain_pattern(graph, pattern.right, lines, depth + 1, plan)
     elif isinstance(pattern, Extend):
         lines.append(f"{pad}BIND -> ?{pattern.variable}")
         _explain_pattern(graph, pattern.pattern, lines, depth + 1, plan)

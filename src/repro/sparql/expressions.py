@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import re
 import threading
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.obs.profile import current_profile
 from repro.rdf.terms import BNode, IRI, Literal, Term
-from repro.sparql.errors import ExpressionError
+from repro.sparql.errors import ExpressionError, outside_subset
 
 _TRUE = Literal("true", datatype=IRI("http://www.w3.org/2001/XMLSchema#boolean"))
 _FALSE = Literal("false", datatype=IRI("http://www.w3.org/2001/XMLSchema#boolean"))
@@ -165,51 +165,26 @@ class BinaryExpr(Expression):
         return f"BinaryExpr({self.op!r}, {self.left!r}, {self.right!r})"
 
 
-class ExistsExpr(Expression):
-    """``EXISTS { pattern }`` / ``NOT EXISTS { pattern }``.
-
-    Correlated against the row under test: the pattern is evaluated with
-    the current bindings. The evaluator injects the graph before testing
-    (expressions are otherwise graph-free).
-    """
-
-    __slots__ = ("pattern", "negated", "graph")
-
-    def __init__(self, pattern, negated: bool = False):
-        self.pattern = pattern
-        self.negated = negated
-        self.graph = None
-
-    def evaluate(self, binding: Dict[str, Term]) -> Term:
-        if self.graph is None:
-            raise ExpressionError("EXISTS evaluated outside a FILTER context")
-        from repro.sparql.evaluator import eval_pattern
-
-        found = any(True for _ in eval_pattern(self.graph, self.pattern, dict(binding)))
-        return boolean(found != self.negated)
-
-    def variables(self) -> set:
-        return self.pattern.variables()
-
-    def __repr__(self) -> str:
-        keyword = "NOT EXISTS" if self.negated else "EXISTS"
-        return f"ExistsExpr({keyword} ...)"
-
-
 class FunctionExpr(Expression):
-    """A built-in function call, e.g. ``regex(?term, "customer", "i")``."""
+    """A built-in function call, e.g. ``regex(?term, "customer", "i")``.
+
+    Construction checks the name and argument count with
+    :func:`call_error` and raises :class:`ExpressionError` for a call
+    outside the supported subset; the query parsers check the same table
+    first and raise their own typed errors.
+    """
 
     __slots__ = ("name", "args")
 
     def __init__(self, name: str, args: List[Expression]):
+        problem = call_error(name, len(args))
+        if problem is not None:
+            raise ExpressionError(problem)
         self.name = name.lower()
         self.args = args
 
     def evaluate(self, binding: Dict[str, Term]) -> Term:
-        fn = _FUNCTIONS.get(self.name)
-        if fn is None:
-            raise ExpressionError(f"unknown function {self.name!r}")
-        return fn(self.args, binding)
+        return _FUNCTIONS[self.name][0](self.args, binding)
 
     def variables(self) -> set:
         out = set()
@@ -324,8 +299,6 @@ _REGEX_CACHE_LOCK = threading.Lock()
 
 
 def _fn_regex(args, binding):
-    if len(args) not in (2, 3):
-        raise ExpressionError("regex() takes 2 or 3 arguments")
     text = _string_value(args[0].evaluate(binding))
     pattern = _string_value(args[1].evaluate(binding))
     flag_text = _string_value(args[2].evaluate(binding)) if len(args) == 3 else ""
@@ -333,13 +306,13 @@ def _fn_regex(args, binding):
 
 
 def _fn_bound(args, binding):
-    if len(args) != 1 or not isinstance(args[0], VarExpr):
-        raise ExpressionError("bound() takes one variable argument")
+    if not isinstance(args[0], VarExpr):
+        raise ExpressionError("bound() takes a variable argument")
     return boolean(args[0].name in binding)
 
 
 def _fn_str(args, binding):
-    term = _single(args, binding, "str")
+    term = args[0].evaluate(binding)
     if isinstance(term, Literal):
         return Literal(term.lexical)
     if isinstance(term, IRI):
@@ -348,14 +321,14 @@ def _fn_str(args, binding):
 
 
 def _fn_lang(args, binding):
-    term = _single(args, binding, "lang")
+    term = args[0].evaluate(binding)
     if isinstance(term, Literal):
         return Literal(term.language or "")
     raise ExpressionError("lang() of a non-literal")
 
 
 def _fn_datatype(args, binding):
-    term = _single(args, binding, "datatype")
+    term = args[0].evaluate(binding)
     if isinstance(term, Literal):
         if term.datatype is not None:
             return term.datatype
@@ -364,148 +337,15 @@ def _fn_datatype(args, binding):
 
 
 def _fn_isiri(args, binding):
-    return boolean(isinstance(_single(args, binding, "isIRI"), IRI))
+    return boolean(isinstance(args[0].evaluate(binding), IRI))
 
 
 def _fn_isliteral(args, binding):
-    return boolean(isinstance(_single(args, binding, "isLiteral"), Literal))
+    return boolean(isinstance(args[0].evaluate(binding), Literal))
 
 
 def _fn_isblank(args, binding):
-    return boolean(isinstance(_single(args, binding, "isBlank"), BNode))
-
-
-def _fn_contains(args, binding):
-    a, b = _two_strings(args, binding, "contains")
-    return boolean(b in a)
-
-
-def _fn_strstarts(args, binding):
-    a, b = _two_strings(args, binding, "strstarts")
-    return boolean(a.startswith(b))
-
-
-def _fn_strends(args, binding):
-    a, b = _two_strings(args, binding, "strends")
-    return boolean(a.endswith(b))
-
-
-def _fn_ucase(args, binding):
-    return Literal(_string_value(_single(args, binding, "ucase")).upper())
-
-
-def _fn_lcase(args, binding):
-    return Literal(_string_value(_single(args, binding, "lcase")).lower())
-
-
-def _fn_strlen(args, binding):
-    return Literal(len(_string_value(_single(args, binding, "strlen"))))
-
-
-def _fn_if(args, binding):
-    if len(args) != 3:
-        raise ExpressionError("if() takes three arguments")
-    condition = effective_boolean_value(args[0].evaluate(binding))
-    return args[1].evaluate(binding) if condition else args[2].evaluate(binding)
-
-
-def _fn_coalesce(args, binding):
-    for argument in args:
-        try:
-            return argument.evaluate(binding)
-        except ExpressionError:
-            continue
-    raise ExpressionError("coalesce(): every argument errored")
-
-
-def _fn_concat(args, binding):
-    return Literal("".join(_string_value(a.evaluate(binding)) for a in args))
-
-
-def _fn_substr(args, binding):
-    if len(args) not in (2, 3):
-        raise ExpressionError("substr() takes 2 or 3 arguments")
-    text = _string_value(args[0].evaluate(binding))
-    start = _integer(args[1].evaluate(binding))
-    if start < 1:
-        raise ExpressionError("substr() start is 1-based")
-    if len(args) == 3:
-        length = _integer(args[2].evaluate(binding))
-        return Literal(text[start - 1 : start - 1 + length])
-    return Literal(text[start - 1 :])
-
-
-def _fn_replace(args, binding):
-    if len(args) not in (3, 4):
-        raise ExpressionError("replace() takes 3 or 4 arguments")
-    text = _string_value(args[0].evaluate(binding))
-    pattern = _string_value(args[1].evaluate(binding))
-    replacement = _string_value(args[2].evaluate(binding))
-    flags = 0
-    if len(args) == 4 and "i" in _string_value(args[3].evaluate(binding)):
-        flags = re.IGNORECASE
-    try:
-        return Literal(re.sub(pattern, replacement, text, flags=flags))
-    except re.error as exc:
-        raise ExpressionError(f"bad replace pattern: {exc}") from None
-
-
-def _fn_strbefore(args, binding):
-    a, b = _two_strings(args, binding, "strbefore")
-    index = a.find(b)
-    return Literal(a[:index] if index >= 0 else "")
-
-
-def _fn_strafter(args, binding):
-    a, b = _two_strings(args, binding, "strafter")
-    index = a.find(b)
-    return Literal(a[index + len(b):] if index >= 0 else "")
-
-
-def _fn_abs(args, binding):
-    return Literal(abs(_numeric(_single(args, binding, "abs"))))
-
-
-def _fn_round(args, binding):
-    value = _numeric(_single(args, binding, "round"))
-    import math
-
-    # SPARQL rounds halves away from zero, unlike Python's banker's rounding
-    return Literal(int(math.floor(value + 0.5)) if value >= 0 else int(math.ceil(value - 0.5)))
-
-
-def _fn_ceil(args, binding):
-    import math
-
-    return Literal(math.ceil(_numeric(_single(args, binding, "ceil"))))
-
-
-def _fn_floor(args, binding):
-    import math
-
-    return Literal(math.floor(_numeric(_single(args, binding, "floor"))))
-
-
-def _integer(term: Term) -> int:
-    value = _numeric(term)
-    if isinstance(value, float) and not value.is_integer():
-        raise ExpressionError(f"expected an integer, got {value}")
-    return int(value)
-
-
-def _single(args, binding, name) -> Term:
-    if len(args) != 1:
-        raise ExpressionError(f"{name}() takes one argument")
-    return args[0].evaluate(binding)
-
-
-def _two_strings(args, binding, name):
-    if len(args) != 2:
-        raise ExpressionError(f"{name}() takes two arguments")
-    return (
-        _string_value(args[0].evaluate(binding)),
-        _string_value(args[1].evaluate(binding)),
-    )
+    return boolean(isinstance(args[0].evaluate(binding), BNode))
 
 
 def _string_value(term: Term) -> str:
@@ -516,35 +356,33 @@ def _string_value(term: Term) -> str:
     raise ExpressionError(f"no string value for {term!r}")
 
 
-_FUNCTIONS: Dict[str, Callable] = {
-    "regex": _fn_regex,
-    "regexp_like": _fn_regex,  # Oracle spelling used in the paper's listings
-    "bound": _fn_bound,
-    "str": _fn_str,
-    "lang": _fn_lang,
-    "datatype": _fn_datatype,
-    "isiri": _fn_isiri,
-    "isuri": _fn_isiri,
-    "isliteral": _fn_isliteral,
-    "isblank": _fn_isblank,
-    "contains": _fn_contains,
-    "strstarts": _fn_strstarts,
-    "strends": _fn_strends,
-    "ucase": _fn_ucase,
-    "lcase": _fn_lcase,
-    "strlen": _fn_strlen,
-    "if": _fn_if,
-    "coalesce": _fn_coalesce,
-    "concat": _fn_concat,
-    "substr": _fn_substr,
-    "replace": _fn_replace,
-    "strbefore": _fn_strbefore,
-    "strafter": _fn_strafter,
-    "abs": _fn_abs,
-    "round": _fn_round,
-    "ceil": _fn_ceil,
-    "floor": _fn_floor,
+#: The supported FILTER builtins (SPARQL 1.0 plus Oracle's
+#: ``regexp_like``), the one name -> arity table both query parsers
+#: consult: lower-case name -> (implementation, min args, max args).
+_FUNCTIONS: Dict[str, Tuple[Callable, int, int]] = {
+    "regex": (_fn_regex, 2, 3),
+    "regexp_like": (_fn_regex, 2, 3),  # Oracle spelling used in the paper's listings
+    "bound": (_fn_bound, 1, 1),
+    "str": (_fn_str, 1, 1),
+    "lang": (_fn_lang, 1, 1),
+    "datatype": (_fn_datatype, 1, 1),
+    "isiri": (_fn_isiri, 1, 1),
+    "isuri": (_fn_isiri, 1, 1),
+    "isliteral": (_fn_isliteral, 1, 1),
+    "isblank": (_fn_isblank, 1, 1),
 }
+
+def call_error(name: str, n_args: int) -> Optional[str]:
+    """Why ``name(...)`` with ``n_args`` arguments is not a supported
+    call, or None when it is. Parsers raise this as their typed error."""
+    entry = _FUNCTIONS.get(name.lower())
+    if entry is None:
+        return outside_subset(f"function {name.upper()}()")
+    _, low, high = entry
+    if not low <= n_args <= high:
+        expected = str(low) if low == high else f"{low} to {high}"
+        return f"{name.upper()}() takes {expected} argument(s), got {n_args}"
+    return None
 
 
 def builtin_function_names():

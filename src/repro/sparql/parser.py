@@ -1,9 +1,12 @@
 """Recursive-descent parser producing the query algebra.
 
-Supports the SPARQL fragment the meta-data warehouse needs: SELECT / ASK /
-CONSTRUCT forms, basic graph patterns with ``;`` and ``,`` abbreviations,
-``a`` for ``rdf:type``, FILTER with full expression syntax, OPTIONAL,
-UNION, GROUP BY + aggregates, HAVING, ORDER BY, LIMIT and OFFSET.
+Supports the SPARQL fragment the meta-data warehouse needs: SELECT and
+ASK forms, basic graph patterns with ``;`` and ``,`` abbreviations, ``a``
+for ``rdf:type``, property paths, FILTER with the operators and the
+builtins of :mod:`repro.sparql.expressions`, OPTIONAL, UNION, BIND,
+VALUES, GROUP BY + aggregates, HAVING, ORDER BY, LIMIT and OFFSET.
+CONSTRUCT, DESCRIBE, MINUS, FILTER (NOT) EXISTS and any other function
+are rejected with a :class:`SparqlParseError` naming the form.
 """
 
 from __future__ import annotations
@@ -16,12 +19,10 @@ from repro.sparql.algebra import (
     Aggregate,
     AskQuery,
     BGP,
-    ConstructQuery,
     Extend,
     Filter,
     Join,
     LeftJoin,
-    Minus,
     OrderCondition,
     Pattern,
     Projection,
@@ -31,7 +32,7 @@ from repro.sparql.algebra import (
     ValuesPattern,
 )
 from repro.sparql.algebra import PathTriple
-from repro.sparql.errors import SparqlParseError
+from repro.sparql.errors import SparqlParseError, outside_subset
 from repro.sparql.paths import (
     Path,
     PathAlternative,
@@ -45,11 +46,11 @@ from repro.sparql.paths import (
 from repro.sparql.expressions import (
     BinaryExpr,
     ConstExpr,
-    ExistsExpr,
     Expression,
     FunctionExpr,
     UnaryExpr,
     VarExpr,
+    call_error,
 )
 from repro.sparql.tokenizer import Token, tokenize
 
@@ -109,6 +110,9 @@ class _Parser:
         tok = self.peek()
         return SparqlParseError(message, tok.position, tok.line)
 
+    def unsupported(self, form: str) -> SparqlParseError:
+        return self.error(outside_subset(form))
+
     # -- prologue -----------------------------------------------------------
 
     def parse_prologue(self) -> None:
@@ -131,12 +135,10 @@ class _Parser:
             query = self.parse_select()
         elif self.at("KEYWORD", "ASK"):
             query = self.parse_ask()
-        elif self.at("KEYWORD", "CONSTRUCT"):
-            query = self.parse_construct()
-        elif self.at("KEYWORD", "DESCRIBE"):
-            query = self.parse_describe()
+        elif self.at("KEYWORD", "CONSTRUCT") or self.at("KEYWORD", "DESCRIBE"):
+            raise self.unsupported(self.peek().value)
         else:
-            raise self.error("expected SELECT, ASK, CONSTRUCT, or DESCRIBE")
+            raise self.error("expected SELECT or ASK")
         self.expect("EOF")
         return query
 
@@ -186,39 +188,6 @@ class _Parser:
         self.expect("KEYWORD", "ASK")
         self.accept("KEYWORD", "WHERE")
         return AskQuery(pattern=self.parse_group_graph_pattern())
-
-    def parse_describe(self) -> "DescribeQuery":
-        from repro.sparql.algebra import DescribeQuery
-
-        self.expect("KEYWORD", "DESCRIBE")
-        resources: List[IRI] = []
-        variables: List[str] = []
-        while True:
-            tok = self.peek()
-            if tok.kind == "IRIREF":
-                resources.append(IRI(self.next().value))
-            elif tok.kind == "PNAME":
-                resources.append(self.expand_pname(self.next()))
-            elif tok.kind == "VAR":
-                variables.append(self.next().value)
-            else:
-                break
-        if not resources and not variables:
-            raise self.error("DESCRIBE requires at least one IRI or variable")
-        pattern = None
-        if self.at("KEYWORD", "WHERE") or self.at("PUNCT", "{"):
-            self.accept("KEYWORD", "WHERE")
-            pattern = self.parse_group_graph_pattern()
-        elif variables:
-            raise self.error("DESCRIBE with variables requires a WHERE pattern")
-        return DescribeQuery(resources=resources, variables=variables, pattern=pattern)
-
-    def parse_construct(self) -> ConstructQuery:
-        self.expect("KEYWORD", "CONSTRUCT")
-        template_bgp = self.parse_braced_triples()
-        self.expect("KEYWORD", "WHERE")
-        pattern = self.parse_group_graph_pattern()
-        return ConstructQuery(template=template_bgp, pattern=pattern)
 
     # -- projection -----------------------------------------------------------
 
@@ -315,11 +284,8 @@ class _Parser:
                 left = pattern if pattern is not None else BGP([])
                 pattern = LeftJoin(left, right)
                 self.accept("PUNCT", ".")
-            elif self.accept("KEYWORD", "MINUS"):
-                right = self.parse_group_graph_pattern()
-                left = pattern if pattern is not None else BGP([])
-                pattern = Minus(left, right)
-                self.accept("PUNCT", ".")
+            elif self.at("KEYWORD", "MINUS"):
+                raise self.unsupported("MINUS")
             elif self.accept("KEYWORD", "BIND"):
                 self.expect("PUNCT", "(")
                 expression = self.parse_expression()
@@ -359,7 +325,7 @@ class _Parser:
         while not self.at("PUNCT", "}"):
             plain, paths = self.parse_triples_same_subject()
             if paths:
-                raise self.error("property paths are not allowed in CONSTRUCT templates")
+                raise self.error("property paths are not allowed in templates")
             triples.extend(plain)
             if not self.accept("PUNCT", "."):
                 break
@@ -552,19 +518,11 @@ class _Parser:
     # -- expressions --------------------------------------------------------------
 
     def parse_constraint(self) -> Expression:
-        if self.at("KEYWORD", "EXISTS") or self.at("KEYWORD", "NOT"):
-            return self.parse_exists()
         if self.at("PUNCT", "("):
             return self.parse_bracketted()
         if self.peek().kind in ("NAME", "KEYWORD"):
             return self.parse_function_call()
         raise self.error("expected FILTER constraint")
-
-    def parse_exists(self) -> Expression:
-        negated = bool(self.accept("KEYWORD", "NOT"))
-        self.expect("KEYWORD", "EXISTS")
-        pattern = self.parse_group_graph_pattern()
-        return ExistsExpr(pattern, negated=negated)
 
     def parse_bracketted(self) -> Expression:
         self.expect("PUNCT", "(")
@@ -641,14 +599,16 @@ class _Parser:
         if tok.kind == "KEYWORD" and tok.value in ("TRUE", "FALSE"):
             self.next()
             return ConstExpr(Literal(tok.value == "TRUE"))
-        if tok.kind == "KEYWORD" and tok.value in ("EXISTS", "NOT"):
-            return self.parse_exists()
         if tok.kind in ("NAME", "KEYWORD"):
             return self.parse_function_call()
         raise self.error(f"unexpected token {tok.value or tok.kind!r} in expression")
 
     def parse_function_call(self) -> Expression:
-        name = self.next().value
+        if self.at("KEYWORD", "EXISTS"):
+            raise self.unsupported("FILTER EXISTS")
+        if self.at("KEYWORD", "NOT"):
+            raise self.unsupported("FILTER NOT EXISTS")
+        name_tok = self.next()
         self.expect("PUNCT", "(")
         args: List[Expression] = []
         if not self.at("PUNCT", ")"):
@@ -656,7 +616,10 @@ class _Parser:
             while self.accept("PUNCT", ","):
                 args.append(self.parse_expression())
         self.expect("PUNCT", ")")
-        return FunctionExpr(name, args)
+        problem = call_error(name_tok.value, len(args))
+        if problem is not None:
+            raise SparqlParseError(problem, name_tok.position, name_tok.line)
+        return FunctionExpr(name_tok.value, args)
 
 
 def _number_literal(text: str) -> Literal:

@@ -31,7 +31,7 @@ from repro.rdf.namespace import RDF
 from repro.rdf.terms import IRI, Literal, Triple
 
 from repro.core.model import World
-from repro.core.schema import _to_identifier
+from repro.core.schema import to_identifier
 from repro.core.vocabulary import TERMS
 from repro.core.warehouse import MetadataWarehouse
 from repro.etl.dbpedia import SynonymThesaurus
@@ -204,7 +204,7 @@ class _Generator:
         belongs_to: Optional[IRI] = None,
     ) -> IRI:
         """Fast-path instance creation (same triples as FactManager)."""
-        node = self.instance_ns.term(_to_identifier(name))
+        node = self.instance_ns.term(to_identifier(name))
         for cls in classes if isinstance(classes, (list, tuple)) else [classes]:
             self.graph.add(Triple(node, RDF.type, cls))
         self.graph.add(Triple(node, TERMS.has_name, Literal(display_name or name)))
@@ -269,7 +269,7 @@ class _Generator:
             cls = schema.declare_class(
                 name, world=world, label=label, parents=parents, subject_area=area
             )
-            classes[_to_identifier(name)] = cls
+            classes[to_identifier(name)] = cls
             return cls
 
         item = declare("Item", area="Core")

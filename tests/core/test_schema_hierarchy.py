@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import MetadataWarehouse, SchemaError, World
-from repro.core.schema import _to_identifier
+from repro.core.schema import to_identifier
 from repro.rdf import IRI, Literal, RDFS
 
 
@@ -14,14 +14,14 @@ def mdw():
 
 class TestIdentifiers:
     def test_spaces_to_underscores(self):
-        assert _to_identifier("Source File Column") == "Source_File_Column"
+        assert to_identifier("Source File Column") == "Source_File_Column"
 
     def test_specials_collapsed(self):
-        assert _to_identifier("a--b!!c") == "a_b_c"
+        assert to_identifier("a--b!!c") == "a_b_c"
 
     def test_empty_rejected(self):
         with pytest.raises(SchemaError):
-            _to_identifier("!!!")
+            to_identifier("!!!")
 
 
 class TestDeclareClass:

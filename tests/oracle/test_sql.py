@@ -1,6 +1,8 @@
 """Unit tests for the SQL-wrapped SEM_MATCH executor, including the
 verbatim listings from the paper."""
 
+import re
+
 import pytest
 
 from benchmarks.queries import LISTING_1, LISTING_2
@@ -94,6 +96,29 @@ class TestParser:
     def test_bad_select_item(self):
         with pytest.raises(SemSqlError):
             parse_sem_sql("SELECT a+b FROM TABLE(SEM_MATCH({?a ?b ?c}, SEM_MODELS('M')))")
+
+
+class TestWhereFunctions:
+    @pytest.mark.parametrize(
+        "where, problem",
+        [
+            ("foo(term)", "FOO() is outside"),
+            ("upper(term) = 'X'", "UPPER() is outside"),
+            ("regexp_like(term)", "REGEXP_LIKE() takes 2 to 3 argument(s), got 1"),
+        ],
+    )
+    def test_unknown_function_or_wrong_arity_is_rejected(self, store, where, problem):
+        """Checked at parse time: checked per row, the failure would only
+        drop the row and the statement would answer 0 rows."""
+        sql = f"""
+        SELECT term FROM TABLE(SEM_MATCH(
+            {{?o dm:hasName ?term}},
+            SEM_MODELS('DWH_CURR'),
+            SEM_ALIASES(SEM_ALIAS('dm', 'http://www.credit-suisse.com/dwh/mdm/data_modeling#'))))
+        WHERE {where}
+        """
+        with pytest.raises(SemSqlError, match=re.escape(problem)):
+            execute_sem_sql(store, sql)
 
 
 class TestSqlSemantics:

@@ -1,6 +1,4 @@
-"""Unit tests for N-Triples, Turtle, and RDF/XML serialization."""
-
-import xml.etree.ElementTree as ET
+"""Unit tests for N-Triples and Turtle serialization."""
 
 import pytest
 
@@ -17,7 +15,6 @@ from repro.rdf import (
     parse_ntriples,
     parse_turtle,
     serialize_ntriples,
-    serialize_rdfxml,
     serialize_turtle,
 )
 
@@ -175,44 +172,3 @@ class TestTurtle:
         nsm = NamespaceManager()
         nsm.bind("ex", "http://x/")
         assert serialize_turtle(EX, nsm) == serialize_turtle(Graph(reversed(list(EX))), nsm)
-
-
-class TestRdfXml:
-    def nsm(self):
-        nsm = NamespaceManager()
-        nsm.bind("ex", "http://x/")
-        return nsm
-
-    def test_well_formed_xml(self):
-        doc = serialize_rdfxml(EX, self.nsm())
-        root = ET.fromstring(doc)
-        assert root.tag == "{http://www.w3.org/1999/02/22-rdf-syntax-ns#}RDF"
-
-    def test_subject_descriptions(self):
-        doc = serialize_rdfxml(EX, self.nsm())
-        root = ET.fromstring(doc)
-        rdfns = "{http://www.w3.org/1999/02/22-rdf-syntax-ns#}"
-        descriptions = root.findall(f"{rdfns}Description")
-        assert len(descriptions) == 2  # alice + bnode
-
-    def test_resource_vs_literal_properties(self):
-        doc = serialize_rdfxml(EX, self.nsm())
-        assert 'rdf:resource="http://x/Person"' in doc
-        assert ">Alice</ex:name>" in doc
-        assert 'rdf:datatype="http://www.w3.org/2001/XMLSchema#integer">30<' in doc
-        assert 'xml:lang="en"' in doc
-
-    def test_bnode_uses_nodeid(self):
-        doc = serialize_rdfxml(EX, self.nsm())
-        assert 'rdf:nodeID="b1"' in doc
-
-    def test_unbound_predicate_namespace_rejected(self):
-        g = Graph([Triple(IRI("http://x/s"), IRI("http://unbound/p"), Literal("o"))])
-        with pytest.raises(ValueError):
-            serialize_rdfxml(g, self.nsm())
-
-    def test_escaping_in_literal_body(self):
-        g = Graph([Triple(IRI("http://x/s"), IRI("http://x/p"), Literal("a < b & c"))])
-        doc = serialize_rdfxml(g, self.nsm())
-        assert "a &lt; b &amp; c" in doc
-        ET.fromstring(doc)

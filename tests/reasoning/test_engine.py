@@ -20,7 +20,7 @@ from repro.reasoning import (
     Rulebase,
     build_entailment_index,
     closure,
-    extend_closure,
+    maintain_closure,
     rule,
 )
 
@@ -196,7 +196,7 @@ class TestExtendClosure:
         derived, _ = closure(g, OWLPRIME)
         new_triple = Triple(EX.n4, EX.isMappedTo, EX.n5)
         g.add(new_triple)
-        extend_closure(g, derived, [new_triple], OWLPRIME)
+        maintain_closure(g, derived, [new_triple], (), OWLPRIME)
         full, _ = closure(g, OWLPRIME)
         assert set(derived) == set(full)
 
@@ -205,7 +205,7 @@ class TestExtendClosure:
         derived, _ = closure(g, RDFS_RULEBASE)
         added = Triple(EX.Item, RDFS.subClassOf, EX.Anything)
         g.add(added)
-        extend_closure(g, derived, [added], RDFS_RULEBASE)
+        maintain_closure(g, derived, [added], (), RDFS_RULEBASE)
         assert Triple(EX.customer_id, RDF.type, EX.Anything) in derived
 
 

@@ -18,7 +18,6 @@ from repro.reasoning import (
     OWLPRIME,
     RDFS_RULEBASE,
     closure,
-    extend_closure,
     maintain_closure,
 )
 
@@ -99,7 +98,7 @@ class TestDredRetraction:
         assert promoted not in derived
         assert_equals_rebuild(base, derived)
 
-    def test_extend_closure_is_insertion_only_maintenance(self):
+    def test_insertion_only_maintenance(self):
         base = diamond_graph()
         derived, _ = closure(base, RDFS_RULEBASE)
         added = [
@@ -107,7 +106,7 @@ class TestDredRetraction:
             Triple(EX.y, RDF.type, EX.B),
         ]
         base.add_all(added)
-        report = extend_closure(base, derived, added, RDFS_RULEBASE)
+        report = maintain_closure(base, derived, added, (), RDFS_RULEBASE)
         assert report.mode == "incremental"
         assert Triple(EX.y, RDF.type, EX.Root) in derived
         assert_equals_rebuild(base, derived)

@@ -23,7 +23,7 @@ class TestFigure5Walkthrough:
 
     def test_narrowing_to_application1_view_column(self, mdw, snippet):
         service = mdw.search
-        valid = service._valid_classes(
+        valid = service.valid_classes(
             SearchFilters(classes=["Application1 Item", "Interface Item"])
         )
         # steps 1+2: the intersection is exactly Application1_View_Column

@@ -1,10 +1,10 @@
-"""Unit tests for DESCRIBE queries and EXPLAIN plans."""
+"""Unit tests for EXPLAIN plans and instance retirement."""
 
 import pytest
 
 from repro.core import MetadataWarehouse
 from repro.rdf import BNode, Graph, IRI, Literal, Namespace, Triple
-from repro.sparql import SparqlParseError, execute, explain, parse_query
+from repro.sparql import SparqlParseError, explain
 
 EX = Namespace("http://x/")
 
@@ -19,41 +19,6 @@ def graph():
     g.add(Triple(EX.alice, EX.address, address))
     g.add(Triple(address, EX.city, Literal("Zurich")))
     return g
-
-
-class TestDescribe:
-    def test_describe_iri(self, graph):
-        out = execute(graph, "DESCRIBE <http://x/alice>")
-        assert isinstance(out, Graph)
-        assert Triple(EX.alice, EX.name, Literal("Alice")) in out
-        assert Triple(EX.alice, EX.knows, EX.bob) in out
-        # bob's own facts are not part of alice's description
-        assert Triple(EX.bob, EX.name, Literal("Bob")) not in out
-
-    def test_bnode_closure_included(self, graph):
-        out = execute(graph, "DESCRIBE <http://x/alice>")
-        assert Triple(BNode("addr1"), EX.city, Literal("Zurich")) in out
-
-    def test_describe_multiple(self, graph):
-        out = execute(graph, "DESCRIBE <http://x/alice> <http://x/bob>")
-        assert Triple(EX.bob, EX.name, Literal("Bob")) in out
-
-    def test_describe_variable_with_where(self, graph):
-        out = execute(graph, 'DESCRIBE ?x WHERE { ?x <http://x/name> "Bob" }')
-        assert Triple(EX.bob, EX.name, Literal("Bob")) in out
-        assert len(out) == 1
-
-    def test_describe_unknown_resource_empty(self, graph):
-        out = execute(graph, "DESCRIBE <http://x/nobody>")
-        assert len(out) == 0
-
-    def test_variable_without_where_rejected(self):
-        with pytest.raises(SparqlParseError):
-            parse_query("DESCRIBE ?x")
-
-    def test_empty_describe_rejected(self):
-        with pytest.raises(SparqlParseError):
-            parse_query("DESCRIBE WHERE { ?s ?p ?o }")
 
 
 class TestExplain:
@@ -108,10 +73,11 @@ class TestExplain:
 
     def test_ask_and_construct_and_describe(self, graph):
         assert "ASK" in explain(graph, "ASK { ?s ?p ?o }")
-        assert "CONSTRUCT" in explain(
-            graph, "CONSTRUCT { ?s <http://x/p> ?o } WHERE { ?s ?p ?o }"
-        )
-        assert "DESCRIBE" in explain(graph, "DESCRIBE <http://x/alice>")
+        # the removed forms get no plan, only the parser's typed rejection
+        with pytest.raises(SparqlParseError, match="CONSTRUCT is outside"):
+            explain(graph, "CONSTRUCT { ?s <http://x/p> ?o } WHERE { ?s ?p ?o }")
+        with pytest.raises(SparqlParseError, match="DESCRIBE is outside"):
+            explain(graph, "DESCRIBE <http://x/alice>")
 
     def test_warehouse_explain(self):
         mdw = MetadataWarehouse()

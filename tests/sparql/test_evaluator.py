@@ -258,18 +258,3 @@ class TestAskConstruct:
 
     def test_ask_false(self, graph):
         assert run(graph, "ASK { ex:bob ex:knows ex:alice }") is False
-
-    def test_construct(self, graph):
-        out = run(
-            graph,
-            "CONSTRUCT { ?p ex:label ?n } WHERE { ?p a ex:Person . ?p ex:name ?n }",
-        )
-        assert len(out) == 3
-        assert Triple(EX.alice, EX.label, Literal("Alice")) in out
-
-    def test_construct_skips_unbound_template_vars(self, graph):
-        out = run(
-            graph,
-            "CONSTRUCT { ?p ex:k ?k } WHERE { ?p a ex:Person OPTIONAL { ?p ex:knows ?k } }",
-        )
-        assert len(out) == 3  # carol's row has no ?k -> skipped

@@ -181,14 +181,6 @@ class TestFunctions:
         assert ev(FunctionExpr("isliteral", [const("x")])) == boolean(True)
         assert ev(FunctionExpr("isblank", [ConstExpr(BNode())])) == boolean(True)
 
-    def test_string_functions(self):
-        assert ev(FunctionExpr("contains", [const("customer_id"), const("_")])) == boolean(True)
-        assert ev(FunctionExpr("strstarts", [const("abc"), const("ab")])) == boolean(True)
-        assert ev(FunctionExpr("strends", [const("abc"), const("bc")])) == boolean(True)
-        assert ev(FunctionExpr("ucase", [const("ab")])) == Literal("AB")
-        assert ev(FunctionExpr("lcase", [const("AB")])) == Literal("ab")
-        assert ev(FunctionExpr("strlen", [const("abcd")])).to_python() == 4
-
     def test_unknown_function(self):
         with pytest.raises(ExpressionError):
             ev(FunctionExpr("nope", []))
@@ -201,7 +193,7 @@ class TestFunctions:
         with pytest.raises(ExpressionError):
             ev(FunctionExpr("regex", [const("x")]))
         with pytest.raises(ExpressionError):
-            ev(FunctionExpr("strlen", []))
+            ev(FunctionExpr("str", []))
 
     def test_variables_collected(self):
         expr = FunctionExpr("regex", [VarExpr("a"), VarExpr("b")])

@@ -6,7 +6,6 @@ from repro.rdf import IRI, Literal, NamespaceManager, RDF, Triple, Variable
 from repro.sparql import (
     AskQuery,
     BGP,
-    ConstructQuery,
     Filter,
     Join,
     LeftJoin,
@@ -212,13 +211,6 @@ class TestOtherForms:
 
     def test_ask_with_where(self):
         assert isinstance(q("ASK WHERE { ?s ?p ?o }"), AskQuery)
-
-    def test_construct(self):
-        query = q(
-            "CONSTRUCT { ?s <http://x/label> ?o } WHERE { ?s <http://x/name> ?o }"
-        )
-        assert isinstance(query, ConstructQuery)
-        assert len(query.template) == 1
 
     def test_garbage_after_query(self):
         with pytest.raises(SparqlParseError):

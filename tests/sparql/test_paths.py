@@ -22,6 +22,7 @@ from repro.sparql import (
     eval_path,
     execute,
     parse_query,
+    parse_update,
 )
 from repro.sparql.algebra import BGP, Filter, Join, LeftJoin, Union
 
@@ -154,9 +155,9 @@ class TestPathParsing:
         assert query.pattern.paths == []
         assert len(query.pattern.patterns) == 1
 
-    def test_construct_template_rejects_paths(self):
-        with pytest.raises(SparqlParseError):
-            parse_query("CONSTRUCT { ?s <http://x/p>* ?o } WHERE { ?s ?p ?o }")
+    def test_update_template_rejects_paths(self):
+        with pytest.raises(SparqlParseError, match="not allowed in templates"):
+            parse_update("INSERT { ?s <http://x/p>* ?o } WHERE { ?s ?p ?o }")
 
 
 class TestPathQueries:

@@ -31,10 +31,11 @@ N_INSTANCES = 15_000
 _PAD = "x" * 120
 
 #: The child exits 42 on MemoryError so the parent can tell "died of the
-#: cap" from "died of a bug".
+#: cap" from "died of a bug". ``os`` is imported before the cap is set.
 _MEMORY_ERROR_EXIT = 42
 
 _CHILD = r"""
+import os
 import resource
 import sys
 
@@ -78,7 +79,9 @@ try:
         )
         assert len(list(rows)) == 1
 except MemoryError:
-    sys.exit(42)
+    # os._exit allocates nothing: raising SystemExit under the cap can hit
+    # a second MemoryError and leave with exit code 1
+    os._exit(42)
 peak = 0
 with open("/proc/self/status") as status:
     for line in status:
