@@ -661,11 +661,9 @@ def cmd_serve(args) -> None:
     rest as SPARQL. At EOF the service's metrics report is printed.
     """
     mdw = _open(args)
-    from repro.server import DeadlineExceeded, Overloaded, QueryServiceError, ServiceConfig
+    from repro.server import DeadlineExceeded, Overloaded, QueryServiceError
 
-    if args.supervise and args.mode != "fork":
-        raise CliError("--supervise requires --mode fork (thread workers share the process)")
-    config = ServiceConfig(
+    config = _service_config(
         max_workers=args.workers,
         max_queue=args.queue,
         default_timeout=args.timeout,
@@ -700,11 +698,23 @@ def cmd_serve(args) -> None:
             restarts = sum((supervisor.get("restarts") or {}).values())
             line += (
                 f" (supervisor: {supervisor['alive_children']} worker(s) live, "
-                f"{restarts} restart(s), {supervisor['hedged']} hedged)"
+                f"{restarts} restart(s))"
             )
         print(line)
     if failures:
         raise CliError(f"{failures} of {len(statements)} statement(s) failed")
+
+
+def _service_config(**settings):
+    """The query service's config; an invalid combination of options
+    (``--supervise`` without ``--mode fork``, a non-positive bound) is a
+    clean command-line error."""
+    from repro.server import ServiceConfig
+
+    try:
+        return ServiceConfig(**settings)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
 
 
 def _drive_workload(mdw, *, workers, clients, requests, mode, timeout, seed, supervise=False):
@@ -712,10 +722,10 @@ def _drive_workload(mdw, *, workers, clients, requests, mode, timeout, seed, sup
     import threading
     import time
 
-    from repro.server import QueryServiceError, ServiceConfig
+    from repro.server import QueryServiceError
     from repro.synth import make_service_workload
 
-    config = ServiceConfig(
+    config = _service_config(
         max_workers=workers,
         max_queue=max(64, requests),
         default_timeout=timeout,
@@ -803,8 +813,6 @@ def cmd_workload(args) -> None:
     """Drive a deterministic mixed workload with concurrent clients."""
     from contextlib import ExitStack
 
-    if args.supervise and args.mode != "fork":
-        raise CliError("--supervise requires --mode fork (thread workers share the process)")
     mdw = _open(args)
     with ExitStack() as stack:
         tracer = _traced(args, stack)
@@ -956,7 +964,6 @@ def cmd_top(args) -> None:
                                     "status": doc["status"],
                                     "queue_depth": doc["queue_depth"],
                                     "workers": doc["workers"],
-                                    "breaker": doc["gateway_breaker"]["state"],
                                 }
                                 for index, doc in health["shards"].items()
                             },
@@ -976,8 +983,7 @@ def cmd_top(args) -> None:
                     f"  shard {index}: {doc['status']}, "
                     f"queue {doc['queue_depth']}, "
                     f"workers {doc['workers']['configured']} "
-                    f"{doc['workers']['mode']}, "
-                    f"breaker {doc['gateway_breaker']['state']}"
+                    f"{doc['workers']['mode']}"
                 )
             print(_render_slo_report(health["slo"]))
             if events:

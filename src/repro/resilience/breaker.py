@@ -203,12 +203,5 @@ class CircuitBreaker:
                 ),
             }
 
-    def reset(self) -> None:
-        """Force-close (operator override)."""
-        with self._lock:
-            self._state = CLOSED
-            self._consecutive_failures = 0
-            self._probes_in_flight = 0
-
     def __repr__(self) -> str:
         return f"<CircuitBreaker {self.name!r} {self.state}>"

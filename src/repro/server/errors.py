@@ -34,7 +34,7 @@ def is_request_error(exc: BaseException) -> bool:
     endpoint either. A deadline overrun is not the request's fault
     (``DeadlineExceeded`` subclasses ``Cancelled``, so it is excluded
     first), and neither is anything else. The worker pool's endpoint
-    breakers and the gateway's shard breakers both decide with this.
+    breakers and the gateway's scatter both decide with this.
     """
     if isinstance(exc, DeadlineExceeded):
         return False

@@ -126,20 +126,11 @@ class ServiceMetrics:
             reason: restarts.child(reason=reason, **own)
             for reason in _RESTART_REASONS
         }
-        self._hedges = registry.counter(
-            "mdw_hedged_requests_total",
-            "Requests duplicated onto a second worker after lagging",
-            labels=("service", "shard"),
-        ).child(**own)
         # what the counters held before this instance: snapshot() reports
         # since then, so a fresh service starts from zero
         self._base = {
             child: child.value
-            for child in (
-                *self._events.values(),
-                *self._restarts.values(),
-                self._hedges,
-            )
+            for child in (*self._events.values(), *self._restarts.values())
         }
         # a new instance takes over the queue series, like the service's
         # callback gauges: last registration wins
@@ -172,8 +163,7 @@ class ServiceMetrics:
             "mdw_service_degraded_total",
             "Shards behind degraded=True responses, by endpoint kind: one "
             "per shard that failed to contribute, or the answering "
-            "service's own shard (stale-index answers, in-process "
-            "fallback after WorkerLost)",
+            "service's own shard (in-process fallback after WorkerLost)",
             labels=("service", "kind", "shard"),
         )
 
@@ -218,7 +208,7 @@ class ServiceMetrics:
     def on_degraded(self, kind: str, failed_shards: Sequence[str] = ()) -> None:
         """One response went out flagged ``degraded=True``. ``kind`` is
         the endpoint; ``failed_shards`` the shards that could not
-        contribute (the gateway's breaker-shed partials) — without any,
+        contribute (the gateway's partial answers) — without any,
         the degradation is attributed to this instance's own shard."""
         self._events["degraded"].inc()
         for shard in failed_shards or (self.shard,):
@@ -250,10 +240,6 @@ class ServiceMetrics:
         """A request orphaned by a dead worker went back into the queue."""
         self._events["requeued"].inc()
 
-    def on_hedge(self) -> None:
-        """A lagging request was duplicated onto a second worker."""
-        self._hedges.inc()
-
     # -- reporting ---------------------------------------------------------
 
     def _since(self, child) -> int:
@@ -268,9 +254,6 @@ class ServiceMetrics:
         """Respawns since this instance started, by cause (causes that
         never happened are absent)."""
         return self._nonzero(self._restarts)
-
-    def hedged(self) -> int:
-        return self._since(self._hedges)
 
     def _endpoint_summary(self, kind: str, histogram) -> Dict[str, float]:
         state = histogram.state()
@@ -289,7 +272,6 @@ class ServiceMetrics:
         out["queue_depth"] = int(self._queue_depth.value)
         out["queue_high_water"] = int(self._queue_high_water.value)
         out["worker_restarts"] = self.restarts()
-        out["hedged"] = self.hedged()
         out["endpoints"] = {
             kind: self._endpoint_summary(kind, histogram)
             for kind, histogram in sorted(self._histograms.items())
@@ -320,14 +302,14 @@ class ServiceMetrics:
             ),
         ]
         restarts = snap["worker_restarts"]
-        if restarts or snap["worker_lost"] or snap["requeued"] or snap["hedged"]:
+        if restarts or snap["worker_lost"] or snap["requeued"]:
             by_reason = ", ".join(
                 f"{n} {reason}" for reason, n in sorted(restarts.items())
             ) or "none"
             lines.append(
                 f"  supervision: restarts {by_reason}; "
                 f"{snap['worker_lost']} workers lost mid-request, "
-                f"{snap['requeued']} requeued, {snap['hedged']} hedged"
+                f"{snap['requeued']} requeued"
             )
         for kind, summary in snap["endpoints"].items():
             lines.append(

@@ -322,7 +322,7 @@ class ForkWorker:
 
         ``extras_sink`` receives the child's observability payload
         (spans, profile) rather than it being absorbed into the process
-        immediately, so hedged and requeued dispatch grafts only the
+        immediately, so requeued or superseded dispatch grafts only the
         *winning* attempt's spans: the settlement absorbs the sink after
         the exactly-once claim succeeds, and a losing attempt's payload
         is simply dropped with its sink.

@@ -152,6 +152,15 @@ def _statement_of(kind: str, payload: Dict[str, object]) -> str:
     return repr(payload)
 
 
+#: Total executions one request may consume across worker deaths before
+#: the in-process fallback answers it (flagged degraded).
+MAX_ATTEMPTS = 3
+#: Consecutive infrastructure failures on one endpoint that trip its
+#: circuit breaker, and the seconds it sheds before a half-open probe.
+BREAKER_THRESHOLD = 5
+BREAKER_COOLDOWN = 30.0
+
+
 @dataclass
 class ServingConfig:
     """The serving block every front door shares, declared once.
@@ -166,22 +175,19 @@ class ServingConfig:
     is the latency (seconds) past which a request is captured in the
     slow-query log together with its evaluation plan.
 
-    ``breaker_threshold`` consecutive infrastructure failures on one
-    endpoint trip its circuit breaker; further submissions of that kind
-    are shed with :class:`~repro.server.errors.CircuitOpen` until a
-    half-open probe succeeds ``breaker_cooldown`` seconds later.
+    Each endpoint has a circuit breaker: :data:`BREAKER_THRESHOLD`
+    consecutive infrastructure failures trip it, and further
+    submissions of that kind are shed with
+    :class:`~repro.server.errors.CircuitOpen` until a half-open probe
+    succeeds :data:`BREAKER_COOLDOWN` seconds later.
 
     ``supervise=True`` (fork mode only) starts a
-    :class:`~repro.server.supervisor.Supervisor` that heartbeats every
-    worker each ``heartbeat_interval`` seconds, respawns dead or
-    generation-stale children, kills busy children whose progress
-    watermark stays flat past ``hang_timeout``, and (when
-    ``hedge_after`` is set) duplicates requests still running after
-    that many seconds onto a second worker. A request orphaned by a
-    dying worker is requeued transparently up to ``max_attempts``
-    total executions; past the budget it is answered in-process and
-    flagged ``degraded`` — the caller sees added latency, never a
-    lost request.
+    :class:`~repro.server.supervisor.Supervisor` that respawns dead or
+    generation-stale children and kills hung ones. A request orphaned
+    by a dying worker is requeued transparently up to
+    :data:`MAX_ATTEMPTS` total executions; past the budget it is
+    answered in-process and flagged ``degraded`` — the caller sees
+    added latency, never a lost request.
     """
 
     max_queue: int = 64
@@ -193,20 +199,8 @@ class ServingConfig:
     #: file for fork workers to attach (mmap). A fork-mode service
     #: without one publishes into a temporary directory it owns.
     snapshot_dir: Optional[str] = None
-    breaker_threshold: int = 5
-    breaker_cooldown: float = 30.0
     #: Self-healing worker fleet (fork mode): heartbeat, reap, respawn.
     supervise: bool = False
-    heartbeat_interval: float = 0.25
-    #: Max heartbeat age of a *busy* child before it is declared hung
-    #: and killed (its request requeues onto a healthy worker).
-    hang_timeout: float = 5.0
-    #: Duplicate a request still running after this many seconds onto a
-    #: second worker (first completion wins). None disables hedging.
-    hedge_after: Optional[float] = None
-    #: Total executions one request may consume across worker deaths
-    #: before the in-process fallback answers it (flagged degraded).
-    max_attempts: int = 3
 
     def __post_init__(self):
         if self.max_queue < 1:
@@ -217,23 +211,11 @@ class ServingConfig:
             raise ValueError("default_timeout must be positive")
         if self.slow_query_threshold < 0:
             raise ValueError("slow_query_threshold must be non-negative")
-        if self.breaker_threshold < 1:
-            raise ValueError("breaker_threshold must be positive")
-        if self.breaker_cooldown <= 0:
-            raise ValueError("breaker_cooldown must be positive")
         if self.supervise and self.worker_mode != "fork":
             raise ValueError(
                 "supervise requires worker_mode='fork': thread workers "
                 "share the process and cannot be reaped or respawned"
             )
-        if self.heartbeat_interval <= 0:
-            raise ValueError("heartbeat_interval must be positive")
-        if self.hang_timeout <= self.heartbeat_interval:
-            raise ValueError("hang_timeout must exceed heartbeat_interval")
-        if self.hedge_after is not None and self.hedge_after <= 0:
-            raise ValueError("hedge_after must be positive (or None)")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be positive")
 
 
 @dataclass
@@ -264,17 +246,16 @@ class QueryRequest:
     entries carry.
 
     One request may be *executed* more than once — requeued after its
-    worker died, or hedged onto a second worker while the first lags —
-    but it completes exactly once: every execution races through
-    :meth:`claim` and only the winner touches the future. ``attempts``
-    counts executions started (the failover budget), ``hedges`` the
-    duplicates the supervisor enqueued.
+    worker died — and a late execution can race the caller's deadline
+    backstop, but it completes exactly once: every settlement races
+    through :meth:`claim` and only the winner touches the future.
+    ``attempts`` counts executions started (the failover budget).
     """
 
     __slots__ = (
         "request_id", "kind", "payload", "token", "future",
         "submitted_at", "trace_ctx", "profile",
-        "attempts", "hedges", "started", "_completed", "_completion_lock",
+        "attempts", "started", "_completed", "_completion_lock",
     )
 
     def __init__(self, request_id, kind, payload, token, future):
@@ -287,7 +268,6 @@ class QueryRequest:
         self.trace_ctx = capture()
         self.profile: Optional[QueryProfile] = None
         self.attempts = 0
-        self.hedges = 0
         self.started = False
         self._completed = False
         self._completion_lock = threading.Lock()
@@ -300,8 +280,8 @@ class QueryRequest:
         """Open one execution attempt at dequeue time.
 
         Returns ``"run"`` (execute it — the attempt is counted),
-        ``"skip"`` (a parallel execution already completed it; hedge
-        duplicates and stale requeues land here), or ``"cancelled"``
+        ``"skip"`` (already settled — the deadline backstop failed it
+        while it waited), or ``"cancelled"``
         (the caller cancelled it while queued, before any execution).
         """
         with self._completion_lock:
@@ -342,25 +322,56 @@ class QueryRequest:
 class QueryTicket:
     """The caller's handle on a submitted request.
 
-    A thin wrapper over :class:`concurrent.futures.Future` that also
-    carries the request id and the cancel token, so a caller can
-    ``cancel()`` an in-flight query (takes effect at the evaluator's
-    next check point).
+    Carries the request id, the future and the cancel token, so a
+    caller can ``cancel()`` an in-flight query (takes effect at the
+    evaluator's next check point). :meth:`result` and :meth:`exception`
+    are the one wait path of the service: ``execute()`` is
+    ``submit(...).result()``.
     """
 
-    __slots__ = ("request_id", "kind", "future", "token")
+    __slots__ = ("request_id", "kind", "future", "token", "_request", "_service")
 
-    def __init__(self, request_id: str, kind: str, future: Future, token: CancelToken):
-        self.request_id = request_id
-        self.kind = kind
-        self.future = future
-        self.token = token
+    def __init__(self, request: QueryRequest, service: "QueryService"):
+        self.request_id = request.request_id
+        self.kind = request.kind
+        self.future = request.future
+        self.token = request.token
+        self._request = request
+        self._service = service
+
+    def _settled(self, timeout: Optional[float]) -> Future:
+        """Wait for the future within the request's deadline.
+
+        The cooperative checks inside the evaluator normally surface a
+        deadline overrun well before the budget is gone; the wait adds a
+        slack backstop (what is left ``* 1.2 + 50 ms``) so a worker stuck
+        outside any check point — or a queue that never drains — still
+        yields a typed :class:`DeadlineExceeded`, with the token
+        cancelled, instead of hanging the caller. The backstop settles
+        the request here, so it is counted once, as a timeout. A
+        ``timeout`` shorter than the backstop is the caller's own wait
+        limit and settles nothing.
+        """
+        remaining = self.token.remaining()
+        if remaining is None:
+            return self.future
+        backstop = max(remaining, 0.0) * 1.2 + 0.05
+        if timeout is not None and timeout < backstop:
+            return self.future
+        try:
+            self.future.exception(timeout=backstop)
+        except FutureTimeoutError:
+            self.token.cancel()
+            exc = DeadlineExceeded(self.token.timeout, self.token.elapsed())
+            request = self._request
+            self._service._fail(request, exc, request.submitted_at, {})
+        return self.future
 
     def result(self, timeout: Optional[float] = None):
-        return self.future.result(timeout=timeout)
+        return self._settled(timeout).result(timeout=timeout)
 
     def exception(self, timeout: Optional[float] = None):
-        return self.future.exception(timeout=timeout)
+        return self._settled(timeout).exception(timeout=timeout)
 
     def done(self) -> bool:
         return self.future.done()
@@ -380,28 +391,9 @@ _STOP = object()
 
 
 class _Superseded(Exception):
-    """Raised out of a worker run whose request another execution will
-    settle: it went back into the queue, or a hedge twin answered it."""
-
-
-def await_result(future: Future, token: CancelToken):
-    """Wait for a request's future within its token's budget.
-
-    The cooperative checks inside the evaluator normally surface a
-    deadline overrun well before the budget is gone; the wait adds a
-    slack backstop (what is left ``* 1.2 + 50 ms``) so a worker stuck
-    outside any check point — or a queue that never drains — still
-    yields a typed :class:`DeadlineExceeded`, with the token cancelled,
-    instead of hanging the caller.
-    """
-    remaining = token.remaining()
-    if remaining is None:
-        return future.result()
-    try:
-        return future.result(timeout=max(remaining, 0.0) * 1.2 + 0.05)
-    except FutureTimeoutError:
-        token.cancel()
-        raise DeadlineExceeded(token.timeout, token.elapsed()) from None
+    """Raised out of a worker run whose request another settlement
+    owns: it went back into the queue, or the caller's deadline
+    backstop already failed it."""
 
 
 class InProcessWorker:
@@ -474,9 +466,9 @@ class _FrontDoor:
         start = time.monotonic()
         request.profile = QueryProfile()
         # the child's spans/profile land here and are absorbed only
-        # after the exactly-once claim is won, so a losing hedge twin
-        # (or a requeue superseded mid-flight) never grafts its spans
-        # into the request's trace
+        # after the exactly-once claim is won, so a late execution (one
+        # the caller's deadline backstop already failed) never grafts
+        # its spans into the request's trace
         extras_sink: List[dict] = []
         with span("request", self._SPAN_CATEGORY, parent=request.trace_ctx,
                   kind=request.kind, request_id=request.request_id,
@@ -491,9 +483,9 @@ class _FrontDoor:
                 self._fail(request, exc, start, span_attrs, extras_sink)
                 return
             if not request.claim():
-                # a hedge twin completed it first; drop this answer and
-                # its child spans — only the winner's attempt grafts
-                span_attrs["outcome"] = "hedge-lost"
+                # settled first elsewhere; drop this answer and its
+                # child spans — only the winner's attempt grafts
+                span_attrs["outcome"] = "superseded"
                 return
             self._absorb_extras(request, extras_sink)
             self._report(request.kind, None)
@@ -520,8 +512,8 @@ class _FrontDoor:
     ) -> None:
         """Fail the request's future (once) with full accounting."""
         if not request.claim():
-            span_attrs["outcome"] = "hedge-lost"
-            return  # a parallel execution already answered; drop it
+            span_attrs["outcome"] = "superseded"
+            return  # already settled elsewhere; drop it
         self._absorb_extras(request, extras_sink)
         span_attrs["error"] = type(exc).__name__
         if isinstance(exc, DeadlineExceeded):
@@ -624,8 +616,8 @@ class QueryService(_FrontDoor):
         self._breakers: Dict[str, CircuitBreaker] = {
             kind: CircuitBreaker(
                 kind,
-                threshold=config.breaker_threshold,
-                cooldown=config.breaker_cooldown,
+                threshold=BREAKER_THRESHOLD,
+                cooldown=BREAKER_COOLDOWN,
                 shard=config.shard,
             )
             for kind in (*KINDS, "update")
@@ -653,12 +645,7 @@ class QueryService(_FrontDoor):
             worker.start()
             self._workers.append(worker)
         if config.supervise:
-            self._supervisor = Supervisor(
-                self,
-                heartbeat_interval=config.heartbeat_interval,
-                hang_timeout=config.hang_timeout,
-                hedge_after=config.hedge_after,
-            )
+            self._supervisor = Supervisor(self)
             self._supervisor.start()
 
     def _register_gauges(self) -> None:
@@ -742,20 +729,12 @@ class QueryService(_FrontDoor):
         time spent waiting in the queue counts against the request's
         budget.
         """
-        request = self._enqueue(kind, timeout, payload)
-        return QueryTicket(request.request_id, kind, request.future, request.token)
+        return QueryTicket(self._enqueue(kind, timeout, payload), self)
 
     def execute(self, kind: str, *, timeout=_UNSET, **payload):
-        """Submit and wait (:func:`await_result`); the synchronous front door."""
-        request = self._enqueue(kind, timeout, payload)
-        try:
-            return await_result(request.future, request.token)
-        except DeadlineExceeded as exc:
-            if not request.future.done():
-                # the backstop fired with the request still out: settle
-                # it here, so it is counted once, as a timeout
-                self._fail(request, exc, request.submitted_at, {})
-            raise
+        """Submit and wait (:meth:`QueryTicket.result`); the synchronous
+        front door."""
+        return self.submit(kind, timeout=timeout, **payload).result()
 
     # -- convenience read endpoints ---------------------------------------
 
@@ -819,21 +798,19 @@ class QueryService(_FrontDoor):
                     self._breakers[request.kind].release()
                     continue  # cancelled while queued, never executed
                 if verdict == "skip":
-                    continue  # hedge twin / stale requeue: already answered
+                    continue  # already settled while it waited
                 # the slot lock makes the (worker, request) pair atomic
                 # for the supervisor: it inspects under the same lock
                 # and only swaps workers in *idle* slots
                 with slot.lock:
                     slot.worker = self._ensure_worker(slot.worker)
                     slot.request = request
-                    slot.busy_since = time.monotonic()
                     worker = slot.worker
                 try:
                     self._settle(request, worker)
                 finally:
                     with slot.lock:
                         slot.request = None
-                        slot.busy_since = None
         finally:
             with slot.lock:
                 if slot.worker is not None:
@@ -890,8 +867,8 @@ class QueryService(_FrontDoor):
                 raise
         # only a supervised WorkerLost gets here
         if request.done:
-            raise _Superseded()  # a hedge twin already answered
-        if request.attempts < self.config.max_attempts and not self._closed:
+            raise _Superseded()  # the deadline backstop already settled it
+        if request.attempts < MAX_ATTEMPTS and not self._closed:
             try:
                 self._queue.put_nowait(request)
             except queue.Full:
@@ -920,12 +897,10 @@ class QueryService(_FrontDoor):
             breaker.on_failure()
 
     def _degraded_shards(self, request, result, worker) -> Optional[Sequence[str]]:
-        # the in-process fallback flagged it; and an answer off stale
-        # entailment indexes is degraded too: the asserted triples
-        # answered, the derived ones may lag
-        if getattr(result, "degraded", False) or (
-            request.kind in ("search", "lineage") and self._stale_indexes()
-        ):
+        # only the in-process fallback after the attempt budget flags
+        # it; search and lineage read the base model, never an
+        # entailment index, so a stale index does not degrade them
+        if getattr(result, "degraded", False):
             return ()
         return None
 
@@ -986,15 +961,6 @@ class QueryService(_FrontDoor):
 
     # -- health ------------------------------------------------------------
 
-    def _stale_indexes(self) -> List[str]:
-        """Rulebases whose entailment index lags the live model."""
-        mdw = self.warehouse
-        return [
-            rulebase
-            for rulebase in mdw.indexes.rulebases(mdw.model_name)
-            if mdw.indexes.is_stale(mdw.model_name, rulebase)
-        ]
-
     def health(self) -> Dict[str, object]:
         """One self-describing health document for operators.
 
@@ -1002,7 +968,8 @@ class QueryService(_FrontDoor):
         every breaker is closed, no entailment index is stale, and the
         supervised worker pool (when supervision is on) is at full
         strength; ``"degraded"`` when it still serves but some endpoint
-        is shedding or answers come off stale indexes; ``"recovering"``
+        is shedding or an entailment index lags the model (a ``query``
+        naming its rulebase reads it); ``"recovering"``
         while the supervisor is respawning dead workers back to the
         configured pool size; ``"closed"`` after shutdown.
 
@@ -1010,8 +977,8 @@ class QueryService(_FrontDoor):
         every request kind to its breaker snapshot, and ``workers``
         always carries the same keys — ``supervised`` and ``deficit``
         just stay at their zero values when no supervisor runs, while
-        ``restarts`` and ``hedged`` are the service metrics' own numbers
-        (a lazy respawn at dequeue shows here too). The sharded gateway
+        ``restarts`` is the service metrics' own number (a lazy respawn
+        at dequeue shows here too). The sharded gateway
         embeds one such document per shard (under its own ``shards``
         key) and aggregates the statuses, so a fleet scrape reads one
         shape at every level.
@@ -1020,7 +987,12 @@ class QueryService(_FrontDoor):
             kind: {"breaker": b.snapshot()}
             for kind, b in sorted(self._breakers.items())
         }
-        stale = self._stale_indexes()
+        mdw = self.warehouse
+        stale = [  # rulebases whose entailment index lags the live model
+            rulebase
+            for rulebase in mdw.indexes.rulebases(mdw.model_name)
+            if mdw.indexes.is_stale(mdw.model_name, rulebase)
+        ]
         supervisor = (
             self._supervisor.stats() if self._supervisor is not None else None
         )
@@ -1031,7 +1003,6 @@ class QueryService(_FrontDoor):
             "alive_children": len(self.worker_pids()),
             "deficit": supervisor["deficit"] if supervisor else 0,
             "restarts": self.metrics.restarts(),
-            "hedged": self.metrics.hedged(),
         }
         if self._closed:
             status = "closed"
@@ -1055,7 +1026,7 @@ class QueryService(_FrontDoor):
         }
 
     def breaker(self, kind: str) -> CircuitBreaker:
-        """The breaker guarding ``kind`` (operators may ``reset()`` it)."""
+        """The breaker guarding ``kind``."""
         return self._breakers[kind]
 
     @property

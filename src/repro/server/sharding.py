@@ -23,17 +23,15 @@ The gateway admits, times and settles a read through the same front
 door as :class:`QueryService` (one lifecycle: admission, ``request``
 span, exactly-once accounting, slow-query log) — inline in the caller's
 thread, with the shard router as its worker, so it has no queue, no
-worker threads and no endpoint breakers of its own. Queues, endpoint
-breakers, snapshot generations and supervision (heartbeats, respawn,
-hedged dispatch for stragglers) stay *per shard* — each shard is a full
-:class:`QueryService`. The gateway adds one client-side
-:class:`CircuitBreaker` per shard: when a shard keeps failing (workers
-unreachable, queue full, service gone) its breaker opens and the
-gateway simply *skips* it, returning partial results flagged
-``degraded=True`` — a dead shard degrades answers, it never errors
-them. ``replace_shard`` (the runbook path) and ``rebalance`` (the
-incremental-release path, replacing only shards the delta touched)
-restore full answers.
+worker threads and no breakers of its own. Queues, endpoint breakers,
+snapshot generations and supervision (heartbeats, respawn, requeue)
+stay *per shard* — each shard is a full :class:`QueryService`. A shard
+that cannot answer (queue full, endpoint breaker open, service gone,
+workers lost past the attempt budget) is left out of the merge, and
+the answer is flagged ``degraded=True`` — a dead shard degrades
+answers, it never errors them. ``replace_shard`` (the runbook path)
+and ``rebalance`` (the incremental-release path, replacing only shards
+the delta touched) restore full answers.
 """
 
 from __future__ import annotations
@@ -49,8 +47,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.errors import InvalidOption
 from repro.obs.fleet import SloEngine, get_journal
 from repro.rdf.terms import Literal, Term
-
-from repro.resilience.breaker import CLOSED, CircuitBreaker
 from repro.server.errors import (
     Cancelled,
     CircuitOpen,
@@ -66,7 +62,6 @@ from repro.server.service import (
     ServingConfig,
     _FrontDoor,
     _UNSET,
-    await_result,
     first_match,
 )
 from repro.services.lineage import LineageTrace
@@ -82,15 +77,13 @@ class ShardedConfig(ServingConfig):
     """Tuning knobs of a :class:`ShardedQueryService`.
 
     The shared :class:`~repro.server.service.ServingConfig` block
-    (``max_queue``, deadlines, endpoint ``breaker_*``, supervision,
-    hedging) is passed down into each shard's
-    :class:`~repro.server.service.ServiceConfig` unchanged — except
-    ``slow_query_threshold``, which is the gateway's: a slow request is
-    logged once, at the gateway, with its per-shard timing breakdown,
-    and shard-local latency logs are off. The gateway's own knobs are
-    the topology and the per-shard *client* breakers (``shard_breaker_*``
-    — these are what turn a dead shard into partial results instead of
-    errors). ``snapshot_dir`` is the root for shard snapshot files, one
+    (``max_queue``, deadlines, worker mode, supervision) is passed down
+    into each shard's :class:`~repro.server.service.ServiceConfig`
+    unchanged — except ``slow_query_threshold``, which is the gateway's:
+    a slow request is logged once, at the gateway, with its per-shard
+    timing breakdown, and shard-local latency logs are off. The
+    gateway's own knobs are the topology and the SLO window.
+    ``snapshot_dir`` is the root for shard snapshot files, one
     ``shard-<i>/`` subdirectory each; when None the gateway owns a
     temporary directory.
     """
@@ -100,10 +93,6 @@ class ShardedConfig(ServingConfig):
     supervise: bool = True
     n_shards: int = 2
     workers_per_shard: int = 2
-    #: consecutive sub-request infrastructure failures before the
-    #: gateway skips a shard entirely
-    shard_breaker_threshold: int = 3
-    shard_breaker_cooldown: float = 5.0
     #: rolling window (seconds) of the gateway's SLO engine
     slo_window: float = 300.0
 
@@ -113,10 +102,6 @@ class ShardedConfig(ServingConfig):
             raise ValueError("n_shards must be positive")
         if self.workers_per_shard < 1:
             raise ValueError("workers_per_shard must be positive")
-        if self.shard_breaker_threshold < 1:
-            raise ValueError("shard_breaker_threshold must be positive")
-        if self.shard_breaker_cooldown <= 0:
-            raise ValueError("shard_breaker_cooldown must be positive")
         if self.slo_window <= 0:
             raise ValueError("slo_window must be positive")
 
@@ -166,40 +151,32 @@ class _ShardRouter:
         """Submit one sub-request per shard; gather what the healthy ones say.
 
         Returns the results by shard; the shards that could not answer
-        join :attr:`failed` (the settlement flags the answer degraded).
-        A shard whose client breaker is open is skipped outright (that
-        *is* the degraded mode); a shard that fails here feeds its breaker.
+        — refused at submit or failed while gathering — join
+        :attr:`failed` (the settlement flags the answer degraded).
         Deadline overruns, cancellations and request errors
         (:func:`~repro.server.errors.is_request_error`) are the caller's
-        problem and re-raise typed — they say nothing about shard health,
-        so every admitted-but-unsettled shard breaker is released and
-        every outstanding ticket cancelled on the way out (a leaked
-        half-open probe would leave its shard skipped for good).
+        problem and re-raise typed — they say nothing about shard
+        health — and every outstanding ticket is cancelled on the way
+        out.
         """
         shards = self._gateway._shards
-        breakers = self._gateway._shard_breakers
         started = time.monotonic()
         tickets: Dict[int, QueryTicket] = {}
         results: Dict[int, object] = {}
         try:
             for index in shard_ids:
                 budget = token.remaining()
-                # before allow(): a spent budget never reserves a probe,
-                # and a check that passes leaves ``budget`` positive
+                # a check that passes leaves ``budget`` positive
                 token.check()
-                if not breakers[index].allow():
-                    self.failed.add(index)
-                    continue
                 try:
                     tickets[index] = shards[index].submit(
                         kind, timeout=budget, **payloads[index]
                     )
                 except (Overloaded, CircuitOpen, ServiceClosed):
-                    breakers[index].on_failure()
                     self.failed.add(index)
             for index, ticket in list(tickets.items()):
                 try:
-                    results[index] = await_result(ticket.future, ticket.token)
+                    results[index] = ticket.result()
                 except Cancelled:
                     raise  # DeadlineExceeded included
                 except Exception as exc:
@@ -207,18 +184,14 @@ class _ShardRouter:
                         raise  # every healthy shard would refuse it alike
                     # WorkerLost past its attempt budget, a shard closing
                     # under us, or anything unexpected: shard-level failure
-                    breakers[index].on_failure()
                     self.failed.add(index)
-                else:
-                    breakers[index].on_success()
                 del tickets[index]
                 # submit→gather wall time, summed across sub-requests
                 elapsed = time.monotonic() - started
                 self.timings[index] = self.timings.get(index, 0.0) + elapsed
         finally:
-            for index, ticket in tickets.items():
+            for ticket in tickets.values():
                 ticket.cancel()
-                breakers[index].release()
         return results
 
     # -- search: scatter + order-preserving merge ---------------------------
@@ -299,7 +272,7 @@ class ShardedQueryService(_FrontDoor):
     deterministically and starts one supervised :class:`QueryService`
     per slice (each publishes the snapshot its fork workers attach under
     ``shard-<i>/``). The gateway routes by the plan's placement
-    (:meth:`owner_of`), merges, and keeps one client breaker per shard.
+    (:meth:`owner_of`) and merges.
     """
 
     #: what the gateway routes/merges: ``query``/``sql`` need the full
@@ -330,15 +303,6 @@ class ShardedQueryService(_FrontDoor):
         self._plan: ShardPlan = partition_store(
             warehouse.store, config.n_shards, self.model
         )
-        self._shard_breakers: List[CircuitBreaker] = [
-            CircuitBreaker(
-                f"shard-{i}",
-                threshold=config.shard_breaker_threshold,
-                cooldown=config.shard_breaker_cooldown,
-                shard=str(i),
-            )
-            for i in range(config.n_shards)
-        ]
         self._shards: List[QueryService] = [
             self._build_shard(i) for i in range(config.n_shards)
         ]
@@ -385,10 +349,6 @@ class ShardedQueryService(_FrontDoor):
         """The per-shard service (tests kill its workers and close it)."""
         return self._shards[index]
 
-    def shard_breaker(self, index: int) -> CircuitBreaker:
-        """The gateway-side client breaker guarding one shard."""
-        return self._shard_breakers[index]
-
     def owner_of(self, term: Term) -> int:
         """The shard that owns ``term``'s facts, as the partitioner
         placed them (a mapped item's whole lineage component)."""
@@ -432,7 +392,7 @@ class ShardedQueryService(_FrontDoor):
 
     def _degraded_shards(self, request, result, router) -> Optional[List[str]]:
         # one degraded response, attributed to every shard that could
-        # not answer (breaker-shed / dead) — or to the gateway itself
+        # not answer — or to the gateway itself
         # for shard-flagged partials
         if router.failed or getattr(result, "degraded", False):
             return [str(i) for i in sorted(router.failed)]
@@ -447,21 +407,16 @@ class ShardedQueryService(_FrontDoor):
         """The aggregated fleet health document.
 
         Per-shard documents are the stable ``QueryService.health``
-        schema plus the gateway's client-breaker snapshot; the overall
-        ``status`` is the worst of the shard statuses (an open client
-        breaker makes its shard — and so the fleet — ``degraded``).
+        schema; the overall ``status`` is the worst of the shard
+        statuses (a closed shard counts as ``degraded``: the gateway
+        still answers, partially).
         """
         shards: Dict[str, Dict[str, object]] = {}
         statuses: List[str] = []
         for index, service in enumerate(self._shards):
             doc = service.health()
-            breaker = self._shard_breakers[index].snapshot()
-            doc["gateway_breaker"] = breaker
-            status = doc["status"]
-            if breaker["state"] != CLOSED or status == "closed":
-                status = "degraded"
             shards[str(index)] = doc
-            statuses.append(status)
+            statuses.append("degraded" if doc["status"] == "closed" else doc["status"])
         if self._closed:
             overall = "closed"
         elif any(status == "degraded" for status in statuses):
@@ -481,9 +436,8 @@ class ShardedQueryService(_FrontDoor):
         """Tear down and rebuild one shard from its retained partition.
 
         The operations runbook's dead-shard path: close whatever is
-        left of the old service, start a fresh supervised pool over the
-        same slice, and reset the gateway breaker so traffic flows back
-        immediately (rather than waiting out the cooldown probe).
+        left of the old service and start a fresh supervised pool over
+        the same slice; the next request reaches it.
         """
         old = self._shards[index]
         try:
@@ -492,7 +446,6 @@ class ShardedQueryService(_FrontDoor):
             pass
         replacement = self._build_shard(index)
         self._shards[index] = replacement
-        self._shard_breakers[index].reset()
         get_journal().record(
             "shard-replace",
             severity="warning",
@@ -534,10 +487,6 @@ class ShardedQueryService(_FrontDoor):
         return {
             "n_shards": self.config.n_shards,
             "gateway": self.metrics.snapshot(),
-            "gateway_breakers": {
-                str(i): breaker.snapshot()
-                for i, breaker in enumerate(self._shard_breakers)
-            },
             "shards": {
                 str(i): service.metrics_snapshot()
                 for i, service in enumerate(self._shards)

@@ -4,7 +4,7 @@ A crashed or hung fork worker used to shrink the pool permanently (the
 owner thread only respawned lazily, at its *next* dequeue) and fail the
 in-flight request with an opaque pipe error. The :class:`Supervisor`
 closes that gap: a daemon thread heartbeats every worker slot each
-``heartbeat_interval`` seconds and
+:data:`HEARTBEAT_INTERVAL` seconds and
 
 * **respawns** idle workers found dead (SIGKILL, segfault, OOM-kill) —
   cheap because children re-attach the published ``.mdws`` snapshot by
@@ -14,12 +14,12 @@ closes that gap: a daemon thread heartbeats every worker slot each
   use (a worker restarted across a publish always re-attaches whatever
   generation is current *at respawn time* — never a stale pin);
 * **kills** busy workers whose progress watermark went stale past
-  ``hang_timeout`` — the owner thread's poll then observes an ordinary
-  death, maps it to :class:`~repro.server.errors.WorkerLost`, and the
-  service requeues the request onto a healthy worker;
-* **hedges** requests that have been running longer than ``hedge_after``
-  by enqueueing a duplicate — whichever execution finishes first
-  completes the caller's future, the straggler's answer is dropped.
+  :data:`HANG_TIMEOUT` — the owner thread's poll then observes an
+  ordinary death, maps it to :class:`~repro.server.errors.WorkerLost`,
+  and the service requeues the request onto a healthy worker.
+
+A request that is merely slow is left to its deadline: the evaluator's
+cooperative checks, then the caller's backstop wait.
 
 The supervisor never completes futures and never touches a busy slot's
 worker except to kill it; all request-level bookkeeping stays with the
@@ -28,12 +28,16 @@ owner threads, so the heartbeat loop adds nothing to the hot path.
 
 from __future__ import annotations
 
-import queue as _queue
 import threading
-import time
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.resilience import faults
+
+#: Seconds between two heartbeat ticks.
+HEARTBEAT_INTERVAL = 0.25
+#: Max heartbeat age of a *busy* child before it is declared hung and
+#: killed (its request requeues onto a healthy worker).
+HANG_TIMEOUT = 5.0
 
 
 class WorkerSlot:
@@ -47,39 +51,27 @@ class WorkerSlot:
     the child, but never replace it.
     """
 
-    __slots__ = ("name", "lock", "worker", "request", "busy_since")
+    __slots__ = ("name", "lock", "worker", "request")
 
     def __init__(self, name: str):
         self.name = name
         self.lock = threading.Lock()
         self.worker = None               # ForkWorker | InProcessWorker
         self.request = None              # Optional[QueryRequest]
-        self.busy_since: Optional[float] = None
 
 
 class Supervisor:
-    """Heartbeat, reap, respawn, and hedge over a service's worker slots.
+    """Heartbeat, reap and respawn over a service's worker slots.
 
-    Ticks every ``heartbeat_interval`` seconds. ``hang_timeout`` is the
-    maximum tolerated heartbeat age of a *busy* child before it is
-    declared stuck and killed; ``hedge_after`` (optional) is the
-    latency past which a still-running request gets a duplicate
-    enqueued. Both detection paths funnel into the same failover
-    machinery: the owner thread sees the death, raises ``WorkerLost``,
-    and the service requeues.
+    Ticks every :data:`HEARTBEAT_INTERVAL` seconds; a *busy* child whose
+    heartbeat is older than :data:`HANG_TIMEOUT` is declared stuck and
+    killed. A kill funnels into the ordinary failover machinery: the
+    owner thread sees the death, raises ``WorkerLost``, and the service
+    requeues.
     """
 
-    def __init__(
-        self,
-        service,
-        heartbeat_interval: float = 0.25,
-        hang_timeout: float = 5.0,
-        hedge_after: Optional[float] = None,
-    ):
+    def __init__(self, service):
         self._service = service
-        self.heartbeat_interval = heartbeat_interval
-        self.hang_timeout = hang_timeout
-        self.hedge_after = hedge_after
         self._stop = threading.Event()
         self._ticks = 0
         self._thread = threading.Thread(
@@ -113,7 +105,7 @@ class Supervisor:
                 # (a slot torn down mid-inspection during close, a
                 # registry swap in tests); next tick sees fresh state
                 pass
-            if self._stop.wait(self.heartbeat_interval):
+            if self._stop.wait(HEARTBEAT_INTERVAL):
                 break
 
     # -- the heartbeat tick ------------------------------------------------
@@ -157,29 +149,13 @@ class Supervisor:
         # dequeue (or this supervisor's next idle tick).
         if worker is None or not worker.alive:
             return  # owner's poll surfaces the death within _POLL
-        if worker.heartbeat_age() > self.hang_timeout:
+        if worker.heartbeat_age() > HANG_TIMEOUT:
             # stuck outside every cooperative check point: watermark
             # stale while a request is in flight. SIGKILL converts the
             # hang into a death the owner already knows how to survive.
             faults.fire("supervisor.respawn")
             worker.kill_child()
             service.metrics.on_worker_restart("hang")
-            return
-        if (
-            self.hedge_after is not None
-            and slot.busy_since is not None
-            and slot.request.hedges == 0
-            and not slot.request.done
-            and time.monotonic() - slot.busy_since > self.hedge_after
-        ):
-            request = slot.request
-            request.hedges += 1
-            try:
-                service._queue.put_nowait(request)
-            except _queue.Full:
-                request.hedges -= 1  # no room; try again next tick
-            else:
-                service.metrics.on_hedge()
 
     # -- introspection -----------------------------------------------------
 
@@ -209,17 +185,15 @@ class Supervisor:
             "running": self.running,
             "ticks": self._ticks,
             "restarts": metrics.restarts(),
-            "hedged": metrics.hedged(),
             "alive_children": self.alive_children(),
             "deficit": self.deficit(),
-            "heartbeat_interval": self.heartbeat_interval,
-            "hang_timeout": self.hang_timeout,
-            "hedge_after": self.hedge_after,
+            "heartbeat_interval": HEARTBEAT_INTERVAL,
+            "hang_timeout": HANG_TIMEOUT,
         }
 
     def __repr__(self) -> str:
         state = "running" if self.running else "stopped"
         return (
-            f"<Supervisor {state} interval={self.heartbeat_interval}s "
+            f"<Supervisor {state} interval={HEARTBEAT_INTERVAL}s "
             f"children={self.alive_children()}/{len(self._service._slots)}>"
         )

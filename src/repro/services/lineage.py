@@ -69,8 +69,9 @@ class LineageTrace:
     direction: str                      # "upstream" | "downstream"
     edges: List[LineageEdge] = field(default_factory=list)
     depth: Dict[Term, int] = field(default_factory=dict)
-    #: set by the query service when the trace was served while the
-    #: entailment indexes were stale (degraded mode)
+    #: set by the serving tier when the trace is partial: the owner
+    #: shard was down, or the in-process fallback answered it after the
+    #: request's worker attempts ran out
     degraded: bool = False
 
     def items(self) -> Set[Term]:

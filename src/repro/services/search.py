@@ -106,8 +106,9 @@ class SearchResults:
         #: known homonyms of the search term — the results may mix
         #: meanings ("disentangling homonyms", Section VI)
         self.homonym_warnings = list(homonym_warnings or [])
-        #: set by the query service when the answer was served while the
-        #: entailment indexes were stale: correct but possibly incomplete
+        #: set by the serving tier when the answer is partial: shards
+        #: missing from a gateway scatter, or the in-process fallback
+        #: after a request's worker attempts ran out
         self.degraded = False
 
     def __len__(self) -> int:

@@ -1,8 +1,8 @@
 """Fleet-wide observability through the sharded gateway.
 
 Cross-shard trace propagation (gateway request ⊃ per-shard request
-spans ⊃ operator spans), span grafting under
-failure (hedged losers, WorkerLost requeues), the unified gateway
+spans ⊃ operator spans), span grafting under failure (superseded
+late workers, WorkerLost requeues), the unified gateway
 slow-query log, per-shard degraded attribution, and the SLO report
 riding the fleet health document.
 """
@@ -14,8 +14,13 @@ import pytest
 from repro.core import MetadataWarehouse
 from repro.obs import get_journal, trace_scope, validate_chrome_trace
 from repro.obs.registry import get_registry
-from repro.server import ServiceConfig
-from tests.server.conftest import mint_instances, thread_service
+from repro.server import DeadlineExceeded, ServiceConfig
+from tests.server.conftest import (
+    breaker_settings,
+    mint_instances,
+    supervision_timings,
+    thread_service,
+)
 
 
 def three_shard_chain():
@@ -165,60 +170,40 @@ class TestForkShardPropagation:
 
 @pytest.mark.skipif(sys.platform == "win32", reason="fork workers are POSIX-only")
 class TestGraftingUnderFailure:
-    def test_hedged_loser_never_grafts(self, warehouse, tmp_path):
-        """The losing twin of a hedged request completes late: its
-        request span is marked hedge-lost and its child spans are
-        dropped — only the winning attempt's children graft, and the
-        exported trace stays orphan-free."""
+    def test_superseded_loser_never_grafts(self, warehouse, tmp_path):
+        """A worker that answers after the deadline backstop already
+        failed its request loses the exactly-once claim: its request
+        span is marked superseded and its child spans are dropped, and
+        the exported trace stays orphan-free."""
         from repro.resilience.faults import FaultInjector, fault_scope
 
         injector = FaultInjector()
         injector.arm("worker.hang", "delay", delay=0.8, times=1)
         config = ServiceConfig(
-            max_workers=2,
+            max_workers=1,
             worker_mode="fork",
             snapshot_dir=str(tmp_path / "snaps"),
-            supervise=True,
-            heartbeat_interval=0.05,
-            hang_timeout=10.0,
-            hedge_after=0.15,
         )
         with fault_scope(injector):
             with trace_scope() as tracer:
                 with warehouse.serve(config) as service:
-                    import time
-
-                    deadline = time.monotonic() + 5.0
-                    while (
-                        service.supervisor.alive_children()
-                        < config.max_workers
-                    ):
-                        assert time.monotonic() < deadline
-                        time.sleep(0.01)
-                    rows = service.query(
-                        "SELECT ?s ?n WHERE { ?s dm:hasName ?n }", timeout=60
-                    )
-                    assert len(rows) > 0
-                    snap = service.metrics_snapshot()
-        assert snap["hedged"] >= 1
+                    with pytest.raises(DeadlineExceeded):
+                        service.query(
+                            "SELECT ?s ?n WHERE { ?s dm:hasName ?n }", timeout=0.15
+                        )
+                    # close() drains the late worker's settlement
+                snap = service.metrics_snapshot()
+        assert snap["timeouts"] == 1 and snap["failed"] == 1
         spans = tracer.spans()
-        named = spans_by_name(tracer)
-        attempts = named["request"]
-        winners = [
-            s for s in attempts if s.attrs.get("outcome") != "hedge-lost"
-        ]
-        losers = [
-            s for s in attempts if s.attrs.get("outcome") == "hedge-lost"
-        ]
-        assert len(winners) == 1 and len(losers) >= 1
-        # exactly one dispatch, grafted under the winner; losers childless
-        (dispatch,) = named["fork-dispatch"]
-        assert dispatch.parent_id == winners[0].span_id
-        for loser in losers:
-            assert children_of(spans, loser) == []
+        (loser,) = spans_by_name(tracer)["request"]
+        assert loser.attrs["outcome"] == "superseded"
+        assert children_of(spans, loser) == []
+        assert "fork-dispatch" not in spans_by_name(tracer)
         validate_chrome_trace(tracer.to_chrome())
 
-    def test_worker_lost_requeue_leaves_no_orphans(self, warehouse, tmp_path):
+    def test_worker_lost_requeue_leaves_no_orphans(
+        self, warehouse, tmp_path, monkeypatch
+    ):
         """Every attempt lands on a worker that dies mid-request: the
         dead children never ship spans, the in-process fallback's spans
         graft under the winning attempt, and the trace validates."""
@@ -226,13 +211,12 @@ class TestGraftingUnderFailure:
 
         injector = FaultInjector()
         injector.arm("worker.crash", "raise", times=1)
+        supervision_timings(monkeypatch)
         config = ServiceConfig(
             max_workers=1,
             worker_mode="fork",
             snapshot_dir=str(tmp_path / "snaps"),
             supervise=True,
-            heartbeat_interval=0.1,
-            max_attempts=3,
         )
         with fault_scope(injector):
             with trace_scope() as tracer:
@@ -290,7 +274,6 @@ class TestUnifiedSlowQueryLog:
             mdw,
             n_shards=3,
             slow_query_threshold=1e-9,
-            shard_breaker_threshold=1,
         ) as svc:
             owner = svc.owner_of(items[0])
             svc.shard_service(owner).close()
@@ -337,7 +320,6 @@ class TestDegradedAttribution:
             mdw,
             n_shards=3,
             name="degraded-attr-test",
-            shard_breaker_threshold=1,
         ) as svc:
             svc.shard_service(1).close()
             got = svc.search("n0", regex=True)
@@ -366,9 +348,7 @@ class TestDegradedAttribution:
         gateway's own shard label)."""
         mdw, _items, _names = three_shard_chain()
         name = "degraded-once-test"
-        with thread_service(
-            mdw, n_shards=3, name=name, shard_breaker_threshold=1
-        ) as svc:
+        with thread_service(mdw, n_shards=3, name=name) as svc:
             svc.shard_service(1).close()
             svc.shard_service(2).close()
             for _ in range(10):
@@ -418,28 +398,36 @@ class TestFleetSloAndJournal:
             for row in report["slos"]
         )
 
-    def test_shard_replace_and_breaker_reach_the_journal(self):
+    def test_shard_replace_and_breaker_reach_the_journal(self, monkeypatch):
+        from repro.server import WorkerLost
+
         mdw, _items, _names = three_shard_chain()
         journal = get_journal()
         before = len(journal.events(kind="shard-replace"))
-        with thread_service(
-            mdw,
-            n_shards=2,
-            name="journal-test",
-            shard_breaker_threshold=1,
-        ) as svc:
-            svc.shard_service(0).close()
-            svc.search("n0", regex=True)  # opens the client breaker
+
+        def search_opens():
+            return [
+                e
+                for e in journal.events(kind="breaker", shard="0")
+                if e.attrs.get("breaker") == "search" and e.attrs.get("to") == "open"
+            ]
+
+        opens_before = len(search_opens())
+        breaker_settings(monkeypatch, threshold=1)
+        with thread_service(mdw, n_shards=2, name="journal-test") as svc:
+
+            def die(request, extras_sink):
+                raise WorkerLost(request.request_id, exitcode=-9)
+
+            monkeypatch.setattr(svc.shard_service(0)._inline, "run", die)
+            # shard 0's search endpoint fails once: its breaker opens
+            assert svc.search("n0", regex=True).degraded
             svc.replace_shard(0)
         replaces = journal.events(kind="shard-replace", service="journal-test")
         assert len(journal.events(kind="shard-replace")) > before
         assert replaces and replaces[-1].shard == "0"
-        breaker_events = [
-            e
-            for e in journal.events(kind="breaker")
-            if e.attrs.get("breaker") == "shard-0" and e.attrs.get("to") == "open"
-        ]
-        assert breaker_events and breaker_events[-1].severity == "warning"
+        opens = search_opens()
+        assert len(opens) > opens_before and opens[-1].severity == "warning"
 
     def test_rebalance_reaches_the_journal(self):
         mdw, _items, _names = three_shard_chain()

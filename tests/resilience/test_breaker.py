@@ -120,11 +120,3 @@ class TestHalfOpenState:
         assert breaker.allow()
         assert breaker.allow()
         assert not breaker.allow()
-
-
-class TestOperatorOverride:
-    def test_reset_force_closes(self, clock):
-        breaker = tripped(clock)
-        breaker.reset()
-        assert breaker.state == CLOSED
-        assert breaker.allow()

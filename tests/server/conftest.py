@@ -6,7 +6,7 @@ import signal
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.server import ShardedConfig, ShardedQueryService
+from repro.server import ShardedConfig, ShardedQueryService, service, supervisor
 from repro.server.service import dispatch
 from repro.storage import shard_of
 
@@ -26,6 +26,19 @@ def canonical(kind, result):
     if kind == "search":
         return [(h.instance, h.name, h.all_classes) for h in result.hits]
     return [(e.source, e.target, e.rule, e.condition) for e in result.edges]
+
+
+def supervision_timings(monkeypatch, heartbeat=0.1, hang=5.0):
+    """Set the supervisor's tick and hang limit for one test; returns the tick."""
+    monkeypatch.setattr(supervisor, "HEARTBEAT_INTERVAL", heartbeat)
+    monkeypatch.setattr(supervisor, "HANG_TIMEOUT", hang)
+    return heartbeat
+
+
+def breaker_settings(monkeypatch, threshold, cooldown=service.BREAKER_COOLDOWN):
+    """Set the endpoint breakers' threshold and cooldown for one test."""
+    monkeypatch.setattr(service, "BREAKER_THRESHOLD", threshold)
+    monkeypatch.setattr(service, "BREAKER_COOLDOWN", cooldown)
 
 
 def thread_service(mdw, **overrides):

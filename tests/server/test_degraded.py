@@ -1,4 +1,4 @@
-"""Degraded-mode serving: circuit breakers, health, stale-index flagging."""
+"""Degraded-mode serving: circuit breakers, health, the degraded flag."""
 
 import time
 
@@ -8,9 +8,12 @@ from repro.core.vocabulary import TERMS
 from repro.resilience import FaultInjector
 from repro.resilience.faults import fault_scope
 from repro.server import CircuitOpen, QueryService, ServiceConfig
+from repro.server import service as service_module
 from repro.server.service import dispatch
 from repro.services.search import SearchFilters
 from repro.synth import LandscapeConfig, generate_landscape
+
+from .conftest import breaker_settings, canonical
 
 
 @pytest.fixture()
@@ -18,6 +21,11 @@ def warehouse():
     mdw = generate_landscape(LandscapeConfig.tiny(seed=11)).warehouse
     mdw.build_entailment_index("OWLPRIME")
     return mdw
+
+
+def trip(breaker):
+    for _ in range(breaker.threshold):
+        breaker.on_failure()
 
 
 def service_of(warehouse, **overrides):
@@ -57,36 +65,36 @@ class TestHealth:
             assert health["stale_indexes"] == ["OWLPRIME"]
 
     def test_open_breaker_degrades_health(self, warehouse):
-        with service_of(warehouse, breaker_threshold=1) as service:
-            service.breaker("search").on_failure()  # trips at threshold 1
+        with service_of(warehouse) as service:
+            trip(service.breaker("search"))
             health = service.health()
             assert health["status"] == "degraded"
             assert health["endpoints"]["search"]["breaker"]["state"] == "open"
 
 
 class TestDegradedResults:
-    def test_search_flagged_when_indexes_stale(self, warehouse):
-        injector = FaultInjector()
-        injector.arm("index.staleness", "corrupt", value=True)
-        with service_of(warehouse) as service:
-            assert service.search("a", regex=True).degraded is False
-            with fault_scope(injector):
-                results = service.search("a", regex=True)
-            assert results.degraded is True
-            assert service.metrics_snapshot()["degraded_responses"] >= 1
+    """``degraded=True`` marks a partial answer. Search and lineage read
+    the base model only, so an index lagging it leaves them exact."""
 
-    def test_lineage_flagged_when_indexes_stale(self, warehouse):
-        from repro.core import TERMS
-
-        start = next(
-            iter(warehouse.graph.triples(None, TERMS.is_mapped_to, None))
-        ).subject
-        injector = FaultInjector()
-        injector.arm("index.staleness", "corrupt", value=True)
+    def assert_exact_while_stale(self, warehouse, kind, payload):
+        warehouse.facts.add_instance("zz_late", warehouse.schema.declare_class("Column"))
         with service_of(warehouse) as service:
-            with fault_scope(injector):
-                trace = service.lineage(start)
-            assert trace.degraded is True
+            answer = service.execute(kind, **payload)
+            health = service.health()
+            degraded = service.metrics_snapshot()["degraded_responses"]
+        want = dispatch(warehouse, kind, dict(payload))
+        assert canonical(kind, answer) == canonical(kind, want)
+        assert answer.degraded is False and degraded == 0
+        assert health["stale_indexes"] == ["OWLPRIME"] and health["status"] == "degraded"
+        return answer
+
+    def test_search_exact_when_indexes_stale(self, warehouse):
+        self.assert_exact_while_stale(warehouse, "search", {"term": "a", "regex": True})
+
+    def test_lineage_exact_when_indexes_stale(self, warehouse):
+        mapped = next(iter(warehouse.graph.triples(None, TERMS.is_mapped_to, None)))
+        trace = self.assert_exact_while_stale(warehouse, "lineage", {"item": mapped.object})
+        assert trace.edges
 
     def test_query_results_never_carry_the_flag(self, warehouse):
         # SPARQL answers are exact over whatever view was requested;
@@ -103,9 +111,9 @@ class TestCircuitBreaker:
     def test_fault_storm_trips_the_breaker(self, warehouse):
         injector = FaultInjector()
         injector.arm("worker.execute", "raise")
-        with service_of(warehouse, breaker_threshold=3, breaker_cooldown=60.0) as service:
+        with service_of(warehouse) as service:
             with fault_scope(injector):
-                for _ in range(3):
+                for _ in range(service_module.BREAKER_THRESHOLD):
                     ticket = service.submit("search", term="a", regex=True)
                     with pytest.raises(Exception):
                         ticket.result(timeout=5)
@@ -125,19 +133,18 @@ class TestCircuitBreaker:
             assert service.health()["endpoints"]["search"]["breaker"]["state"] == "open"
 
     def test_other_endpoints_unaffected_by_one_open_breaker(self, warehouse):
-        with service_of(warehouse, breaker_threshold=1) as service:
-            service.breaker("search").on_failure()
+        with service_of(warehouse) as service:
+            trip(service.breaker("search"))
             with pytest.raises(CircuitOpen):
                 service.submit("search", term="a")
             rows = service.query("SELECT ?s WHERE { ?s dm:hasName ?n }")
             assert len(rows) > 0
 
-    def test_half_open_probe_recovers_the_endpoint(self, warehouse):
+    def test_half_open_probe_recovers_the_endpoint(self, warehouse, monkeypatch):
         injector = FaultInjector()
         injector.arm("worker.execute", "raise", times=2)
-        with service_of(
-            warehouse, max_workers=1, breaker_threshold=2, breaker_cooldown=0.05
-        ) as service:
+        breaker_settings(monkeypatch, threshold=2, cooldown=0.05)
+        with service_of(warehouse, max_workers=1) as service:
             with fault_scope(injector):
                 for _ in range(2):
                     ticket = service.submit("search", term="a", regex=True)
@@ -150,13 +157,12 @@ class TestCircuitBreaker:
             assert len(results) >= 0
             assert service.health()["endpoints"]["search"]["breaker"]["state"] == "closed"
 
-    def test_invalid_timeout_leaves_the_half_open_probe(self, warehouse):
+    def test_invalid_timeout_leaves_the_half_open_probe(self, warehouse, monkeypatch):
         """An invalid timeout fails admission before the breaker reserves
-        its half-open probe; the probe used to leak, shedding the
-        endpoint with CircuitOpen until an operator reset()."""
-        with service_of(
-            warehouse, breaker_threshold=1, breaker_cooldown=0.05
-        ) as service:
+        its half-open probe; a leaked probe would shed the endpoint with
+        CircuitOpen for good."""
+        breaker_settings(monkeypatch, threshold=1, cooldown=0.05)
+        with service_of(warehouse) as service:
             service.breaker("search").on_failure()
             time.sleep(0.1)
             with pytest.raises(ValueError):
@@ -165,26 +171,18 @@ class TestCircuitBreaker:
             assert service.breaker("search").snapshot()["state"] == "closed"
 
     def test_user_errors_do_not_trip_the_breaker(self, warehouse):
-        with service_of(warehouse, breaker_threshold=2) as service:
-            for _ in range(5):
+        with service_of(warehouse) as service:
+            for _ in range(service_module.BREAKER_THRESHOLD):
                 with pytest.raises(Exception):
                     service.lineage("no-such-item-anywhere")
             assert service.health()["endpoints"]["lineage"]["breaker"]["state"] == "closed"
 
     def test_update_breaker_guards_the_write_path(self, warehouse):
-        with service_of(warehouse, breaker_threshold=1) as service:
-            service.breaker("update").on_failure()
+        with service_of(warehouse) as service:
+            trip(service.breaker("update"))
             with pytest.raises(CircuitOpen) as err:
                 service.update("DELETE WHERE { ?s ?p ?o }")
             assert err.value.kind == "update"
-
-    def test_operator_reset_reopens_the_endpoint(self, warehouse):
-        with service_of(warehouse, breaker_threshold=1) as service:
-            service.breaker("search").on_failure()
-            with pytest.raises(CircuitOpen):
-                service.submit("search", term="a")
-            service.breaker("search").reset()
-            assert len(service.search("a", regex=True)) >= 0
 
 
 SQL_TEMPLATE = """
@@ -230,11 +228,8 @@ class TestRequestErrors:
         bad, good = request_pair(warehouse, kind)
         with pytest.raises(Exception) as direct:
             dispatch(warehouse, kind, bad)
-        with service_of(
-            warehouse, worker_mode=worker_mode, breaker_threshold=3,
-            breaker_cooldown=60.0,
-        ) as service:
-            for _ in range(3):
+        with service_of(warehouse, worker_mode=worker_mode) as service:
+            for _ in range(service_module.BREAKER_THRESHOLD):
                 with pytest.raises(Exception) as served:
                     service.execute(kind, **bad)
                 assert type(served.value) is type(direct.value)
@@ -243,8 +238,8 @@ class TestRequestErrors:
 
 
 class TestConfigValidation:
-    def test_breaker_knobs_validated(self, warehouse):
-        with pytest.raises(ValueError):
-            ServiceConfig(breaker_threshold=0)
-        with pytest.raises(ValueError):
-            ServiceConfig(breaker_cooldown=0.0)
+    def test_breaker_knobs_validated(self):
+        # module constants (service.BREAKER_*), not config fields
+        for retired in ("breaker_threshold", "breaker_cooldown"):
+            with pytest.raises(TypeError):
+                ServiceConfig(**{retired: 1})

@@ -129,10 +129,15 @@ class TestAdmissionControl:
             blocker = svc.submit("query", text=HOG_QUERY, timeout=20)
             # admitted behind the hog with a deadline shorter than the
             # hog's runtime: must fail queue-expired, not run to completion
+            started = time.monotonic()
             starved = svc.submit("query", text=NAMES_QUERY, timeout=0.05)
             with pytest.raises(DeadlineExceeded):
                 starved.result(timeout=30)
+            waited = time.monotonic() - started
             blocker.cancel()
+            # the execute() backstop (budget * 1.2 + 50 ms) plus 0.2 s slack
+            assert waited <= 0.05 * 1.2 + 0.05 + 0.2, f"waited {waited:.3f}s"
+            assert svc.metrics.snapshot()["timeouts"] == 1
         finally:
             svc.close(wait=False)
 

@@ -1,4 +1,4 @@
-"""The self-healing worker fleet: supervision, failover, and hedging.
+"""The self-healing worker fleet: supervision and failover.
 
 Crash and hang faults are armed on the *ambient* injector before the
 service spawns its fork workers — children inherit the injector state
@@ -16,10 +16,10 @@ import time
 import pytest
 
 from repro.resilience.faults import FaultInjector, fault_scope
-from repro.server import ServiceConfig, WorkerLost
+from repro.server import ServiceConfig, WorkerLost, service as service_module
 from repro.synth import make_service_workload
 
-from .conftest import direct_answers, kill_storm, wait_for
+from .conftest import breaker_settings, direct_answers, kill_storm, supervision_timings, wait_for
 
 pytestmark = pytest.mark.skipif(
     sys.platform.startswith("win"), reason="fork start method required"
@@ -37,14 +37,18 @@ def warehouse():
     return land.warehouse
 
 
+@pytest.fixture(autouse=True)
+def heartbeat(monkeypatch):
+    """A 0.1 s supervisor tick unless a test sets its own."""
+    return supervision_timings(monkeypatch)
+
+
 def _supervised_config(tmp_path, **overrides) -> ServiceConfig:
     settings = dict(
         max_workers=2,
         worker_mode="fork",
         snapshot_dir=str(tmp_path / "snaps"),
         supervise=True,
-        heartbeat_interval=0.1,
-        hang_timeout=5.0,
     )
     settings.update(overrides)
     return ServiceConfig(**settings)
@@ -59,7 +63,7 @@ def _wait_full_pool(service, timeout=5.0):
 
 class TestRespawn:
     def test_killed_idle_worker_respawns_within_three_heartbeats(
-        self, warehouse, tmp_path
+        self, warehouse, tmp_path, heartbeat
     ):
         config = _supervised_config(tmp_path)
         with warehouse.serve(config) as service:
@@ -71,7 +75,7 @@ class TestRespawn:
             while victim in service.supervisor.worker_pids():
                 assert time.monotonic() < deadline, "kill never registered"
                 time.sleep(0.002)
-            deadline = time.monotonic() + 3 * config.heartbeat_interval
+            deadline = time.monotonic() + 3 * heartbeat
             while service.supervisor.deficit() > 0:
                 assert time.monotonic() < deadline, (
                     "pool not back at size within 3 heartbeat intervals"
@@ -84,14 +88,15 @@ class TestRespawn:
             # and the fleet still answers
             assert len(service.query(PROBE)) > 0
 
-    def test_lazy_respawn_at_dequeue_shows_in_health(self, warehouse, tmp_path):
+    def test_lazy_respawn_at_dequeue_shows_in_health(
+        self, warehouse, tmp_path, monkeypatch
+    ):
         """The owner thread replaces a dead child itself when a request
         arrives before the next heartbeat; that restart is the same
         number in the metrics, the health document and the supervisor."""
         # one immediate tick fills the pool, then the supervisor sleeps
-        config = _supervised_config(
-            tmp_path, max_workers=1, heartbeat_interval=30.0, hang_timeout=60.0
-        )
+        supervision_timings(monkeypatch, heartbeat=30.0, hang=60.0)
+        config = _supervised_config(tmp_path, max_workers=1)
         with warehouse.serve(config) as service:
             _wait_full_pool(service)
             (victim,) = service.worker_pids()
@@ -130,27 +135,23 @@ class TestRespawn:
 
 
 class TestKillUnderLoad:
-    def test_kill_storm_loses_no_request(self, warehouse, tmp_path):
+    def test_kill_storm_loses_no_request(self, warehouse, tmp_path, monkeypatch):
         """Workers are SIGKILLed while three clients drive a Listing 1/2
         mix: no request fails, every answer equals a direct dispatch,
         and the pool is back at full strength within three heartbeats."""
         ops = make_service_workload(warehouse, n_ops=60, seed=7)
+        heartbeat = supervision_timings(monkeypatch, heartbeat=0.2, hang=2.0)
+        monkeypatch.setattr(service_module, "MAX_ATTEMPTS", 4)
+        breaker_settings(monkeypatch, threshold=10_000)  # not under test here
         config = _supervised_config(
-            tmp_path,
-            max_workers=4,
-            max_queue=len(ops) + 32,
-            heartbeat_interval=0.2,
-            hang_timeout=2.0,
-            hedge_after=0.8,
-            max_attempts=4,
-            breaker_threshold=10_000,  # the breakers are not under test here
+            tmp_path, max_workers=4, max_queue=len(ops) + 32
         )
         with warehouse.serve(config) as service:
             _wait_full_pool(service)
             landed, got = kill_storm(service, service, ops)
             wait_for(
                 lambda: service.supervisor.deficit() == 0,
-                3 * config.heartbeat_interval,
+                3 * heartbeat,
                 "pool not back at size within 3 heartbeat intervals",
             )
             snap = service.metrics_snapshot()
@@ -168,9 +169,7 @@ class TestFailover:
         fallback answers it — degraded, but correct and never lost."""
         injector = FaultInjector()
         injector.arm("worker.crash", "raise", times=1)
-        config = _supervised_config(
-            tmp_path, max_workers=1, max_attempts=3
-        )
+        config = _supervised_config(tmp_path, max_workers=1)
         with fault_scope(injector):
             with warehouse.serve(config) as service:
                 rows = service.query(PROBE, timeout=60)
@@ -183,19 +182,15 @@ class TestFailover:
         assert snap["failed"] == 0
 
     def test_hung_worker_is_killed_and_request_recovers(
-        self, warehouse, tmp_path
+        self, warehouse, tmp_path, monkeypatch
     ):
         """A stuck child (stale progress watermark) is SIGKILLed by the
         supervisor; the owner sees an ordinary death and fails over."""
         injector = FaultInjector()
         injector.arm("worker.hang", "delay", delay=30.0, times=1)
-        config = _supervised_config(
-            tmp_path,
-            max_workers=1,
-            max_attempts=2,
-            heartbeat_interval=0.1,
-            hang_timeout=0.4,
-        )
+        supervision_timings(monkeypatch, heartbeat=0.1, hang=0.4)
+        monkeypatch.setattr(service_module, "MAX_ATTEMPTS", 2)
+        config = _supervised_config(tmp_path, max_workers=1)
         with fault_scope(injector):
             with warehouse.serve(config) as service:
                 start = time.monotonic()
@@ -209,27 +204,6 @@ class TestFailover:
         assert snap["worker_restarts"].get("hang", 0) >= 2
         assert snap["worker_lost"] == 2
         assert snap["requeued"] == 1
-
-    def test_lagging_request_is_hedged(self, warehouse, tmp_path):
-        """A slow (but alive) worker gets its request duplicated; the
-        first completion wins and the caller never sees the straggler."""
-        injector = FaultInjector()
-        injector.arm("worker.hang", "delay", delay=0.8, times=1)
-        config = _supervised_config(
-            tmp_path,
-            max_workers=2,
-            heartbeat_interval=0.05,
-            hang_timeout=10.0,
-            hedge_after=0.15,
-        )
-        with fault_scope(injector):
-            with warehouse.serve(config) as service:
-                _wait_full_pool(service)
-                rows = service.query(PROBE, timeout=60)
-                assert len(rows) > 0
-                snap = service.metrics_snapshot()
-        assert snap["hedged"] >= 1
-        assert snap["completed"] == 1
 
 
 class TestWorkerLostTyping:
@@ -268,11 +242,12 @@ class TestWorkerLostTyping:
 
 class TestGenerationCatchUp:
     def test_restart_across_publish_serves_new_generation(
-        self, warehouse, tmp_path
+        self, warehouse, tmp_path, monkeypatch
     ):
         """A worker restarted across a snapshot publish re-attaches the
         generation current at respawn time — never a stale pin."""
-        config = _supervised_config(tmp_path, heartbeat_interval=0.05)
+        supervision_timings(monkeypatch, heartbeat=0.05)
+        config = _supervised_config(tmp_path)
         with warehouse.serve(config) as service:
             _wait_full_pool(service)
             victim = service.supervisor.worker_pids()[0]

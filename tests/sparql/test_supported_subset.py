@@ -62,7 +62,6 @@ def fork_service(warehouse, tmp_path_factory):
         worker_mode="fork",
         snapshot_dir=str(tmp_path_factory.mktemp("snaps")),
         supervise=True,
-        heartbeat_interval=0.1,
     )
     with warehouse.serve(config) as service:
         deadline = time.monotonic() + 5.0

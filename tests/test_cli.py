@@ -1,5 +1,8 @@
 """Integration tests for the repro-mdw command line."""
 
+import io
+import sys
+
 import pytest
 
 from repro.cli import main
@@ -347,6 +350,46 @@ class TestSnapshotFiles:
     def test_attach_missing_file_errors(self, tmp_path, capsys):
         assert main(["snapshot", "attach", str(tmp_path / "nope.mdws")]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestServe:
+    """``serve`` runs blank-line-separated statements from stdin through
+    the query service, then prints its metrics and a health line."""
+
+    NAMES = "SELECT ?s ?n WHERE { ?s dm:hasName ?n }"
+    HOG = "SELECT * WHERE { ?a dm:hasName ?x . ?b dm:hasName ?y . ?c dm:hasName ?z }"
+
+    def serve(self, monkeypatch, store_dir, statements, *options):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("\n\n".join(statements)))
+        return main(["serve", str(store_dir), *options])
+
+    def test_thread_mode_answers_two_statements(self, store_dir, monkeypatch, capsys):
+        assert self.serve(monkeypatch, store_dir, [self.NAMES, TestSql.SQL]) == 0
+        out = capsys.readouterr().out
+        assert "-- statement 1 (query, " in out and "-- statement 2 (sql, " in out
+        assert out.rstrip().endswith("health: healthy")
+
+    @pytest.mark.skipif(sys.platform.startswith("win"), reason="fork start method required")
+    def test_supervised_fork_mode_reports_its_workers(self, store_dir, monkeypatch, capsys):
+        options = ("--mode", "fork", "--supervise", "--workers", "2")
+        assert self.serve(monkeypatch, store_dir, [self.NAMES], *options) == 0
+        assert capsys.readouterr().out.rstrip().endswith(
+            "health: healthy (supervisor: 2 worker(s) live, 0 restart(s))"
+        )
+
+    def test_missed_deadline_exits_2(self, store_dir, monkeypatch, capsys):
+        assert self.serve(monkeypatch, store_dir, [self.HOG], "--timeout", "0.05") == 2
+        captured = capsys.readouterr()
+        assert "-- statement 1: DeadlineExceeded" in captured.out
+        assert "1 of 1 statement(s) failed" in captured.err
+
+    @pytest.mark.parametrize("command", ["serve", "workload"])
+    def test_supervise_without_fork_is_a_clean_error(
+        self, command, store_dir, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(self.NAMES))
+        assert main([command, str(store_dir), "--supervise"]) == 2
+        assert "supervise requires worker_mode='fork'" in capsys.readouterr().err
 
 
 class TestEvents:
