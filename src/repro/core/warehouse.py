@@ -152,13 +152,8 @@ class MetadataWarehouse:
         rendered += (
             f"\nPLAN CACHE entry generation={plan.generation!r} "
             f"(hits={stats['plan_hits']} misses={stats['plan_misses']} "
-            f"entries={stats['plan_entries']} replans={stats['replans']})"
+            f"entries={stats['plan_entries']})"
         )
-        if plan.replan_round:
-            rendered += (
-                f"\n  re-costed {plan.replan_round} time(s); worst estimate "
-                f"error seen {plan.max_error():.1f}x"
-            )
         if analyze:
             from repro.obs.profile import profile_scope
 

@@ -8,7 +8,7 @@ them against declarative :class:`SLOTarget`\\ s, and exports the
 error-budget arithmetic as ``mdw_slo_*`` gauge families. The
 :class:`EventJournal` is a bounded, thread/fork-safe ring of structured
 operational events — breaker transitions, worker restarts, shard
-replacement, planner replans, SLO burn alerts — each with service,
+replacement and rebalancing, SLO burn alerts — each with service,
 shard, and request-id attribution, drainable as JSON lines.
 
 Both are pull-based: no background threads, no timers. ``tick()`` /

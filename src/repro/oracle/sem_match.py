@@ -89,7 +89,8 @@ def sem_match(
         if eq_hints:
             parsed = plan_cache.parse(query_text, nsm=nsm)
             bindings = _pushdown_bindings(parsed, eq_hints)
-        return plan_cache.execute(view, query_text, nsm=nsm, bindings=bindings)
+        plan = plan_cache.prepare(view, query_text, nsm=nsm)
+        return evaluate(view, plan.query, initial_bindings=bindings, plan=plan)
 
     query = parse_query(query_text, nsm=nsm)
     bindings = _pushdown_bindings(query, eq_hints) if eq_hints else None

@@ -199,8 +199,8 @@ class StatsCatalog:
     def state(self) -> Tuple[Tuple[int, int, int], ...]:
         """Freshness fingerprint after :meth:`ensure_fresh`: a monotonic
         catalog serial plus the refresh and churn counters. Any change
-        that could alter an answer changes it — plan memos and merged
-        statistics key on it."""
+        that could alter an answer changes it — merged statistics key
+        on it."""
         self.ensure_fresh()
         return ((self._serial, self.refreshes, self._churn),)
 

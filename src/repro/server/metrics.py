@@ -319,9 +319,6 @@ class ServiceMetrics:
             )
         if "plan_cache_hit_rate" in snap:
             lines.append(f"  plan cache hit rate: {snap['plan_cache_hit_rate']:.1%}")
-            replans = snap["plan_cache"].get("replans", 0)
-            if replans:
-                lines.append(f"  plans re-costed on estimate drift: {replans}")
         slow = self.slow_queries.entries()
         if slow:
             lines.append(f"  slow queries ({len(slow)} retained):")

@@ -65,12 +65,7 @@ from repro.sparql.explain import explain
 from repro.sparql.plancache import PlanCache, PreparedQuery
 from repro.sparql.update import UpdateResult, execute_update, parse_update
 from repro.sparql.results import Row, SolutionSequence
-from repro.sparql.planner import (
-    BGPPlan,
-    order_patterns,
-    pattern_selectivity,
-    plan_bgp,
-)
+from repro.sparql.planner import BGPPlan, order_patterns, plan_bgp
 
 
 def execute(graph, query_text, nsm=None, bindings=None, plan_cache=None):
@@ -85,7 +80,8 @@ def execute(graph, query_text, nsm=None, bindings=None, plan_cache=None):
     and join orders across calls.
     """
     if plan_cache is not None:
-        return plan_cache.execute(graph, query_text, nsm=nsm, bindings=bindings)
+        plan = plan_cache.prepare(graph, query_text, nsm=nsm)
+        return evaluate(graph, plan.query, initial_bindings=bindings, plan=plan)
     query = parse_query(query_text, nsm=nsm)
     return evaluate(graph, query, initial_bindings=bindings)
 
@@ -133,7 +129,6 @@ __all__ = [
     "parse_update",
     "order_patterns",
     "parse_query",
-    "pattern_selectivity",
     "plan_bgp",
     "tokenize",
 ]

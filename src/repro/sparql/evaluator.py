@@ -41,7 +41,8 @@ from repro.sparql.algebra import (
 from repro.sparql.cancel import checked_iter, current_cancel
 from repro.sparql.errors import ExpressionError, SparqlEvalError
 from repro.sparql.expressions import effective_boolean_value
-from repro.sparql.planner import HASH_MIN_ROWS, PROBE_COST, plan_bgp
+from repro.sparql.plancache import PreparedQuery
+from repro.sparql.planner import HASH_MIN_ROWS, PROBE_COST
 from repro.sparql.results import Row, SolutionSequence
 
 Binding = Dict[str, Term]
@@ -56,10 +57,12 @@ def evaluate(
     """Evaluate ``query`` against ``graph``.
 
     Returns a :class:`SolutionSequence` for SELECT and ``bool`` for ASK.
-    ``plan`` is an optional
-    :class:`~repro.sparql.plancache.PreparedQuery` whose cached join
-    orders are reused instead of re-planning.
+    ``plan`` is the :class:`~repro.sparql.plancache.PreparedQuery` whose
+    join orders are used; without one, a fresh one plans each (BGP,
+    bound set) once for this evaluation.
     """
+    if plan is None:
+        plan = PreparedQuery(None, query, graph.generation)
     initial = dict(initial_bindings or {})
     with span("plan", "sparql", query=type(query).__name__):
         if isinstance(query, SelectQuery):
@@ -80,9 +83,10 @@ def eval_pattern(
     graph,
     pattern: Pattern,
     binding: Binding,
-    plan=None,
+    plan: PreparedQuery,
 ) -> Iterator[Binding]:
-    """Yield solution bindings for ``pattern`` extending ``binding``."""
+    """Yield solution bindings for ``pattern`` extending ``binding``,
+    with the BGP plans ``plan`` holds."""
     if isinstance(pattern, BGP):
         yield from _eval_bgp(graph, pattern, binding, plan)
     elif isinstance(pattern, Join):
@@ -143,20 +147,17 @@ def _test(condition, binding: Binding) -> bool:
         return False
 
 
-def _eval_bgp(graph, bgp: BGP, binding: Binding, plan=None) -> Iterator[Binding]:
+def _eval_bgp(graph, bgp: BGP, binding: Binding, plan) -> Iterator[Binding]:
     patterns = bgp.patterns
     paths = bgp.paths
     if not patterns and not paths:
         yield dict(binding)
         return
     # variables bound by the caller (initial bindings, enclosing joins)
-    # seed the planner's probe estimates; the plan memo is keyed on the
-    # bound-name set, which is stable across rows of one template
+    # seed the planner's probe estimates; the prepared query keeps one
+    # plan per bound-name set, which is stable across rows of one template
     bound_names = frozenset(binding) if binding else frozenset()
-    if plan is not None:
-        bgp_plan = plan.bgp_plan(graph, bgp, bound_names)
-    else:
-        bgp_plan = plan_bgp(graph, list(patterns), bound=bound_names)
+    bgp_plan = plan.bgp_plan(graph, bgp, bound_names)
 
     prof = current_profile()
     if prof is not None:
@@ -272,11 +273,11 @@ def _run_id_pipeline(
     None); per-stage operator statistics and spans are recorded only
     when profiling or tracing is on.
 
-    Each stage follows ``bgp_plan``'s hash/bind pricing (re-checked
-    against the actual intermediate row count), and the actual per-stage
-    row counts are fed back via
-    :meth:`~repro.sparql.planner.BGPPlan.observe` — always, not just
-    under profiling, because the re-costing loop depends on them.
+    Each stage follows ``bgp_plan``'s hash/bind pricing, re-checked
+    against the exact intermediate row count (:func:`_pick_hash_join`):
+    that re-check is where a mis-estimated upstream cardinality is
+    absorbed. Under profiling each operator records its estimate beside
+    its actual rows, which EXPLAIN ANALYZE prints.
     """
     pattern_vars = set()
     for pat in bgp_plan.order:
@@ -302,7 +303,6 @@ def _run_id_pipeline(
     if prof is not None and slots:
         prof.count("dict_lookups", len(slots))
 
-    actuals: List[Tuple[int, int]] = []
     token = current_cancel()
     rows: List[IdRow] = [tuple(initial)]
     instrumented = prof is not None or tracing()
@@ -311,10 +311,10 @@ def _run_id_pipeline(
             token.check()
             if prof is not None:
                 prof.count("cancel_checks")
-        rows_in = len(rows)
         if not instrumented:
             rows, _ = _join_stage(graph, dictionary, rows, slots, estimate)
         else:
+            rows_in = len(rows)
             detail = estimate.detail
             if prof is not None:
                 consts = sum(
@@ -334,11 +334,8 @@ def _run_id_pipeline(
                     seconds=perf_counter() - started,
                     est_rows_out=estimate.rows_out,
                 )
-        actuals.append((rows_in, len(rows)))
         if not rows:
             break
-    if actuals:
-        bgp_plan.observe(actuals)
     return slots, rows, extras
 
 

@@ -1,10 +1,11 @@
 """Query plans: EXPLAIN for the SPARQL engine.
 
 :func:`explain` renders the evaluation plan of a query against a graph —
-the algebra tree, the join order the selectivity planner chose for each
-BGP, and the index-based cardinality estimate per triple pattern. The
-output is what a DBA would read before letting a new meta-data query
-loose on the warehouse.
+the algebra tree, the join order the cost-based planner chose for each
+BGP, and the cardinality estimate per triple pattern. The right side of
+a join or OPTIONAL is planned with the left side's variables bound, as
+the evaluator plans it per left row. The output is what a DBA would read
+before letting a new meta-data query loose on the warehouse.
 """
 
 from __future__ import annotations
@@ -40,9 +41,8 @@ def explain(
     """Render the evaluation plan of ``query`` (text or algebra) against
     ``graph``. ``plan`` is the
     :class:`~repro.sparql.plancache.PreparedQuery` the caller will run;
-    when given, its query tree and its BGP plans (re-cost corrections
-    included) are rendered, so the output is the plan that executes
-    rather than a fresh one.
+    when given, its query tree and its BGP plans are rendered, so the
+    output is the plan that executes rather than a fresh one.
 
     ``profile`` optionally attaches a collected
     :class:`~repro.obs.profile.QueryProfile` (EXPLAIN ANALYZE style):
@@ -62,7 +62,7 @@ def explain(
         else:
             header += " " + " ".join(f"?{v}" for v in query.projection.output_names())
         lines.append(header)
-        _explain_pattern(graph, query.pattern, lines, 1, plan)
+        _explain_pattern(graph, query.pattern, lines, 1, plan, frozenset())
         if query.group_by:
             lines.append("  GROUP BY " + " ".join(f"?{v}" for v in query.group_by))
         if query.having is not None:
@@ -73,7 +73,7 @@ def explain(
             lines.append(f"  SLICE limit={query.limit} offset={query.offset}")
     elif isinstance(query, AskQuery):
         lines.append("ASK (stops at the first solution)")
-        _explain_pattern(graph, query.pattern, lines, 1, plan)
+        _explain_pattern(graph, query.pattern, lines, 1, plan, frozenset())
     else:
         lines.append(f"<{type(query).__name__}>")
     if profile is not None:
@@ -82,17 +82,22 @@ def explain(
 
 
 def _explain_pattern(
-    graph, pattern: Pattern, lines: List[str], depth: int, plan=None
+    graph, pattern: Pattern, lines: List[str], depth: int, plan, bound
 ) -> None:
+    """Render ``pattern`` planned with the variable names in ``bound``
+    already bound — the set the evaluator plans it with."""
     pad = "  " * depth
     if isinstance(pattern, BGP):
         if plan is not None:
-            bgp_plan = plan.bgp_plan(graph, pattern)
+            bgp_plan = plan.bgp_plan(graph, pattern, bound)
         else:
-            bgp_plan = plan_bgp(graph, list(pattern.patterns))
+            bgp_plan = plan_bgp(graph, list(pattern.patterns), bound=bound)
+        bound_bit = ""
+        if bound:
+            bound_bit = ", bound " + " ".join(f"?{n}" for n in sorted(bound))
         lines.append(
             f"{pad}BGP ({len(bgp_plan.order)} pattern(s), planner order, "
-            f"method={bgp_plan.method}, cost={bgp_plan.cost:.1f}):"
+            f"method={bgp_plan.method}, cost={bgp_plan.cost:.1f}{bound_bit}):"
         )
         for i, stage in enumerate(bgp_plan.stages, start=1):
             if i == 1:
@@ -113,24 +118,22 @@ def _explain_pattern(
                 f"{pad}  PATH {_term_text(path_triple.subject)} "
                 f"{path_triple.path.text()} {_term_text(path_triple.object)}   (BFS)"
             )
-    elif isinstance(pattern, Join):
-        lines.append(f"{pad}JOIN")
-        _explain_pattern(graph, pattern.left, lines, depth + 1, plan)
-        _explain_pattern(graph, pattern.right, lines, depth + 1, plan)
-    elif isinstance(pattern, LeftJoin):
-        lines.append(f"{pad}OPTIONAL (left join)")
-        _explain_pattern(graph, pattern.left, lines, depth + 1, plan)
-        _explain_pattern(graph, pattern.right, lines, depth + 1, plan)
+    elif isinstance(pattern, (Join, LeftJoin)):
+        header = "JOIN" if isinstance(pattern, Join) else "OPTIONAL (left join)"
+        lines.append(f"{pad}{header}")
+        _explain_pattern(graph, pattern.left, lines, depth + 1, plan, bound)
+        right_bound = bound | frozenset(pattern.left.variables())
+        _explain_pattern(graph, pattern.right, lines, depth + 1, plan, right_bound)
     elif isinstance(pattern, Union):
         lines.append(f"{pad}UNION")
-        _explain_pattern(graph, pattern.left, lines, depth + 1, plan)
-        _explain_pattern(graph, pattern.right, lines, depth + 1, plan)
+        _explain_pattern(graph, pattern.left, lines, depth + 1, plan, bound)
+        _explain_pattern(graph, pattern.right, lines, depth + 1, plan, bound)
     elif isinstance(pattern, Filter):
         lines.append(f"{pad}FILTER <expression>")
-        _explain_pattern(graph, pattern.pattern, lines, depth + 1, plan)
+        _explain_pattern(graph, pattern.pattern, lines, depth + 1, plan, bound)
     elif isinstance(pattern, Extend):
         lines.append(f"{pad}BIND -> ?{pattern.variable}")
-        _explain_pattern(graph, pattern.pattern, lines, depth + 1, plan)
+        _explain_pattern(graph, pattern.pattern, lines, depth + 1, plan, bound)
     elif isinstance(pattern, ValuesPattern):
         lines.append(
             f"{pad}VALUES ({', '.join('?' + n for n in pattern.names)}) "

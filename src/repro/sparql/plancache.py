@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.obs.profile import current_profile
 from repro.obs.trace import span
@@ -36,30 +36,6 @@ from repro.sparql.parser import parse_query
 from repro.sparql.planner import BGPPlan, plan_bgp
 
 _DEFAULT_MAXSIZE = 128
-
-#: A plan that keeps mis-estimating is re-costed at most this many
-#: times; beyond that the corrections have plainly stopped converging
-#: and replanning every execution would only churn the cache.
-MAX_REPLAN_ROUNDS = 5
-
-_METRIC_CACHE = None
-
-
-def _replans_counter():
-    """mdw_planner_replans_total, re-resolved if the registry is swapped."""
-    global _METRIC_CACHE
-    from repro.obs.registry import get_registry
-
-    registry = get_registry()
-    if _METRIC_CACHE is None or _METRIC_CACHE[0] is not registry:
-        family = registry.counter(
-            "mdw_planner_replans_total",
-            help="Cached plans re-costed after estimate-vs-actual drift",
-            labels=("reason",),
-        )
-        _METRIC_CACHE = (registry, family)
-    return _METRIC_CACHE[1]
-
 
 def _nsm_fingerprint(nsm) -> Tuple:
     """A hashable digest of the namespace bindings a parse depends on."""
@@ -74,28 +50,19 @@ class PreparedQuery:
 
     Per BGP (and per bound-variable combination — an enclosing join or
     initial binding changes the probe estimates) one
-    :class:`~repro.sparql.planner.BGPPlan` is computed lazily and
-    reused. The executor reports actual row counts back into those
-    plans; :attr:`needs_recost` then tells the cache the estimates blew
-    past the replan threshold, and :meth:`corrections` hands the
-    observed fanouts to the next planning round.
+    :class:`~repro.sparql.planner.BGPPlan` is computed lazily from the
+    statistics catalog and reused for as long as the entry lives.
     """
 
-    __slots__ = (
-        "text", "query", "generation", "replan_round",
-        "_plans", "_corrections", "_lock",
-    )
+    __slots__ = ("text", "query", "generation", "_plans", "_lock")
 
-    def __init__(self, text: str, query: Query, generation,
-                 corrections: Optional[Dict] = None, replan_round: int = 0):
+    def __init__(self, text: Optional[str], query: Optional[Query], generation):
         self.text = text
         self.query = query
         self.generation = generation
-        self.replan_round = replan_round
         # (id(bgp), bound names) -> BGPPlan; the BGP nodes live as long
         # as self.query does, so ids are stable
         self._plans: Dict[Tuple, BGPPlan] = {}
-        self._corrections: Dict = dict(corrections) if corrections else {}
         # a shared plan may be executed by several workers at once; the
         # lock makes the memoized plan visible exactly-once
         self._lock = threading.Lock()
@@ -109,37 +76,9 @@ class PreparedQuery:
             with self._lock:
                 plan = self._plans.get(key)
                 if plan is None:
-                    plan = plan_bgp(
-                        graph, list(bgp.patterns), bound=bound,
-                        corrections=self._corrections or None,
-                    )
+                    plan = plan_bgp(graph, list(bgp.patterns), bound=bound)
                     self._plans[key] = plan
         return plan
-
-    @property
-    def needs_recost(self) -> bool:
-        """True when an executed BGP's estimates were off by more than
-        the replan threshold (and the replan budget is not exhausted)."""
-        if self.replan_round >= MAX_REPLAN_ROUNDS:
-            return False
-        return any(plan.mis_estimated for plan in list(self._plans.values()))
-
-    def corrections(self) -> Dict:
-        """The corrections the next planning round should start from:
-        what this plan was given, overlaid with what it observed."""
-        merged = dict(self._corrections)
-        for plan in list(self._plans.values()):
-            merged.update(plan.observed)
-        return merged
-
-    def max_error(self) -> float:
-        """Worst estimate-vs-actual ratio any of this query's BGPs saw."""
-        errors = [plan.max_error for plan in list(self._plans.values())]
-        return max(errors) if errors else 1.0
-
-    def plan_snapshots(self) -> List[Dict]:
-        """Per-BGP plan summaries (EXPLAIN / debugging)."""
-        return [plan.snapshot() for plan in list(self._plans.values())]
 
 
 class PlanCache:
@@ -163,7 +102,6 @@ class PlanCache:
         self.parse_misses = 0
         self.plan_hits = 0
         self.plan_misses = 0
-        self.replans = 0
 
     # -- parse level -------------------------------------------------------
 
@@ -195,56 +133,19 @@ class PlanCache:
     # -- plan level --------------------------------------------------------
 
     def prepare(self, graph, text: str, nsm=None) -> PreparedQuery:
-        """A :class:`PreparedQuery` valid for the graph's current state.
-
-        A cached entry whose executed estimates drifted past the replan
-        threshold is **re-costed** instead of returned: a fresh
-        :class:`PreparedQuery` takes its place, seeded with the observed
-        per-stage fanouts as correction factors, so the next execution
-        plans from actuals (``mdw_planner_replans_total``).
-        """
+        """A :class:`PreparedQuery` valid for the graph's current state."""
         generation = graph.generation
         key = (text, _nsm_fingerprint(nsm), generation)
-        replaced = None
         with self._lock:
             cached = self._plans.get(key)
             if cached is not None:
-                if cached.needs_recost:
-                    self.replans += 1
-                    replaced = PreparedQuery(
-                        cached.text, cached.query, generation,
-                        corrections=cached.corrections(),
-                        replan_round=cached.replan_round + 1,
-                    )
-                    self._plans[key] = replaced
-                    self._plans.move_to_end(key)
-                else:
-                    self.plan_hits += 1
-                    self._plans.move_to_end(key)
-                    prof = current_profile()
-                    if prof is not None:
-                        prof.count("plan_cache_hits")
-                    return cached
-            else:
-                self.plan_misses += 1
-        if replaced is not None:
-            # metrics outside the cache lock: the registry's exporters
-            # run callbacks of their own and must not nest under us
-            try:
-                _replans_counter().inc(reason="estimate-error")
-                from repro.obs.fleet import get_journal
-
-                get_journal().record(
-                    "planner-replan",
-                    reason="estimate-error",
-                    round=replaced.replan_round,
-                )
-            except Exception:
-                pass
-            prof = current_profile()
-            if prof is not None:
-                prof.count("replans")
-            return replaced
+                self.plan_hits += 1
+                self._plans.move_to_end(key)
+                prof = current_profile()
+                if prof is not None:
+                    prof.count("plan_cache_hits")
+                return cached
+            self.plan_misses += 1
         prof = current_profile()
         if prof is not None:
             prof.count("plan_cache_misses")
@@ -257,13 +158,6 @@ class PlanCache:
             if len(self._plans) > self.maxsize:
                 self._plans.popitem(last=False)
         return plan
-
-    def execute(self, graph, text: str, nsm=None, bindings=None):
-        """Parse/plan through the cache, then evaluate."""
-        from repro.sparql.evaluator import evaluate
-
-        plan = self.prepare(graph, text, nsm=nsm)
-        return evaluate(graph, plan.query, initial_bindings=bindings, plan=plan)
 
     # -- introspection -----------------------------------------------------
 
@@ -279,7 +173,6 @@ class PlanCache:
                 "parse_misses": self.parse_misses,
                 "plan_hits": self.plan_hits,
                 "plan_misses": self.plan_misses,
-                "replans": self.replans,
                 "parse_entries": len(self._parses),
                 "plan_entries": len(self._plans),
             }

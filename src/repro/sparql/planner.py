@@ -25,26 +25,17 @@ order is costed stage by stage with estimated binding propagation:
 Equal-cost orders tie-break first on fewer unbound variables introduced
 and then on original pattern position, so plan-cache keys and EXPLAIN
 output are stable across runs.
-
-The executor reports per-stage actuals back via :meth:`BGPPlan.observe`;
-estimates off by more than :data:`REPLAN_ERROR_FACTOR` mark the plan for
-re-costing (see :mod:`repro.sparql.plancache`) with the observed
-fanouts folded in as correction factors.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.rdf.terms import Triple, Variable
 
 #: Above this many patterns the O(n * 2^n) DP gives way to the
 #: cost-model greedy (same cost function, no exhaustive search).
 DP_PATTERN_LIMIT = 10
-
-#: Estimate-vs-actual row ratio beyond which a plan is marked for
-#: re-costing with observed correction factors.
-REPLAN_ERROR_FACTOR = 10.0
 
 #: Relative price of one bind-join index probe versus one emitted row.
 #: A probe pays per-binding dictionary traversal; emission streams rows
@@ -62,16 +53,10 @@ HASH_MIN_ROWS = 16
 
 def pattern_text(pattern: Triple) -> str:
     """Compact one-line rendering of a triple pattern (stable across
-    runs; used as the correction-factor key and in EXPLAIN output)."""
+    runs; the operator detail in profiles, spans and EXPLAIN output)."""
     return " ".join(
         f"?{t.name}" if isinstance(t, Variable) else t.n3() for t in pattern
     )
-
-
-def _correction_key(pattern: Triple, bound_here: FrozenSet[str]) -> Tuple:
-    """Identity of one (pattern, bound-variable combination) across
-    plans of the same query text — what an observed fanout corrects."""
-    return (pattern_text(pattern), frozenset(bound_here))
 
 
 class _CostContext:
@@ -126,31 +111,6 @@ class _CostContext:
         return self.graph.distinct_object_count()
 
 
-def pattern_selectivity(graph, pattern: Triple, bound: Set[str], _ctx=None):
-    """Estimated result cardinality of ``pattern`` given ``bound`` vars.
-
-    Positions holding constants keep their constant; unbound variables
-    are wildcards, so with no bound variables the estimate is the exact
-    index count. A variable already bound upstream estimates as a
-    per-binding probe: the wildcard count divided by the distinct term
-    count at that position (per-predicate statistics when the predicate
-    is ground) — not a full wildcard scan.
-    """
-    ctx = _ctx if _ctx is not None else _CostContext(graph)
-    base = ctx.scan_count(pattern)
-    if not bound or base == 0:
-        return base
-    estimate = float(base)
-    divided = False
-    for i, t in enumerate(pattern):
-        if isinstance(t, Variable) and t.name in bound:
-            distinct = ctx.distinct_at(pattern, i)
-            if distinct > 1:
-                estimate /= distinct
-                divided = True
-    return estimate if divided else base
-
-
 # ---------------------------------------------------------------------------
 # Cost model
 # ---------------------------------------------------------------------------
@@ -160,7 +120,6 @@ def _estimate_pattern(
     ctx: _CostContext,
     pattern: Triple,
     bound_here: FrozenSet[str],
-    corrections: Optional[Dict],
 ) -> Tuple[float, float, float, Optional[Tuple[float, ...]], float]:
     """(scan, mean fanout, weighted fanout, histogram prefix sums, tail
     mean) for one pattern with the given subset of its variables bound
@@ -173,16 +132,9 @@ def _estimate_pattern(
     past the histogram) — :func:`_bind_emission` caps the skew charge
     with them, because ``rows_in x weighted`` assumes every probe value
     is drawn frequency-weighted and can exceed what ``rows_in`` distinct
-    probes could possibly emit. An observed correction factor for this
-    exact (pattern, bound set) overrides the fanouts.
+    probes could possibly emit.
     """
     scan = float(ctx.scan_count(pattern))
-    if corrections:
-        corrected = corrections.get(_correction_key(pattern, bound_here))
-        if corrected is not None:
-            if not bound_here:
-                return corrected, corrected, corrected, None, 0.0
-            return scan, corrected, corrected, None, 0.0
     if not bound_here:
         return scan, scan, scan, None, 0.0
     mean = scan
@@ -286,18 +238,17 @@ class StageEstimate:
     """The planner's verdict on one join stage of a BGP order."""
 
     __slots__ = (
-        "pattern", "index", "detail", "bound_vars", "connected",
+        "pattern", "index", "detail", "connected",
         "scan", "fanout", "probe_fanout", "rows_in", "rows_out",
         "operator", "cost",
     )
 
-    def __init__(self, pattern, index, detail, bound_vars, connected,
+    def __init__(self, pattern, index, detail, connected,
                  scan, fanout, probe_fanout, rows_in, rows_out,
                  operator, cost):
         self.pattern = pattern
         self.index = index  # position in the original pattern list
         self.detail = detail
-        self.bound_vars = bound_vars  # pattern vars bound when it runs
         self.connected = connected
         self.scan = scan
         self.fanout = fanout
@@ -307,17 +258,6 @@ class StageEstimate:
         self.operator = operator  # "scan" | "bind-join" | "hash-join"
         self.cost = cost
 
-    def snapshot(self) -> Dict[str, object]:
-        return {
-            "pattern": self.detail,
-            "operator": self.operator,
-            "est_rows_in": self.rows_in,
-            "est_rows_out": self.rows_out,
-            "scan": self.scan,
-            "fanout": self.fanout,
-            "cost": self.cost,
-        }
-
     def __repr__(self) -> str:
         return (
             f"<StageEstimate {self.detail!r} {self.operator} "
@@ -326,19 +266,9 @@ class StageEstimate:
 
 
 class BGPPlan:
-    """One BGP's chosen join order, per-stage estimates, and feedback.
+    """One BGP's chosen join order and per-stage estimates."""
 
-    ``observe`` folds the executor's per-stage actual row counts back
-    in: the worst estimate-vs-actual ratio is tracked, and a ratio
-    beyond :data:`REPLAN_ERROR_FACTOR` marks the plan mis-estimated and
-    records the observed per-binding fanouts as correction factors for
-    the next planning round (see ``PlanCache``).
-    """
-
-    __slots__ = (
-        "order", "stages", "method", "cost", "initial_bound",
-        "mis_estimated", "max_error", "observed", "executions",
-    )
+    __slots__ = ("order", "stages", "method", "cost", "initial_bound")
 
     def __init__(self, order, stages, method="dp", initial_bound=frozenset()):
         self.order = order
@@ -346,85 +276,12 @@ class BGPPlan:
         self.method = method
         self.cost = sum(stage.cost for stage in stages)
         self.initial_bound = initial_bound
-        self.mis_estimated = False
-        self.max_error = 1.0
-        self.observed: Dict[Tuple, float] = {}
-        self.executions = 0
-
-    def observe(self, actuals: Sequence[Tuple[int, int]]) -> float:
-        """Record per-stage (rows_in, rows_out) actuals; returns the
-        worst estimate error ratio of this execution."""
-        worst = 1.0
-        mis = False
-        for stage, (actual_in, actual_out) in zip(self.stages, actuals):
-            est_out = stage.rows_out
-            ratio = (max(est_out, actual_out) + 1.0) / (min(est_out, actual_out) + 1.0)
-            if ratio > worst:
-                worst = ratio
-            if ratio > REPLAN_ERROR_FACTOR:
-                mis = True
-        if mis:
-            # every executed stage's local fanout is ground truth; fold
-            # them all in so the re-cost starts from actuals, not just
-            # the one stage that blew past the threshold
-            for stage, (actual_in, actual_out) in zip(self.stages, actuals):
-                key = _correction_key(stage.pattern, stage.bound_vars)
-                self.observed[key] = actual_out / max(actual_in, 1)
-            self.mis_estimated = True
-        self.executions += 1
-        if worst > self.max_error:
-            self.max_error = worst
-        _observe_estimate_error(worst)
-        return worst
-
-    def snapshot(self) -> Dict[str, object]:
-        return {
-            "method": self.method,
-            "cost": self.cost,
-            "stages": [stage.snapshot() for stage in self.stages],
-            "mis_estimated": self.mis_estimated,
-            "max_error": self.max_error,
-            "executions": self.executions,
-        }
 
     def __repr__(self) -> str:
         return (
             f"<BGPPlan {self.method} {len(self.stages)} stage(s) "
-            f"cost={self.cost:.1f} executions={self.executions}>"
+            f"cost={self.cost:.1f}>"
         )
-
-
-# ---------------------------------------------------------------------------
-# Planner metrics (mdw_planner_* family; see also rdf/stats.py)
-# ---------------------------------------------------------------------------
-
-#: Estimate-error histogram buckets: ratios, not seconds (1 = perfect).
-ERROR_BUCKETS = (1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 500.0, 1000.0)
-
-_METRIC_CACHE: Optional[Tuple[object, object]] = None
-
-
-def _error_histogram():
-    """mdw_planner_estimate_error, re-resolved if the registry is swapped."""
-    global _METRIC_CACHE
-    from repro.obs.registry import get_registry
-
-    registry = get_registry()
-    if _METRIC_CACHE is None or _METRIC_CACHE[0] is not registry:
-        family = registry.histogram(
-            "mdw_planner_estimate_error",
-            help="Worst per-BGP estimate-vs-actual row ratio (1 = perfect)",
-            buckets=ERROR_BUCKETS,
-        )
-        _METRIC_CACHE = (registry, family)
-    return _METRIC_CACHE[1]
-
-
-def _observe_estimate_error(ratio: float) -> None:
-    try:
-        _error_histogram().observe(ratio)
-    except Exception:
-        pass  # metrics must never take a query down
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +329,6 @@ def _stage_numbers(
     pattern: Triple,
     bound_here_mask: int,
     bit_names: Dict[int, str],
-    corrections: Optional[Dict],
 ) -> Tuple[float, float, float, Optional[Tuple[float, ...]], float]:
     """Memoized (scan, mean fanout, weighted fanout, histogram prefix
     sums, tail mean) per (pattern, bound-variable combination) within
@@ -481,7 +337,7 @@ def _stage_numbers(
     cached = ctx.estimates.get(key)
     if cached is None:
         cached = _estimate_pattern(
-            ctx, pattern, _mask_names(bound_here_mask, bit_names), corrections
+            ctx, pattern, _mask_names(bound_here_mask, bit_names)
         )
         ctx.estimates[key] = cached
     return cached
@@ -493,7 +349,6 @@ def _order_dp(
     var_masks: List[int],
     bound_mask: int,
     bit_names: Dict[int, str],
-    corrections: Optional[Dict],
 ) -> List[int]:
     """Selinger-style left-deep DP over pattern subsets.
 
@@ -521,7 +376,7 @@ def _order_dp(
         for j in connected or candidates:
             bound_here = var_masks[j] & names
             scan, mean, weighted, prefix, tail_mean = _stage_numbers(
-                ctx, j, patterns[j], bound_here, bit_names, corrections
+                ctx, j, patterns[j], bound_here, bit_names
             )
             rows_out, stage_cost = _stage_cost(
                 rows, scan, mean, weighted, bool(bound_here), prefix, tail_mean
@@ -546,7 +401,6 @@ def _order_greedy_cost(
     var_masks: List[int],
     bound_mask: int,
     bit_names: Dict[int, str],
-    corrections: Optional[Dict],
 ) -> List[int]:
     """Greedy fallback beyond :data:`DP_PATTERN_LIMIT`: same cost
     function as the DP, one stage decided at a time."""
@@ -561,7 +415,7 @@ def _order_greedy_cost(
         for idx in remaining:
             bound_here = var_masks[idx] & names
             scan, mean, weighted, prefix, tail_mean = _stage_numbers(
-                ctx, idx, patterns[idx], bound_here, bit_names, corrections
+                ctx, idx, patterns[idx], bound_here, bit_names
             )
             rows_out, stage_cost = _stage_cost(
                 rows, scan, mean, weighted, bool(bound_here), prefix, tail_mean
@@ -591,7 +445,6 @@ def _estimate_stages(
     var_masks: List[int],
     bound_mask: int,
     bit_names: Dict[int, str],
-    corrections: Optional[Dict],
 ) -> List[StageEstimate]:
     """Walk the chosen order once, materializing per-stage estimates
     and the operator the cost model expects the executor to run."""
@@ -603,7 +456,7 @@ def _estimate_stages(
         bound_here_mask = var_masks[idx] & names
         bound_here = _mask_names(bound_here_mask, bit_names)
         scan, mean, weighted, prefix, tail_mean = _stage_numbers(
-            ctx, idx, pattern, bound_here_mask, bit_names, corrections
+            ctx, idx, pattern, bound_here_mask, bit_names
         )
         rows_out, cost = _stage_cost(
             rows, scan, mean, weighted, bool(bound_here), prefix, tail_mean
@@ -623,7 +476,6 @@ def _estimate_stages(
                 pattern=pattern,
                 index=idx,
                 detail=pattern_text(pattern),
-                bound_vars=bound_here,
                 connected=bool(bound_here) or not names,
                 scan=scan,
                 fanout=mean,
@@ -639,70 +491,35 @@ def _estimate_stages(
     return stages
 
 
-# Planning decisions memoized across plan_bgp calls. Keyed by the
-# pattern terms, the bound-variable set, and the freshness fingerprint
-# of every stats catalog backing the graph (``stats.state()``: a
-# monotonic serial plus refresh/churn counters — any graph mutation
-# bumps churn and misses). The memo stores only the immutable decision
-# (order indices, stage estimates, method); each hit builds a fresh
-# BGPPlan so feedback state (observe/mis_estimated) is never shared.
-_PLAN_MEMO: Dict[Tuple, Tuple[Tuple[int, ...], Tuple[StageEstimate, ...], str]] = {}
-_PLAN_MEMO_CAP = 2048
-
-
 def plan_bgp(
     graph,
     patterns: Sequence[Triple],
     bound: FrozenSet[str] = frozenset(),
-    corrections: Optional[Dict] = None,
 ) -> BGPPlan:
-    """Plan one BGP: join order, per-stage estimates, operator choices.
+    """Plan one BGP from the graph's statistics catalog: join order,
+    per-stage estimates, operator choices.
 
     ``bound`` names variables already bound by the caller (initial
     bindings, an enclosing join) — they seed the probe estimates.
-    ``corrections`` maps :func:`_correction_key` tuples to observed
-    per-binding fanouts from a previous execution (the re-costing
-    feedback loop).
+    Every call plans afresh; :class:`~repro.sparql.plancache.PreparedQuery`
+    keeps the plan of each (BGP, bound set) for one graph generation.
     """
     patterns = list(patterns)
     bound = frozenset(bound)
     if not patterns:
         return BGPPlan([], [], method="dp", initial_bound=bound)
     ctx = _CostContext(graph)
-    memo_key = None
-    if not corrections:
-        try:
-            memo_key = (ctx.stats.state(), tuple(patterns), bound)
-            hit = _PLAN_MEMO.get(memo_key)
-        except TypeError:  # unhashable pattern term (e.g. a path)
-            memo_key = None
-        else:
-            if hit is not None:
-                order, stages, method = hit
-                return BGPPlan(
-                    [patterns[i] for i in order], list(stages),
-                    method=method, initial_bound=bound,
-                )
     var_masks, bound_mask, bit_names = _variable_bits(patterns, bound)
     if len(patterns) > DP_PATTERN_LIMIT:
-        order = _order_greedy_cost(
-            ctx, patterns, var_masks, bound_mask, bit_names, corrections
-        )
+        order = _order_greedy_cost(ctx, patterns, var_masks, bound_mask, bit_names)
         method = "greedy"
     else:
-        order = _order_dp(ctx, patterns, var_masks, bound_mask, bit_names, corrections)
+        order = _order_dp(ctx, patterns, var_masks, bound_mask, bit_names)
         method = "dp"
-    stages = _estimate_stages(
-        ctx, patterns, order, var_masks, bound_mask, bit_names, corrections
-    )
-    plan = BGPPlan(
+    stages = _estimate_stages(ctx, patterns, order, var_masks, bound_mask, bit_names)
+    return BGPPlan(
         [patterns[i] for i in order], stages, method=method, initial_bound=bound
     )
-    if memo_key is not None:
-        if len(_PLAN_MEMO) >= _PLAN_MEMO_CAP:
-            _PLAN_MEMO.clear()
-        _PLAN_MEMO[memo_key] = (tuple(order), tuple(stages), method)
-    return plan
 
 
 def order_patterns(graph, patterns: Sequence[Triple]) -> List[Triple]:

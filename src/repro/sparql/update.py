@@ -27,6 +27,7 @@ from repro.rdf.terms import Triple, Variable
 from repro.sparql.errors import SparqlParseError
 from repro.sparql.evaluator import eval_pattern
 from repro.sparql.parser import _Parser
+from repro.sparql.plancache import PreparedQuery
 from repro.sparql.tokenizer import tokenize
 
 @dataclass
@@ -146,7 +147,8 @@ def _apply(graph: Graph, statement: UpdateStatement):
             inserted += graph.add(t)
         return deleted, inserted
 
-    bindings = list(eval_pattern(graph, statement.pattern, {}))
+    plan = PreparedQuery(None, None, graph.generation)
+    bindings = list(eval_pattern(graph, statement.pattern, {}, plan))
     if statement.delete_where:
         delete_template = _pattern_triples(statement.pattern)
     else:

@@ -6,6 +6,10 @@ from repro.obs.profile import (
     current_profile,
     profile_scope,
 )
+from repro.rdf import Graph, Namespace, Triple
+from repro.sparql import execute
+
+EX = Namespace("http://x/")
 
 
 def test_profile_scope_installs_and_restores():
@@ -55,6 +59,25 @@ def test_snapshot_merge_round_trip():
     assert parent.hierarchy_cache_misses == 2
     (op,) = parent.operators
     assert (op.op, op.rows_in, op.rows_out) == ("hash-join", 4, 11)
+    parent.merge_snapshot(shipped)  # a second shard ran the same operator
+    (op,) = parent.operators
+    assert (op.calls, op.rows_in, op.rows_out) == (2, 8, 22)
+
+
+def test_operator_rerun_per_left_row_folds_into_one_record():
+    g = Graph()
+    for i in range(2000):
+        g.add(Triple(EX[f"x{i}"], EX.p, EX[f"y{i}"]))
+        if i % 2:
+            g.add(Triple(EX[f"y{i}"], EX.q, EX[f"z{i}"]))
+    with profile_scope() as prof:
+        rows = execute(g, "SELECT * WHERE { ?x <http://x/p> ?y OPTIONAL { ?y <http://x/q> ?z } }")
+    assert len(rows) == 2000
+    assert len(prof.operators) == 2
+    assert [(op.op, op.calls) for op in prof.operators] == [("scan", 1), ("bind-join", 2000)]
+    assert sum(op.rows_in for op in prof.operators) == 2001
+    assert sum(op.rows_out for op in prof.operators) == 3000
+    assert "over 2000 calls" in prof.render()
 
 
 def test_render_mentions_operators_and_caches():

@@ -1,5 +1,7 @@
 """Unit tests for EXPLAIN plans and instance retirement."""
 
+import re
+
 import pytest
 
 from repro.core import MetadataWarehouse
@@ -85,6 +87,22 @@ class TestExplain:
         mdw.facts.add_instance("c1", cls)
         plan = mdw.explain("SELECT ?x WHERE { ?x rdf:type dm:Customer }")
         assert "BGP" in plan
+
+
+def test_optional_side_is_explained_in_the_order_it_runs():
+    mdw = MetadataWarehouse()
+    for i in range(200):
+        mdw.graph.add(Triple(EX[f"x{i}"], EX.p, EX[f"y{i}"]))
+        mdw.graph.add(Triple(EX[f"y{i}"], EX.q, EX[f"z{i}"]))
+    for i in range(5):
+        mdw.graph.add(Triple(EX[f"z{i}"], EX.r, EX[f"w{i}"]))
+    text = "SELECT * WHERE { ?x <http://x/p> ?y OPTIONAL { ?y <http://x/q> ?z . ?z <http://x/r> ?w } }"
+    static, runtime = mdw.explain(text, analyze=True).split("runtime profile")
+    planned = re.findall(r"^ +\d+\. (.+?)   ~", static, re.M)
+    ran = re.findall(r"^ +(?:scan|bind-join|hash-join) (.+?): \d+ ->", runtime, re.M)
+    # each left row re-runs the OPTIONAL side with ?y bound
+    assert planned == list(dict.fromkeys(ran))
+    assert "bound ?x ?y):" in static
 
 
 class TestRetireInstance:

@@ -1,6 +1,5 @@
-"""The cost-based optimizer v2: statistics-driven join reordering, the
-skew-aware cost model, plan memoization, and the profile-driven
-re-costing feedback loop (estimate >10x off -> replan with actuals)."""
+"""The cost-based optimizer: statistics-driven join reordering, the
+skew-aware cost model, and the executor's exact-row operator re-check."""
 
 import random
 import re
@@ -9,15 +8,9 @@ import pytest
 
 from repro.core.warehouse import MetadataWarehouse
 from repro.etl import EtlOrchestrator
-from repro.obs.profile import profile_scope
 from repro.rdf import Graph, Literal, Namespace, RDF, Triple, Variable
-from repro.sparql import (
-    PlanCache,
-    execute,
-    pattern_selectivity,
-    plan_bgp,
-)
-from repro.sparql.planner import REPLAN_ERROR_FACTOR, _bind_emission
+from repro.sparql import PlanCache, execute, plan_bgp
+from repro.sparql.planner import _bind_emission
 from repro.synth import make_release_feeds
 
 EX = Namespace("http://opt.test/")
@@ -41,23 +34,28 @@ def hub_graph(hubs=20, fanout=100, singles=2000, rare_tags=0):
     return g
 
 
+def estimate(g, pattern, bound):
+    """The planner's row estimate for one pattern with ``bound`` names
+    already bound."""
+    return plan_bgp(g, [pattern], bound=frozenset(bound)).stages[0].rows_out
+
+
 class TestBoundVariableSelectivity:
     def test_unbound_is_exact_count(self):
         g = hub_graph(hubs=2, fanout=5, singles=10)
         pattern = Triple(Variable("h"), EX.links, Variable("x"))
-        assert pattern_selectivity(g, pattern, set()) == 20
+        assert estimate(g, pattern, set()) == 20
 
     def test_bound_subject_divides_by_distinct_subjects(self):
         g = hub_graph(hubs=2, fanout=5, singles=10)
         pattern = Triple(Variable("h"), EX.links, Variable("x"))
         # 20 triples over 12 distinct subjects: a per-binding probe
-        estimate = pattern_selectivity(g, pattern, {"h"})
-        assert estimate == pytest.approx(20 / 12)
+        assert estimate(g, pattern, {"h"}) == pytest.approx(20 / 12)
 
     def test_bound_object_divides_by_distinct_objects(self):
         g = hub_graph(hubs=2, fanout=5, singles=10)
         pattern = Triple(Variable("h"), EX.links, Variable("x"))
-        assert pattern_selectivity(g, pattern, {"x"}) == pytest.approx(1.0)
+        assert estimate(g, pattern, {"x"}) == pytest.approx(1.0)
 
 
 class TestBindEmissionCap:
@@ -246,114 +244,57 @@ class TestDeterministicTieBreak:
         plan = plan_bgp(g, list(reversed(self.two_symmetric(g))))
         assert [p.predicate for p in plan.order] == [EX.p2, EX.p1]
 
-    def test_replanning_is_stable(self):
+    def test_planning_is_deterministic(self):
         g = self.symmetric_graph()
         patterns = self.two_symmetric(g)
-        orders = {tuple(map(id, plan_bgp(g, patterns).order)) for _ in range(5)}
-        assert len(orders) == 1
+        plans = {
+            tuple((s.index, s.operator, s.rows_out, s.cost) for s in plan_bgp(g, patterns).stages)
+            for _ in range(5)
+        }
+        assert len(plans) == 1
 
 
-class TestPlanMemo:
-    def patterns(self):
-        return [
+class TestPlanFreshness:
+    def test_next_plan_sees_graph_mutation(self):
+        g = hub_graph(hubs=3, fanout=10, singles=50)
+        patterns = [
             Triple(Variable("h"), EX.isHub, EX.yes),
             Triple(Variable("h"), EX.links, Variable("x")),
         ]
-
-    def test_memo_hits_return_independent_plans(self):
-        g = hub_graph(hubs=3, fanout=10, singles=50)
-        patterns = self.patterns()
-        first = plan_bgp(g, patterns)
-        second = plan_bgp(g, patterns)
-        assert first is not second
-        assert [p for p in first.order] == [p for p in second.order]
-        # feedback state must never be shared through the memo
-        first.observe([(1, 1000), (1, 1000)])
-        assert first.mis_estimated
-        assert not second.mis_estimated
-        assert not plan_bgp(g, patterns).mis_estimated
-
-    def test_graph_mutation_invalidates_memo(self):
-        g = hub_graph(hubs=3, fanout=10, singles=50)
-        patterns = self.patterns()
         before = plan_bgp(g, patterns)
         g.add(Triple(EX.hub99, EX.isHub, EX.yes))
         after = plan_bgp(g, patterns)
         anchor = next(s for s in after.stages if s.detail.endswith("> " + EX.yes.n3()))
         assert anchor.scan == before.stages[0].scan + 1
 
-    def test_corrections_bypass_memo(self):
-        g = hub_graph(hubs=3, fanout=10, singles=50)
-        patterns = self.patterns()
-        plain = plan_bgp(g, patterns)
-        from repro.sparql.planner import _correction_key
 
-        key = _correction_key(patterns[1], frozenset({"h"}))
-        corrected = plan_bgp(g, patterns, corrections={key: 10.0})
-        assert corrected.stages[-1].rows_out > plain.stages[-1].rows_out
-
-
-class TestReplanFeedback:
+class TestExecutorRecheck:
     QUERY = (
-        "SELECT ?h ?x WHERE { "
+        "SELECT ?h ?x ?t WHERE { "
         f"?h <{EX.isHub.value}> <{EX.yes.value}> . "
-        f"?h <{EX.links.value}> ?x }}"
+        f"?h <{EX.links.value}> ?x . ?x <{EX.tag.value}> ?t }}"
     )
 
-    def test_misestimate_triggers_recost_with_actuals(self):
-        g = hub_graph()  # links fanout: estimated ~2, actual 100
-        cache = PlanCache()
-        rows1 = execute(g, self.QUERY, plan_cache=cache).to_dicts()
-        assert len(rows1) == 2000
-        assert cache.replans == 0
-        prepared1 = cache.prepare(g, self.QUERY)
-        # ...which IS the replan: the executed plan blew the threshold
-        assert cache.replans == 1
-        assert prepared1.replan_round == 1
-        assert prepared1.max_error() == 1.0  # fresh plans, not yet run
-
-        rows2 = execute(g, self.QUERY, plan_cache=cache).to_dicts()
-        assert sorted(rows2, key=repr) == sorted(rows1, key=repr)
-        # re-costed from observed fanouts: estimates now match actuals,
-        # so the second execution stays inside the replan threshold
-        assert cache.replans == 1
-        prepared2 = cache.prepare(g, self.QUERY)
-        assert prepared2 is prepared1
-        assert prepared1.max_error() < REPLAN_ERROR_FACTOR
-
-    def test_explain_renders_the_recosted_plan_that_runs(self):
+    def test_executor_rechecks_operator_on_exact_rows(self):
         mdw = MetadataWarehouse()
         for t in hub_graph():
             mdw.graph.add(t)
             if t.predicate == EX.links:
                 mdw.graph.add(Triple(t.object, EX.tag, EX.Common))
-        text = self.QUERY.replace("?x }", f"?x . ?x <{EX.tag.value}> ?t }}")
-        # 40 rows estimated into the tag stage, 2000 actual: the fresh
-        # plan bind-joins it, the re-costed one (and the run) hash-joins
-        assert len(mdw.query(text)) == 2000
-        rendered = mdw.explain(text, analyze=True)
-        assert "re-costed 1 time(s)" in rendered
+        # 40 rows estimated into the tag stage, 2000 actual: the plan
+        # bind-joins it, the run hash-joins it, and ANALYZE shows the miss
+        rendered = mdw.explain(self.QUERY, analyze=True)
         static, runtime = rendered.split("runtime profile")
         planned = re.findall(r"^ +\d+\. (.+?)   ~.+?(?: via (\S+))?$", static, re.M)
-        ran = re.findall(r"^ +(scan|bind-join|hash-join) (.+?): \d+ ->", runtime, re.M)
-        assert len(planned) == 3
-        assert [detail for detail, _ in planned] == [detail for _, detail in ran]
-        assert [op for _, op in planned[1:]] == [op for op, _ in ran[1:]]
+        ran = re.findall(r"^ +(scan|bind-join|hash-join) (.+?): \d+ -> (.+)$", runtime, re.M)
+        assert [detail for detail, _ in planned] == [detail for _, detail, _ in ran]
+        assert planned[-1][1] == "bind-join"
         assert ran[-1][0] == "hash-join"
-
-    def test_observe_marks_plan_past_threshold(self):
-        g = hub_graph(hubs=3, fanout=10, singles=50)
-        plan = plan_bgp(
-            g,
-            [
-                Triple(Variable("h"), EX.isHub, EX.yes),
-                Triple(Variable("h"), EX.links, Variable("x")),
-            ],
-        )
-        worst = plan.observe([(1, 3), (3, 3000)])
-        assert worst > REPLAN_ERROR_FACTOR
-        assert plan.mis_estimated
-        assert plan.observed  # per-stage fanouts recorded as corrections
+        assert "x off)" in ran[-1][2]  # the estimate error is printed beside it
+        rows = mdw.query(self.QUERY).to_dicts()
+        fresh = execute(mdw.view(), self.QUERY, plan_cache=PlanCache()).to_dicts()
+        assert len(rows) == 2000
+        assert sorted(rows, key=repr) == sorted(fresh, key=repr)
 
 
 class TestStaleStatsRecost:

@@ -415,3 +415,21 @@ class TestEvents:
     def test_negative_limit_is_an_error(self, journal_file, capsys):
         assert main(["events", str(journal_file), "--limit", "-1"]) == 2
         assert "--limit" in capsys.readouterr().err
+
+
+class TestExplain:
+    def test_analyze_prints_plan_cache_footer_and_profile(self, store_dir, capsys):
+        query = "SELECT ?s ?n WHERE { ?s dm:hasName ?n }"
+        assert main(["explain", str(store_dir), query, "--analyze"]) == 0
+        out = capsys.readouterr().out
+        assert "BGP (1 pattern(s), planner order" in out
+        (footer,) = [line for line in out.splitlines() if line.startswith("PLAN CACHE")]
+        assert "replans=" not in footer
+        assert "runtime profile" in out
+
+    def test_optional_side_prints_its_bound_variables(self, store_dir, capsys):
+        query = "SELECT ?s ?c WHERE { ?s dm:hasName ?n OPTIONAL { ?s rdf:type ?c } }"
+        assert main(["explain", str(store_dir), query]) == 0
+        out = capsys.readouterr().out
+        assert "OPTIONAL (left join)" in out
+        assert "bound ?n ?s):" in out
