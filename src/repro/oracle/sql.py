@@ -18,27 +18,40 @@ Listings 1 and 2 of the paper are Oracle SQL statements of the shape::
 the irregularities in the printed listings (missing commas, unbalanced
 ``TABLE(`` parentheses) — the goal is that the listings run verbatim.
 
-SQL semantics replicated:
+A statement means exactly its SPARQL form: :func:`execute_sem_sql`
+compiles it into one :class:`~repro.sparql.algebra.SelectQuery` over the
+SEM_MATCH pattern and the engine evaluates that —
 
 * result columns are the SQL identifiers (``class``), bound from the
   SPARQL variables of the same name (``?class``);
-* ``WHERE`` conditions compare *string values* of terms, so
-  ``source_id = 'http://...'`` matches an IRI-valued variable;
-* ``GROUP BY`` without aggregates deduplicates, as in the listings;
-* ``COUNT(*)`` / ``COUNT(col)`` with ``GROUP BY`` gives grouped counts
-  (used by the Figure 6 style result lists).
+* ``WHERE`` is a FILTER; its comparisons against string constants
+  compare *string values* of terms (``str(?source_id) = 'http://...'``),
+  so they match IRI-valued variables, and the engine pushes such an
+  equality into the pattern as a binding where that is exact;
+* ``GROUP BY`` without aggregates deduplicates, as in the listings, and
+  a selected column outside it is an error (Oracle's ORA-00979);
+* ``COUNT(*)`` / ``COUNT(col)`` are SPARQL ``COUNT`` columns (used by
+  the Figure 6 style result lists); ``ORDER BY`` sorts by columns.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.errors import InvalidRequest
 from repro.rdf.store import TripleStore
-from repro.rdf.terms import IRI, Literal
-from repro.sparql.errors import ExpressionError
+from repro.rdf.terms import Literal
+from repro.sparql.algebra import (
+    Aggregate,
+    Filter,
+    OrderCondition,
+    Pattern,
+    Projection,
+    SelectQuery,
+)
+from repro.sparql.evaluator import evaluate
 from repro.sparql.expressions import (
     BinaryExpr,
     ConstExpr,
@@ -47,14 +60,12 @@ from repro.sparql.expressions import (
     UnaryExpr,
     VarExpr,
     call_error,
-    compile_regex,
-    effective_boolean_value,
 )
-from repro.sparql.results import Row, SolutionSequence
+from repro.sparql.results import SolutionSequence
 from repro.sparql.tokenizer import Token, tokenize
 
 from repro.oracle.sem_apis import SemAlias
-from repro.oracle.sem_match import sem_match
+from repro.oracle.sem_match import prepare_sem_match
 
 
 class SemSqlError(InvalidRequest, ValueError):
@@ -135,76 +146,46 @@ def parse_sem_sql(sql: str) -> SemSqlQuery:
 
 
 def execute_sem_sql(store: TripleStore, sql: str, plan_cache=None) -> SolutionSequence:
-    """Parse and execute a SEM_MATCH SQL statement against ``store``.
+    """Parse a SEM_MATCH SQL statement and evaluate it against ``store``
+    as one SPARQL query.
 
-    ``plan_cache`` passes through to :func:`sem_match`.
+    The SEM_MATCH pattern is prepared as ``SELECT * WHERE pattern``
+    (through ``plan_cache`` when given): its text holds no constant of
+    the SQL clauses, so statements differing only in their ``WHERE``
+    share one parse and one plan.
     """
     query = parse_sem_sql(sql)
-    raw = sem_match(
+    view, prepared = prepare_sem_match(
         query.pattern,
         store,
         models=query.models,
         rulebases=query.rulebases,
         aliases=query.aliases,
         plan_cache=plan_cache,
-        eq_hints=_equality_hints(query.where),
     )
+    return evaluate(view, _select_query(query, prepared.query.pattern), plan=prepared)
 
-    rows = list(raw.iter_bindings())
+
+def _select_query(query: SemSqlQuery, pattern: Pattern) -> SelectQuery:
+    """The SPARQL form of ``query`` over the SEM_MATCH ``pattern``."""
     if query.where is not None:
-        predicate = _compile_row_predicate(query.where)
-        if predicate is None:
-            predicate = lambda r: _sql_test(query.where, r)  # noqa: E731
-        rows = [r for r in rows if predicate(r) is True]
-
-    out_columns = list(query.columns) + [alias for _, alias in query.count_columns]
-
-    if query.count_columns:
-        grouped: Dict[tuple, List[dict]] = {}
-        order: List[tuple] = []
-        for r in rows:
-            key = tuple(r.get(c) for c in query.group_by)
-            if key not in grouped:
-                grouped[key] = []
-                order.append(key)
-            grouped[key].append(r)
-        result_rows = []
-        for key in order:
-            members = grouped[key]
-            out = {c: v for c, v in zip(query.group_by, key) if v is not None}
-            for arg, alias in query.count_columns:
-                if arg == "*":
-                    out[alias] = Literal(len(members))
-                else:
-                    out[alias] = Literal(sum(1 for m in members if m.get(arg) is not None))
-            result_rows.append(out)
-        rows = result_rows
-    else:
-        projected = []
-        for r in rows:
-            out = {}
-            for c in query.columns:
-                v = r.get(c)
-                if v is not None:
-                    out[c] = v
-            projected.append(out)
-        if query.group_by:
-            seen = set()
-            deduped = []
-            for r in projected:
-                key = frozenset(r.items())
-                if key not in seen:
-                    seen.add(key)
-                    deduped.append(r)
-            rows = deduped
-        else:
-            rows = projected
-
-    for col in reversed(query.order_by):
-        rows.sort(
-            key=lambda r: (r.get(col) is None, r.get(col).sort_key() if r.get(col) is not None else ())
-        )
-    return SolutionSequence(out_columns, [Row.adopt(r) for r in rows])
+        pattern = Filter(query.where, pattern)
+    select = SelectQuery(
+        projection=Projection(
+            variables=list(query.columns),
+            aggregates=[
+                Aggregate("COUNT", None if arg == "*" else VarExpr(arg), alias)
+                for arg, alias in query.count_columns
+            ],
+        ),
+        pattern=pattern,
+        group_by=list(query.group_by),
+        order_by=[OrderCondition(VarExpr(column)) for column in query.order_by],
+    )
+    ungrouped = select.ungrouped_variables()
+    if ungrouped:
+        raise SemSqlError(f"selected columns {', '.join(ungrouped)} are not in GROUP BY")
+    return select
 
 
 # ---------------------------------------------------------------------------
@@ -265,155 +246,6 @@ def _identifier_list(text: str) -> List[str]:
         if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", item):
             raise SemSqlError(f"bad identifier in list: {item!r}")
     return items
-
-
-def _sql_test(expr: Expression, binding: dict) -> bool:
-    try:
-        return effective_boolean_value(expr.evaluate(binding))
-    except ExpressionError:
-        return False
-
-
-# -- compiled WHERE predicates ------------------------------------------------
-#
-# The WHERE clause runs once per raw SEM_MATCH row; the listings' shapes
-# (regexp_like on a column, column = 'string', AND/OR/NOT combinations)
-# compile to direct closures, sparing the expression-tree walk per row.
-# A compiled predicate is three-valued — True, False, or None for an
-# evaluation error (an unbound column, a blank node) — and NOT/AND/OR
-# follow the error rules of repro.sparql.expressions, so a row is kept
-# only on True, exactly as _sql_test keeps it. Anything else falls back
-# to _sql_test.
-
-
-def _string_of(term) -> Optional[str]:
-    if isinstance(term, Literal):
-        return term.lexical
-    if isinstance(term, IRI):
-        return term.value
-    return None
-
-
-def _column_of(expr: Expression) -> Optional[str]:
-    """The column name behind ``col`` or ``str(col)``, if that shape."""
-    if isinstance(expr, VarExpr):
-        return expr.name
-    if (
-        isinstance(expr, FunctionExpr)
-        and expr.name == "str"
-        and len(expr.args) == 1
-        and isinstance(expr.args[0], VarExpr)
-    ):
-        return expr.args[0].name
-    return None
-
-
-def _string_const_of(expr: Expression) -> Optional[str]:
-    # numeric constants compare numerically ("25" vs "25.0"), so only
-    # plain string constants take the fast path
-    if (
-        isinstance(expr, ConstExpr)
-        and isinstance(expr.term, Literal)
-        and not expr.term.is_numeric()
-    ):
-        return expr.term.lexical
-    return None
-
-
-def _equality_hints(expr: Optional[Expression]) -> Dict[str, str]:
-    """Column → string constant for the WHERE clause's AND'ed equalities.
-
-    Candidates for predicate pushdown into SEM_MATCH: every conjunct of
-    the shape ``col = 'const'`` reachable through top-level ``AND``s.
-    Only plain columns and non-numeric string constants qualify (the
-    same restriction as the compiled fast path). The full WHERE clause
-    still runs afterwards, so over-collection here cannot change
-    results — :func:`repro.oracle.sem_match.sem_match` independently
-    verifies each hint is safe to bind.
-    """
-    hints: Dict[str, str] = {}
-
-    def walk(e: Expression) -> None:
-        if not isinstance(e, BinaryExpr):
-            return
-        if e.op == "&&":
-            walk(e.left)
-            walk(e.right)
-            return
-        if e.op != "=":
-            return
-        column = _column_of(e.left)
-        constant = _string_const_of(e.right)
-        if column is None or constant is None:
-            column = _column_of(e.right)
-            constant = _string_const_of(e.left)
-        if column is not None and constant is not None and column not in hints:
-            hints[column] = constant
-
-    if expr is not None:
-        walk(expr)
-    return hints
-
-
-def _compile_row_predicate(expr: Expression):
-    """A fast three-valued row predicate for the common WHERE shapes
-    (True, False, or None for an error), else None."""
-    if isinstance(expr, UnaryExpr) and expr.op == "!":
-        inner = _compile_row_predicate(expr.operand)
-        if inner is None:
-            return None
-
-        def negation(row):
-            value = inner(row)
-            return None if value is None else not value
-        return negation
-    if isinstance(expr, BinaryExpr):
-        if expr.op in ("&&", "||"):
-            left = _compile_row_predicate(expr.left)
-            right = _compile_row_predicate(expr.right)
-            if left is None or right is None:
-                return None
-            # && : false wins over error; || : true wins over error
-            decisive = expr.op == "||"
-
-            def connective(row):
-                a, b = left(row), right(row)
-                if a is decisive or b is decisive:
-                    return decisive
-                return None if a is None or b is None else not decisive
-            return connective
-        if expr.op in ("=", "!="):
-            column = _column_of(expr.left)
-            constant = _string_const_of(expr.right)
-            if column is None or constant is None:
-                column = _column_of(expr.right)
-                constant = _string_const_of(expr.left)
-            if column is None or constant is None:
-                return None
-            negate = expr.op == "!="
-            def compare(row, column=column, constant=constant, negate=negate):
-                value = _string_of(row.get(column))
-                if value is None:
-                    return None  # unbound or blank: evaluation error
-                return (value != constant) if negate else (value == constant)
-            return compare
-        return None
-    if isinstance(expr, FunctionExpr) and expr.name == "regex":
-        column = _column_of(expr.args[0])
-        pattern = _string_const_of(expr.args[1])
-        flags = _string_const_of(expr.args[2]) if len(expr.args) == 3 else ""
-        if column is None or pattern is None or flags is None:
-            return None
-        try:
-            compiled = compile_regex(pattern, flags)
-        except ExpressionError:
-            return None
-        search = compiled.search
-        def match(row, column=column):
-            value = _string_of(row.get(column))
-            return None if value is None else search(value) is not None
-        return match
-    return None
 
 
 # -- SQL expression parsing ---------------------------------------------------

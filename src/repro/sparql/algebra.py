@@ -6,7 +6,8 @@ A deliberately small algebra in the style of the SPARQL 1.1 spec:
 * :class:`Join` — natural join of two patterns
 * :class:`LeftJoin` — OPTIONAL
 * :class:`Union` — UNION
-* :class:`Filter` — FILTER over a pattern
+* :class:`Filter` — FILTER over a pattern, its condition compiled once;
+  :func:`filter_bindings` is the equality pushdown into its BGP
 * :class:`Extend` — BIND; :class:`ValuesPattern` — VALUES
 * :class:`Projection` with optional :class:`Aggregate` columns (GROUP BY)
 
@@ -19,10 +20,15 @@ Query roots: :class:`SelectQuery` and :class:`AskQuery`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Callable, Container, Dict, List, Optional, Tuple
 
-from repro.rdf.terms import Triple, Variable
-from repro.sparql.expressions import Expression
+from repro.rdf.terms import IRI, Triple, Variable
+from repro.sparql.expressions import (
+    BinaryExpr,
+    Expression,
+    compile_condition,
+    string_equality,
+)
 from repro.sparql.paths import Path
 
 
@@ -78,11 +84,12 @@ class Join(Pattern):
 
 @dataclass
 class LeftJoin(Pattern):
-    """OPTIONAL: keep left rows even when the right side has no match."""
+    """OPTIONAL: keep left rows even when the right side has no match.
+    A FILTER inside the OPTIONAL group filters the right side, which
+    runs with each left row bound, so it sees the left's variables."""
 
     left: Pattern
     right: Pattern
-    condition: Optional[Expression] = None
 
     def variables(self) -> set:
         return self.left.variables() | self.right.variables()
@@ -99,11 +106,65 @@ class Union(Pattern):
 
 @dataclass
 class Filter(Pattern):
+    """FILTER over a pattern. ``test`` is the condition compiled once,
+    when the node is built (:func:`compile_condition`): a row is kept
+    when it answers True."""
+
     condition: Expression
     pattern: Pattern
+    test: Callable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.test = compile_condition(self.condition)
 
     def variables(self) -> set:
         return self.pattern.variables()
+
+
+def filter_bindings(node: Filter, bound: Container[str]) -> Dict[str, IRI]:
+    """The bindings ``node`` pushes into the basic graph pattern it filters.
+
+    A conjunct ``str(?v) = "X"`` (reached through top-level ``&&``, with
+    a plain string constant) binds ``?v`` to ``IRI(X)`` when ``?v``
+    occurs in that BGP, and only in subject or predicate position: there
+    it matches an IRI or a blank node, and ``str()`` of a blank node is
+    an error, so the binding keeps exactly the rows the condition can
+    keep (the FILTER still tests each one). An object position can hold
+    a literal with the same lexical form, so it is never pushed. The BGP
+    may sit under further FILTERs but must have no property paths; a
+    name in ``bound`` is never rebound. The evaluator plans and runs the
+    BGP with these names bound, and EXPLAIN prints that plan.
+    """
+    pattern = node.pattern
+    while isinstance(pattern, Filter):
+        pattern = pattern.pattern
+    if not isinstance(pattern, BGP) or pattern.paths:
+        return {}
+    pushed: Dict[str, IRI] = {}
+    conjuncts = [node.condition]
+    while conjuncts:
+        expr = conjuncts.pop()
+        if not isinstance(expr, BinaryExpr):
+            continue
+        if expr.op == "&&":
+            conjuncts += (expr.right, expr.left)
+            continue
+        equality = string_equality(expr) if expr.op == "=" else None
+        if equality is None or equality[0] in bound or equality[0] in pushed:
+            continue
+        name, constant = equality
+        positions = {
+            i
+            for triple in pattern.patterns
+            for i, term in enumerate(triple)
+            if isinstance(term, Variable) and term.name == name
+        }
+        if positions and 2 not in positions:
+            try:
+                pushed[name] = IRI(constant)
+            except ValueError:
+                pass  # no IRI has this text: the FILTER rejects every row
+    return pushed
 
 
 @dataclass
@@ -175,6 +236,13 @@ class SelectQuery(Query):
     order_by: List[OrderCondition] = field(default_factory=list)
     limit: Optional[int] = None
     offset: int = 0
+
+    def ungrouped_variables(self) -> List[str]:
+        """Projected plain variables an aggregating query does not group
+        by: a query error in SPARQL, as in SQL (Oracle's ORA-00979)."""
+        if not (self.group_by or self.projection.aggregates):
+            return []
+        return [v for v in self.projection.variables if v not in self.group_by]
 
 
 @dataclass

@@ -37,10 +37,11 @@ from repro.sparql.algebra import (
     SelectQuery,
     Union,
     ValuesPattern,
+    filter_bindings,
 )
 from repro.sparql.cancel import checked_iter, current_cancel
 from repro.sparql.errors import ExpressionError, SparqlEvalError
-from repro.sparql.expressions import effective_boolean_value
+from repro.sparql.expressions import compile_condition
 from repro.sparql.plancache import PreparedQuery
 from repro.sparql.planner import HASH_MIN_ROWS, PROBE_COST
 from repro.sparql.results import Row, SolutionSequence
@@ -96,8 +97,6 @@ def eval_pattern(
         for left in eval_pattern(graph, pattern.left, binding, plan):
             matched = False
             for joined in eval_pattern(graph, pattern.right, left, plan):
-                if pattern.condition is not None and not _test(pattern.condition, joined):
-                    continue
                 matched = True
                 yield joined
             if not matched:
@@ -106,8 +105,12 @@ def eval_pattern(
         yield from eval_pattern(graph, pattern.left, binding, plan)
         yield from eval_pattern(graph, pattern.right, binding, plan)
     elif isinstance(pattern, Filter):
+        pushed = filter_bindings(pattern, binding)
+        if pushed:
+            binding = {**binding, **pushed}
+        test = pattern.test
         for row in eval_pattern(graph, pattern.pattern, binding, plan):
-            if _test(pattern.condition, row):
+            if test(row) is True:
                 yield row
     elif isinstance(pattern, Extend):
         for row in eval_pattern(graph, pattern.pattern, binding, plan):
@@ -138,13 +141,6 @@ def eval_pattern(
                 yield extended
     else:
         raise SparqlEvalError(f"unknown pattern node {type(pattern).__name__}")
-
-
-def _test(condition, binding: Binding) -> bool:
-    try:
-        return effective_boolean_value(condition.evaluate(binding))
-    except ExpressionError:
-        return False
 
 
 def _eval_bgp(graph, bgp: BGP, binding: Binding, plan) -> Iterator[Binding]:
@@ -674,13 +670,7 @@ def _stable_sort(rows: List[Binding], condition) -> List[Binding]:
 
 def _aggregate(rows: List[Binding], query: SelectQuery) -> List[Binding]:
     projection = query.projection
-    plain = projection.variables
-    not_grouped = [v for v in plain if v not in query.group_by]
-    if not_grouped and query.group_by:
-        raise SparqlEvalError(
-            f"SELECT variables {not_grouped} are not in GROUP BY"
-        )
-
+    having = None if query.having is None else compile_condition(query.having)
     groups: Dict[Tuple, List[Binding]] = {}
     order: List[Tuple] = []
     for row in rows:
@@ -705,7 +695,7 @@ def _aggregate(rows: List[Binding], query: SelectQuery) -> List[Binding]:
             value = _compute_aggregate(agg, members)
             if value is not None:
                 result[agg.alias] = value
-        if query.having is not None and not _test(query.having, result):
+        if having is not None and having(result) is not True:
             continue
         out.append(result)
     return out

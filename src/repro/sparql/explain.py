@@ -4,8 +4,10 @@
 the algebra tree, the join order the cost-based planner chose for each
 BGP, and the cardinality estimate per triple pattern. The right side of
 a join or OPTIONAL is planned with the left side's variables bound, as
-the evaluator plans it per left row. The output is what a DBA would read
-before letting a new meta-data query loose on the warehouse.
+the evaluator plans it per left row, and a FILTER's BGP with the names
+its equalities push down (:func:`~repro.sparql.algebra.filter_bindings`).
+The output is what a DBA would read before letting a new meta-data
+query loose on the warehouse.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from repro.sparql.algebra import (
     SelectQuery,
     Union,
     ValuesPattern,
+    filter_bindings,
 )
 from repro.sparql.parser import parse_query
 from repro.sparql.planner import plan_bgp
@@ -130,7 +133,8 @@ def _explain_pattern(
         _explain_pattern(graph, pattern.right, lines, depth + 1, plan, bound)
     elif isinstance(pattern, Filter):
         lines.append(f"{pad}FILTER <expression>")
-        _explain_pattern(graph, pattern.pattern, lines, depth + 1, plan, bound)
+        pushed = frozenset(filter_bindings(pattern, bound))
+        _explain_pattern(graph, pattern.pattern, lines, depth + 1, plan, bound | pushed)
     elif isinstance(pattern, Extend):
         lines.append(f"{pad}BIND -> ?{pattern.variable}")
         _explain_pattern(graph, pattern.pattern, lines, depth + 1, plan, bound)

@@ -222,6 +222,121 @@ def _ebv_or_error(expr: Expression, binding) -> Optional[bool]:
         return None
 
 
+# ---------------------------------------------------------------------------
+# Compiled conditions
+# ---------------------------------------------------------------------------
+
+
+def compile_condition(expr: Expression) -> Callable[[Dict[str, Term]], Optional[bool]]:
+    """``expr`` as a three-valued test of one binding: True, False, or
+    None for an evaluation error. A FILTER keeps a row only on True.
+
+    The listings' shapes become direct closures: ``str(?v)`` compared by
+    ``=``/``!=`` with a plain string constant, ``regex`` of ``?v`` or
+    ``str(?v)`` with constant pattern and flags, and ``!``/``&&``/``||``
+    over any condition, with the error rules of :class:`UnaryExpr` and
+    :class:`BinaryExpr`. Every other node is tested by tree evaluation,
+    so a compiled test always answers what tree evaluation answers.
+    """
+    if isinstance(expr, UnaryExpr) and expr.op == "!":
+        inner = compile_condition(expr.operand)
+
+        def negation(binding):
+            value = inner(binding)
+            return None if value is None else not value
+        return negation
+    if isinstance(expr, BinaryExpr) and expr.op in ("&&", "||"):
+        left = compile_condition(expr.left)
+        right = compile_condition(expr.right)
+        # && : false wins over error; || : true wins over error
+        decisive = expr.op == "||"
+
+        def connective(binding):
+            a = left(binding)
+            if a is decisive:
+                return decisive
+            b = right(binding)
+            if b is decisive:
+                return decisive
+            return None if a is None or b is None else not decisive
+        return connective
+    if isinstance(expr, BinaryExpr) and expr.op in ("=", "!="):
+        equality = string_equality(expr)
+        if equality is not None:
+            name, constant = equality
+            negate = expr.op == "!="
+
+            def compare(binding):
+                value = _string_of(binding.get(name))
+                if value is None:
+                    return None  # unbound, or str() of a blank node
+                return (value != constant) if negate else (value == constant)
+            return compare
+    if isinstance(expr, FunctionExpr) and expr.name in ("regex", "regexp_like"):
+        arg = expr.args[0]
+        name = arg.name if isinstance(arg, VarExpr) else _str_of_var(arg)
+        pattern = _plain_string(expr.args[1])
+        flags = _plain_string(expr.args[2]) if len(expr.args) == 3 else ""
+        if name is not None and pattern is not None and flags is not None:
+            try:
+                search = compile_regex(pattern, flags).search
+            except ExpressionError:
+                pass  # a bad pattern errors on every row, as the tree says
+            else:
+                def match(binding):
+                    value = _string_of(binding.get(name))
+                    return None if value is None else search(value) is not None
+                return match
+    return lambda binding: _ebv_or_error(expr, binding)
+
+
+def string_equality(expr: Expression) -> Optional[Tuple[str, str]]:
+    """``(name, constant)`` when ``expr`` is ``str(?name) = "constant"``
+    (either side, also ``!=``) with a plain string constant, else None.
+    Only that shape compares string values: ``?x = "abc"`` is term
+    equality and ``"abc"@en`` is no plain string."""
+    if not isinstance(expr, BinaryExpr):
+        return None
+    for var_side, const_side in ((expr.left, expr.right), (expr.right, expr.left)):
+        name = _str_of_var(var_side)
+        constant = _plain_string(const_side)
+        if name is not None and constant is not None:
+            return name, constant
+    return None
+
+
+def _str_of_var(expr: Expression) -> Optional[str]:
+    """The variable name behind ``str(?v)``, if that shape."""
+    if (
+        isinstance(expr, FunctionExpr)
+        and expr.name == "str"
+        and isinstance(expr.args[0], VarExpr)
+    ):
+        return expr.args[0].name
+    return None
+
+
+def _plain_string(expr: Expression) -> Optional[str]:
+    # a numeric constant compares numerically ("25" vs "25.0") and a
+    # typed or language-tagged one never equals a plain str() result
+    if (
+        isinstance(expr, ConstExpr)
+        and isinstance(expr.term, Literal)
+        and expr.term.datatype is None
+        and expr.term.language is None
+    ):
+        return expr.term.lexical
+    return None
+
+
+def _string_of(term) -> Optional[str]:
+    if isinstance(term, Literal):
+        return term.lexical
+    if isinstance(term, IRI):
+        return term.value
+    return None
+
+
 def _numeric(term: Term):
     if isinstance(term, Literal) and term.is_numeric():
         return term.to_python()
@@ -349,11 +464,10 @@ def _fn_isblank(args, binding):
 
 
 def _string_value(term: Term) -> str:
-    if isinstance(term, Literal):
-        return term.lexical
-    if isinstance(term, IRI):
-        return term.value
-    raise ExpressionError(f"no string value for {term!r}")
+    value = _string_of(term)
+    if value is None:
+        raise ExpressionError(f"no string value for {term!r}")
+    return value
 
 
 #: The supported FILTER builtins (SPARQL 1.0 plus Oracle's

@@ -173,7 +173,7 @@ class _Parser:
                 offset = int(self.expect("NUMBER").value)
             else:
                 break
-        return SelectQuery(
+        query = SelectQuery(
             projection=projection,
             pattern=pattern,
             distinct=distinct,
@@ -183,6 +183,11 @@ class _Parser:
             limit=limit,
             offset=offset,
         )
+        ungrouped = query.ungrouped_variables()
+        if ungrouped:
+            names = " ".join(f"?{v}" for v in ungrouped)
+            raise self.error(f"SELECT variables {names} are not in GROUP BY")
+        return query
 
     def parse_ask(self) -> AskQuery:
         self.expect("KEYWORD", "ASK")

@@ -44,27 +44,6 @@ class TestSemMatch:
         )
         assert rows.values("term") == ["customer_id"]
 
-    def test_projection(self, store):
-        rows = sem_match(
-            "{?object rdf:type ?c . ?object dm:hasName ?term}",
-            store,
-            SEM_MODELS("DWH_CURR"),
-            aliases=ALIASES,
-            projection=["term"],
-        )
-        assert rows.columns == ["term"]
-
-    def test_distinct(self, store):
-        rows = sem_match(
-            "{?object rdf:type ?c}",
-            store,
-            SEM_MODELS("DWH_CURR"),
-            aliases=ALIASES,
-            projection=["c"],
-            distinct=True,
-        )
-        assert len(rows) == 1
-
     def test_rulebase_index_visibility(self, store):
         derived = Graph([Triple(IRI("http://x/d"), DM.hasName, Literal("derived customer"))])
         store.attach_index("DWH_CURR", "OWLPRIME", derived)

@@ -5,10 +5,14 @@ import re
 
 import pytest
 
-from benchmarks.queries import LISTING_1, LISTING_2
+from benchmarks.queries import LISTING_1, LISTING_2, LISTING_2_SOURCE
 from repro.oracle import SemSqlError, execute_sem_sql, parse_sem_sql
 from repro.rdf import DM, DT, Graph, IRI, Literal, RDF, RDFS, Triple, TripleStore
-from repro.sparql import PlanCache
+from repro.rdf.namespace import NamespaceManager
+from repro.sparql import Filter, PlanCache, PreparedQuery, execute, parse_query
+from repro.sparql.algebra import filter_bindings
+from repro.sparql.errors import ExpressionError
+from repro.sparql.expressions import effective_boolean_value
 
 @pytest.fixture
 def store():
@@ -58,6 +62,23 @@ class TestPaperListings:
         sql = LISTING_2.replace("SEM_RULEBASES('OWLPRIME'),", "")
         rows = execute_sem_sql(store, sql)
         assert len(rows) == 0
+
+
+def test_statement_means_its_sparql_form(store):
+    """Listing 2 answers what its SPARQL form answers over the same view."""
+    sparql = """
+        PREFIX dm: <http://www.credit-suisse.com/dwh/mdm/data_modeling#>
+        PREFIX dt: <http://www.credit-suisse.com/dwh/mdm/data_transfer#>
+        SELECT ?source_id ?target_id ?target_name WHERE {
+            ?source_id dt:isMappedTo ?target_id .
+            ?target_id rdf:type dm:Application1_Item .
+            ?target_id rdf:type dm:Interface_Item .
+            ?target_id dm:hasName ?target_name
+            FILTER(str(?source_id) = "http://www.credit-suisse.com/dwh/client_information_id")
+        } GROUP BY ?source_id ?target_id ?target_name
+    """
+    view = store.view(["DWH_CURR"], rulebases=["OWLPRIME"])
+    assert execute_sem_sql(store, LISTING_2) == execute(view, sparql)
 
 
 class TestParser:
@@ -178,6 +199,35 @@ class TestSqlSemantics:
         rows = execute_sem_sql(store, sql)
         assert rows.to_dicts() == [{"class": "Column", "n": 2}]
 
+    @pytest.mark.parametrize(
+        "select, group_by, column",
+        [("o, term", "GROUP BY term", "o"), ("term, COUNT(*) AS n", "", "term")],
+    )
+    def test_column_outside_group_by_is_rejected(self, store, select, group_by, column):
+        """Oracle's ORA-00979 / ORA-00937, raised before anything runs
+        (the SQL layer used to de-duplicate whole rows instead)."""
+        sql = f"""
+        SELECT {select} FROM TABLE(SEM_MATCH(
+            {{?o dm:hasName ?term}},
+            SEM_MODELS('DWH_CURR'),
+            SEM_ALIASES(SEM_ALIAS('dm', 'http://www.credit-suisse.com/dwh/mdm/data_modeling#'))))
+        {group_by}
+        """
+        with pytest.raises(SemSqlError, match=f"columns {column} are not in GROUP BY"):
+            execute_sem_sql(store, sql)
+
+    def test_count_over_no_rows_is_one_zero_row(self, store):
+        sql = """
+        SELECT COUNT(*) AS cnt FROM TABLE(SEM_MATCH(
+            {?o dm:hasName ?term},
+            SEM_MODELS('DWH_CURR'),
+            SEM_ALIASES(SEM_ALIAS('dm', 'http://www.credit-suisse.com/dwh/mdm/data_modeling#'))))
+        WHERE regexp_like(term, 'zzz')
+        """
+        rows = execute_sem_sql(store, sql)
+        assert rows.columns == ["cnt"]
+        assert rows.to_dicts() == [{"cnt": 0}]
+
     def test_order_by(self, store):
         sql = """
         SELECT term FROM TABLE(SEM_MATCH(
@@ -190,11 +240,21 @@ class TestSqlSemantics:
         assert rows.values("term") == sorted(rows.values("term"))
 
 
+def tree_compiler(expr):
+    """``compile_condition`` with every node tested by tree evaluation."""
+    def test(binding):
+        try:
+            return effective_boolean_value(expr.evaluate(binding))
+        except ExpressionError:
+            return None
+    return test
+
+
 class TestThreeValuedWhere:
-    """The compiled WHERE predicates follow SQL's NULL logic: an
-    evaluation error (unbound column, blank node) is neither true nor
-    false, so ``NOT`` keeps it an error and the row is dropped — exactly
-    what the expression-tree path (``_sql_test``) does."""
+    """The WHERE clause is a FILTER compiled to closures that follow
+    SQL's NULL logic: an evaluation error (unbound column, blank node)
+    is neither true nor false, so ``NOT`` keeps it an error and the row
+    is dropped — exactly what tree evaluation does."""
 
     EX = "http://example.org/"
     SHAPES = [
@@ -243,14 +303,10 @@ class TestThreeValuedWhere:
 
     @pytest.mark.parametrize("where", SHAPES)
     def test_same_rows_as_tree(self, store, monkeypatch, where):
-        from repro.oracle import sql as sql_module
-
         statement = self.sql(where)
-        query = parse_sem_sql(statement)
-        assert sql_module._compile_row_predicate(query.where) is not None
         compiled = sorted(map(repr, execute_sem_sql(store, statement).to_dicts()))
         with monkeypatch.context() as patch:
-            patch.setattr(sql_module, "_compile_row_predicate", lambda where: None)
+            patch.setattr("repro.sparql.algebra.compile_condition", tree_compiler)
             tree = sorted(map(repr, execute_sem_sql(store, statement).to_dicts()))
         assert compiled == tree
 
@@ -262,31 +318,48 @@ class TestThreeValuedWhere:
 
 
 class TestEqualityPushdown:
-    """WHERE `col = 'const'` conjuncts pushed into SEM_MATCH as bindings."""
+    """A WHERE `col = 'const'` conjunct is a FILTER equality the engine
+    pushes into the SEM_MATCH pattern as a binding
+    (:func:`repro.sparql.algebra.filter_bindings`)."""
+
+    @staticmethod
+    def filter_of(sql):
+        query = parse_sem_sql(sql)
+        nsm = NamespaceManager()
+        for alias in query.aliases:
+            nsm.bind(alias.prefix, alias.namespace)
+        pattern = parse_query(f"SELECT * WHERE {query.pattern}", nsm=nsm).pattern
+        return Filter(query.where, pattern)
 
     def test_hint_extraction(self):
-        from repro.oracle.sql import _equality_hints
-
-        query = parse_sem_sql(LISTING_2)
-        assert _equality_hints(query.where) == {
-            "source_id": "http://www.credit-suisse.com/dwh/client_information_id"
+        assert filter_bindings(self.filter_of(LISTING_2), frozenset()) == {
+            "source_id": IRI("http://www.credit-suisse.com/dwh/client_information_id")
         }
-        regex_query = parse_sem_sql(LISTING_1)
-        assert _equality_hints(regex_query.where) == {}
+        assert filter_bindings(self.filter_of(LISTING_2), {"source_id"}) == {}
+        assert filter_bindings(self.filter_of(LISTING_1), frozenset()) == {}
 
     @staticmethod
     def unpushed(monkeypatch, store, sql):
-        """The statement with ``sem_match(..., eq_hints=None)``: the
-        whole WHERE clause stays a post-filter at the SQL layer."""
+        """The statement with the pushdown helper patched out: the whole
+        WHERE clause runs as a filter over the unbound pattern."""
         with monkeypatch.context() as patch:
-            patch.setattr("repro.oracle.sql._equality_hints", lambda where: None)
+            patch.setattr("repro.sparql.evaluator.filter_bindings", lambda node, bound: {})
             return execute_sem_sql(store, sql)
 
     def test_pushdown_agrees_with_post_filter_on_listing2(self, store, monkeypatch):
         baseline = self.unpushed(monkeypatch, store, LISTING_2)
+        planned = []
+        bgp_plan = PreparedQuery.bgp_plan
+
+        def spy(self, graph, bgp, bound=frozenset()):
+            planned.append(bound)
+            return bgp_plan(self, graph, bgp, bound)
+
+        monkeypatch.setattr(PreparedQuery, "bgp_plan", spy)
         for cache in (None, PlanCache()):
             rows = execute_sem_sql(store, LISTING_2, plan_cache=cache)
             assert rows.to_dicts() == baseline.to_dicts()
+        assert planned[-2:] == [frozenset({"source_id"})] * 2
         assert baseline.values("source_id") == [
             "http://www.credit-suisse.com/dwh/client_information_id"
         ]
@@ -296,10 +369,18 @@ class TestEqualityPushdown:
         assert len(execute_sem_sql(store, sql)) == 0
         assert len(self.unpushed(monkeypatch, store, sql)) == 0
 
+    @pytest.mark.parametrize("source", ["", "no such source"])
+    def test_constant_no_iri_can_have_is_not_pushed(self, store, monkeypatch, source):
+        """No IRI has this text, so nothing is bound and the filter alone
+        answers: no row, not an error."""
+        sql = LISTING_2.replace(LISTING_2_SOURCE, source)
+        assert filter_bindings(self.filter_of(sql), frozenset()) == {}
+        assert len(execute_sem_sql(store, sql)) == 0
+
     def test_object_position_column_not_pushed(self, store, monkeypatch):
-        # target_name sits in object position: it may match literals of
-        # any shape, so the equality must stay a post-filter. An IRI
-        # binding here would find nothing; the filter must still match.
+        # term sits in object position: it may match literals of any
+        # shape, so the equality must stay a filter. An IRI binding
+        # here would find nothing; the filter must still match.
         sql = """
         SELECT o, term FROM TABLE(SEM_MATCH(
             {?o dm:hasName ?term},
@@ -307,6 +388,18 @@ class TestEqualityPushdown:
             SEM_ALIASES(SEM_ALIAS('dm', 'http://www.credit-suisse.com/dwh/mdm/data_modeling#'))))
         WHERE term = 'customer_id'
         """
+        assert filter_bindings(self.filter_of(sql), frozenset()) == {}
         rows = execute_sem_sql(store, sql)
         assert rows.values("term") == ["customer_id"]
         assert rows.to_dicts() == self.unpushed(monkeypatch, store, sql).to_dicts()
+
+    def test_distinct_sources_share_one_parse_and_one_plan(self, store):
+        """The prepared text holds no WHERE constant: 200 Listing-2
+        statements with distinct sources are one parse and one plan."""
+        cache = PlanCache()
+        for i in range(200):
+            sql = LISTING_2.replace("client_information_id", f"source_{i}")
+            execute_sem_sql(store, sql, plan_cache=cache)
+        stats = cache.stats()
+        assert stats["parse_misses"] == 1 and stats["plan_misses"] == 1
+        assert stats["plan_hits"] == 199

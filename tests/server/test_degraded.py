@@ -11,6 +11,7 @@ from repro.server import CircuitOpen, QueryService, ServiceConfig
 from repro.server import service as service_module
 from repro.server.service import dispatch
 from repro.services.search import SearchFilters
+from repro.sparql import SparqlParseError
 from repro.synth import LandscapeConfig, generate_landscape
 
 from .conftest import breaker_settings, canonical
@@ -176,6 +177,19 @@ class TestCircuitBreaker:
                 with pytest.raises(Exception):
                     service.lineage("no-such-item-anywhere")
             assert service.health()["endpoints"]["lineage"]["breaker"]["state"] == "closed"
+
+    def test_bad_group_by_does_not_trip_the_breaker(self, warehouse):
+        """A non-grouped projection is a parse error (an InvalidRequest),
+        so a run of them leaves the ``query`` breaker closed and the next
+        valid query is answered, not shed with CircuitOpen."""
+        bad = "SELECT ?s ?n WHERE { ?s dm:hasName ?n } GROUP BY ?s"
+        good = "SELECT ?s WHERE { ?s dm:hasName ?n } GROUP BY ?s"
+        with service_of(warehouse) as service:
+            for _ in range(service_module.BREAKER_THRESHOLD):
+                with pytest.raises(SparqlParseError):
+                    service.query(bad)
+            assert len(service.query(good)) > 0
+            assert service.health()["endpoints"]["query"]["breaker"]["state"] == "closed"
 
     def test_update_breaker_guards_the_write_path(self, warehouse):
         with service_of(warehouse) as service:

@@ -6,7 +6,8 @@ import pytest
 
 from repro.core import MetadataWarehouse
 from repro.rdf import BNode, Graph, IRI, Literal, Namespace, Triple
-from repro.sparql import SparqlParseError, explain
+from repro.sparql import SparqlParseError, explain, plan_bgp
+from repro.sparql.planner import pattern_text
 
 EX = Namespace("http://x/")
 
@@ -160,3 +161,33 @@ class TestRetireInstance:
         assert len(mdw.search.search("c")) >= 1
         mdw.facts.retire_instance(c, force=True)
         assert all(h.name != "c" for h in mdw.search.search("c").hits)
+
+
+def test_filter_equality_is_explained_with_its_pushdown():
+    """A FILTER's ``str(?s) = "…"`` binds ``?s`` before its BGP is
+    planned; EXPLAIN prints that plan (``bound ?s``), the one the
+    PreparedQuery holds and the run used, not the unbound order."""
+    mdw = MetadataWarehouse()
+    for i in range(200):
+        mdw.graph.add(Triple(EX[f"s{i}"], EX.m, EX[f"t{i}"]))
+        mdw.graph.add(Triple(EX[f"t{i}"], EX.name, Literal(f"n{i}")))
+    text = (
+        "SELECT * WHERE { ?t <http://x/name> ?n . ?s <http://x/m> ?t "
+        'FILTER(str(?s) = "http://x/s7") }'
+    )
+    assert mdw.query(text).values("n") == ["n7"]
+    view = mdw.view()
+    prepared = mdw.plan_cache.prepare(view, text, nsm=mdw.namespaces)
+    static = explain(view, prepared.query, plan=prepared)
+    assert "bound ?s):" in static
+    bgp = prepared.query.pattern.pattern
+    held = prepared.bgp_plan(view, bgp, frozenset({"s"}))
+    planned = re.findall(r"^ +\d+\. (.+?)   ~", static, re.M)
+    assert planned == [pattern_text(p) for p in held.order]
+    # bound, the ?s pattern goes first; unbound, the text order would
+    assert planned[0].startswith("?s ")
+    assert plan_bgp(view, bgp.patterns).order[0] == bgp.patterns[0]
+
+    static, runtime = mdw.explain(text, analyze=True).split("runtime profile")
+    ran = re.findall(r"^ +(?:scan|bind-join|hash-join) (.+?): \d+ ->", runtime, re.M)
+    assert re.findall(r"^ +\d+\. (.+?)   ~", static, re.M) == ran

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.rdf import Graph, IRI, Literal, Namespace, RDF, Triple
-from repro.sparql import SparqlEvalError, execute
+from repro.sparql import SparqlParseError, execute
 
 EX = Namespace("http://x/")
 
@@ -245,7 +245,8 @@ class TestAggregates:
         assert rows.to_dicts() == [{"c": "http://x/zurich", "n": 2}]
 
     def test_ungrouped_var_rejected(self, graph):
-        with pytest.raises(SparqlEvalError):
+        # a query error, found by the parser before anything runs
+        with pytest.raises(SparqlParseError, match=r"\?p are not in GROUP BY"):
             run(
                 graph,
                 "SELECT ?p (COUNT(*) AS ?n) WHERE { ?p ex:city ?c } GROUP BY ?c",
