@@ -647,23 +647,22 @@ def a5_planner(landscape) -> Row:
     }
 
 
-def a6_name_index(landscape) -> Row:
-    """Extension: an inverted name index scans the vocabulary, not every
-    named item, with identical results."""
+def a6_distinct_names(landscape) -> Row:
+    """Extension: the search tests each distinct name once instead of
+    every named item's name, with identical results."""
     mdw = landscape.warehouse
-    service = SearchService(mdw)
-    scan = service.search("customer")
-    index = service.enable_index()
-    try:
-        indexed = service.search("customer")
-    finally:
-        index.close()
-    named_items = set(mdw.graph.subjects(TERMS.has_name, None))
+    found = SearchService(mdw).search("customer")
+    pattern = re.compile("customer", re.IGNORECASE)
+    named_items = sorted(mdw.graph.subjects(TERMS.has_name, None), key=lambda t: t.sort_key())
+    walked = [item for item in named_items if pattern.search(mdw.facts.name_of(item) or "")]
+    has_name = mdw.graph.dictionary.lookup(TERMS.has_name)
     return {
         "names compared per search, instance scan": len(named_items),
-        "names compared per search, name index": index.vocabulary_size,
-        'hits for "customer"': len(scan),
-        "same hits": [h.instance for h in scan.hits] == [h.instance for h in indexed.hits],
+        "names compared per search, distinct-name pass": len(
+            list(mdw.graph.distinct_object_ids(has_name))
+        ),
+        'hits for "customer"': len(found),
+        "same hits": [h.instance for h in found.hits] == walked,
     }
 
 
@@ -733,7 +732,7 @@ def main() -> int:
         "A3": a3_path_filters(),
         "A4": a4_synonyms(medium),
         "A5": a5_planner(medium),
-        "A6": a6_name_index(medium),
+        "A6": a6_distinct_names(medium),
     }
     text = EXPERIMENTS_MD.read_text(encoding="utf-8")
     EXPERIMENTS_MD.write_text(rewrite(text, tables), encoding="utf-8")

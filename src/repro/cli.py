@@ -28,6 +28,7 @@ from typing import List, Optional
 
 from repro.core import MetadataWarehouse, TERMS
 from repro.core.vocabulary import MDW
+from repro.errors import InvalidOption
 from repro.services import SearchFilters
 
 _AREAS = {
@@ -389,7 +390,7 @@ def cmd_search(args) -> None:
         results = mdw.search.search(
             args.term, filters, expand_synonyms=args.synonyms, regex=args.regex
         )
-    except KeyError as exc:
+    except (KeyError, InvalidOption) as exc:
         raise CliError(str(exc)) from None
     print(render_search_results(results, expand=args.expand))
 

@@ -12,6 +12,8 @@ The concrete classes keep the builtin base the check raised before, so
 ``except ValueError`` / ``except KeyError`` callers are unaffected.
 """
 
+import re
+
 
 class InvalidRequest(Exception):
     """Base class of every error a request causes by itself."""
@@ -23,3 +25,7 @@ class InvalidOption(InvalidRequest, ValueError):
 
 class UnknownName(InvalidRequest, KeyError):
     """A name or label that resolves to nothing (e.g. a class filter)."""
+
+
+class InvalidPattern(InvalidOption, re.error):
+    """A malformed regular expression (e.g. a search term in regex mode)."""

@@ -49,7 +49,8 @@ class ReadableGraph:
     A subclass supplies the id-level primitives: ``dictionary``,
     ``generation``, :meth:`triples_ids`, :meth:`count_ids`,
     :meth:`has_ids`, ``__len__``, the three distinct counts and
-    ``stats()`` (the planner's :class:`~repro.rdf.stats.StatsCatalog`).
+    ``stats()`` (the planner's :class:`~repro.rdf.stats.StatsCatalog`);
+    :meth:`distinct_object_ids` has a default over :meth:`triples_ids`.
     Every term-level read is implemented here once over them. A class
     that memoizes counts provides the ``_count_cache`` /
     ``_count_cache_gen`` slots :meth:`cached_count` uses.
@@ -144,6 +145,12 @@ class ReadableGraph:
         return len(self) == len(other) and all(t in other for t in self)
 
     __hash__ = None  # compared by content, which may change
+
+    def distinct_object_ids(self, p: int) -> Iterable[int]:
+        """The distinct object ids of predicate id ``p``: one POS range,
+        deduplicated. Each distinct value is listed once however many
+        subjects share it — the name search tests each name once."""
+        return dict.fromkeys(o for _, _, o in self.triples_ids(None, p, None))
 
     # -- convenience accessors ----------------------------------------------
 
@@ -478,6 +485,10 @@ class Graph(ReadableGraph):
                     for obj in objs:
                         yield (subj, pred, obj)
 
+    def distinct_object_ids(self, p: int) -> Iterable[int]:
+        """The keys of ``p``'s POS entry (copied: a writer may add to it)."""
+        return list(self._pos.get(p, ()))
+
     def has_ids(self, s: int, p: int, o: int) -> bool:
         """Membership test over dictionary ids (no term hashing).
 
@@ -761,6 +772,11 @@ class GraphView(ReadableGraph):
                 if t not in seen:
                     seen.add(t)
                     yield t
+
+    def distinct_object_ids(self, p: int) -> Iterable[int]:
+        return dict.fromkeys(
+            chain.from_iterable(layer.distinct_object_ids(p) for layer in self._layers)
+        )
 
     def has_ids(self, s: int, p: int, o: int) -> bool:
         return any(layer.has_ids(s, p, o) for layer in self._layers)

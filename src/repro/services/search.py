@@ -25,12 +25,12 @@ from __future__ import annotations
 import re
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.errors import UnknownName
-from repro.rdf.namespace import RDF
-from repro.rdf.terms import IRI, Term
+from repro.errors import InvalidPattern, UnknownName
+from repro.rdf.terms import IRI, Literal, Term
+from repro.sparql.errors import ExpressionError
+from repro.sparql.expressions import compile_regex
 
 from repro.core.model import World
 from repro.core.vocabulary import TERMS
@@ -38,21 +38,6 @@ from repro.etl.dbpedia import SynonymThesaurus
 
 if TYPE_CHECKING:  # annotations only: the warehouse imports this module
     from repro.core.warehouse import MetadataWarehouse
-
-
-@lru_cache(maxsize=512)
-def _compiled_pattern(pattern_text: str) -> "re.Pattern":
-    """Case-insensitive compiled regex, cached across searches.
-
-    Search terms repeat heavily (users refine a query, synonym
-    expansion re-emits the same thesaurus terms), so the compile cost
-    is paid once per distinct pattern instead of once per search call.
-
-    ``lru_cache`` is internally locked, so concurrent query-service
-    workers can share this cache; at worst a contended miss compiles
-    the same pattern twice, never corrupting the cache.
-    """
-    return re.compile(pattern_text, re.IGNORECASE)
 
 
 @dataclass
@@ -152,7 +137,6 @@ class SearchService:
     def __init__(self, warehouse: MetadataWarehouse, thesaurus: Optional[SynonymThesaurus] = None):
         self._mdw = warehouse
         self._thesaurus = thesaurus
-        self._index = None
         # guards the lazy thesaurus build: concurrent first searches on a
         # shared snapshot facade must not each rebuild it
         self._thesaurus_lock = threading.Lock()
@@ -166,24 +150,6 @@ class SearchService:
     def _on_graph_change(self, action, triple) -> None:
         if triple.predicate in (TERMS.synonym_of, TERMS.homonym_of):
             self._thesaurus = None
-
-    def enable_index(self):
-        """Build (and auto-maintain) the inverted name index.
-
-        Plain-term searches then scan the name vocabulary instead of
-        every instance — the difference is measured in ablation A6.
-        Returns the :class:`~repro.services.text_index.NameIndex`.
-        """
-        if self._index is None:
-            from repro.services.text_index import NameIndex
-
-            self._index = NameIndex(self._mdw.graph)
-        return self._index
-
-    @property
-    def index(self):
-        """The name index, or None when not enabled."""
-        return self._index
 
     @property
     def thesaurus(self) -> SynonymThesaurus:
@@ -211,7 +177,8 @@ class SearchService:
 
         ``term`` is matched case-insensitively as a substring of each
         instance's ``dm:hasName`` (set ``regex=True`` to pass a raw
-        regular expression, as Listing 1 does).
+        regular expression, as Listing 1 does; a malformed one raises
+        :class:`~repro.errors.InvalidPattern`, an ``InvalidOption``).
         """
         filters = filters or SearchFilters()
         hierarchy = self._mdw.hierarchy
@@ -226,31 +193,21 @@ class SearchService:
         if expand_synonyms:
             terms = self.thesaurus.expand(term)
             homonym_warnings = sorted(self.thesaurus.homonyms(term))
-        patterns = [
-            _compiled_pattern(t if regex else re.escape(t)) for t in terms
-        ]
+        try:
+            patterns = [compile_regex(t if regex else re.escape(t), "i") for t in terms]
+        except ExpressionError as exc:
+            raise InvalidPattern(f"search term {term!r}: {exc}") from None
 
         area_set = set(filters.areas)
         level_set = set(filters.levels)
         graph = self._mdw.graph
         hits: List[SearchHit] = []
-        seen: Set[Term] = set()
-        if self._index is not None and not regex:
-            candidates = self._index.candidates_for_terms(terms)
-        else:
-            candidates = self._candidate_instances(valid)
-        for instance in sorted(candidates, key=lambda t: t.sort_key()):
-            if instance in seen:
-                continue
-            seen.add(instance)
+        matched_names, candidates = self._candidates(patterns, terms)
+        for instance in candidates:
+            # an item with several names is judged by the one name_of
+            # reports, which need not be the name that made it a candidate
             name = self._mdw.facts.name_of(instance)
-            if name is None:
-                continue
-            matched = None
-            for pattern, searched in zip(patterns, terms):
-                if pattern.search(name):
-                    matched = searched
-                    break
+            matched = matched_names.get(name)
             if matched is None:
                 continue
             if area_set and graph.value(instance, TERMS.in_area, None) not in area_set:
@@ -321,12 +278,25 @@ class SearchService:
             raise UnknownName(f"no class with label or name {class_filter!r}")
         return cls
 
-    def _candidate_instances(self, valid_classes: Optional[Set[IRI]]):
+    def _candidates(self, patterns, terms) -> Tuple[Dict[str, str], List[Term]]:
+        """Each ``dm:hasName`` value some pattern matches, mapped to the
+        first term that matches it, and the items carrying those names
+        in term order. Every distinct name is tested once, however many
+        items share it."""
         graph = self._mdw.graph
-        if valid_classes is None:
-            # every typed node that is not itself a class or property
-            for subject in graph.subjects(TERMS.has_name, None):
-                yield subject
-            return
-        for cls in valid_classes:
-            yield from graph.subjects(RDF.type, cls)
+        dictionary = graph.dictionary
+        name_id = dictionary.lookup(TERMS.has_name)
+        matched: Dict[str, str] = {}
+        items: Set[int] = set()
+        if name_id is None:
+            return matched, []
+        for tid in graph.distinct_object_ids(name_id):
+            name = dictionary.term(tid)
+            if not isinstance(name, Literal):
+                continue
+            for pattern, searched in zip(patterns, terms):
+                if pattern.search(name.lexical):
+                    matched[name.lexical] = searched
+                    items.update(s for s, _, _ in graph.triples_ids(None, name_id, tid))
+                    break
+        return matched, sorted(map(dictionary.term, items), key=lambda t: t.sort_key())

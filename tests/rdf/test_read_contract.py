@@ -111,6 +111,18 @@ def test_every_graph_answers_the_read_contract_alike(tmp_path, triples, layer_se
                 assert g == other, (name, other_name)
             assert not g == Graph([Triple(UNKNOWN, UNKNOWN, UNKNOWN)]), name
 
+        # the distinct objects of a predicate, in id space (the mixed
+        # view has none): each stored object once
+        for p in PROBES["p"]:
+            for name, g in graphs.items():
+                if g.dictionary is None:
+                    continue
+                pid = g.dictionary.lookup(p)
+                ids = distinct(g.distinct_object_ids(pid)) if pid is not None else set()
+                assert {g.dictionary.term(i) for i in ids} == {
+                    t.object for t in expected if t.predicate == p
+                }, (name, p)
+
         for s, p, o in patterns():
             match = {
                 t

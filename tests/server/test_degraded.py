@@ -5,6 +5,7 @@ import time
 import pytest
 
 from repro.core.vocabulary import TERMS
+from repro.errors import InvalidOption
 from repro.resilience import FaultInjector
 from repro.resilience.faults import fault_scope
 from repro.server import CircuitOpen, QueryService, ServiceConfig
@@ -190,6 +191,17 @@ class TestCircuitBreaker:
                     service.query(bad)
             assert len(service.query(good)) > 0
             assert service.health()["endpoints"]["query"]["breaker"]["state"] == "closed"
+
+    def test_bad_search_regex_does_not_trip_the_breaker(self, warehouse):
+        """A malformed search regex is an InvalidOption, so a run of them
+        leaves the ``search`` breaker closed and the next valid search is
+        answered, not shed with CircuitOpen."""
+        with service_of(warehouse) as service:
+            for _ in range(service_module.BREAKER_THRESHOLD):
+                with pytest.raises(InvalidOption):
+                    service.search("(", regex=True)
+            assert len(service.search("client")) > 0
+            assert service.health()["endpoints"]["search"]["breaker"]["state"] == "closed"
 
     def test_update_breaker_guards_the_write_path(self, warehouse):
         with service_of(warehouse) as service:

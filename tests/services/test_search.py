@@ -1,10 +1,14 @@
 """Unit tests for the search facility (use case IV.A, Figures 5 and 6)."""
 
+import re
+
 import pytest
 
 from repro.core import MetadataWarehouse, TERMS, World
+from repro.errors import InvalidOption
 from repro.etl import SynonymThesaurus
 from repro.services import SearchFilters, SearchService
+from repro.synth import LandscapeConfig, generate_landscape
 from repro.synth.figures import build_figure3_snippet
 
 
@@ -217,3 +221,64 @@ class TestThesaurusDeltaInvalidation:
         extra.add_synonym("customer", "partner")
         extra.materialize(mdw.graph)
         assert service.thesaurus is explicit
+
+
+def named_item_walk(mdw, term, filters=SearchFilters()):
+    """The search by brute force: every named item's name tested, then
+    the area and class filters. The service tests each distinct name
+    once instead and must answer the same items in the same order."""
+    valid = mdw.search.valid_classes(filters)
+    pattern = re.compile(re.escape(term), re.IGNORECASE)
+    out = []
+    for item in sorted(mdw.graph.subjects(TERMS.has_name, None), key=lambda t: t.sort_key()):
+        name = mdw.facts.name_of(item)
+        if name is None or not pattern.search(name):
+            continue
+        if filters.areas and mdw.graph.value(item, TERMS.in_area, None) not in filters.areas:
+            continue
+        if valid is not None and not mdw.hierarchy.classes_of(item, direct=True) & valid:
+            continue
+        out.append(item)
+    return out
+
+
+class TestDistinctNamePass:
+    """Each distinct ``dm:hasName`` value is tested once; only the items
+    carrying a matching name are walked."""
+
+    @pytest.fixture
+    def mdw(self):
+        mdw = MetadataWarehouse()
+        cls = mdw.schema.declare_class("Column")
+        for i, name in enumerate(
+            ["customer_id", "customer_name", "trade_amount", "customer_id"]
+        ):
+            mdw.facts.add_instance(f"item_{i}", cls, display_name=name)
+        return mdw
+
+    @pytest.fixture(scope="class")
+    def landscape(self):
+        return generate_landscape(LandscapeConfig.small(seed=13)).warehouse
+
+    def test_same_hits_as_the_named_item_walk(self, landscape):
+        hits = landscape.search.search("customer").hits
+        assert hits and [h.instance for h in hits] == named_item_walk(landscape, "customer")
+
+    def test_class_and_area_filters_match_the_walk(self, landscape):
+        filters = SearchFilters(classes=["Attribute"], areas=[TERMS.area_integration])
+        hits = landscape.search.search("id", filters).hits
+        assert hits and [h.instance for h in hits] == named_item_walk(landscape, "id", filters)
+
+    def test_a_shared_name_finds_every_item_carrying_it(self, mdw):
+        results = mdw.search.search("^customer_(id|name)$", regex=True)
+        assert results.instance_names() == ["customer_id", "customer_id", "customer_name"]
+
+    def test_finds_a_name_inserted_by_sparql_without_a_type(self, mdw):
+        mdw.update('INSERT DATA { cs:new_one dm:hasName "customer_fresh" }')
+        assert [h.name for h in mdw.search.search("customer_fresh").hits] == ["customer_fresh"]
+
+    @pytest.mark.parametrize("term", ["(", "a{2,1}", "[z-a]"])
+    def test_a_malformed_regex_is_an_invalid_option(self, mdw, term):
+        with pytest.raises(InvalidOption):
+            mdw.search.search(term, regex=True)
+        assert len(mdw.search.search(term)) == 0  # as a plain term it is text

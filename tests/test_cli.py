@@ -83,6 +83,10 @@ class TestSearch:
     def test_search_expand_group(self, store_dir, capsys):
         assert main(["search", str(store_dir), "customer", "--expand", "Attribute"]) == 0
 
+    def test_search_bad_regex_exits_2(self, store_dir, capsys):
+        assert main(["search", str(store_dir), "(", "--regex"]) == 2
+        assert capsys.readouterr().err.startswith("error: search term '('")
+
 
 class TestLineageFlows:
     def item_name(self, store_dir):
