@@ -1,14 +1,14 @@
 """Persistent storage tier: mmap-able binary snapshots and delta segments.
 
 The in-memory substrate (:mod:`repro.rdf`) is RAM-bound and cold start
-replays a full ETL or journal load. This package adds a compact binary
-snapshot format — sorted id-triple runs with delta encoding, SPO/POS/OSP
-index pages, and the term dictionary as a shared offset-indexed string
-pool — written atomically and loaded via ``mmap`` with lazy
-materialization, so point lookups and index scans read pages without
-deserializing the whole graph. Per-release delta segments (built on
-:mod:`repro.history.diff`) make publishing release N+1 an O(delta)
-write. The snapshot file is the only store format on disk.
+replays a full ETL or journal load. This package adds a binary
+snapshot format — SPO/POS/OSP id-triple runs as fixed-width sorted
+arrays, and the term dictionary as a shared offset-indexed string
+pool — written atomically and loaded via ``mmap``, so point lookups and
+index scans read the arrays in place without deserializing the graph.
+Per-release delta segments (built on :mod:`repro.history.diff`) make
+publishing release N+1 an O(delta) write. The snapshot file is the
+only store format on disk.
 """
 
 from repro.storage.codec import SnapshotFormatError, StorageError

@@ -1,46 +1,34 @@
-"""Binary codec for snapshot files: varints, delta-encoded triple runs.
+"""Binary codec for snapshot files: varints and fixed-width triple runs.
 
 A *run* is one sort order of one graph's id-triples (SPO, POS, or OSP
-rows, each a strictly increasing sequence of ``(a, b, c)`` int tuples).
-Runs are cut into pages of :data:`PAGE_TRIPLES` triples. Each page is
-delta-encoded varints; a fixed-width directory in front of the pages
-records every page's first triple, so point lookups and prefix scans
-binary-search the directory and decode only the touched pages —
-:class:`RunReader` never materializes a whole run.
+rows, each a strictly increasing sequence of ``(a, b, c)`` int tuples),
+stored as a three-level CSR: a header of three counts, then five
+little-endian u32 arrays::
 
-Per-triple encoding within a page, against the previous row
-``(pa, pb, pc)`` (initially ``(0, 0, 0)``)::
+    n1 n2 n3                  # header: lengths of keys1, keys2, ids3
+    keys1[n1]                 # distinct first components, ascending
+    off1[n1 + 1]              # group i's second level is keys2[off1[i]:off1[i+1]]
+    keys2[n2]                 # second components, ascending within a group
+    off2[n2 + 1]              # pair j's third level is ids3[off2[j]:off2[j+1]]
+    ids3[n3]                  # third components, ascending within a pair
 
-    da = a - pa                  # >= 0, rows are sorted
-    da > 0  -> emit da, b, c     # b and c absolute
-    da == 0 -> emit 0, b-pb, ...
-       b-pb > 0  -> c absolute
-       b-pb == 0 -> c-pc         # > 0, rows are distinct
-
-The decoder needs no flags: ``b`` is absolute exactly when ``da > 0``
-and ``c`` is absolute exactly when ``da > 0 or db > 0``.
+:class:`RunReader` casts the arrays out of the mapped file in place and
+answers ``scan`` / ``has`` / ``count`` by ``bisect`` over them: there is
+no decode step and no cache. ``n1`` is the run's distinct first-component
+count, and ``keys2`` of one group lists that group's distinct second
+components, so a POS run gives a predicate's distinct objects directly.
 """
 
 from __future__ import annotations
 
 import struct
-from bisect import bisect_left, bisect_right
-from collections import OrderedDict
-from typing import Iterator, List, Optional, Sequence, Tuple
+import sys
+from array import array
+from bisect import bisect_left
+from typing import Iterator, List, Sequence, Tuple
 
-#: Triples per page; ~3-6 bytes/triple encoded, so pages are a few KiB.
-PAGE_TRIPLES = 1024
-
-#: Directory entry: first triple (a, b, c), page offset, count, length.
-_DIR = struct.Struct("<QQQQII")
-
+_HEAD = struct.Struct("<III")
 _U32 = struct.Struct("<I")
-
-#: Sentinel above any real term id (ids are dense, far below 2**63).
-_INF = (1 << 63) - 1
-
-#: Decoded pages kept per reader (LRU); a page is ~1k small tuples.
-_PAGE_CACHE_CAP = 32
 
 Row = Tuple[int, int, int]
 
@@ -79,225 +67,171 @@ def decode_varint(buf, pos: int) -> Tuple[int, int]:
         shift += 7
 
 
-def _encode_page(rows: Sequence[Row]) -> bytes:
-    out = bytearray()
-    pa = pb = pc = 0
-    for a, b, c in rows:
-        da = a - pa
-        encode_varint(da, out)
-        if da > 0:
-            encode_varint(b, out)
-            encode_varint(c, out)
-        else:
-            db = b - pb
-            encode_varint(db, out)
-            encode_varint(c if db > 0 else c - pc, out)
-        pa, pb, pc = a, b, c
-    return bytes(out)
-
-
-def _decode_page(buf, pos: int, end: int, count: int) -> List[Row]:
-    rows: List[Row] = []
-    append = rows.append
-    a = b = c = 0
-    for _ in range(count):
-        da, pos = decode_varint(buf, pos)
-        x, pos = decode_varint(buf, pos)
-        y, pos = decode_varint(buf, pos)
-        if da > 0:
-            a += da
-            b = x
-            c = y
-        elif x > 0:
-            b += x
-            c = y
-        else:
-            c += y
-        append((a, b, c))
-    if pos != end:
-        raise SnapshotFormatError("page length disagrees with its directory entry")
-    return rows
+def _native_u32() -> bool:
+    """Whether a ``"I"`` cast of the mapping reads the file's u32s as is."""
+    return sys.byteorder == "little" and array("I").itemsize == 4
 
 
 def encode_run(rows: Sequence[Row]) -> bytes:
-    """Encode a sorted run of id-triples: page count, directory, pages."""
-    pages: List[bytes] = []
-    entries = bytearray()
-    offset = 0
-    for start in range(0, len(rows), PAGE_TRIPLES):
-        chunk = rows[start : start + PAGE_TRIPLES]
-        body = _encode_page(chunk)
-        first = chunk[0]
-        entries += _DIR.pack(first[0], first[1], first[2], offset, len(chunk), len(body))
-        pages.append(body)
-        offset += len(body)
-    return _U32.pack(len(pages)) + bytes(entries) + b"".join(pages)
+    """Encode a sorted run of id-triples as header plus five u32 arrays."""
+    keys1, off1, keys2, off2, ids3 = (array("I") for _ in range(5))
+    pa = pb = None
+    try:
+        for a, b, c in rows:
+            if a != pa:
+                keys1.append(a)
+                off1.append(len(keys2))
+                pa, pb = a, None
+            if b != pb:
+                keys2.append(b)
+                off2.append(len(ids3))
+                pb = b
+            ids3.append(c)
+        off1.append(len(keys2))
+        off2.append(len(ids3))
+    except OverflowError:
+        raise StorageError("a run holds ids and offsets below 2**32 only") from None
+    arrays = (keys1, off1, keys2, off2, ids3)
+    if sys.byteorder != "little":
+        for part in arrays:
+            part.byteswap()
+    return _HEAD.pack(len(keys1), len(keys2), len(ids3)) + b"".join(
+        part.tobytes() for part in arrays
+    )
 
 
 class RunReader:
-    """Lazy reader over one encoded run inside a mapped buffer.
+    """One encoded run inside a mapped buffer, read in place.
 
-    The directory is parsed on first access; pages decode on demand
-    into a small per-reader LRU. All queries (``scan`` / ``has`` /
-    ``count``) touch only the pages the answer lives in.
+    The constructor checks the header and the level boundaries against
+    the section and the TOC's triple count; every offset a query follows
+    is range-checked, so a corrupt run raises
+    :class:`SnapshotFormatError`, never a wrong row. :meth:`release`
+    gives the views back so the mapping can close.
     """
 
-    __slots__ = ("_buf", "_off", "_len", "count_total", "_dir", "_cum", "_pages_off", "_cache")
+    __slots__ = ("count_total", "_views", "_keys1", "_off1", "_keys2", "_off2", "_ids3")
 
     def __init__(self, buf, offset: int, length: int, count: int):
-        self._buf = buf
-        self._off = offset
-        self._len = length
-        self.count_total = count
-        self._dir: Optional[List[Tuple[int, int, int, int, int, int]]] = None
-        self._cum: Optional[List[int]] = None
-        self._pages_off = 0
-        self._cache: "OrderedDict[int, List[Row]]" = OrderedDict()
-
-    # -- directory ---------------------------------------------------------
-
-    def _directory(self) -> List[Tuple[int, int, int, int, int, int]]:
-        if self._dir is None:
-            if self._len < _U32.size:
-                raise SnapshotFormatError("run section too short for its header")
-            (n_pages,) = _U32.unpack_from(self._buf, self._off)
-            dir_end = self._off + _U32.size + n_pages * _DIR.size
-            if dir_end > self._off + self._len:
-                raise SnapshotFormatError("run directory exceeds its section")
-            self._dir = list(_DIR.iter_unpack(self._buf[self._off + _U32.size : dir_end]))
-            self._pages_off = dir_end
-            cum = [0]
-            for entry in self._dir:
-                cum.append(cum[-1] + entry[4])
-            self._cum = cum
-            if cum[-1] != self.count_total:
+        if not _native_u32():
+            raise SnapshotFormatError(
+                "runs are little-endian u32 arrays read in place; "
+                "this host cannot read them"
+            )
+        if length < _HEAD.size:
+            raise SnapshotFormatError("run section too short for its header")
+        n1, n2, n3 = _HEAD.unpack_from(buf, offset)
+        if _HEAD.size + 4 * (2 * n1 + 2 * n2 + n3 + 2) != length:
+            raise SnapshotFormatError("run header counts disagree with its section length")
+        if n3 != count:
+            raise SnapshotFormatError(f"run holds {n3} triples, TOC says {count}")
+        start1 = offset + _HEAD.size + 4 * n1
+        start2 = start1 + 4 * (n1 + 1) + 4 * n2
+        for at, last, below in ((start1, start1 + 4 * n1, n2), (start2, start2 + 4 * n2, n3)):
+            if _U32.unpack_from(buf, at)[0] != 0 or _U32.unpack_from(buf, last)[0] != below:
                 raise SnapshotFormatError(
-                    f"run holds {cum[-1]} triples, TOC says {self.count_total}"
+                    "run offsets do not span the next level "
+                    f"({below} entries)"
                 )
-        return self._dir
+        raw = buf[offset : offset + length]
+        words = raw.cast("I")
+        bounds = [3, 3 + n1, 4 + 2 * n1, 4 + 2 * n1 + n2, 5 + 2 * n1 + 2 * n2, len(words)]
+        parts = [words[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        self._views = [raw, words, *parts]
+        self._keys1, self._off1, self._keys2, self._off2, self._ids3 = parts
+        self.count_total = count
 
-    def _page(self, idx: int) -> List[Row]:
-        cached = self._cache.get(idx)
-        if cached is not None:
-            self._cache.move_to_end(idx)
-            return cached
-        entry = self._directory()[idx]
-        start = self._pages_off + entry[3]
-        end = start + entry[5]
-        if end > self._off + self._len:
-            raise SnapshotFormatError("run page exceeds its section")
-        rows = _decode_page(self._buf, start, end, entry[4])
-        if len(self._cache) >= _PAGE_CACHE_CAP:
-            self._cache.popitem(last=False)
-        self._cache[idx] = rows
-        return rows
+    def release(self) -> None:
+        """Release every view this reader holds; idempotent."""
+        for view in reversed(self._views):
+            view.release()
 
-    def _first_keys(self) -> List[Row]:
-        return [(e[0], e[1], e[2]) for e in self._directory()]
+    # -- levels --------------------------------------------------------------
 
-    def _locate(self, target: Row) -> Tuple[int, int]:
-        """Global index of the first row >= ``target`` as (page, in-page)."""
-        directory = self._directory()
-        if not directory:
+    @staticmethod
+    def _span(offsets, i: int, below: int) -> Tuple[int, int]:
+        lo, hi = offsets[i], offsets[i + 1]
+        if not lo <= hi <= below:
+            raise SnapshotFormatError(f"run offset out of range ({lo}..{hi} of {below})")
+        return lo, hi
+
+    def _group(self, a: int) -> Tuple[int, int]:
+        """The second-level span of first component ``a`` (empty if absent)."""
+        keys1 = self._keys1
+        i = bisect_left(keys1, a)
+        if i == len(keys1) or keys1[i] != a:
             return 0, 0
-        page = bisect_right(self._first_keys(), target) - 1
-        if page < 0:
+        return self._span(self._off1, i, len(self._keys2))
+
+    def _pair(self, a: int, b: int) -> Tuple[int, int]:
+        """The third-level span of ``(a, b)`` (empty if absent)."""
+        lo, hi = self._group(a)
+        keys2 = self._keys2
+        j = bisect_left(keys2, b, lo, hi)
+        if j == hi or keys2[j] != b:
             return 0, 0
-        rows = self._page(page)
-        pos = bisect_left(rows, target)
-        if pos == len(rows) and page + 1 < len(directory):
-            return page + 1, 0
-        return page, pos
+        return self._span(self._off2, j, len(self._ids3))
+
+    def seconds(self, a: int) -> List[int]:
+        """The distinct second components under ``a``, ascending."""
+        lo, hi = self._group(a)
+        return self._keys2[lo:hi].tolist()
+
+    def thirds(self, a: int, b: int) -> List[int]:
+        """The third components under ``(a, b)``, ascending."""
+        lo, hi = self._pair(a, b)
+        return self._ids3[lo:hi].tolist()
 
     # -- queries -----------------------------------------------------------
 
     def scan(self, prefix: Sequence[int] = ()) -> Iterator[Row]:
         """Yield rows whose first ``len(prefix)`` components equal it."""
-        directory = self._directory()
-        if not directory:
-            return
         k = len(prefix)
-        if k == 0:
-            for idx in range(len(directory)):
-                yield from self._page(idx)
+        if k == 3:
+            if self.has(prefix):
+                yield tuple(prefix)
             return
-        lo = (
-            prefix[0],
-            prefix[1] if k > 1 else 0,
-            prefix[2] if k > 2 else 0,
-        )
-        page, pos = self._locate(lo)
-        prefix = tuple(prefix)
-        while page < len(directory):
-            rows = self._page(page)
-            for i in range(pos, len(rows)):
-                row = rows[i]
-                if row[:k] != prefix:
-                    return
-                yield row
-            page += 1
-            pos = 0
+        if k == 2:
+            a, b = prefix
+            for c in self.thirds(a, b):
+                yield (a, b, c)
+            return
+        if k == 1:
+            groups = [(prefix[0], self._group(prefix[0]))]
+        else:
+            n2 = len(self._keys2)
+            groups = (
+                (a, self._span(self._off1, i, n2)) for i, a in enumerate(self._keys1)
+            )
+        keys2, off2, ids3 = self._keys2, self._off2, self._ids3
+        for a, (lo, hi) in groups:
+            for j in range(lo, hi):
+                clo, chi = self._span(off2, j, len(ids3))
+                b = keys2[j]
+                for c in ids3[clo:chi].tolist():
+                    yield (a, b, c)
 
     def has(self, row: Row) -> bool:
-        directory = self._directory()
-        if not directory:
-            return False
-        page = bisect_right(self._first_keys(), row) - 1
-        if page < 0:
-            return False
-        rows = self._page(page)
-        pos = bisect_left(rows, row)
-        return pos < len(rows) and rows[pos] == row
-
-    def _global_index(self, target: Row) -> int:
-        """Number of rows strictly below ``target``."""
-        directory = self._directory()
-        if not directory:
-            return 0
-        page, pos = self._locate(target)
-        assert self._cum is not None
-        return self._cum[page] + pos
+        lo, hi = self._pair(row[0], row[1])
+        ids3 = self._ids3
+        i = bisect_left(ids3, row[2], lo, hi)
+        return i < hi and ids3[i] == row[2]
 
     def count(self, prefix: Sequence[int] = ()) -> int:
-        """Number of rows matching ``prefix``; touches at most two pages."""
+        """Number of rows matching ``prefix``; no row is visited."""
         k = len(prefix)
         if k == 0:
             return self.count_total
-        lo = (
-            prefix[0],
-            prefix[1] if k > 1 else 0,
-            prefix[2] if k > 2 else 0,
-        )
-        hi = (
-            prefix[0],
-            prefix[1] if k > 1 else _INF,
-            prefix[2] if k > 2 else _INF,
-        )
         if k == 3:
-            return 1 if self.has(lo) else 0
-        return self._global_index((hi[0], hi[1], hi[2] + 1)) - self._global_index(lo)
-
-    def distinct_first(self) -> int:
-        """Number of distinct leading components, skipping interior pages.
-
-        A page whose first row and successor page's first row share one
-        leading component lies entirely inside that component's group
-        (rows are sorted), so it contributes nothing new and is never
-        decoded.
-        """
-        directory = self._directory()
-        n = len(directory)
-        count = 0
-        current: Optional[int] = None
-        for idx in range(n):
-            if (
-                directory[idx][0] == current
-                and idx + 1 < n
-                and directory[idx + 1][0] == current
-            ):
-                continue
-            for row in self._page(idx):
-                if row[0] != current:
-                    current = row[0]
-                    count += 1
-        return count
+            return 1 if self.has(prefix) else 0
+        if k == 2:
+            lo, hi = self._pair(prefix[0], prefix[1])
+            return hi - lo
+        lo, hi = self._group(prefix[0])
+        if lo == hi:
+            return 0
+        off2, n3 = self._off2, len(self._ids3)
+        first, last = off2[lo], off2[hi]
+        if not first <= last <= n3:
+            raise SnapshotFormatError(f"run offset out of range ({first}..{last} of {n3})")
+        return last - first

@@ -8,10 +8,11 @@ The header (``<8sIIQQQII``) carries the magic, format version, flags,
 generation stamp, the TOC's offset/length/CRC, and its own CRC — enough
 to reject truncation, corruption, and version skew before trusting a
 byte of the body. Sections are the shared string pool (pool / offsets /
-hash, see :mod:`repro.storage.stringpool`) plus three delta-encoded
-triple runs (SPO, POS, OSP) per graph; the TOC names every section with
-its offset, length, and CRC32, and describes every graph (model or
-entailment index, triple and distinct counts, frozen flag).
+hash, see :mod:`repro.storage.stringpool`) plus three fixed-width CSR
+triple runs (SPO, POS, OSP) per graph, see :mod:`repro.storage.codec`;
+the TOC names every section with its offset, length, and CRC32, and
+describes every graph (model or entailment index, triple and distinct
+counts, frozen flag).
 
 Saves go to a sibling temp file, ``fsync``, then ``os.replace`` — a
 crash mid-save leaves the previous snapshot untouched (the
@@ -20,9 +21,9 @@ crash mid-save leaves the previous snapshot untouched (the
 
 Attach (:meth:`MappedSnapshot.open`) maps the file and hands out
 :class:`MappedGraph` objects that answer the graph read contract
-(:class:`~repro.rdf.graph.ReadableGraph`) straight from the mapped pages —
-nothing is deserialized up front, and term ids are shared across every
-graph through one :class:`MappedTermDictionary`, so the id-space join
+(:class:`~repro.rdf.graph.ReadableGraph`) straight from the mapped runs —
+no triple is ever decoded, and term ids are shared across every graph
+through one :class:`MappedTermDictionary`, so the id-space join
 operators and ``GraphView`` disjointness reasoning keep working.
 """
 
@@ -34,7 +35,7 @@ import os
 import struct
 import zlib
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.rdf.dictionary import TermDictionary
 from repro.rdf.graph import Graph, ReadableGraph, ReadOnlyGraphError
@@ -45,7 +46,7 @@ from repro.storage.codec import RunReader, SnapshotFormatError, StorageError, en
 from repro.storage.stringpool import MappedStringPool, build_pool
 
 MAGIC = b"MDWSNAP\x01"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 #: magic, format_version, flags, generation, toc_offset, toc_length,
 #: toc_crc32, header_crc32
@@ -132,9 +133,12 @@ def save_snapshot_store(
                 spo = sorted(rows)
                 pos = sorted((p, o, s) for s, p, o in rows)
                 osp = sorted((o, s, p) for s, p, o in rows)
-                section(f"{key}/spo", encode_run(spo))
-                section(f"{key}/pos", encode_run(pos))
-                section(f"{key}/osp", encode_run(osp))
+                distinct = []
+                for order, run in (("spo", spo), ("pos", pos), ("osp", osp)):
+                    data = encode_run(run)
+                    section(f"{key}/{order}", data)
+                    # the header's first count: the run's first-level length
+                    distinct.append(int.from_bytes(data[:4], "little"))
                 toc_graphs.append(
                     {
                         "key": key,
@@ -143,11 +147,7 @@ def save_snapshot_store(
                         "rulebase": rulebase,
                         "frozen": bool(graph.frozen),
                         "triples": len(rows),
-                        "distinct": [
-                            _distinct_first(spo),
-                            _distinct_first(pos),
-                            _distinct_first(osp),
-                        ],
+                        "distinct": distinct,
                     }
                 )
 
@@ -188,16 +188,6 @@ def save_snapshot_store(
         raise
     _fsync_dir(path.parent)
     return path
-
-
-def _distinct_first(rows: Sequence[Tuple[int, int, int]]) -> int:
-    count = 0
-    current: Optional[int] = None
-    for row in rows:
-        if row[0] != current:
-            current = row[0]
-            count += 1
-    return count
 
 
 def _fsync_dir(directory: Path) -> None:
@@ -279,9 +269,8 @@ class MappedGraph(ReadableGraph):
 
     Supplies the id-level primitives of the read contract
     (:class:`~repro.rdf.graph.ReadableGraph`) by binary-searching the
-    three run directories and decoding only the touched pages; every
-    term-level read and the planner statistics come from the shared
-    implementations. Mutators raise
+    three runs in place; every term-level read and the planner
+    statistics come from the shared implementations. Mutators raise
     :class:`~repro.rdf.graph.ReadOnlyGraphError`; callers that need a
     writable graph call :meth:`materialize`.
     """
@@ -373,18 +362,19 @@ class MappedGraph(ReadableGraph):
                     if self._spo.has((s, p, o)):
                         yield (s, p, o)
                     return
-                yield from self._spo.scan((s, p))
+                for oo in self._spo.thirds(s, p):
+                    yield (s, p, oo)
                 return
             if o is not None:
-                for oo, ss, pp in self._osp.scan((o, s)):
-                    yield (ss, pp, oo)
+                for pp in self._osp.thirds(o, s):
+                    yield (s, pp, o)
                 return
             yield from self._spo.scan((s,))
             return
         if p is not None:
             if o is not None:
-                for pp, oo, ss in self._pos.scan((p, o)):
-                    yield (ss, pp, oo)
+                for ss in self._pos.thirds(p, o):
+                    yield (ss, p, o)
                 return
             for pp, oo, ss in self._pos.scan((p,)):
                 yield (ss, pp, oo)
@@ -397,6 +387,10 @@ class MappedGraph(ReadableGraph):
 
     def has_ids(self, s: int, p: int, o: int) -> bool:
         return self._spo.has((s, p, o))
+
+    def distinct_object_ids(self, p: int) -> Iterable[int]:
+        """The second level of ``p``'s POS group: no triple is read."""
+        return self._pos.seconds(p)
 
     def count_ids(self, s=None, p=None, o=None) -> int:
         if s is not None:
@@ -471,6 +465,7 @@ class MappedSnapshot:
         self._toc = toc
         self._dictionary: Optional[MappedTermDictionary] = None
         self._graphs: Dict[str, MappedGraph] = {}
+        self._readers: List[RunReader] = []
 
     @classmethod
     def open(cls, path: Union[str, Path]) -> "MappedSnapshot":
@@ -542,7 +537,10 @@ class MappedSnapshot:
     def close(self) -> None:
         """Release the mapping. Graphs handed out earlier must not be
         used afterwards; normally the mapping just lives as long as
-        they do."""
+        they do. Idempotent."""
+        for reader in self._readers:
+            reader.release()
+        self._readers.clear()
         self._graphs.clear()
         self._dictionary = None
         if self._buf is not None:
@@ -604,6 +602,7 @@ class MappedSnapshot:
             readers.append(
                 RunReader(self._buf, sec["offset"], sec["length"], entry["triples"])
             )
+            self._readers.append(readers[-1])
         name = (
             entry["model"]
             if entry["kind"] == "model"

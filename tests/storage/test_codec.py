@@ -1,11 +1,15 @@
-"""Varint and sorted-run codec: boundaries, paging, prefix counts."""
+"""Varint and fixed-width run codec: every prefix shape, typed corruption."""
+
+import random
+import struct
+import sys
 
 import pytest
 
 from repro.storage.codec import (
-    PAGE_TRIPLES,
     RunReader,
     SnapshotFormatError,
+    StorageError,
     decode_varint,
     encode_run,
     encode_varint,
@@ -35,10 +39,42 @@ def test_varint_truncated_raises():
         decode_varint(bytes(out[:-1]), 0)
 
 
-def _reader(rows):
-    rows = sorted(rows)
+def _reader(rows, count=None):
+    rows = sorted(set(rows))
     buf = encode_run(rows)
-    return rows, RunReader(memoryview(buf), 0, len(buf), len(rows))
+    n = len(rows) if count is None else count
+    return rows, RunReader(memoryview(buf), 0, len(buf), n)
+
+
+def _words(rows):
+    """The encoded run as a list of u32 words (header first)."""
+    buf = encode_run(sorted(rows))
+    return list(struct.unpack(f"<{len(buf) // 4}I", buf))
+
+
+def _read_words(words, count):
+    buf = struct.pack(f"<{len(words)}I", *words)
+    return RunReader(memoryview(buf), 0, len(buf), count)
+
+
+def _random_rows(seed, n):
+    rng = random.Random(seed)
+    return [(rng.randrange(6), rng.randrange(5), rng.randrange(7)) for _ in range(n)]
+
+
+@pytest.mark.parametrize("seed,n", [(0, 0), (1, 1), (2, 12), (3, 80), (4, 400)])
+def test_run_matches_brute_force_on_every_prefix(seed, n):
+    rows, reader = _reader(_random_rows(seed, n))
+    assert list(reader.scan(())) == rows
+    assert reader.count(()) == len(rows)
+    # probes reach one past every component's range: absent keys too
+    for k in (1, 2, 3):
+        for prefix in {r[:k] for r in _random_rows(seed + 100, 60)}:
+            expected = [r for r in rows if r[:k] == prefix]
+            assert list(reader.scan(prefix)) == expected, prefix
+            assert reader.count(prefix) == len(expected), prefix
+            if k == 3:
+                assert reader.has(prefix) == bool(expected), prefix
 
 
 def test_run_roundtrip_small():
@@ -46,34 +82,16 @@ def test_run_roundtrip_small():
     assert list(reader.scan(())) == rows
     assert reader.has((3, 2, 1))
     assert not reader.has((3, 2, 2))
+    assert not reader.has((4, 1, 2))
 
 
-def test_run_crosses_page_boundaries():
-    # enough rows for several pages, with runs straddling page edges
-    rows = [(s, p, o) for s in range(40) for p in range(9) for o in range(9)]
-    assert len(rows) > 2 * PAGE_TRIPLES
-    rows, reader = _reader(rows)
-    assert list(reader.scan(())) == rows
-    # per-prefix scans agree with a brute-force filter
-    for s in (0, 13, 39):
-        assert list(reader.scan((s,))) == [r for r in rows if r[0] == s]
-        assert reader.count((s,)) == 81
-        for p in (0, 8):
-            assert list(reader.scan((s, p))) == [
-                r for r in rows if r[:2] == (s, p)
-            ]
-            assert reader.count((s, p)) == 9
-    assert reader.count(()) == len(rows)
-    assert reader.count((40,)) == 0
-    assert list(reader.scan((40,))) == []
-
-
-def test_run_distinct_first_skips_interior_pages():
-    # one giant group spanning pages plus singleton groups around it
-    rows = [(1, 0, o) for o in range(3 * PAGE_TRIPLES)]
-    rows += [(0, 0, 0), (2, 0, 0), (3, 5, 5)]
-    rows, reader = _reader(rows)
-    assert reader.distinct_first() == 4
+def test_run_levels_list_distinct_components():
+    rows, reader = _reader([(1, 0, o) for o in range(50)] + [(1, 4, 4), (2, 3, 3)])
+    assert reader.seconds(1) == [0, 4]
+    assert reader.seconds(2) == [3]
+    assert reader.seconds(9) == []
+    assert reader.thirds(1, 0) == list(range(50))
+    assert reader.thirds(1, 3) == []
 
 
 def test_run_point_counts():
@@ -85,15 +103,80 @@ def test_run_point_counts():
 def test_empty_run():
     rows, reader = _reader([])
     assert list(reader.scan(())) == []
+    assert list(reader.scan((0,))) == []
     assert reader.count(()) == 0
-    assert reader.distinct_first() == 0
+    assert reader.count((0, 0)) == 0
+    assert reader.seconds(0) == []
     assert not reader.has((0, 0, 0))
 
 
-def test_run_rejects_corrupt_directory():
-    rows = sorted((i, i, i) for i in range(10))
-    buf = bytearray(encode_run(rows))
-    buf[0] = 0xFF  # wreck the page count
-    reader = RunReader(memoryview(bytes(buf)), 0, len(buf), len(rows))
-    with pytest.raises(SnapshotFormatError):
-        list(reader.scan(()))
+def test_encode_rejects_ids_past_u32():
+    with pytest.raises(StorageError, match="2\\*\\*32"):
+        encode_run([(0, 0, 2**32)])
+    encode_run([(0, 0, 2**32 - 1)])
+
+
+def test_big_endian_host_rejected(monkeypatch):
+    buf = encode_run([(1, 2, 3)])
+    monkeypatch.setattr(sys, "byteorder", "big")
+    with pytest.raises(SnapshotFormatError, match="little-endian"):
+        RunReader(memoryview(buf), 0, len(buf), 1)
+
+
+# -- corruption: one case per check ----------------------------------------------
+
+#: 3 groups, 4 pairs, 5 triples: header (3) | keys1 (3) | off1 (4) |
+#: keys2 (4) | off2 (5) | ids3 (5)
+ROWS = [(1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1), (3, 1, 1)]
+OFF1, OFF2 = 6, 14
+
+
+def test_run_rejects_header_length_mismatch():
+    words = _words(ROWS)
+    assert words[:3] == [3, 4, 5]
+    words[0] += 1
+    with pytest.raises(SnapshotFormatError, match="section length"):
+        _read_words(words, len(ROWS))
+    buf = encode_run(ROWS)
+    with pytest.raises(SnapshotFormatError, match="section length"):
+        RunReader(memoryview(buf), 0, len(buf) - 4, len(ROWS))
+    with pytest.raises(SnapshotFormatError, match="header"):
+        RunReader(memoryview(buf), 0, 8, len(ROWS))
+
+
+def test_run_rejects_triple_count_mismatch():
+    with pytest.raises(SnapshotFormatError, match="TOC says 6"):
+        _reader(ROWS, count=len(ROWS) + 1)
+
+
+@pytest.mark.parametrize("at,span", [(OFF1 + 3, 4), (OFF2 + 4, 5), (OFF1, 0), (OFF2, 0)])
+def test_run_rejects_level_boundary_mismatch(at, span):
+    words = _words(ROWS)
+    assert words[at] == span
+    words[at] += 1
+    with pytest.raises(SnapshotFormatError, match="span the next level"):
+        _read_words(words, len(ROWS))
+
+
+@pytest.mark.parametrize(
+    "at,value,row",
+    [
+        (OFF1 + 1, 99, (1, 1, 1)),  # past the second level
+        (OFF2 + 1, 99, (1, 1, 1)),  # past the third level
+        (OFF1 + 1, 4, (2, 1, 1)),  # group 2 would span 4..3
+        (OFF2 + 1, 4, (1, 2, 1)),  # pair (1, 2) would span 4..3
+    ],
+)
+def test_run_rejects_followed_offset_out_of_range(at, value, row):
+    words = _words(ROWS)
+    words[at] = value
+    reader = _read_words(words, len(ROWS))
+    k = 1 if at < OFF2 else 2
+    for read in (
+        lambda: list(reader.scan(())),
+        lambda: list(reader.scan(row[:1])),
+        lambda: reader.count(row[:k]),
+        lambda: reader.has(row),
+    ):
+        with pytest.raises(SnapshotFormatError, match="out of range"):
+            read()

@@ -1,6 +1,8 @@
 """Snapshot files: save/attach round trips, validation, rejection, and
 crashes mid-save and mid-attach."""
 
+import itertools
+import json
 import random
 import struct
 import zlib
@@ -183,18 +185,79 @@ def test_rejects_header_corruption(tmp_path):
         MappedSnapshot.open(path)
 
 
-def test_rejects_future_format_version(tmp_path):
-    path, raw = _valid_bytes(tmp_path)
-    header = struct.Struct("<8sIIQQQII")
-    fields = list(header.unpack_from(bytes(raw), 0))
+_HEADER = struct.Struct("<8sIIQQQII")
+
+
+def _header_fields(raw):
+    fields = list(_HEADER.unpack_from(bytes(raw), 0))
     assert fields[0] == MAGIC and fields[1] == FORMAT_VERSION
-    fields[1] = FORMAT_VERSION + 1
-    packed = header.pack(*fields)
+    return fields
+
+
+def _with_version(path, raw, version):
+    """Rewrite the header's format version under a valid header CRC."""
+    fields = _header_fields(raw)
+    fields[1] = version
+    packed = _HEADER.pack(*fields)
     packed = packed[:-4] + struct.pack("<I", zlib.crc32(packed[:-4]))
     raw[:HEADER_SIZE] = packed
     path.write_bytes(bytes(raw))
-    with pytest.raises(SnapshotFormatError, match="format 2 unsupported"):
+
+
+def test_rejects_future_format_version(tmp_path):
+    path, raw = _valid_bytes(tmp_path)
+    _with_version(path, raw, FORMAT_VERSION + 1)
+    with pytest.raises(SnapshotFormatError, match=f"format {FORMAT_VERSION + 1} unsupported"):
         MappedSnapshot.open(path)
+
+
+def test_rejects_format_1_file(tmp_path):
+    """A file of the retired varint-page format names both versions."""
+    path, raw = _valid_bytes(tmp_path)
+    _with_version(path, raw, 1)
+    with pytest.raises(
+        SnapshotFormatError,
+        match=rf"format 1 unsupported \(this build reads {FORMAT_VERSION}\)",
+    ):
+        MappedSnapshot.open(path)
+
+
+def test_rejects_corrupt_run_section(tmp_path):
+    """Run bytes are not checksummed on attach; their own checks reject
+    a wrecked header with a typed error, and close() still works."""
+    path, raw = _valid_bytes(tmp_path)
+    fields = _header_fields(raw)
+    toc = json.loads(bytes(raw[fields[4] : fields[4] + fields[5]]))
+    run = toc["sections"]["model:DWH_CURR/pos"]
+    raw[run["offset"]] ^= 0x01  # the first-level count
+    path.write_bytes(bytes(raw))
+    snap = MappedSnapshot.open(path)
+    with pytest.raises(SnapshotFormatError, match="section length"):
+        snap.store(mutable_models=())
+    snap.close()
+    snap.close()
+
+
+def test_close_releases_the_mapping(tmp_path):
+    """Runs are views cast off the mapping; close() gives every one back
+    after reads of every id shape, and a second close() is a no-op."""
+    path = save_snapshot_store(_store(), tmp_path / "c.mdws")
+    snap = MappedSnapshot.open(path)
+    attached = snap.store(mutable_models=())
+    graphs = [attached.model(n) for n in attached.model_names()]
+    graphs += [attached.index(m, r) for m, r in attached.index_names()]
+    for graph in graphs:
+        rows = list(graph.triples_ids())
+        assert len(rows) == len(graph) > 0
+        s, p, o = rows[len(rows) // 2]
+        for shape in itertools.product(*((None, x) for x in (s, p, o))):
+            assert list(graph.triples_ids(*shape)), shape
+        assert o in graph.distinct_object_ids(p)
+    # a scan left suspended mid-run holds no view either
+    suspended = graphs[0].triples_ids()
+    next(suspended)
+    snap.close()
+    snap.close()
 
 
 def test_rejects_truncated_file(tmp_path):

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from repro.cli import main
+from repro.storage.snapshot import FORMAT_VERSION
 
 
 def _legacy_directory(tmp):
@@ -336,7 +337,7 @@ class TestSnapshotFiles:
     def test_info_attach_cycle(self, store_dir, capsys):
         assert main(["snapshot", "info", str(store_dir), "--verify"]) == 0
         out = capsys.readouterr().out
-        assert '"format_version": 1' in out
+        assert f'"format_version": {FORMAT_VERSION}' in out
         assert '"checksums": "ok"' in out
 
         assert main(["snapshot", "attach", str(store_dir)]) == 0
