@@ -315,19 +315,27 @@ class Graph(ReadableGraph):
             raise ValueError(f"cannot store non-ground triple: {triple.n3()}")
         intern = self._dict.intern
         s, p, o = triple
-        si, pi, oi = intern(s), intern(p), intern(o)
+        return self.add_ids(intern(s), intern(p), intern(o), triple)
+
+    def add_ids(self, s: int, p: int, o: int, triple: Optional[Triple] = None) -> bool:
+        """Add the triple with dictionary ids ``(s, p, o)`` — the one
+        insert path (:meth:`add` interns and delegates here). The caller
+        vouches that the ids form a valid triple. Returns True when it
+        was not present. Listeners get ``triple``, decoded from the ids
+        when the caller passes none."""
+        self._check_writable()
         if self._cow:
-            self._privatize(si, pi, oi)
-        objs = self._spo.setdefault(si, {}).setdefault(pi, set())
-        if oi in objs:
+            self._privatize(s, p, o)
+        objs = self._spo.setdefault(s, {}).setdefault(p, set())
+        if o in objs:
             return False
-        objs.add(oi)
-        self._pos.setdefault(pi, {}).setdefault(oi, set()).add(si)
-        self._osp.setdefault(oi, {}).setdefault(si, set()).add(pi)
+        objs.add(o)
+        self._pos.setdefault(p, {}).setdefault(o, set()).add(s)
+        self._osp.setdefault(o, {}).setdefault(s, set()).add(p)
         self._size += 1
         self._generation += 1
-        for listener in self._listeners:
-            listener("add", triple)
+        if self._listeners:
+            self._notify("add", triple, s, p, o)
         return True
 
     def add_all(self, triples: Iterable[Triple]) -> int:
@@ -348,22 +356,35 @@ class Graph(ReadableGraph):
         si, pi, oi = lookup(triple[0]), lookup(triple[1]), lookup(triple[2])
         if si is None or pi is None or oi is None:
             return False
+        return self.discard_ids(si, pi, oi, triple)
+
+    def discard_ids(self, s: int, p: int, o: int, triple: Optional[Triple] = None) -> bool:
+        """Remove the triple with dictionary ids ``(s, p, o)`` if present
+        — the one delete path (see :meth:`add_ids`)."""
+        self._check_writable()
         if self._cow:
-            self._privatize(si, pi, oi)
+            self._privatize(s, p, o)
         try:
-            self._spo[si][pi].remove(oi)
+            self._spo[s][p].remove(o)
         except KeyError:
             return False
-        _prune(self._spo, si, pi)
-        self._pos[pi][oi].remove(si)
-        _prune(self._pos, pi, oi)
-        self._osp[oi][si].remove(pi)
-        _prune(self._osp, oi, si)
+        _prune(self._spo, s, p)
+        self._pos[p][o].remove(s)
+        _prune(self._pos, p, o)
+        self._osp[o][s].remove(p)
+        _prune(self._osp, o, s)
         self._size -= 1
         self._generation += 1
-        for listener in self._listeners:
-            listener("remove", triple)
+        if self._listeners:
+            self._notify("remove", triple, s, p, o)
         return True
+
+    def _notify(self, action: str, triple: Optional[Triple], s: int, p: int, o: int) -> None:
+        if triple is None:
+            term = self._dict.term
+            triple = Triple(term(s), term(p), term(o))
+        for listener in self._listeners:
+            listener(action, triple)
 
     def remove_pattern(self, s=None, p=None, o=None) -> int:
         """Remove every triple matching the pattern; returns the count."""

@@ -10,47 +10,23 @@ replicates that design:
   one conclusion pattern);
 * :mod:`repro.reasoning.rulebase` — the ``RDFS`` and ``OWLPRIME``
   rulebases, plus user-defined rulebase registration;
-* :mod:`repro.reasoning.engine` — semi-naive forward chaining to a
-  fixpoint, producing only the *derived* triples, plus DRed
-  (delete/rederive) incremental maintenance of an existing closure;
+* :mod:`repro.reasoning.engine` — one semi-naive engine on dictionary
+  ids: the fixpoint of *derived* triples, in the base model's
+  dictionary, and DRed (delete/rederive) maintenance of it;
 * :mod:`repro.reasoning.index` — building and refreshing the entailment
   index of a store model, with O(1) delta-tracked staleness.
 """
 
 from repro.reasoning.rules import Rule, RuleParseError, rule
 from repro.reasoning.rulebase import (
-    OWLPRIME,
-    RDFS_RULEBASE,
-    Rulebase,
-    get_rulebase,
-    register_rulebase,
-    rulebase_names,
+    OWLPRIME, RDFS_RULEBASE, Rulebase, get_rulebase, register_rulebase, rulebase_names,
 )
-from repro.reasoning.engine import (
-    InferenceReport,
-    closure,
-    maintain_closure,
-)
-from repro.reasoning.index import (
-    DeltaTracker,
-    EntailmentIndexManager,
-    build_entailment_index,
-)
+from repro.reasoning.engine import InferenceReport, closure, maintain_closure
+from repro.reasoning.index import DeltaTracker, EntailmentIndexManager, build_entailment_index
 
 __all__ = [
-    "DeltaTracker",
-    "EntailmentIndexManager",
-    "InferenceReport",
-    "OWLPRIME",
-    "RDFS_RULEBASE",
-    "Rule",
-    "RuleParseError",
-    "Rulebase",
-    "build_entailment_index",
-    "closure",
-    "get_rulebase",
-    "maintain_closure",
-    "register_rulebase",
-    "rule",
+    "DeltaTracker", "EntailmentIndexManager", "InferenceReport", "OWLPRIME",
+    "RDFS_RULEBASE", "Rule", "RuleParseError", "Rulebase", "build_entailment_index",
+    "closure", "get_rulebase", "maintain_closure", "register_rulebase", "rule",
     "rulebase_names",
 ]

@@ -1,18 +1,25 @@
-"""Semi-naive forward chaining to a fixpoint, plus DRed maintenance.
+"""Semi-naive forward chaining to a fixpoint, plus DRed maintenance,
+on dictionary ids from start to finish.
 
 :func:`closure` computes the *derived-only* closure of a graph under a
-rulebase: the result contains no triple already present in the base
-graph, so it can be attached directly as an entailment index
-(:meth:`TripleStore.attach_index`) without duplicating base facts.
+rulebase: no triple of the base graph is in it, so it attaches directly
+as an entailment index (:meth:`TripleStore.attach_index`), and it lives
+in the base graph's dictionary, so model plus index share one id space.
 
-The engine is semi-naive: in every round each rule is evaluated once per
-premise position, with that premise restricted to the triples derived in
-the previous round (the delta) and the remaining premises matched against
-the full graph. This avoids re-deriving the whole closure every round.
+Every round evaluates each rule once per premise position, with that
+premise restricted to the previous round's conclusions (the delta) and
+the others matched against the full graph. A rule is compiled once to
+variable slots; its constants resolve through the dictionary (one never
+seen matches nothing), bindings are tuples of ids, and matching uses
+only the read contract's ``triples_ids`` / ``count_ids`` / ``has_ids``.
+Premises join smallest first by constant-only ``count_ids``, so a few
+hundred schema triples drive the join, not the instance-level delta. A
+conclusion that is no RDF triple (literal subject, non-IRI predicate)
+is dropped by a type check on the id a rule binds at an object position.
 
-:func:`maintain_closure` keeps an existing closure consistent after a
-*delta* (insertions and retractions) was applied to the base graph,
-without recomputing it — the DRed (delete/rederive) algorithm:
+:func:`maintain_closure` keeps a closure consistent after a *delta*
+(insertions and retractions) was applied to the base graph — the DRed
+(delete/rederive) algorithm:
 
 1. **Overdelete** — semi-naively propagate the retracted triples through
    the rules, collecting every derived triple that has *some* derivation
@@ -23,22 +30,25 @@ without recomputing it — the DRed (delete/rederive) algorithm:
 3. **Insert** — semi-naive extension seeded with the inserted triples
    plus the rederived ones, recovering everything downstream.
 
-The result is bit-identical to a from-scratch :func:`closure` of the
-new base (the incremental and crash-at-every-site tests assert this),
-at a cost proportional to the delta's consequences instead of the model.
+The result is bit-identical to a from-scratch :func:`closure` of the new
+base, at a cost proportional to the delta's consequences.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from repro.obs.trace import span
-from repro.rdf.graph import Graph, GraphView
-from repro.rdf.terms import Literal, Triple, Variable
+from repro.rdf.graph import Graph, IdTriple, ReadableGraph
+from repro.rdf.terms import IRI, BNode, Triple, Variable
 from repro.reasoning.rulebase import Rulebase
-from repro.reasoning.rules import Rule
+
+#: the graphs one premise is matched against
+Layers = Sequence[ReadableGraph]
 
 
 @dataclass
@@ -73,42 +83,191 @@ class InferenceReport:
         )
 
 
+class _Engine:
+    """One closure or maintenance call: the rulebase compiled to slots
+    over ``base``'s dictionary. A slot is a variable number (int) or a
+    constant term, looked up per evaluation because a conclusion can
+    intern a constant a premise names (owl-eqc1's ``rdfs:subClassOf``
+    in a fresh dictionary). A rule's ``checks`` are the (variable, term
+    types) pairs its conclusion must pass: a subject variable bound only
+    at object positions, a predicate variable bound at no predicate
+    position (stored triples already vouch for the others)."""
+
+    def __init__(self, base: ReadableGraph, rulebase: Rulebase, report: InferenceReport):
+        self.dictionary = base.dictionary
+        self.report = report
+        self.rules = []
+        for r in rulebase:
+            numbers: Dict[str, int] = {}
+
+            def slot(term):
+                if isinstance(term, Variable):
+                    return numbers.setdefault(term.name, len(numbers))
+                return term
+
+            premises = tuple(tuple(slot(t) for t in p) for p in r.premises)
+            s, p, _ = head = tuple(slot(t) for t in r.conclusion)
+            checks = []
+            if type(s) is int and s not in {v for q in premises for v in q[:2]}:
+                checks.append((s, (IRI, BNode)))
+            if type(p) is int and p not in {q[1] for q in premises}:
+                checks.append((p, IRI))
+            self.rules.append((r.name, premises, head, checks))
+
+    def plan(self, premises, head, sources: Sequence[Layers], pre: Dict[int, int]):
+        """Premise ``i`` over ``sources[i]``, ``pre``'s variables bound:
+        None when a premise matches nothing, else the join steps (by
+        ascending ``count_ids`` over constants and ``pre``), the starting
+        binding, the conclusion of a binding, and each variable's index."""
+        lookup = self.dictionary.lookup
+        sized = []
+        for i, premise in enumerate(premises):
+            consts = [None if type(v) is int else lookup(v) for v in premise]
+            if consts.count(None) > sum(type(v) is int for v in premise):
+                return None
+            query = [pre.get(v) if type(v) is int else c for v, c in zip(premise, consts)]
+            size = sum(layer.count_ids(*query) for layer in sources[i])
+            if not size:
+                return None
+            sized.append((size, i, premise, consts))
+        sized.sort(key=itemgetter(0, 1))
+
+        where = {v: k for k, v in enumerate(pre)}
+        steps = []
+        for _, i, premise, query in sized:
+            bound, fresh, equal = [], {}, []
+            for pos, v in enumerate(premise):
+                if type(v) is not int:
+                    continue
+                if v in where:
+                    bound.append((pos, where[v]))
+                elif v in fresh:
+                    equal.append((fresh[v], pos))
+                else:
+                    fresh[v] = pos
+            for v in fresh:
+                where[v] = len(where)
+            picks = tuple(fresh.values())
+            if len(picks) > 1:
+                pick = itemgetter(*picks)
+            else:  # a one-slot slice keeps the pick a tuple
+                j = picks[0] if picks else 0
+                pick = itemgetter(slice(j, j + len(picks)))
+            steps.append((sources[i], query, bound, pick, equal))
+
+        consts = tuple(self.dictionary.intern(v) for v in head if type(v) is not int)
+        slots, c = [], len(where)
+        for v in head:
+            slots.append(where[v] if type(v) is int else c)
+            c += type(v) is not int
+        conclude = itemgetter(*slots)
+        return steps, tuple(pre.values()), lambda b: conclude(b + consts), where
+
+    def conclusions(self, rule, delta: Layers, full: Layers, positions: int):
+        """Semi-naive evaluation of ``rule``: for each of the first
+        ``positions`` premise positions, that premise in ``delta`` and
+        the others in ``full``."""
+        _, premises, head, checks = rule
+        term = self.dictionary.term
+        for position in range(positions):
+            sources = [delta if i == position else full for i in range(len(premises))]
+            plan = self.plan(premises, head, sources, {})
+            if plan is None:
+                continue
+            steps, binding, conclude, where = plan
+            tests = [(where[v], types) for v, types in checks]
+            for b in _join(steps, 0, binding):
+                if not tests or all(isinstance(term(b[k]), types) for k, types in tests):
+                    yield conclude(b)
+
+    def saturate(self, delta, target: Graph, full: Layers, keep, tally, max_rounds=None):
+        """Semi-naive rounds from ``delta`` until one keeps nothing: a
+        round keeps each conclusion passing ``keep(s, p, o)`` once, counts
+        it in ``tally`` and adds it to ``target`` at its end. A closure's
+        first round (delta is the base) is one naive pass, premise 0."""
+        first = delta is full[0]
+        while max_rounds is None or self.report.rounds < max_rounds:
+            new = Graph(dictionary=self.dictionary)
+            for rule in self.rules:
+                fired = 0
+                positions = 1 if first else len(rule[1])
+                for s, p, o in self.conclusions(rule, (delta,), full, positions):
+                    if keep(s, p, o):
+                        fired += new.add_ids(s, p, o)
+                if fired:
+                    tally[rule[0]] = tally.get(rule[0], 0) + fired
+            self.report.rounds += 1
+            if not len(new):
+                return
+            _merge(target, new)
+            delta, first = new, False
+
+    def derivable(self, goal: IdTriple, full: Layers) -> bool:
+        """One-step derivability: some rule concludes ``goal`` with every
+        premise satisfied in ``full``."""
+        lookup = self.dictionary.lookup
+        for _, premises, head, _ in self.rules:
+            pre: Dict[int, int] = {}
+            for v, value in zip(head, goal):
+                if type(v) is not int:
+                    if lookup(v) != value:
+                        break
+                elif pre.setdefault(v, value) != value:
+                    break
+            else:
+                plan = self.plan(premises, head, [full] * len(premises), pre)
+                for _ in _join(plan[0], 0, plan[1]) if plan else ():
+                    return True
+        return False
+
+
+def _join(steps, i: int, binding: tuple) -> Iterator[tuple]:
+    """Every extension of ``binding`` through ``steps[i:]``."""
+    layers, query, bound, pick, equal = steps[i]
+    if bound:
+        query = list(query)
+        for pos, k in bound:
+            query[pos] = binding[k]
+    last = i + 1 == len(steps)
+    for layer in layers:
+        for t in layer.triples_ids(*query):
+            if equal and any(t[a] != t[b] for a, b in equal):
+                continue
+            if last:
+                yield binding + pick(t)
+            else:
+                yield from _join(steps, i + 1, binding + pick(t))
+
+
+def _outside(base: ReadableGraph, derived: Graph):
+    """``keep`` for a closure round: the conclusion is in neither graph."""
+    return lambda s, p, o: not base.has_ids(s, p, o) and not derived.has_ids(s, p, o)
+
+
+def _merge(target: Graph, rows: ReadableGraph) -> None:
+    for s, p, o in rows.triples_ids():
+        target.add_ids(s, p, o)
+
+
 def closure(
-    base: Graph,
+    base: ReadableGraph,
     rulebase: Rulebase,
     max_rounds: Optional[int] = None,
 ) -> Tuple[Graph, InferenceReport]:
-    """Compute the derived-only closure of ``base`` under ``rulebase``.
-
-    Returns ``(derived, report)``. ``max_rounds`` bounds the iteration
-    for pathological rule sets; the built-in rulebases always terminate
-    because they only derive triples over the finite term vocabulary.
-    """
+    """The derived-only closure of ``base`` under ``rulebase``, in
+    ``base``'s dictionary, and its report. ``max_rounds`` bounds the
+    iteration for pathological rule sets; the built-in rulebases always
+    terminate (they derive over the finite term vocabulary)."""
     started = time.perf_counter()
-    derived = Graph(name="derived")
+    derived = Graph(name="derived", dictionary=base.dictionary)
     report = InferenceReport(rulebase=rulebase.name, base_triples=len(base))
-    full = GraphView([base, derived])
-
-    delta: Graph = base
-    first_round = True
+    engine = _Engine(base, rulebase, report)
     with span(
         "reasoning.closure", "reasoning", rulebase=rulebase.name, base=len(base)
     ) as attrs:
-        while True:
-            if max_rounds is not None and report.rounds >= max_rounds:
-                break
-            new = Graph()
-            for r in rulebase:
-                fired = _fire_rule(r, delta, full, base, derived, new, first_round)
-                if fired:
-                    report.per_rule[r.name] = report.per_rule.get(r.name, 0) + fired
-            report.rounds += 1
-            first_round = False
-            if not new:
-                break
-            derived.add_all(new)
-            delta = new
-
+        engine.saturate(
+            base, derived, (base, derived), _outside(base, derived), report.per_rule, max_rounds
+        )
         report.derived_triples = len(derived)
         attrs["rounds"] = report.rounds
         attrs["derived"] = report.derived_triples
@@ -117,7 +276,7 @@ def closure(
 
 
 def maintain_closure(
-    base: Graph,
+    base: ReadableGraph,
     derived: Graph,
     added: Iterable[Triple],
     removed: Iterable[Triple],
@@ -126,30 +285,29 @@ def maintain_closure(
     """DRed maintenance of an existing derived-only closure.
 
     ``base`` must already reflect the delta: ``added`` inserted,
-    ``removed`` deleted. ``derived`` is updated in place to equal what a
-    from-scratch ``closure(base, rulebase)`` would produce. This is the
-    index-maintenance path a release-cycle load uses instead of
-    recomputing the full closure.
+    ``removed`` deleted. ``derived`` (in ``base``'s dictionary) becomes
+    what ``closure(base, rulebase)`` would produce — the index path a
+    release load takes instead of a rebuild.
     """
     started = time.perf_counter()
     report = InferenceReport(
         rulebase=rulebase.name, base_triples=len(base), mode="incremental"
     )
     dictionary = base.dictionary
+    if derived.dictionary is not dictionary:
+        raise ValueError("maintain_closure needs derived in base's dictionary")
     added_g = Graph(added, dictionary=dictionary)
     removed_g = Graph(removed, dictionary=dictionary)
+    engine = _Engine(base, rulebase, report)
     with span(
-        "dred.maintain",
-        "reasoning",
-        rulebase=rulebase.name,
-        added=len(added_g),
-        removed=len(removed_g),
+        "dred.maintain", "reasoning",
+        rulebase=rulebase.name, added=len(added_g), removed=len(removed_g),
     ) as attrs:
         # An added base triple that was previously *derived* is now asserted;
         # the index stays derived-only, so it leaves the index (exactly what
         # a rebuild would do — closure() never emits triples in the base).
-        for t in [t for t in added_g if t in derived]:
-            derived.discard(t)
+        for row in added_g.triples_ids():
+            derived.discard_ids(*row)
 
         # -- phase 1: overdeletion --------------------------------------------
         # Propagate retractions semi-naively. Premises are matched against a
@@ -157,35 +315,14 @@ def maintain_closure(
         # matching a superset can only overdelete more, and rederivation puts
         # back anything still supported, so correctness is preserved.
         overdeleted = Graph(dictionary=dictionary)
-        if removed_g:
+        if len(removed_g):
             with span("dred.overdelete", "reasoning"):
-                old_full = GraphView([base, derived, removed_g])
-                delta = removed_g
-                while delta:
-                    doomed = Graph(dictionary=dictionary)
-                    for r in rulebase:
-                        for delta_position in range(len(r.premises)):
-                            assignments = [
-                                (premise, delta if i == delta_position else old_full)
-                                for i, premise in enumerate(r.premises)
-                            ]
-                            assignments.sort(key=lambda pg: pg[1] is not delta)
-                            for binding in _match_all(assignments, {}):
-                                try:
-                                    conclusion = r.instantiate(binding)
-                                except TypeError:
-                                    continue
-                                if (
-                                    conclusion in derived
-                                    and conclusion not in overdeleted
-                                    and conclusion not in doomed
-                                ):
-                                    doomed.add(conclusion)
-                    report.rounds += 1
-                    overdeleted.add_all(doomed)
-                    delta = doomed
-                for t in overdeleted:
-                    derived.discard(t)
+                def doomed(s, p, o):
+                    return derived.has_ids(s, p, o) and not overdeleted.has_ids(s, p, o)
+
+                engine.saturate(removed_g, overdeleted, (base, derived, removed_g), doomed, {})
+                for row in overdeleted.triples_ids():
+                    derived.discard_ids(*row)
                 report.overdeleted = len(overdeleted)
 
         # -- phase 2: rederivation --------------------------------------------
@@ -194,154 +331,29 @@ def maintain_closure(
         # would include them in the derived-only closure now that they are
         # no longer asserted). Anything they support is recovered in phase 3.
         rederived = Graph(dictionary=dictionary)
-        if overdeleted or removed_g:
+        if len(overdeleted) or len(removed_g):
             with span("dred.rederive", "reasoning"):
-                current = GraphView([base, derived])
-                for candidate in list(overdeleted) + list(removed_g):
-                    if candidate in base or candidate in derived:
+                current = (base, derived)
+                for row in chain(overdeleted.triples_ids(), removed_g.triples_ids()):
+                    if base.has_ids(*row) or derived.has_ids(*row):
                         continue
-                    if not _storable(candidate):
-                        continue
-                    if _derivable(candidate, current, rulebase):
-                        derived.add(candidate)
-                        rederived.add(candidate)
+                    if engine.derivable(row, current):
+                        derived.add_ids(*row)
+                        rederived.add_ids(*row)
                 report.rederived = len(rederived)
 
         # -- phase 3: semi-naive insertion ------------------------------------
         with span("dred.insert", "reasoning"):
-            full = GraphView([base, derived])
-            delta = Graph(dictionary=dictionary)
-            delta.add_all(t for t in added_g if t in base)
-            delta.add_all(rederived)
-            while delta:
-                new = Graph(dictionary=dictionary)
-                for r in rulebase:
-                    fired = _fire_rule(r, delta, full, base, derived, new, False)
-                    if fired:
-                        report.per_rule[r.name] = report.per_rule.get(r.name, 0) + fired
-                report.rounds += 1
-                derived.add_all(new)
-                delta = new
+            seed = Graph.from_ids(
+                (row for row in added_g.triples_ids() if base.has_ids(*row)), dictionary
+            )
+            _merge(seed, rederived)
+            if len(seed):
+                full = (base, derived)
+                engine.saturate(seed, derived, full, _outside(*full), report.per_rule)
         report.derived_triples = len(derived)
         attrs["overdeleted"] = report.overdeleted
         attrs["rederived"] = report.rederived
         attrs["derived"] = report.derived_triples
     report.seconds = time.perf_counter() - started
     return report
-
-
-def _derivable(goal: Triple, full: GraphView, rulebase: Rulebase) -> bool:
-    """One-step derivability: some rule concludes ``goal`` with every
-    premise satisfied in ``full``."""
-    for r in rulebase:
-        binding = _head_binding(r, goal)
-        if binding is None:
-            continue
-        assignments = [(premise, full) for premise in r.premises]
-        # evaluate the most-bound premise first: cheap failure detection
-        assignments.sort(key=lambda pg: _unbound_count(pg[0], binding))
-        for _ in _match_all(assignments, binding):
-            return True
-    return False
-
-
-def _head_binding(r: Rule, goal: Triple) -> Optional[Dict[str, object]]:
-    """Unify a rule's conclusion pattern with ``goal``; None on mismatch."""
-    binding: Dict[str, object] = {}
-    for term, value in zip(r.conclusion, goal):
-        if isinstance(term, Variable):
-            bound = binding.get(term.name)
-            if bound is None:
-                binding[term.name] = value
-            elif bound != value:
-                return None
-        elif term != value:
-            return None
-    return binding
-
-
-def _unbound_count(pattern: Triple, binding: Dict[str, object]) -> int:
-    return sum(
-        1
-        for term in pattern
-        if isinstance(term, Variable) and term.name not in binding
-    )
-
-
-def _fire_rule(
-    r: Rule,
-    delta: Graph,
-    full: GraphView,
-    base: Graph,
-    derived: Graph,
-    new: Graph,
-    first_round: bool,
-) -> int:
-    """Evaluate one rule semi-naively; add fresh conclusions to ``new``.
-
-    Returns the number of fresh triples this call produced. On the first
-    round delta == base == full, so a single pass (premise 0 in delta)
-    is the plain naive evaluation and the remaining positions are
-    skipped.
-    """
-    count = 0
-    positions = range(1) if first_round else range(len(r.premises))
-    for delta_position in positions:
-        assignments = [
-            (premise, delta if i == delta_position else full)
-            for i, premise in enumerate(r.premises)
-        ]
-        # Evaluate the delta-restricted premise first: it is the smallest.
-        assignments.sort(key=lambda pg: pg[1] is not delta)
-        for binding in _match_all(assignments, {}):
-            try:
-                conclusion = r.instantiate(binding)
-            except TypeError:
-                # e.g. rdfs3 concluding rdf:type about a literal object —
-                # not a valid RDF triple, so the inference is dropped
-                continue
-            if not _storable(conclusion):
-                continue
-            if conclusion in base or conclusion in derived or conclusion in new:
-                continue
-            new.add(conclusion)
-            count += 1
-    return count
-
-
-def _storable(t: Triple) -> bool:
-    # Rules like rdfs3 (range) can conclude rdf:type about a literal
-    # object; such conclusions are not valid RDF triples and are dropped.
-    return t.is_ground() and not isinstance(t.subject, Literal)
-
-
-def _match_all(
-    assignments: Sequence[Tuple[Triple, object]],
-    binding: Dict[str, object],
-) -> Iterator[Dict[str, object]]:
-    if not assignments:
-        yield binding
-        return
-    (pattern, graph), rest = assignments[0], assignments[1:]
-    query = []
-    for term in pattern:
-        if isinstance(term, Variable):
-            query.append(binding.get(term.name))
-        else:
-            query.append(term)
-    s, p, o = query
-    if isinstance(s, Literal):
-        return
-    for triple in graph.triples(s, p, o):
-        extended = dict(binding)
-        consistent = True
-        for term, value in zip(pattern, triple):
-            if isinstance(term, Variable):
-                bound = extended.get(term.name)
-                if bound is None:
-                    extended[term.name] = value
-                elif bound != value:
-                    consistent = False
-                    break
-        if consistent:
-            yield from _match_all(rest, extended)

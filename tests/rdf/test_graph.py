@@ -84,6 +84,17 @@ class TestAddRemove:
         n = graph.add_all([t("x", "knows", "y"), t("alice", "knows", "bob")])
         assert n == 1
 
+    def test_id_insert_and_delete_notify_decoded_triples(self, graph):
+        events = []
+        graph.subscribe(lambda action, triple: events.append((action, triple)))
+        ids = tuple(graph.dictionary.intern(x) for x in t("carol", "knows", "alice"))
+        assert graph.add_ids(*ids) and not graph.add_ids(*ids)
+        assert t("carol", "knows", "alice") in graph and graph.has_ids(*ids)
+        assert graph.discard_ids(*ids) and not graph.discard_ids(*ids)
+        triple = t("carol", "knows", "alice")
+        assert events == [("add", triple), ("remove", triple)]
+        assert len(graph) == 4
+
 
 class TestMatching:
     def test_fully_bound_hit(self, graph):

@@ -10,6 +10,7 @@ from repro.rdf import (
     OWL,
     RDF,
     RDFS,
+    TermDictionary,
     Triple,
     TripleStore,
 )
@@ -178,6 +179,16 @@ class TestEngineProperties:
         assert report.per_rule.get("rdfs11") == 1
         assert "derived" in report.summary()
 
+    def test_constant_interned_mid_run_enables_later_rules(self):
+        # in a fresh dictionary rdfs:subClassOf first appears when
+        # owl-eqc1 concludes it; rdfs9 must see it on the next round
+        g = Graph(dictionary=TermDictionary())
+        g.add(Triple(EX.Customer, OWL.equivalentClass, EX.Client))
+        g.add(Triple(EX.acme, RDF.type, EX.Customer))
+        derived, report = closure(g, OWLPRIME)
+        assert Triple(EX.acme, RDF.type, EX.Client) in derived
+        assert report.per_rule == {"owl-eqc1": 1, "owl-eqc2": 1, "rdfs11": 2, "rdfs9": 1}
+
     def test_custom_rulebase(self):
         synonyms = Rulebase(
             "SYN", [rule("syn-sym", "?a <http://x/synonymOf> ?b -> ?b <http://x/synonymOf> ?a")]
@@ -275,3 +286,47 @@ class TestIndexLifecycle:
         probe = Triple(EX.customer_id, RDF.type, EX.Item)
         assert probe not in without
         assert probe in with_rb
+
+
+class TestAttachedStoreBuild:
+    """An index built over an attached snapshot lives in the snapshot's
+    dictionary, so an OWLPRIME query keeps the id-space pipeline."""
+
+    ATTRIBUTES = "SELECT ?x WHERE { ?x rdf:type dm:Attribute }"
+
+    def test_build_shares_the_model_dictionary(self, tmp_path, monkeypatch):
+        import repro.sparql.evaluator as evaluator
+        from repro.core import MetadataWarehouse
+        from repro.synth import LandscapeConfig, generate_landscape
+
+        source = generate_landscape(LandscapeConfig.tiny(seed=2009)).warehouse
+        source.build_entailment_index()
+        path = source.save_snapshot(tmp_path / "wh.mdws")
+        mdw = MetadataWarehouse.attach_snapshot(path, mutable_models=None)
+        before = sorted(map(repr, mdw.query(self.ATTRIBUTES, rulebases=["OWLPRIME"])))
+        assert before
+
+        report = mdw.indexes.build(mdw.model_name)
+        assert report.derived_triples == len(source.store.index(source.model_name, "OWLPRIME"))
+        view = mdw.view(["OWLPRIME"])
+        assert view.dictionary is mdw.graph.dictionary
+
+        def nested(*args, **kwargs):
+            raise AssertionError("OWLPRIME BGP fell back to term space")
+
+        monkeypatch.setattr(evaluator, "_eval_bgp_nested", nested)
+        after = sorted(map(repr, mdw.query(self.ATTRIBUTES, rulebases=["OWLPRIME"])))
+        assert after == before
+
+
+def test_medium_landscape_census():
+    """The OWLPRIME closure of the medium landscape, pinned: only the
+    subclass rules fire (the census in docs/performance.md), so a change
+    in the engine's counting or round structure shows here."""
+    from repro.synth import LandscapeConfig, generate_landscape
+
+    base = generate_landscape(LandscapeConfig.medium(seed=2009)).graph
+    derived, report = closure(base, OWLPRIME)
+    assert len(derived) == report.derived_triples == 8475
+    assert report.rounds == 3
+    assert report.per_rule == {"rdfs11": 26, "rdfs9": 8449}

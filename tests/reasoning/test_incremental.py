@@ -10,7 +10,7 @@ import random
 import pytest
 
 import repro.reasoning.index as index_module
-from repro.rdf import Graph, Namespace, RDF, RDFS, Triple, TripleStore
+from repro.rdf import Graph, Namespace, RDF, RDFS, TermDictionary, Triple, TripleStore
 from repro.rdf.ntriples import serialize_ntriples
 from repro.reasoning import (
     DeltaTracker,
@@ -38,6 +38,15 @@ def diamond_graph():
 def assert_equals_rebuild(base, derived, rulebase=RDFS_RULEBASE):
     rebuilt, _ = closure(base, rulebase)
     assert serialize_ntriples(derived) == serialize_ntriples(rebuilt)
+
+
+def test_dred_needs_the_index_in_the_base_dictionary():
+    # DRed joins model and index on ids; an index in another dictionary
+    # is refused instead of silently matching nothing
+    base = diamond_graph()
+    foreign = Graph(closure(base, RDFS_RULEBASE)[0], dictionary=TermDictionary())
+    with pytest.raises(ValueError, match="dictionary"):
+        maintain_closure(base, foreign, (), (), RDFS_RULEBASE)
 
 
 class TestDredRetraction:
