@@ -29,7 +29,11 @@ from repro.rdf.namespace import (
     RDFS,
     XSD,
 )
-from repro.rdf.dictionary import DEFAULT_DICTIONARY, TermDictionary
+from repro.rdf.dictionary import (
+    DEFAULT_DICTIONARY,
+    DictionaryMismatchError,
+    TermDictionary,
+)
 from repro.rdf.graph import Graph, GraphView, ReadableGraph, ReadOnlyGraphError
 from repro.rdf.stats import CombinedStats, PredicateStats, StatsCatalog
 from repro.rdf.store import ModelNotFoundError, TripleStore
@@ -48,6 +52,7 @@ __all__ = [
     "BulkLoadError",
     "BulkLoadReport",
     "DEFAULT_DICTIONARY",
+    "DictionaryMismatchError",
     "DM",
     "DT",
     "Graph",

@@ -11,7 +11,9 @@ instead of re-hashing frozen term objects on every probe.
 All graphs share one process-wide dictionary by default so that ids are
 comparable across the layers of a :class:`~repro.rdf.graph.GraphView`
 (base model plus entailment indexes) — exactly the property the
-hash-join executor relies on.
+hash-join executor relies on. A store and every view over it have one
+dictionary; layers that intern elsewhere raise
+:class:`DictionaryMismatchError`.
 """
 
 from __future__ import annotations
@@ -19,6 +21,12 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.rdf.terms import Term
+
+
+class DictionaryMismatchError(ValueError):
+    """Raised when graphs that must share one id space intern into
+    different dictionaries: the layers of a view, or a graph adopted
+    into (or attached to) a store whose models intern elsewhere."""
 
 
 class TermDictionary:

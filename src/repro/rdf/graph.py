@@ -12,9 +12,12 @@ id-space join operators built on :meth:`Graph.triples_ids`).
 :class:`GraphView` overlays several graphs read-only — this is how a query
 that names ``SEM_RULEBASES('OWLPRIME')`` sees the base model *plus* the
 entailment index without the derived triples ever being merged into the
-base facts (Section III.B of the paper). When the caller can prove the
-layers pairwise disjoint (base model vs. a freshly built entailment
-index), ``disjoint_hint=True`` skips the per-triple dedup set.
+base facts (Section III.B of the paper). Its layers intern into one
+dictionary, or the constructor raises
+:class:`~repro.rdf.dictionary.DictionaryMismatchError`: a view always
+has an id space. When the caller can prove the layers pairwise disjoint
+(base model vs. a freshly built entailment index),
+``disjoint_hint=True`` skips the per-triple dedup set.
 
 :class:`ReadableGraph` is the read contract all of them share — ``Graph``,
 ``GraphView`` and the storage tier's
@@ -28,7 +31,11 @@ from __future__ import annotations
 from itertools import chain
 from typing import Dict, Iterable, Iterator, Optional, Set, Tuple
 
-from repro.rdf.dictionary import DEFAULT_DICTIONARY, TermDictionary
+from repro.rdf.dictionary import (
+    DEFAULT_DICTIONARY,
+    DictionaryMismatchError,
+    TermDictionary,
+)
 from repro.rdf.terms import IRI, Literal, Term, Triple
 
 _Index = Dict[int, Dict[int, Set[int]]]
@@ -54,10 +61,6 @@ class ReadableGraph:
     Every term-level read is implemented here once over them. A class
     that memoizes counts provides the ``_count_cache`` /
     ``_count_cache_gen`` slots :meth:`cached_count` uses.
-
-    A view over layers that do not share one dictionary has no id space
-    (``dictionary`` is None); it overrides :meth:`triples` and
-    :meth:`count`, and the reads below fall back to those.
     """
 
     __slots__ = ()
@@ -120,10 +123,7 @@ class ReadableGraph:
         return cached
 
     def __contains__(self, triple) -> bool:
-        dictionary = self.dictionary
-        if dictionary is None:
-            return self.count(*triple) > 0
-        lookup = dictionary.lookup
+        lookup = self.dictionary.lookup
         s, p, o = triple
         si, pi, oi = lookup(s), lookup(p), lookup(o)
         if si is None or pi is None or oi is None:
@@ -157,18 +157,10 @@ class ReadableGraph:
     def _distinct_terms(self, position: int, s, p, o) -> Iterator[Term]:
         """Distinct terms at ``position`` (0-2) of the matching triples,
         deduplicated on ids and decoded one id each."""
-        dictionary = self.dictionary
-        if dictionary is None:
-            seen: Set[Term] = set()
-            for t in self.triples(s, p, o):
-                if t[position] not in seen:
-                    seen.add(t[position])
-                    yield t[position]
-            return
         encoded = self._encode_pattern(s, p, o)
         if encoded is None:
             return
-        term = dictionary.term
+        term = self.dictionary.term
         rows = self.triples_ids(*encoded)
         if encoded.count(None) == 1:
             # the other two positions are bound: every row is distinct
@@ -713,23 +705,31 @@ class GraphView(ReadableGraph):
     derived triples exist "only through the indexes" exactly as the paper
     describes.
 
+    Every layer interns into one dictionary (else the constructor raises
+    :class:`~repro.rdf.dictionary.DictionaryMismatchError`), so the view
+    merges its layers in id space only: the term-level reads come from
+    :class:`ReadableGraph` over :meth:`triples_ids` / :meth:`count_ids`.
+
     ``disjoint_hint=True`` asserts the layers are pairwise disjoint;
     iteration then skips the dedup set and ``count``/``__len__`` sum the
     layer counts directly. The caller owns the proof — the store sets it
     only for a base model stacked with a freshly built entailment index
     (the reasoner never emits triples already asserted in the base).
-
-    The view keeps its own layer-merging :meth:`triples`, :meth:`count`,
-    :meth:`cached_count` and ``__len__``: they work in term space too,
-    which is the only path for layers that do not share one dictionary.
     """
 
-    __slots__ = ("_layers", "_disjoint")
+    __slots__ = ("_layers", "_disjoint", "_dict")
 
     def __init__(self, layers: Iterable[ReadableGraph], disjoint_hint: bool = False):
         self._layers: Tuple[ReadableGraph, ...] = tuple(layers)
         if not self._layers:
             raise ValueError("GraphView requires at least one layer")
+        self._dict = self._layers[0].dictionary
+        for layer in self._layers[1:]:
+            if layer.dictionary is not self._dict:
+                raise DictionaryMismatchError(
+                    f"GraphView layers intern into different dictionaries: "
+                    f"{self._layers[0]!r} and {layer!r}"
+                )
         self._disjoint = disjoint_hint or len(self._layers) == 1
 
     @property
@@ -741,14 +741,9 @@ class GraphView(ReadableGraph):
         return self._disjoint
 
     @property
-    def dictionary(self) -> Optional[TermDictionary]:
-        """The shared term dictionary, or None when the layers disagree
-        (id-space iteration is then unavailable)."""
-        first = self._layers[0].dictionary
-        for layer in self._layers[1:]:
-            if layer.dictionary is not first:
-                return None
-        return first
+    def dictionary(self) -> TermDictionary:
+        """The term dictionary every layer interns into."""
+        return self._dict
 
     @property
     def generation(self) -> Tuple[Tuple[int, int], ...]:
@@ -759,27 +754,10 @@ class GraphView(ReadableGraph):
         """
         return tuple((id(layer), layer.generation) for layer in self._layers)
 
-    def triples(self, s=None, p=None, o=None) -> Iterator[Triple]:
-        if len(self._layers) == 1:
-            yield from self._layers[0].triples(s, p, o)
-            return
-        if self._disjoint:
-            for layer in self._layers:
-                yield from layer.triples(s, p, o)
-            return
-        seen: Set[Triple] = set()
-        for layer in self._layers:
-            for t in layer.triples(s, p, o):
-                if t not in seen:
-                    seen.add(t)
-                    yield t
-
     def triples_ids(self, s=None, p=None, o=None) -> Iterator[IdTriple]:
-        """Merged id-space iteration (see :meth:`Graph.triples_ids`).
-
-        Requires a shared dictionary; dedup across layers happens on
-        int tuples (or not at all under ``disjoint_hint``).
-        """
+        """Merged id-space iteration (see :meth:`Graph.triples_ids`):
+        dedup across layers happens on int tuples (or not at all under
+        ``disjoint_hint``)."""
         if len(self._layers) == 1:
             yield from self._layers[0].triples_ids(s, p, o)
             return
@@ -807,11 +785,6 @@ class GraphView(ReadableGraph):
             return sum(layer.count_ids(s, p, o) for layer in self._layers)
         return sum(1 for _ in self.triples_ids(s, p, o))
 
-    def count(self, s=None, p=None, o=None) -> int:
-        if self._disjoint:
-            return sum(layer.count(s, p, o) for layer in self._layers)
-        return sum(1 for _ in self.triples(s, p, o))
-
     def cached_count(self, s=None, p=None, o=None) -> int:
         """Layer-cached cardinality; exact when disjoint, an upper bound
         otherwise (good enough for join ordering)."""
@@ -836,11 +809,9 @@ class GraphView(ReadableGraph):
         return sum(layer.distinct_object_count() for layer in self._layers)
 
     def __len__(self) -> int:
-        if len(self._layers) == 1:
-            return len(self._layers[0])
         if self._disjoint:
             return sum(len(layer) for layer in self._layers)
-        return sum(1 for _ in self.triples())
+        return self.count_ids()
 
     def __repr__(self) -> str:
         names = ", ".join(repr(layer.name or "?") for layer in self._layers)

@@ -5,13 +5,24 @@ Oracle database and addresses them by model name (``SEM_MODELS('DWH_CURR')``
 in Listings 1 and 2). :class:`TripleStore` keeps one :class:`Graph` per
 model name and can produce a read-only :class:`GraphView` over any
 combination of models, optionally stacked with entailment indexes.
+
+Like Oracle's model tables, which link into one shared values table, a
+store has one id space: every model and every entailment index interns
+into :attr:`TripleStore.dictionary`, and a graph that interns elsewhere
+is refused with :class:`~repro.rdf.dictionary.DictionaryMismatchError`.
+So every view the store hands out joins in id space.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
-from repro.rdf.graph import Graph, GraphView
+from repro.rdf.dictionary import (
+    DEFAULT_DICTIONARY,
+    DictionaryMismatchError,
+    TermDictionary,
+)
+from repro.rdf.graph import Graph, GraphView, ReadableGraph
 
 
 class ModelNotFoundError(KeyError):
@@ -45,15 +56,33 @@ class TripleStore:
         # disjoint (the reasoner only emits triples absent from the base)
         self._index_base_generation: Dict[tuple, int] = {}
 
+    # -- the store's id space ------------------------------------------------
+
+    @property
+    def dictionary(self) -> TermDictionary:
+        """The dictionary the store's models intern into: the first
+        model's, or the process default while the store is empty. (An
+        index needs its model, so an empty store holds no graph.)"""
+        for graph in self._models.values():
+            return graph.dictionary
+        return DEFAULT_DICTIONARY
+
+    def _check_dictionary(self, graph: ReadableGraph, what: str) -> None:
+        if self._models and graph.dictionary is not self.dictionary:
+            raise DictionaryMismatchError(
+                f"{what} interns into a dictionary other than the store's"
+            )
+
     # -- model management ----------------------------------------------------
 
     def create_model(self, name: str) -> Graph:
-        """Create an empty model; error if the name is taken."""
+        """Create an empty model interning into the store's dictionary;
+        error if the name is taken."""
         if not name:
             raise ValueError("model name must be non-empty")
         if name in self._models:
             raise ValueError(f"model {name!r} already exists")
-        graph = Graph(name=name)
+        graph = Graph(name=name, dictionary=self.dictionary)
         self._models[name] = graph
         return graph
 
@@ -68,12 +97,15 @@ class TripleStore:
         Used by snapshot publication: the query service copies the live
         model, freezes the copy, and adopts it into a private store so a
         read-only warehouse facade can be built over it. The graph's
-        ``name`` is updated to match.
+        ``name`` is updated to match. The first model fixes the store's
+        dictionary; a later graph interning elsewhere raises
+        :class:`DictionaryMismatchError`.
         """
         if not name:
             raise ValueError("model name must be non-empty")
         if name in self._models:
             raise ValueError(f"model {name!r} already exists")
+        self._check_dictionary(graph, f"model {name!r}")
         graph.name = name
         self._models[name] = graph
         return graph
@@ -83,10 +115,12 @@ class TripleStore:
 
         Attached entailment indexes are kept as-is — the storage tier
         uses this to materialize a mapped model for delta-segment
-        replay, where the indexes are replayed separately.
+        replay, where the indexes are replayed separately. The graph
+        must intern into the store's dictionary.
         """
         if name not in self._models:
             raise ModelNotFoundError(name, self._models)
+        self._check_dictionary(graph, f"model {name!r}")
         graph.name = name
         self._models[name] = graph
         return graph
@@ -148,11 +182,13 @@ class TripleStore:
         """Attach the derived triples of ``rulebase`` over ``model``.
 
         ``derived`` should contain only triples *not* already in the model;
-        the reasoner guarantees this. Re-attaching replaces the old index
-        (re-derivation after a model change).
+        the reasoner guarantees this, and it must intern into the store's
+        dictionary. Re-attaching replaces the old index (re-derivation
+        after a model change).
         """
         if model not in self._models:
             raise ModelNotFoundError(model, self._models)
+        self._check_dictionary(derived, f"index {model}[{rulebase}]")
         derived.name = f"{model}[{rulebase}]"
         self._indexes[(model, rulebase)] = derived
         self._index_base_generation[(model, rulebase)] = self._models[model].generation

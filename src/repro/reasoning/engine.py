@@ -43,6 +43,7 @@ from operator import itemgetter
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from repro.obs.trace import span
+from repro.rdf.dictionary import DictionaryMismatchError
 from repro.rdf.graph import Graph, IdTriple, ReadableGraph
 from repro.rdf.terms import IRI, BNode, Triple, Variable
 from repro.reasoning.rulebase import Rulebase
@@ -295,7 +296,9 @@ def maintain_closure(
     )
     dictionary = base.dictionary
     if derived.dictionary is not dictionary:
-        raise ValueError("maintain_closure needs derived in base's dictionary")
+        raise DictionaryMismatchError(
+            "maintain_closure needs derived in base's dictionary"
+        )
     added_g = Graph(added, dictionary=dictionary)
     removed_g = Graph(removed, dictionary=dictionary)
     engine = _Engine(base, rulebase, report)

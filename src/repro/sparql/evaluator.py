@@ -6,14 +6,13 @@ by :mod:`repro.sparql.planner` and run on the id-space pipeline: terms
 are interned through the graph's
 :class:`~repro.rdf.dictionary.TermDictionary`, and each stage picks
 hash-join (one scan of the pattern, hashed on the shared-variable ids)
-or bind-join (index-nested-loop with binding substitution) from the
+or bind-join (an index nested loop with binding substitution) from the
 planner's cost estimate and the exact size of the intermediate result.
 
-A :class:`~repro.rdf.GraphView` whose layers do not share one dictionary
-has no id space to join in; its BGPs run on the term-space recursion
-(:func:`_eval_bgp_nested`) instead. Both paths produce the same solution
-multiset; only row order may differ (SPARQL leaves it unspecified
-without ORDER BY).
+Every graph the engine reads has one dictionary: a store's models and
+indexes share it, and a :class:`~repro.rdf.GraphView` over layers that
+do not is refused at construction. So every BGP runs on ids; only
+property-path stages match in term space, after the id rows decode.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs.profile import count_rows, current_profile
 from repro.obs.trace import span, tracing
-from repro.rdf.terms import Literal, Term, Triple, Variable
+from repro.rdf.terms import Literal, Term, Variable
 from repro.sparql.algebra import (
     Aggregate,
     AskQuery,
@@ -160,16 +159,6 @@ def _eval_bgp(graph, bgp: BGP, binding: Binding, plan) -> Iterator[Binding]:
         prof.count("bgps")
 
     dictionary = graph.dictionary
-    if dictionary is None:
-        # layers with different dictionaries: no shared id space
-        stages = list(bgp_plan.order) + list(paths)
-        produced = _eval_bgp_nested(graph, stages, binding)
-        if prof is not None:
-            stats = prof.operator("nested-loop", detail=f"{len(stages)} stage(s)")
-            produced = count_rows(produced, stats)
-        yield from produced
-        return
-
     piped = _run_id_pipeline(graph, dictionary, binding, bgp_plan, prof)
     if piped is None:
         return
@@ -208,39 +197,6 @@ def _recurse_paths(graph, paths: Sequence, i: int, current: Binding) -> Iterator
         return
     for extended in _match_path_pattern(graph, paths[i], current):
         yield from _recurse_paths(graph, paths, i + 1, extended)
-
-
-# ---------------------------------------------------------------------------
-# Term-space execution: views without a shared dictionary, and the
-# reference the id-space pipeline is tested against
-# ---------------------------------------------------------------------------
-
-
-def _eval_bgp_nested(graph, stages: List, binding: Binding) -> Iterator[Binding]:
-    token = current_cancel()
-    # one counter across the whole recursion: per-iterator counters would
-    # reset on every parent row and a deep nest of short inner scans
-    # could dodge the deadline check indefinitely
-    calls = 0
-
-    def recurse(i: int, current: Binding) -> Iterator[Binding]:
-        nonlocal calls
-        if token is not None:
-            calls += 1
-            if not (calls & 255):
-                token.check()
-        if i == len(stages):
-            yield current
-            return
-        stage = stages[i]
-        if isinstance(stage, Triple):
-            matches = _match_pattern(graph, stage, current)
-        else:
-            matches = _match_path_pattern(graph, stage, current)
-        for extended in matches:
-            yield from recurse(i + 1, extended)
-
-    yield from recurse(0, dict(binding))
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +386,7 @@ def _bind_join(
     eq_checks: List[Tuple[int, int]],
     rows: List[IdRow],
 ) -> List[IdRow]:
-    """Index-nested-loop with binding substitution, over ids."""
+    """Index nested loop with binding substitution, over ids."""
     out: List[IdRow] = []
     append = out.append
     triples_ids = graph.triples_ids
@@ -545,7 +501,7 @@ def _hash_join(
 
 
 # ---------------------------------------------------------------------------
-# Term-space matching (baseline path and property paths)
+# Property paths (matched in term space)
 # ---------------------------------------------------------------------------
 
 
@@ -576,37 +532,6 @@ def _match_path_pattern(graph, pattern, binding: Binding) -> Iterator[Binding]:
             elif term != value:
                 ok = False
                 break
-        if ok:
-            yield extended
-
-
-def _match_pattern(graph, pattern: Triple, binding: Binding) -> Iterator[Binding]:
-    """Match one triple pattern under ``binding``; yield extensions."""
-    query_terms: List[Optional[Term]] = []
-    for term in pattern:
-        if isinstance(term, Variable):
-            query_terms.append(binding.get(term.name))
-        else:
-            query_terms.append(term)
-    s, p, o = query_terms
-    # A bound literal in subject position (via a prior binding) can never
-    # match a stored triple; graph.triples would raise on pattern misuse,
-    # so guard explicitly.
-    if isinstance(s, Literal):
-        return
-    for triple in graph.triples(s, p, o):
-        extended = dict(binding)
-        ok = True
-        for term, value in zip(pattern, triple):
-            if isinstance(term, Variable):
-                existing = extended.get(term.name)
-                if existing is None:
-                    extended[term.name] = value
-                elif existing != value:
-                    # same variable twice in the pattern with conflicting
-                    # matches (e.g. ?x ?p ?x)
-                    ok = False
-                    break
         if ok:
             yield extended
 

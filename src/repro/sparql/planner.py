@@ -87,7 +87,7 @@ class _CostContext:
     def predicate_stats(self, pattern: Triple):
         """The catalog's :class:`PredicateStats` for a ground predicate."""
         predicate = pattern.predicate
-        if isinstance(predicate, Variable) or self.dictionary is None:
+        if isinstance(predicate, Variable):
             return None
         if predicate in self._pstats:
             return self._pstats[predicate]

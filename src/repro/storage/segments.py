@@ -247,18 +247,6 @@ def apply_segments(
     return current if current is not None else 0
 
 
-def _store_dictionary(store: TripleStore):
-    """The dictionary shared by the store's graphs (None when empty).
-
-    New graphs created during replay must intern into it, or the
-    store's views lose the shared-dictionary property the id-space
-    join operators depend on.
-    """
-    for name in store.model_names():
-        return store.model(name).dictionary
-    return None
-
-
 def _apply_model_entry(store: TripleStore, entry: SegmentEntry) -> None:
     if store.has_model(entry.model):
         graph = store.model(entry.model)
@@ -266,9 +254,7 @@ def _apply_model_entry(store: TripleStore, entry: SegmentEntry) -> None:
         if writable is not graph:
             store.replace_model(entry.model, writable)
     else:
-        writable = store.adopt_model(
-            entry.model, Graph(dictionary=_store_dictionary(store))
-        )
+        writable = store.create_model(entry.model)
         refreeze = False
     for t in entry.removed:
         writable.discard(t)
@@ -280,7 +266,7 @@ def _apply_model_entry(store: TripleStore, entry: SegmentEntry) -> None:
 def _apply_index_entry(store: TripleStore, entry: SegmentEntry) -> None:
     derived = store.index(entry.model, entry.rulebase)
     if derived is None:
-        writable: Graph = Graph(dictionary=_store_dictionary(store))
+        writable: Graph = Graph(dictionary=store.dictionary)
         refreeze = False
     else:
         writable, refreeze = as_writable(derived), derived.frozen

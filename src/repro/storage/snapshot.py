@@ -463,7 +463,7 @@ class MappedSnapshot:
         self._buf = buf
         self.generation = generation
         self._toc = toc
-        self._dictionary: Optional[MappedTermDictionary] = None
+        self._dict: Optional[MappedTermDictionary] = None
         self._graphs: Dict[str, MappedGraph] = {}
         self._readers: List[RunReader] = []
 
@@ -542,7 +542,7 @@ class MappedSnapshot:
             reader.release()
         self._readers.clear()
         self._graphs.clear()
-        self._dictionary = None
+        self._dict = None
         if self._buf is not None:
             self._buf.release()
             self._buf = None
@@ -569,11 +569,11 @@ class MappedSnapshot:
 
     @property
     def dictionary(self) -> MappedTermDictionary:
-        if self._dictionary is None:
+        if self._dict is None:
             pool = self._section("pool")
             offsets = self._section("offsets")
             hashes = self._section("hash")
-            self._dictionary = MappedTermDictionary(
+            self._dict = MappedTermDictionary(
                 MappedStringPool(
                     self._buf,
                     pool["offset"],
@@ -584,7 +584,7 @@ class MappedSnapshot:
                     hashes["length"],
                 )
             )
-        return self._dictionary
+        return self._dict
 
     def graph_entries(self) -> List[Dict[str, object]]:
         return list(self._toc["graphs"])

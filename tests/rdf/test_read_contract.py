@@ -1,19 +1,29 @@
 """One read contract, four ways to hold the same triples.
 
 A :class:`Graph`, a saved-and-attached :class:`MappedGraph`, a 2-layer
-:class:`GraphView` whose layers share one dictionary and a view whose
-layers do not must answer every term-level read identically — they
-share one implementation over different id-level primitives, and this
-property test is what keeps the primitives honest. Patterns cover every
-bound/unbound shape, with terms drawn from the stored pool plus an
-unknown IRI and a literal in subject position.
+:class:`GraphView` over in-memory graphs and a view over an attached
+store's mapped model plus a model created on that store must answer
+every term-level read identically — they share one implementation over
+different id-level primitives, and this property test is what keeps the
+primitives honest. The attached view puts the mapped dictionary's
+overlay ids (terms interned after the attach) under the contract.
+Patterns cover every bound/unbound shape, with terms drawn from the
+stored pool plus an unknown IRI and a literal in subject position.
+
+Graphs that intern into different dictionaries never share a view or a
+store: both refuse them with :class:`DictionaryMismatchError`.
 """
 
 import itertools
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.rdf.dictionary import TermDictionary
+from repro.rdf.dictionary import (
+    DEFAULT_DICTIONARY,
+    DictionaryMismatchError,
+    TermDictionary,
+)
 from repro.rdf.graph import Graph, GraphView
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import BNode, IRI, Literal, Triple
@@ -50,26 +60,29 @@ triples_st = st.lists(
 def load_four_ways(triples, layer_of, path):
     """The same content as Graph, MappedGraph and two GraphViews."""
     graph = Graph(triples, dictionary=TermDictionary())
-    store = TripleStore()
-    store.adopt_model("M", Graph(triples, dictionary=TermDictionary()))
-    save_snapshot_store(store, path)
-    snapshot = MappedSnapshot.open(path)
-    mapped = snapshot.store(mutable_models=()).model("M")
     # layer 0 / 1 / both: a triple in both layers must still count once
     layers = [
         [t for t, where in zip(triples, layer_of) if where in (i, 2)] for i in (0, 1)
     ]
+    store = TripleStore()
+    store.adopt_model("M", Graph(triples, dictionary=TermDictionary()))
+    store.create_model("L0").add_all(layers[0])
+    save_snapshot_store(store, path)
+    snapshot = MappedSnapshot.open(path)
+    attached = snapshot.store(mutable_models=())
+    # created after the attach: interns into the mapped dictionary, and
+    # a term the file does not hold gets an overlay id
+    attached.create_model("L1").add_all(layers[1])
+    attached_view = attached.view(["L0", "L1"])
     shared = TermDictionary()
     shared_view = GraphView([Graph(layer, dictionary=shared) for layer in layers])
-    mixed_view = GraphView(
-        [Graph(layer, dictionary=TermDictionary()) for layer in layers]
-    )
-    assert shared_view.dictionary is shared and mixed_view.dictionary is None
+    assert shared_view.dictionary is shared
+    assert attached_view.dictionary is attached.model("M").dictionary
     return snapshot, {
         "graph": graph,
-        "mapped": mapped,
+        "mapped": attached.model("M"),
         "shared-view": shared_view,
-        "mixed-view": mixed_view,
+        "attached-view": attached_view,
     }
 
 
@@ -111,12 +124,10 @@ def test_every_graph_answers_the_read_contract_alike(tmp_path, triples, layer_se
                 assert g == other, (name, other_name)
             assert not g == Graph([Triple(UNKNOWN, UNKNOWN, UNKNOWN)]), name
 
-        # the distinct objects of a predicate, in id space (the mixed
-        # view has none): each stored object once
+        # the distinct objects of a predicate, in id space: each stored
+        # object once
         for p in PROBES["p"]:
             for name, g in graphs.items():
-                if g.dictionary is None:
-                    continue
                 pid = g.dictionary.lookup(p)
                 ids = distinct(g.distinct_object_ids(pid)) if pid is not None else set()
                 assert {g.dictionary.term(i) for i in ids} == {
@@ -170,3 +181,32 @@ def test_views_compare_by_content():
     whole = GraphView([Graph(triples)])
     assert split == whole and whole == split
     assert split != GraphView([Graph(triples[:1])])
+
+
+# -- one id space per view and per store ----------------------------------------
+
+T = Triple(SUBJECTS[0], PREDICATES[0], OBJECTS[3])
+
+
+def test_view_over_two_dictionaries_is_refused():
+    with pytest.raises(DictionaryMismatchError):
+        GraphView([Graph([T]), Graph([T], dictionary=TermDictionary())])
+
+
+def test_store_refuses_a_graph_interning_elsewhere():
+    assert TripleStore().dictionary is DEFAULT_DICTIONARY
+    store = TripleStore()
+    own = TermDictionary()
+    # the first model fixes the store's dictionary; create_model follows it
+    store.adopt_model("M", Graph([T], dictionary=own))
+    assert store.dictionary is own
+    assert store.create_model("N").dictionary is own
+    foreign = Graph([T], dictionary=TermDictionary())
+    with pytest.raises(DictionaryMismatchError):
+        store.adopt_model("F", foreign)
+    with pytest.raises(DictionaryMismatchError):
+        store.replace_model("M", foreign)
+    with pytest.raises(DictionaryMismatchError):
+        store.attach_index("M", "OWLPRIME", foreign)
+    assert store.model_names() == ["M", "N"] and not store.index_names()
+    assert store.view(["M", "N"]).dictionary is own

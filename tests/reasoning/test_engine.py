@@ -294,9 +294,9 @@ class TestAttachedStoreBuild:
 
     ATTRIBUTES = "SELECT ?x WHERE { ?x rdf:type dm:Attribute }"
 
-    def test_build_shares_the_model_dictionary(self, tmp_path, monkeypatch):
-        import repro.sparql.evaluator as evaluator
+    def test_build_shares_the_model_dictionary(self, tmp_path):
         from repro.core import MetadataWarehouse
+        from repro.obs.profile import profile_scope
         from repro.synth import LandscapeConfig, generate_landscape
 
         source = generate_landscape(LandscapeConfig.tiny(seed=2009)).warehouse
@@ -311,12 +311,11 @@ class TestAttachedStoreBuild:
         view = mdw.view(["OWLPRIME"])
         assert view.dictionary is mdw.graph.dictionary
 
-        def nested(*args, **kwargs):
-            raise AssertionError("OWLPRIME BGP fell back to term space")
-
-        monkeypatch.setattr(evaluator, "_eval_bgp_nested", nested)
-        after = sorted(map(repr, mdw.query(self.ATTRIBUTES, rulebases=["OWLPRIME"])))
+        with profile_scope() as prof:
+            after = sorted(map(repr, mdw.query(self.ATTRIBUTES, rulebases=["OWLPRIME"])))
         assert after == before
+        ops = {op.op for op in prof.operators}
+        assert ops and ops <= {"scan", "hash-join", "bind-join"}
 
 
 def test_medium_landscape_census():

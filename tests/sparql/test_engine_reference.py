@@ -1,23 +1,28 @@
-"""The engine against the term-space reference.
+"""The engine against a term-space reference.
 
 The id-space pipeline (cost-planned hash/bind joins) must produce, for
-every query shape, the solution multiset of the term-space recursion —
-and the identical sequence when ORDER BY pins the order. The reference
-is reached the only way the code reaches it: by querying a
-:class:`~repro.rdf.GraphView` of the same triples whose layers do not
-share a :class:`~repro.rdf.TermDictionary`.
+every query shape, the solution multiset of a plain term-space
+recursion — and the identical sequence when ORDER BY pins the order.
+The reference lives here, not in the engine: :func:`reference_bgp`
+matches each triple pattern of a BGP, in written order, through
+``graph.triples(...)`` (and each path pattern through the engine's
+path matcher), and the ``reference`` fixture installs it over
+``evaluator._eval_bgp`` for the queries run inside it. Everything above
+the BGP — joins, OPTIONAL, FILTER, aggregates, ORDER BY — is the
+engine's own code on both sides.
 """
+
+from contextlib import contextmanager
 
 import pytest
 
+import repro.sparql.evaluator as evaluator
 from benchmarks.queries import LISTING_1, LISTING_2, LISTING_2_SOURCE
 from repro.obs.profile import profile_scope
 from repro.oracle import execute_sem_sql
-from repro.rdf import (
-    DM, DT, Graph, GraphView, IRI, Literal, RDF, RDFS, TermDictionary, Triple,
-    TripleStore,
-)
+from repro.rdf import DM, DT, Graph, IRI, Literal, RDF, RDFS, Triple, TripleStore
 from repro.rdf.namespace import NamespaceManager
+from repro.rdf.terms import Variable
 from repro.sparql import PlanCache, execute
 
 EX = "http://example.org/"
@@ -27,9 +32,56 @@ def iri(name):
     return IRI(EX + name)
 
 
-def private(triples):
-    """A graph interning into a dictionary of its own."""
-    return Graph(triples, dictionary=TermDictionary())
+def match_triple(graph, pattern, binding):
+    """Extensions of ``binding`` by one triple pattern, in term space."""
+    query = [binding.get(t.name) if isinstance(t, Variable) else t for t in pattern]
+    for triple in graph.triples(*query):
+        extended = dict(binding)
+        for term, value in zip(pattern, triple):
+            if isinstance(term, Variable):
+                if extended.setdefault(term.name, value) != value:
+                    break  # the same variable twice, matched differently
+        else:
+            yield extended
+
+
+def reference_bgp(graph, bgp, binding):
+    """The BGP's solutions by nested-loop recursion over its patterns."""
+    stages = [*bgp.patterns, *bgp.paths]
+
+    def recurse(i, current):
+        if i == len(stages):
+            yield current
+            return
+        stage = stages[i]
+        if isinstance(stage, Triple):
+            matches = match_triple(graph, stage, current)
+        else:
+            matches = evaluator._match_path_pattern(graph, stage, current)
+        for extended in matches:
+            yield from recurse(i + 1, extended)
+
+    return recurse(0, dict(binding))
+
+
+@pytest.fixture
+def reference(monkeypatch):
+    """A context manager: every BGP evaluated inside it is served by
+    :func:`reference_bgp`; it yields the list of BGPs served."""
+
+    @contextmanager
+    def scope():
+        served = []
+
+        def serve(graph, bgp, binding, plan):
+            served.append(bgp)
+            return reference_bgp(graph, bgp, binding)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(evaluator, "_eval_bgp", serve)
+            yield served
+
+    return scope
 
 
 @pytest.fixture(scope="module")
@@ -55,13 +107,6 @@ def triples():
 @pytest.fixture(scope="module")
 def graph(triples):
     return Graph(triples, name="engine")
-
-
-@pytest.fixture(scope="module")
-def reference(triples):
-    view = GraphView([private(triples[::2]), private(triples[1::2])], disjoint_hint=True)
-    assert view.dictionary is None
-    return view
 
 
 @pytest.fixture(scope="module")
@@ -126,7 +171,8 @@ def exact(result):
 
 @pytest.mark.parametrize("query", QUERIES)
 def test_engine_matches_reference(graph, reference, nsm, query):
-    baseline = execute(reference, query, nsm=nsm)
+    with reference():
+        baseline = execute(graph, query, nsm=nsm)
     cache = PlanCache()
     results = {
         "engine": execute(graph, query, nsm=nsm),
@@ -144,7 +190,9 @@ def test_engine_matches_reference(graph, reference, nsm, query):
 
 @pytest.mark.parametrize("query", ASK_QUERIES)
 def test_ask_matches_reference(graph, reference, nsm, query):
-    assert execute(graph, query, nsm=nsm) == execute(reference, query, nsm=nsm)
+    with reference():
+        baseline = execute(graph, query, nsm=nsm)
+    assert execute(graph, query, nsm=nsm) == baseline
 
 
 def test_initial_bindings_match_reference(graph, reference, nsm):
@@ -152,40 +200,49 @@ def test_initial_bindings_match_reference(graph, reference, nsm):
     bindings = {"p": iri("person7")}
     rows = canonical(execute(graph, query, nsm=nsm, bindings=bindings))
     assert rows
-    assert rows == canonical(execute(reference, query, nsm=nsm, bindings=bindings))
+    with reference():
+        baseline = canonical(execute(graph, query, nsm=nsm, bindings=bindings))
+    assert rows == baseline
 
 
 def test_unknown_term_in_bindings_yields_empty(graph, reference, nsm):
     query = "SELECT ?n WHERE { ?p ex:name ?n }"
     bindings = {"p": iri("nobody-ever-interned")}
-    for g in (graph, reference):
-        assert len(execute(g, query, nsm=nsm, bindings=bindings)) == 0
+    assert len(execute(graph, query, nsm=nsm, bindings=bindings)) == 0
+    with reference():
+        assert len(execute(graph, query, nsm=nsm, bindings=bindings)) == 0
 
 
-def operators_run(g, nsm):
+def run_all(g, nsm):
     with profile_scope() as prof:
         for query in QUERIES + ASK_QUERIES:
             execute(g, query, nsm=nsm)
-    return {op.op for op in prof.operators}
+    return prof
 
 
 def test_every_engine_operator_ran(graph, nsm):
     # nothing forces an operator any more: the suite only covers the
     # hash and bind joins if the cost model actually picks each somewhere
-    assert {"scan", "bind-join", "hash-join"} <= operators_run(graph, nsm)
+    ops = {op.op for op in run_all(graph, nsm).operators}
+    assert {"scan", "bind-join", "hash-join"} <= ops
 
 
-def test_reference_never_enters_the_id_pipeline(reference, nsm):
-    assert operators_run(reference, nsm) == {"nested-loop"}
+def test_reference_never_enters_the_id_pipeline(graph, reference, nsm):
+    # the reference serves every BGP the engine would have run, and no
+    # id operator (nor the engine's BGP counter) runs beside it
+    engine = run_all(graph, nsm)
+    with reference() as served:
+        prof = run_all(graph, nsm)
+    assert len(served) == engine.bgps > 0
+    assert prof.bgps == 0 and not prof.operators
 
 
 # -- the paper's listings, through the SQL front end ---------------------------
 
-def make_store(make_graph):
+def make_store():
     """A model of 60 named columns (a third of them customer columns,
     half of them mapped from a source) plus the OWLPRIME index holding
-    their inherited type memberships; ``make_graph`` decides which
-    dictionary each of the two graphs interns into."""
+    their inherited type memberships."""
     dwh = "http://www.credit-suisse.com/dwh/"
     col = DM.Application1_View_Column
     base = [
@@ -204,8 +261,8 @@ def make_store(make_graph):
         derived.append(Triple(item, RDF.type, DM.Application1_Item))
         derived.append(Triple(item, RDF.type, DM.Interface_Item))
     store = TripleStore()
-    store.adopt_model("DWH_CURR", make_graph(base))
-    store.attach_index("DWH_CURR", "OWLPRIME", make_graph(derived))
+    store.create_model("DWH_CURR").add_all(base)
+    store.attach_index("DWH_CURR", "OWLPRIME", Graph(derived))
     return store
 
 
@@ -214,13 +271,15 @@ def make_store(make_graph):
     [LISTING_1, LISTING_2.replace(LISTING_2_SOURCE, "http://www.credit-suisse.com/dwh/source_3")],
     ids=["listing1", "listing2"],
 )
-def test_listings_match_reference(sql):
-    engine_store, reference_store = make_store(Graph), make_store(private)
-    assert reference_store.view(["DWH_CURR"], rulebases=["OWLPRIME"]).dictionary is None
-    rows = execute_sem_sql(engine_store, sql, plan_cache=PlanCache())
+def test_listings_match_reference(reference, sql):
+    store = make_store()
+    rows = execute_sem_sql(store, sql, plan_cache=PlanCache())
     assert len(rows) > 1
-    assert rows.columns == execute_sem_sql(reference_store, sql).columns
-    assert canonical(rows) == canonical(execute_sem_sql(reference_store, sql))
+    with reference() as served:
+        baseline = execute_sem_sql(store, sql)
+    assert served
+    assert rows.columns == baseline.columns
+    assert canonical(rows) == canonical(baseline)
 
 
 def test_plan_cache_invalidates_on_mutation(nsm):

@@ -122,6 +122,50 @@ def test_mapped_graphs_share_one_dictionary(tmp_path):
     assert view.dictionary is model.dictionary
 
 
+def test_model_created_on_an_attached_store_shares_its_dictionary(tmp_path):
+    """A model created on an attached store interns into the snapshot's
+    dictionary (overlay ids for new terms), so a BGP over it beside a
+    mapped model stays on the id operators and answers like a store
+    built in memory."""
+    from repro.obs.profile import profile_scope
+    from repro.rdf.namespace import DM
+    from repro.sparql import execute
+    from repro.synth import LandscapeConfig, generate_landscape
+
+    built = generate_landscape(LandscapeConfig.tiny(seed=2009)).warehouse
+    path = built.save_snapshot(tmp_path / "wh.mdws")
+    attached = MetadataWarehouse.attach_snapshot(
+        path, model="EXTRA", mutable_models=None
+    ).store
+    mapped = attached.model("DWH_CURR").dictionary
+    assert attached.model("EXTRA").dictionary is mapped
+
+    column = next(built.graph.subjects(RDF.type, DM.Column))
+    extra = [
+        # a new item: every term but the vocabulary is an overlay id
+        Triple(IRI(f"{NS}extra"), RDF.type, DM.Column),
+        Triple(IRI(f"{NS}extra"), DM.hasName, Literal("extra_column")),
+        # a second name for a mapped column: the join crosses the layers
+        Triple(column, DM.hasName, Literal("extra_alias")),
+    ]
+    attached.model("EXTRA").add_all(extra)
+    built.store.create_model("EXTRA").add_all(extra)
+
+    text = (
+        f"SELECT ?c ?n WHERE {{ ?c {RDF.type.n3()} {DM.Column.n3()} . "
+        f"?c {DM.hasName.n3()} ?n }}"
+    )
+    view = attached.view(["DWH_CURR", "EXTRA"])
+    assert view.dictionary is mapped
+    with profile_scope() as prof:
+        rows = sorted(map(repr, execute(view, text)))
+    expected = sorted(map(repr, execute(built.store.view(["DWH_CURR", "EXTRA"]), text)))
+    assert rows == expected
+    assert len(rows) == len(execute(attached.view(["DWH_CURR"]), text)) + 2
+    ops = {op.op for op in prof.operators}
+    assert ops and ops <= {"scan", "hash-join", "bind-join"}
+
+
 def test_mapped_graph_is_read_only(tmp_path):
     path = save_snapshot_store(_store(), tmp_path / "s.mdws")
     mapped = MappedSnapshot.open(path).store(mutable_models=()).model("DWH_CURR")
