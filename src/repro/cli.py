@@ -455,6 +455,7 @@ def cmd_load(args) -> None:
 
         historizer = Historizer(mdw.store, model=mdw.model_name)
     from repro.etl.xml_source import XmlSourceError
+    from repro.rdf import TurtleParseError
 
     orchestrator = EtlOrchestrator(mdw, validate=not args.no_validate)
     try:
@@ -465,7 +466,7 @@ def cmd_load(args) -> None:
             version=args.version,
             historizer=historizer,
         )
-    except XmlSourceError as exc:
+    except (XmlSourceError, TurtleParseError) as exc:
         raise CliError(str(exc)) from None
     print(result.summary())
     if not result.ok:

@@ -42,6 +42,7 @@ from typing import List, Optional, Tuple
 
 from repro.errors import InvalidRequest
 from repro.rdf.store import TripleStore
+from repro.rdf.syntax import TermReader, number_literal
 from repro.rdf.terms import Literal
 from repro.sparql.algebra import (
     Aggregate,
@@ -62,7 +63,6 @@ from repro.sparql.expressions import (
     call_error,
 )
 from repro.sparql.results import SolutionSequence
-from repro.sparql.tokenizer import Token, tokenize
 
 from repro.oracle.sem_apis import SemAlias
 from repro.oracle.sem_match import prepare_sem_match
@@ -250,7 +250,7 @@ def _identifier_list(text: str) -> List[str]:
 
 # -- SQL expression parsing ---------------------------------------------------
 #
-# SQL WHERE conditions are parsed with the SPARQL tokenizer (it accepts
+# SQL WHERE conditions are parsed with the shared term lexer (it accepts
 # single-quoted strings) into repro.sparql expression trees. Column
 # identifiers become variables; comparisons against string constants are
 # wrapped in str() so they match IRI-valued variables by IRI text, the
@@ -259,26 +259,17 @@ def _identifier_list(text: str) -> List[str]:
 
 def _parse_sql_expression(text: str) -> Expression:
     text = text.strip().rstrip(";")
-    parser = _SqlExprParser(tokenize(text))
+    parser = _SqlExprParser(text, error=_sql_error)
     expr = parser.parse_or()
     parser.expect_eof()
     return expr
 
 
-class _SqlExprParser:
-    def __init__(self, tokens: List[Token]):
-        self.tokens = tokens
-        self.pos = 0
+def _sql_error(message: str, position: int, line: int) -> SemSqlError:
+    return SemSqlError(f"{message} in WHERE clause (offset {position})")
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
-
+class _SqlExprParser(TermReader):
     def expect_eof(self) -> None:
         if self.peek().kind != "EOF":
             raise SemSqlError(f"trailing tokens in WHERE clause: {self.peek().value!r}")
@@ -313,37 +304,31 @@ class _SqlExprParser:
         if tok.kind == "PUNCT" and tok.value in ("=", "!=", "<", ">", "<=", ">="):
             op = self.next().value
             # SQL's <> not-equal arrives as two tokens
-            if op == "<" and self.peek().matches("PUNCT", ">"):
-                self.next()
+            if op == "<" and self.accept("PUNCT", ">"):
                 op = "!="
             right = self.parse_primary()
             return _build_comparison(op, left, right)
         return left
 
     def parse_primary(self) -> Expression:
-        tok = self.peek()
-        if tok.kind == "PUNCT" and tok.value == "(":
-            self.next()
+        if self.accept("PUNCT", "("):
             expr = self.parse_or()
-            if not self.peek().matches("PUNCT", ")"):
-                raise SemSqlError("expected ')'")
-            self.next()
+            self.expect("PUNCT", ")")
             return expr
+        tok = self.peek()
         if tok.kind == "STRING":
             self.next()
             return ConstExpr(Literal(tok.value))
         if tok.kind == "NUMBER":
             self.next()
-            if "." in tok.value:
-                return ConstExpr(Literal(float(tok.value)))
-            return ConstExpr(Literal(int(tok.value)))
+            return ConstExpr(number_literal(tok.value))
         if tok.kind == "VAR":
             # tolerate SPARQL-style ?var in the SQL clause
             self.next()
             return VarExpr(tok.value)
         if tok.kind in ("NAME", "KEYWORD"):
             self.next()
-            if self.peek().matches("PUNCT", "("):
+            if self.at("PUNCT", "("):
                 return self.parse_function_call(tok.value)
             if tok.value.upper() == "NULL":
                 raise SemSqlError("NULL comparisons are not supported; omit the row instead")
@@ -353,14 +338,11 @@ class _SqlExprParser:
     def parse_function_call(self, name: str) -> Expression:
         self.next()  # '('
         args: List[Expression] = []
-        if not self.peek().matches("PUNCT", ")"):
+        if not self.at("PUNCT", ")"):
             args.append(self.parse_or())
-            while self.peek().matches("PUNCT", ","):
-                self.next()
+            while self.accept("PUNCT", ","):
                 args.append(self.parse_or())
-        if not self.peek().matches("PUNCT", ")"):
-            raise SemSqlError("expected ')' after function arguments")
-        self.next()
+        self.expect("PUNCT", ")")
         problem = call_error(name, len(args))
         if problem is not None:
             raise SemSqlError(problem)

@@ -8,11 +8,11 @@ diff cleanly across versions.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Union
+from typing import Iterable, Iterator, Union
 
 from repro.rdf.graph import Graph
-from repro.rdf.staging import parse_lexical_term
-from repro.rdf.terms import IRI, Triple
+from repro.rdf.syntax import TermReader
+from repro.rdf.terms import Triple
 
 
 class NTriplesParseError(ValueError):
@@ -35,76 +35,24 @@ def serialize_ntriples(triples: Union[Graph, Iterable[Triple]]) -> str:
 def parse_ntriples(text: str) -> Iterator[Triple]:
     """Parse N-Triples text, yielding triples.
 
-    Comments (``# ...``) and blank lines are skipped. Raises
-    :class:`NTriplesParseError` with the offending line number.
+    Comments (``# ...``) and blank lines are skipped; each triple sits on
+    one line of its own. Raises :class:`NTriplesParseError` with the
+    offending line number.
     """
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not line.endswith("."):
-            raise NTriplesParseError(lineno, "statement does not end with '.'")
-        body = line[:-1].strip()
-        try:
-            terms = _split_terms(body)
-        except ValueError as exc:
-            raise NTriplesParseError(lineno, str(exc)) from None
-        if len(terms) != 3:
-            raise NTriplesParseError(lineno, f"expected 3 terms, found {len(terms)}")
-        try:
-            s = parse_lexical_term(terms[0])
-            p = parse_lexical_term(terms[1])
-            o = parse_lexical_term(terms[2])
-            yield Triple(s, p, o)
-        except (ValueError, TypeError) as exc:
-            raise NTriplesParseError(lineno, str(exc)) from None
+    reader = TermReader(text, error=_error)
+    last_line = 0
+    while not reader.at("EOF"):
+        line = reader.peek().line
+        if line == last_line:
+            raise reader.error("one triple per line")
+        subject = reader.parse_term("subject")
+        predicate = reader.parse_iri()
+        obj = reader.parse_term("object")
+        if reader.expect("PUNCT", ".").line != line:
+            raise NTriplesParseError(line, "a triple must not span lines")
+        last_line = line
+        yield Triple(subject, predicate, obj)
 
 
-def parse_ntriples_graph(text: str, name: str = "") -> Graph:
-    """Parse N-Triples text directly into a new :class:`Graph`."""
-    return Graph(parse_ntriples(text), name=name)
-
-
-def _split_terms(body: str) -> List[str]:
-    """Split an N-Triples statement body into its whitespace-separated
-    terms, honouring quotes and angle brackets."""
-    terms: List[str] = []
-    i = 0
-    n = len(body)
-    while i < n:
-        ch = body[i]
-        if ch.isspace():
-            i += 1
-            continue
-        start = i
-        if ch == "<":
-            end = body.find(">", i)
-            if end == -1:
-                raise ValueError("unterminated IRI")
-            i = end + 1
-        elif ch == '"':
-            i += 1
-            while i < n:
-                if body[i] == "\\":
-                    i += 2
-                    continue
-                if body[i] == '"':
-                    break
-                i += 1
-            if i >= n:
-                raise ValueError("unterminated literal")
-            i += 1  # past closing quote
-            # optional @lang or ^^<datatype>
-            if i < n and body[i] == "@":
-                while i < n and not body[i].isspace():
-                    i += 1
-            elif body.startswith("^^<", i):
-                end = body.find(">", i + 3)
-                if end == -1:
-                    raise ValueError("unterminated datatype IRI")
-                i = end + 1
-        else:
-            while i < n and not body[i].isspace():
-                i += 1
-        terms.append(body[start:i])
-    return terms
+def _error(message: str, position: int, line: int) -> NTriplesParseError:
+    return NTriplesParseError(line, message)

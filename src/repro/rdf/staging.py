@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, List, NamedTuple
 
-from repro.rdf.terms import BNode, IRI, Literal, Term, Triple, unescape_literal
+from repro.rdf.syntax import _TOKEN, TermReader
+from repro.rdf.terms import IRI, Term, Triple
 
 
 class StagingRow(NamedTuple):
@@ -76,43 +77,15 @@ def parse_lexical_term(text: str) -> Term:
     Raises ValueError on malformed input; the bulk loader turns that into
     a rejected row rather than a failed load.
     """
-    text = text.strip()
-    if not text:
-        raise ValueError("empty term")
-    if text.startswith("<") and text.endswith(">"):
-        return IRI(text[1:-1])
-    if text.startswith("_:"):
-        return BNode(text[2:])
-    if text.startswith('"'):
-        return _parse_lexical_literal(text)
-    raise ValueError(f"unrecognized term syntax: {text!r}")
-
-
-def _parse_lexical_literal(text: str) -> Literal:
-    # Find the closing quote, honouring backslash escapes.
-    i = 1
-    n = len(text)
-    while i < n:
-        if text[i] == "\\":
-            i += 2
-            continue
-        if text[i] == '"':
-            break
-        i += 1
-    else:
-        raise ValueError(f"unterminated literal: {text!r}")
-    body = unescape_literal(text[1:i])
-    rest = text[i + 1 :]
-    if not rest:
-        return Literal(body)
-    if rest.startswith("@"):
-        lang = rest[1:]
-        if not lang or not all(ch.isalnum() or ch == "-" for ch in lang):
-            raise ValueError(f"bad language tag: {rest!r}")
-        return Literal(body, language=lang)
-    if rest.startswith("^^<") and rest.endswith(">"):
-        return Literal(body, datatype=IRI(rest[3:-1]))
-    raise ValueError(f"bad literal suffix: {rest!r}")
+    # most columns are a single IRIREF token: the lexer's own pattern
+    # reads it without building a token list and a reader
+    whole = _TOKEN.fullmatch(text)
+    if whole is not None and whole.lastgroup == "IRIREF":
+        return IRI(whole.group("IRIREF"))
+    reader = TermReader(text)
+    term = reader.parse_term()
+    reader.expect("EOF")
+    return term
 
 
 def row_to_triple(row: StagingRow) -> Triple:

@@ -9,6 +9,7 @@ deterministic, which the test-suite and the benchmark harness rely on.
 from __future__ import annotations
 
 import itertools
+import re
 from typing import Optional, Tuple, Union
 
 _XSD = "http://www.w3.org/2001/XMLSchema#"
@@ -19,6 +20,8 @@ XSD_DOUBLE = _XSD + "double"
 XSD_BOOLEAN = _XSD + "boolean"
 XSD_DATE = _XSD + "date"
 XSD_DATETIME = _XSD + "dateTime"
+
+_IRI_FORBIDDEN = re.compile(r'[<>" {}|\\^`\n\r\t]')
 
 # Sort keys per term kind; used by Term.sort_key for the cross-kind order.
 _KIND_ORDER = {"IRI": 0, "BNode": 1, "Literal": 2, "Variable": 3}
@@ -72,7 +75,7 @@ class IRI(Term):
             raise TypeError(f"IRI value must be str, got {type(value).__name__}")
         if not value:
             raise ValueError("IRI value must be non-empty")
-        if any(ch in value for ch in "<>\" {}|\\^`\n\r\t"):
+        if _IRI_FORBIDDEN.search(value):
             raise ValueError(f"IRI contains characters forbidden in IRIs: {value!r}")
         object.__setattr__(self, "value", value)
 
@@ -362,30 +365,36 @@ def escape_literal(text: str) -> str:
     )
 
 
+_ECHAR = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
+_ESCAPE = re.compile(r"\\(?:([tbnrf\"'\\])|u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.?))", re.DOTALL)
+
+
 def unescape_literal(text: str) -> str:
-    """Reverse :func:`escape_literal` plus ``\\uXXXX`` escapes."""
-    out = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch != "\\":
-            out.append(ch)
-            i += 1
-            continue
-        if i + 1 >= n:
-            raise ValueError("dangling backslash in literal")
-        nxt = text[i + 1]
-        simple = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
-        if nxt in simple:
-            out.append(simple[nxt])
-            i += 2
-        elif nxt == "u":
-            out.append(chr(int(text[i + 2 : i + 6], 16)))
-            i += 6
-        elif nxt == "U":
-            out.append(chr(int(text[i + 2 : i + 10], 16)))
-            i += 10
-        else:
-            raise ValueError(f"unknown escape sequence \\{nxt}")
-    return "".join(out)
+    """Decode the string escapes of SPARQL, Turtle and N-Triples.
+
+    ``\\t \\b \\n \\r \\f \\" \\' \\\\``, ``\\uXXXX`` and ``\\UXXXXXXXX``;
+    this is the one place that decodes them. Anything else after a
+    backslash — a short or non-hex ``\\u``, an unknown letter, a trailing
+    backslash, a code point that is not a Unicode scalar value — raises
+    ValueError.
+    """
+    if "\\" not in text:
+        return text
+    return _ESCAPE.sub(_unescape_one, text)
+
+
+def _unescape_one(match: "re.Match") -> str:
+    char, short, long, other = match.groups()
+    if char:
+        return _ECHAR[char]
+    if short or long:
+        code = int(short or long, 16)
+        if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+            raise ValueError(f"escape {match.group()} is not a Unicode scalar value")
+        return chr(code)
+    if other in ("u", "U"):
+        width = 4 if other == "u" else 8
+        raise ValueError(f"\\{other} escape needs {width} hex digits")
+    if not other:
+        raise ValueError("dangling backslash in literal")
+    raise ValueError(f"unknown escape sequence \\{other}")

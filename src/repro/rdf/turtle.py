@@ -4,7 +4,7 @@ The ontology files exported from the hierarchy-authoring tool (Protégé in
 the paper, :mod:`repro.etl.ontology_io` here) use Turtle because it is the
 human-readable form practitioners actually review. The supported subset:
 
-* ``@prefix`` directives and prefixed names
+* ``@prefix`` (and SPARQL-style ``PREFIX``) directives and prefixed names
 * the ``a`` keyword for ``rdf:type``
 * predicate lists (``;``) and object lists (``,``)
 * plain / language-tagged / datatyped literals, and bare integer,
@@ -18,21 +18,11 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Union
 
 from repro.rdf.graph import Graph
-from repro.rdf.namespace import NamespaceManager
-from repro.rdf.terms import (
-    BNode,
-    IRI,
-    Literal,
-    Term,
-    Triple,
-    XSD_BOOLEAN,
-    XSD_DECIMAL,
-    XSD_INTEGER,
-    escape_literal,
-    unescape_literal,
-)
+from repro.rdf.namespace import RDF, NamespaceManager
+from repro.rdf.syntax import TermReader
+from repro.rdf.terms import IRI, Literal, Term, Triple, escape_literal
 
-_RDF_TYPE = IRI("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
+_RDF_TYPE = RDF.type
 
 
 class TurtleParseError(ValueError):
@@ -110,219 +100,19 @@ def parse_turtle(text: str, nsm: Optional[NamespaceManager] = None) -> Graph:
     When ``nsm`` is given, prefixes declared in the document are bound
     into it, so callers can reuse the bindings for later serialization.
     """
-    parser = _TurtleParser(text, nsm or NamespaceManager())
-    return parser.parse()
+    reader = TermReader(text, nsm or NamespaceManager(), _error)
+    graph = Graph()
+    while True:
+        reader.parse_prologue()
+        if reader.at("EOF"):
+            return graph
+        if reader.accept("LANGTAG", "prefix"):
+            reader.parse_prefix_binding()
+        else:
+            for s, p, o in reader.parse_triples_same_subject():
+                graph.add(Triple(s, p, o))
+        reader.expect("PUNCT", ".")
 
 
-class _TurtleParser:
-    def __init__(self, text: str, nsm: NamespaceManager):
-        self.text = text
-        self.pos = 0
-        self.nsm = nsm
-        self.graph = Graph()
-
-    # -- low-level ------------------------------------------------------
-
-    def error(self, message: str) -> TurtleParseError:
-        return TurtleParseError(message, self.pos)
-
-    def skip_ws(self) -> None:
-        n = len(self.text)
-        while self.pos < n:
-            ch = self.text[self.pos]
-            if ch.isspace():
-                self.pos += 1
-            elif ch == "#":
-                nl = self.text.find("\n", self.pos)
-                self.pos = n if nl == -1 else nl + 1
-            else:
-                return
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, token: str) -> None:
-        self.skip_ws()
-        if not self.text.startswith(token, self.pos):
-            raise self.error(f"expected {token!r}")
-        self.pos += len(token)
-
-    # -- grammar -----------------------------------------------------------
-
-    def parse(self) -> Graph:
-        while not self.at_end():
-            if self.text.startswith("@prefix", self.pos):
-                self.parse_prefix()
-            else:
-                self.parse_statement()
-        return self.graph
-
-    def parse_prefix(self) -> None:
-        self.expect("@prefix")
-        self.skip_ws()
-        colon = self.text.find(":", self.pos)
-        if colon == -1:
-            raise self.error("malformed @prefix")
-        prefix = self.text[self.pos : colon].strip()
-        self.pos = colon + 1
-        self.skip_ws()
-        if self.peek() != "<":
-            raise self.error("expected <iri> in @prefix")
-        iri = self.parse_iri()
-        self.nsm.bind(prefix, iri.value)
-        self.expect(".")
-
-    def parse_statement(self) -> None:
-        subject = self.parse_term(position="subject")
-        while True:
-            predicate = self.parse_predicate()
-            while True:
-                obj = self.parse_term(position="object")
-                self.graph.add(Triple(subject, predicate, obj))
-                self.skip_ws()
-                if self.peek() == ",":
-                    self.pos += 1
-                    continue
-                break
-            self.skip_ws()
-            if self.peek() == ";":
-                self.pos += 1
-                self.skip_ws()
-                # tolerate trailing ';' before '.'
-                if self.peek() == ".":
-                    break
-                continue
-            break
-        self.expect(".")
-
-    def parse_predicate(self) -> IRI:
-        self.skip_ws()
-        if self.text.startswith("a", self.pos):
-            after = self.pos + 1
-            if after >= len(self.text) or self.text[after].isspace():
-                self.pos += 1
-                return _RDF_TYPE
-        term = self.parse_term(position="predicate")
-        if not isinstance(term, IRI):
-            raise self.error("predicate must be an IRI")
-        return term
-
-    def parse_term(self, position: str) -> Term:
-        self.skip_ws()
-        ch = self.peek()
-        if not ch:
-            raise self.error(f"unexpected end of input reading {position}")
-        if ch == "<":
-            return self.parse_iri()
-        if ch == '"':
-            if position != "object":
-                raise self.error(f"literal not allowed as {position}")
-            return self.parse_literal()
-        if ch == "[":
-            raise self.error("anonymous blank nodes [...] are not supported")
-        if ch == "(":
-            raise self.error("RDF collections (...) are not supported")
-        if self.text.startswith("_:", self.pos):
-            return self.parse_bnode()
-        return self.parse_qname_or_shorthand(position)
-
-    def parse_iri(self) -> IRI:
-        end = self.text.find(">", self.pos)
-        if end == -1:
-            raise self.error("unterminated IRI")
-        value = self.text[self.pos + 1 : end]
-        self.pos = end + 1
-        return IRI(value)
-
-    def parse_bnode(self) -> BNode:
-        self.pos += 2
-        start = self.pos
-        n = len(self.text)
-        while self.pos < n and (self.text[self.pos].isalnum() or self.text[self.pos] in "_-"):
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("empty blank-node label")
-        return BNode(self.text[start : self.pos])
-
-    def parse_literal(self) -> Literal:
-        # opening quote at self.pos
-        i = self.pos + 1
-        n = len(self.text)
-        while i < n:
-            if self.text[i] == "\\":
-                i += 2
-                continue
-            if self.text[i] == '"':
-                break
-            i += 1
-        if i >= n:
-            raise self.error("unterminated literal")
-        body = unescape_literal(self.text[self.pos + 1 : i])
-        self.pos = i + 1
-        if self.peek() == "@":
-            self.pos += 1
-            start = self.pos
-            while self.pos < n and (self.text[self.pos].isalnum() or self.text[self.pos] == "-"):
-                self.pos += 1
-            if self.pos == start:
-                raise self.error("empty language tag")
-            return Literal(body, language=self.text[start : self.pos])
-        if self.text.startswith("^^", self.pos):
-            self.pos += 2
-            self.skip_ws()
-            if self.peek() == "<":
-                return Literal(body, datatype=self.parse_iri())
-            dt = self.parse_qname_or_shorthand("datatype")
-            if not isinstance(dt, IRI):
-                raise self.error("datatype must be an IRI")
-            return Literal(body, datatype=dt)
-        return Literal(body)
-
-    def parse_qname_or_shorthand(self, position: str) -> Term:
-        start = self.pos
-        n = len(self.text)
-        while self.pos < n and not self.text[self.pos].isspace() and self.text[self.pos] not in ",;.":
-            self.pos += 1
-        # A trailing '.' may belong to a decimal number; re-attach digits.
-        token = self.text[start : self.pos]
-        if (
-            self.pos < n
-            and self.text[self.pos] == "."
-            and token
-            and token.lstrip("+-").isdigit()
-            and self.pos + 1 < n
-            and self.text[self.pos + 1].isdigit()
-        ):
-            self.pos += 1
-            while self.pos < n and self.text[self.pos].isdigit():
-                self.pos += 1
-            token = self.text[start : self.pos]
-        if not token:
-            raise self.error(f"empty token reading {position}")
-        if position == "object":
-            shorthand = _shorthand_literal(token)
-            if shorthand is not None:
-                return shorthand
-        if ":" in token:
-            try:
-                return self.nsm.expand(token)
-            except KeyError as exc:
-                raise self.error(str(exc)) from None
-        raise self.error(f"cannot interpret token {token!r} as {position}")
-
-
-def _shorthand_literal(token: str) -> Optional[Literal]:
-    if token in ("true", "false"):
-        return Literal(token, datatype=IRI(XSD_BOOLEAN))
-    stripped = token.lstrip("+-")
-    if stripped.isdigit():
-        return Literal(token, datatype=IRI(XSD_INTEGER))
-    if stripped and stripped.count(".") == 1:
-        left, right = stripped.split(".")
-        if (left or right) and (left.isdigit() or not left) and (right.isdigit() or not right):
-            return Literal(token, datatype=IRI(XSD_DECIMAL))
-    return None
+def _error(message: str, position: int, line: int) -> TurtleParseError:
+    return TurtleParseError(f"{message} (line {line})", position)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Set
 
 from repro.rdf.namespace import NamespaceManager
+from repro.rdf.syntax import TermReader
 from repro.rdf.terms import Triple, Variable
 
 
@@ -82,55 +83,30 @@ def rule(name: str, text: str, nsm: NamespaceManager = None) -> Rule:
     """Parse ``"premise . premise -> conclusion"`` notation into a Rule.
 
     Terms are ``?vars``, prefixed names resolved through ``nsm`` (default
-    prefixes rdf/rdfs/owl/xsd when omitted), or ``<full-iris>``.
+    prefixes rdf/rdfs/owl/xsd when omitted), ``<full-iris>`` or literals.
     """
-    nsm = nsm or NamespaceManager()
-    if "->" not in text:
-        raise RuleParseError(f"rule {name!r}: missing '->'")
-    body_text, head_text = text.split("->", 1)
-    premises = [_parse_pattern(chunk, nsm, name) for chunk in _split_patterns(body_text)]
-    heads = _split_patterns(head_text)
-    if len(heads) != 1:
+
+    def error(message: str, position: int, line: int) -> RuleParseError:
+        return RuleParseError(f"rule {name!r}: {message}")
+
+    reader = TermReader(text, nsm or NamespaceManager(), error, variables=True)
+    premises = _patterns(reader)
+    if not (reader.accept("PUNCT", "-") and reader.accept("PUNCT", ">")):
+        raise reader.error("missing '->'")
+    conclusions = _patterns(reader)
+    reader.expect("EOF")
+    if len(conclusions) != 1:
         raise RuleParseError(f"rule {name!r}: exactly one conclusion required")
-    conclusion = _parse_pattern(heads[0], nsm, name)
     try:
-        return Rule(name, premises, conclusion)
+        return Rule(name, premises, conclusions[0])
     except ValueError as exc:
         raise RuleParseError(str(exc)) from None
 
 
-def _split_patterns(text: str) -> List[str]:
-    chunks = [c.strip() for c in text.split(" . ")]
-    chunks = [c.strip(" .") for c in chunks if c.strip(" .")]
-    if not chunks:
-        raise RuleParseError("empty pattern list")
-    return chunks
-
-
-def _parse_pattern(text: str, nsm: NamespaceManager, rule_name: str) -> Triple:
-    parts = text.split()
-    if len(parts) != 3:
-        raise RuleParseError(
-            f"rule {rule_name!r}: pattern {text!r} must have 3 terms"
-        )
-    terms = []
-    for part in parts:
-        if part.startswith("?"):
-            terms.append(Variable(part))
-        elif part.startswith("<") and part.endswith(">"):
-            from repro.rdf.terms import IRI
-
-            terms.append(IRI(part[1:-1]))
-        elif ":" in part:
-            try:
-                terms.append(nsm.expand(part))
-            except KeyError as exc:
-                raise RuleParseError(f"rule {rule_name!r}: {exc}") from None
-        else:
-            raise RuleParseError(
-                f"rule {rule_name!r}: cannot parse term {part!r}"
-            )
-    try:
-        return Triple(*terms)
-    except TypeError as exc:
-        raise RuleParseError(f"rule {rule_name!r}: {exc}") from None
+def _patterns(reader: TermReader) -> List[Triple]:
+    """Triple patterns separated (and optionally ended) by ``.``."""
+    patterns: List[Triple] = []
+    while True:
+        patterns.extend(Triple(*t) for t in reader.parse_triples_same_subject())
+        if not reader.accept("PUNCT", ".") or reader.at("PUNCT", "-") or reader.at("EOF"):
+            return patterns

@@ -38,7 +38,7 @@ from repro.sparql.paths import (
     PathStep,
     eval_path,
 )
-from repro.sparql.tokenizer import Token, tokenize
+from repro.rdf.syntax import Token
 from repro.sparql.algebra import (
     Aggregate,
     AskQuery,
@@ -59,7 +59,7 @@ from repro.sparql.expressions import (
     UnaryExpr,
     VarExpr,
 )
-from repro.sparql.parser import parse_query
+from repro.sparql.parser import parse_query, tokenize
 from repro.sparql.evaluator import evaluate
 from repro.sparql.explain import explain
 from repro.sparql.plancache import PlanCache, PreparedQuery

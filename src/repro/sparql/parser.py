@@ -13,8 +13,10 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.rdf.namespace import NamespaceManager
-from repro.rdf.terms import BNode, IRI, Literal, Triple, Variable
+from repro.rdf.namespace import RDF, NamespaceManager
+from repro.rdf.syntax import TermReader, Token
+from repro.rdf.syntax import tokenize as _tokenize
+from repro.rdf.terms import Triple, Variable
 from repro.sparql.algebra import (
     Aggregate,
     AskQuery,
@@ -52,9 +54,7 @@ from repro.sparql.expressions import (
     VarExpr,
     call_error,
 )
-from repro.sparql.tokenizer import Token, tokenize
 
-_RDF_TYPE = IRI("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
 _AGGREGATES = {"COUNT", "SUM", "MIN", "MAX", "AVG", "SAMPLE", "GROUP_CONCAT"}
 
 
@@ -65,67 +65,26 @@ def parse_query(text: str, nsm: Optional[NamespaceManager] = None) -> Query:
     PREFIX declarations in the query extend a copy, never the caller's
     manager.
     """
-    parser = _Parser(tokenize(text), nsm)
-    return parser.parse_query()
+    return _Parser(text, nsm).parse_query()
 
 
-class _Parser:
-    def __init__(self, tokens: List[Token], nsm: Optional[NamespaceManager]):
-        self.tokens = tokens
-        self.pos = 0
-        self.nsm = NamespaceManager()
+def tokenize(text: str) -> List[Token]:
+    """The tokens of a query text; raises :class:`SparqlParseError`."""
+    return _tokenize(text, SparqlParseError)
+
+
+class _Parser(TermReader):
+    """The query grammar over the shared term reader of :mod:`repro.rdf.syntax`."""
+
+    def __init__(self, text: str, nsm: Optional[NamespaceManager]):
+        bound = NamespaceManager()
         if nsm is not None:
             for prefix, ns in nsm.bindings():
-                self.nsm.bind(prefix, ns)
-
-    # -- token plumbing -----------------------------------------------------
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
-
-    def at(self, kind: str, value: str = None) -> bool:
-        return self.peek().matches(kind, value)
-
-    def accept(self, kind: str, value: str = None) -> Optional[Token]:
-        if self.at(kind, value):
-            return self.next()
-        return None
-
-    def expect(self, kind: str, value: str = None) -> Token:
-        tok = self.peek()
-        if not tok.matches(kind, value):
-            want = value or kind
-            raise SparqlParseError(
-                f"expected {want!r}, found {tok.value or tok.kind!r}", tok.position, tok.line
-            )
-        return self.next()
-
-    def error(self, message: str) -> SparqlParseError:
-        tok = self.peek()
-        return SparqlParseError(message, tok.position, tok.line)
+                bound.bind(prefix, ns)
+        super().__init__(text, bound, error=SparqlParseError, variables=True)
 
     def unsupported(self, form: str) -> SparqlParseError:
         return self.error(outside_subset(form))
-
-    # -- prologue -----------------------------------------------------------
-
-    def parse_prologue(self) -> None:
-        while True:
-            if self.accept("KEYWORD", "PREFIX"):
-                pname = self.expect("PNAME")
-                prefix = pname.value.split(":", 1)[0]
-                iriref = self.expect("IRIREF")
-                self.nsm.bind(prefix, iriref.value)
-            elif self.accept("KEYWORD", "BASE"):
-                self.expect("IRIREF")  # accepted and ignored (no relative IRIs)
-            else:
-                return
 
     # -- query roots ---------------------------------------------------------
 
@@ -328,10 +287,10 @@ class _Parser:
         self.expect("PUNCT", "{")
         triples: List[Triple] = []
         while not self.at("PUNCT", "}"):
-            plain, paths = self.parse_triples_same_subject()
-            if paths:
-                raise self.error("property paths are not allowed in templates")
-            triples.extend(plain)
+            for s, p, o in self.parse_triples_same_subject():
+                if isinstance(p, Path):
+                    raise self.error("property paths are not allowed in templates")
+                triples.append(Triple(s, p, o))
             if not self.accept("PUNCT", "."):
                 break
         self.expect("PUNCT", "}")
@@ -341,34 +300,16 @@ class _Parser:
         triples: List[Triple] = []
         paths: List[PathTriple] = []
         while True:
-            t, p = self.parse_triples_same_subject()
-            triples.extend(t)
-            paths.extend(p)
+            for s, p, o in self.parse_triples_same_subject():
+                if isinstance(p, Path):
+                    paths.append(PathTriple(s, p, o))
+                else:
+                    triples.append(Triple(s, p, o))
             if not self.accept("PUNCT", "."):
                 break
             if self.at("PUNCT", "}") or self.at("PUNCT", "{") or self.peek().kind == "KEYWORD":
                 break
         return BGP(triples, paths)
-
-    def parse_triples_same_subject(self):
-        subject = self.parse_var_or_term("subject")
-        triples: List[Triple] = []
-        paths: List[PathTriple] = []
-        while True:
-            predicate = self.parse_verb()
-            while True:
-                obj = self.parse_var_or_term("object")
-                if isinstance(predicate, Path):
-                    paths.append(PathTriple(subject, predicate, obj))
-                else:
-                    triples.append(Triple(subject, predicate, obj))
-                if not self.accept("PUNCT", ","):
-                    break
-            if not self.accept("PUNCT", ";"):
-                break
-            if self.at("PUNCT", ".") or self.at("PUNCT", "}"):
-                break
-        return triples, paths
 
     def parse_verb(self):
         """A predicate: variable, plain IRI, or a property path.
@@ -417,11 +358,9 @@ class _Parser:
         tok = self.peek()
         if tok.matches("NAME", "a"):
             self.next()
-            return PathStep(_RDF_TYPE)
-        if tok.kind == "IRIREF":
-            return PathStep(IRI(self.next().value))
-        if tok.kind == "PNAME":
-            return PathStep(self.expand_pname(self.next()))
+            return PathStep(RDF.type)
+        if tok.kind in ("IRIREF", "PNAME"):
+            return PathStep(self.parse_iri())
         if tok.matches("PUNCT", "("):
             self.next()
             inner = self.parse_path()
@@ -430,43 +369,6 @@ class _Parser:
         raise self.error(
             "expected predicate (IRI, prefixed name, ?var, 'a', or a property path)"
         )
-
-    def parse_var_or_term(self, position: str):
-        tok = self.peek()
-        if tok.kind == "VAR":
-            return Variable(self.next().value)
-        if tok.kind == "IRIREF":
-            return IRI(self.next().value)
-        if tok.kind == "PNAME":
-            return self.expand_pname(self.next())
-        if tok.kind == "BNODE":
-            return BNode(self.next().value)
-        if tok.kind == "STRING":
-            return self.parse_literal_tail(self.next().value)
-        if tok.kind == "NUMBER":
-            return _number_literal(self.next().value)
-        if tok.kind == "KEYWORD" and tok.value in ("TRUE", "FALSE"):
-            self.next()
-            return Literal(tok.value == "TRUE")
-        raise self.error(f"expected term in {position} position, found {tok.value or tok.kind!r}")
-
-    def parse_literal_tail(self, body: str) -> Literal:
-        if self.peek().kind == "LANGTAG":
-            return Literal(body, language=self.next().value)
-        if self.accept("PUNCT", "^^"):
-            tok = self.peek()
-            if tok.kind == "IRIREF":
-                return Literal(body, datatype=IRI(self.next().value))
-            if tok.kind == "PNAME":
-                return Literal(body, datatype=self.expand_pname(self.next()))
-            raise self.error("expected datatype IRI after ^^")
-        return Literal(body)
-
-    def expand_pname(self, tok: Token) -> IRI:
-        try:
-            return self.nsm.expand(tok.value)
-        except KeyError as exc:
-            raise SparqlParseError(str(exc), tok.position, tok.line) from None
 
     # -- VALUES ---------------------------------------------------------------
 
@@ -506,19 +408,9 @@ class _Parser:
     def parse_values_term(self):
         if self.accept("KEYWORD", "UNDEF"):
             return None
-        tok = self.peek()
-        if tok.kind == "IRIREF":
-            return IRI(self.next().value)
-        if tok.kind == "PNAME":
-            return self.expand_pname(self.next())
-        if tok.kind == "STRING":
-            return self.parse_literal_tail(self.next().value)
-        if tok.kind == "NUMBER":
-            return _number_literal(self.next().value)
-        if tok.kind == "KEYWORD" and tok.value in ("TRUE", "FALSE"):
-            self.next()
-            return Literal(tok.value == "TRUE")
-        raise self.error("expected a term or UNDEF in VALUES data")
+        if not _is_constant(self.peek()):
+            raise self.error("expected a term or UNDEF in VALUES data")
+        return self.parse_term()
 
     # -- expressions --------------------------------------------------------------
 
@@ -593,17 +485,8 @@ class _Parser:
             return self.parse_bracketted()
         if tok.kind == "VAR":
             return VarExpr(self.next().value)
-        if tok.kind == "STRING":
-            return ConstExpr(self.parse_literal_tail(self.next().value))
-        if tok.kind == "NUMBER":
-            return ConstExpr(_number_literal(self.next().value))
-        if tok.kind == "IRIREF":
-            return ConstExpr(IRI(self.next().value))
-        if tok.kind == "PNAME":
-            return ConstExpr(self.expand_pname(self.next()))
-        if tok.kind == "KEYWORD" and tok.value in ("TRUE", "FALSE"):
-            self.next()
-            return ConstExpr(Literal(tok.value == "TRUE"))
+        if _is_constant(tok):
+            return ConstExpr(self.parse_term())
         if tok.kind in ("NAME", "KEYWORD"):
             return self.parse_function_call()
         raise self.error(f"unexpected token {tok.value or tok.kind!r} in expression")
@@ -627,7 +510,8 @@ class _Parser:
         return FunctionExpr(name_tok.value, args)
 
 
-def _number_literal(text: str) -> Literal:
-    if "." in text:
-        return Literal(text, datatype=IRI("http://www.w3.org/2001/XMLSchema#decimal"))
-    return Literal(int(text))
+def _is_constant(tok: Token) -> bool:
+    """An IRI or literal token: a VALUES datum or an expression constant."""
+    return tok.kind in ("IRIREF", "PNAME", "STRING", "NUMBER") or (
+        tok.kind == "KEYWORD" and tok.value in ("TRUE", "FALSE")
+    )

@@ -28,7 +28,6 @@ from repro.sparql.errors import SparqlParseError
 from repro.sparql.evaluator import eval_pattern
 from repro.sparql.parser import _Parser
 from repro.sparql.plancache import PreparedQuery
-from repro.sparql.tokenizer import tokenize
 
 @dataclass
 class UpdateStatement:
@@ -57,8 +56,7 @@ class UpdateResult:
 
 def parse_update(text: str, nsm: Optional[NamespaceManager] = None) -> List[UpdateStatement]:
     """Parse one or more ``;``-separated update statements."""
-    parser = _UpdateParser(tokenize(text), nsm)
-    return parser.parse_statements()
+    return _UpdateParser(text, nsm).parse_statements()
 
 
 def execute_update(

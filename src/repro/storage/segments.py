@@ -74,7 +74,10 @@ def _triple_rows(triples: Iterable[Triple]) -> List[List[str]]:
 
 
 def _row_triple(row: Sequence[str]) -> Triple:
-    return Triple(*(parse_lexical_term(part) for part in row))
+    try:
+        return Triple(*(parse_lexical_term(part) for part in row))
+    except (ValueError, TypeError) as exc:
+        raise SnapshotFormatError(f"malformed segment triple {row!r}: {exc}") from None
 
 
 def diff_stores(old: TripleStore, new: TripleStore) -> List[SegmentEntry]:

@@ -225,6 +225,10 @@ class TestEscaping:
     def test_long_unicode_escape(self):
         assert unescape_literal("\\U0001F600") == "\U0001F600"
 
+    def test_short_unicode_escape(self):
+        with pytest.raises(ValueError):
+            unescape_literal("a\\u00")
+
     def test_dangling_backslash(self):
         with pytest.raises(ValueError):
             unescape_literal("abc\\")

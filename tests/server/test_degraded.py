@@ -263,6 +263,25 @@ class TestRequestErrors:
             assert service.execute(kind, **good) is not None
 
 
+    @pytest.mark.parametrize("kind", ["query", "sql"])
+    def test_malformed_escapes_spare_the_breaker(self, warehouse, kind):
+        """A string escape that does not decode is a SparqlParseError, not
+        a bare ValueError from decoding it: five in a row leave the
+        breaker closed and the next valid request is answered."""
+        literals = [r'"\uZZZZ"', r'"a\u00"', r'"\U0000ZZZZ"', r'"\q"', r'"a\u12"']
+        assert len(literals) == service_module.BREAKER_THRESHOLD
+        with service_of(warehouse) as service:
+            for literal in literals:
+                if kind == "query":
+                    bad = {"text": f"SELECT ?s WHERE {{ ?s dm:hasName {literal} }}"}
+                else:
+                    bad = {"sql": SQL_TEMPLATE.replace("?term}", literal + "}")}
+                with pytest.raises(SparqlParseError):
+                    service.execute(kind, **bad)
+            assert service.breaker(kind).snapshot()["state"] == "closed"
+            assert len(service.execute(kind, **request_pair(warehouse, kind)[1])) > 0
+
+
 class TestConfigValidation:
     def test_breaker_knobs_validated(self):
         # module constants (service.BREAKER_*), not config fields

@@ -138,6 +138,20 @@ def test_corrupted_segment_body_is_rejected(tmp_path):
         read_segment(path)
 
 
+@pytest.mark.parametrize("bad", ['"a\\u00"', '"x"^^bad', '"lit"'])
+def test_malformed_term_in_a_checksummed_body_is_rejected(tmp_path, monkeypatch, bad):
+    """A body whose checksum holds but whose terms do not parse (a short
+    escape, a bare datatype, a literal subject) is a SnapshotFormatError."""
+    from repro.storage import segments
+
+    row = [bad, "<http://x/p>", '"o"'] if bad == '"lit"' else ["<http://x/s>", "<http://x/p>", bad]
+    monkeypatch.setattr(segments, "_triple_rows", lambda triples: [row])
+    entry = segments.SegmentEntry("model", "DWH_CURR", added=[Triple(IRI(NS), RDF.type, IRI(NS))])
+    path = write_segment(tmp_path / "d.seg", [entry], 1, 2)
+    with pytest.raises(SnapshotFormatError, match="malformed segment triple"):
+        read_segment(path)
+
+
 def test_segment_creating_new_model_shares_dictionary(tmp_path):
     old = _base_store()
     new = _base_store()

@@ -245,6 +245,18 @@ class TestUpdateCommand:
         assert main(["update", str(path), str(bad)]) == 2
 
 
+    def test_update_malformed_escape_leaves_the_store(self, tmp_path, capsys):
+        path = tmp_path / "wh"
+        main(["generate", str(path), "--scale", "tiny"])
+        before = path.read_bytes()
+        bad = tmp_path / "bad.ru"
+        bad.write_text('INSERT DATA { cs:x dm:hasName "\\uZZZZ" }')
+        capsys.readouterr()
+        assert main(["update", str(path), str(bad)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert path.read_bytes() == before
+
+
 class TestSearchServiceLevelFlags:
     def test_freshness_and_quality_flags(self, tmp_path, capsys):
         path = tmp_path / "wh"
@@ -325,6 +337,13 @@ class TestLoad:
     def test_missing_feed_file(self, wh, capsys):
         assert main(["load", str(wh), "nope.xml"]) == 2
         assert "no such file" in capsys.readouterr().err
+
+    def test_bad_ontology_rejected(self, wh, tmp_path, capsys):
+        feed = self.write_feed(tmp_path, "r.xml", ["app_one"])
+        bad = tmp_path / "bad.ttl"
+        bad.write_text("@prefix ex: <http://x/> .\nex:s ex:p [ ex:q ex:o ] .\n", encoding="utf-8")
+        assert main(["load", str(wh), str(feed), "--ontology", str(bad)]) == 2
+        assert "anonymous blank nodes" in capsys.readouterr().err
 
     def test_bad_xml_rejected(self, wh, tmp_path, capsys):
         bad = tmp_path / "bad.xml"
@@ -438,3 +457,8 @@ class TestExplain:
         out = capsys.readouterr().out
         assert "OPTIONAL (left join)" in out
         assert "bound ?n ?s):" in out
+
+    def test_malformed_escape_exits_2(self, store_dir, capsys):
+        query = 'SELECT ?s WHERE { ?s dm:hasName "a\\u00" }'
+        assert main(["explain", str(store_dir), query]) == 2
+        assert "error:" in capsys.readouterr().err
