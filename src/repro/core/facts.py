@@ -14,6 +14,7 @@ from typing import List, Optional, Union
 
 from repro.rdf.graph import Graph
 from repro.rdf.namespace import Namespace, RDF
+from repro.rdf.syntax import is_bnode_label
 from repro.rdf.terms import BNode, IRI, Literal, Term, Triple
 
 from repro.core.schema import MetadataSchema, to_identifier
@@ -32,12 +33,27 @@ def mapping_node(source: Term, target: Term) -> BNode:
 
     Deriving the label from the endpoints keeps graph generation
     reproducible per seed and makes re-asserting the same mapping
-    idempotent.
+    idempotent. The label is ``map_<source>__<target>`` of the two local
+    names when every reader accepts that (:func:`is_bnode_label`); else
+    it is ``mapx_<source>_<target>`` with each name escaped by
+    :func:`_escape_local`, which no ``map_`` label can equal.
     """
     def local(term: Term) -> str:
         return term.local_name if isinstance(term, IRI) else term.label
 
-    return BNode(f"map_{local(source)}__{local(target)}")
+    label = f"map_{local(source)}__{local(target)}"
+    if is_bnode_label(label):
+        return BNode(label)
+    return BNode(f"mapx_{_escape_local(local(source))}_{_escape_local(local(target))}")
+
+
+def _escape_local(name: str) -> str:
+    """``name`` with every character but an ASCII letter or digit written
+    as ``-<hex code point>-``: injective, and free of ``_``, so the pair
+    of a ``mapx_`` label splits at its one ``_``."""
+    return "".join(
+        ch if ch.isascii() and ch.isalnum() else f"-{ord(ch):x}-" for ch in name
+    )
 
 
 class FactManager:

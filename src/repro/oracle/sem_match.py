@@ -9,6 +9,7 @@ as in Section III.B of the paper.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 from repro.rdf.namespace import NamespaceManager
@@ -74,10 +75,7 @@ def prepare_sem_match(
     if not (pattern.startswith("{") and pattern.endswith("}")):
         raise ValueError("SEM_MATCH pattern must be enclosed in braces")
 
-    nsm = NamespaceManager()
-    for alias in aliases:
-        nsm.bind(alias.prefix, alias.namespace)
-
+    nsm = _alias_manager(tuple(aliases))
     body = pattern[1:-1]
     if filter_condition:
         body += f" FILTER ({filter_condition})"
@@ -87,3 +85,13 @@ def prepare_sem_match(
     if plan_cache is not None:
         return view, plan_cache.prepare(view, query_text, nsm=nsm)
     return view, PreparedQuery(None, parse_query(query_text, nsm=nsm), view.generation)
+
+
+@lru_cache(maxsize=64)
+def _alias_manager(aliases: Tuple[SemAlias, ...]) -> NamespaceManager:
+    """One manager per alias tuple, shared by every statement naming it:
+    parsing only reads it (a PREFIX binds into the parser's own copy)."""
+    nsm = NamespaceManager()
+    for alias in aliases:
+        nsm.bind(alias.prefix, alias.namespace)
+    return nsm

@@ -9,6 +9,17 @@ the indexes key on ints — pattern matching and joins compare ids instead
 of re-hashing term objects (see :mod:`repro.sparql.evaluator` for the
 id-space join operators built on :meth:`Graph.triples_ids`).
 
+An index leaf (the third level: the ids under one key pair) takes one of
+two forms. A leaf holding one id stores the int itself; it becomes a
+``set`` at its second id and goes back to an int when a removal leaves
+one id, so a set leaf always holds at least two ids. Most leaves hold
+one id (every OSP leaf of a graph with one predicate per subject/object
+pair, and most SPO/POS leaves of the paper's landscape), and an inline
+int costs nothing beyond the dict slot, where a one-element set costs
+about 216 bytes and a GC-tracked object. Ids start at 0, so a leaf is
+never truth-tested: the form is told by ``type(leaf) is int``. Only
+:class:`Graph`'s own methods read or write the indexes.
+
 :class:`GraphView` overlays several graphs read-only — this is how a query
 that names ``SEM_RULEBASES('OWLPRIME')`` sees the base model *plus* the
 entailment index without the derived triples ever being merged into the
@@ -29,7 +40,7 @@ and inherit every term-level read from it, so the SPO/POS/OSP layout is
 from __future__ import annotations
 
 from itertools import chain
-from typing import Dict, Iterable, Iterator, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Set, Tuple, Union
 
 from repro.rdf.dictionary import (
     DEFAULT_DICTIONARY,
@@ -38,7 +49,9 @@ from repro.rdf.dictionary import (
 )
 from repro.rdf.terms import IRI, Literal, Term, Triple
 
-_Index = Dict[int, Dict[int, Set[int]]]
+#: key → key → leaf, where a leaf is one id (an int) or a set of ≥ 2 ids
+_Leaf = Union[int, Set[int]]
+_Index = Dict[int, Dict[int, _Leaf]]
 
 #: id-space triple: (subject id, predicate id, object id)
 IdTriple = Tuple[int, int, int]
@@ -318,12 +331,10 @@ class Graph(ReadableGraph):
         self._check_writable()
         if self._cow:
             self._privatize(s, p, o)
-        objs = self._spo.setdefault(s, {}).setdefault(p, set())
-        if o in objs:
+        if not _add_leaf(self._spo, s, p, o):
             return False
-        objs.add(o)
-        self._pos.setdefault(p, {}).setdefault(o, set()).add(s)
-        self._osp.setdefault(o, {}).setdefault(s, set()).add(p)
+        _add_leaf(self._pos, p, o, s)
+        _add_leaf(self._osp, o, s, p)
         self._size += 1
         self._generation += 1
         if self._listeners:
@@ -356,15 +367,10 @@ class Graph(ReadableGraph):
         self._check_writable()
         if self._cow:
             self._privatize(s, p, o)
-        try:
-            self._spo[s][p].remove(o)
-        except KeyError:
+        if not _discard_leaf(self._spo, s, p, o):
             return False
-        _prune(self._spo, s, p)
-        self._pos[p][o].remove(s)
-        _prune(self._pos, p, o)
-        self._osp[o][s].remove(p)
-        _prune(self._osp, o, s)
+        _discard_leaf(self._pos, p, o, s)
+        _discard_leaf(self._osp, o, s, p)
         self._size -= 1
         self._generation += 1
         if self._listeners:
@@ -422,26 +428,28 @@ class Graph(ReadableGraph):
     def _privatize(self, si: int, pi: int, oi: int) -> None:
         """Unshare the index subtrees a mutation of (si, pi, oi) touches.
 
-        After :meth:`cow_copy` the *inner* dicts and sets may be shared
-        with the other graph; cloning just the three touched subtrees
-        (cost O(degree of the term)) keeps a delta-sized write after a
-        CoW publication proportional to the delta, not the graph.
+        After :meth:`cow_copy` the *inner* dicts and set leaves may be
+        shared with the other graph; cloning just the three touched
+        subtrees (cost O(degree of the term)) keeps a delta-sized write
+        after a CoW publication proportional to the delta, not the graph.
+        An int leaf is immutable, but the inner dict holding it is
+        shared, so replacing it needs the private dict all the same.
         """
         if si not in self._owned_s:
             self._owned_s.add(si)
             by_p = self._spo.get(si)
             if by_p is not None:
-                self._spo[si] = {p: set(objs) for p, objs in by_p.items()}
+                self._spo[si] = _copy_inner(by_p)
         if pi not in self._owned_p:
             self._owned_p.add(pi)
             by_o = self._pos.get(pi)
             if by_o is not None:
-                self._pos[pi] = {o: set(subs) for o, subs in by_o.items()}
+                self._pos[pi] = _copy_inner(by_o)
         if oi not in self._owned_o:
             self._owned_o.add(oi)
             by_s = self._osp.get(oi)
             if by_s is not None:
-                self._osp[oi] = {s: set(preds) for s, preds in by_s.items()}
+                self._osp[oi] = _copy_inner(by_s)
 
     # -- id-space access ----------------------------------------------------
 
@@ -461,16 +469,21 @@ class Graph(ReadableGraph):
                 if objs is None:
                     return
                 if o is not None:
-                    if o in objs:
+                    if o == objs if type(objs) is int else o in objs:
                         yield (s, p, o)
+                elif type(objs) is int:
+                    yield (s, p, objs)
                 else:
                     for obj in objs:
                         yield (s, p, obj)
+            elif o is not None:
+                for pred, objs in by_p.items():
+                    if o == objs if type(objs) is int else o in objs:
+                        yield (s, pred, o)
             else:
                 for pred, objs in by_p.items():
-                    if o is not None:
-                        if o in objs:
-                            yield (s, pred, o)
+                    if type(objs) is int:
+                        yield (s, pred, objs)
                     else:
                         for obj in objs:
                             yield (s, pred, obj)
@@ -479,24 +492,39 @@ class Graph(ReadableGraph):
             if by_o is None:
                 return
             if o is not None:
-                for subj in by_o.get(o, ()):
-                    yield (subj, p, o)
+                subjs = by_o.get(o)
+                if subjs is None:
+                    return
+                if type(subjs) is int:
+                    yield (subjs, p, o)
+                else:
+                    for subj in subjs:
+                        yield (subj, p, o)
             else:
                 for obj, subjs in by_o.items():
-                    for subj in subjs:
-                        yield (subj, p, obj)
+                    if type(subjs) is int:
+                        yield (subjs, p, obj)
+                    else:
+                        for subj in subjs:
+                            yield (subj, p, obj)
         elif o is not None:
             by_s = self._osp.get(o)
             if by_s is None:
                 return
             for subj, preds in by_s.items():
-                for pred in preds:
-                    yield (subj, pred, o)
+                if type(preds) is int:
+                    yield (subj, preds, o)
+                else:
+                    for pred in preds:
+                        yield (subj, pred, o)
         else:
             for subj, by_p in self._spo.items():
                 for pred, objs in by_p.items():
-                    for obj in objs:
-                        yield (subj, pred, obj)
+                    if type(objs) is int:
+                        yield (subj, pred, objs)
+                    else:
+                        for obj in objs:
+                            yield (subj, pred, obj)
 
     def distinct_object_ids(self, p: int) -> Iterable[int]:
         """The keys of ``p``'s POS entry (copied: a writer may add to it)."""
@@ -509,7 +537,13 @@ class Graph(ReadableGraph):
         other with this — sharing a dictionary makes the whole diff run
         on ints.
         """
-        return o in self._spo.get(s, {}).get(p, ())
+        by_p = self._spo.get(s)
+        if by_p is None:
+            return False
+        objs = by_p.get(p)
+        if objs is None:
+            return False
+        return o == objs if type(objs) is int else o in objs
 
     def count_ids(self, s=None, p=None, o=None) -> int:
         """Like :meth:`count` but over dictionary ids."""
@@ -518,29 +552,23 @@ class Graph(ReadableGraph):
             if by_p is None:
                 return 0
             if p is not None:
-                objs = by_p.get(p)
-                if objs is None:
-                    return 0
                 if o is not None:
-                    return 1 if o in objs else 0
-                return len(objs)
+                    return 1 if self.has_ids(s, p, o) else 0
+                return _leaf_len(by_p.get(p))
             if o is not None:
-                preds = self._osp.get(o, {}).get(s)
-                return len(preds) if preds is not None else 0
-            return sum(len(objs) for objs in by_p.values())
+                by_s = self._osp.get(o)
+                return 0 if by_s is None else _leaf_len(by_s.get(s))
+            return _leaves_len(by_p)
         if p is not None:
             by_o = self._pos.get(p)
             if by_o is None:
                 return 0
             if o is not None:
-                subjs = by_o.get(o)
-                return len(subjs) if subjs is not None else 0
-            return sum(len(subjs) for subjs in by_o.values())
+                return _leaf_len(by_o.get(o))
+            return _leaves_len(by_o)
         if o is not None:
             by_s = self._osp.get(o)
-            if by_s is None:
-                return 0
-            return sum(len(preds) for preds in by_s.values())
+            return 0 if by_s is None else _leaves_len(by_s)
         return self._size
 
     # -- statistics ----------------------------------------------------------
@@ -606,11 +634,9 @@ class Graph(ReadableGraph):
         spo, pos, osp = g._spo, g._pos, g._osp
         size = 0
         for s, p, o in rows:
-            objs = spo.setdefault(s, {}).setdefault(p, set())
-            if o not in objs:
-                objs.add(o)
-                pos.setdefault(p, {}).setdefault(o, set()).add(s)
-                osp.setdefault(o, {}).setdefault(s, set()).add(p)
+            if _add_leaf(spo, s, p, o):
+                _add_leaf(pos, p, o, s)
+                _add_leaf(osp, o, s, p)
                 size += 1
         g._size = size
         return g
@@ -618,25 +644,16 @@ class Graph(ReadableGraph):
     def copy(self, name: str = "") -> "Graph":
         """A mutable copy sharing this graph's term dictionary.
 
-        Copies the three indexes structurally (dict/set comprehensions
-        over ids) instead of re-interning term objects — an order of
+        Copies the three indexes structurally (dict comprehensions over
+        ids; an int leaf is shared, a set leaf copied) instead of re-interning term objects — an order of
         magnitude faster, which matters because the query service
         publishes a copy as the new reader snapshot after every write
         epoch. Listeners and frozen-ness are not carried over.
         """
         g = Graph(name=name or self.name, dictionary=self._dict)
-        g._spo = {
-            s: {p: set(objs) for p, objs in by_p.items()}
-            for s, by_p in self._spo.items()
-        }
-        g._pos = {
-            p: {o: set(subs) for o, subs in by_o.items()}
-            for p, by_o in self._pos.items()
-        }
-        g._osp = {
-            o: {s: set(preds) for s, preds in by_s.items()}
-            for o, by_s in self._osp.items()
-        }
+        g._spo = {s: _copy_inner(by_p) for s, by_p in self._spo.items()}
+        g._pos = {p: _copy_inner(by_o) for p, by_o in self._pos.items()}
+        g._osp = {o: _copy_inner(by_s) for o, by_s in self._osp.items()}
         g._size = self._size
         return g
 
@@ -645,7 +662,7 @@ class Graph(ReadableGraph):
         instead of O(triples).
 
         Only the three *outer* index dicts are copied; the inner dicts
-        and sets stay shared until one side mutates the corresponding
+        and set leaves stay shared until one side mutates the corresponding
         subtree (see :meth:`_privatize`). Both graphs enter CoW mode —
         the source's previous ownership knowledge is reset because every
         inner structure is now shared again. Snapshot publication
@@ -689,12 +706,67 @@ class Graph(ReadableGraph):
         return self.difference(other)
 
 
-def _prune(index: _Index, k1: int, k2: int) -> None:
-    inner = index[k1]
-    if not inner[k2]:
+# -- index leaves: one id inline, two or more in a set ------------------------
+
+
+def _add_leaf(index: _Index, k1: int, k2: int, v: int) -> bool:
+    """Add ``v`` to the leaf at ``index[k1][k2]``; False when present."""
+    inner = index.get(k1)
+    if inner is None:
+        index[k1] = {k2: v}
+        return True
+    leaf = inner.get(k2)
+    if leaf is None:
+        inner[k2] = v
+    elif type(leaf) is int:
+        if leaf == v:
+            return False
+        inner[k2] = {leaf, v}
+    elif v in leaf:
+        return False
+    else:
+        leaf.add(v)
+    return True
+
+
+def _discard_leaf(index: _Index, k1: int, k2: int, v: int) -> bool:
+    """Remove ``v`` from the leaf at ``index[k1][k2]``, pruning an emptied
+    leaf and inner dict and inlining a set left with one id; False when
+    absent."""
+    inner = index.get(k1)
+    if inner is None:
+        return False
+    leaf = inner.get(k2)
+    if leaf is None:
+        return False
+    if type(leaf) is int:
+        if leaf != v:
+            return False
         del inner[k2]
         if not inner:
             del index[k1]
+    elif v in leaf:
+        leaf.remove(v)
+        if len(leaf) == 1:
+            inner[k2] = leaf.pop()
+    else:
+        return False
+    return True
+
+
+def _copy_inner(inner: Dict[int, _Leaf]) -> Dict[int, _Leaf]:
+    """A private copy of one inner dict: int leaves shared, sets copied."""
+    return {k: leaf if type(leaf) is int else set(leaf) for k, leaf in inner.items()}
+
+
+def _leaf_len(leaf: Optional[_Leaf]) -> int:
+    if leaf is None:
+        return 0
+    return 1 if type(leaf) is int else len(leaf)
+
+
+def _leaves_len(inner: Dict[int, _Leaf]) -> int:
+    return sum(1 if type(leaf) is int else len(leaf) for leaf in inner.values())
 
 
 class GraphView(ReadableGraph):

@@ -108,6 +108,13 @@ class NamespaceManager:
         self._by_prefix[prefix] = namespace
         self._by_base[namespace.base] = prefix
 
+    def copy(self) -> "NamespaceManager":
+        """An independent manager with the same bindings."""
+        clone = NamespaceManager(bind_defaults=False)
+        clone._by_prefix = dict(self._by_prefix)
+        clone._by_base = dict(self._by_base)
+        return clone
+
     def namespace(self, prefix: str) -> Optional[Namespace]:
         """The namespace bound to ``prefix``, or None."""
         return self._by_prefix.get(prefix)

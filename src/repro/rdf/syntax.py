@@ -57,6 +57,7 @@ KEYWORDS = frozenset(
 )
 
 _WORD = r"[^\W\d_](?:[\w.-]*[\w-])?"
+_BNODE_LABEL = r"\w(?:[\w.-]*[\w-])?"
 _TOKEN = re.compile(
     "|".join(
         (
@@ -69,7 +70,7 @@ _TOKEN = re.compile(
             r"(?P<NUMBER>[+-]?\d+(?:\.\d+)?)",
             rf"(?P<PNAME>(?:{_WORD})?:(?:[\w.-]*[\w-])?)",
             rf"(?P<WORD>{_WORD})",
-            r"_:(?P<BNODE>\w(?:[\w.-]*[\w-])?)",
+            rf"_:(?P<BNODE>{_BNODE_LABEL})",
             r"@(?P<LANGTAG>(?:[^\W_]|-)+)",
             r"(?P<PUNCT><=|>=|!=|&&|\|\||\^\^|[{}()\[\].;,*=<>!+\-/|^?])",
             r"(?P<ERROR>.)",
@@ -77,6 +78,8 @@ _TOKEN = re.compile(
     ),
     re.DOTALL,
 )
+
+_BNODE_LABEL_RE = re.compile(_BNODE_LABEL)
 
 _RDF_TYPE = RDF.type
 _INTEGER = IRI(XSD_INTEGER)
@@ -157,6 +160,11 @@ def tokenize(text: str, error: ErrorFactory = TermSyntaxError) -> List[Token]:
         append(_new_token(Token, (kind, value, start, line)))
     append(_new_token(Token, ("EOF", "", end, line)))
     return tokens
+
+
+def is_bnode_label(label: str) -> bool:
+    """Whether ``_:label`` reads back as one blank node."""
+    return _BNODE_LABEL_RE.fullmatch(label) is not None
 
 
 def number_literal(text: str) -> Literal:

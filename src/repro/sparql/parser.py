@@ -57,13 +57,16 @@ from repro.sparql.expressions import (
 
 _AGGREGATES = {"COUNT", "SUM", "MIN", "MAX", "AVG", "SAMPLE", "GROUP_CONCAT"}
 
+#: the prefixes of a parse given no manager; never bound into
+_DEFAULT_NSM = NamespaceManager()
+
 
 def parse_query(text: str, nsm: Optional[NamespaceManager] = None) -> Query:
     """Parse a query string into an algebra :class:`Query`.
 
-    ``nsm`` provides pre-bound prefixes (the SEM_ALIASES mechanism);
-    PREFIX declarations in the query extend a copy, never the caller's
-    manager.
+    ``nsm`` provides pre-bound prefixes (the SEM_ALIASES mechanism;
+    without one, the default ``rdf``/``rdfs``/``owl``/``xsd``). PREFIX
+    declarations in the query extend a copy, never the caller's manager.
     """
     return _Parser(text, nsm).parse_query()
 
@@ -77,11 +80,18 @@ class _Parser(TermReader):
     """The query grammar over the shared term reader of :mod:`repro.rdf.syntax`."""
 
     def __init__(self, text: str, nsm: Optional[NamespaceManager]):
-        bound = NamespaceManager()
-        if nsm is not None:
-            for prefix, ns in nsm.bindings():
-                bound.bind(prefix, ns)
-        super().__init__(text, bound, error=SparqlParseError, variables=True)
+        super().__init__(
+            text, _DEFAULT_NSM if nsm is None else nsm, error=SparqlParseError, variables=True
+        )
+        self._owns_nsm = False
+
+    def parse_prefix_binding(self) -> None:
+        # the caller's manager (or the shared default) is only read: the
+        # first PREFIX of a text copies it, so a binding never leaks out
+        if not self._owns_nsm:
+            self.nsm = self.nsm.copy()
+            self._owns_nsm = True
+        super().parse_prefix_binding()
 
     def unsupported(self, form: str) -> SparqlParseError:
         return self.error(outside_subset(form))

@@ -137,6 +137,35 @@ class TestRelationships:
         assert (node, TERMS.mapping_rule, Literal("cast(customer_id as int)")) in mdw.graph
         assert (node, TERMS.mapping_condition, Literal("country = 'CH'")) in mdw.graph
 
+    def test_mapping_node_of_any_local_name_reads_back(self, mdw, customer, tmp_path):
+        # a local name outside [\w.-] must not mint `_:map_acct(eu)__t`,
+        # a label no term reader accepts: the snapshot and the segment
+        # holding the mapping node must read back
+        from repro.core.facts import mapping_node
+        from repro.rdf.staging import parse_lexical_term
+        from repro.storage import MappedSnapshot
+        from repro.storage.segments import publish_segment
+
+        assert mapping_node(EX.a, EX.b).label == "map_a__b"
+        odd = [IRI("http://x/acct(eu)"), IRI("http://x/a%20b"), IRI("http://x/t."), EX.a]
+        labels = {mapping_node(s, t).label for s in odd for t in odd}
+        assert len(labels) == len(odd) ** 2
+
+        base = tmp_path / "base.mdws"
+        mdw.save_snapshot(base, generation=1)
+        before = MappedSnapshot.open(base).store(mutable_models=())
+        node = mdw.facts.add_mapping(odd[0], EX.t, rule="r")
+        assert parse_lexical_term(node.n3()) == node
+        full = tmp_path / "full.mdws"
+        mdw.save_snapshot(full, generation=2)
+        segment = publish_segment(before, mdw.store, tmp_path / "d.seg", 1, 2)
+        for attached in (
+            MetadataWarehouse.attach_snapshot(full),
+            MetadataWarehouse.attach_snapshot(base, segments=[segment]),
+        ):
+            assert (odd[0], TERMS.has_mapping, node) in attached.graph
+            assert (node, TERMS.mapping_rule, Literal("r")) in attached.graph
+
     def test_area_level_annotations(self, mdw, customer):
         inst = mdw.facts.add_instance("x", customer)
         mdw.facts.set_area(inst, TERMS.area_integration)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.oracle import SEM_ALIAS, SEM_ALIASES, SEM_MODELS, SEM_RULEBASES, sem_match
 from repro.rdf import DM, Graph, IRI, Literal, RDF, RDFS, Triple, TripleStore
+from repro.sparql.parser import parse_query
 
 
 @pytest.fixture
@@ -69,6 +70,24 @@ class TestSemMatch:
             aliases=ALIASES,
         )
         assert len(rows) == 3
+
+    def test_prefix_does_not_reach_a_later_statement(self, store):
+        # statements naming the same aliases share one manager; a PREFIX
+        # parsed against it binds into the parser's own copy
+        from repro.oracle.sem_match import _alias_manager
+
+        nsm = _alias_manager(ALIASES)
+        parse_query(
+            "PREFIX dm: <http://elsewhere/> PREFIX zz: <http://zz/> "
+            "SELECT ?s WHERE { ?s dm:hasName ?n ; zz:p ?o }",
+            nsm=nsm,
+        )
+        assert nsm.expand("dm:hasName") == DM.hasName
+        assert "zz" not in nsm
+        rows = sem_match(
+            "{?object dm:hasName ?term}", store, SEM_MODELS("DWH_CURR"), aliases=ALIASES
+        )
+        assert len(rows) == 2
 
     def test_pattern_must_be_braced(self, store):
         with pytest.raises(ValueError):

@@ -52,6 +52,13 @@ class TestPrologue:
         with pytest.raises(KeyError):
             nsm.expand("zz:p")
 
+    def test_prefix_does_not_reach_the_next_parse(self):
+        # a parse without a manager reads one shared default manager
+        q("PREFIX zz: <http://zz/> PREFIX rdf: <http://zz/> SELECT ?s WHERE { ?s zz:p ?o }")
+        with pytest.raises(SparqlParseError):
+            q("SELECT ?s WHERE { ?s zz:p ?o }")
+        assert first_bgp(q("SELECT ?s WHERE { ?s rdf:type ?t }").pattern).patterns[0].predicate == RDF.type
+
     def test_base_accepted(self):
         q("BASE <http://x/> SELECT ?s WHERE { ?s ?p ?o }")
 
