@@ -227,63 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write a Prometheus scrape of the metrics registry",
     )
 
-    slo = sub.add_parser(
-        "slo",
-        help="drive a sharded fleet and report windowed SLIs, error "
-        "budgets, and burn rates",
-    )
-    slo.add_argument("store")
-    slo.add_argument("--shards", type=int, default=3)
-    slo.add_argument("--requests", type=int, default=60)
-    slo.add_argument("--seed", type=int, default=42)
-    slo.add_argument("--window", type=float, default=300.0, help="SLO window in seconds")
-    slo.add_argument("--json", action="store_true", help="emit the report as JSON")
-    slo.add_argument(
-        "--sample", type=float, default=1.0,
-        help="trace sampling rate in [0, 1] (with --trace-out)",
-    )
-    slo.add_argument(
-        "--trace-out", default=None, metavar="FILE",
-        help="trace the run, validate the cross-shard span tree, and "
-        "write the Chrome trace JSON here",
-    )
-    slo.add_argument(
-        "--prometheus-out", default=None, metavar="FILE",
-        help="also write a Prometheus scrape (includes mdw_slo_*)",
-    )
-    slo.add_argument(
-        "--events-out", default=None, metavar="FILE",
-        help="write the operational event journal as JSON lines",
-    )
-
-    top = sub.add_parser(
-        "top",
-        help="live fleet console: health, SLOs, recent operational events",
-    )
-    top.add_argument("store")
-    top.add_argument("--shards", type=int, default=3)
-    top.add_argument("--requests", type=int, default=30, help="requests driven per refresh")
-    top.add_argument("--seed", type=int, default=42)
-    top.add_argument("--window", type=float, default=300.0)
-    top.add_argument("--interval", type=float, default=1.0, help="seconds between refreshes")
-    top.add_argument("--iterations", type=int, default=3, help="refreshes before exiting")
-    top.add_argument(
-        "--once", action="store_true",
-        help="one machine-readable JSON snapshot (CI mode)",
-    )
-
-    events = sub.add_parser(
-        "events",
-        help="filter/format an operational event journal JSONL file "
-        "(from 'slo --events-out' or 'top')",
-    )
-    events.add_argument("file", help="journal JSON-lines file, or '-' for stdin")
-    events.add_argument("--kind", default=None, help="keep only this event kind")
-    events.add_argument("--shard", default=None, help="keep only this shard")
-    events.add_argument("--severity", default=None, choices=["info", "warning", "error"])
-    events.add_argument("--limit", type=int, default=None, help="keep only the newest N")
-    events.add_argument("--json", action="store_true", help="re-emit as JSON lines")
-
     return parser
 
 
@@ -777,16 +720,11 @@ def _traced(args, stack):
 
 def _write_artifacts(args, tracer) -> None:
     """Write the side outputs the command line named: the (validated)
-    Chrome trace, a Prometheus scrape, the registry as JSON, the event
-    journal as JSON lines. The CI observability job parses all four."""
+    Chrome trace, a Prometheus scrape, the registry as JSON. The CI
+    observability job parses all three."""
     import json
 
-    from repro.obs import (
-        get_journal,
-        render_prometheus,
-        snapshot_json,
-        validate_chrome_trace,
-    )
+    from repro.obs import render_prometheus, snapshot_json, validate_chrome_trace
 
     if tracer is not None:
         data = tracer.to_chrome()
@@ -797,18 +735,14 @@ def _write_artifacts(args, tracer) -> None:
             f"wrote {len(data['traceEvents'])} trace event(s) "
             f"({roots} root(s)) to {args.trace_out}"
         )
-    if getattr(args, "prometheus_out", None) is not None:
+    if args.prometheus_out is not None:
         Path(args.prometheus_out).write_text(render_prometheus(), encoding="utf-8")
         print(f"wrote Prometheus scrape to {args.prometheus_out}")
-    if getattr(args, "metrics_out", None) is not None:
+    if args.metrics_out is not None:
         Path(args.metrics_out).write_text(
             json.dumps(snapshot_json(), indent=2, sort_keys=True), encoding="utf-8"
         )
         print(f"wrote metrics snapshot to {args.metrics_out}")
-    if getattr(args, "events_out", None) is not None:
-        journal = get_journal()
-        Path(args.events_out).write_text(journal.to_jsonl(), encoding="utf-8")
-        print(f"wrote {len(journal)} journal event(s) to {args.events_out}")
 
 
 def cmd_workload(args) -> None:
@@ -841,207 +775,6 @@ def cmd_workload(args) -> None:
         raise CliError(f"{len(errors)} of {len(ops)} request(s) failed")
 
 
-def _sharded_fleet(mdw, *, shards, requests, window):
-    """A thread-mode sharded gateway sized for a CLI-driven workload."""
-    from repro.server.sharding import ShardedConfig, ShardedQueryService
-
-    if shards < 1:
-        raise CliError("--shards must be positive")
-    config = ShardedConfig(
-        n_shards=shards,
-        workers_per_shard=1,
-        worker_mode="thread",
-        supervise=False,
-        max_queue=max(64, requests),
-        slo_window=window,
-    )
-    return ShardedQueryService(mdw, config)
-
-
-def _drive_scatter(service, mdw, *, requests, seed) -> List[str]:
-    """Run the deterministic scatter mix; returns error descriptions."""
-    from repro.server import QueryServiceError
-    from repro.synth import make_scatter_workload
-
-    errors: List[str] = []
-    for op in make_scatter_workload(mdw, n_ops=requests, seed=seed):
-        try:
-            service.execute(op.kind, **op.payload)
-        except QueryServiceError as exc:
-            errors.append(f"{op.kind}: {type(exc).__name__}: {exc}")
-    return errors
-
-
-def _render_slo_report(report) -> str:
-    lines = [f"SLO report (window {report['window']:.1f}s):"]
-    for name, row in sorted(report["services"].items()):
-        lat = row["latency"]
-        lines.append(
-            f"  {name}: {row['attempted']:.0f} request(s), "
-            f"availability {row['availability']:.4f}, "
-            f"degraded {row['degraded_ratio']:.4f}, "
-            f"p50 {lat['p50'] * 1e3:.1f}ms p95 {lat['p95'] * 1e3:.1f}ms "
-            f"p99 {lat['p99'] * 1e3:.1f}ms"
-        )
-    if report["slos"]:
-        lines.append("  objectives:")
-    for row in report["slos"]:
-        lines.append(
-            f"    {row['slo']} ({row['sli']}) {row['service']}: "
-            f"objective {row['objective']:g}, "
-            f"budget remaining {row['budget_remaining']:.1%}, "
-            f"burn {row['burn_rate']:.2f}x"
-        )
-    return "\n".join(lines)
-
-
-def cmd_slo(args) -> None:
-    """Drive a sharded fleet, then report SLIs and error-budget math.
-
-    The CI observability job uses the side outputs: ``--trace-out``
-    exports (and validates) the cross-shard Chrome trace,
-    ``--prometheus-out`` a scrape carrying ``mdw_slo_*``, and
-    ``--events-out`` the operational journal as JSON lines.
-    """
-    import json
-    from contextlib import ExitStack
-
-    if args.window <= 0:
-        raise CliError("--window must be positive")
-    mdw = _open(args)
-    with ExitStack() as stack:
-        tracer = _traced(args, stack)
-        service = _sharded_fleet(
-            mdw, shards=args.shards, requests=args.requests, window=args.window
-        )
-        stack.callback(service.close)
-        errors = _drive_scatter(
-            service, mdw, requests=args.requests, seed=args.seed
-        )
-        report = service.slo.report()
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(_render_slo_report(report))
-    _write_artifacts(args, tracer)
-    if errors:
-        for line in errors[:10]:
-            print(f"  failed {line}", file=sys.stderr)
-        raise CliError(f"{len(errors)} request(s) failed")
-
-
-def _top_snapshot(service, mdw, args):
-    """One refresh of the ops console: drive a batch, gather the panels."""
-    from repro.obs import get_journal
-
-    errors = _drive_scatter(service, mdw, requests=args.requests, seed=args.seed)
-    health = service.health()
-    events = get_journal().events(limit=10)
-    return health, events, errors
-
-
-def cmd_top(args) -> None:
-    """The live ops console (``--once`` is the machine-readable CI mode)."""
-    import json
-    import time as _time
-
-    if args.iterations < 1:
-        raise CliError("--iterations must be positive")
-    mdw = _open(args)
-    service = _sharded_fleet(
-        mdw, shards=args.shards, requests=args.requests, window=args.window
-    )
-    try:
-        iterations = 1 if args.once else args.iterations
-        for refresh in range(iterations):
-            health, events, _errors = _top_snapshot(service, mdw, args)
-            if args.once:
-                print(
-                    json.dumps(
-                        {
-                            "status": health["status"],
-                            "n_shards": health["n_shards"],
-                            "shards": {
-                                index: {
-                                    "status": doc["status"],
-                                    "queue_depth": doc["queue_depth"],
-                                    "workers": doc["workers"],
-                                }
-                                for index, doc in health["shards"].items()
-                            },
-                            "slo": health["slo"],
-                            "events": [e.to_dict() for e in events],
-                        },
-                        indent=2,
-                        sort_keys=True,
-                        default=str,
-                    )
-                )
-                return
-            print(f"-- refresh {refresh + 1}/{iterations} --")
-            print(f"fleet: {health['status']}, {health['n_shards']} shard(s)")
-            for index, doc in sorted(health["shards"].items()):
-                print(
-                    f"  shard {index}: {doc['status']}, "
-                    f"queue {doc['queue_depth']}, "
-                    f"workers {doc['workers']['configured']} "
-                    f"{doc['workers']['mode']}"
-                )
-            print(_render_slo_report(health["slo"]))
-            if events:
-                print("recent events:")
-                for event in events[-5:]:
-                    print(f"  [{event.severity}] {event.kind}: {event.to_json()}")
-            if refresh + 1 < iterations:
-                _time.sleep(args.interval)
-    finally:
-        service.close()
-
-
-def cmd_events(args) -> None:
-    """Filter and format a drained event-journal JSONL file."""
-    import json
-
-    if args.limit is not None and args.limit < 0:
-        raise CliError("--limit must be >= 0")
-    if args.file == "-":
-        text = sys.stdin.read()
-    else:
-        path = Path(args.file)
-        if not path.exists():
-            raise CliError(f"no such file: {path}")
-        text = path.read_text(encoding="utf-8")
-    docs = []
-    for number, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            docs.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise CliError(f"{args.file}:{number}: not JSON: {exc}") from None
-    if args.kind is not None:
-        docs = [d for d in docs if d.get("kind") == args.kind]
-    if args.shard is not None:
-        docs = [d for d in docs if str(d.get("shard", "")) == args.shard]
-    if args.severity is not None:
-        docs = [d for d in docs if d.get("severity") == args.severity]
-    if args.limit is not None:
-        docs = docs[max(0, len(docs) - args.limit):]
-    for doc in docs:
-        if args.json:
-            print(json.dumps(doc, sort_keys=True))
-        else:
-            rest = {
-                k: v
-                for k, v in doc.items()
-                if k not in ("ts", "kind", "severity")
-            }
-            detail = " ".join(f"{k}={v}" for k, v in sorted(rest.items()))
-            print(f"{doc.get('ts', 0):.3f} [{doc.get('severity', '?')}] "
-                  f"{doc.get('kind', '?')} {detail}".rstrip())
-    print(f"({len(docs)} event(s))", file=sys.stderr)
-
-
 _HANDLERS = {
     "generate": cmd_generate,
     "stats": cmd_stats,
@@ -1059,9 +792,6 @@ _HANDLERS = {
     "update": cmd_update,
     "serve": cmd_serve,
     "workload": cmd_workload,
-    "slo": cmd_slo,
-    "top": cmd_top,
-    "events": cmd_events,
 }
 
 

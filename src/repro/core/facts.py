@@ -34,17 +34,20 @@ def mapping_node(source: Term, target: Term) -> BNode:
     Deriving the label from the endpoints keeps graph generation
     reproducible per seed and makes re-asserting the same mapping
     idempotent. The label is ``map_<source>__<target>`` of the two local
-    names when every reader accepts that (:func:`is_bnode_label`); else
-    it is ``mapx_<source>_<target>`` with each name escaped by
-    :func:`_escape_local`, which no ``map_`` label can equal.
+    names when every reader accepts it (:func:`is_bnode_label`) and the
+    source name neither holds ``__`` nor ends in ``_``, so the first
+    ``__`` is always the separator. Else it is ``mapx_<source>_<target>``
+    with each name escaped by :func:`_escape_local`, which no ``map_``
+    label can equal. Either way two mapping edges never share a node.
     """
     def local(term: Term) -> str:
         return term.local_name if isinstance(term, IRI) else term.label
 
-    label = f"map_{local(source)}__{local(target)}"
-    if is_bnode_label(label):
+    src, tgt = local(source), local(target)
+    label = f"map_{src}__{tgt}"
+    if "__" not in src and not src.endswith("_") and is_bnode_label(label):
         return BNode(label)
-    return BNode(f"mapx_{_escape_local(local(source))}_{_escape_local(local(target))}")
+    return BNode(f"mapx_{_escape_local(src)}_{_escape_local(tgt)}")
 
 
 def _escape_local(name: str) -> str:

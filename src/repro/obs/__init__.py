@@ -11,7 +11,9 @@ The warehouse's one-stop instrumentation layer (see
 * :mod:`repro.obs.trace` — contextvar-based nested spans with sampling
   and Chrome-trace export;
 * :mod:`repro.obs.profile` — per-query execution statistics threaded
-  through the evaluator.
+  through the evaluator;
+* :mod:`repro.obs.journal` — the bounded ring of operational events
+  (breaker transitions, worker restarts, shard replacement).
 
 This package is a **leaf**: it imports only the standard library, so
 every other subsystem (server, sparql, etl, reasoning, resilience) can
@@ -24,14 +26,7 @@ from repro.obs.exporter import (
     render_prometheus,
     snapshot_json,
 )
-from repro.obs.fleet import (
-    DEFAULT_SLOS,
-    Event,
-    EventJournal,
-    SloEngine,
-    SLOTarget,
-    get_journal,
-)
+from repro.obs.journal import Event, EventJournal, get_journal
 from repro.obs.profile import (
     OperatorStats,
     QueryProfile,
@@ -66,11 +61,8 @@ __all__ = [
     "parse_exposition",
     "render_prometheus",
     "snapshot_json",
-    "DEFAULT_SLOS",
     "Event",
     "EventJournal",
-    "SloEngine",
-    "SLOTarget",
     "get_journal",
     "OperatorStats",
     "QueryProfile",

@@ -39,6 +39,9 @@ from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from repro.rdf.namespace import RDF, NamespaceManager
 from repro.rdf.terms import (
+    BNODE_LABEL,
+    BNODE_LABEL_RE,
+    LANGTAG,
     BNode,
     IRI,
     Literal,
@@ -57,7 +60,6 @@ KEYWORDS = frozenset(
 )
 
 _WORD = r"[^\W\d_](?:[\w.-]*[\w-])?"
-_BNODE_LABEL = r"\w(?:[\w.-]*[\w-])?"
 _TOKEN = re.compile(
     "|".join(
         (
@@ -70,16 +72,14 @@ _TOKEN = re.compile(
             r"(?P<NUMBER>[+-]?\d+(?:\.\d+)?)",
             rf"(?P<PNAME>(?:{_WORD})?:(?:[\w.-]*[\w-])?)",
             rf"(?P<WORD>{_WORD})",
-            rf"_:(?P<BNODE>{_BNODE_LABEL})",
-            r"@(?P<LANGTAG>(?:[^\W_]|-)+)",
+            rf"_:(?P<BNODE>{BNODE_LABEL})",
+            rf"@(?P<LANGTAG>{LANGTAG})",
             r"(?P<PUNCT><=|>=|!=|&&|\|\||\^\^|[{}()\[\].;,*=<>!+\-/|^?])",
             r"(?P<ERROR>.)",
         )
     ),
     re.DOTALL,
 )
-
-_BNODE_LABEL_RE = re.compile(_BNODE_LABEL)
 
 _RDF_TYPE = RDF.type
 _INTEGER = IRI(XSD_INTEGER)
@@ -164,7 +164,7 @@ def tokenize(text: str, error: ErrorFactory = TermSyntaxError) -> List[Token]:
 
 def is_bnode_label(label: str) -> bool:
     """Whether ``_:label`` reads back as one blank node."""
-    return _BNODE_LABEL_RE.fullmatch(label) is not None
+    return BNODE_LABEL_RE.fullmatch(label) is not None
 
 
 def number_literal(text: str) -> Literal:

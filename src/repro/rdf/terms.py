@@ -23,6 +23,14 @@ XSD_DATETIME = _XSD + "dateTime"
 
 _IRI_FORBIDDEN = re.compile(r'[<>" {}|\\^`\n\r\t]')
 
+#: The ``_:label`` and ``@lang`` grammars. :mod:`repro.rdf.syntax` builds
+#: its lexer from these two patterns, and the constructors reject what
+#: they do not match, so every blank node and tag reads back.
+BNODE_LABEL = r"\w(?:[\w.-]*[\w-])?"
+LANGTAG = r"(?:[^\W_]|-)+"
+BNODE_LABEL_RE = re.compile(BNODE_LABEL)
+_LANGTAG_RE = re.compile(LANGTAG)
+
 # Sort keys per term kind; used by Term.sort_key for the cross-kind order.
 _KIND_ORDER = {"IRI": 0, "BNode": 1, "Literal": 2, "Variable": 3}
 
@@ -131,8 +139,8 @@ class BNode(Term):
     def __init__(self, label: Optional[str] = None):
         if label is None:
             label = f"b{next(_bnode_counter)}"
-        if not isinstance(label, str) or not label:
-            raise ValueError("BNode label must be a non-empty string")
+        if not isinstance(label, str) or BNODE_LABEL_RE.fullmatch(label) is None:
+            raise ValueError(f"BNode label {label!r} is not a _:label")
         object.__setattr__(self, "label", label)
 
     def __setattr__(self, name, value):
@@ -194,6 +202,8 @@ class Literal(Term):
             )
         if language is not None:
             language = language.lower()
+            if _LANGTAG_RE.fullmatch(language) is None:
+                raise ValueError(f"language tag {language!r} is not an @lang")
         object.__setattr__(self, "lexical", lexical)
         object.__setattr__(self, "datatype", datatype)
         object.__setattr__(self, "language", language)

@@ -39,7 +39,7 @@ def _note_transition(name: str, to: str, shard: str = "") -> None:
         "Circuit-breaker state transitions, by breaker and target state",
         labels=("name", "to", "shard"),
     ).inc(name=name, to=to, shard=shard)
-    from repro.obs.fleet import get_journal
+    from repro.obs.journal import get_journal
 
     get_journal().record(
         "breaker",

@@ -13,7 +13,7 @@ registry (:mod:`repro.obs.registry`). :class:`ServiceMetrics` is a typed
 view over the registry children labelled with its ``(service, shard)``
 — each ``on_*`` event is one write to one child, and ``snapshot()``
 reads the same children the Prometheus exporter, the supervisor, the
-health document and the SLO engine read, minus their values when this
+health document and the gateway read, minus their values when this
 instance was built ("since this instance started"). Two live instances
 with equal labels share their series, as the scrape always said.
 
@@ -29,7 +29,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence
 
-from repro.obs.fleet import get_journal
+from repro.obs.journal import get_journal
 from repro.obs.registry import bucket_summary, get_registry
 
 __all__ = [

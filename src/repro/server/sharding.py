@@ -45,7 +45,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import InvalidOption
-from repro.obs.fleet import SloEngine, get_journal
+from repro.obs.journal import get_journal
 from repro.rdf.terms import Literal, Term
 from repro.server.errors import (
     Cancelled,
@@ -82,7 +82,7 @@ class ShardedConfig(ServingConfig):
     unchanged — except ``slow_query_threshold``, which is the gateway's:
     a slow request is logged once, at the gateway, with its per-shard
     timing breakdown, and shard-local latency logs are off. The
-    gateway's own knobs are the topology and the SLO window.
+    gateway's own knobs are the topology.
     ``snapshot_dir`` is the root for shard snapshot files, one
     ``shard-<i>/`` subdirectory each; when None the gateway owns a
     temporary directory.
@@ -93,8 +93,6 @@ class ShardedConfig(ServingConfig):
     supervise: bool = True
     n_shards: int = 2
     workers_per_shard: int = 2
-    #: rolling window (seconds) of the gateway's SLO engine
-    slo_window: float = 300.0
 
     def __post_init__(self):
         super().__post_init__()
@@ -102,8 +100,6 @@ class ShardedConfig(ServingConfig):
             raise ValueError("n_shards must be positive")
         if self.workers_per_shard < 1:
             raise ValueError("workers_per_shard must be positive")
-        if self.slo_window <= 0:
-            raise ValueError("slo_window must be positive")
 
 
 class _ShardRouter:
@@ -307,13 +303,9 @@ class ShardedQueryService(_FrontDoor):
             self._build_shard(i) for i in range(config.n_shards)
         ]
         # Gateway-level observability: its own metrics identity (shard
-        # label "gateway" keeps it distinct from the per-shard series),
-        # a request-id sequence for trace/slow-log attribution, and the
-        # fleet SLO engine reading every service under this name.
+        # label "gateway" keeps it distinct from the per-shard series)
+        # and a request-id sequence for trace/slow-log attribution.
         self.metrics = ServiceMetrics(name=config.name, shard="gateway")
-        self.slo = SloEngine(
-            window=config.slo_window, service_prefix=config.name
-        )
         self._read_seq = itertools.count(1)
 
     # -- topology ----------------------------------------------------------
@@ -429,7 +421,6 @@ class ShardedQueryService(_FrontDoor):
             "status": overall,
             "n_shards": self.config.n_shards,
             "shards": shards,
-            "slo": self.slo.report(),
         }
 
     def replace_shard(self, index: int) -> QueryService:

@@ -7,7 +7,7 @@ File layout::
 The header (``<8sIIQQQII``) carries the magic, format version, flags,
 generation stamp, the TOC's offset/length/CRC, and its own CRC — enough
 to reject truncation, corruption, and version skew before trusting a
-byte of the body. Sections are the shared string pool (pool / offsets /
+byte of the body; attach then checks every section's CRC as well. Sections are the shared string pool (pool / offsets /
 hash, see :mod:`repro.storage.stringpool`) plus three fixed-width CSR
 triple runs (SPO, POS, OSP) per graph, see :mod:`repro.storage.codec`;
 the TOC names every section with its offset, length, and CRC32, and
@@ -453,6 +453,16 @@ class MappedGraph(ReadableGraph):
 # mapped snapshot
 
 
+def _first_crc_mismatch(buf: memoryview, sections: Dict[str, Dict]) -> Optional[str]:
+    """The name of the first section whose CRC32 differs from the TOC's,
+    or None. Reads the mapping in place: no section is copied."""
+    for name, sec in sorted(sections.items()):
+        with buf[sec["offset"] : sec["offset"] + sec["length"]] as view:
+            if zlib.crc32(view) != sec["crc32"]:
+                return name
+    return None
+
+
 class MappedSnapshot:
     """One open snapshot file: header, TOC, pool, and graph accessors."""
 
@@ -469,7 +479,9 @@ class MappedSnapshot:
 
     @classmethod
     def open(cls, path: Union[str, Path]) -> "MappedSnapshot":
-        """Map and validate a snapshot file; cheap — nothing decodes."""
+        """Map and validate a snapshot file: the header, TOC and every
+        section CRC are checked, so a corrupt file never answers.
+        Nothing decodes."""
         path = Path(path)
         faults.fire("snapshot.attach")
         try:
@@ -524,6 +536,9 @@ class MappedSnapshot:
                     raise SnapshotFormatError(
                         f"{path}: truncated file (section {name!r} out of bounds)"
                     )
+            bad = _first_crc_mismatch(buf, toc["sections"])
+            if bad is not None:
+                raise SnapshotFormatError(f"{path}: section {bad!r} checksum mismatch")
             return cls(path, f, mm, buf, generation, toc)
         except BaseException:
             if buf is not None:
@@ -653,12 +668,10 @@ class MappedSnapshot:
     # -- inspection --------------------------------------------------------
 
     def verify(self) -> bool:
-        """Recompute every section CRC; False on the first mismatch."""
-        for name, sec in sorted(self._toc["sections"].items()):
-            data = bytes(self._buf[sec["offset"] : sec["offset"] + sec["length"]])
-            if zlib.crc32(data) != sec["crc32"]:
-                return False
-        return True
+        """Recompute every section CRC; False on the first mismatch.
+        :meth:`open` already checked them, so this only catches a file
+        rewritten in place under the mapping."""
+        return _first_crc_mismatch(self._buf, self._toc["sections"]) is None
 
     def info(self) -> Dict[str, object]:
         return {

@@ -166,6 +166,28 @@ class TestRelationships:
             assert (odd[0], TERMS.has_mapping, node) in attached.graph
             assert (node, TERMS.mapping_rule, Literal("r")) in attached.graph
 
+    def test_mapping_node_is_injective(self, mdw, customer, tmp_path):
+        # `a__b` -> `c` and `a` -> `b__c` would both read `_:map_a__b__c`
+        from repro.core.facts import mapping_node
+
+        pairs = [
+            (IRI("http://x/a__b"), IRI("http://x/c")),
+            (IRI("http://x/a"), IRI("http://x/b__c")),
+            (IRI("http://x/a_"), IRI("http://x/_c")),
+            (IRI("http://x/a"), IRI("http://x/__c")),
+        ]
+        nodes = [mapping_node(s, t) for s, t in pairs]
+        assert len(set(nodes)) == len(pairs)
+        assert nodes[1].label == "map_a__b__c"  # a `__` in the target is fine
+        for (s, t), rule in zip(pairs, "wxyz"):
+            mdw.facts.add_mapping(s, t, rule=rule)
+        path = tmp_path / "m.mdws"
+        mdw.save_snapshot(path)
+        attached = MetadataWarehouse.attach_snapshot(path)
+        for node, rule in zip(nodes, "wxyz"):
+            rules = list(attached.graph.objects(node, TERMS.mapping_rule))
+            assert rules == [Literal(rule)]
+
     def test_area_level_annotations(self, mdw, customer):
         inst = mdw.facts.add_instance("x", customer)
         mdw.facts.set_area(inst, TERMS.area_integration)

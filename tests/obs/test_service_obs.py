@@ -17,7 +17,6 @@ from repro.obs import (
     render_prometheus,
     trace_scope,
 )
-from repro.obs.fleet import SloEngine
 from repro.obs.registry import get_registry
 from repro.server import (
     CircuitOpen,
@@ -198,10 +197,10 @@ def scraped(families, sample, **labels):
 
 
 class TestTheBooksAgree:
-    """One store: the snapshot, the health document, the scrape and the
-    SLO report are four readers of the same registry children."""
+    """One store: the snapshot, the health document and the scrape are
+    three readers of the same registry children."""
 
-    def assert_books_agree(self, snap, health, before, after, slo_row, service, shard):
+    def assert_books_agree(self, snap, health, before, after, service, shard):
         own = {"service": service, "shard": shard}
 
         def delta(sample, **labels):
@@ -223,17 +222,12 @@ class TestTheBooksAgree:
         assert observed == snap["completed"] + snap["failed"]
         if health is not None:
             assert health["workers"]["restarts"] == snap["worker_restarts"]
-        assert slo_row["shard"] == shard
-        assert slo_row["completed"] == snap["completed"]
-        assert slo_row["failed"] == snap["failed"]
-        assert slo_row["degraded"] == snap["degraded_responses"]
 
     def test_one_service_every_outcome(self, monkeypatch):
         mdw = generate_landscape(LandscapeConfig.tiny(seed=23)).warehouse
         mdw.build_entailment_index()
         name = "books-svc"
         before = parse_exposition(render_prometheus())
-        slo = SloEngine(service_prefix=name)
         config = ServiceConfig(max_workers=1, max_queue=1, name=name)
         with mdw.serve(config) as service:
             # completed
@@ -279,15 +273,12 @@ class TestTheBooksAgree:
             snap = service.metrics_snapshot()
             health = service.health()
             after = parse_exposition(render_prometheus())
-            report = slo.report()
         assert snap["completed"] == 4 and snap["degraded_responses"] == 1
         assert snap["failed"] == 3  # unknown item, cancelled hog, timed-out hog
         assert snap["rejected"] == 1 and snap["breaker_shed"] == 1
         assert snap["cancelled"] == 1 and snap["timeouts"] >= 1
         assert snap["queue_high_water"] == 1
-        self.assert_books_agree(
-            snap, health, before, after, report["services"][name], name, ""
-        )
+        self.assert_books_agree(snap, health, before, after, name, "")
 
     def test_gateway_and_its_shards(self):
         mdw = generate_landscape(LandscapeConfig.tiny(seed=23)).warehouse
@@ -316,10 +307,7 @@ class TestTheBooksAgree:
         gateway = snap["gateway"]
         assert gateway["completed"] == 5 and gateway["failed"] == 2
         assert gateway["timeouts"] == 1 and gateway["degraded_responses"] == 3
-        rows = health["slo"]["services"]
-        self.assert_books_agree(
-            gateway, None, before, after, rows[name], name, "gateway"
-        )
+        self.assert_books_agree(gateway, None, before, after, name, "gateway")
         for index in ("0", "1"):
             shard_name = f"{name}-shard{index}"
             self.assert_books_agree(
@@ -327,7 +315,6 @@ class TestTheBooksAgree:
                 health["shards"][index],
                 before,
                 after,
-                rows[shard_name],
                 shard_name,
                 index,
             )

@@ -3,8 +3,8 @@
 Cross-shard trace propagation (gateway request ⊃ per-shard request
 spans ⊃ operator spans), span grafting under failure (superseded
 late workers, WorkerLost requeues), the unified gateway
-slow-query log, per-shard degraded attribution, and the SLO report
-riding the fleet health document.
+slow-query log, per-shard degraded attribution, and the journal
+events of shard replacement and rebalancing.
 """
 
 import sys
@@ -342,10 +342,7 @@ class TestDegradedAttribution:
         )
 
     def test_two_dead_shards_are_one_degraded_response_each(self):
-        """A partial answer counts once however many shards are down,
-        and the gateway's SLO row sees it (it used to read the
-        per-shard attribution series, which never carries the
-        gateway's own shard label)."""
+        """A partial answer counts once however many shards are down."""
         mdw, _items, _names = three_shard_chain()
         name = "degraded-once-test"
         with thread_service(mdw, n_shards=3, name=name) as svc:
@@ -354,18 +351,8 @@ class TestDegradedAttribution:
             for _ in range(10):
                 assert svc.search("n0", regex=True).degraded
             snap = svc.metrics_snapshot()["gateway"]
-            report = svc.slo.report()
         assert snap["completed"] == 10
         assert snap["degraded_responses"] == 10
-        row = report["services"][name]
-        assert row["shard"] == "gateway"
-        assert row["degraded_ratio"] == 1.0
-        (full,) = [
-            r
-            for r in report["slos"]
-            if r["slo"] == "full-answers" and r["service"] == name
-        ]
-        assert full["bad"] == 10 and full["burn_rate"] > 0
         # attribution stays per failed shard: one inc per shard per answer
         counter = get_registry().counter(
             "mdw_service_degraded_total", labels=("service", "kind", "shard")
@@ -378,26 +365,6 @@ class TestDegradedAttribution:
 
 
 class TestFleetSloAndJournal:
-    def test_health_carries_per_shard_slis(self):
-        mdw, items, _names = three_shard_chain()
-        with thread_service(mdw, n_shards=3, name="slo-health-test") as svc:
-            for _ in range(3):
-                svc.lineage(items[0], direction="downstream")
-            svc.search("n0", regex=True)  # a scatter reaches every shard
-            health = svc.health()
-        report = health["slo"]
-        services = report["services"]
-        assert "slo-health-test" in services  # the gateway itself
-        for i in range(3):
-            row = services[f"slo-health-test-shard{i}"]
-            assert row["shard"] == str(i)
-            assert row["attempted"] > 0
-            assert row["availability"] == 1.0
-        assert any(
-            row["slo"] == "availability" and row["budget_remaining"] == 1.0
-            for row in report["slos"]
-        )
-
     def test_shard_replace_and_breaker_reach_the_journal(self, monkeypatch):
         from repro.server import WorkerLost
 

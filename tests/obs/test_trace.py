@@ -1,4 +1,4 @@
-"""The tracer: nesting, sampling, propagation, Chrome export."""
+"""The tracer: nesting, sampling, propagation, Chrome export and its validator."""
 
 import json
 import pickle
@@ -7,12 +7,14 @@ import threading
 import pytest
 
 from repro.obs.trace import (
+    TraceValidationError,
     Tracer,
     active_tracer,
     capture,
     span,
     trace_scope,
     tracing,
+    validate_chrome_trace,
 )
 
 
@@ -207,3 +209,47 @@ class TestChromeExport:
                 pass
         assert [s.name for s in tracer.spans()] == ["a", "b"]
         assert tracer.dropped == 1
+
+
+class TestValidateChromeTrace:
+    def _nested(self):
+        tracer = Tracer()
+        with tracer.span("request", "gateway"):
+            with tracer.span("frontier", "gateway"):
+                with tracer.span("operator", "lineage"):
+                    pass
+        return tracer
+
+    def test_valid_nesting_passes(self):
+        summary = validate_chrome_trace(self._nested().to_chrome())
+        assert summary["events"] == 3
+        assert summary["roots"] == 1
+        assert summary["names"] == ["frontier", "operator", "request"]
+        assert summary["pids"] == 1
+
+    def test_empty_trace_rejected(self):
+        with pytest.raises(TraceValidationError, match="no traceEvents"):
+            validate_chrome_trace({"traceEvents": []})
+
+    def test_orphan_parent_rejected(self):
+        data = self._nested().to_chrome()
+        data["traceEvents"][0]["args"]["parent_id"] = "dead-beef"
+        with pytest.raises(TraceValidationError, match="unknown parent"):
+            validate_chrome_trace(data)
+
+    def test_duplicate_span_id_rejected(self):
+        data = self._nested().to_chrome()
+        dup = data["traceEvents"][0]["args"]["span_id"]
+        data["traceEvents"][1]["args"]["span_id"] = dup
+        with pytest.raises(TraceValidationError, match="duplicate"):
+            validate_chrome_trace(data)
+
+    def test_temporal_escape_rejected(self):
+        data = self._nested().to_chrome()
+        # push a child outside its parent's [ts, ts+dur] envelope
+        child = next(
+            e for e in data["traceEvents"] if e["args"].get("parent_id")
+        )
+        child["ts"] += 10_000_000
+        with pytest.raises(TraceValidationError, match="temporally"):
+            validate_chrome_trace(data)

@@ -82,6 +82,42 @@ class TestBNode:
             b.label = "y"
 
 
+class TestEveryTermReadsBack:
+    """The constructors take only what :mod:`repro.rdf.syntax` reads."""
+
+    @pytest.mark.parametrize(
+        "label", ["acct(eu)__t", "a b", "t.", ".t", "-t", "a:b", "", "x\n"]
+    )
+    def test_unreadable_bnode_label_rejected(self, label):
+        with pytest.raises(ValueError):
+            BNode(label)
+
+    @pytest.mark.parametrize("tag", ["en_GB", "en GB", "", "e@n", "1.0", "İ"])
+    def test_unreadable_language_tag_rejected(self, tag):
+        with pytest.raises(ValueError):
+            Literal("x", language=tag)
+
+    @pytest.mark.parametrize(
+        "term",
+        [
+            BNode(),
+            BNode("b1"),
+            BNode("_x"),
+            BNode("map_a.b__c-d"),
+            BNode("naïve_1"),
+            Literal("x", language="en"),
+            Literal("x", language="EN-gb"),
+            Literal("x", language="de-CH-1996"),
+            Literal("x", language="fr-"),
+        ],
+        ids=repr,
+    )
+    def test_accepted_terms_read_back(self, term):
+        from repro.rdf.staging import parse_lexical_term
+
+        assert parse_lexical_term(term.n3()) == term
+
+
 class TestLiteral:
     def test_plain(self):
         lit = Literal("Zurich")

@@ -267,13 +267,20 @@ def test_rejects_format_1_file(tmp_path):
 
 
 def test_rejects_corrupt_run_section(tmp_path):
-    """Run bytes are not checksummed on attach; their own checks reject
-    a wrecked header with a typed error, and close() still works."""
+    """A run whose CRC was rewritten to match a wrecked header (a writer
+    bug, not bit rot) passes attach; the run's own checks reject it
+    with a typed error, and close() still works."""
     path, raw = _valid_bytes(tmp_path)
     fields = _header_fields(raw)
     toc = json.loads(bytes(raw[fields[4] : fields[4] + fields[5]]))
     run = toc["sections"]["model:DWH_CURR/pos"]
     raw[run["offset"]] ^= 0x01  # the first-level count
+    run["crc32"] = zlib.crc32(raw[run["offset"] : run["offset"] + run["length"]])
+    toc_bytes = json.dumps(toc).encode()
+    raw[fields[4] :] = toc_bytes
+    fields[5], fields[6] = len(toc_bytes), zlib.crc32(toc_bytes)
+    packed = _HEADER.pack(*fields)
+    raw[:HEADER_SIZE] = packed[:-4] + struct.pack("<I", zlib.crc32(packed[:-4]))
     path.write_bytes(bytes(raw))
     snap = MappedSnapshot.open(path)
     with pytest.raises(SnapshotFormatError, match="section length"):
@@ -316,8 +323,20 @@ def test_rejects_section_corruption(tmp_path):
     path, raw = _valid_bytes(tmp_path)
     raw[HEADER_SIZE + 3] ^= 0xFF  # inside the first section's payload
     path.write_bytes(bytes(raw))
-    snap = MappedSnapshot.open(path)  # TOC still valid: open succeeds
+    # the header and TOC still hold: the section CRC rejects the file
+    with pytest.raises(SnapshotFormatError, match="section .* checksum mismatch"):
+        MappedSnapshot.open(path)
+
+
+def test_verify_catches_a_rewrite_under_the_mapping(tmp_path):
+    path, raw = _valid_bytes(tmp_path)
+    snap = MappedSnapshot.open(path)
+    assert snap.verify() is True
+    with open(path, "r+b") as f:  # in place: the mapping sees it
+        f.seek(HEADER_SIZE + 3)
+        f.write(bytes([raw[HEADER_SIZE + 3] ^ 0xFF]))
     assert snap.verify() is False
+    snap.close()
 
 
 def test_frozen_flag_roundtrips(tmp_path):

@@ -416,31 +416,6 @@ class TestServe:
         assert "supervise requires worker_mode='fork'" in capsys.readouterr().err
 
 
-class TestEvents:
-    @pytest.fixture
-    def journal_file(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        path.write_text(
-            "".join(f'{{"ts": {i}, "kind": "e", "severity": "info"}}\n' for i in range(3)),
-            encoding="utf-8",
-        )
-        return path
-
-    def test_limit_keeps_the_newest_and_zero_keeps_none(self, journal_file, capsys):
-        assert main(["events", str(journal_file), "--limit", "1"]) == 0
-        captured = capsys.readouterr()
-        assert captured.out.startswith("2.000 [info] e")
-        assert "(1 event(s))" in captured.err
-        assert main(["events", str(journal_file), "--limit", "0"]) == 0
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "(0 event(s))" in captured.err
-
-    def test_negative_limit_is_an_error(self, journal_file, capsys):
-        assert main(["events", str(journal_file), "--limit", "-1"]) == 2
-        assert "--limit" in capsys.readouterr().err
-
-
 class TestExplain:
     def test_analyze_prints_plan_cache_footer_and_profile(self, store_dir, capsys):
         query = "SELECT ?s ?n WHERE { ?s dm:hasName ?n }"
