@@ -1,8 +1,10 @@
 """Indexed in-memory RDF graph.
 
 The Oracle RDF model tables of the paper are replicated as a triple-indexed
-in-memory graph: three nested dictionaries (SPO, POS, OSP) so any triple
-pattern with one or two bound positions is answered without a full scan.
+in-memory graph: two nested dictionaries, SPO and POS (the predicate-led
+orders ``SEM_MATCH`` runs on), so a pattern with a bound subject or
+predicate is one probe; ``(?, ?, o)`` probes POS once per predicate and
+``(s, ?, o)`` tests the leaves of the subject's SPO entry.
 Like Oracle's ``RDF_VALUE$`` dictionary encoding, terms are interned to
 integer ids through a :class:`~repro.rdf.dictionary.TermDictionary` and
 the indexes key on ints — pattern matching and joins compare ids instead
@@ -13,8 +15,7 @@ An index leaf (the third level: the ids under one key pair) takes one of
 two forms. A leaf holding one id stores the int itself; it becomes a
 ``set`` at its second id and goes back to an int when a removal leaves
 one id, so a set leaf always holds at least two ids. Most leaves hold
-one id (every OSP leaf of a graph with one predicate per subject/object
-pair, and most SPO/POS leaves of the paper's landscape), and an inline
+one id (most SPO and POS leaves of the paper's landscape), and an inline
 int costs nothing beyond the dict slot, where a one-element set costs
 about 216 bytes and a GC-tracked object. Ids start at 0, so a leaf is
 never truth-tested: the form is told by ``type(leaf) is int``. Only
@@ -33,7 +34,7 @@ has an id space. When the caller can prove the layers pairwise disjoint
 :class:`ReadableGraph` is the read contract all of them share — ``Graph``,
 ``GraphView`` and the storage tier's
 :class:`~repro.storage.snapshot.MappedGraph` supply id-level primitives
-and inherit every term-level read from it, so the SPO/POS/OSP layout is
+and inherit every term-level read from it, so the SPO/POS layout is
 :class:`Graph`'s decision alone.
 """
 
@@ -223,7 +224,7 @@ class ReadableGraph:
 
 
 class Graph(ReadableGraph):
-    """A mutable set of triples with SPO / POS / OSP indexes.
+    """A mutable set of triples with SPO and POS indexes.
 
     >>> g = Graph()
     >>> g.add(Triple(IRI("ex:s"), IRI("ex:p"), Literal("o")))
@@ -235,7 +236,6 @@ class Graph(ReadableGraph):
         "_dict",
         "_spo",
         "_pos",
-        "_osp",
         "_size",
         "_frozen",
         "_listeners",
@@ -245,7 +245,6 @@ class Graph(ReadableGraph):
         "_cow",
         "_owned_s",
         "_owned_p",
-        "_owned_o",
         "_stats",
         "name",
     )
@@ -259,7 +258,6 @@ class Graph(ReadableGraph):
         self._dict = dictionary if dictionary is not None else DEFAULT_DICTIONARY
         self._spo: _Index = {}
         self._pos: _Index = {}
-        self._osp: _Index = {}
         self._size = 0
         self._frozen = False
         self._listeners = ()
@@ -272,7 +270,6 @@ class Graph(ReadableGraph):
         self._cow = False
         self._owned_s: Set[int] = set()
         self._owned_p: Set[int] = set()
-        self._owned_o: Set[int] = set()
         self._stats = None
         self.name = name
         if triples is not None:
@@ -330,11 +327,10 @@ class Graph(ReadableGraph):
         when the caller passes none."""
         self._check_writable()
         if self._cow:
-            self._privatize(s, p, o)
+            self._privatize(s, p)
         if not _add_leaf(self._spo, s, p, o):
             return False
         _add_leaf(self._pos, p, o, s)
-        _add_leaf(self._osp, o, s, p)
         self._size += 1
         self._generation += 1
         if self._listeners:
@@ -366,11 +362,10 @@ class Graph(ReadableGraph):
         — the one delete path (see :meth:`add_ids`)."""
         self._check_writable()
         if self._cow:
-            self._privatize(s, p, o)
+            self._privatize(s, p)
         if not _discard_leaf(self._spo, s, p, o):
             return False
         _discard_leaf(self._pos, p, o, s)
-        _discard_leaf(self._osp, o, s, p)
         self._size -= 1
         self._generation += 1
         if self._listeners:
@@ -385,10 +380,16 @@ class Graph(ReadableGraph):
             listener(action, triple)
 
     def remove_pattern(self, s=None, p=None, o=None) -> int:
-        """Remove every triple matching the pattern; returns the count."""
-        doomed = list(self.triples(s, p, o))
-        for t in doomed:
-            self.discard(t)
+        """Remove every triple matching the pattern; returns the count.
+
+        Matches are collected and removed in id space; listeners still
+        receive each removed triple decoded."""
+        encoded = self._encode_pattern(s, p, o)
+        if encoded is None:
+            return 0
+        doomed = list(self.triples_ids(*encoded))
+        for row in doomed:
+            self.discard_ids(*row)
         return len(doomed)
 
     def clear(self) -> None:
@@ -404,13 +405,11 @@ class Graph(ReadableGraph):
         # once — afterwards nothing is shared and CoW mode can end
         self._spo.clear()
         self._pos.clear()
-        self._osp.clear()
         self._size = 0
         if self._cow:
             self._cow = False
             self._owned_s.clear()
             self._owned_p.clear()
-            self._owned_o.clear()
 
     def freeze(self) -> "Graph":
         """Make the graph immutable (used by historized snapshots)."""
@@ -425,11 +424,11 @@ class Graph(ReadableGraph):
         if self._frozen:
             raise ReadOnlyGraphError(f"graph {self.name!r} is frozen")
 
-    def _privatize(self, si: int, pi: int, oi: int) -> None:
-        """Unshare the index subtrees a mutation of (si, pi, oi) touches.
+    def _privatize(self, si: int, pi: int) -> None:
+        """Unshare the index subtrees a mutation of (si, pi, _) touches.
 
         After :meth:`cow_copy` the *inner* dicts and set leaves may be
-        shared with the other graph; cloning just the three touched
+        shared with the other graph; cloning just the two touched
         subtrees (cost O(degree of the term)) keeps a delta-sized write
         after a CoW publication proportional to the delta, not the graph.
         An int leaf is immutable, but the inner dict holding it is
@@ -445,11 +444,6 @@ class Graph(ReadableGraph):
             by_o = self._pos.get(pi)
             if by_o is not None:
                 self._pos[pi] = _copy_inner(by_o)
-        if oi not in self._owned_o:
-            self._owned_o.add(oi)
-            by_s = self._osp.get(oi)
-            if by_s is not None:
-                self._osp[oi] = _copy_inner(by_s)
 
     # -- id-space access ----------------------------------------------------
 
@@ -508,14 +502,14 @@ class Graph(ReadableGraph):
                         for subj in subjs:
                             yield (subj, p, obj)
         elif o is not None:
-            by_s = self._osp.get(o)
-            if by_s is None:
-                return
-            for subj, preds in by_s.items():
-                if type(preds) is int:
-                    yield (subj, preds, o)
+            for pred, by_o in self._pos.items():
+                subjs = by_o.get(o)
+                if subjs is None:
+                    continue
+                if type(subjs) is int:
+                    yield (subjs, pred, o)
                 else:
-                    for pred in preds:
+                    for subj in subjs:
                         yield (subj, pred, o)
         else:
             for subj, by_p in self._spo.items():
@@ -556,8 +550,9 @@ class Graph(ReadableGraph):
                     return 1 if self.has_ids(s, p, o) else 0
                 return _leaf_len(by_p.get(p))
             if o is not None:
-                by_s = self._osp.get(o)
-                return 0 if by_s is None else _leaf_len(by_s.get(s))
+                return sum(
+                    1 for objs in by_p.values() if (o == objs if type(objs) is int else o in objs)
+                )
             return _leaves_len(by_p)
         if p is not None:
             by_o = self._pos.get(p)
@@ -567,8 +562,7 @@ class Graph(ReadableGraph):
                 return _leaf_len(by_o.get(o))
             return _leaves_len(by_o)
         if o is not None:
-            by_s = self._osp.get(o)
-            return 0 if by_s is None else _leaves_len(by_s)
+            return sum(_leaf_len(by_o.get(o)) for by_o in self._pos.values())
         return self._size
 
     # -- statistics ----------------------------------------------------------
@@ -595,8 +589,9 @@ class Graph(ReadableGraph):
         return len(self._pos)
 
     def distinct_object_count(self) -> int:
-        """Number of distinct objects over all triples — O(1)."""
-        return len(self._osp)
+        """Number of distinct objects over all triples: the union of the
+        POS second-level keys, O(distinct predicate-object pairs)."""
+        return len(set().union(*self._pos.values()))
 
     def __len__(self) -> int:
         return self._size
@@ -607,17 +602,18 @@ class Graph(ReadableGraph):
 
     def nodes(self) -> Iterator[Term]:
         """Distinct terms appearing in subject or object position
-        (walks the index keys, not the triples)."""
+        (walks the index keys, not the triples): the SPO keys, then the
+        POS second-level keys that are not subjects."""
         term = self._dict.term
+        subjects = self._spo
+        for si in subjects:
+            yield term(si)
         seen: Set[int] = set()
-        for si in self._spo:
-            if si not in seen:
-                seen.add(si)
-                yield term(si)
-        for oi in self._osp:
-            if oi not in seen:
-                seen.add(oi)
-                yield term(oi)
+        for by_o in self._pos.values():
+            for oi in by_o:
+                if oi not in subjects and oi not in seen:
+                    seen.add(oi)
+                    yield term(oi)
 
     # -- construction and copies ---------------------------------------------
 
@@ -631,12 +627,11 @@ class Graph(ReadableGraph):
         which is how a mapped snapshot graph becomes a writable one.
         """
         g = cls(name=name, dictionary=dictionary)
-        spo, pos, osp = g._spo, g._pos, g._osp
+        spo, pos = g._spo, g._pos
         size = 0
         for s, p, o in rows:
             if _add_leaf(spo, s, p, o):
                 _add_leaf(pos, p, o, s)
-                _add_leaf(osp, o, s, p)
                 size += 1
         g._size = size
         return g
@@ -644,7 +639,7 @@ class Graph(ReadableGraph):
     def copy(self, name: str = "") -> "Graph":
         """A mutable copy sharing this graph's term dictionary.
 
-        Copies the three indexes structurally (dict comprehensions over
+        Copies the two indexes structurally (dict comprehensions over
         ids; an int leaf is shared, a set leaf copied) instead of re-interning term objects — an order of
         magnitude faster, which matters because the query service
         publishes a copy as the new reader snapshot after every write
@@ -653,15 +648,14 @@ class Graph(ReadableGraph):
         g = Graph(name=name or self.name, dictionary=self._dict)
         g._spo = {s: _copy_inner(by_p) for s, by_p in self._spo.items()}
         g._pos = {p: _copy_inner(by_o) for p, by_o in self._pos.items()}
-        g._osp = {o: _copy_inner(by_s) for o, by_s in self._osp.items()}
         g._size = self._size
         return g
 
     def cow_copy(self, name: str = "") -> "Graph":
-        """A copy-on-write copy: O(distinct subjects/predicates/objects)
+        """A copy-on-write copy: O(distinct subjects + predicates)
         instead of O(triples).
 
-        Only the three *outer* index dicts are copied; the inner dicts
+        Only the two *outer* index dicts are copied; the inner dicts
         and set leaves stay shared until one side mutates the corresponding
         subtree (see :meth:`_privatize`). Both graphs enter CoW mode —
         the source's previous ownership knowledge is reset because every
@@ -673,13 +667,11 @@ class Graph(ReadableGraph):
         g = Graph(name=name or self.name, dictionary=self._dict)
         g._spo = dict(self._spo)
         g._pos = dict(self._pos)
-        g._osp = dict(self._osp)
         g._size = self._size
         g._cow = True
         self._cow = True
         self._owned_s.clear()
         self._owned_p.clear()
-        self._owned_o.clear()
         return g
 
     # -- set operations ------------------------------------------------------

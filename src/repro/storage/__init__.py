@@ -2,7 +2,7 @@
 
 The in-memory substrate (:mod:`repro.rdf`) is RAM-bound and cold start
 replays a full ETL or journal load. This package adds a binary
-snapshot format — SPO/POS/OSP id-triple runs as fixed-width sorted
+snapshot format — SPO and POS id-triple runs as fixed-width sorted
 arrays, and the term dictionary as a shared offset-indexed string
 pool — written atomically and loaded via ``mmap``, so point lookups and
 index scans read the arrays in place without deserializing the graph.

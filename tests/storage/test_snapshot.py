@@ -255,13 +255,15 @@ def test_rejects_future_format_version(tmp_path):
         MappedSnapshot.open(path)
 
 
-def test_rejects_format_1_file(tmp_path):
-    """A file of the retired varint-page format names both versions."""
+@pytest.mark.parametrize("retired", [1, 2])
+def test_rejects_format_1_file(tmp_path, retired):
+    """A file of a retired format (1: varint pages; 2: CSR runs with an
+    OSP order) names both versions."""
     path, raw = _valid_bytes(tmp_path)
-    _with_version(path, raw, 1)
+    _with_version(path, raw, retired)
     with pytest.raises(
         SnapshotFormatError,
-        match=rf"format 1 unsupported \(this build reads {FORMAT_VERSION}\)",
+        match=rf"format {retired} unsupported \(this build reads {FORMAT_VERSION}\)",
     ):
         MappedSnapshot.open(path)
 

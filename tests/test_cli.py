@@ -1,6 +1,7 @@
 """Integration tests for the repro-mdw command line."""
 
 import io
+import json
 import sys
 
 import pytest
@@ -358,6 +359,10 @@ class TestSnapshotFiles:
         out = capsys.readouterr().out
         assert f'"format_version": {FORMAT_VERSION}' in out
         assert '"checksums": "ok"' in out
+        # two runs per graph: SPO and POS
+        info = json.loads(out)
+        runs = [name.rsplit("/", 1)[1] for name in info["sections"] if "/" in name]
+        assert sorted(runs) == sorted(["pos", "spo"] * len(info["graphs"]))
 
         assert main(["snapshot", "attach", str(store_dir)]) == 0
         out = capsys.readouterr().out
