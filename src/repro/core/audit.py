@@ -9,7 +9,8 @@ aggregation for an auditor to answer "what changed, where, since when".
 The journal subscribes to the model graph's change notifications
 (:meth:`Graph.subscribe`), so it sees changes from *every* write path —
 managers, bulk loads, retirements, restores — without instrumentation
-in each of them.
+in each of them. A change arrives as an id triple; the journal is the
+one listener that keeps terms, so it decodes each entry's triple.
 """
 
 from __future__ import annotations
@@ -107,7 +108,9 @@ class AuditJournal:
 
     # -- recording ------------------------------------------------------------
 
-    def _on_change(self, action: str, triple: Triple) -> None:
+    def _on_change(self, action: str, s: int, p: int, o: int) -> None:
+        term = self._graph.dictionary.term
+        triple = Triple(term(s), term(p), term(o))
         with self._lock:
             self._sequence += 1
             entry = AuditEntry(

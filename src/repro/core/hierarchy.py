@@ -28,12 +28,13 @@ class HierarchyManager:
     same subclass closures and instance memberships once per hit, so
     repeated BFS walks are answered from the cache until the graph
     changes. Invalidation is **delta-aware**: the manager subscribes to
-    the graph's change events and, on the next lookup, drops only the
-    entries the changed triples can affect — an incremental release that
-    retypes a handful of instances leaves every reach set cached, and
-    fact-level changes (names, areas, mappings) evict nothing at all.
-    Graphs without change notification (duck-typed doubles) fall back to
-    wholesale clearing on generation change.
+    the graph's change events, notes the changed predicate ids (and, for
+    ``rdf:type``, the subject ids) and, on the next lookup, decodes just
+    those to drop only the entries the changed triples can affect — an
+    incremental release that retypes a handful of instances leaves every
+    reach set cached, and fact-level changes (names, areas, mappings)
+    evict nothing at all. Graphs without change notification (duck-typed
+    doubles) fall back to wholesale clearing on generation change.
     """
 
     def __init__(self, graph):
@@ -55,12 +56,11 @@ class HierarchyManager:
             self._graph.unsubscribe(self._on_change)
             self._tracked = False
 
-    def _on_change(self, action, triple) -> None:
+    def _on_change(self, action: str, s: int, p: int, o: int) -> None:
         if self._dirty_all:
             return
-        predicate = triple.predicate
-        if predicate == RDF.type:
-            self._dirty_instances.add(triple.subject)
+        if p == self._graph.dictionary.lookup(RDF.type):
+            self._dirty_instances.add(s)
             if len(self._dirty_instances) > _DIRTY_LIMIT:
                 self._dirty_all = True
                 self._dirty_instances.clear()
@@ -68,24 +68,23 @@ class HierarchyManager:
         else:
             # only reach keys over this predicate (and, for subClassOf,
             # the classes_of expansions) can be affected
-            self._dirty_preds.add(predicate)
+            self._dirty_preds.add(p)
 
     def _flush_dirty(self) -> None:
         """Evict exactly the entries the pending delta can affect."""
         if self._dirty_all:
             self._cache.clear()
         elif self._dirty_preds or self._dirty_instances:
-            preds = self._dirty_preds
+            term = self._graph.dictionary.term
+            preds = {term(p) for p in self._dirty_preds}
+            instances = {term(s) for s in self._dirty_instances}
             classes_dirty = RDFS.subClassOf in preds
             doomed = [
                 key
                 for key in self._cache
                 if (
                     (key[0] == "reach" and key[2] in preds)
-                    or (
-                        key[0] == "classes_of"
-                        and (classes_dirty or key[1] in self._dirty_instances)
-                    )
+                    or (key[0] == "classes_of" and (classes_dirty or key[1] in instances))
                 )
             ]
             for key in doomed:

@@ -3,18 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Tuple
+from typing import Tuple
 
-from repro.rdf.graph import Graph
-from repro.rdf.terms import Triple
-
-if TYPE_CHECKING:  # pragma: no cover
-    pass
+from repro.rdf.dictionary import DictionaryMismatchError
+from repro.rdf.graph import Graph, ReadableGraph
 
 
 @dataclass(frozen=True)
 class VersionDiff:
-    """Triples added and removed between two graphs.
+    """Triples added and removed between two graphs, as id triples in
+    the dictionary both graphs share.
 
     Satisfies ``apply(old) == new``: applying a diff to (a copy of) the
     old graph reproduces the new one — the property suite checks this.
@@ -32,12 +30,10 @@ class VersionDiff:
         """Total changed triples."""
         return len(self.added) + len(self.removed)
 
-    def apply(self, graph: Graph) -> Graph:
+    def apply(self, graph: ReadableGraph) -> Graph:
         """Return a new graph with the diff applied to ``graph``."""
         out = graph.copy()
-        for t in self.removed:
-            out.discard(t)
-        out.add_all(self.added)
+        self.apply_in_place(out)
         return out
 
     def apply_in_place(self, graph: Graph) -> Tuple[int, int]:
@@ -45,13 +41,19 @@ class VersionDiff:
         effective counts.
 
         This is the O(delta) release-application path: the live model is
-        mutated instead of rebuilt, so graph listeners (entailment-index
-        delta trackers, text-index maintenance, audit) see exactly the
-        changed triples. Convergent: re-applying after a partial crash
-        finishes the job — triples already removed/added are no-ops.
+        mutated instead of rebuilt, in id space, so graph listeners
+        (entailment-index delta trackers, the hierarchy cache, audit)
+        hear exactly the changed id triples. Convergent: re-applying
+        after a partial crash finishes the job — triples already
+        removed/added are no-ops. ``graph`` must intern into the diff's
+        dictionary, else :class:`DictionaryMismatchError`.
         """
-        removed = sum(1 for t in self.removed if graph.discard(t))
-        added = graph.add_all(self.added)
+        if graph.dictionary is not self.added.dictionary:
+            raise DictionaryMismatchError(
+                f"cannot apply a diff to {graph!r}: it interns into another dictionary"
+            )
+        removed = sum(1 for row in self.removed.triples_ids() if graph.discard_ids(*row))
+        added = sum(1 for row in self.added.triples_ids() if graph.add_ids(*row))
         return added, removed
 
     def invert(self) -> "VersionDiff":
@@ -62,27 +64,24 @@ class VersionDiff:
         return f"+{len(self.added)} / -{len(self.removed)} triples"
 
 
-def diff_graphs(old: Graph, new: Graph) -> VersionDiff:
+def diff_graphs(old: ReadableGraph, new: ReadableGraph) -> VersionDiff:
     """Compute the delta from ``old`` to ``new``.
 
-    When both graphs intern into the same dictionary the comparison runs
-    entirely in id space (int probes, no term hashing) and only the
-    delta's triples are ever materialized — the hot path of incremental
-    release loading, where consecutive releases are near-identical.
+    Both graphs must intern into one dictionary (a store's models and
+    versions do), else :class:`DictionaryMismatchError`. The comparison
+    runs entirely in id space — int probes, no term hashing — and the
+    delta's graphs are indexed from the id triples, so no term is
+    decoded: the hot path of incremental release loading, where
+    consecutive releases are near-identical.
     """
     dictionary = old.dictionary
-    if dictionary is new.dictionary:
-        term = dictionary.term
-        added = Graph(name="added", dictionary=dictionary)
-        removed = Graph(name="removed", dictionary=dictionary)
-        for s, p, o in new.triples_ids():
-            if not old.has_ids(s, p, o):
-                added.add(Triple(term(s), term(p), term(o)))
-        for s, p, o in old.triples_ids():
-            if not new.has_ids(s, p, o):
-                removed.add(Triple(term(s), term(p), term(o)))
-        return VersionDiff(added=added, removed=removed)
+    if dictionary is not new.dictionary:
+        raise DictionaryMismatchError(
+            f"cannot diff {old!r} and {new!r}: they intern into different dictionaries"
+        )
+    added = (row for row in new.triples_ids() if not old.has_ids(*row))
+    removed = (row for row in old.triples_ids() if not new.has_ids(*row))
     return VersionDiff(
-        added=Graph((t for t in new if t not in old), name="added"),
-        removed=Graph((t for t in old if t not in new), name="removed"),
+        added=Graph.from_ids(added, dictionary, name="added"),
+        removed=Graph.from_ids(removed, dictionary, name="removed"),
     )

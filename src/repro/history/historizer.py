@@ -171,7 +171,7 @@ class Historizer:
         """Replace the live model's content with a historized version.
 
         Delta-driven: only the triples that differ are touched, so
-        change listeners (entailment delta trackers, the name index)
+        change listeners (entailment delta trackers, the hierarchy cache)
         see the restore as a small release delta, not a full reload.
         """
         version = self.get(name)

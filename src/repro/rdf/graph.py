@@ -294,11 +294,14 @@ class Graph(ReadableGraph):
     # -- change notification ------------------------------------------------
 
     def subscribe(self, listener) -> None:
-        """Register ``listener(action, triple)`` for change events.
+        """Register ``listener(action, s, p, o)`` for change events.
 
-        ``action`` is ``"add"`` or ``"remove"``; only effective changes
-        notify (duplicate adds and missed removes are silent). The audit
-        journal and index-staleness tracking build on this.
+        ``action`` is ``"add"`` or ``"remove"`` and ``s, p, o`` are the
+        changed triple's ids in :attr:`dictionary`: a change is an id
+        triple, and a listener decodes only the terms it keeps. Only
+        effective changes notify (duplicate adds and missed removes are
+        silent). The audit journal and index-staleness tracking build on
+        this.
         """
         self._listeners = (*self._listeners, listener)
 
@@ -317,14 +320,13 @@ class Graph(ReadableGraph):
             raise ValueError(f"cannot store non-ground triple: {triple.n3()}")
         intern = self._dict.intern
         s, p, o = triple
-        return self.add_ids(intern(s), intern(p), intern(o), triple)
+        return self.add_ids(intern(s), intern(p), intern(o))
 
-    def add_ids(self, s: int, p: int, o: int, triple: Optional[Triple] = None) -> bool:
+    def add_ids(self, s: int, p: int, o: int) -> bool:
         """Add the triple with dictionary ids ``(s, p, o)`` — the one
         insert path (:meth:`add` interns and delegates here). The caller
         vouches that the ids form a valid triple. Returns True when it
-        was not present. Listeners get ``triple``, decoded from the ids
-        when the caller passes none."""
+        was not present."""
         self._check_writable()
         if self._cow:
             self._privatize(s, p)
@@ -333,8 +335,8 @@ class Graph(ReadableGraph):
         _add_leaf(self._pos, p, o, s)
         self._size += 1
         self._generation += 1
-        if self._listeners:
-            self._notify("add", triple, s, p, o)
+        for listener in self._listeners:
+            listener("add", s, p, o)
         return True
 
     def add_all(self, triples: Iterable[Triple]) -> int:
@@ -349,15 +351,14 @@ class Graph(ReadableGraph):
     def discard(self, triple: Triple) -> bool:
         """Remove a triple if present. Returns True when it was removed."""
         self._check_writable()
-        if not isinstance(triple, Triple):
-            triple = Triple(*triple)
         lookup = self._dict.lookup
-        si, pi, oi = lookup(triple[0]), lookup(triple[1]), lookup(triple[2])
+        s, p, o = triple
+        si, pi, oi = lookup(s), lookup(p), lookup(o)
         if si is None or pi is None or oi is None:
             return False
-        return self.discard_ids(si, pi, oi, triple)
+        return self.discard_ids(si, pi, oi)
 
-    def discard_ids(self, s: int, p: int, o: int, triple: Optional[Triple] = None) -> bool:
+    def discard_ids(self, s: int, p: int, o: int) -> bool:
         """Remove the triple with dictionary ids ``(s, p, o)`` if present
         — the one delete path (see :meth:`add_ids`)."""
         self._check_writable()
@@ -368,22 +369,13 @@ class Graph(ReadableGraph):
         _discard_leaf(self._pos, p, o, s)
         self._size -= 1
         self._generation += 1
-        if self._listeners:
-            self._notify("remove", triple, s, p, o)
-        return True
-
-    def _notify(self, action: str, triple: Optional[Triple], s: int, p: int, o: int) -> None:
-        if triple is None:
-            term = self._dict.term
-            triple = Triple(term(s), term(p), term(o))
         for listener in self._listeners:
-            listener(action, triple)
+            listener("remove", s, p, o)
+        return True
 
     def remove_pattern(self, s=None, p=None, o=None) -> int:
         """Remove every triple matching the pattern; returns the count.
-
-        Matches are collected and removed in id space; listeners still
-        receive each removed triple decoded."""
+        Matches are collected and removed in id space."""
         encoded = self._encode_pattern(s, p, o)
         if encoded is None:
             return 0
@@ -395,8 +387,8 @@ class Graph(ReadableGraph):
     def clear(self) -> None:
         self._check_writable()
         if self._listeners:
-            for t in list(self.triples()):
-                self.discard(t)
+            for row in list(self.triples_ids()):
+                self.discard_ids(*row)
             return
         if self._size:
             self._generation += 1
@@ -569,10 +561,8 @@ class Graph(ReadableGraph):
 
     def stats(self):
         """The graph's :class:`~repro.rdf.stats.StatsCatalog` (created
-        lazily; it subscribes to change events from then on).
-
-        Copies (:meth:`copy` / :meth:`cow_copy`) do not inherit the
-        catalog — each graph collects its own on first use.
+        lazily). Copies (:meth:`copy` / :meth:`cow_copy`) do not inherit
+        the catalog — each graph collects its own on first use.
         """
         if self._stats is None:
             from repro.rdf.stats import StatsCatalog

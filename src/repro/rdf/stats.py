@@ -12,16 +12,12 @@ indexing idea from PAPERS.md, applied to our own planner).
 One :class:`StatsCatalog` serves every graph — in-memory, mapped or
 copied — because it reads only the graph read contract: a predicate is
 collected lazily, on first request, in one pass over its triples
-(``triples_ids(None, pid, None)``). The catalog subscribes to the
-graph's change events and nets per-predicate drift: triple *counts*
-stay exact (collected count + net drift), while distinct counts and
-heavy hitters are served stale until the accumulated churn crosses
-``refresh_threshold`` × the size at the last refresh — then the memo is
-forgotten (``mdw_planner_stats_refreshes_total``) and each predicate is
-collected again when next requested. The DRed delta trackers check the
-threshold right after incremental release maintenance, so the refresh
-is attributed to the release; the recollection itself happens at the
-next plan that asks for the predicate.
+(``triples_ids(None, pid, None)``), once per predicate per graph
+generation. The memo is keyed on the graph's ``generation``, the rule
+the plan cache, ``cached_count`` and the hierarchy cache follow: a write
+forgets every collected predicate, and each one is collected again when
+the next plan asks for it, so a plan never reads statistics of an older
+graph.
 """
 
 from __future__ import annotations
@@ -30,22 +26,7 @@ import itertools
 from typing import Dict, Optional, Tuple
 
 #: Keep this many heavy hitters per predicate and position.
-DEFAULT_TOP_K = 8
-
-#: Rebuild when net churn exceeds this fraction of the size at build.
-DEFAULT_REFRESH_THRESHOLD = 0.25
-
-
-def _planner_metrics():
-    """The mdw_planner_* stats families (memoized; off every hot path)."""
-    from repro.obs.registry import get_registry
-
-    registry = get_registry()
-    return registry.counter(
-        "mdw_planner_stats_refreshes_total",
-        help="Statistics catalog refreshes, by trigger",
-        labels=("trigger",),
-    )
+TOP_K = 8
 
 
 class PredicateStats:
@@ -111,16 +92,6 @@ class PredicateStats:
             self._wobj = self._weighted(self.top_objects, self.distinct_objects)
         return self._wobj
 
-    def skew(self) -> float:
-        """Ratio of the heaviest subject/object frequency to the mean;
-        1.0 means perfectly uniform."""
-        peaks = []
-        if self.top_subjects and self.distinct_subjects:
-            peaks.append(self.top_subjects[0][1] / self.subject_fanout())
-        if self.top_objects and self.distinct_objects:
-            peaks.append(self.top_objects[0][1] / self.object_fanout())
-        return max(peaks) if peaks else 1.0
-
     def __repr__(self) -> str:
         return (
             f"<PredicateStats p={self.predicate_id} n={self.count} "
@@ -133,76 +104,17 @@ class StatsCatalog:
 
     One catalog serves every kind of graph: a predicate is collected on
     first request, by one pass over ``triples_ids(None, pid, None)`` —
-    the read contract, not any index layout. The catalog subscribes to
-    the graph's change events (a mapped graph never emits any): every
-    event is an O(1) drift bump, and once the churn since the last
-    refresh crosses the threshold the memo is forgotten and predicates
-    are collected afresh on their next request.
+    the read contract, not any index layout — and the collected
+    predicates are forgotten when the graph's generation moves.
     """
 
     _serials = itertools.count(1)
 
-    def __init__(
-        self,
-        graph,
-        refresh_threshold: float = DEFAULT_REFRESH_THRESHOLD,
-        top_k: int = DEFAULT_TOP_K,
-    ):
-        if refresh_threshold <= 0:
-            raise ValueError("refresh_threshold must be positive")
+    def __init__(self, graph):
         self._serial = next(StatsCatalog._serials)
         self._graph = graph
-        self.refresh_threshold = refresh_threshold
-        self.top_k = top_k
         self._predicates: Dict[int, Optional[PredicateStats]] = {}
-        self._refreshed_size = len(graph)
-        # net triple drift per predicate id since it was collected, plus
-        # the total event churn since the last refresh (adds + removes,
-        # never netted: two compensating events still age the distincts)
-        self._drift: Dict[int, int] = {}
-        self._churn = 0
-        self.refreshes = 0
-        graph.subscribe(self._on_change)
-
-    # -- change tracking ----------------------------------------------------
-
-    def _on_change(self, action: str, triple) -> None:
-        pid = self._graph.dictionary.lookup(triple.predicate)
-        if pid is None:  # removal of a term-interned triple always resolves
-            return
-        self._drift[pid] = self._drift.get(pid, 0) + (1 if action == "add" else -1)
-        self._churn += 1
-
-    def close(self) -> None:
-        self._graph.unsubscribe(self._on_change)
-
-    # -- freshness ----------------------------------------------------------
-
-    def is_stale(self) -> bool:
-        """True when enough churn accumulated that the collected distinct
-        counts and histograms can no longer be trusted."""
-        budget = max(1.0, self.refresh_threshold * max(self._refreshed_size, 1))
-        return self._churn > budget
-
-    def ensure_fresh(self, trigger: str = "drift") -> bool:
-        """Forget the collected predicates when stale; True when it did."""
-        if not self.is_stale():
-            return False
-        self._predicates.clear()
-        self._refreshed_size = len(self._graph)
-        self._drift.clear()
-        self._churn = 0
-        self.refreshes += 1
-        _planner_metrics().inc(trigger=trigger)
-        return True
-
-    def state(self) -> Tuple[Tuple[int, int, int], ...]:
-        """Freshness fingerprint after :meth:`ensure_fresh`: a monotonic
-        catalog serial plus the refresh and churn counters. Any change
-        that could alter an answer changes it — merged statistics key
-        on it."""
-        self.ensure_fresh()
-        return ((self._serial, self.refreshes, self._churn),)
+        self._generation = graph.generation
 
     # -- lookups ------------------------------------------------------------
 
@@ -217,10 +129,9 @@ class StatsCatalog:
         count = sum(subjects.values())
         if not count:
             return None
-        top_k = self.top_k
 
         def top(freq: Dict[int, int]) -> Tuple[Tuple[int, int], ...]:
-            return tuple(sorted(freq.items(), key=lambda t: (-t[1], t[0]))[:top_k])
+            return tuple(sorted(freq.items(), key=lambda t: (-t[1], t[0]))[:TOP_K])
 
         return PredicateStats(
             predicate_id,
@@ -232,42 +143,20 @@ class StatsCatalog:
         )
 
     def predicate(self, predicate_id: int) -> Optional[PredicateStats]:
-        """Stats for a predicate id, collected on first request.
-
-        Counts stay exact while stale (collected count + net drift);
-        distinct counts and histograms are the as-collected values until
-        the churn threshold forces a refresh.
-        """
-        self.ensure_fresh()
+        """Stats for a predicate id, collected on first request at the
+        graph's current generation."""
+        generation = self._graph.generation
+        if generation != self._generation:
+            self._predicates.clear()
+            self._generation = generation
         if predicate_id not in self._predicates:
             self._predicates[predicate_id] = self._collect(predicate_id)
-            self._drift.pop(predicate_id, None)
-        stats = self._predicates[predicate_id]
-        drift = self._drift.get(predicate_id, 0)
-        if stats is None:
-            if drift <= 0:
-                return None
-            # predicate appeared entirely after it was collected
-            return PredicateStats(
-                predicate_id, drift,
-                distinct_subjects=max(1, drift), distinct_objects=max(1, drift),
-            )
-        if not drift:
-            return stats
-        corrected = max(0, stats.count + drift)
-        return PredicateStats(
-            predicate_id,
-            corrected,
-            distinct_subjects=min(stats.distinct_subjects, corrected) or (1 if corrected else 0),
-            distinct_objects=min(stats.distinct_objects, corrected) or (1 if corrected else 0),
-            top_subjects=stats.top_subjects,
-            top_objects=stats.top_objects,
-        )
+        return self._predicates[predicate_id]
 
     def __repr__(self) -> str:
         return (
             f"<StatsCatalog {self._graph.name!r} "
-            f"predicates={len(self._predicates)} churn={self._churn}>"
+            f"predicates={len(self._predicates)} generation={self._generation}>"
         )
 
 
@@ -286,21 +175,17 @@ class CombinedStats:
 
     # Merged results cached across instances: GraphView.stats() builds a
     # fresh CombinedStats per call, so the cache must outlive any one
-    # wrapper. Keyed by catalog identity (monotonic serial, never a
-    # reusable id()) plus each layer's refresh/churn counters — any
-    # change that could alter a layer's answer changes the key.
+    # wrapper. Keyed by each layer catalog's serial (monotonic, never a
+    # reusable id()) and its graph's generation — any change that could
+    # alter a layer's answer moves the key.
     _merge_cache: Dict[tuple, Optional[PredicateStats]] = {}
     _MERGE_CACHE_CAP = 4096
 
     def __init__(self, catalogs):
         self._catalogs = tuple(catalogs)
 
-    def state(self) -> Tuple[Tuple[int, int, int], ...]:
-        """The layers' freshness fingerprints (see :meth:`StatsCatalog.state`)."""
-        return sum((c.state() for c in self._catalogs), ())
-
     def predicate(self, predicate_id: int) -> Optional[PredicateStats]:
-        key = (predicate_id,) + self.state()
+        key = (predicate_id, *((c._serial, c._graph.generation) for c in self._catalogs))
         cache = CombinedStats._merge_cache
         if key in cache:
             return cache[key]

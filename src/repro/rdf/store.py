@@ -192,10 +192,6 @@ class TripleStore:
         derived.name = f"{model}[{rulebase}]"
         self._indexes[(model, rulebase)] = derived
         self._index_base_generation[(model, rulebase)] = self._models[model].generation
-        # derived triples just changed wholesale relative to whatever a
-        # planner saw before; fold the churn into the stats catalog now
-        # (no-op unless the catalog already existed and drifted)
-        derived.stats().ensure_fresh(trigger="index-attach")
 
     def detach_index(self, model: str, rulebase: str) -> None:
         self._indexes.pop((model, rulebase), None)
@@ -248,11 +244,6 @@ class TripleStore:
         return GraphView(layers, disjoint_hint=disjoint)
 
     # -- aggregate statistics ------------------------------------------------------
-
-    def stats_catalog(self, model: str):
-        """The planner statistics catalog of a model's graph (see
-        :mod:`repro.rdf.stats`)."""
-        return self.model(model).stats()
 
     def total_triples(self, include_indexes: bool = False) -> int:
         total = sum(len(g) for g in self._models.values())

@@ -45,7 +45,7 @@ from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 from repro.obs.trace import span
 from repro.rdf.dictionary import DictionaryMismatchError
 from repro.rdf.graph import Graph, IdTriple, ReadableGraph
-from repro.rdf.terms import IRI, BNode, Triple, Variable
+from repro.rdf.terms import IRI, BNode, Variable
 from repro.reasoning.rulebase import Rulebase
 
 #: the graphs one premise is matched against
@@ -279,16 +279,18 @@ def closure(
 def maintain_closure(
     base: ReadableGraph,
     derived: Graph,
-    added: Iterable[Triple],
-    removed: Iterable[Triple],
+    added: Iterable[IdTriple],
+    removed: Iterable[IdTriple],
     rulebase: Rulebase,
 ) -> InferenceReport:
     """DRed maintenance of an existing derived-only closure.
 
-    ``base`` must already reflect the delta: ``added`` inserted,
-    ``removed`` deleted. ``derived`` (in ``base``'s dictionary) becomes
-    what ``closure(base, rulebase)`` would produce — the index path a
-    release load takes instead of a rebuild.
+    ``added`` and ``removed`` are id triples in ``base``'s dictionary
+    (a :class:`~repro.reasoning.index.DeltaTracker`'s netted delta), and
+    ``base`` must already reflect them: ``added`` inserted, ``removed``
+    deleted. ``derived`` (in ``base``'s dictionary) becomes what
+    ``closure(base, rulebase)`` would produce — the index path a release
+    load takes instead of a rebuild.
     """
     started = time.perf_counter()
     report = InferenceReport(
@@ -299,8 +301,8 @@ def maintain_closure(
         raise DictionaryMismatchError(
             "maintain_closure needs derived in base's dictionary"
         )
-    added_g = Graph(added, dictionary=dictionary)
-    removed_g = Graph(removed, dictionary=dictionary)
+    added_g = Graph.from_ids(added, dictionary)
+    removed_g = Graph.from_ids(removed, dictionary)
     engine = _Engine(base, rulebase, report)
     with span(
         "dred.maintain", "reasoning",

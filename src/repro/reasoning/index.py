@@ -21,9 +21,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs.trace import span
-from repro.rdf.graph import Graph, as_writable
+from repro.rdf.graph import Graph, IdTriple, as_writable
 from repro.rdf.store import TripleStore
-from repro.rdf.terms import Triple
 from repro.reasoning.engine import (
     InferenceReport,
     closure,
@@ -44,7 +43,7 @@ class DeltaTracker:
     Subscribes to the graph's change notifications. Because the graph
     only notifies *effective* changes, events on one triple strictly
     alternate (add, remove, add, ...), so an even number of events nets
-    to nothing — the tracker's dictionary holds exactly the triples
+    to nothing — the tracker's dictionary holds exactly the id triples
     whose membership differs from the marked state.
     """
 
@@ -52,7 +51,7 @@ class DeltaTracker:
 
     def __init__(self, graph: Graph):
         self._graph = graph
-        self._net: Dict[Triple, str] = {}
+        self._net: Dict[IdTriple, str] = {}
         self._overflown = False
         self._limit = max(_TRACKER_MIN_LIMIT, len(graph))
         graph.subscribe(self._on_change)
@@ -60,13 +59,14 @@ class DeltaTracker:
     def close(self) -> None:
         self._graph.unsubscribe(self._on_change)
 
-    def _on_change(self, action: str, triple: Triple) -> None:
+    def _on_change(self, action: str, s: int, p: int, o: int) -> None:
         if self._overflown:
             return
         sign = "+" if action == "add" else "-"
-        previous = self._net.pop(triple, None)
+        row = (s, p, o)
+        previous = self._net.pop(row, None)
         if previous is None:
-            self._net[triple] = sign
+            self._net[row] = sign
             if len(self._net) > self._limit:
                 self._overflown = True
                 self._net.clear()
@@ -84,10 +84,11 @@ class DeltaTracker:
     def overflown(self) -> bool:
         return self._overflown
 
-    def peek(self) -> Tuple[List[Triple], List[Triple]]:
-        """(added, removed) since the mark, without consuming them."""
-        added = [t for t, sign in self._net.items() if sign == "+"]
-        removed = [t for t, sign in self._net.items() if sign == "-"]
+    def peek(self) -> Tuple[List[IdTriple], List[IdTriple]]:
+        """(added, removed) id triples since the mark, without consuming
+        them."""
+        added = [row for row, sign in self._net.items() if sign == "+"]
+        removed = [row for row, sign in self._net.items() if sign == "-"]
         return added, removed
 
     def mark(self) -> None:
@@ -186,11 +187,6 @@ class EntailmentIndexManager:
                 tracker._net.clear()
                 raise
         tracker.mark()
-        # the same netted delta that drove DRed also drifted the planner's
-        # statistics catalog; past its staleness threshold it forgets its
-        # predicates now, attributed to the release, and recollects each
-        # one when the next plan asks for it
-        base.stats().ensure_fresh(trigger="dred-refresh")
         # re-attach to refresh the store's disjointness stamp (the index
         # object is unchanged; only its base-generation bookkeeping moves)
         self._store.attach_index(model, rb.name, derived)

@@ -147,8 +147,9 @@ class SearchService:
         if thesaurus is None and callable(subscribe):
             subscribe(self._on_graph_change)
 
-    def _on_graph_change(self, action, triple) -> None:
-        if triple.predicate in (TERMS.synonym_of, TERMS.homonym_of):
+    def _on_graph_change(self, action: str, s: int, p: int, o: int) -> None:
+        lookup = self._mdw.graph.dictionary.lookup
+        if p == lookup(TERMS.synonym_of) or p == lookup(TERMS.homonym_of):
             self._thesaurus = None
 
     @property

@@ -83,13 +83,14 @@ def _row_triple(row: Sequence[str]) -> Triple:
 def diff_stores(old: TripleStore, new: TripleStore) -> List[SegmentEntry]:
     """Per-graph deltas between two stores (models and indexes).
 
-    Graphs present on one side only diff against an empty graph. Order
+    The stores share one id space (else ``DictionaryMismatchError``);
+    graphs present on one side only diff against an empty graph. Order
     is deterministic (models, then indexes, each sorted by key).
     """
     entries: List[SegmentEntry] = []
     for name in sorted(set(old.model_names()) | set(new.model_names())):
-        before = old.model(name) if old.has_model(name) else Graph()
-        after = new.model(name) if new.has_model(name) else Graph()
+        before = old.model(name) if old.has_model(name) else Graph(dictionary=old.dictionary)
+        after = new.model(name) if new.has_model(name) else Graph(dictionary=new.dictionary)
         diff = diff_graphs(before, after)
         if not diff.is_empty:
             entries.append(
@@ -99,8 +100,8 @@ def diff_stores(old: TripleStore, new: TripleStore) -> List[SegmentEntry]:
             )
     index_keys = sorted(set(old.index_names()) | set(new.index_names()))
     for model, rulebase in index_keys:
-        before = old.index(model, rulebase) or Graph()
-        after = new.index(model, rulebase) or Graph()
+        before = old.index(model, rulebase) or Graph(dictionary=old.dictionary)
+        after = new.index(model, rulebase) or Graph(dictionary=new.dictionary)
         diff = diff_graphs(before, after)
         if not diff.is_empty:
             entries.append(

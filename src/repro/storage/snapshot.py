@@ -408,6 +408,21 @@ class MappedGraph(ReadableGraph):
             return sum(self._pos.count((pp, o)) for pp in self._pos.firsts())
         return self._size
 
+    def nodes(self) -> Iterator[Term]:
+        """Distinct terms in subject or object position, read off the run
+        keys (no triple is visited): the SPO run's first level, then each
+        POS group's second level, decoding each node once."""
+        term = self._dict.term
+        subjects = self._spo.firsts()
+        for si in subjects:
+            yield term(si)
+        seen = set(subjects)
+        for p in self._pos.firsts():
+            for oi in self._pos.seconds(p):
+                if oi not in seen:
+                    seen.add(oi)
+                    yield term(oi)
+
     def stats(self):
         """The graph's :class:`~repro.rdf.stats.StatsCatalog`."""
         if self._stats is None:

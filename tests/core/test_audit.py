@@ -13,39 +13,43 @@ def t(i):
     return Triple(EX[f"s{i}"], EX.p, Literal(i))
 
 
+def ids(g, triple):
+    return tuple(g.dictionary.lookup(x) for x in triple)
+
+
 class TestGraphListeners:
     def test_add_notifies(self):
         g = Graph()
         events = []
-        g.subscribe(lambda action, triple: events.append((action, triple)))
+        g.subscribe(lambda action, *row: events.append((action, row)))
         g.add(t(1))
-        assert events == [("add", t(1))]
+        assert events == [("add", ids(g, t(1)))]
 
     def test_duplicate_add_silent(self):
         g = Graph([t(1)])
         events = []
-        g.subscribe(lambda a, tr: events.append(a))
+        g.subscribe(lambda a, s, p, o: events.append(a))
         g.add(t(1))
         assert events == []
 
     def test_remove_notifies(self):
         g = Graph([t(1)])
         events = []
-        g.subscribe(lambda a, tr: events.append((a, tr)))
+        g.subscribe(lambda a, *row: events.append((a, row)))
         g.remove(t(1))
-        assert events == [("remove", t(1))]
+        assert events == [("remove", ids(g, t(1)))]
 
     def test_missed_remove_silent(self):
         g = Graph()
         events = []
-        g.subscribe(lambda a, tr: events.append(a))
+        g.subscribe(lambda a, s, p, o: events.append(a))
         g.discard(t(1))
         assert events == []
 
     def test_clear_notifies_each(self):
         g = Graph([t(1), t(2)])
         events = []
-        g.subscribe(lambda a, tr: events.append(a))
+        g.subscribe(lambda a, s, p, o: events.append(a))
         g.clear()
         assert events == ["remove", "remove"]
         assert len(g) == 0
@@ -53,7 +57,7 @@ class TestGraphListeners:
     def test_unsubscribe(self):
         g = Graph()
         events = []
-        listener = lambda a, tr: events.append(a)
+        listener = lambda a, s, p, o: events.append(a)
         g.subscribe(listener)
         g.unsubscribe(listener)
         g.add(t(1))
@@ -62,8 +66,8 @@ class TestGraphListeners:
     def test_multiple_listeners(self):
         g = Graph()
         a_events, b_events = [], []
-        g.subscribe(lambda a, tr: a_events.append(a))
-        g.subscribe(lambda a, tr: b_events.append(a))
+        g.subscribe(lambda a, s, p, o: a_events.append(a))
+        g.subscribe(lambda a, s, p, o: b_events.append(a))
         g.add(t(1))
         assert a_events == ["add"] and b_events == ["add"]
 

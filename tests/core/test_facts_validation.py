@@ -143,7 +143,7 @@ class TestRelationships:
         # holding the mapping node must read back
         from repro.core.facts import mapping_node
         from repro.rdf.staging import parse_lexical_term
-        from repro.storage import MappedSnapshot
+        from repro.server.snapshot import SnapshotManager
         from repro.storage.segments import publish_segment
 
         assert mapping_node(EX.a, EX.b).label == "map_a__b"
@@ -153,7 +153,8 @@ class TestRelationships:
 
         base = tmp_path / "base.mdws"
         mdw.save_snapshot(base, generation=1)
-        before = MappedSnapshot.open(base).store(mutable_models=())
+        # the segment diffs two states of the live id space
+        before = SnapshotManager(mdw).pin().warehouse.store
         node = mdw.facts.add_mapping(odd[0], EX.t, rule="r")
         assert parse_lexical_term(node.n3()) == node
         full = tmp_path / "full.mdws"

@@ -44,6 +44,9 @@ class TestDeltaInvalidation:
         g, h = build()
         warm(h)
         g.add(Triple(EX.c1, RDF.type, EX.Item))
+        # the change event is an id triple: the retyped subject's id waits
+        # for the next lookup, which decodes it to evict its expansion
+        assert h._dirty_instances == {g.dictionary.lookup(EX.c1)} and not h._dirty_preds
         assert h.classes_of(EX.c1) == {EX.Column, EX.Attribute, EX.Item}
         # c2's expansion and every reach set survived the flush
         assert ("classes_of", EX.c2) in h._cache
@@ -53,6 +56,7 @@ class TestDeltaInvalidation:
         g, h = build()
         warm(h)
         g.add(Triple(EX.Item, RDFS.subClassOf, EX.Root))
+        assert h._dirty_preds == {g.dictionary.lookup(RDFS.subClassOf)}
         assert EX.Root in h.superclasses(EX.Column)
         assert h.classes_of(EX.c1) == {EX.Column, EX.Attribute, EX.Item, EX.Root}
         # the property hierarchy is over a different predicate: untouched

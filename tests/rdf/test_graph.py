@@ -84,15 +84,14 @@ class TestAddRemove:
         n = graph.add_all([t("x", "knows", "y"), t("alice", "knows", "bob")])
         assert n == 1
 
-    def test_id_insert_and_delete_notify_decoded_triples(self, graph):
+    def test_id_insert_and_delete_notify_id_triples(self, graph):
         events = []
-        graph.subscribe(lambda action, triple: events.append((action, triple)))
+        graph.subscribe(lambda action, s, p, o: events.append((action, (s, p, o))))
         ids = tuple(graph.dictionary.intern(x) for x in t("carol", "knows", "alice"))
         assert graph.add_ids(*ids) and not graph.add_ids(*ids)
         assert t("carol", "knows", "alice") in graph and graph.has_ids(*ids)
         assert graph.discard_ids(*ids) and not graph.discard_ids(*ids)
-        triple = t("carol", "knows", "alice")
-        assert events == [("add", triple), ("remove", triple)]
+        assert events == [("add", ids), ("remove", ids)]
         assert len(graph) == 4
 
 

@@ -124,6 +124,11 @@ def test_every_graph_answers_the_read_contract_alike(tmp_path, triples, layer_se
                 assert g == other, (name, other_name)
             assert not g == Graph([Triple(UNKNOWN, UNKNOWN, UNKNOWN)]), name
 
+        # a mapped graph reads its nodes off the run keys, a graph off its
+        # index keys: the same set and the same count
+        assert set(graphs["mapped"].nodes()) == set(graphs["graph"].nodes())
+        assert graphs["mapped"].node_count() == graphs["graph"].node_count()
+
         # the distinct counts are exact for a graph and a mapped graph;
         # a view sums its layers' counts, an upper bound by design (the
         # planner's probe divisor), so the views are left out

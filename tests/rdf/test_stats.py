@@ -1,15 +1,16 @@
 """The statistics catalog behind the cost-based planner.
 
-Collection correctness, drift tolerance between rebuilds (counts exact,
-distincts served stale until the churn threshold), and the layer-merge
-semantics of :class:`CombinedStats` — in particular that distinct counts
-take the max across layers, not the sum, so a base model stacked with
-its entailment index does not double-count shared subjects.
+Collection correctness, freshness (the collected predicates are keyed
+on the graph's generation, so the request after a write reads what a
+fresh catalog would), and the layer-merge semantics of
+:class:`CombinedStats` — in particular that distinct counts take the
+max across layers, not the sum, so a base model stacked with its
+entailment index does not double-count shared subjects.
 """
 
 import pytest
 
-from repro.rdf import CombinedStats, Graph, Namespace, Triple
+from repro.rdf import CombinedStats, Graph, Namespace, StatsCatalog, Triple
 
 EX = Namespace("http://stats.test/")
 
@@ -47,32 +48,43 @@ class TestCatalogCollection:
         assert g.stats().predicate(10**9) is None
 
 
-class TestDriftTolerance:
-    def test_count_exact_while_stale(self):
+def fields(stats):
+    """Every collected value of a PredicateStats (None stays None)."""
+    if stats is None:
+        return None
+    return (
+        stats.predicate_id, stats.count, stats.distinct_subjects,
+        stats.distinct_objects, stats.top_subjects, stats.top_objects,
+    )
+
+
+class TestGenerationKeyed:
+    def test_next_request_after_a_write_is_exact(self):
         g = skewed_graph()
         catalog = g.stats()
         pid = g.dictionary.lookup(EX.p)
-        catalog.predicate(pid)  # build
-        refreshes = catalog.refreshes
+        catalog.predicate(pid)  # collected at this generation
         g.add(Triple(EX.extra, EX.p, EX.o0))
         stats = catalog.predicate(pid)
-        # one add is below the churn threshold: no rebuild, but the
-        # count is corrected by the net drift
-        assert catalog.refreshes == refreshes
-        assert stats.count == 11
+        # the generation moved: recollected, so one write is enough for
+        # the distincts and the heavy hitters to be exact, not only the count
+        assert (stats.count, stats.distinct_subjects, stats.distinct_objects) == (11, 11, 3)
+        assert fields(stats) == fields(StatsCatalog(g).predicate(pid))
 
-    def test_rebuild_past_churn_threshold(self):
+    def test_no_write_keeps_the_collected_stats(self):
+        g = skewed_graph()
+        pid = g.dictionary.lookup(EX.p)
+        assert g.stats().predicate(pid) is g.stats().predicate(pid)
+
+    def test_a_predicate_that_appears_after_collection(self):
         g = skewed_graph()
         catalog = g.stats()
-        pid = g.dictionary.lookup(EX.p)
-        catalog.predicate(pid)
-        refreshes = catalog.refreshes
-        for i in range(10):  # churn 10 > 0.25 x 10 built triples
-            g.add(Triple(EX[f"extra{i}"], EX.p, EX.o0))
-        stats = catalog.predicate(pid)
-        assert catalog.refreshes == refreshes + 1
-        # the rebuild recollected distincts exactly
-        assert stats.distinct_subjects == 20
+        g.add(Triple(EX.a, EX.q, EX.b))
+        qid = g.dictionary.lookup(EX.q)
+        g.discard(Triple(EX.a, EX.q, EX.b))
+        assert catalog.predicate(qid) is None
+        g.add(Triple(EX.a, EX.q, EX.b))
+        assert catalog.predicate(qid).count == 1
 
 
 class TestCombinedStatsMerge:

@@ -28,6 +28,13 @@ from repro.reasoning import (
 EX = Namespace("http://x/")
 
 
+def id_rows(graph, triples):
+    """``triples`` as id triples in ``graph``'s dictionary: the delta
+    ``maintain_closure`` takes."""
+    intern = graph.dictionary.intern
+    return [tuple(intern(x) for x in t) for t in triples]
+
+
 def hierarchy_graph():
     g = Graph()
     g.add(Triple(EX.ViewColumn, RDFS.subClassOf, EX.Attribute))
@@ -207,7 +214,7 @@ class TestExtendClosure:
         derived, _ = closure(g, OWLPRIME)
         new_triple = Triple(EX.n4, EX.isMappedTo, EX.n5)
         g.add(new_triple)
-        maintain_closure(g, derived, [new_triple], (), OWLPRIME)
+        maintain_closure(g, derived, id_rows(g, [new_triple]), (), OWLPRIME)
         full, _ = closure(g, OWLPRIME)
         assert set(derived) == set(full)
 
@@ -216,7 +223,7 @@ class TestExtendClosure:
         derived, _ = closure(g, RDFS_RULEBASE)
         added = Triple(EX.Item, RDFS.subClassOf, EX.Anything)
         g.add(added)
-        maintain_closure(g, derived, [added], (), RDFS_RULEBASE)
+        maintain_closure(g, derived, id_rows(g, [added]), (), RDFS_RULEBASE)
         assert Triple(EX.customer_id, RDF.type, EX.Anything) in derived
 
 

@@ -10,6 +10,7 @@ import random
 import pytest
 
 import repro.reasoning.index as index_module
+from repro.history import diff_graphs
 from repro.rdf import Graph, Namespace, RDF, RDFS, TermDictionary, Triple, TripleStore
 from repro.rdf.ntriples import serialize_ntriples
 from repro.reasoning import (
@@ -35,6 +36,13 @@ def diamond_graph():
     return g
 
 
+def id_rows(graph, triples):
+    """``triples`` as id triples in ``graph``'s dictionary: the delta
+    ``maintain_closure`` takes."""
+    intern = graph.dictionary.intern
+    return [tuple(intern(x) for x in t) for t in triples]
+
+
 def assert_equals_rebuild(base, derived, rulebase=RDFS_RULEBASE):
     rebuilt, _ = closure(base, rulebase)
     assert serialize_ntriples(derived) == serialize_ntriples(rebuilt)
@@ -57,7 +65,7 @@ class TestDredRetraction:
 
         gone = Triple(EX.x, RDF.type, EX.C)
         base.discard(gone)
-        report = maintain_closure(base, derived, (), [gone], RDFS_RULEBASE)
+        report = maintain_closure(base, derived, (), id_rows(base, [gone]), RDFS_RULEBASE)
 
         # everything the retracted premise supported is gone for good
         assert Triple(EX.x, RDF.type, EX.A) not in derived
@@ -73,7 +81,7 @@ class TestDredRetraction:
         # overdeletes it, rederivation brings it back through the other
         gone = Triple(EX.A, RDFS.subClassOf, EX.T)
         base.discard(gone)
-        report = maintain_closure(base, derived, (), [gone], RDFS_RULEBASE)
+        report = maintain_closure(base, derived, (), id_rows(base, [gone]), RDFS_RULEBASE)
 
         assert Triple(EX.C, RDFS.subClassOf, EX.T) in derived
         assert Triple(EX.x, RDF.type, EX.T) in derived
@@ -92,7 +100,7 @@ class TestDredRetraction:
         assert asserted not in derived
 
         base.discard(asserted)
-        maintain_closure(base, derived, (), [asserted], RDFS_RULEBASE)
+        maintain_closure(base, derived, (), id_rows(base, [asserted]), RDFS_RULEBASE)
         assert asserted in derived
         assert_equals_rebuild(base, derived)
 
@@ -103,7 +111,7 @@ class TestDredRetraction:
         assert promoted in derived
 
         base.add(promoted)
-        maintain_closure(base, derived, [promoted], (), RDFS_RULEBASE)
+        maintain_closure(base, derived, id_rows(base, [promoted]), (), RDFS_RULEBASE)
         assert promoted not in derived
         assert_equals_rebuild(base, derived)
 
@@ -115,7 +123,7 @@ class TestDredRetraction:
             Triple(EX.y, RDF.type, EX.B),
         ]
         base.add_all(added)
-        report = maintain_closure(base, derived, added, (), RDFS_RULEBASE)
+        report = maintain_closure(base, derived, id_rows(base, added), (), RDFS_RULEBASE)
         assert report.mode == "incremental"
         assert Triple(EX.y, RDF.type, EX.Root) in derived
         assert_equals_rebuild(base, derived)
@@ -147,7 +155,7 @@ class TestDeltaTracker:
         removed = Triple(EX.x, RDF.type, EX.C)
         g.add(added)
         g.discard(removed)
-        assert tracker.peek() == ([added], [removed])
+        assert tracker.peek() == (id_rows(g, [added]), id_rows(g, [removed]))
         tracker.mark()
         assert not tracker.dirty
 
@@ -215,6 +223,10 @@ class TestManagerRefresh:
 
 
 class TestRandomizedEquivalence:
+    """The whole id path of a release: ``diff_graphs`` → ``apply_in_place``
+    → the model's ``DeltaTracker`` → ``EntailmentIndexManager.refresh``
+    (DRed), against a ``closure()`` rebuild after every wave."""
+
     @pytest.mark.parametrize("seed", range(6))
     def test_maintain_matches_rebuild(self, seed):
         rng = random.Random(seed)
@@ -236,13 +248,40 @@ class TestRandomizedEquivalence:
         for _ in range(40):
             base.add(random_triple())
         for rulebase in (RDFS_RULEBASE, OWLPRIME):
-            work = base.copy()
-            derived, _ = closure(work, rulebase)
-            for _ in range(4):  # several consecutive maintenance waves
-                removed = [t for t in work if rng.random() < 0.15]
-                added = [random_triple() for _ in range(6)]
-                for t in removed:
-                    work.discard(t)
-                added = [t for t in added if work.add(t)]
-                maintain_closure(work, derived, added, removed, rulebase)
-                assert_equals_rebuild(work, derived, rulebase)
+            store = TripleStore()
+            work = store.create_model("M")
+            work.add_all(base)
+            manager = EntailmentIndexManager(store)
+            manager.build("M", rulebase.name)
+            tracker = manager._trackers[("M", rulebase.name)]
+            for _ in range(4):  # several consecutive release waves
+                desired = work.copy()
+                for t in [t for t in work if rng.random() < 0.15]:
+                    desired.discard(t)
+                desired.add_all(random_triple() for _ in range(6))
+                diff = diff_graphs(work, desired)
+                expected = sorted(
+                    [("add", row) for row in diff.added.triples_ids()]
+                    + [("remove", row) for row in diff.removed.triples_ids()]
+                )
+                heard = ([], [])
+                listeners = [
+                    lambda action, *row, log=log: log.append((action, row)) for log in heard
+                ]
+                for listener in listeners:
+                    work.subscribe(listener)
+                diff.apply_in_place(work)
+                for listener in listeners:
+                    work.unsubscribe(listener)
+                # every listener heard each id row of the diff exactly once
+                assert [sorted(log) for log in heard] == [expected, expected]
+                added, removed = tracker.peek()
+                assert (sorted(added), sorted(removed)) == (
+                    sorted(diff.added.triples_ids()),
+                    sorted(diff.removed.triples_ids()),
+                )
+                assert work == desired
+                report = manager.refresh("M", rulebase.name)
+                assert (report is None) == diff.is_empty
+                assert report is None or report.mode == "incremental"
+                assert_equals_rebuild(work, store.index("M", rulebase.name), rulebase)

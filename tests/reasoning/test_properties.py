@@ -8,6 +8,13 @@ from repro.reasoning import OWLPRIME, RDFS_RULEBASE, closure, maintain_closure
 
 EX = Namespace("http://x/")
 
+
+def id_rows(graph, triples):
+    """``triples`` as id triples in ``graph``'s dictionary: the delta
+    ``maintain_closure`` takes."""
+    intern = graph.dictionary.intern
+    return [tuple(intern(x) for x in t) for t in triples]
+
 # small vocabularies keep the closure sizes manageable while still
 # exercising cycles, diamonds, and self-loops
 _classes = st.sampled_from([EX[f"C{i}"] for i in range(6)])
@@ -95,7 +102,7 @@ def test_incremental_equals_batch(subclasses, types, new_edge):
     if added in g:
         return
     g.add(added)
-    maintain_closure(g, derived, [added], (), RDFS_RULEBASE)
+    maintain_closure(g, derived, id_rows(g, [added]), (), RDFS_RULEBASE)
     batch, _ = closure(g, RDFS_RULEBASE)
     # incremental result may retain triples that the batch run would
     # classify as base (added edge could equal a previously-derived one);
@@ -216,7 +223,7 @@ def test_owlprime_dred_equals_rebuild(triples, additions, removals):
     before = len(derived)
     promoted = sum(1 for t in added if t in derived)
 
-    report = maintain_closure(g, derived, added, removed, OWLPRIME)
+    report = maintain_closure(g, derived, id_rows(g, added), id_rows(g, removed), OWLPRIME)
     rebuilt, full = closure(g, OWLPRIME)
     assert set(derived) == set(rebuilt)
     assert report.derived_triples == full.derived_triples

@@ -12,7 +12,7 @@ import pytest
 from repro.core.audit import AuditJournal
 from repro.rdf.graph import Graph
 from repro.rdf.namespace import NamespaceManager
-from repro.rdf.terms import IRI, Literal, Triple
+from repro.rdf.terms import IRI, Literal
 from repro.sparql.plancache import PlanCache
 from repro.synth import LandscapeConfig, generate_landscape
 
@@ -142,21 +142,29 @@ class TestRegexCaches:
 
 
 class TestAuditJournal:
-    def _triple(self, index, round_number):
-        return Triple(
-            IRI(f"urn:item:{index}"),
-            IRI("urn:p:changed"),
-            Literal(f"v{round_number}"),
-        )
+    def _rows(self, graph):
+        """The id triple each (thread, round) journals — a listener hears
+        ids; interned up front, outside the contending threads."""
+        intern = graph.dictionary.intern
+        return {
+            (index, round_number): (
+                intern(IRI(f"urn:item:{index}")),
+                intern(IRI("urn:p:changed")),
+                intern(Literal(f"v{round_number}")),
+            )
+            for index in range(THREADS)
+            for round_number in range(ROUNDS)
+        }
 
     def test_concurrent_appends_no_lost_or_duplicate_sequences(self):
         graph = Graph(name="audit-hammer")
         journal = AuditJournal(graph, capacity=THREADS * ROUNDS + 10)
+        rows = self._rows(graph)
 
         def worker(index):
             for round_number in range(ROUNDS):
                 action = "add" if round_number % 2 == 0 else "remove"
-                journal._on_change(action, self._triple(index, round_number))
+                journal._on_change(action, *rows[index, round_number])
 
         hammer(worker)
         total = THREADS * ROUNDS
@@ -171,10 +179,11 @@ class TestAuditJournal:
     def test_ring_eviction_under_contention(self):
         graph = Graph(name="audit-ring")
         journal = AuditJournal(graph, capacity=50)
+        rows = self._rows(graph)
 
         def worker(index):
             for round_number in range(ROUNDS):
-                journal._on_change("add", self._triple(index, round_number))
+                journal._on_change("add", *rows[index, round_number])
 
         hammer(worker)
         assert len(journal) == 50  # bounded
@@ -188,9 +197,10 @@ class TestAuditJournal:
     def test_request_attribution_filter(self):
         graph = Graph(name="audit-request")
         journal = AuditJournal(graph, capacity=100)
+        rows = self._rows(graph)
         with journal.request_context("w-42"):
-            journal._on_change("add", self._triple(1, 1))
-        journal._on_change("add", self._triple(2, 2))
+            journal._on_change("add", *rows[1, 1])
+        journal._on_change("add", *rows[2, 2])
         attributed = journal.entries(request_id="w-42")
         assert len(attributed) == 1
         assert attributed[0].request_id == "w-42"

@@ -14,6 +14,7 @@ import pytest
 
 from repro.rdf.ntriples import serialize_ntriples
 from repro.rdf.terms import IRI, Literal, Triple
+from repro.server.snapshot import SnapshotManager
 from repro.storage import (
     MappedSnapshot,
     StorageError,
@@ -91,7 +92,8 @@ def tiny_files(tmp_path_factory):
     mdw = generate_landscape(LandscapeConfig.tiny(seed=2012)).warehouse
     mdw.build_entailment_index()
     base = mdw.save_snapshot(root / "base.mdws", generation=1)
-    old = MappedSnapshot.open(base).store(mutable_models=())
+    # the segment diffs two states of the live id space
+    old = SnapshotManager(mdw).pin().warehouse.store
     graph = mdw.graph
     for triple in list(graph)[:5]:
         graph.discard(triple)

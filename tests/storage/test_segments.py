@@ -55,6 +55,18 @@ def _snapshot_of(store, path, generation):
     return save_snapshot_store(store, path, generation=generation)
 
 
+def _copy_of(store: TripleStore) -> TripleStore:
+    """The store's state now, in its dictionary: a segment diffs two
+    states of one id space (an attached file has a dictionary of its
+    own)."""
+    copy = TripleStore()
+    for name in store.model_names():
+        copy.adopt_model(name, store.model(name).copy())
+    for model, rulebase in store.index_names():
+        copy.attach_index(model, rulebase, store.index(model, rulebase).copy())
+    return copy
+
+
 def test_segment_roundtrip(tmp_path):
     old = _base_store()
     new = _base_store()
@@ -70,7 +82,7 @@ def test_segment_roundtrip(tmp_path):
 def test_segment_is_o_delta_sized(tmp_path):
     store = _base_store()
     full_path = _snapshot_of(store, tmp_path / "full.mdws", 1)
-    old = MappedSnapshot.open(full_path).store(mutable_models=())
+    old = _copy_of(store)
     _evolve(store, 1)
     seg_path = publish_segment(old, store, tmp_path / "d.seg", 1, 2)
     full_size = full_path.stat().st_size
@@ -86,7 +98,7 @@ def test_replay_is_bit_identical_to_full_save(tmp_path):
 
     # chain three releases, each diffed against the previous live state
     segments = []
-    prev = MappedSnapshot.open(base_path).store(mutable_models=())
+    prev = _copy_of(live)
     generation = 10
     for round_no in (1, 2, 3):
         _evolve(live, round_no)
@@ -94,8 +106,7 @@ def test_replay_is_bit_identical_to_full_save(tmp_path):
         publish_segment(prev, live, seg, generation, generation + 1)
         segments.append(seg)
         generation += 1
-        prev_path = _snapshot_of(live, tmp_path / f"state-{round_no}.mdws", generation)
-        prev = MappedSnapshot.open(prev_path).store(mutable_models=())
+        prev = _copy_of(live)
 
     attached = MappedSnapshot.open(base_path).store(mutable_models=())
     final_gen = apply_segments(attached, segments, base_generation=10)

@@ -357,7 +357,6 @@ def test_frozen_flag_roundtrips(tmp_path):
 def test_stats_parity_with_in_memory_catalog(tmp_path):
     store = _store()
     original = store.model("DWH_CURR")
-    original.stats().ensure_fresh(trigger="test")
     path = save_snapshot_store(store, tmp_path / "s.mdws")
     mapped = MappedSnapshot.open(path).store(mutable_models=()).model("DWH_CURR")
     for predicate in (RDF.type, IRI(f"{NS}hasName")):
