@@ -28,7 +28,7 @@ from typing import List, Optional
 
 from repro.core import MetadataWarehouse, TERMS
 from repro.core.vocabulary import MDW
-from repro.errors import InvalidOption
+from repro.errors import InvalidOption, InvalidRequest
 from repro.services import SearchFilters
 
 _AREAS = {
@@ -498,11 +498,10 @@ def cmd_sql(args) -> None:
         if not path.exists():
             raise CliError(f"no such file: {path}")
         text = path.read_text(encoding="utf-8")
-    from repro.oracle import SemSqlError
-
     try:
         rows = mdw.sem_sql(text)
-    except SemSqlError as exc:
+    except InvalidRequest as exc:
+        # SemSqlError, or the SparqlParseError of the statement's pattern
         raise CliError(str(exc)) from None
     if args.csv:
         print(rows.to_csv(), end="")

@@ -76,7 +76,7 @@ class WorkerLost(QueryServiceError):
     """A fork-mode worker process died while executing a request.
 
     Before this error existed, a child killed mid-request surfaced as an
-    opaque ``EOFError`` / broken pipe from the response queue. Now the
+    opaque ``EOFError`` / broken pipe from the child's pipe. Now the
     parent maps every symptom of a dead child — the liveness check, a
     truncated pickle, a closed pipe — to this one typed error carrying
     the ``request_id`` it was executing (for slow-query-log attribution)

@@ -5,10 +5,17 @@ it in parallel — the interpreter lock serializes them. For throughput
 scaling the service pairs each worker thread with a **forked child
 process**: the child attaches the pinned snapshot's published ``.mdws``
 file by ``mmap`` (no serialization of the model; the kernel shares the
-page cache across every child), evaluates requests it receives over a
-queue, and ships results back pickled. The parent worker thread keeps
-owning admission, deadlines, and metrics (the service's settlement);
-the child only computes.
+page cache across every child), evaluates requests it receives over
+one duplex pipe, and ships results back pickled on the same pipe. The
+parent worker thread keeps owning admission, deadlines, and metrics
+(the service's settlement); the child only computes.
+
+The pipe is a plain ``Connection``: the owner thread ``send``s a
+request and ``poll``s/``recv``s the reply, the child ``recv``s and
+``send``s. No feeder thread runs on either side, so pickling happens in
+the ``send`` call itself: a result or error that will not pickle raises
+in the child, which answers with a typed :class:`QueryServiceError`
+instead.
 
 Children are disposable by design:
 
@@ -17,7 +24,7 @@ Children are disposable by design:
 * a write republishes the snapshot, so each worker thread discards its
   child (attached to a superseded file) and forks a fresh one lazily.
 
-Fork start method only (children inherit the queues and the armed
+Fork start method only (children inherit their pipe end and the armed
 fault injector). On platforms without ``fork`` (Windows), use the
 default thread mode.
 
@@ -35,7 +42,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
-import queue as _queue
 import threading
 import time
 from dataclasses import dataclass
@@ -48,8 +54,8 @@ from repro.server.errors import (
     WorkerLost,
 )
 
-#: How often the parent polls the response queue while also watching the
-#: request's cancel token (seconds).
+#: How often the parent polls the pipe while also watching the request's
+#: cancel token and the child's liveness (seconds).
 _POLL = 0.05
 
 
@@ -136,7 +142,7 @@ class _PulseToken:
         return self._inner.expired
 
 
-def _child_main(spec, dispatch, request_queue, response_queue, heartbeat=None) -> None:
+def _child_main(spec, dispatch, conn, heartbeat=None) -> None:
     """The forked child's request loop.
 
     ``spec`` names the published snapshot file the child attaches;
@@ -177,7 +183,10 @@ def _child_main(spec, dispatch, request_queue, response_queue, heartbeat=None) -
             pass
 
     while True:
-        message = request_queue.get()
+        try:
+            message = conn.recv()
+        except EOFError:  # the parent closed its end
+            break
         if message is None:
             break
         _beat()
@@ -213,26 +222,24 @@ def _child_main(spec, dispatch, request_queue, response_queue, heartbeat=None) -
                 uninstall_tracer()
             extras = _child_extras(tracer, prof)
             try:
-                response_queue.put((False, exc, extras))
+                conn.send((False, exc, extras))
             except Exception:
                 # the error itself would not pickle; degrade to a typed
                 # service error carrying its repr
-                response_queue.put((False, QueryServiceError(repr(exc)), None))
+                conn.send((False, QueryServiceError(repr(exc)), None))
             continue
         if tracer is not None:
             uninstall_tracer()
         extras = _child_extras(tracer, prof)
         _beat()
         try:
-            response_queue.put((True, result, extras))
+            conn.send((True, result, extras))
         except Exception as exc:
-            response_queue.put(
-                (False, QueryServiceError(f"unpicklable result: {exc!r}"), None)
-            )
+            conn.send((False, QueryServiceError(f"unpicklable result: {exc!r}"), None))
 
 
 class ForkWorker:
-    """One forked child plus the queues to talk to it.
+    """One forked child plus the duplex pipe to talk to it.
 
     Owned by exactly one parent worker thread; not itself thread-safe.
     ``generation`` records which snapshot the child attached, so the
@@ -255,24 +262,19 @@ class ForkWorker:
             schema_ns=mdw.schema.namespace,
             instance_ns=mdw.facts.namespace,
         )
-        self._request_queue = ctx.Queue()
-        self._response_queue = ctx.Queue()
+        self._conn, child_conn = ctx.Pipe()
         # the progress watermark: single writer (the child), readers only
         # in the parent — a raw shared double, no lock on the hot path
         self._heartbeat = ctx.Value("d", time.monotonic(), lock=False)
         self._process = ctx.Process(
             target=_child_main,
-            args=(
-                spec,
-                dispatch,
-                self._request_queue,
-                self._response_queue,
-                self._heartbeat,
-            ),
+            args=(spec, dispatch, child_conn, self._heartbeat),
             name=f"{name}-forked",
             daemon=True,
         )
         self._process.start()
+        # only the child may hold its end: a dead child then reads as EOF
+        child_conn.close()
 
     @property
     def alive(self) -> bool:
@@ -290,16 +292,16 @@ class ForkWorker:
         """Seconds since the child last proved progress.
 
         Only meaningful while the child is busy: an idle child blocks in
-        its request-queue ``get`` and legitimately stops bumping.
+        its pipe ``recv`` and legitimately stops bumping.
         """
         return time.monotonic() - self._heartbeat.value
 
     def kill_child(self) -> None:
-        """SIGKILL the child without touching the queues.
+        """SIGKILL the child without touching the pipe.
 
-        The supervisor's hammer for hung children. Queue teardown stays
+        The supervisor's hammer for hung children. Pipe teardown stays
         with the owner thread (:meth:`run` / :meth:`stop`): it is the
-        sole user of the pipes, so the kill is safe from any thread.
+        sole user of the pipe, so the kill is safe from any thread.
         """
         try:
             self._process.kill()
@@ -332,57 +334,55 @@ class ForkWorker:
         token = request.token
         # capture() here (not request.trace_ctx): run() executes inside
         # the worker's request span, so the child's spans nest under it
+        conn = self._conn
         try:
-            self._request_queue.put((
-                request.kind,
-                request.payload,
-                token.remaining(),
-                capture(),
-            ))
-        except (OSError, ValueError) as exc:
-            # the feeder pipe is gone (child died and the queue closed)
+            conn.send((request.kind, request.payload, token.remaining(), capture()))
+        except OSError as exc:
+            # the pipe is gone (the child died and its end closed)
             self._kill()
             raise WorkerLost(
                 request.request_id, self._process.exitcode, detail=repr(exc)
             ) from None
         while True:
             try:
-                ok, value, extras = self._response_queue.get(timeout=_POLL)
-            except _queue.Empty:
-                if token.cancelled:
-                    self._kill()
-                    raise Cancelled()
-                remaining = token.remaining()
-                if remaining is not None and remaining < -(token.timeout * 0.2 + 0.05):
-                    # grace past the deadline for the child's own
-                    # cooperative DeadlineExceeded to arrive first
-                    self._kill()
-                    raise DeadlineExceeded(token.timeout, token.elapsed())
-                if not self._process.is_alive() and self._response_queue.empty():
-                    exitcode = self._process.exitcode
-                    self._kill()
-                    raise WorkerLost(request.request_id, exitcode)
-                continue
-            except (EOFError, BrokenPipeError, OSError, pickle.UnpicklingError) as exc:
-                # the child died mid-put: the pipe carries a truncated
-                # pickle (or nothing); same verdict as a clean death
+                if conn.poll(_POLL):
+                    ok, value, extras = conn.recv()
+                    break
+            except (EOFError, OSError, pickle.UnpicklingError) as exc:
+                # the child died (mid-send, or with the pipe empty): EOF
+                # or a truncated pickle, same verdict as a clean death
                 exitcode = self._process.exitcode
                 self._kill()
                 raise WorkerLost(
                     request.request_id, exitcode, detail=repr(exc)
                 ) from None
-            if extras:
-                extras_sink.append(extras)
-            if ok:
-                return value
-            raise value
+            if token.cancelled:
+                self._kill()
+                raise Cancelled()
+            remaining = token.remaining()
+            if remaining is not None and remaining < -(token.timeout * 0.2 + 0.05):
+                # grace past the deadline for the child's own
+                # cooperative DeadlineExceeded to arrive first
+                self._kill()
+                raise DeadlineExceeded(token.timeout, token.elapsed())
+            # a sibling forked before ``child_conn.close()`` holds a copy
+            # of the child's end, so a death need not read as EOF
+            if not self._process.is_alive() and not conn.poll():
+                exitcode = self._process.exitcode
+                self._kill()
+                raise WorkerLost(request.request_id, exitcode)
+        if extras:
+            extras_sink.append(extras)
+        if ok:
+            return value
+        raise value
 
     def stop(self, grace: float = 2.0) -> None:
         """Shut the child down, forcefully after ``grace`` seconds."""
         if self._process.is_alive():
             try:
-                self._request_queue.put(None)
-            except Exception:
+                self._conn.send(None)
+            except OSError:
                 pass
             self._process.join(timeout=grace)
         self._kill()
@@ -391,8 +391,7 @@ class ForkWorker:
         if self._process.is_alive():
             self._process.terminate()
             self._process.join(timeout=2.0)
-        self._request_queue.close()
-        self._response_queue.close()
+        self._conn.close()
 
     def __repr__(self) -> str:
         state = "alive" if self.alive else "dead"

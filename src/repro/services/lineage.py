@@ -110,22 +110,11 @@ class LineageService:
 
     def edge(self, source: Term, target: Term) -> LineageEdge:
         """The mapping edge (source → target) with rule/condition text."""
-        rule = condition = None
-        graph = self._mdw.graph
-        for mapping in graph.objects(source, TERMS.has_mapping):
-            if graph.value(mapping, TERMS.mapping_target, None) == target:
-                rule_lit = graph.value(mapping, TERMS.mapping_rule, None)
-                cond_lit = graph.value(mapping, TERMS.mapping_condition, None)
-                rule = rule_lit.lexical if isinstance(rule_lit, Literal) else None
-                condition = cond_lit.lexical if isinstance(cond_lit, Literal) else None
-                break
-        return LineageEdge(source, target, rule, condition)
-
-    def _neighbours(self, item: Term, direction: str) -> List[Term]:
-        graph = self._mdw.graph
-        if direction == "downstream":
-            return sorted(graph.objects(item, TERMS.is_mapped_to), key=lambda t: t.sort_key())
-        return sorted(graph.subjects(TERMS.is_mapped_to, item), key=lambda t: t.sort_key())
+        ids = _MappingIds(self._mdw.graph)
+        s, t = ids.lookup(source), ids.lookup(target)
+        if s is None or t is None:
+            return LineageEdge(source, target)
+        return ids.edge(s, t, source, target)
 
     # -- traces ------------------------------------------------------------
 
@@ -147,27 +136,30 @@ class LineageService:
             raise InvalidOption("direction must be 'upstream' or 'downstream'")
         trace = LineageTrace(start=item, direction=direction)
         trace.depth[item] = 0
-        frontier = [item]
-        visited = {item}
+        downstream = direction == "downstream"
         with span("operator", "lineage", op="trace", direction=direction) as attrs:
-            while frontier:
-                nxt: List[Term] = []
-                for current in frontier:
-                    current_depth = trace.depth[current]
-                    if max_depth is not None and current_depth >= max_depth:
-                        continue
-                    for neighbour in self._neighbours(current, direction):
-                        if direction == "downstream":
-                            edge = self.edge(current, neighbour)
+            ids = _MappingIds(self._mdw.graph)
+            start = ids.lookup(item)
+            # every node of one BFS level sits at the same depth
+            frontier = [] if start is None else [(start, item)]
+            visited = {start}
+            level = 0
+            while frontier and (max_depth is None or level < max_depth):
+                level += 1
+                nxt: List[Tuple[int, Term]] = []
+                for current_id, current in frontier:
+                    for neighbour_id, neighbour in ids.neighbours(current_id, direction):
+                        if downstream:
+                            edge = ids.edge(current_id, neighbour_id, current, neighbour)
                         else:
-                            edge = self.edge(neighbour, current)
+                            edge = ids.edge(neighbour_id, current_id, neighbour, current)
                         if condition_filter is not None and not condition_filter(edge):
                             continue
                         trace.edges.append(edge)
-                        if neighbour not in visited:
-                            visited.add(neighbour)
-                            trace.depth[neighbour] = current_depth + 1
-                            nxt.append(neighbour)
+                        if neighbour_id not in visited:
+                            visited.add(neighbour_id)
+                            trace.depth[neighbour] = level
+                            nxt.append((neighbour_id, neighbour))
                 frontier = nxt
             attrs["edges"] = len(trace.edges)
         return trace
@@ -220,27 +212,31 @@ class LineageService:
 
         Raises :class:`PathExplosionError` beyond ``max_paths``.
         """
+        ids = _MappingIds(self._mdw.graph)
+        source_id, target_id = ids.lookup(source), ids.lookup(target)
+        if source_id is None:
+            return [[source]] if source == target else []
         out: List[List[Term]] = []
 
-        def walk(node: Term, path: List[Term], seen: Set[Term]):
-            if node == target:
+        def walk(node: int, path: List[Term], seen: Set[int]):
+            if node == target_id:
                 out.append(list(path))
                 if len(out) > max_paths:
                     raise PathExplosionError(max_paths)
                 return
-            for neighbour in self._neighbours(node, "downstream"):
-                if neighbour in seen:
+            for neighbour_id, neighbour in ids.neighbours(node, "downstream"):
+                if neighbour_id in seen:
                     continue
-                edge = self.edge(node, neighbour)
+                edge = ids.edge(node, neighbour_id, path[-1], neighbour)
                 if condition_filter is not None and not condition_filter(edge):
                     continue
                 path.append(neighbour)
-                seen.add(neighbour)
-                walk(neighbour, path, seen)
-                seen.discard(neighbour)
+                seen.add(neighbour_id)
+                walk(neighbour_id, path, seen)
+                seen.discard(neighbour_id)
                 path.pop()
 
-        walk(source, [source], {source})
+        walk(source_id, [source], {source_id})
         return out
 
     def count_paths(
@@ -256,38 +252,43 @@ class LineageService:
 
         Falls back to bounded enumeration when the flow graph has cycles.
         """
-        memo: Dict[Term, int] = {}
-        on_stack: Set[Term] = set()
+        ids = _MappingIds(self._mdw.graph)
+        start = ids.lookup(item)
+        if start is None:
+            return 1
+        downstream = direction == "downstream"
+        memo: Dict[int, int] = {}
+        on_stack: Set[int] = set()
 
-        def count(node: Term) -> int:
+        def count(node: int, term: Term) -> int:
             if node in memo:
                 return memo[node]
             if node in on_stack:
                 raise _CycleFound()
             on_stack.add(node)
             neighbours = []
-            for neighbour in self._neighbours(node, direction):
-                if direction == "downstream":
-                    edge = self.edge(node, neighbour)
+            for neighbour_id, neighbour in ids.neighbours(node, direction):
+                if downstream:
+                    edge = ids.edge(node, neighbour_id, term, neighbour)
                 else:
-                    edge = self.edge(neighbour, node)
+                    edge = ids.edge(neighbour_id, node, neighbour, term)
                 if condition_filter is None or condition_filter(edge):
-                    neighbours.append(neighbour)
-            total = 1 if not neighbours else sum(count(n) for n in neighbours)
+                    neighbours.append((neighbour_id, neighbour))
+            total = 1 if not neighbours else sum(count(*n) for n in neighbours)
             on_stack.discard(node)
             memo[node] = total
             return total
 
         try:
-            return count(item)
+            return count(start, item)
         except _CycleFound:
             # cycles: count simple paths by bounded DFS
             total = 0
-            stack = [(item, {item})]
+            stack = [(start, {start})]
             while stack:
                 node, seen = stack.pop()
                 neighbours = [
-                    n for n in self._neighbours(node, direction) if n not in seen
+                    n for n, _ in ids.neighbours(node, direction) if n not in seen
                 ]
                 if not neighbours:
                     total += 1
@@ -355,3 +356,67 @@ class LineageService:
 
 class _CycleFound(Exception):
     pass
+
+
+class _MappingIds:
+    """One call's id-space view of the mapping edges.
+
+    The mapping predicates are looked up once; the walks follow
+    ``triples_ids`` and decode only the terms a :class:`LineageEdge`
+    returns: each neighbour, and the rule and condition literals.
+    """
+
+    __slots__ = (
+        "lookup", "_rows", "_term", "_mapped_to", "_has_mapping",
+        "_target", "_rule", "_condition",
+    )
+
+    def __init__(self, graph):
+        dictionary = graph.dictionary
+        self.lookup = lookup = dictionary.lookup
+        self._rows = graph.triples_ids
+        self._term = dictionary.term
+        self._mapped_to = lookup(TERMS.is_mapped_to)
+        self._has_mapping = lookup(TERMS.has_mapping)
+        self._target = lookup(TERMS.mapping_target)
+        self._rule = lookup(TERMS.mapping_rule)
+        self._condition = lookup(TERMS.mapping_condition)
+
+    def neighbours(self, node: int, direction: str) -> List[Tuple[int, Term]]:
+        """``(id, term)`` of each item one mapping hop away, in term order."""
+        if self._mapped_to is None:
+            return []
+        if direction == "downstream":
+            found = [o for _, _, o in self._rows(node, self._mapped_to, None)]
+        else:
+            found = [s for s, _, _ in self._rows(None, self._mapped_to, node)]
+        term = self._term
+        pairs = [(i, term(i)) for i in found]
+        pairs.sort(key=lambda pair: pair[1].sort_key())
+        return pairs
+
+    def edge(self, s: int, t: int, source: Term, target: Term) -> LineageEdge:
+        """The edge ``s → t`` read from the first ``hasMapping`` node of
+        ``s`` whose first ``mappingTarget`` is ``t``."""
+        if self._has_mapping is not None and self._target is not None:
+            rows = self._rows
+            for _, _, mapping in rows(s, self._has_mapping, None):
+                # one read of the mapping node's rows; a predicate's
+                # first row is the one a bound-predicate read yields first
+                first: Dict[int, int] = {}
+                for _, p, o in rows(mapping, None, None):
+                    first.setdefault(p, o)
+                if first.get(self._target) == t:
+                    return LineageEdge(
+                        source,
+                        target,
+                        self._lexical(first.get(self._rule)),
+                        self._lexical(first.get(self._condition)),
+                    )
+        return LineageEdge(source, target)
+
+    def _lexical(self, tid: Optional[int]) -> Optional[str]:
+        if tid is None:
+            return None
+        value = self._term(tid)
+        return value.lexical if isinstance(value, Literal) else None

@@ -211,6 +211,18 @@ class TestSql:
         bad.write_text("SELECT FROM nothing")
         assert main(["sql", str(store_dir), str(bad)]) == 2
 
+    def test_sql_unbound_prefix(self, store_dir, tmp_path, capsys):
+        """A pattern prefix no SEM_ALIAS binds is a parse error of the
+        statement: ``error: ...`` and exit 2, not a traceback."""
+        bad = tmp_path / "unbound.sql"
+        bad.write_text(
+            "SELECT c FROM TABLE(SEM_MATCH({cs:ci rdf:type ?c}, "
+            "SEM_MODELS('DWH_CURR'), null))"
+        )
+        assert main(["sql", str(store_dir), str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestUpdateCommand:
     def test_update_rejecting_nonconformant(self, tmp_path, capsys):
