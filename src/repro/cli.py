@@ -143,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     s_attach.add_argument("file", help="snapshot file to attach")
     s_attach.add_argument(
         "--segment", action="append", default=[], metavar="FILE",
-        help="delta segment to replay on top (repeatable, chain order)",
+        help="delta segment to layer on top (repeatable, chain order)",
     )
 
     s_info = snap_sub.add_parser(
@@ -449,9 +449,6 @@ def _snapshot_historize(args) -> None:
 
 
 def _snapshot_attach(args) -> None:
-    for seg in args.segment:
-        if not Path(seg).is_file():
-            raise CliError(f"no such segment file: {seg}")
     mdw = MetadataWarehouse.attach_snapshot(args.file, segments=args.segment)
     for name in mdw.store.model_names():
         print(f"model {name:<16} {len(mdw.store.model(name)):>10} triple(s)")

@@ -84,10 +84,6 @@ class AuditJournal:
             raise ValueError("epoch label must be non-empty")
         self._epoch = label
 
-    @property
-    def current_epoch(self) -> str:
-        return self._epoch
-
     # -- request attribution -------------------------------------------------
 
     @contextmanager

@@ -225,7 +225,9 @@ class MetadataWarehouse:
         """Persist the whole store (current model, historized versions,
         entailment indexes) as one mmap-able binary snapshot file.
 
-        Atomic and checksummed; ``generation`` defaults to the current
+        Atomic and checksummed; the newest version is saved in full and
+        each older one as a reverse delta against the next newer one
+        when that is smaller. ``generation`` defaults to the current
         model's change counter (the stamp delta segments chain on).
         """
         from repro.storage import save_snapshot_store
@@ -245,20 +247,19 @@ class MetadataWarehouse:
         start: nothing is deserialized up front, queries read pages
         straight from the mapping.
 
-        ``segments`` is a chain of delta-segment paths to replay on top
-        of the base (their base generations are verified against the
+        A historized version saved as a reverse delta comes back as one
+        read-only layered graph over the next newer version.
+        ``segments`` is a chain of delta-segment paths layered on top of
+        the base (their base generations are verified against the
         snapshot's stamp). ``mutable_models`` materializes the named
-        models for writing — ``None`` means every model saved unfrozen,
-        the reopen-to-write case; the default keeps everything mapped
-        and read-only.
+        models for writing, after the layering — ``None`` means every
+        model saved unfrozen, the reopen-to-write case; the default
+        keeps everything mapped and read-only.
         """
         from repro.storage import MappedSnapshot, apply_segments
 
         snap = MappedSnapshot.open(path)
-        store = snap.store(mutable_models=mutable_models)
-        if segments:
-            apply_segments(store, list(segments), base_generation=snap.generation)
-        return cls(model=model, store=store)
+        return cls(model=model, store=apply_segments(snap, segments, mutable_models))
 
     def as_of(self, version_name: str) -> "MetadataWarehouse":
         """A read-only warehouse over a historized version.

@@ -96,11 +96,3 @@ def import_ontology(
     if staging is not None:
         staging.insert_triples(graph, source=source)
     return graph
-
-
-def ontology_roundtrip_equal(graph: Graph) -> bool:
-    """True when export → import reproduces the schema subset exactly
-    (used by tests and the pipeline's self-check)."""
-    exported = export_ontology(graph)
-    reimported = import_ontology(exported)
-    return reimported == import_ontology(export_ontology(reimported))

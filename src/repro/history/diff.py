@@ -72,15 +72,20 @@ def diff_graphs(old: ReadableGraph, new: ReadableGraph) -> VersionDiff:
     runs entirely in id space — int probes, no term hashing — and the
     delta's graphs are indexed from the id triples, so no term is
     decoded: the hot path of incremental release loading, where
-    consecutive releases are near-identical.
+    consecutive releases are near-identical. Two in-memory graphs skip
+    every subject entry they share or agree on
+    (:meth:`~repro.rdf.graph.Graph.rows_not_in`).
     """
     dictionary = old.dictionary
     if dictionary is not new.dictionary:
         raise DictionaryMismatchError(
             f"cannot diff {old!r} and {new!r}: they intern into different dictionaries"
         )
-    added = (row for row in new.triples_ids() if not old.has_ids(*row))
-    removed = (row for row in old.triples_ids() if not new.has_ids(*row))
+    if isinstance(old, Graph) and isinstance(new, Graph):
+        added, removed = new.rows_not_in(old), old.rows_not_in(new)
+    else:
+        added = (row for row in new.triples_ids() if not old.has_ids(*row))
+        removed = (row for row in old.triples_ids() if not new.has_ids(*row))
     return VersionDiff(
         added=Graph.from_ids(added, dictionary, name="added"),
         removed=Graph.from_ids(removed, dictionary, name="removed"),

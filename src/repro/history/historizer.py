@@ -1,20 +1,23 @@
 """Snapshotting models into historization tables.
 
-The historizer copies the *complete* current graph per release — the
-paper historizes each graph fully rather than storing deltas, trading
-space for trivially correct as-of queries. Snapshots live in the same
+The historizer captures the *complete* current graph per release, as
+the paper historizes each graph fully. Versions live in the same
 :class:`TripleStore` under ``HIST_<name>`` model names, so historical
 versions remain queryable through SEM_MATCH like any model.
 
-In memory the copies are cheap (copy-on-write); a saved store carries
-every version in its ``.mdws`` snapshot file, and a historizer over the
-reopened store re-registers them. ``MetadataWarehouse.as_of(name)`` is
-the as-of query path over a version.
+In memory a version is a copy-on-write copy of the live model. On disk
+the ``.mdws`` snapshot keeps the newest version in full and each older
+one as a reverse delta against the next newer version
+(:func:`repro.storage.save_snapshot_store`); attached, such a version is
+one read-only layered graph that still answers in full. A historizer
+over the reopened store re-registers them. ``MetadataWarehouse.as_of``
+is the as-of query path over a version.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import re
+from typing import Dict, Iterable, List, Optional
 
 from repro.rdf.store import TripleStore
 
@@ -22,11 +25,22 @@ from repro.history.diff import VersionDiff, diff_graphs
 from repro.history.version import Version
 
 
+HIST_PREFIX = "HIST_"
+
+
 def _natural_key(name: str):
     """Sort key treating digit runs numerically (R2 < R10)."""
-    import re
-
     return [int(p) if p.isdigit() else p for p in re.split(r"(\d+)", name)]
+
+
+def version_models(model_names: Iterable[str]) -> List[str]:
+    """The ``HIST_*`` names among ``model_names``, oldest first (digit
+    runs compare as numbers: ``2009.R10`` follows ``2009.R2``). The
+    snapshot writer saves each as a delta against the next one."""
+    return sorted(
+        (m for m in model_names if m.startswith(HIST_PREFIX)),
+        key=lambda m: _natural_key(m[len(HIST_PREFIX):]),
+    )
 
 
 class HistorizationError(ValueError):
@@ -35,8 +49,6 @@ class HistorizationError(ValueError):
 
 class Historizer:
     """Manages the versioned history of one model in a store."""
-
-    HIST_PREFIX = "HIST_"
 
     def __init__(self, store: TripleStore, model: str = "DWH_CURR"):
         self._store = store
@@ -49,30 +61,25 @@ class Historizer:
         """Adopt historized models already present in the store.
 
         A reopened (persisted) store carries its ``HIST_*`` models; they
-        are re-registered here in lexicographic name order — release
-        names like ``2009.R1`` sort chronologically by construction.
+        are re-registered oldest first (:func:`version_models`).
         """
-        names = sorted(
-            (
-                m[len(self.HIST_PREFIX):]
-                for m in self._store.model_names()
-                if m.startswith(self.HIST_PREFIX)
-            ),
-            key=_natural_key,  # so 2009.R10 sorts after 2009.R2
-        )
-        for name in names:
-            graph = self._store.model(self.HIST_PREFIX + name)
+        for hist_model in version_models(self._store.model_names()):
+            graph = self._store.model(hist_model)
             if not graph.frozen:
                 graph.freeze()
-            self._versions[name] = Version(
-                sequence=len(self._order) + 1,
-                name=name,
-                graph=graph,
-                node_count=graph.node_count(),
-                edge_count=len(graph),
-                parent=self._order[-1] if self._order else None,
-            )
-            self._order.append(name)
+            self._register(hist_model[len(HIST_PREFIX):], graph)
+
+    def _register(self, name: str, graph) -> Version:
+        version = Version(
+            sequence=len(self._order) + 1,
+            name=name,
+            graph=graph,
+            edge_count=len(graph),
+            parent=self._order[-1] if self._order else None,
+        )
+        self._versions[name] = version
+        self._order.append(name)
+        return version
 
     @property
     def model(self) -> str:
@@ -87,7 +94,7 @@ class Historizer:
         if name in self._versions:
             raise HistorizationError(f"version {name!r} already exists")
         current = self._store.model(self._model)
-        hist_model = self.HIST_PREFIX + name
+        hist_model = HIST_PREFIX + name
         # copy-on-write capture: O(distinct terms) instead of O(triples),
         # and the frozen side never privatizes — the live model pays a
         # small privatization cost only for subtrees the next release's
@@ -95,17 +102,7 @@ class Historizer:
         frozen = current.cow_copy(hist_model)
         frozen.freeze()
         self._store.adopt_model(hist_model, frozen)
-        version = Version(
-            sequence=len(self._order) + 1,
-            name=name,
-            graph=frozen,
-            node_count=frozen.node_count(),
-            edge_count=len(frozen),
-            parent=self._order[-1] if self._order else None,
-        )
-        self._versions[name] = version
-        self._order.append(name)
-        return version
+        return self._register(name, frozen)
 
     # -- retrieval ----------------------------------------------------------
 
@@ -151,7 +148,7 @@ class Historizer:
         for version in self.versions():
             entry = {
                 "name": version.name,
-                "nodes": version.node_count,
+                "nodes": version.graph.node_count(),
                 "edges": version.edge_count,
                 "edge_growth": None,
             }

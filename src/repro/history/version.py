@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.rdf.graph import Graph
+from repro.rdf.graph import ReadableGraph
 
 
 @dataclass(frozen=True)
@@ -19,8 +19,7 @@ class Version:
 
     sequence: int
     name: str
-    graph: Graph
-    node_count: int
+    graph: ReadableGraph
     edge_count: int
     parent: Optional[str] = None  # name of the preceding version
 
@@ -31,5 +30,5 @@ class Version:
     def summary(self) -> str:
         return (
             f"version {self.name} (#{self.sequence}): "
-            f"{self.node_count} nodes, {self.edge_count} edges"
+            f"{self.graph.node_count()} nodes, {self.edge_count} edges"
         )

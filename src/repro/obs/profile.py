@@ -57,15 +57,6 @@ class OperatorStats:
         self.est_rows_out = est_rows_out
         self.calls = calls
 
-    def estimate_error(self) -> Optional[float]:
-        """Estimate-vs-actual row ratio (>= 1.0; 1.0 = perfect), or
-        None when the stage ran without an estimate."""
-        if self.est_rows_out is None:
-            return None
-        worse = max(self.est_rows_out, self.rows_out)
-        better = min(self.est_rows_out, self.rows_out)
-        return (worse + 1.0) / (better + 1.0)
-
     def snapshot(self) -> Dict[str, object]:
         return {
             "op": self.op,

@@ -225,9 +225,6 @@ class _Gauge:
             if value > self._value:
                 self._value = float(value)
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
     def set_function(self, fn: Callable[[], float]) -> None:
         with self._lock:
             self._fn = fn

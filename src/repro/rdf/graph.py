@@ -32,7 +32,8 @@ has an id space. When the caller can prove the layers pairwise disjoint
 ``disjoint_hint=True`` skips the per-triple dedup set.
 
 :class:`ReadableGraph` is the read contract all of them share — ``Graph``,
-``GraphView`` and the storage tier's
+``GraphView``, :class:`LayeredGraph` (a base minus removed plus added
+rows: how a saved delta attaches) and the storage tier's
 :class:`~repro.storage.snapshot.MappedGraph` supply id-level primitives
 and inherit every term-level read from it, so the SPO/POS layout is
 :class:`Graph`'s decision alone.
@@ -40,6 +41,7 @@ and inherit every term-level read from it, so the SPO/POS layout is
 
 from __future__ import annotations
 
+from array import array
 from itertools import chain
 from typing import Dict, Iterable, Iterator, Optional, Set, Tuple, Union
 
@@ -512,6 +514,21 @@ class Graph(ReadableGraph):
                         for obj in objs:
                             yield (subj, pred, obj)
 
+    def rows_not_in(self, other: "Graph") -> Iterator[IdTriple]:
+        """The rows of this graph that ``other`` lacks, in SPO order. A
+        subject entry both share (:meth:`cow_copy` shares each until a
+        side writes it) or that compares equal is skipped whole: the cost
+        is O(distinct subjects) plus the entries that differ."""
+        theirs, has = other._spo, other.has_ids
+        for s, by_p in self._spo.items():
+            other_by_p = theirs.get(s)
+            if other_by_p is by_p or other_by_p == by_p:
+                continue
+            for p, leaf in by_p.items():
+                for o in (leaf,) if type(leaf) is int else leaf:
+                    if not has(s, p, o):
+                        yield (s, p, o)
+
     def distinct_object_ids(self, p: int) -> Iterable[int]:
         """The keys of ``p``'s POS entry (copied: a writer may add to it)."""
         return list(self._pos.get(p, ()))
@@ -604,6 +621,38 @@ class Graph(ReadableGraph):
                 if oi not in subjects and oi not in seen:
                     seen.add(oi)
                     yield term(oi)
+
+    # -- what the snapshot writer reads -------------------------------------
+
+    def term_ids(self) -> Iterable[int]:
+        """Every id used, repeats allowed: the index keys (subjects,
+        predicates, each predicate's objects), no triple visited."""
+        return chain(self._spo, self._pos, *self._pos.values())
+
+    def sorted_levels(self, order: str, remap) -> Tuple[array, ...]:
+        """The ``"spo"`` or ``"pos"`` index with each id mapped through
+        ``remap`` (indexed by id), as five CSR arrays ascending at every
+        level — keys1, off1, keys2, off2, ids3, the run layout of
+        :mod:`repro.storage.codec` — streamed, with no list of rows."""
+        index = self._spo if order == "spo" else self._pos
+        key = remap.__getitem__
+        keys1, off1, keys2, off2, ids3 = (array("I") for _ in range(5))
+        add2, add_off2, add3 = keys2.append, off2.append, ids3.append
+        for a in sorted(index, key=key):
+            keys1.append(key(a))
+            off1.append(len(keys2))
+            inner = index[a]
+            for b in sorted(inner, key=key) if len(inner) > 1 else inner:
+                add2(key(b))
+                add_off2(len(ids3))
+                leaf = inner[b]
+                if type(leaf) is int:
+                    add3(key(leaf))
+                else:
+                    ids3.extend(sorted(map(key, leaf)))
+        off1.append(len(keys2))
+        off2.append(len(ids3))
+        return keys1, off1, keys2, off2, ids3
 
     # -- construction and copies ---------------------------------------------
 
@@ -881,11 +930,138 @@ class GraphView(ReadableGraph):
     remove = discard
 
 
-def as_writable(graph: ReadableGraph) -> Graph:
-    """``graph`` itself when it is a mutable :class:`Graph`, else a
-    mutable copy sharing its dictionary (a frozen graph's copy, a mapped
-    graph's materialization) — for callers about to modify a graph that
-    may have arrived read-only."""
-    if isinstance(graph, Graph) and not graph.frozen:
-        return graph
-    return graph.copy()
+class FrozenGraph(ReadableGraph):
+    """The base of graphs that never change once built: a mapped
+    snapshot graph and a :class:`LayeredGraph`.
+
+    Mutators raise, listeners are never called, a CoW copy is the graph
+    itself and :meth:`materialize` gives a writable :class:`Graph`.
+    ``frozen`` is the flag the graph was saved with. A subclass sets
+    ``_size`` and its primitives, then calls this constructor.
+    """
+
+    __slots__ = ("_size", "_frozen", "_stats", "_count_cache", "_count_cache_gen", "name")
+
+    def __init__(self, name: str = "", frozen: bool = True):
+        self._frozen = frozen
+        self._stats = None
+        self._count_cache: Dict[tuple, int] = {}
+        self._count_cache_gen = self.generation
+        self.name = name
+
+    @property
+    def frozen(self) -> bool:
+        return self._frozen
+
+    def freeze(self) -> "FrozenGraph":
+        self._frozen = True
+        return self
+
+    def subscribe(self, listener) -> None:
+        """Accepted and ignored: the graph never changes."""
+
+    unsubscribe = subscribe
+
+    def _read_only(self, *_args, **_kwargs):
+        raise ReadOnlyGraphError(
+            f"graph {self.name!r} is read-only; materialize() it for a writable copy"
+        )
+
+    add = add_all = remove = discard = remove_pattern = clear = _read_only
+
+    def stats(self):
+        """The graph's :class:`~repro.rdf.stats.StatsCatalog`."""
+        if self._stats is None:
+            from repro.rdf.stats import StatsCatalog
+
+            self._stats = StatsCatalog(self)
+        return self._stats
+
+    def materialize(self, name: str = "") -> Graph:
+        """A mutable :class:`Graph` over the same dictionary, indexed from
+        the id triples (no term is decoded)."""
+        return Graph.from_ids(self.triples_ids(), self.dictionary, name=name or self.name)
+
+    copy = materialize
+
+    def cow_copy(self, name: str = "") -> "FrozenGraph":
+        """The graph never changes, so it is its own copy-on-write copy."""
+        return self
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __repr__(self) -> str:
+        label = f" {self.name!r}" if self.name else ""
+        return f"<{type(self).__name__}{label} size={self._size}>"
+
+
+class LayeredGraph(FrozenGraph):
+    """``base`` minus ``removed`` plus ``added``, read-only.
+
+    A version saved as a reverse delta attaches as one over the next
+    newer version; a delta segment layers each changed graph this way.
+    The caller vouches that the three share one dictionary and never
+    change, that ``removed`` is a subset of ``base`` and that ``added``
+    is disjoint from it, so every count is exact: base − removed +
+    added. The distinct counts are upper bounds, as for a view.
+    """
+
+    __slots__ = ("_base", "_added", "_removed")
+
+    def __init__(
+        self,
+        base: ReadableGraph,
+        added: ReadableGraph,
+        removed: ReadableGraph,
+        name: str = "",
+        frozen: bool = True,
+    ):
+        self._base, self._added, self._removed = base, added, removed
+        self._size = len(base) - len(removed) + len(added)
+        super().__init__(name, frozen)
+
+    @property
+    def layers(self) -> Tuple[ReadableGraph, ReadableGraph, ReadableGraph]:
+        """``(base, added, removed)``."""
+        return self._base, self._added, self._removed
+
+    @property
+    def dictionary(self) -> TermDictionary:
+        return self._base.dictionary
+
+    @property
+    def generation(self):
+        """The base's stamp: no layer ever changes."""
+        return self._base.generation
+
+    def triples_ids(self, s=None, p=None, o=None) -> Iterator[IdTriple]:
+        if len(self._removed):
+            gone = self._removed.has_ids
+            for row in self._base.triples_ids(s, p, o):
+                if not gone(*row):
+                    yield row
+        else:
+            yield from self._base.triples_ids(s, p, o)
+        yield from self._added.triples_ids(s, p, o)
+
+    def has_ids(self, s: int, p: int, o: int) -> bool:
+        if self._added.has_ids(s, p, o):
+            return True
+        return self._base.has_ids(s, p, o) and not self._removed.has_ids(s, p, o)
+
+    def count_ids(self, s=None, p=None, o=None) -> int:
+        return (
+            self._base.count_ids(s, p, o)
+            - self._removed.count_ids(s, p, o)
+            + self._added.count_ids(s, p, o)
+        )
+
+    def distinct_subject_count(self) -> int:
+        return self._base.distinct_subject_count() + self._added.distinct_subject_count()
+
+    def distinct_predicate_count(self) -> int:
+        return self._base.distinct_predicate_count() + self._added.distinct_predicate_count()
+
+    def distinct_object_count(self) -> int:
+        return self._base.distinct_object_count() + self._added.distinct_object_count()

@@ -41,9 +41,6 @@ class StagingTable:
         """Insert one lexical row."""
         self._rows.append(StagingRow(subject, predicate, obj, source))
 
-    def insert_row(self, row: StagingRow) -> None:
-        self._rows.append(row)
-
     def insert_triples(self, triples: Iterable[Triple], source: str = "") -> int:
         """Stage already-parsed triples; returns the number staged."""
         n = 0

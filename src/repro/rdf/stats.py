@@ -60,10 +60,6 @@ class PredicateStats:
         self._wsub: Optional[float] = None
         self._wobj: Optional[float] = None
 
-    def subject_fanout(self) -> float:
-        """Mean triples per distinct subject (uniform assumption)."""
-        return self.count / self.distinct_subjects if self.distinct_subjects else 0.0
-
     def object_fanout(self) -> float:
         """Mean triples per distinct object (uniform assumption)."""
         return self.count / self.distinct_objects if self.distinct_objects else 0.0

@@ -110,21 +110,6 @@ class TripleStore:
         self._models[name] = graph
         return graph
 
-    def replace_model(self, name: str, graph: Graph) -> Graph:
-        """Swap the graph registered under ``name`` for another one.
-
-        Attached entailment indexes are kept as-is — the storage tier
-        uses this to materialize a mapped model for delta-segment
-        replay, where the indexes are replayed separately. The graph
-        must intern into the store's dictionary.
-        """
-        if name not in self._models:
-            raise ModelNotFoundError(name, self._models)
-        self._check_dictionary(graph, f"model {name!r}")
-        graph.name = name
-        self._models[name] = graph
-        return graph
-
     def model(self, name: str) -> Graph:
         """The graph for ``name``; raises :class:`ModelNotFoundError`."""
         try:

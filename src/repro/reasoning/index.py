@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs.trace import span
-from repro.rdf.graph import Graph, IdTriple, as_writable
+from repro.rdf.graph import Graph, IdTriple
 from repro.rdf.store import TripleStore
 from repro.reasoning.engine import (
     InferenceReport,
@@ -174,7 +174,8 @@ class EntailmentIndexManager:
         # an index that arrived read-only (mapped snapshot, frozen copy)
         # must become writable before DRed maintenance mutates it; the
         # re-attach below registers the writable replacement
-        derived = as_writable(derived)
+        if not isinstance(derived, Graph) or derived.frozen:
+            derived = derived.copy()
         base = self._store.model(model)
         with span("index.refresh", "reasoning", model=model, rulebase=rulebase):
             faults.fire("index.refresh")

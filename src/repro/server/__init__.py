@@ -16,6 +16,7 @@ from repro.server.errors import (
     QueryServiceError,
     ServiceClosed,
     UnknownItem,
+    UnpicklableRequest,
     WorkerLost,
 )
 from repro.server.metrics import ServiceMetrics, SlowQuery, SlowQueryLog
@@ -43,6 +44,7 @@ __all__ = [
     "SnapshotManager",
     "Supervisor",
     "UnknownItem",
+    "UnpicklableRequest",
     "WorkerLost",
     "WorkerSlot",
 ]

@@ -25,6 +25,11 @@ class UnknownItem(QueryServiceError, InvalidRequest):
     """A lineage request names an item no ``dm:hasName`` value matches."""
 
 
+class UnpicklableRequest(QueryServiceError, InvalidRequest):
+    """A fork-mode request whose payload will not pickle, so it cannot
+    reach the child: the request's fault, like any bad argument."""
+
+
 def is_request_error(exc: BaseException) -> bool:
     """True when ``exc`` is the request's own fault, not the endpoint's.
 

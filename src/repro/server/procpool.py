@@ -15,7 +15,8 @@ request and ``poll``s/``recv``s the reply, the child ``recv``s and
 ``send``s. No feeder thread runs on either side, so pickling happens in
 the ``send`` call itself: a result or error that will not pickle raises
 in the child, which answers with a typed :class:`QueryServiceError`
-instead.
+instead, and a request that will not pickle raises
+:class:`UnpicklableRequest` in the parent before a byte is written.
 
 Children are disposable by design:
 
@@ -51,6 +52,7 @@ from repro.server.errors import (
     Cancelled,
     DeadlineExceeded,
     QueryServiceError,
+    UnpicklableRequest,
     WorkerLost,
 )
 
@@ -343,6 +345,10 @@ class ForkWorker:
             raise WorkerLost(
                 request.request_id, self._process.exitcode, detail=repr(exc)
             ) from None
+        except (pickle.PicklingError, TypeError, AttributeError) as exc:
+            # send pickles the whole message before writing a byte, so
+            # the pipe is still clean and the child keeps serving
+            raise UnpicklableRequest(f"request will not pickle: {exc}") from None
         while True:
             try:
                 if conn.poll(_POLL):

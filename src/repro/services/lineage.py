@@ -260,20 +260,25 @@ class LineageService:
         memo: Dict[int, int] = {}
         on_stack: Set[int] = set()
 
-        def count(node: int, term: Term) -> int:
-            if node in memo:
-                return memo[node]
-            if node in on_stack:
-                raise _CycleFound()
-            on_stack.add(node)
-            neighbours = []
+        def kept(node: int, term: Term) -> List[Tuple[int, Term]]:
+            """The neighbours of ``node`` over the edges the filter keeps."""
+            out = []
             for neighbour_id, neighbour in ids.neighbours(node, direction):
                 if downstream:
                     edge = ids.edge(node, neighbour_id, term, neighbour)
                 else:
                     edge = ids.edge(neighbour_id, node, neighbour, term)
                 if condition_filter is None or condition_filter(edge):
-                    neighbours.append((neighbour_id, neighbour))
+                    out.append((neighbour_id, neighbour))
+            return out
+
+        def count(node: int, term: Term) -> int:
+            if node in memo:
+                return memo[node]
+            if node in on_stack:
+                raise _CycleFound()
+            on_stack.add(node)
+            neighbours = kept(node, term)
             total = 1 if not neighbours else sum(count(*n) for n in neighbours)
             on_stack.discard(node)
             memo[node] = total
@@ -284,17 +289,15 @@ class LineageService:
         except _CycleFound:
             # cycles: count simple paths by bounded DFS
             total = 0
-            stack = [(start, {start})]
+            stack = [(start, item, {start})]
             while stack:
-                node, seen = stack.pop()
-                neighbours = [
-                    n for n, _ in ids.neighbours(node, direction) if n not in seen
-                ]
+                node, term, seen = stack.pop()
+                neighbours = [(n, t) for n, t in kept(node, term) if n not in seen]
                 if not neighbours:
                     total += 1
                     continue
-                for n in neighbours:
-                    stack.append((n, seen | {n}))
+                for n, t in neighbours:
+                    stack.append((n, t, seen | {n}))
             return total
 
     # -- drill-down (Figure 7) ------------------------------------------------------

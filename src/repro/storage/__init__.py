@@ -6,9 +6,11 @@ snapshot format — SPO and POS id-triple runs as fixed-width sorted
 arrays, and the term dictionary as a shared offset-indexed string
 pool — written atomically and loaded via ``mmap``, so point lookups and
 index scans read the arrays in place without deserializing the graph.
-Per-release delta segments (built on :mod:`repro.history.diff`) make
-publishing release N+1 an O(delta) write. The snapshot file is the
-only store format on disk.
+A historized version is saved as a reverse delta against the next
+newer one, and a per-release delta segment (built on
+:mod:`repro.history.diff`) is the same container holding only the
+delta, so publishing release N+1 is an O(delta) write. The snapshot
+file is the only store format on disk.
 """
 
 from repro.storage.codec import SnapshotFormatError, StorageError
@@ -20,14 +22,7 @@ from repro.storage.partition import (
     shard_of,
     write_shard_snapshots,
 )
-from repro.storage.segments import (
-    SegmentEntry,
-    apply_segments,
-    diff_stores,
-    publish_segment,
-    read_segment,
-    write_segment,
-)
+from repro.storage.segments import apply_segments, diff_stores, publish_segment
 from repro.storage.snapshot import (
     MappedGraph,
     MappedSnapshot,
@@ -39,7 +34,6 @@ __all__ = [
     "MappedGraph",
     "MappedSnapshot",
     "MappedTermDictionary",
-    "SegmentEntry",
     "ShardPlan",
     "SnapshotFormatError",
     "StorageError",
@@ -48,7 +42,6 @@ __all__ = [
     "diff_stores",
     "partition_store",
     "publish_segment",
-    "read_segment",
     "save_snapshot_store",
     "shard_filename",
     "shard_of",

@@ -12,7 +12,9 @@ little-endian u32 arrays::
     off2[n2 + 1]              # pair j's third level is ids3[off2[j]:off2[j+1]]
     ids3[n3]                  # third components, ascending within a pair
 
-:class:`RunReader` casts the arrays out of the mapped file in place and
+The writer builds the five arrays from a graph's own index
+(``sorted_levels``) and :func:`run_parts` hands them to the file as
+they are. :class:`RunReader` casts the arrays out of the mapped file in place and
 answers ``scan`` / ``has`` / ``count`` by ``bisect`` over them: there is
 no decode step and no cache. ``n1`` is the run's distinct first-component
 count, and ``keys2`` of one group lists that group's distinct second
@@ -72,32 +74,15 @@ def _native_u32() -> bool:
     return sys.byteorder == "little" and array("I").itemsize == 4
 
 
-def encode_run(rows: Sequence[Row]) -> bytes:
-    """Encode a sorted run of id-triples as header plus five u32 arrays."""
-    keys1, off1, keys2, off2, ids3 = (array("I") for _ in range(5))
-    pa = pb = None
-    try:
-        for a, b, c in rows:
-            if a != pa:
-                keys1.append(a)
-                off1.append(len(keys2))
-                pa, pb = a, None
-            if b != pb:
-                keys2.append(b)
-                off2.append(len(ids3))
-                pb = b
-            ids3.append(c)
-        off1.append(len(keys2))
-        off2.append(len(ids3))
-    except OverflowError:
-        raise StorageError("a run holds ids and offsets below 2**32 only") from None
+def run_parts(keys1, off1, keys2, off2, ids3) -> List:
+    """The buffers of one run, in file order: the header, then the five
+    u32 arrays (``array("I")``, byte-swapped in place on a big-endian
+    host). The writer streams them into the file without joining."""
     arrays = (keys1, off1, keys2, off2, ids3)
     if sys.byteorder != "little":
         for part in arrays:
             part.byteswap()
-    return _HEAD.pack(len(keys1), len(keys2), len(ids3)) + b"".join(
-        part.tobytes() for part in arrays
-    )
+    return [_HEAD.pack(len(keys1), len(keys2), len(ids3)), *arrays]
 
 
 class RunReader:
@@ -140,6 +125,10 @@ class RunReader:
         self._views = [raw, words, *parts]
         self._keys1, self._off1, self._keys2, self._off2, self._ids3 = parts
         self.count_total = count
+
+    def levels(self) -> Tuple:
+        """The five arrays as views into the mapping (see the layout above)."""
+        return self._keys1, self._off1, self._keys2, self._off2, self._ids3
 
     def release(self) -> None:
         """Release every view this reader holds; idempotent."""

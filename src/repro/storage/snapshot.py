@@ -7,24 +7,29 @@ File layout::
 The header (``<8sIIQQQII``) carries the magic, format version, flags,
 generation stamp, the TOC's offset/length/CRC, and its own CRC — enough
 to reject truncation, corruption, and version skew before trusting a
-byte of the body; attach then checks every section's CRC as well. Sections are the shared string pool (pool / offsets /
-hash, see :mod:`repro.storage.stringpool`) plus two fixed-width CSR
-triple runs (SPO, POS) per graph, see :mod:`repro.storage.codec`;
-the TOC names every section with its offset, length, and CRC32, and
-describes every graph (model or entailment index, triple and distinct
-counts, frozen flag).
+byte of the body; attach then checks every section's CRC as well.
+Sections are the shared string pool (:mod:`repro.storage.stringpool`)
+plus fixed-width CSR triple runs (:mod:`repro.storage.codec`); the TOC
+names every section with its offset, length, and CRC32, and describes
+every graph (model or index, triple and distinct counts, frozen flag).
+
+A *full* entry ``K`` has the runs ``K/spo`` and ``K/pos``; a *delta*
+entry has ``K/added/{spo,pos}`` and ``K/removed/{spo,pos}`` in the same
+id space. The writer saves a frozen ``HIST_*`` version as a delta over
+the next newer version (``"base"``) when that has fewer rows than the
+version; there is no option. A delta segment is the same container with
+only delta entries, no ``"base"``, only the delta's terms and a
+``"base_generation"`` in the TOC.
 
 Saves go to a sibling temp file, ``fsync``, then ``os.replace`` — a
 crash mid-save leaves the previous snapshot untouched (the
-``snapshot.save`` fault site fires between fsync and rename, and
-``tests/storage/test_snapshot.py`` asserts exactly this).
+``snapshot.save`` fault site fires between fsync and rename).
 
 Attach (:meth:`MappedSnapshot.open`) maps the file and hands out
 :class:`MappedGraph` objects that answer the graph read contract
-(:class:`~repro.rdf.graph.ReadableGraph`) straight from the mapped runs —
-no triple is ever decoded, and term ids are shared across every graph
-through one :class:`MappedTermDictionary`, so the id-space join
-operators and ``GraphView`` disjointness reasoning keep working.
+straight from the mapped runs, sharing one
+:class:`MappedTermDictionary`; a delta entry attaches as a
+:class:`~repro.rdf.graph.LayeredGraph` over its base.
 """
 
 from __future__ import annotations
@@ -34,128 +39,167 @@ import mmap
 import os
 import struct
 import zlib
+from array import array
+from itertools import chain
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
+from repro.history.diff import diff_graphs
+from repro.history.historizer import version_models
 from repro.rdf.dictionary import TermDictionary
-from repro.rdf.graph import Graph, ReadableGraph, ReadOnlyGraphError
+from repro.rdf.graph import FrozenGraph, LayeredGraph, ReadableGraph
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import Term
 from repro.resilience import faults
-from repro.storage.codec import RunReader, SnapshotFormatError, StorageError, encode_run
+from repro.storage.codec import RunReader, SnapshotFormatError, StorageError, run_parts
 from repro.storage.stringpool import MappedStringPool, build_pool
 
 MAGIC = b"MDWSNAP\x01"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 #: magic, format_version, flags, generation, toc_offset, toc_length,
 #: toc_crc32, header_crc32
 _HEADER = struct.Struct("<8sIIQQQII")
 HEADER_SIZE = _HEADER.size
 
+#: the most deltas a version read goes through: one full copy every 33
+#: versions keeps lookups on old versions bounded (and within the
+#: interpreter's recursion limit)
+MAX_DELTA_CHAIN = 32
+
+#: a graph to write: its TOC entry and (key suffix, graph) per run pair:
+#: ``""`` for a full entry, ``/added`` and ``/removed`` for a delta
+Plan = Tuple[Dict[str, object], List[Tuple[str, ReadableGraph]]]
+
 
 # ---------------------------------------------------------------------------
 # save
 
 
-def _graph_entries(store: TripleStore) -> List[Tuple[str, str, str, Optional[str], Graph]]:
-    """Deterministic (key, kind, model, rulebase, graph) list of a store."""
-    out: List[Tuple[str, str, str, Optional[str], Graph]] = []
-    for name in store.model_names():
-        out.append((f"model:{name}", "model", name, None, store.model(name)))
+def graph_entry(kind: str, model: str, rulebase: Optional[str], graph) -> Dict[str, object]:
+    """The TOC entry head of one graph (its runs add the counts)."""
+    key = f"model:{model}" if kind == "model" else f"index:{model}:{rulebase}"
+    return dict(key=key, kind=kind, model=model, rulebase=rulebase,
+                frozen=bool(graph.frozen), triples=len(graph))
+
+
+def _plans(store: TripleStore) -> List[Plan]:
+    """Every graph of ``store``: models, then indexes, each by key; a
+    frozen version whose reverse delta against the next newer frozen
+    version is smaller than itself goes as that delta, unless that
+    newer one already ends a chain of :data:`MAX_DELTA_CHAIN` deltas."""
+    names = store.model_names()
+    versions = version_models(n for n in names if store.model(n).frozen)
+    deltas, depth = {}, 0
+    for name, newer_name in reversed(list(zip(versions, versions[1:]))):
+        graph, newer = store.model(name), store.model(newer_name)
+        if isinstance(graph, LayeredGraph) and graph.layers[0] is newer:
+            added, removed = graph.layers[1:]  # attached over it: its own delta
+        else:
+            diff = diff_graphs(newer, graph)
+            added, removed = diff.added, diff.removed
+        depth = depth + 1 if len(added) + len(removed) < len(graph) else MAX_DELTA_CHAIN + 1
+        if depth <= MAX_DELTA_CHAIN:
+            deltas[name] = (newer_name, added, removed)
+        else:
+            depth = 0
+    plans: List[Plan] = []
+    for name in names:
+        graph = store.model(name)
+        entry = graph_entry("model", name, None, graph)
+        runs = [("", graph)]
+        if name in deltas:
+            newer_name, added, removed = deltas[name]
+            entry["base"] = f"model:{newer_name}"
+            runs = [("/added", added), ("/removed", removed)]
+        plans.append((entry, [(suffix, _indexed(g)) for suffix, g in runs]))
     for model, rulebase in store.index_names():
         graph = store.index(model, rulebase)
-        out.append((f"index:{model}:{rulebase}", "index", model, rulebase, graph))
-    return out
+        plans.append((graph_entry("index", model, rulebase, graph), [("", _indexed(graph))]))
+    return plans
 
 
-def save_snapshot_store(
-    store: TripleStore, path: Union[str, Path], generation: int = 0
-) -> Path:
+def _indexed(graph: ReadableGraph) -> ReadableGraph:
+    """``graph`` itself when it has runs or indexes to stream from (a
+    :class:`Graph` or :class:`MappedGraph`), else a materialized copy."""
+    return graph.materialize() if isinstance(graph, LayeredGraph) else graph
+
+
+def save_snapshot_store(store: TripleStore, path: Union[str, Path], generation: int = 0) -> Path:
     """Write ``store`` (models and entailment indexes) as one snapshot file.
 
-    The write is atomic (temp + fsync + rename) and deterministic: the
-    same logical store content always produces byte-identical files, so
-    delta-segment replay can be verified against a full save.
+    Atomic (temp + fsync + rename) and deterministic: the same logical
+    content always gives the same bytes. A historized version is saved
+    as a reverse delta against the next newer one when that is smaller.
     """
-    path = Path(path)
-    entries = _graph_entries(store)
+    return write_container(path, generation, store.dictionary, _plans(store))
 
-    # Remap every dictionary id to a dense, sort_key-ordered id space
-    # shared by all graphs; this is what makes saves deterministic even
-    # when stores were built in different interning orders.
-    unique: Dict[Term, None] = {}
-    per_graph_ids: List[List[Tuple[int, int, int]]] = []
-    for _, _, _, _, graph in entries:
-        rows = list(graph.triples_ids())
-        per_graph_ids.append(rows)
-        term = graph.dictionary.term
-        for s, p, o in rows:
-            unique.setdefault(term(s), None)
-            unique.setdefault(term(p), None)
-            unique.setdefault(term(o), None)
-    terms = sorted(unique, key=lambda t: t.sort_key())
-    new_id = {t: i for i, t in enumerate(terms)}
-    pool, offsets, hashes = build_pool(terms)
+
+def write_container(
+    path: Union[str, Path],
+    generation: int,
+    dictionary: TermDictionary,
+    plans: Sequence[Plan],
+    toc_extra: Optional[Dict[str, object]] = None,
+) -> Path:
+    """Write ``plans`` as one snapshot container, in id space: the ids
+    the runs use, read off the graphs' index keys, are decoded once each,
+    sorted by ``sort_key`` (the file's term order) and remapped through
+    one flat array; each run streams from its graph's index."""
+    path = Path(path)
+    used = set()
+    for _, runs in plans:
+        for _, graph in runs:
+            used.update(graph.term_ids())
+    term = dictionary.term
+    order = sorted(used, key=lambda tid: term(tid).sort_key())
+    del used
+    remap = array("I", bytes(4 * (max(order) + 1 if order else 0)))
+    for new, old in enumerate(order):
+        remap[old] = new
+    pool, offsets, hashes = build_pool([term(tid) for tid in order])
 
     tmp = path.with_name(path.name + ".tmp")
     toc_sections: Dict[str, Dict[str, int]] = {}
-    toc_graphs: List[Dict[str, object]] = []
     try:
         with open(tmp, "wb") as f:
             f.write(b"\0" * HEADER_SIZE)
 
-            def section(name: str, data: bytes) -> None:
-                toc_sections[name] = {
-                    "offset": f.tell(),
-                    "length": len(data),
-                    "crc32": zlib.crc32(data),
-                }
-                f.write(data)
+            def section(name: str, *parts) -> None:
+                offset, crc = f.tell(), 0
+                for part in parts:
+                    crc = zlib.crc32(part, crc)
+                    f.write(part)
+                toc_sections[name] = {"offset": offset, "length": f.tell() - offset, "crc32": crc}
 
             section("pool", pool)
             section("offsets", offsets)
             section("hash", hashes)
+            del pool, offsets, hashes
 
-            for (key, kind, model, rulebase, graph), old_rows in zip(
-                entries, per_graph_ids
-            ):
-                term = graph.dictionary.term
-                remap: Dict[int, int] = {}
-
-                def rid(old: int) -> int:
-                    tid = remap.get(old)
-                    if tid is None:
-                        tid = remap[old] = new_id[term(old)]
-                    return tid
-
-                rows = [(rid(s), rid(p), rid(o)) for s, p, o in old_rows]
-                spo = sorted(rows)
-                pos = sorted((p, o, s) for s, p, o in rows)
-                distinct = []
-                for order, run in (("spo", spo), ("pos", pos)):
-                    data = encode_run(run)
-                    section(f"{key}/{order}", data)
-                    # the header's first count: the run's first-level length
-                    distinct.append(int.from_bytes(data[:4], "little"))
-                distinct.append(len({o for _, _, o in rows}))
-                toc_graphs.append(
-                    {
-                        "key": key,
-                        "kind": kind,
-                        "model": model,
-                        "rulebase": rulebase,
-                        "frozen": bool(graph.frozen),
-                        "triples": len(rows),
-                        "distinct": distinct,
-                    }
-                )
+            for entry, runs in plans:
+                for suffix, graph in runs:
+                    distinct = []
+                    for run in ("spo", "pos"):
+                        levels = graph.sorted_levels(run, remap)
+                        distinct.append(len(levels[0]))
+                        if run == "pos":
+                            distinct.append(len(set(levels[2])))
+                        section(f"{entry['key']}{suffix}/{run}", *run_parts(*levels))
+                    if suffix:
+                        entry.setdefault("delta", {})[suffix[1:]] = {
+                            "triples": len(graph),
+                            "distinct": distinct,
+                        }
+                    else:
+                        entry["distinct"] = distinct
 
             toc = json.dumps(
                 {
-                    "terms": len(terms),
+                    "terms": len(order),
                     "sections": toc_sections,
-                    "graphs": toc_graphs,
+                    "graphs": [entry for entry, _ in plans],
+                    **(toc_extra or {}),
                 },
                 sort_keys=True,
                 separators=(",", ":"),
@@ -264,30 +308,17 @@ class MappedTermDictionary(TermDictionary):
 # mapped graph
 
 
-class MappedGraph(ReadableGraph):
+class MappedGraph(FrozenGraph):
     """A read-only graph over mapped runs.
 
     Supplies the id-level primitives of the read contract
     (:class:`~repro.rdf.graph.ReadableGraph`) by binary-searching the
     SPO and POS runs in place; every term-level read and the planner
-    statistics come from the shared implementations. Mutators raise
-    :class:`~repro.rdf.graph.ReadOnlyGraphError`; callers that need a
-    writable graph call :meth:`materialize`.
+    statistics come from the shared implementations, and the read-only
+    behaviour from :class:`~repro.rdf.graph.FrozenGraph`.
     """
 
-    __slots__ = (
-        "_snapshot",
-        "_dict",
-        "_spo",
-        "_pos",
-        "_size",
-        "_distinct",
-        "_stats",
-        "_count_cache",
-        "_count_cache_gen",
-        "_frozen",
-        "name",
-    )
+    __slots__ = ("_snapshot", "_dict", "_spo", "_pos", "_distinct")
 
     def __init__(
         self,
@@ -306,11 +337,7 @@ class MappedGraph(ReadableGraph):
         self._pos = pos
         self._size = size
         self._distinct = distinct
-        self._stats = None
-        self._count_cache: Dict[tuple, int] = {}
-        self._count_cache_gen = snapshot.generation
-        self._frozen = frozen
-        self.name = name
+        super().__init__(name, frozen)
 
     # -- identity ----------------------------------------------------------
 
@@ -323,32 +350,6 @@ class MappedGraph(ReadableGraph):
         """The snapshot's generation stamp; constant — mapped graphs
         never mutate, so caches keyed on it stay valid forever."""
         return self._snapshot.generation
-
-    @property
-    def frozen(self) -> bool:
-        """The *saved* frozen flag — round-trips through re-save. The
-        graph itself refuses mutation regardless (it is mapped)."""
-        return self._frozen
-
-    def freeze(self) -> "MappedGraph":
-        self._frozen = True
-        return self
-
-    def subscribe(self, listener) -> None:
-        """Accepted and ignored: a mapped graph never emits changes."""
-
-    def unsubscribe(self, listener) -> None:
-        pass
-
-    # -- mutation (refused) ------------------------------------------------
-
-    def _read_only(self, *_args, **_kwargs):
-        raise ReadOnlyGraphError(
-            f"graph {self.name!r} is a mapped snapshot (read-only); "
-            "materialize() it for a writable copy"
-        )
-
-    add = add_all = remove = discard = remove_pattern = clear = _read_only
 
     # -- id-space access ----------------------------------------------------
 
@@ -423,14 +424,6 @@ class MappedGraph(ReadableGraph):
                     seen.add(oi)
                     yield term(oi)
 
-    def stats(self):
-        """The graph's :class:`~repro.rdf.stats.StatsCatalog`."""
-        if self._stats is None:
-            from repro.rdf.stats import StatsCatalog
-
-            self._stats = StatsCatalog(self)
-        return self._stats
-
     def distinct_subject_count(self) -> int:
         return self._distinct[0]
 
@@ -440,27 +433,26 @@ class MappedGraph(ReadableGraph):
     def distinct_object_count(self) -> int:
         return self._distinct[2]
 
-    def __len__(self) -> int:
-        return self._size
+    # -- what the snapshot writer reads --------------------------------------
 
-    def __repr__(self) -> str:
-        label = f" {self.name!r}" if self.name else ""
-        return f"<MappedGraph{label} size={self._size}>"
+    def term_ids(self) -> Iterable[int]:
+        """The run keys: subjects, predicates and each predicate's objects."""
+        spo, pos = self._spo.levels(), self._pos.levels()
+        return chain(spo[0], pos[0], pos[2])
 
-    # -- copies ------------------------------------------------------------
-
-    def materialize(self, name: str = "") -> Graph:
-        """A mutable in-memory :class:`Graph` sharing this graph's
-        dictionary, built from the id triples — no term objects are
-        built."""
-        return Graph.from_ids(self.triples_ids(), self._dict, name=name or self.name)
-
-    copy = materialize
-
-    def cow_copy(self, name: str = "") -> "MappedGraph":
-        """Snapshot publication calls this; a mapped graph is already an
-        immutable snapshot of itself, so it is its own CoW copy."""
-        return self
+    def sorted_levels(self, order: str, remap) -> Tuple[array, ...]:
+        """The mapped run with its ids remapped in place of a sort: the
+        file's ids and the new ones both follow ``sort_key``, so the
+        mapping keeps every level ascending."""
+        key = remap.__getitem__
+        keys1, off1, keys2, off2, ids3 = (self._spo if order == "spo" else self._pos).levels()
+        return (
+            array("I", map(key, keys1)),
+            array("I", off1),
+            array("I", map(key, keys2)),
+            array("I", off2),
+            array("I", map(key, ids3)),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +469,34 @@ def _first_crc_mismatch(buf: memoryview, sections: Dict[str, Dict]) -> Optional[
     return None
 
 
+def build_store(
+    graphs: Sequence[Tuple[Dict[str, object], ReadableGraph]],
+    mutable_models: Optional[Sequence[str]] = None,
+) -> TripleStore:
+    """A :class:`TripleStore` over ``(TOC entry, graph)`` pairs.
+    ``mutable_models``: ``None`` materializes the models saved unfrozen
+    (a faithful round-trip), names materialize exactly those, ``()``
+    keeps everything read-only (the cheap attach used for serving)."""
+    store = TripleStore()
+    for entry, graph in graphs:
+        if entry["kind"] != "model":
+            continue
+        materialize = (
+            not entry["frozen"] if mutable_models is None else entry["model"] in mutable_models
+        )
+        store.adopt_model(entry["model"], graph.materialize() if materialize else graph)
+    for entry, graph in graphs:
+        if entry["kind"] == "index":
+            store.attach_index(entry["model"], entry["rulebase"], graph)
+    return store
+
+
 class MappedSnapshot:
-    """One open snapshot file: header, TOC, pool, and graph accessors."""
+    """One open snapshot file: header, TOC, pool, and graph accessors.
+
+    The one reader of every container: full files, files holding
+    versions as deltas, and delta segments.
+    """
 
     def __init__(self, path: Path, file, mm, buf, generation: int, toc: Dict):
         self._path = path
@@ -488,7 +506,8 @@ class MappedSnapshot:
         self.generation = generation
         self._toc = toc
         self._dict: Optional[MappedTermDictionary] = None
-        self._graphs: Dict[str, MappedGraph] = {}
+        self._graphs: Dict[str, ReadableGraph] = {}
+        self._resolving: set = set()
         self._readers: List[RunReader] = []
 
     @classmethod
@@ -586,6 +605,11 @@ class MappedSnapshot:
     def path(self) -> Path:
         return self._path
 
+    @property
+    def base_generation(self) -> Optional[int]:
+        """The generation a delta segment applies to; None for a snapshot."""
+        return self._toc.get("base_generation")
+
     # -- accessors ---------------------------------------------------------
 
     def _section(self, name: str) -> Dict[str, int]:
@@ -618,66 +642,76 @@ class MappedSnapshot:
     def graph_entries(self) -> List[Dict[str, object]]:
         return list(self._toc["graphs"])
 
-    def graph(self, key: str) -> MappedGraph:
-        cached = self._graphs.get(key)
-        if cached is not None:
-            return cached
+    def _entry(self, key: str) -> Dict[str, object]:
         entry = next((g for g in self._toc["graphs"] if g["key"] == key), None)
         if entry is None:
             raise SnapshotFormatError(f"{self._path}: no graph {key!r} in snapshot")
+        return entry
+
+    def _runs(self, prefix: str, counts: Dict, name: str, frozen: bool = True) -> MappedGraph:
+        """The :class:`MappedGraph` over the runs ``prefix/spo`` and
+        ``prefix/pos``."""
         readers = []
         for order in ("spo", "pos"):
-            sec = self._section(f"{key}/{order}")
-            readers.append(
-                RunReader(self._buf, sec["offset"], sec["length"], entry["triples"])
-            )
+            sec = self._section(f"{prefix}/{order}")
+            readers.append(RunReader(self._buf, sec["offset"], sec["length"], counts["triples"]))
             self._readers.append(readers[-1])
+        return MappedGraph(
+            self,
+            self.dictionary,
+            *readers,
+            size=counts["triples"],
+            distinct=tuple(counts["distinct"]),
+            name=name,
+            frozen=frozen,
+        )
+
+    def delta(self, key: str) -> Tuple[MappedGraph, MappedGraph]:
+        """The ``(added, removed)`` runs of the delta entry ``key``."""
+        entry = self._entry(key)
+        if "delta" not in entry:
+            raise SnapshotFormatError(f"{self._path}: graph {key!r} is not a delta")
+        return tuple(
+            self._runs(f"{key}/{half}", entry["delta"][half], half) for half in ("added", "removed")
+        )
+
+    def graph(self, key: str) -> ReadableGraph:
+        cached = self._graphs.get(key)
+        if cached is not None:
+            return cached
+        entry = self._entry(key)
         name = (
             entry["model"]
             if entry["kind"] == "model"
             else f"{entry['model']}[{entry['rulebase']}]"
         )
-        graph = MappedGraph(
-            self,
-            self.dictionary,
-            *readers,
-            size=entry["triples"],
-            distinct=tuple(entry["distinct"]),
-            name=name,
-            frozen=bool(entry["frozen"]),
-        )
+        if "delta" not in entry:
+            graph = self._runs(key, entry, name, bool(entry["frozen"]))
+        else:
+            base_key = entry.get("base")
+            if base_key is None:
+                raise SnapshotFormatError(
+                    f"{self._path}: delta {key!r} applies to another file (a segment)"
+                )
+            if key in self._resolving:
+                raise SnapshotFormatError(f"{self._path}: the delta chain of {key!r} loops")
+            self._resolving.add(key)
+            try:
+                base = self.graph(base_key)
+            finally:
+                self._resolving.discard(key)
+            graph = LayeredGraph(base, *self.delta(key), name=name, frozen=bool(entry["frozen"]))
         self._graphs[key] = graph
         return graph
 
-    def store(self, mutable_models: Optional[Sequence[str]] = None) -> TripleStore:
-        """Build a :class:`TripleStore` over the mapped graphs.
+    def graphs(self) -> List[Tuple[Dict[str, object], ReadableGraph]]:
+        """Every ``(TOC entry, graph)`` of the file, in TOC order."""
+        return [(entry, self.graph(entry["key"])) for entry in self._toc["graphs"]]
 
-        ``mutable_models``: ``None`` (default) materializes exactly the
-        models that were saved unfrozen — a faithful round-trip; an
-        iterable of names materializes exactly those; ``()`` keeps
-        everything mapped and read-only (the cheap attach used for
-        serving).
-        """
-        store = TripleStore()
-        for entry in self._toc["graphs"]:
-            if entry["kind"] != "model":
-                continue
-            graph = self.graph(entry["key"])
-            materialize = (
-                not entry["frozen"]
-                if mutable_models is None
-                else entry["model"] in mutable_models
-            )
-            store.adopt_model(
-                entry["model"], graph.materialize() if materialize else graph
-            )
-        for entry in self._toc["graphs"]:
-            if entry["kind"] != "index":
-                continue
-            store.attach_index(
-                entry["model"], entry["rulebase"], self.graph(entry["key"])
-            )
-        return store
+    def store(self, mutable_models: Optional[Sequence[str]] = None) -> TripleStore:
+        """A :class:`TripleStore` over the file's graphs (see
+        :func:`build_store` for ``mutable_models``)."""
+        return build_store(self.graphs(), mutable_models)
 
     # -- inspection --------------------------------------------------------
 
@@ -688,25 +722,25 @@ class MappedSnapshot:
         return _first_crc_mismatch(self._buf, self._toc["sections"]) is None
 
     def info(self) -> Dict[str, object]:
-        return {
+        graphs = []
+        for g in self._toc["graphs"]:
+            row = {k: g[k] for k in ("key", "kind", "model", "rulebase", "triples", "frozen")}
+            if "delta" in g:
+                row["delta"] = {half: g["delta"][half]["triples"] for half in ("added", "removed")}
+                row["base"] = g.get("base")
+            graphs.append(row)
+        info = {
             "path": str(self._path),
             "format_version": FORMAT_VERSION,
             "generation": self.generation,
             "file_size": os.path.getsize(self._path),
             "terms": self._toc["terms"],
             "sections": sorted(self._toc["sections"]),
-            "graphs": [
-                {
-                    "key": g["key"],
-                    "kind": g["kind"],
-                    "model": g["model"],
-                    "rulebase": g["rulebase"],
-                    "triples": g["triples"],
-                    "frozen": g["frozen"],
-                }
-                for g in self._toc["graphs"]
-            ],
+            "graphs": graphs,
         }
+        if self.base_generation is not None:
+            info["base_generation"] = self.base_generation
+        return info
 
     def __repr__(self) -> str:
         return (

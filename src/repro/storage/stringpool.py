@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from typing import List, Optional, Sequence, Tuple
+import sys
+from array import array
+from typing import Optional, Sequence, Tuple
 
 from repro.rdf.terms import BNode, IRI, Literal, Term
 from repro.storage.codec import SnapshotFormatError, StorageError, decode_varint, encode_varint
@@ -90,16 +92,23 @@ def decode_term(record) -> Term:
 def build_pool(terms: Sequence[Term]) -> Tuple[bytes, bytes, bytes]:
     """Serialize ``terms`` (already in dense-id order) into the three
     pool sections: ``(pool, offsets, hash)``."""
-    records: List[bytes] = [encode_term(t) for t in terms]
-    offsets = bytearray()
-    pos = 0
-    offsets += _U64.pack(0)
-    for rec in records:
-        pos += len(rec)
-        offsets += _U64.pack(pos)
-    pairs = sorted((_hash64(rec), tid) for tid, rec in enumerate(records))
-    hash_section = b"".join(_HASH_PAIR.pack(h, tid) for h, tid in pairs)
-    return b"".join(records), bytes(offsets), hash_section
+    pool = bytearray()
+    offsets = array("Q", [0])
+    hashes = array("Q")
+    for term in terms:
+        record = encode_term(term)
+        pool += record
+        offsets.append(len(pool))
+        hashes.append(_hash64(record))
+    # the (hash, id) pairs in order, each packed into one int to sort
+    pairs = array("Q")
+    for packed in sorted((h << 32) | tid for tid, h in enumerate(hashes)):
+        pairs.append(packed >> 32)
+        pairs.append(packed & 0xFFFFFFFF)
+    if sys.byteorder != "little":
+        offsets.byteswap()
+        pairs.byteswap()
+    return bytes(pool), offsets.tobytes(), pairs.tobytes()
 
 
 class MappedStringPool:
@@ -146,7 +155,10 @@ class MappedStringPool:
         return bytes(self._buf[start:end])
 
     def term(self, tid: int) -> Term:
-        return decode_term(self.raw(tid))
+        try:
+            return decode_term(self.raw(tid))
+        except (UnicodeDecodeError, ValueError) as exc:  # bytes a checksum vouched for
+            raise SnapshotFormatError(f"malformed term record {tid}: {exc}") from None
 
     def find(self, term: Term) -> Optional[int]:
         """The id of ``term``, or None — no record is ever decoded."""

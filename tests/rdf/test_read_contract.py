@@ -1,12 +1,15 @@
-"""One read contract, four ways to hold the same triples.
+"""One read contract, six ways to hold the same triples.
 
 A :class:`Graph`, a saved-and-attached :class:`MappedGraph`, a 2-layer
-:class:`GraphView` over in-memory graphs and a view over an attached
-store's mapped model plus a model created on that store must answer
-every term-level read identically — they share one implementation over
-different id-level primitives, and this property test is what keeps the
-primitives honest. The attached view puts the mapped dictionary's
-overlay ids (terms interned after the attach) under the contract.
+:class:`GraphView` over in-memory graphs, a view over an attached
+store's mapped model plus a model created on that store, a version two
+:class:`LayeredGraph` layers deep over a mapped graph (one layer
+removes, one adds) and a model a delta segment creates over an empty
+base must answer every term-level read identically — they share one
+implementation over different id-level primitives, and this property
+test is what keeps the primitives honest. The attached view and the
+layered version put the mapped dictionary's overlay ids (terms interned
+after the attach) under the contract.
 Patterns cover every bound/unbound shape, with terms drawn from the
 stored pool plus an unknown IRI and a literal in subject position.
 
@@ -24,10 +27,10 @@ from repro.rdf.dictionary import (
     DictionaryMismatchError,
     TermDictionary,
 )
-from repro.rdf.graph import Graph, GraphView
+from repro.rdf.graph import Graph, GraphView, LayeredGraph
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import BNode, IRI, Literal, Triple
-from repro.storage import MappedSnapshot, save_snapshot_store
+from repro.storage import MappedSnapshot, apply_segments, publish_segment, save_snapshot_store
 
 EX = "http://contract.test/"
 SUBJECTS = [IRI(f"{EX}s{i}") for i in range(4)] + [BNode("b1"), BNode("b2")]
@@ -57,8 +60,13 @@ triples_st = st.lists(
 )
 
 
-def load_four_ways(triples, layer_of, path):
-    """The same content as Graph, MappedGraph and two GraphViews."""
+PADDING = [Triple(IRI(f"{EX}pad"), IRI(f"{EX}pad-p"), Literal(f"pad {i}")) for i in range(2)]
+
+
+def load_every_way(triples, layer_of, root):
+    """The same content as Graph, MappedGraph, two GraphViews and two
+    LayeredGraphs; returns the attached snapshots (to close) and the
+    graphs by kind."""
     graph = Graph(triples, dictionary=TermDictionary())
     # layer 0 / 1 / both: a triple in both layers must still count once
     layers = [
@@ -67,8 +75,9 @@ def load_four_ways(triples, layer_of, path):
     store = TripleStore()
     store.adopt_model("M", Graph(triples, dictionary=TermDictionary()))
     store.create_model("L0").add_all(layers[0])
-    save_snapshot_store(store, path)
-    snapshot = MappedSnapshot.open(path)
+    store.create_model("N").add_all(layers[0] + PADDING)
+    save_snapshot_store(store, root / "g.mdws")
+    snapshot = MappedSnapshot.open(root / "g.mdws")
     attached = snapshot.store(mutable_models=())
     # created after the attach: interns into the mapped dictionary, and
     # a term the file does not hold gets an overlay id
@@ -78,12 +87,39 @@ def load_four_ways(triples, layer_of, path):
     shared_view = GraphView([Graph(layer, dictionary=shared) for layer in layers])
     assert shared_view.dictionary is shared
     assert attached_view.dictionary is attached.model("M").dictionary
-    return snapshot, {
+
+    # a version two layers deep over the mapped "N": the first layer
+    # removes the padding, the second adds layer 1 — whose terms the
+    # file may not hold, so it carries overlay ids
+    mapped_dict = attached.model("N").dictionary
+    padding = Graph(PADDING, dictionary=mapped_dict)
+    only_1 = [t for t in layers[1] if t not in layers[0]]
+    nothing = Graph(dictionary=mapped_dict)
+    depth_1 = LayeredGraph(attached.model("N"), nothing, padding)
+    version = LayeredGraph(depth_1, Graph(only_1, dictionary=mapped_dict), nothing)
+
+    # a model a segment creates over an empty base (a segment holds
+    # changes only, so an empty model is never created)
+    old = TripleStore()
+    old.create_model("D").add(PADDING[0])
+    new = TripleStore()
+    new.adopt_model("D", old.model("D"))
+    new.adopt_model("S", Graph(triples, dictionary=old.dictionary))
+    save_snapshot_store(old, root / "base.mdws", generation=1)
+    publish_segment(old, new, root / "s.seg", 1, 2)
+    base = MappedSnapshot.open(root / "base.mdws")
+    layered = apply_segments(base, [root / "s.seg"], mutable_models=())
+    graphs = {
         "graph": graph,
         "mapped": attached.model("M"),
         "shared-view": shared_view,
         "attached-view": attached_view,
+        "layered-version": version,
     }
+    if triples:
+        graphs["segment-created"] = layered.model("S")
+        assert isinstance(graphs["segment-created"], LayeredGraph)
+    return [snapshot, base], graphs
 
 
 def patterns():
@@ -110,7 +146,7 @@ def distinct(values):
 )
 def test_every_graph_answers_the_read_contract_alike(tmp_path, triples, layer_seed):
     expected = set(triples)
-    snapshot, graphs = load_four_ways(triples, layer_seed, tmp_path / "g.mdws")
+    snapshots, graphs = load_every_way(triples, layer_seed, tmp_path)
     try:
         for name, g in graphs.items():
             assert len(g) == len(expected), name
@@ -182,7 +218,8 @@ def test_every_graph_answers_the_read_contract_alike(tmp_path, triples, layer_se
                 elif None not in (s, p, o):
                     assert ((s, p, o) in g) == ((s, p, o) in match), where
     finally:
-        snapshot.close()
+        for snapshot in snapshots:
+            snapshot.close()
 
 
 def test_views_compare_by_content():
@@ -218,8 +255,6 @@ def test_store_refuses_a_graph_interning_elsewhere():
     foreign = Graph([T], dictionary=TermDictionary())
     with pytest.raises(DictionaryMismatchError):
         store.adopt_model("F", foreign)
-    with pytest.raises(DictionaryMismatchError):
-        store.replace_model("M", foreign)
     with pytest.raises(DictionaryMismatchError):
         store.attach_index("M", "OWLPRIME", foreign)
     assert store.model_names() == ["M", "N"] and not store.index_names()

@@ -13,7 +13,13 @@ import time
 
 import pytest
 
-from repro.server import DeadlineExceeded, QueryServiceError, ServiceConfig
+from repro.errors import InvalidRequest
+from repro.server import (
+    DeadlineExceeded,
+    QueryServiceError,
+    ServiceConfig,
+    UnpicklableRequest,
+)
 from repro.server import service as service_module
 
 pytestmark = pytest.mark.skipif(
@@ -76,3 +82,25 @@ def test_unpicklable_error_is_a_typed_error(warehouse, monkeypatch, tmp_path):
 
     with _serve_with(warehouse, monkeypatch, tmp_path, fail) as service:
         _query_fails_fast(service, "_HoldsALock")
+
+
+def test_unpicklable_request_is_a_request_error(warehouse, tmp_path):
+    """A lineage item that will not pickle never reaches the child: the
+    parent raises an ``InvalidRequest`` (thread mode answers the same
+    item with ``UnknownItem``), the child stays up and the endpoint's
+    breaker counts no failure."""
+    config = ServiceConfig(
+        max_workers=1, worker_mode="fork", snapshot_dir=str(tmp_path / "snaps")
+    )
+    with warehouse.serve(config) as service:
+        service.search("portfolio", timeout=BUDGET)  # the child is forked and attached
+        pids = service.worker_pids()
+        start = time.monotonic()
+        with pytest.raises(UnpicklableRequest) as info:
+            service.execute("lineage", item=threading.Lock(), timeout=BUDGET)
+        assert isinstance(info.value, InvalidRequest)
+        assert time.monotonic() - start < BUDGET / 2
+        assert service.breaker("lineage").snapshot()["consecutive_failures"] == 0
+        assert service.search("portfolio", timeout=BUDGET) is not None
+        assert service.worker_pids() == pids
+

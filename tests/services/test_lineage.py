@@ -173,6 +173,19 @@ class TestPathExplosion:
         mdw.facts.add_mapping(b, c)
         assert mdw.lineage.count_paths(a) >= 1
 
+    def test_count_paths_on_a_cycle_applies_the_filter(self):
+        """The cycle fallback counts only the paths the filter keeps:
+        with a→b and b→a kept and a→c dropped, one path is left."""
+        mdw = MetadataWarehouse()
+        cls = mdw.schema.declare_class("Node")
+        a, b, c = (mdw.facts.add_instance(name, cls) for name in "abc")
+        mdw.facts.add_mapping(a, b)
+        mdw.facts.add_mapping(b, a)
+        mdw.facts.add_mapping(a, c, condition="dropped")
+        keep = lambda edge: edge.condition != "dropped"  # noqa: E731
+        assert mdw.lineage.count_paths(a) == 2
+        assert mdw.lineage.count_paths(a, condition_filter=keep) == 1
+
 
 class TestDrilldown:
     @pytest.fixture

@@ -104,17 +104,20 @@ class _Cycle(Exception):
 def ref_count_paths(graph, item, direction, keep=None):
     memo, on_stack = {}, set()
 
+    def kept_from(node):
+        return [
+            n
+            for n in ref_neighbours(graph, node, direction)
+            if keep is None or keep(ref_hop(graph, node, n, direction))
+        ]
+
     def count(node):
         if node in memo:
             return memo[node]
         if node in on_stack:
             raise _Cycle()
         on_stack.add(node)
-        kept = [
-            n
-            for n in ref_neighbours(graph, node, direction)
-            if keep is None or keep(ref_hop(graph, node, n, direction))
-        ]
+        kept = kept_from(node)
         total = 1 if not kept else sum(count(n) for n in kept)
         on_stack.discard(node)
         memo[node] = total
@@ -126,7 +129,7 @@ def ref_count_paths(graph, item, direction, keep=None):
         total, stack = 0, [(item, {item})]
         while stack:
             node, seen = stack.pop()
-            kept = [n for n in ref_neighbours(graph, node, direction) if n not in seen]
+            kept = [n for n in kept_from(node) if n not in seen]
             if not kept:
                 total += 1
             for n in kept:

@@ -1,27 +1,24 @@
 """Format fuzzing: a corrupt snapshot or segment never answers.
 
 Seeded single-bit flips and truncations of a ``tiny`` ``.mdws`` (with
-its OWLPRIME index) and of a ``.mdwseg`` delta over it. A case passes
-only with a typed rejection (a ``StorageError`` subclass) or an answer
-bit-identical to the intact file's: every graph's sorted N-Triples.
-Anything else — a different graph, an ``IndexError``, a
-``UnicodeDecodeError`` — fails the case.
+its OWLPRIME index and two historized versions, the older saved as a
+reverse delta) and of a delta segment over it, both read by the one
+reader, :meth:`MappedSnapshot.open`. A case passes only with a typed
+rejection (a ``StorageError`` subclass) or an answer bit-identical to
+the intact file's: every graph's sorted N-Triples. Anything else — a
+different graph, an ``IndexError``, a ``UnicodeDecodeError`` — fails
+the case.
 """
 
 import random
 
 import pytest
 
+from repro.history import Historizer
 from repro.rdf.ntriples import serialize_ntriples
 from repro.rdf.terms import IRI, Literal, Triple
 from repro.server.snapshot import SnapshotManager
-from repro.storage import (
-    MappedSnapshot,
-    StorageError,
-    apply_segments,
-    publish_segment,
-    read_segment,
-)
+from repro.storage import MappedSnapshot, StorageError, apply_segments, publish_segment
 from repro.synth import LandscapeConfig, generate_landscape
 
 FLIPS = 300
@@ -43,12 +40,9 @@ def _attached_answer(path):
 
 
 def _segment_answer(base_path, segment_path):
-    read_segment(segment_path)  # rejects before the base is touched
     snap = MappedSnapshot.open(base_path)
     try:
-        store = snap.store(mutable_models=())
-        apply_segments(store, [segment_path], base_generation=1)
-        return _answer(store)
+        return _answer(apply_segments(snap, [segment_path], mutable_models=()))
     finally:
         snap.close()
 
@@ -91,16 +85,25 @@ def tiny_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     mdw = generate_landscape(LandscapeConfig.tiny(seed=2012)).warehouse
     mdw.build_entailment_index()
-    base = mdw.save_snapshot(root / "base.mdws", generation=1)
-    # the segment diffs two states of the live id space
-    old = SnapshotManager(mdw).pin().warehouse.store
+    historizer = Historizer(mdw.store)
+    historizer.snapshot("2026.R1")
     graph = mdw.graph
+    for triple in list(graph)[:3]:
+        graph.discard(triple)
+    historizer.snapshot("2026.R2")
+    base = mdw.save_snapshot(root / "base.mdws", generation=1)
+    snap = MappedSnapshot.open(base)
+    assert snap.info()["graphs"][1]["delta"] == {"added": 3, "removed": 0}
+    snap.close()
+    # the segment diffs two pinned states of the live id space
+    old = SnapshotManager(mdw).pin().warehouse.store
     for triple in list(graph)[:5]:
         graph.discard(triple)
     item = IRI("http://example.org/fuzz#item")
     graph.add(Triple(item, IRI("http://example.org/fuzz#hasName"), Literal("näme \"q\"")))
     graph.add(Triple(item, IRI("http://example.org/fuzz#label"), Literal("Name", language="de-CH")))
-    segment = publish_segment(old, mdw.store, root / "delta.mdwseg", 1, 2)
+    new = SnapshotManager(mdw).pin().warehouse.store
+    segment = publish_segment(old, new, root / "delta.mdwseg", 1, 2)
     return base, segment
 
 

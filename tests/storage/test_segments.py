@@ -1,4 +1,12 @@
-"""Delta segments: O(delta) size, chain verification, bit-identity."""
+"""Delta segments: O(delta) size, chain verification, bit-identity.
+
+A segment is a snapshot container holding only delta entries, read by
+the one reader, :meth:`MappedSnapshot.open`.
+"""
+
+import json
+import struct
+import zlib
 
 import pytest
 
@@ -11,11 +19,9 @@ from repro.storage import (
     SnapshotFormatError,
     apply_segments,
     diff_stores,
-    read_segment,
+    publish_segment,
     save_snapshot_store,
-    write_segment,
 )
-from repro.storage.segments import publish_segment
 
 NS = "http://example.org/"
 
@@ -71,12 +77,20 @@ def test_segment_roundtrip(tmp_path):
     old = _base_store()
     new = _base_store()
     _evolve(new, 1)
-    entries = diff_stores(old, new)
-    assert entries, "evolution produced no delta"
-    path = write_segment(tmp_path / "d.seg", entries, 1, 2)
-    seg = read_segment(path)
-    assert seg.base_generation == 1 and seg.generation == 2
-    assert seg.churn == sum(e.churn for e in entries)
+    deltas = diff_stores(old, new)
+    assert deltas, "evolution produced no delta"
+    path = publish_segment(old, new, tmp_path / "d.seg", 1, 2)
+    seg = MappedSnapshot.open(path)
+    try:
+        assert seg.base_generation == 1 and seg.generation == 2
+        churn = sum(
+            counts["triples"]
+            for entry in seg.graph_entries()
+            for counts in entry["delta"].values()
+        )
+        assert churn == sum(diff.churn for _, diff in deltas)
+    finally:
+        seg.close()
 
 
 def test_segment_is_o_delta_sized(tmp_path):
@@ -108,12 +122,12 @@ def test_replay_is_bit_identical_to_full_save(tmp_path):
         generation += 1
         prev = _copy_of(live)
 
-    attached = MappedSnapshot.open(base_path).store(mutable_models=())
-    final_gen = apply_segments(attached, segments, base_generation=10)
-    assert final_gen == 13
-    replayed_path = _snapshot_of(attached, tmp_path / "replayed.mdws", final_gen)
-    full_path = _snapshot_of(live, tmp_path / "final.mdws", final_gen)
+    snap = MappedSnapshot.open(base_path)
+    attached = apply_segments(snap, segments, mutable_models=())
+    replayed_path = _snapshot_of(attached, tmp_path / "replayed.mdws", 13)
+    full_path = _snapshot_of(live, tmp_path / "final.mdws", 13)
     assert replayed_path.read_bytes() == full_path.read_bytes()
+    snap.close()
 
 
 def test_broken_chain_is_rejected(tmp_path):
@@ -121,9 +135,10 @@ def test_broken_chain_is_rejected(tmp_path):
     new = _base_store()
     _evolve(new, 1)
     seg = publish_segment(old, new, tmp_path / "d.seg", 5, 6)
-    store = _base_store()
+    snap = MappedSnapshot.open(_snapshot_of(_base_store(), tmp_path / "b.mdws", 4))
     with pytest.raises(SnapshotFormatError, match="chain"):
-        apply_segments(store, [seg], base_generation=4)
+        apply_segments(snap, [seg])
+    snap.close()
 
 
 def test_truncated_segment_is_rejected(tmp_path):
@@ -134,7 +149,7 @@ def test_truncated_segment_is_rejected(tmp_path):
     raw = path.read_bytes()
     path.write_bytes(raw[: len(raw) - 10])
     with pytest.raises(SnapshotFormatError, match="truncated|checksum"):
-        read_segment(path)
+        MappedSnapshot.open(path)
 
 
 def test_corrupted_segment_body_is_rejected(tmp_path):
@@ -146,21 +161,44 @@ def test_corrupted_segment_body_is_rejected(tmp_path):
     raw[-1] ^= 0xFF
     path.write_bytes(bytes(raw))
     with pytest.raises(SnapshotFormatError, match="checksum"):
-        read_segment(path)
+        MappedSnapshot.open(path)
 
 
-@pytest.mark.parametrize("bad", ['"a\\u00"', '"x"^^bad', '"lit"'])
-def test_malformed_term_in_a_checksummed_body_is_rejected(tmp_path, monkeypatch, bad):
-    """A body whose checksum holds but whose terms do not parse (a short
-    escape, a bare datatype, a literal subject) is a SnapshotFormatError."""
-    from repro.storage import segments
+def _rewrite_first_record(path, bad: bytes) -> None:
+    """Overwrite the pool's first term record with ``bad`` (same length)
+    and re-seal every checksum, as a writer with a bug would."""
+    raw = bytearray(path.read_bytes())
+    toc_offset, toc_length = struct.unpack_from("<QQ", raw, 24)
+    toc = json.loads(raw[toc_offset : toc_offset + toc_length])
+    offsets = toc["sections"]["offsets"]
+    start, end = struct.unpack_from("<QQ", raw, offsets["offset"])
+    pool = toc["sections"]["pool"]
+    raw[pool["offset"] + start : pool["offset"] + end] = bad.ljust(end - start, b"\x80")
+    pool["crc32"] = zlib.crc32(raw[pool["offset"] : pool["offset"] + pool["length"]])
+    body = json.dumps(toc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    del raw[toc_offset:]
+    raw += body
+    struct.pack_into("<QQI", raw, 24, toc_offset, len(body), zlib.crc32(body))
+    struct.pack_into("<I", raw, 44, zlib.crc32(raw[:44]))
+    path.write_bytes(bytes(raw))
 
-    row = [bad, "<http://x/p>", '"o"'] if bad == '"lit"' else ["<http://x/s>", "<http://x/p>", bad]
-    monkeypatch.setattr(segments, "_triple_rows", lambda triples: [row])
-    entry = segments.SegmentEntry("model", "DWH_CURR", added=[Triple(IRI(NS), RDF.type, IRI(NS))])
-    path = write_segment(tmp_path / "d.seg", [entry], 1, 2)
-    with pytest.raises(SnapshotFormatError, match="malformed segment triple"):
-        read_segment(path)
+
+@pytest.mark.parametrize(
+    "bad", [b"\x09", b"\x01\xff", b"\x04"], ids=["unknown-kind", "bad-utf8", "truncated-varint"]
+)
+def test_malformed_term_record_in_a_checksummed_pool_is_rejected(tmp_path, bad):
+    """A pool record whose checksums hold but which does not decode (an
+    unknown kind byte, invalid UTF-8, a varint running off the record)
+    is a SnapshotFormatError when the segment is applied."""
+    old = _base_store()
+    new = _base_store()
+    _evolve(new, 1)
+    path = publish_segment(old, new, tmp_path / "d.seg", 1, 2)
+    _rewrite_first_record(path, bad)
+    snap = MappedSnapshot.open(_snapshot_of(old, tmp_path / "b.mdws", 1))
+    with pytest.raises(SnapshotFormatError, match="malformed term|truncated varint|unknown term kind"):
+        apply_segments(snap, [path])
+    snap.close()
 
 
 def test_segment_creating_new_model_shares_dictionary(tmp_path):
@@ -172,8 +210,7 @@ def test_segment_creating_new_model_shares_dictionary(tmp_path):
     seg = publish_segment(old, new, tmp_path / "d.seg", 1, 2)
 
     base_path = save_snapshot_store(old, tmp_path / "base.mdws", generation=1)
-    attached = MappedSnapshot.open(base_path).store(mutable_models=())
-    apply_segments(attached, [seg], base_generation=1)
+    attached = apply_segments(MappedSnapshot.open(base_path), [seg], mutable_models=())
     assert attached.has_model("HIST_2026.R1")
     assert (
         attached.model("HIST_2026.R1").dictionary

@@ -1,6 +1,7 @@
 """Snapshot files: save/attach round trips, validation, rejection, and
 crashes mid-save and mid-attach."""
 
+import hashlib
 import itertools
 import json
 import random
@@ -11,7 +12,8 @@ import pytest
 
 from repro.core.warehouse import MetadataWarehouse
 from repro.etl import EtlOrchestrator
-from repro.rdf.graph import Graph, ReadOnlyGraphError
+from repro.history import Historizer
+from repro.rdf.graph import Graph, LayeredGraph, ReadOnlyGraphError
 from repro.rdf.namespace import RDF
 from repro.rdf.ntriples import serialize_ntriples
 from repro.rdf.terms import IRI, Literal, Triple
@@ -23,8 +25,8 @@ from repro.storage import (
     StorageError,
     save_snapshot_store,
 )
-from repro.storage.snapshot import FORMAT_VERSION, HEADER_SIZE, MAGIC
-from repro.synth import make_release_feeds
+from repro.storage.snapshot import FORMAT_VERSION, HEADER_SIZE, MAGIC, MAX_DELTA_CHAIN
+from repro.synth import LandscapeConfig, generate_landscape, make_release_feeds
 
 NS = "http://example.org/"
 
@@ -255,10 +257,10 @@ def test_rejects_future_format_version(tmp_path):
         MappedSnapshot.open(path)
 
 
-@pytest.mark.parametrize("retired", [1, 2])
+@pytest.mark.parametrize("retired", [1, 2, 3])
 def test_rejects_format_1_file(tmp_path, retired):
     """A file of a retired format (1: varint pages; 2: CSR runs with an
-    OSP order) names both versions."""
+    OSP order; 3: every version in full) names both versions."""
     path, raw = _valid_bytes(tmp_path)
     _with_version(path, raw, retired)
     with pytest.raises(
@@ -416,3 +418,133 @@ def test_crashed_save_or_attach_keeps_the_file(tmp_path, site):
         assert _state(MetadataWarehouse.attach_snapshot(path)) == _state(base)
         evolved.save_snapshot(path)
     assert _state(MetadataWarehouse.attach_snapshot(path)) == _state(evolved)
+
+
+# -- versions as reverse deltas ------------------------------------------------
+
+#: SHA-256 of the sections the format-3 writer (every graph in full, the
+#: term-space writer before this one) wrote for ``_pinned_store()``: the
+#: string pool and every graph still saved in full keep their bytes
+PINNED_SECTIONS = {
+    "pool": "e9aa729142ae69e6215ea4f05b96fdf1fe10c51543e0ec57993be665c9e72212",
+    "offsets": "1298068b13d1a337b625581441ef881421442dfd1205230ed17cb64d9552faf4",
+    "hash": "fe904e303f9b0ef86dbe6cc0d5f73fc3ae6b9493a8c881049aba2cf4f2faf379",
+    "model:DWH_CURR/spo": "24deb7af06897b1419610266b54accc168ed0b3d7cbc9b1db3868e47c69e5bd4",
+    "model:DWH_CURR/pos": "6469b79a477e39c4c60db68463a3543383ba503196393f393cd5d4a8f84224a1",
+    "model:HIST_2026.R2/spo": "24deb7af06897b1419610266b54accc168ed0b3d7cbc9b1db3868e47c69e5bd4",
+    "model:HIST_2026.R2/pos": "6469b79a477e39c4c60db68463a3543383ba503196393f393cd5d4a8f84224a1",
+    "index:DWH_CURR:OWLPRIME/spo": "ada023a53f7691006aa68b70e47f7cde75d70cf777fb273c4dfa0b6b80b13577",
+    "index:DWH_CURR:OWLPRIME/pos": "1326410bbb276ef10fc20c3c1e1753969a8629ee232ba432a7e2ccc41afd4a05",
+}
+
+#: the format-3 TOC entries of the graphs saved in full
+PINNED_ENTRIES = [
+    {"distinct": [152, 24, 276], "frozen": False, "key": "model:DWH_CURR", "kind": "model",
+     "model": "DWH_CURR", "rulebase": None, "triples": 696},
+    {"distinct": [152, 24, 276], "frozen": True, "key": "model:HIST_2026.R2", "kind": "model",
+     "model": "HIST_2026.R2", "rulebase": None, "triples": 696},
+    {"distinct": [113, 2, 7], "frozen": False, "key": "index:DWH_CURR:OWLPRIME",
+     "kind": "index", "model": "DWH_CURR", "rulebase": "OWLPRIME", "triples": 199},
+]
+
+
+def _pinned_store() -> MetadataWarehouse:
+    """A ``tiny`` store with its OWLPRIME index and two versions: five
+    triples dropped and one added between them."""
+    mdw = generate_landscape(LandscapeConfig.tiny(seed=2012)).warehouse
+    mdw.build_entailment_index()
+    historizer = Historizer(mdw.store)
+    historizer.snapshot("2026.R1")
+    graph = mdw.graph
+    for triple in sorted(graph, key=lambda t: tuple(x.sort_key() for x in t))[:5]:
+        graph.discard(triple)
+    graph.add(Triple(IRI("http://example.org/pin#item"), IRI("http://example.org/pin#hasName"),
+                     Literal("pinned")))
+    historizer.snapshot("2026.R2")
+    return mdw
+
+
+def _toc(raw: bytes):
+    toc_offset, toc_length = struct.unpack_from("<QQ", raw, 24)
+    return json.loads(raw[toc_offset : toc_offset + toc_length])
+
+
+def test_full_sections_keep_the_format_3_bytes(tmp_path):
+    """The id-space writer writes the pool and every full graph's runs
+    byte for byte as the term-space writer did; the TOC differs only by
+    the delta entry of the older version."""
+    raw = _pinned_store().save_snapshot(tmp_path / "pin.mdws", generation=7).read_bytes()
+    toc = _toc(raw)
+    for name, digest in PINNED_SECTIONS.items():
+        sec = toc["sections"][name]
+        assert hashlib.sha256(raw[sec["offset"] : sec["offset"] + sec["length"]]).hexdigest() == digest, name
+    assert [g for g in toc["graphs"] if "delta" not in g] == PINNED_ENTRIES
+    (delta,) = [g for g in toc["graphs"] if "delta" in g]
+    assert delta["key"] == "model:HIST_2026.R1" and delta["base"] == "model:HIST_2026.R2"
+    assert delta["triples"] == 700
+    assert {half: delta["delta"][half]["triples"] for half in delta["delta"]} == {
+        "added": 5, "removed": 1,
+    }
+    assert sorted(toc["sections"]) == sorted(
+        [*PINNED_SECTIONS, *(f"model:HIST_2026.R1/{half}/{run}"
+                             for half in ("added", "removed") for run in ("spo", "pos"))]
+    )
+
+
+def test_versions_saved_as_reverse_deltas_answer_in_full(tmp_path):
+    """Three versions: the newest in full, the others as a chain of
+    reverse deltas. Attached, every version answers its whole content
+    (the oldest two layers deep), a historizer lists them, and saving
+    the attached store again writes the same bytes."""
+    store = _store()
+    live = store.model("DWH_CURR")
+    contents = {}
+    for release in ("R2", "R3", "R10"):  # R10 is the newest (digit runs compare as numbers)
+        live.add(Triple(IRI(f"{NS}item_{release}"), RDF.type, IRI(f"{NS}Class_0")))
+        live.discard(next(iter(live)))
+        Historizer(store).snapshot(f"2026.{release}")
+        contents[release] = set(store.model(f"HIST_2026.{release}"))
+    path = save_snapshot_store(store, tmp_path / "v.mdws", generation=3)
+    snap = MappedSnapshot.open(path)
+    attached = snap.store()
+    oldest = attached.model("HIST_2026.R2")
+    assert isinstance(oldest, LayeredGraph) and isinstance(oldest.layers[0], LayeredGraph)
+    assert not isinstance(attached.model("HIST_2026.R10"), LayeredGraph)
+    for release, content in contents.items():
+        graph = attached.model(f"HIST_2026.{release}")
+        assert set(graph) == content and len(graph) == len(content)
+        assert graph.count(None, RDF.type, None) == sum(1 for t in content if t[1] == RDF.type)
+    history = Historizer(attached)
+    assert history.version_names() == ["2026.R1", "2026.R2", "2026.R3", "2026.R10"]
+    assert history.get("2026.R2").graph.node_count() == len(
+        {t.subject for t in contents["R2"]} | {t.object for t in contents["R2"]}
+    )
+    again = save_snapshot_store(attached, tmp_path / "again.mdws", generation=3)
+    assert again.read_bytes() == path.read_bytes()
+    snap.close()
+
+
+def test_a_delta_chain_is_at_most_max_delta_chain_deep(tmp_path):
+    """70 versions: every 33rd from the newest is saved in full, so no
+    version reads through more than ``MAX_DELTA_CHAIN`` deltas, and
+    every one answers in full."""
+    store = TripleStore()
+    live = store.create_model("DWH_CURR")
+    for i in range(10):
+        live.add(Triple(IRI(f"{NS}s{i}"), RDF.type, IRI(f"{NS}C")))
+    history = Historizer(store)
+    for v in range(70):
+        live.add(Triple(IRI(f"{NS}n{v}"), RDF.type, IRI(f"{NS}C")))
+        history.snapshot(f"2000.R{v}")
+    snap = MappedSnapshot.open(save_snapshot_store(store, tmp_path / "c.mdws"))
+    attached = snap.store()
+
+    def depth(graph):
+        return 1 + depth(graph.layers[0]) if isinstance(graph, LayeredGraph) else 0
+
+    depths = [depth(attached.model(f"HIST_2000.R{v}")) for v in range(70)]
+    assert max(depths) == MAX_DELTA_CHAIN == 32
+    assert [v for v, d in enumerate(depths) if d == 0] == [3, 36, 69]
+    assert [len(attached.model(f"HIST_2000.R{v}")) for v in range(70)] == list(range(11, 81))
+    snap.close()
+
